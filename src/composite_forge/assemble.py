@@ -334,9 +334,12 @@ def construct_certificate(
     """Run the full staged sieve and emit a certificate.
 
     The window length y starts at the parameter formula and, when the prime
-    budget cannot cover that window, binary-searches the largest feasible
-    length (never below 8). Raises ConstructionError when even the smallest
-    window fails or the target N is too small for the prime modulus.
+    budget cannot cover that window, bisects to a feasible length (never
+    below 8). Each length draws its own random stream, so feasibility is not
+    monotone in y and the length found need not be the largest feasible one.
+    stats.extras["attempts"] records the outcome of every length tried.
+    Raises ConstructionError when even the smallest window fails or the
+    target N is too small for the prime modulus.
     """
     if mode not in ("greedy", "random"):
         raise ValueError("mode must be greedy or random")
@@ -362,6 +365,17 @@ def construct_certificate(
     base = params.with_target(target)
     cap_f = len(table.usable_between(x / 2, 3 * x / 4))
     cap_b = len(table.usable_between(3 * x / 4, x))
+    attempts: list[dict] = []  # one outcome record per window length tried
+
+    def record(y: int, outcome: str, res_f=None, res_b=None) -> None:
+        attempts.append(
+            {
+                "y": y,
+                "outcome": outcome,
+                "residual_fwd": None if res_f is None else len(res_f),
+                "residual_bwd": None if res_b is None else len(res_b),
+            }
+        )
 
     def attempt(y: int):
         p = base.with_y(y)
@@ -371,6 +385,7 @@ def construct_certificate(
                 p, table, stage_rng(seed, STREAM_SMALL, y), two_sided, threshold_factor
             )
         except RetryBudgetError:
+            record(y, "small_retry_budget")
             return None
         med = table.usable_between(z, x / 2)
         stats_rows = [
@@ -420,11 +435,14 @@ def construct_certificate(
                 StageStats("medium", "bwd", len(assigned_med), bwd0.count(), len(res_b), cap_b, seed)
             )
         if len(res_f) > cap_f or (two_sided and len(res_b) > cap_b):
+            record(y, "residual_over_capacity", res_f, res_b)
             return None
         try:
             pairs_f, pairs_b = pairing_stage(res_f, res_b, table, x, target)
         except ConstructionError:
+            record(y, "pairing_failed", res_f, res_b)
             return None
+        record(y, "ok", res_f, res_b)
         stats_rows.append(StageStats("cleanup", "fwd", len(pairs_f), len(res_f), 0, cap_f, seed))
         if two_sided:
             stats_rows.append(StageStats("cleanup", "bwd", len(pairs_b), len(res_b), 0, cap_b, seed))
@@ -520,6 +538,7 @@ def construct_certificate(
             "modulus_bits": p_x.bit_length(),
             "fills": len(fills),
             "mode": mode,
+            "attempts": attempts,
         }
     )
     return cert, stats

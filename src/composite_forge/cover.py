@@ -5,7 +5,8 @@ The sieve covers two offset windows, forward [1, y] and backward [-y, -1].
 A certificate residue r_q kills forward offsets j = r_q + alpha (mod q) and,
 once the target sum N is fixed, backward offsets j = alpha - N - r_q (mod q).
 Greedy mode scores residue classes directly; random mode samples shifts n_q
-by progression weights and induces residues from them.
+by progression weights and induces residues from them. The joint greedy pass
+and the refinement sweeps share one incremental engine, CoverState.
 """
 
 from __future__ import annotations
@@ -327,12 +328,74 @@ def backward_class_scores(
     return cnt[idx].sum(axis=0)
 
 
+class CoverState:
+    """Incremental cover counts for the forward and backward offset windows.
+
+    fwd[i] counts the assigned classes hitting forward offset fwd_lo + i
+    (prime q with residue r hits j = r + alpha mod q); bwd[i] counts those
+    hitting backward offset bwd_lo + i (j = alpha - N - r mod q). Offsets
+    with count zero are the survivors. Adding or removing one prime's class
+    is nu strided slice updates per window, and N mod q is reduced once per
+    prime, however many digits N has.
+    """
+
+    def __init__(self, table: RootTable, n_target: int, fwd_lo: int, fwd: np.ndarray,
+                 bwd_lo: int, bwd: np.ndarray):
+        self.table = table
+        self.n_target = n_target
+        self.fwd_lo, self.fwd = fwd_lo, fwd
+        self.bwd_lo, self.bwd = bwd_lo, bwd
+        self._n_mod: dict[int, int] = {}
+
+    @classmethod
+    def empty(cls, table: RootTable, y: int, n_target: int) -> "CoverState":
+        """Nothing assigned over [1, y] and [-y, -1]."""
+        fwd, bwd = np.zeros(y, dtype=np.int32), np.zeros(y, dtype=np.int32)
+        return cls(table, n_target, 1, fwd, -y, bwd)
+
+    @classmethod
+    def from_survivors(
+        cls, table: RootTable, fwd: SurvivorSet, bwd: SurvivorSet, n_target: int
+    ) -> "CoverState":
+        """Start from two survivor bitmaps; each killed offset counts once."""
+        f, b = (~fwd.bits).astype(np.int32), (~bwd.bits).astype(np.int32)
+        return cls(table, n_target, fwd.lo, f, bwd.lo, b)
+
+    def n_mod(self, q: int) -> int:
+        nq = self._n_mod.get(q)
+        if nq is None:
+            nq = self._n_mod[q] = self.n_target % q
+        return nq
+
+    def add(self, q: int, r: int, count: int = 1) -> None:
+        """Assign residue r to q (count -1 takes the assignment back)."""
+        nq = self.n_mod(q)
+        for a in self.table.roots[q]:
+            self.fwd[(r + a - self.fwd_lo) % q :: q] += count
+            self.bwd[(a - nq - r - self.bwd_lo) % q :: q] += count
+
+    def remove(self, q: int, r: int) -> None:
+        self.add(q, r, -1)
+
+    def survivors_fwd(self) -> np.ndarray:
+        return np.flatnonzero(self.fwd == 0).astype(np.int64) + self.fwd_lo
+
+    def survivors_bwd(self) -> np.ndarray:
+        return np.flatnonzero(self.bwd == 0).astype(np.int64) + self.bwd_lo
+
+    def best_residue(self, q: int) -> tuple[int, int, int]:
+        """The residue for q hitting the most survivors on both sides jointly
+        (ties to the smallest), with the forward and backward survivors it
+        hits."""
+        alphas = self.table.roots[q]
+        sf = forward_class_scores(q, alphas, self.survivors_fwd())
+        sb = backward_class_scores(q, alphas, self.survivors_bwd(), self.n_mod(q))
+        r = int(np.argmax(sf + sb))
+        return r, int(sf[r]), int(sb[r])
+
+
 def _covered_mask_fwd(pos: np.ndarray, q: int, r: int, alphas) -> np.ndarray:
     return np.isin((pos - r) % q, np.asarray(alphas) % q)
-
-
-def _covered_mask_bwd(pos: np.ndarray, q: int, r: int, alphas, n_target: int) -> np.ndarray:
-    return np.isin((pos + n_target % q + r) % q, np.asarray(alphas) % q)
 
 
 def _windowed_best(
@@ -385,26 +448,23 @@ def select_shifts_greedy(
         raise ValueError("side must be fwd, bwd, or both")
     if side in ("bwd", "both") and n_target is None:
         raise ValueError("backward coverage requires the target sum")
-    F = survivors.copy()
-    B = paired.copy() if paired is not None else None
     plan = CoverPlan(mode="greedy")
+    if side == "both":
+        # one engine sweep that starts with only the small stage assigned
+        state = CoverState.from_survivors(table, survivors, paired, n_target)
+        for q in sorted(set(primes), reverse=True):
+            if not table.roots[q]:
+                continue
+            r, cov_f, cov_b = state.best_residue(q)
+            state.add(q, r)
+            plan.choices.append(CoverChoice(q, "both", r, r - q, cov_f, cov_b))
+        plan.residual_fwd = state.survivors_fwd()
+        plan.residual_bwd = state.survivors_bwd()
+        return plan
+    F = survivors.copy()
     for q in sorted(set(primes), reverse=True):
         alphas = table.roots[q]
         if not alphas:
-            continue
-        if side == "both":
-            fpos, bpos = F.survivors(), B.survivors()
-            scores = forward_class_scores(q, alphas, fpos) + backward_class_scores(
-                q, alphas, bpos, n_target
-            )
-            r = int(np.argmax(scores))
-            fmask = _covered_mask_fwd(fpos, q, r, alphas)
-            bmask = _covered_mask_bwd(bpos, q, r, alphas, n_target)
-            F.kill(fpos[fmask])
-            B.kill(bpos[bmask])
-            plan.choices.append(
-                CoverChoice(q, "both", r, r - q, int(fmask.sum()), int(bmask.sum()))
-            )
             continue
         pos = F.survivors()
         if reach is not None and q in reach and pos.size:
@@ -428,10 +488,7 @@ def select_shifts_greedy(
         else:
             r_cert = (-n_target - base) % q
             plan.choices.append(CoverChoice(q, "bwd", r_cert, base, 0, covered))
-    if side == "both":
-        plan.residual_fwd = F.survivors()
-        plan.residual_bwd = B.survivors()
-    elif side == "fwd":
+    if side == "fwd":
         plan.residual_fwd = F.survivors()
     else:
         plan.residual_bwd = F.survivors()
@@ -556,23 +613,17 @@ def refine_residues(
 ) -> dict[int, int]:
     """Local improvement on top of the greedy pass: re-pick each medium
     prime's residue against the survivors of everything else, holding the
-    rest fixed. Deterministic; returns a new residue map."""
+    rest fixed. Every usable prime up to the largest medium prime must be
+    assigned. Deterministic; returns a new residue map."""
     if sweeps <= 0:
         return dict(residues)
-    y = params.y
     out = dict(residues)
-    hi = max(medium_primes, default=0)
+    state = CoverState.empty(table, params.y, n_target)
+    for q in table.usable_between(0, max(medium_primes, default=0)):
+        state.add(q, out[q])
     for _ in range(sweeps):
         for q in sorted(medium_primes, reverse=True):
-            others = {p: r for p, r in out.items() if p != q}
-            fwd = sieve_survivors(table, others, (1, y), (0, hi), skip={q})
-            bwd = sieve_survivors(
-                table, backward_residues(others, n_target), (-y, -1), (0, hi), skip={q}
-            )
-            alphas = table.roots[q]
-            fpos, bpos = fwd.survivors(), bwd.survivors()
-            scores = forward_class_scores(q, alphas, fpos) + backward_class_scores(
-                q, alphas, bpos, n_target
-            )
-            out[q] = int(np.argmax(scores))
+            state.remove(q, out[q])
+            out[q] = state.best_residue(q)[0]
+            state.add(q, out[q])
     return out

@@ -3,8 +3,8 @@
 Given residues r_q and root sets I_q, position n is killed by prime q when
 (n - r_q) mod q lands in I_q; survivors are the positions no prime in the
 active range kills. Intervals are inclusive on both ends and may be
-negative. The bitmap is processed in fixed-size segments so memory stays
-bounded regardless of interval length.
+negative. The whole bitmap is allocated at once, so memory grows with the
+interval length; the sieve only walks it in fixed-size segments.
 """
 
 from __future__ import annotations

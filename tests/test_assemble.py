@@ -246,6 +246,38 @@ class TestConstructCertificate:
         for r in cleanup:
             assert r.survivors_after == 0
 
+    def test_attempt_outcomes_recorded(self, f_x2p1, cache_dir, monkeypatch):
+        # every window-length attempt starts with exactly one small-stage draw
+        from composite_forge import assemble
+
+        tried = []
+        draw = assemble.sample_small_residue
+
+        def counting_draw(params, *args, **kwargs):
+            tried.append(params.y)
+            return draw(params, *args, **kwargs)
+
+        monkeypatch.setattr(assemble, "sample_small_residue", counting_draw)
+        _, stats = construct_certificate(
+            f_x2p1, SieveParams(x=300), seed=7, cache_dir=cache_dir
+        )
+        e = stats.extras
+        attempts = e["attempts"]
+        assert [a["y"] for a in attempts] == tried
+        assert {a["outcome"] for a in attempts} <= {
+            "ok", "small_retry_budget", "residual_over_capacity", "pairing_failed",
+        }
+        last_ok = [a for a in attempts if a["outcome"] == "ok"][-1]
+        assert last_ok["y"] == e["achieved_y"]
+        assert (last_ok["residual_fwd"], last_ok["residual_bwd"]) == (
+            e["residual_fwd"], e["residual_bwd"],
+        )
+        for a in attempts:
+            if a["outcome"] == "residual_over_capacity":
+                assert a["residual_fwd"] > e["capacity_fwd"] or (
+                    a["residual_bwd"] > e["capacity_bwd"]
+                )
+
     def test_every_usable_prime_assigned(self, f_x, cache_dir):
         cert, _ = construct_certificate(
             f_x, SieveParams(x=300), seed=7, cache_dir=cache_dir

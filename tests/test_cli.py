@@ -8,11 +8,16 @@ import sys
 
 import pytest
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 OK, VERIFY_FAILED, INFEASIBLE, USAGE = 0, 1, 2, 64
 
 
 def run_cli(*args, cwd, env_extra=None):
     env = dict(os.environ)
+    # the child runs in a tmp directory, where a relative PYTHONPATH entry
+    # does not resolve; put this checkout's src first by absolute path
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

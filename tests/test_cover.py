@@ -5,11 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from composite_forge import cover
 from composite_forge.assemble import stage_rng
 from composite_forge.cover import (
+    CoverChoice,
+    CoverPlan,
+    CoverState,
     RetryBudgetError,
     SieveParams,
+    backward_class_scores,
     backward_residues,
     build_ladder,
     covering_residual_check,
@@ -440,13 +447,146 @@ class TestClassScores:
             assert scores[r] == expect
 
     def test_backward_scores_with_huge_target(self, table_x2p1_100):
-        from composite_forge.cover import backward_class_scores, _covered_mask_bwd
-
         pos = np.array([-40, -31, -27, -18, -14, -9, -5, -1])
         alphas = table_x2p1_100.roots[13]
         N = 10**120 + 7  # must not overflow the numpy path
         scores = backward_class_scores(13, alphas, pos, N)
         for r in range(13):
-            mask = _covered_mask_bwd(pos, 13, r, alphas, N)
+            mask = covered_mask_bwd(pos, 13, r, alphas, N)
             expect = sum(1 for t in pos if (int(t) + N + r) % 13 in set(alphas))
             assert scores[r] == expect == mask.sum()
+
+
+# Reference oracles: the re-sieve refinement and the copy-and-kill joint
+# greedy loop that CoverState replaced, kept verbatim in behaviour.
+
+
+def covered_mask_bwd(pos, q, r, alphas, n_target):
+    """Backward offsets in pos that residue r of q kills."""
+    return np.isin((pos + n_target % q + r) % q, np.asarray(alphas) % q)
+
+
+def oracle_greedy_both(primes, survivors, paired, table, n_target):
+    F, B = survivors.copy(), paired.copy()
+    plan = CoverPlan(mode="greedy")
+    for q in sorted(set(primes), reverse=True):
+        alphas = table.roots[q]
+        if not alphas:
+            continue
+        fpos, bpos = F.survivors(), B.survivors()
+        scores = forward_class_scores(q, alphas, fpos) + backward_class_scores(
+            q, alphas, bpos, n_target
+        )
+        r = int(np.argmax(scores))
+        fmask = np.isin((fpos - r) % q, np.asarray(alphas) % q)
+        bmask = covered_mask_bwd(bpos, q, r, alphas, n_target)
+        F.kill(fpos[fmask])
+        B.kill(bpos[bmask])
+        plan.choices.append(
+            CoverChoice(q, "both", r, r - q, int(fmask.sum()), int(bmask.sum()))
+        )
+    plan.residual_fwd = F.survivors()
+    plan.residual_bwd = B.survivors()
+    return plan
+
+
+def oracle_refine(table, params, residues, medium_primes, n_target, sweeps):
+    if sweeps <= 0:
+        return dict(residues)
+    y = params.y
+    out = dict(residues)
+    hi = max(medium_primes, default=0)
+    for _ in range(sweeps):
+        for q in sorted(medium_primes, reverse=True):
+            others = {p: r for p, r in out.items() if p != q}
+            fwd = sieve_survivors(table, others, (1, y), (0, hi), skip={q})
+            bwd = sieve_survivors(
+                table, backward_residues(others, n_target), (-y, -1), (0, hi), skip={q}
+            )
+            alphas = table.roots[q]
+            fpos, bpos = fwd.survivors(), bwd.survivors()
+            scores = forward_class_scores(q, alphas, fpos) + backward_class_scores(
+                q, alphas, bpos, n_target
+            )
+            out[q] = int(np.argmax(scores))
+    return out
+
+
+@pytest.fixture(scope="module")
+def tables_2000(f_x, f_x2p1, table_x2p1_2000, cache_dir):
+    from composite_forge.modroots import build_root_table
+
+    return {"x": build_root_table(f_x, 2000, cache_dir=cache_dir), "x^2+1": table_x2p1_2000}
+
+
+def choice_tuples(plan):
+    return [(c.q, c.side, c.residue, c.shift, c.covered_fwd, c.covered_bwd) for c in plan.choices]
+
+
+class TestCoverState:
+    @given(
+        poly=st.sampled_from(["x", "x^2+1"]),
+        x=st.integers(100, 2000),
+        draw_seed=st.integers(0, 2**32 - 1),
+        n_target=st.integers(10**100, 10**1500),
+        sweeps=st.sampled_from([0, 1, 2]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_resieve_oracles(self, tables_2000, poly, x, draw_seed, n_target, sweeps):
+        table = tables_2000[poly]
+        params = SieveParams(x=x, N_target=n_target)
+        y, z = params.y, params.z
+        rng = np.random.default_rng(draw_seed)
+        small = {q: int(rng.integers(q)) for q in table.usable_between(0, z)}
+        fwd0 = sieve_survivors(table, small, (1, y), (0, z))
+        bwd0 = sieve_survivors(table, backward_residues(small, n_target), (-y, -1), (0, z))
+        med = table.usable_between(z, x / 2)
+
+        plan = select_shifts_greedy(med, fwd0, table, "both", paired=bwd0, n_target=n_target)
+        ref = oracle_greedy_both(med, fwd0, bwd0, table, n_target)
+        assert choice_tuples(plan) == choice_tuples(ref)
+        assert plan.residual_fwd.dtype == ref.residual_fwd.dtype == np.int64
+        assert np.array_equal(plan.residual_fwd, ref.residual_fwd)
+        assert np.array_equal(plan.residual_bwd, ref.residual_bwd)
+
+        merged = dict(small)
+        merged.update(plan.residues())
+        got = refine_residues(table, params, merged, med, n_target, sweeps)
+        assert got == oracle_refine(table, params, merged, med, n_target, sweeps)
+
+    def test_add_then_remove_restores_counts(self, table_x2p1_100):
+        N = 10**80 + 3
+        residues = {13: 4, 17: 9}
+        state = CoverState.empty(table_x2p1_100, 60, N)
+        for q, r in residues.items():
+            state.add(q, r)
+        fwd = sieve_survivors(table_x2p1_100, residues, (1, 60), (12, 17))
+        bwd = sieve_survivors(
+            table_x2p1_100, backward_residues(residues, N), (-60, -1), (12, 17)
+        )
+        assert list(state.survivors_fwd()) == list(fwd.survivors())
+        assert list(state.survivors_bwd()) == list(bwd.survivors())
+        for q, r in residues.items():
+            state.remove(q, r)
+        assert not state.fwd.any() and not state.bwd.any()
+        assert list(state.survivors_bwd()) == list(range(-60, 0))
+
+    def test_engine_paths_do_not_resieve(self, table_x2p1_2000, monkeypatch):
+        params = SieveParams(x=2000, N_target=10**60)
+        residues, fwd, bwd, _ = sample_small_residue(
+            params, table_x2p1_2000, stage_rng(6, 1, 0)
+        )
+        med = table_x2p1_2000.usable_between(params.z, 1000)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the engine must not re-sieve")
+
+        monkeypatch.setattr(cover, "sieve_survivors", forbidden)
+        monkeypatch.setattr(cover, "backward_residues", forbidden)
+        monkeypatch.setattr(np, "isin", forbidden)
+        plan = select_shifts_greedy(
+            med, fwd, table_x2p1_2000, "both", paired=bwd, n_target=params.N_target
+        )
+        merged = dict(residues)
+        merged.update(plan.residues())
+        refine_residues(table_x2p1_2000, params, merged, med, params.N_target, sweeps=1)
