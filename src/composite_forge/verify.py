@@ -6,12 +6,20 @@ recomputes root sets, and checks every claim by direct modular arithmetic.
 Compositeness inside the windows is always certified by a divisor witness
 (q | f(n) with 1 < q < |f(n)|), never by primality testing; primality
 testing appears only in the small-scale oracle.
+
+The witness search works on a whole window at a time: each window start is
+reduced once per prime, the window's offsets are then walked with small-int
+arithmetic, and the size condition |f(n)| > q is proved once per window
+(with an exact per-value check only for small or hostile windows). The
+stored y is bounded by the formula length before anything is sized by it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +49,8 @@ class VerifyReport:
     failures: list[int] = field(default_factory=list)
     messages: list[str] = field(default_factory=list)
     witnesses: list[Witness] = field(default_factory=list)
+    # prime q -> number of checked values whose smallest witness is q
+    witness_primes: Counter[int] = field(default_factory=Counter)
 
     def to_json_dict(self) -> dict:
         return {
@@ -49,32 +59,61 @@ class VerifyReport:
             "failures": [str(n) for n in sorted(self.failures)],
             "mode": self.mode,
             "messages": list(self.messages),
+            "witness_primes": {str(q): c for q, c in sorted(self.witness_primes.items())},
         }
 
 
 def find_witness(
-    n: int,
+    base: int,
+    offsets: Sequence[int],
     primes_with_roots: list[tuple[int, tuple[int, ...]]],
     comp: tuple[int, ...],
     f: IntPolynomial,
     degree: int,
-) -> Witness | None:
-    """Smallest assigned prime dividing the companion value at n with the
-    size condition |f(n)| > q; None when no assigned prime works."""
-    fn = None
+) -> list[Witness | None]:
+    """Witness for each n = base + k, k in offsets (distinct, all k >= 0):
+    the smallest prime q > degree (primes ascending) with q | f(n) and
+    |f(n)| > q, or None when no listed prime works.
+
+    Each prime costs one big-int reduction s = base mod q; an offset is a
+    hit when (s + k) mod q is a root r of the companion B!*f mod q, which
+    is checked once per root on r itself (the companion has integer
+    coefficients, so its value at n agrees with its value at r mod q).
+    Per prime the hits are found by scanning the open offsets or by
+    striding through each root's progression, whichever visits fewer, and
+    an offset is closed at its first hit. The size condition is
+    proved once for the whole group when the companion g = sum c_i n^i
+    gives c_d*base - sum_{i<d} |c_i| > B!*q_max with base >= 1, since then
+    |g(n)| >= n^(d-1) (c_d n - sum |c_i|) > B!*q_max for every n >= base;
+    otherwise |f(n)| > q is checked exactly per hit. A hit failing it has
+    no witness at all, as every later prime is larger still.
+    """
+    out: list[Witness | None] = [None] * len(offsets)
+    q_max = max((q for q, roots in primes_with_roots if q > degree and roots), default=0)
+    size_ok = base >= 1 and comp[-1] * base - sum(map(abs, comp[:-1])) > (
+        math.factorial(degree) * q_max
+    )
+    open_ = {k: i for i, k in enumerate(offsets)}  # open offset -> position
+    span = max(offsets, default=0) + 1
     for q, roots in primes_with_roots:
-        alpha = n % q
-        if alpha not in roots:
-            continue
-        if companion_eval_mod(comp, n, q) != 0:
-            continue
+        if not open_:
+            break
         if q <= degree:
             continue
-        if fn is None:
-            fn = abs(f.eval(n))
-        if fn > q:
-            return Witness(n, q, alpha)
-    return None
+        good = [r for r in roots if companion_eval_mod(comp, r, q) == 0]
+        if not good:
+            continue
+        s = base % q
+        if len(open_) * q <= len(good) * span:
+            hits = [k for k in open_ if (s + k) % q in good]
+        else:
+            hits = [k for r in good for k in range((r - s) % q, span, q) if k in open_]
+        for k in hits:
+            i = open_.pop(k)
+            n = base + k
+            if size_ok or abs(f.eval(n)) > q:
+                out[i] = Witness(n, q, (s + k) % q)
+    return out
 
 
 def _structural_failures(cert: ResidueCertificate) -> list[str]:
@@ -104,6 +143,8 @@ def verify_certificate(
     the certificate primes whose residues are consistent with b1. A
     placement-free certificate is checked at offset level instead: the
     forward window [1, y] must be fully covered by the residue classes.
+    Neither check runs when y lies outside [1, formula y], and deep mode
+    skips a stored window whose length is not y; both faults are reported.
     Invalid certificates produce a negative report, not an exception.
     """
     mode = "deep" if deep else "fast"
@@ -115,6 +156,12 @@ def verify_certificate(
     comp = f.companion()
     x = cert.params.x
     y = cert.params.y
+    # construction never exceeds the formula length, and the witness loop
+    # and the offset sieve allocate by y, so they only run for y in range
+    y_formula = replace(cert.params, y_override=None).y
+    y_bounded = 1 <= y <= y_formula
+    if not y_bounded:
+        report.messages.append(f"window length {y} outside [1, formula length {y_formula}]")
     table = build_root_table(f, x)
 
     try:
@@ -138,9 +185,10 @@ def verify_certificate(
 
     if cert.placement is None:
         # offset-level check: the residue classes must blanket [1, y]
-        leftover = sieve_survivors(table, residues, (1, y), (0, x))
-        report.checked = y
-        report.failures = [int(v) for v in leftover.survivors()]
+        if y_bounded:
+            leftover = sieve_survivors(table, residues, (1, y), (0, x))
+            report.checked = y
+            report.failures = [int(v) for v in leftover.survivors()]
         report.valid = not report.failures and not report.messages
         return report
 
@@ -169,29 +217,55 @@ def verify_certificate(
         else:
             report.messages.append(f"b1 does not satisfy the residue for prime {q}")
 
-    i1_lo, i1_hi = pl.I1
-    i2_lo, i2_hi = pl.I2
-    if deep:
-        targets = list(range(i1_lo, i1_hi + 1)) + list(range(i2_lo, i2_hi + 1))
+    # each group is (base, offsets): its values are base + k, in target order.
+    # A stored window of the wrong length is already reported above; it is
+    # not walked, so its bounds cannot size the work.
+    windows = [(lo, hi) for lo, hi in (pl.I1, pl.I2) if hi - lo + 1 == y]
+    if not y_bounded:
+        groups = []
+    elif deep:
+        groups = [(lo, range(y)) for lo, _ in windows]
     else:
+        i1_lo, i1_hi = pl.I1
+        i2_lo, i2_hi = pl.I2
         targets = {i1_lo, i1_hi, i2_lo, i2_hi, pl.n1, pl.n2}
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, VERIFY_SAMPLE_STREAM])))
         n_sample = max(1, int(sample_rate * 2 * y))
         for off in rng.integers(0, y, size=n_sample):
             targets.add(i1_lo + int(off))
             targets.add(i2_lo + int(off))
-        targets = sorted(targets)
+        groups = _window_groups(sorted(targets), windows)
 
-    for n in targets:
-        w = find_witness(n, consistent, comp, f, degree)
-        if w is None:
-            report.failures.append(n)
-        elif len(report.witnesses) < 32:
-            report.witnesses.append(w)
-    report.checked = len(targets)
+    for base, offsets in groups:
+        for k, w in zip(offsets, find_witness(base, offsets, consistent, comp, f, degree)):
+            report.checked += 1
+            if w is None:
+                report.failures.append(base + k)
+                continue
+            report.witness_primes[w.q] += 1
+            if len(report.witnesses) < 32:
+                report.witnesses.append(w)
     report.failures.sort()
     report.valid = not report.failures and not report.messages
     return report
+
+
+def _window_groups(
+    targets: list[int], windows: list[tuple[int, int]]
+) -> list[tuple[int, list[int]]]:
+    """Split sorted targets into runs lying in one window (base = the
+    window start); a target in no window is a group of its own."""
+    groups: list[tuple[int, list[int]]] = []
+    prev = None
+    for n in targets:
+        win = next((w for w in windows if w[0] <= n <= w[1]), None)
+        if win is not None and win is prev:
+            groups[-1][1].append(n - win[0])
+        else:
+            base = n if win is None else win[0]
+            groups.append((base, [n - base]))
+        prev = win
+    return groups
 
 
 @dataclass(frozen=True)
