@@ -2,42 +2,17 @@
 values, with independently verifiable residue certificates."""
 
 from .assemble import (
+    STATS_HEADER,
     ConstructionError,
-    Placement,
     ResidueCertificate,
-    StageRecord,
-    auto_target,
     construct_certificate,
-    crt_combine,
-    pairing_stage,
-    place,
 )
-from .cover import (
-    CoverPlan,
-    RetryBudgetError,
-    ScaleLadder,
-    SieveParams,
-    build_ladder,
-    covering_residual_check,
-    progression_weight,
-    sample_small_residue,
-    select_shifts_greedy,
-    select_shifts_random,
-)
-from .modroots import (
-    DensityStats,
-    RootTable,
-    build_root_table,
-    density_stats,
-    residue_collision_count,
-    roots_mod_p,
-)
-from .poly import IntPolynomial, irreducibility_check, parse_poly_literal
-from .sievecore import SurvivorSet, sieve_survivors, translate_check
+from .cover import RetryBudgetError, SieveParams
+from .modroots import build_root_table, density_stats
+from .poly import IntPolynomial, parse_poly_literal
 from .verify import (
+    CoveringConfigError,
     CoveringSimConfig,
-    RunRecord,
-    Witness,
     covering_lemma_sim,
     oracle_longest_run,
     verify_certificate,
@@ -45,42 +20,21 @@ from .verify import (
 
 __version__ = "0.1.0"
 
+# what the command line drives, plus the polynomial type its inputs parse to
 __all__ = [
+    "STATS_HEADER",
     "ConstructionError",
-    "CoverPlan",
+    "CoveringConfigError",
     "CoveringSimConfig",
-    "DensityStats",
     "IntPolynomial",
-    "Placement",
     "ResidueCertificate",
     "RetryBudgetError",
-    "RootTable",
-    "RunRecord",
-    "ScaleLadder",
     "SieveParams",
-    "StageRecord",
-    "SurvivorSet",
-    "Witness",
-    "auto_target",
-    "build_ladder",
     "build_root_table",
     "construct_certificate",
     "covering_lemma_sim",
-    "covering_residual_check",
-    "crt_combine",
     "density_stats",
-    "irreducibility_check",
     "oracle_longest_run",
-    "pairing_stage",
     "parse_poly_literal",
-    "place",
-    "progression_weight",
-    "residue_collision_count",
-    "roots_mod_p",
-    "sample_small_residue",
-    "select_shifts_greedy",
-    "select_shifts_random",
-    "sieve_survivors",
-    "translate_check",
     "verify_certificate",
 ]

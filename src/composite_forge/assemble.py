@@ -19,6 +19,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .cover import (
+    CoverState,
     RetryBudgetError,
     SieveParams,
     backward_residues,
@@ -251,26 +252,32 @@ class ResidueCertificate:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ResidueCertificate":
-        placement = obj.get("placement")
-        return cls(
-            poly=IntPolynomial.from_json(obj["poly"]),
-            params=SieveParams.from_json(
-                obj["params"],
-                n_target=int(placement["N"]) if placement else None,
-            ),
-            seed=int(obj["seed"]),
-            stages=[
-                StageRecord(
-                    st["stage"],
-                    st["side"],
-                    [(int(q), int(r)) for q, r in st["assignments"]],
-                )
-                for st in obj["stages"]
-            ],
-            irreducibility=obj["irreducibility"],
-            placement=Placement.from_json(placement) if placement else None,
-            version=int(obj["version"]),
-        )
+        """Rebuild a certificate from parsed JSON. Input of the wrong shape
+        (a list where an object belongs, a number where a list does, a
+        missing field) raises ValueError."""
+        try:
+            placement = obj.get("placement")
+            return cls(
+                poly=IntPolynomial.from_json(obj["poly"]),
+                params=SieveParams.from_json(
+                    obj["params"],
+                    n_target=int(placement["N"]) if placement else None,
+                ),
+                seed=int(obj["seed"]),
+                stages=[
+                    StageRecord(
+                        st["stage"],
+                        st["side"],
+                        [(int(q), int(r)) for q, r in st["assignments"]],
+                    )
+                    for st in obj["stages"]
+                ],
+                irreducibility=obj["irreducibility"],
+                placement=Placement.from_json(placement) if placement else None,
+                version=int(obj["version"]),
+            )
+        except (AttributeError, IndexError, KeyError, OverflowError, TypeError) as e:
+            raise ValueError(f"malformed certificate: {type(e).__name__}: {e}") from e
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:
@@ -396,10 +403,7 @@ def construct_certificate(
                 StageStats("small", "bwd", len(residues), y, bwd0.count(), None, seed)
             )
         if mode == "greedy":
-            side = "both" if two_sided else "fwd"
-            plan = select_shifts_greedy(
-                med, fwd0, table, side, paired=bwd0 if two_sided else None, n_target=target
-            )
+            plan = select_shifts_greedy(med, fwd0, table, paired=bwd0, n_target=target)
             assignment = dict(residues)
             assignment.update(plan.residues())
             if sweeps > 0 and med:
@@ -407,26 +411,19 @@ def construct_certificate(
         else:
             ladder = build_ladder(p, table)
             rng_med = stage_rng(seed, STREAM_MEDIUM, y)
-            plan_f = select_shifts_random(ladder, "fwd", fwd0, None, rng_med, p, table)
+            plan_f = select_shifts_random(ladder, "fwd", fwd0, rng_med, p, table)
             assignment = dict(residues)
             assignment.update(plan_f.residues())
             if two_sided:
-                plan_b = select_shifts_random(ladder, "bwd", bwd0, None, rng_med, p, table)
+                plan_b = select_shifts_random(ladder, "bwd", bwd0, rng_med, p, table)
                 assignment.update(plan_b.residues())
         assigned_med = [q for q in med if q in assignment]
-        skip_med = {q for q in med if q not in assignment}
-        fwd1 = sieve_survivors(table, assignment, (1, y), (0, x / 2), skip=skip_med)
-        res_f = fwd1.survivors()
-        res_b = np.empty(0, dtype=np.int64)
-        if two_sided:
-            bwd1 = sieve_survivors(
-                table,
-                backward_residues(assignment, target),
-                (-y, -1),
-                (0, x / 2),
-                skip=skip_med,
-            )
-            res_b = bwd1.survivors()
+        # post-medium residuals: the small-stage survivors less every class
+        # the medium stage assigned (one-sided: an empty backward window)
+        state = CoverState.from_survivors(table, fwd0, bwd0, target)
+        for q in assigned_med:
+            state.add(q, assignment[q])
+        res_f, res_b = state.survivors_fwd(), state.survivors_bwd()
         stats_rows.append(
             StageStats("medium", "fwd", len(assigned_med), fwd0.count(), len(res_f), cap_f, seed)
         )

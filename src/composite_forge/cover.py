@@ -1,12 +1,15 @@
 """Staged residue selection: parameters, scale ladder, small-prime sampling,
-progression weights, and medium-prime shift selection (random and greedy).
+and medium-prime shift selection (random and greedy).
 
 The sieve covers two offset windows, forward [1, y] and backward [-y, -1].
 A certificate residue r_q kills forward offsets j = r_q + alpha (mod q) and,
 once the target sum N is fixed, backward offsets j = alpha - N - r_q (mod q).
 Greedy mode scores residue classes directly; random mode samples shifts n_q
-by progression weights and induces residues from them. The joint greedy pass
-and the refinement sweeps share one incremental engine, CoverState.
+and induces residues from them. The shifts are uniform: the paper weights a
+shift by sigma2^(-count) over its progression, and sigma2 = 1 at every
+supported scale (the small-stage boundary z sits below H^M for every ladder
+scale), so each weight is 1. The greedy pass, the refinement sweeps and the
+post-medium residuals all run on one incremental engine, CoverState.
 """
 
 from __future__ import annotations
@@ -148,19 +151,6 @@ class LadderScale:
 class ScaleLadder:
     scales: tuple[LadderScale, ...]
 
-    def total_bucket_mass(self) -> int:
-        return sum(len(qs) for s in self.scales for qs in s.buckets.values())
-
-    def is_dense_fallback(self, min_mass: int = 10) -> bool:
-        return self.total_bucket_mass() < min_mass
-
-    def scale_for(self, q: int) -> LadderScale | None:
-        for s in self.scales:
-            for qs in s.buckets.values():
-                if q in qs:
-                    return s
-        return None
-
     def side_scales(self, side: str) -> list[LadderScale]:
         return [s for s in self.scales if s.side == side]
 
@@ -243,39 +233,6 @@ def sample_small_residue(
     )
 
 
-def progression_weight(
-    H: float,
-    q: int,
-    n: int,
-    S1: SurvivorSet | None,
-    S2: SurvivorSet | None,
-    sigma2: float,
-    K: float,
-    alphas: Sequence[int],
-    side: str = "fwd",
-) -> float:
-    """Weight of shift n for prime q at scale H.
-
-    The progression runs n + alpha + q*h (forward) or n + alpha - q*h
-    (backward) for h = 1 .. K*H over all roots alpha. Elements are filtered
-    by membership in S1; if any filtered element escapes S2 the weight is 0,
-    otherwise sigma2^(-count). S1 or S2 being None means "all integers"
-    (the degenerate case sigma2 = 1, where every weight is 1).
-    """
-    reach = int(K * H)
-    ap: list[int] = []
-    for a in alphas:
-        for h in range(1, reach + 1):
-            e = n + a + q * h if side == "fwd" else n + a - q * h
-            if S1 is None or S1.contains(e):
-                ap.append(e)
-    if S2 is not None:
-        for e in ap:
-            if not S2.contains(e):
-                return 0.0
-    return sigma2 ** (-len(ap))
-
-
 @dataclass
 class CoverChoice:
     q: int
@@ -355,11 +312,14 @@ class CoverState:
 
     @classmethod
     def from_survivors(
-        cls, table: RootTable, fwd: SurvivorSet, bwd: SurvivorSet, n_target: int
+        cls, table: RootTable, fwd: SurvivorSet, bwd: SurvivorSet | None, n_target: int | None
     ) -> "CoverState":
-        """Start from two survivor bitmaps; each killed offset counts once."""
-        f, b = (~fwd.bits).astype(np.int32), (~bwd.bits).astype(np.int32)
-        return cls(table, n_target, fwd.lo, f, bwd.lo, b)
+        """Start from survivor bitmaps; each killed offset counts once. With
+        no backward bitmap the backward window is empty and N plays no part."""
+        f = (~fwd.bits).astype(np.int32)
+        if bwd is None:
+            return cls(table, 0, fwd.lo, f, 0, np.zeros(0, dtype=np.int32))
+        return cls(table, n_target, fwd.lo, f, bwd.lo, (~bwd.bits).astype(np.int32))
 
     def n_mod(self, q: int) -> int:
         nq = self._n_mod.get(q)
@@ -394,126 +354,55 @@ class CoverState:
         return r, int(sf[r]), int(sb[r])
 
 
-def _covered_mask_fwd(pos: np.ndarray, q: int, r: int, alphas) -> np.ndarray:
-    return np.isin((pos - r) % q, np.asarray(alphas) % q)
-
-
-def _windowed_best(
-    q: int, alphas: Sequence[int], pos: np.ndarray, reach: int
-) -> tuple[int, np.ndarray]:
-    """Best residue when the progression reach is shorter than the window:
-    maximize survivors of classes r + alpha inside some span-reach window."""
-    best_r, best_cnt, best_cover = 0, -1, np.empty(0, dtype=np.int64)
-    for r in range(q):
-        mask = _covered_mask_fwd(pos, q, r, alphas)
-        elems = np.sort(pos[mask])
-        if elems.size == 0:
-            cnt, cover = 0, elems
-        else:
-            # sliding window of width `reach` over sorted class members
-            j0 = 0
-            cnt, cover = 0, elems[:0]
-            for j1 in range(elems.size):
-                while elems[j1] - elems[j0] > reach:
-                    j0 += 1
-                if j1 - j0 + 1 > cnt:
-                    cnt = j1 - j0 + 1
-                    cover = elems[j0 : j1 + 1]
-        if cnt > best_cnt:
-            best_r, best_cnt, best_cover = r, cnt, cover
-    return best_r, best_cover
-
-
 def select_shifts_greedy(
     primes: Iterable[int],
     survivors: SurvivorSet,
     table: RootTable,
-    side: str = "fwd",
     *,
     paired: SurvivorSet | None = None,
     n_target: int | None = None,
-    reach: Mapping[int, int] | None = None,
 ) -> CoverPlan:
     """Deterministic shift selection: primes in descending order, each takes
     the residue class covering the most not-yet-covered survivors (ties to
     the smallest residue).
 
-    side "both" scores a single certificate residue against the forward
-    window (`survivors`) and the backward window (`paired`) jointly; this is
-    the construction default since one residue kills on both sides. A reach
-    map limits coverage to the best progression window of that span
-    (otherwise whole classes count, which is exact whenever reach >= span).
+    With `paired` (the backward survivors, which need the target sum) one
+    certificate residue is scored against both windows jointly, since it
+    kills on both sides; this is the construction default. Without it the
+    backward window is empty and only forward survivors count.
     """
-    if side not in ("fwd", "bwd", "both"):
-        raise ValueError("side must be fwd, bwd, or both")
-    if side in ("bwd", "both") and n_target is None:
+    if paired is not None and n_target is None:
         raise ValueError("backward coverage requires the target sum")
     plan = CoverPlan(mode="greedy")
-    if side == "both":
-        # one engine sweep that starts with only the small stage assigned
-        state = CoverState.from_survivors(table, survivors, paired, n_target)
-        for q in sorted(set(primes), reverse=True):
-            if not table.roots[q]:
-                continue
-            r, cov_f, cov_b = state.best_residue(q)
-            state.add(q, r)
-            plan.choices.append(CoverChoice(q, "both", r, r - q, cov_f, cov_b))
-        plan.residual_fwd = state.survivors_fwd()
-        plan.residual_bwd = state.survivors_bwd()
-        return plan
-    F = survivors.copy()
+    side = "fwd" if paired is None else "both"
+    # one engine sweep that starts with only the small stage assigned
+    state = CoverState.from_survivors(table, survivors, paired, n_target)
     for q in sorted(set(primes), reverse=True):
-        alphas = table.roots[q]
-        if not alphas:
+        if not table.roots[q]:
             continue
-        pos = F.survivors()
-        if reach is not None and q in reach and pos.size:
-            span = int(pos.max() - pos.min()) if pos.size else 0
-            if reach[q] < span:
-                base, cover = _windowed_best(q, alphas, pos, reach[q])
-                F.kill(cover)
-                r_cert = base if side == "fwd" else (-n_target - base) % q
-                plan.choices.append(
-                    CoverChoice(q, side, r_cert, base - q, len(cover) if side == "fwd" else 0,
-                                0 if side == "fwd" else len(cover))
-                )
-                continue
-        scores = forward_class_scores(q, alphas, pos)
-        base = int(np.argmax(scores))
-        mask = _covered_mask_fwd(pos, q, base, alphas)
-        F.kill(pos[mask])
-        covered = int(mask.sum())
-        if side == "fwd":
-            plan.choices.append(CoverChoice(q, "fwd", base, base - q, covered, 0))
-        else:
-            r_cert = (-n_target - base) % q
-            plan.choices.append(CoverChoice(q, "bwd", r_cert, base, 0, covered))
-    if side == "fwd":
-        plan.residual_fwd = F.survivors()
-    else:
-        plan.residual_bwd = F.survivors()
+        r, cov_f, cov_b = state.best_residue(q)
+        state.add(q, r)
+        plan.choices.append(CoverChoice(q, side, r, r - q, cov_f, cov_b))
+    plan.residual_fwd = state.survivors_fwd()
+    plan.residual_bwd = state.survivors_bwd()
     return plan
 
 
 def select_shifts_random(
     ladder: ScaleLadder,
     side: str,
-    S1: SurvivorSet | None,
-    S2: SurvivorSet | None,
+    survivors: SurvivorSet | None,
     rng: np.random.Generator,
     params: SieveParams,
     table: RootTable,
-    sigma2: float = 1.0,
 ) -> CoverPlan:
-    """Sample one shift per bucket prime on the given side with probability
-    proportional to the progression weight.
-
-    With sigma2 = 1 (always at supported scales: the small-stage boundary z
-    sits below H^M for every ladder scale) every weight is 1 and sampling is
-    uniform over the shift range; the general branch evaluates the weights
-    explicitly and is exercised on small crafted instances. Primes whose
-    weights sum to zero or fail the factor-2 mass sanity check around
-    (K+2)*y are dropped and logged in the plan.
+    """Sample one shift per bucket prime on the given side, uniformly over
+    the shift range: the progression weight sigma2^(-count) is 1 for every
+    shift, as sigma2 = 1 at every supported scale (the small-stage boundary
+    z sits below H^M for every ladder scale). A prime is dropped and logged
+    in the plan when the weight sum, here the size of the shift range,
+    fails the factor-2 mass sanity check around (K+2)*y. Choices record how
+    many of `survivors` (None: none counted) each progression covers.
     """
     if side not in ("fwd", "bwd"):
         raise ValueError("side must be fwd or bwd")
@@ -523,44 +412,23 @@ def select_shifts_random(
     n_range = hi - lo + 1
     expected_mass = (params.K + 2) * params.y
     plan = CoverPlan(mode="random")
-    survivors = S1
     for scale in ladder.side_scales(side):
         for nu in sorted(scale.buckets):
             for q in scale.buckets[nu]:
                 alphas = table.roots[q]
-                if sigma2 == 1.0:
-                    # degenerate weights: uniform over the shift range; the
-                    # mass check is exact since every weight equals 1
-                    if not (0.5 * expected_mass <= n_range <= 2.0 * expected_mass):
-                        plan.dropped.append((q, "weight-sum out of window"))
-                        continue
-                    n = int(rng.integers(lo, hi + 1))
-                else:
-                    weights = np.array(
-                        [
-                            progression_weight(
-                                scale.H, q, n, S1, S2, sigma2, params.K, alphas, side
-                            )
-                            for n in range(lo, hi + 1)
-                        ]
-                    )
-                    total = float(weights.sum())
-                    if total <= 0:
-                        plan.dropped.append((q, "zero weight sum"))
-                        continue
-                    if not (0.5 * expected_mass <= total <= 2.0 * expected_mass):
-                        plan.dropped.append((q, "weight-sum out of window"))
-                        continue
-                    n = int(rng.choice(np.arange(lo, hi + 1), p=weights / total))
+                if not (0.5 * expected_mass <= n_range <= 2.0 * expected_mass):
+                    plan.dropped.append((q, "weight-sum out of window"))
+                    continue
+                n = int(rng.integers(lo, hi + 1))
                 if side == "fwd":
                     r_cert = n % q
                 else:
                     r_cert = (-params.N_target - n) % q
                 covered = 0
                 if survivors is not None:
-                    reach = int(params.K * scale.H)
+                    h_max = int(params.K * scale.H)
                     for a in alphas:
-                        for h in range(1, reach + 1):
+                        for h in range(1, h_max + 1):
                             e = n + a + q * h if side == "fwd" else n + a - q * h
                             if survivors.contains(e):
                                 covered += 1
@@ -575,32 +443,6 @@ def select_shifts_random(
                     )
                 )
     return plan
-
-
-@dataclass(frozen=True)
-class CoverReport:
-    residual_fwd: int
-    capacity_fwd: int
-    residual_bwd: int | None
-    capacity_bwd: int | None
-    ok: bool
-
-
-def covering_residual_check(
-    plan: CoverPlan, params: SieveParams, table: RootTable, two_sided: bool = True
-) -> CoverReport:
-    """Compare post-selection residuals against the cleanup pairing capacity:
-    usable primes in (x/2, 3x/4] can each absorb one forward survivor, those
-    in (3x/4, x] one backward survivor."""
-    x = params.x
-    cap_f = len(table.usable_between(x / 2, 3 * x / 4))
-    cap_b = len(table.usable_between(3 * x / 4, x)) if two_sided else None
-    res_f = len(plan.residual_fwd) if plan.residual_fwd is not None else 0
-    res_b = len(plan.residual_bwd) if plan.residual_bwd is not None else None
-    ok = res_f <= cap_f
-    if two_sided:
-        ok = ok and (res_b or 0) <= (cap_b or 0)
-    return CoverReport(res_f, cap_f, res_b, cap_b, ok)
 
 
 def refine_residues(

@@ -1,10 +1,11 @@
-"""Segmented sieving of survivor sets.
+"""Sieving of survivor sets.
 
 Given residues r_q and root sets I_q, position n is killed by prime q when
 (n - r_q) mod q lands in I_q; survivors are the positions no prime in the
 active range kills. Intervals are inclusive on both ends and may be
-negative. The whole bitmap is allocated at once, so memory grows with the
-interval length; the sieve only walks it in fixed-size segments.
+negative. The whole bitmap is allocated at once and each root class is
+struck out with one strided slice, so memory grows with the interval
+length.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from typing import Mapping
 import numpy as np
 
 from .modroots import RootTable
-
-SEGMENT_SIZE = 1 << 20
 
 
 class MissingResidueError(KeyError):
@@ -56,7 +55,6 @@ def sieve_survivors(
     residues: Mapping[int, int],
     interval: tuple[int, int],
     prime_range: tuple[int, int],
-    segment_size: int = SEGMENT_SIZE,
     skip: frozenset[int] | set[int] = frozenset(),
 ) -> SurvivorSet:
     """Sieve [lo, hi] by all usable primes q with prime_range[0] < q <= prime_range[1].
@@ -78,17 +76,10 @@ def sieve_survivors(
             raise MissingResidueError(q)
         r = residues[q]
         active.append((q, tuple((r + a) % q for a in table.roots[q])))
-    n = hi - lo + 1
-    bits = np.ones(n, dtype=bool)
-    for s0 in range(0, n, segment_size):
-        s1 = min(s0 + segment_size, n)
-        view = bits[s0:s1]
-        base = lo + s0
-        for q, classes in active:
-            for c in classes:
-                start = (c - base) % q
-                if start < s1 - s0:
-                    view[start::q] = False
+    bits = np.ones(hi - lo + 1, dtype=bool)
+    for q, classes in active:
+        for c in classes:
+            bits[(c - lo) % q :: q] = False
     return SurvivorSet(lo, hi, bits, z1, z2)
 
 

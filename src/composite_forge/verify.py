@@ -408,21 +408,6 @@ class CoveringSimReport:
     c_hat: float
 
 
-def greedy_cover_rounds(ground_size: int, rounds: list[list[np.ndarray]]) -> int:
-    """Generic greedy cover: per round pick the candidate subset covering the
-    most still-uncovered elements; returns the residual count."""
-    uncovered = np.ones(ground_size, dtype=bool)
-    for candidates in rounds:
-        best, best_gain = None, -1
-        for cand in candidates:
-            gain = int(uncovered[np.asarray(cand)].sum())
-            if gain > best_gain:
-                best, best_gain = np.asarray(cand), gain
-        if best is not None:
-            uncovered[best] = False
-    return int(uncovered.sum())
-
-
 def covering_lemma_sim(config: CoveringSimConfig, seed: int = 0) -> CoveringSimReport:
     """Run the synthetic covering trials and report residual statistics.
 

@@ -278,6 +278,30 @@ class TestConstructCertificate:
                     a["residual_bwd"] > e["capacity_bwd"]
                 )
 
+    @pytest.mark.parametrize("two_sided,calls", [(True, 2), (False, 1)])
+    def test_sieves_only_for_the_final_check(
+        self, f_x2p1, cache_dir, monkeypatch, two_sided, calls
+    ):
+        # post-medium residuals come from the cover-count engine; the full
+        # re-sieve runs once per window, as the independent final check
+        from composite_forge import assemble
+
+        seen = []
+        sieve = assemble.sieve_survivors
+
+        def counting_sieve(*args, **kwargs):
+            seen.append(args[2])
+            return sieve(*args, **kwargs)
+
+        monkeypatch.setattr(assemble, "sieve_survivors", counting_sieve)
+        _, stats = construct_certificate(
+            f_x2p1, SieveParams(x=300), seed=7, two_sided=two_sided, cache_dir=cache_dir
+        )
+        y = stats.extras["achieved_y"]
+        # several window lengths were tried, so a per-attempt sieve would show
+        assert len(stats.extras["attempts"]) > 1
+        assert seen == [(1, y), (-y, -1)][:calls]
+
     def test_every_usable_prime_assigned(self, f_x, cache_dir):
         cert, _ = construct_certificate(
             f_x, SieveParams(x=300), seed=7, cache_dir=cache_dir

@@ -144,6 +144,26 @@ class TestVerify:
         r = run_cli("verify", "junk.json", cwd=tmp_path)
         assert r.returncode == USAGE
 
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda obj: [obj],
+            lambda obj: {**obj, "stages": 5},
+            lambda obj: {**obj, "params": "x"},
+            lambda obj: {**obj, "placement": {**obj["placement"], "I1": 7}},
+        ],
+        ids=["top-level-list", "stages-number", "params-string", "window-number"],
+    )
+    def test_malformed_certificate_exits_64(self, workdir, mangle):
+        with open(workdir / "cert.json") as fh:
+            obj = mangle(json.load(fh))
+        with open(workdir / "malformed.json", "w") as fh:
+            json.dump(obj, fh)
+        r = run_cli("verify", "malformed.json", cwd=workdir)
+        assert r.returncode == USAGE
+        assert "Traceback" not in r.stderr
+        assert "malformed certificate" in r.stderr
+
 
 class TestOracle:
     def test_frozen_run(self, tmp_path):

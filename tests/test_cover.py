@@ -1,5 +1,5 @@
 """Parameter formulas, the scale ladder, small-prime residue sampling, shift
-selection (greedy and randomized), refinement, and capacity accounting."""
+selection (greedy and randomized), refinement, and the cover-count engine."""
 
 import math
 
@@ -19,9 +19,7 @@ from composite_forge.cover import (
     backward_class_scores,
     backward_residues,
     build_ladder,
-    covering_residual_check,
     forward_class_scores,
-    progression_weight,
     refine_residues,
     sample_small_residue,
     select_shifts_greedy,
@@ -130,12 +128,6 @@ class TestLadder:
         assert len(set(seen)) == len(seen)
         assert set(seen) <= set(table_x2p1_2000.usable_between(params.z, 1000))
 
-    def test_scale_for(self, table_x2p1_2000):
-        ladder = build_ladder(SieveParams(x=2000), table_x2p1_2000)
-        q = ladder.scales[0].primes()[0]
-        assert ladder.scale_for(q) is ladder.scales[0]
-        assert ladder.scale_for(2) is None
-
 
 class TestSmallStage:
     def test_residues_cover_small_primes(self, table_x2p1_2000):
@@ -198,38 +190,16 @@ class TestBackwardResidues:
                 assert killed == ((N + r + j) % q in roots)
 
 
-class TestProgressionWeight:
-    def test_degenerate_is_one(self):
-        assert progression_weight(8, 97, 5, None, None, 1.0, 8.0, (0,)) == 1.0
-
-    def test_counts_filtered_elements(self):
-        S1 = full_window(0, 10**5)
-        w = progression_weight(2, 11, 0, S1, None, 2.0, 1.0, (0,), "fwd")
-        # reach = 2 elements (h = 1, 2), both inside S1
-        assert w == pytest.approx(2.0**-2)
-
-    def test_escaping_s2_zeroes_the_weight(self):
-        S1 = full_window(0, 10**5)
-        S2 = SurvivorSet(0, 10**5, np.zeros(10**5 + 1, dtype=bool), 0, 0)
-        assert progression_weight(2, 11, 0, S1, S2, 2.0, 1.0, (0,), "fwd") == 0.0
-
-    def test_backward_direction(self):
-        S1 = full_window(-100, -1)
-        w = progression_weight(2, 7, 0, S1, None, 4.0, 1.0, (0,), "bwd")
-        # elements -7 and -14 are both inside
-        assert w == pytest.approx(4.0**-2)
-
-
 class TestGreedySelection:
     def test_single_prime_hand_case(self, table_x_100):
-        plan = select_shifts_greedy([7], full_window(1, 30), table_x_100, "fwd")
+        plan = select_shifts_greedy([7], full_window(1, 30), table_x_100)
         (c,) = plan.choices
         # classes 1 and 2 mod 7 tie at 5 hits in [1, 30]; argmax takes 1
         assert (c.q, c.residue, c.covered_fwd) == (7, 1, 5)
         assert len(plan.residual_fwd) == 25
 
     def test_descending_prime_order(self, table_x_100):
-        plan = select_shifts_greedy([7, 11, 13], full_window(1, 40), table_x_100, "fwd")
+        plan = select_shifts_greedy([7, 11, 13], full_window(1, 40), table_x_100)
         assert [c.q for c in plan.choices] == [13, 11, 7]
 
     def test_coverage_bookkeeping_is_exact(self, table_x2p1_2000):
@@ -238,7 +208,7 @@ class TestGreedySelection:
             params, table_x2p1_2000, stage_rng(3, 1, 0), two_sided=False
         )
         med = table_x2p1_2000.usable_between(params.z, 300)
-        plan = select_shifts_greedy(med, fwd, table_x2p1_2000, "fwd")
+        plan = select_shifts_greedy(med, fwd, table_x2p1_2000)
         assert fwd.count() - sum(c.covered_fwd for c in plan.choices) == len(
             plan.residual_fwd
         )
@@ -257,7 +227,7 @@ class TestGreedySelection:
         )
         med = table_x2p1_2000.usable_between(params.z, 400)
         plan = select_shifts_greedy(
-            med, fwd, table_x2p1_2000, "both", paired=bwd, n_target=params.N_target
+            med, fwd, table_x2p1_2000, paired=bwd, n_target=params.N_target
         )
         merged = dict(residues)
         merged.update(plan.residues())
@@ -273,15 +243,9 @@ class TestGreedySelection:
 
     def test_both_requires_target(self, table_x2p1_100):
         with pytest.raises(ValueError):
-            select_shifts_greedy([13], full_window(1, 20), table_x2p1_100, "both")
-
-    def test_reach_limits_coverage(self, table_x_100):
-        # reach 7 spans at most 2 members of a class mod 7
-        plan = select_shifts_greedy(
-            [7], full_window(1, 30), table_x_100, "fwd", reach={7: 7}
-        )
-        (c,) = plan.choices
-        assert c.covered_fwd == 2
+            select_shifts_greedy(
+                [13], full_window(1, 20), table_x2p1_100, paired=full_window(-20, -1)
+            )
 
     def test_greedy_beats_random_here(self, table_x2p1_2000):
         params = SieveParams(x=2000)
@@ -289,10 +253,10 @@ class TestGreedySelection:
             params, table_x2p1_2000, stage_rng(5, 1, 0), two_sided=False
         )
         med = table_x2p1_2000.usable_between(params.z, 1000)
-        greedy = select_shifts_greedy(med, fwd, table_x2p1_2000, "fwd")
+        greedy = select_shifts_greedy(med, fwd, table_x2p1_2000)
         ladder = build_ladder(params, table_x2p1_2000)
         rnd = select_shifts_random(
-            ladder, "fwd", fwd, None, stage_rng(5, 2, 0), params, table_x2p1_2000
+            ladder, "fwd", fwd, stage_rng(5, 2, 0), params, table_x2p1_2000
         )
         merged = rnd.residues()
         skip = {q for q in med if q not in merged}
@@ -308,7 +272,7 @@ class TestRandomSelection:
         params = SieveParams(x=2000)
         ladder = build_ladder(params, table_x2p1_2000)
         plan = select_shifts_random(
-            ladder, "fwd", None, None, stage_rng(9, 2, 0), params, table_x2p1_2000
+            ladder, "fwd", None, stage_rng(9, 2, 0), params, table_x2p1_2000
         )
         fwd_primes = [q for s in ladder.side_scales("fwd") for q in s.primes()]
         assert sorted(c.q for c in plan.choices) == sorted(fwd_primes)
@@ -323,79 +287,35 @@ class TestRandomSelection:
         params = SieveParams(x=2000, N_target=10**60)
         ladder = build_ladder(params, table_x2p1_2000)
         plan = select_shifts_random(
-            ladder, "bwd", None, None, stage_rng(9, 2, 1), params, table_x2p1_2000
+            ladder, "bwd", None, stage_rng(9, 2, 1), params, table_x2p1_2000
         )
         for c in plan.choices:
             assert c.residue == (-params.N_target - c.shift) % c.q
-
-    def test_zero_weight_primes_dropped(self, table_x2p1_100):
-        from composite_forge.cover import LadderScale, ScaleLadder
-
-        # every shift has a progression element inside S1, and a dead S2
-        # zeroes any weight with such an element, so the prime is dropped
-        params = SieveParams(x=20)
-        ladder = ScaleLadder((LadderScale(j=2, H=4.0, side="fwd", buckets={2: (13,)}),))
-        wide = np.ones(1001, dtype=bool)
-        S1 = SurvivorSet(-500, 500, wide.copy(), 0, 0)
-        S2 = SurvivorSet(-500, 500, np.zeros(1001, dtype=bool), 0, 0)
-        plan = select_shifts_random(
-            ladder, "fwd", S1, S2, stage_rng(0, 2, 0), params,
-            table_x2p1_100, sigma2=2.0,
-        )
-        assert plan.choices == []
-        assert plan.dropped == [(13, "zero weight sum")]
-
-    def test_weighted_branch_samples_supported_shift(self, table_x2p1_100):
-        from composite_forge.cover import LadderScale, ScaleLadder
-
-        # S2 = S1 keeps exactly the weights with progressions inside S1 and
-        # the factor-2 mass window around (K+2) y then accepts the prime
-        params = SieveParams(x=20)
-        ladder = ScaleLadder((LadderScale(j=2, H=4.0, side="fwd", buckets={2: (13,)}),))
-        wide = np.ones(2001, dtype=bool)
-        S1 = SurvivorSet(-1000, 1000, wide.copy(), 0, 0)
-        plan = select_shifts_random(
-            ladder, "fwd", S1, S1, stage_rng(0, 2, 0), params,
-            table_x2p1_100, sigma2=1.0 + 1e-12,
-        )
-        assert plan.dropped == []
-        (c,) = plan.choices
-        assert c.q == 13 and 0 <= c.residue < 13
-        assert c.residue == c.shift % 13
 
     def test_rejects_bad_side(self, table_x2p1_100):
         params = SieveParams(x=100)
         ladder = build_ladder(params, table_x2p1_100)
         with pytest.raises(ValueError):
             select_shifts_random(
-                ladder, "both", None, None, stage_rng(0, 2, 0), params, table_x2p1_100
+                ladder, "both", None, stage_rng(0, 2, 0), params, table_x2p1_100
             )
 
 
 class TestResidualCheck:
     def test_capacities(self, table_x_100):
-        from composite_forge.cover import CoverPlan
+        # the residual-vs-capacity check lives in the pairing stage
+        from composite_forge.assemble import ConstructionError, pairing_stage
 
-        plan = CoverPlan(mode="greedy")
-        plan.residual_fwd = np.arange(3)
-        plan.residual_bwd = np.arange(5)
-        report = covering_residual_check(plan, SieveParams(x=100), table_x_100)
-        # usable primes in (50, 75] and (75, 100]
-        assert (report.capacity_fwd, report.capacity_bwd) == (6, 4)
-        assert (report.residual_fwd, report.residual_bwd) == (3, 5)
-        assert not report.ok
-        plan.residual_bwd = np.arange(4)
-        assert covering_residual_check(plan, SieveParams(x=100), table_x_100).ok
-
-    def test_one_sided(self, table_x_100):
-        from composite_forge.cover import CoverPlan
-
-        plan = CoverPlan(mode="greedy")
-        plan.residual_fwd = np.arange(6)
-        report = covering_residual_check(
-            plan, SieveParams(x=100), table_x_100, two_sided=False
+        # usable primes in (50, 75] absorb forward, (75, 100] backward survivors
+        with pytest.raises(ConstructionError) as exc:
+            pairing_stage([1, 2, 3], [-1, -2, -3, -4, -5], table_x_100, 100, 10**6)
+        d = exc.value.diagnostics
+        assert (d["capacity_fwd"], d["capacity_bwd"]) == (6, 4)
+        assert (d["residual_fwd"], d["residual_bwd"]) == (3, 5)
+        out_f, out_b = pairing_stage(
+            [1, 2, 3], [-1, -2, -3, -4], table_x_100, 100, 10**6
         )
-        assert report.ok and report.capacity_bwd is None
+        assert (len(out_f), len(out_b)) == (3, 4)
 
 
 class TestRefinement:
@@ -406,7 +326,7 @@ class TestRefinement:
         )
         med = table_x2p1_2000.usable_between(params.z, 1000)
         plan = select_shifts_greedy(
-            med, fwd, table_x2p1_2000, "both", paired=bwd, n_target=params.N_target
+            med, fwd, table_x2p1_2000, paired=bwd, n_target=params.N_target
         )
         merged = dict(residues)
         merged.update(plan.residues())
@@ -457,8 +377,9 @@ class TestClassScores:
             assert scores[r] == expect == mask.sum()
 
 
-# Reference oracles: the re-sieve refinement and the copy-and-kill joint
-# greedy loop that CoverState replaced, kept verbatim in behaviour.
+# Reference oracles: the re-sieve refinement and the copy-and-kill greedy
+# loops (joint and forward-only) that CoverState replaced, kept verbatim in
+# behaviour.
 
 
 def covered_mask_bwd(pos, q, r, alphas, n_target):
@@ -487,6 +408,24 @@ def oracle_greedy_both(primes, survivors, paired, table, n_target):
         )
     plan.residual_fwd = F.survivors()
     plan.residual_bwd = B.survivors()
+    return plan
+
+
+def oracle_greedy_fwd(primes, survivors, table):
+    F = survivors.copy()
+    plan = CoverPlan(mode="greedy")
+    for q in sorted(set(primes), reverse=True):
+        alphas = table.roots[q]
+        if not alphas:
+            continue
+        pos = F.survivors()
+        scores = forward_class_scores(q, alphas, pos)
+        base = int(np.argmax(scores))
+        mask = np.isin((pos - base) % q, np.asarray(alphas) % q)
+        F.kill(pos[mask])
+        covered = int(mask.sum())
+        plan.choices.append(CoverChoice(q, "fwd", base, base - q, covered, 0))
+    plan.residual_fwd = F.survivors()
     return plan
 
 
@@ -530,9 +469,12 @@ class TestCoverState:
         draw_seed=st.integers(0, 2**32 - 1),
         n_target=st.integers(10**100, 10**1500),
         sweeps=st.sampled_from([0, 1, 2]),
+        paired=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_resieve_oracles(self, tables_2000, poly, x, draw_seed, n_target, sweeps):
+    def test_matches_resieve_oracles(
+        self, tables_2000, poly, x, draw_seed, n_target, sweeps, paired
+    ):
         table = tables_2000[poly]
         params = SieveParams(x=x, N_target=n_target)
         y, z = params.y, params.z
@@ -542,12 +484,19 @@ class TestCoverState:
         bwd0 = sieve_survivors(table, backward_residues(small, n_target), (-y, -1), (0, z))
         med = table.usable_between(z, x / 2)
 
-        plan = select_shifts_greedy(med, fwd0, table, "both", paired=bwd0, n_target=n_target)
-        ref = oracle_greedy_both(med, fwd0, bwd0, table, n_target)
+        if paired:
+            plan = select_shifts_greedy(med, fwd0, table, paired=bwd0, n_target=n_target)
+            ref = oracle_greedy_both(med, fwd0, bwd0, table, n_target)
+            assert np.array_equal(plan.residual_bwd, ref.residual_bwd)
+        else:
+            # one-sided: the backward window is empty and only forward
+            # survivors are scored
+            plan = select_shifts_greedy(med, fwd0, table, n_target=n_target)
+            ref = oracle_greedy_fwd(med, fwd0, table)
+            assert plan.residual_bwd.size == 0
         assert choice_tuples(plan) == choice_tuples(ref)
         assert plan.residual_fwd.dtype == ref.residual_fwd.dtype == np.int64
         assert np.array_equal(plan.residual_fwd, ref.residual_fwd)
-        assert np.array_equal(plan.residual_bwd, ref.residual_bwd)
 
         merged = dict(small)
         merged.update(plan.residues())
@@ -585,7 +534,7 @@ class TestCoverState:
         monkeypatch.setattr(cover, "backward_residues", forbidden)
         monkeypatch.setattr(np, "isin", forbidden)
         plan = select_shifts_greedy(
-            med, fwd, table_x2p1_2000, "both", paired=bwd, n_target=params.N_target
+            med, fwd, table_x2p1_2000, paired=bwd, n_target=params.N_target
         )
         merged = dict(residues)
         merged.update(plan.residues())

@@ -1,4 +1,4 @@
-"""Segmented congruence sieve against a direct per-element filter."""
+"""Congruence sieve against a direct per-element filter."""
 
 import numpy as np
 import pytest
@@ -66,14 +66,6 @@ class TestSieveSurvivors:
         assert list(got.survivors()) == brute_survivors(
             table_x2p1_100, residues, (-200, -1), (0, 50)
         )
-
-    def test_segment_seams(self, table_x2p1_100):
-        residues = fixed_residues(table_x2p1_100, (0, 100), salt=1)
-        whole = sieve_survivors(table_x2p1_100, residues, (1, 500), (0, 100))
-        tiny = sieve_survivors(
-            table_x2p1_100, residues, (1, 500), (0, 100), segment_size=16
-        )
-        assert np.array_equal(whole.bits, tiny.bits)
 
     def test_missing_residue_raises(self, table_x2p1_100):
         with pytest.raises(MissingResidueError):

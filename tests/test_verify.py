@@ -24,7 +24,6 @@ from composite_forge.verify import (
     Witness,
     covering_lemma_sim,
     find_witness,
-    greedy_cover_rounds,
     oracle_longest_run,
     verify_certificate,
 )
@@ -469,14 +468,3 @@ class TestCoveringSim:
         a = covering_lemma_sim(config, seed=9)
         b = covering_lemma_sim(config, seed=9)
         assert a.residuals == b.residuals
-
-    def test_greedy_cover_rounds_hand_case(self):
-        import numpy as np
-
-        rounds = [
-            [np.array([0, 1]), np.array([2])],
-            [np.array([2, 3]), np.array([0])],
-        ]
-        assert greedy_cover_rounds(4, rounds) == 0
-        rounds = [[np.array([0]), np.array([0])]]
-        assert greedy_cover_rounds(3, rounds) == 2
