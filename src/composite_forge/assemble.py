@@ -206,6 +206,12 @@ class StageRecord:
         }
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
 @dataclass
 class ResidueCertificate:
     poly: IntPolynomial
@@ -266,13 +272,13 @@ class ResidueCertificate:
                 seed=int(obj["seed"]),
                 stages=[
                     StageRecord(
-                        st["stage"],
-                        st["side"],
+                        _text(st["stage"]),
+                        _text(st["side"]),
                         [(int(q), int(r)) for q, r in st["assignments"]],
                     )
                     for st in obj["stages"]
                 ],
-                irreducibility=obj["irreducibility"],
+                irreducibility=_text(obj["irreducibility"]),
                 placement=Placement.from_json(placement) if placement else None,
                 version=int(obj["version"]),
             )

@@ -225,7 +225,11 @@ def cmd_stats(args) -> int:
         ]
     )
     for x in sorted(args.x):
-        table = build_root_table(args.poly, x, cache_dir=args.cache_dir)
+        try:
+            table = build_root_table(args.poly, x, cache_dir=args.cache_dir)
+        except ValueError as e:
+            print(f"composite-forge: bad x grid: {e}", file=sys.stderr)
+            return EXIT_USAGE
         st = density_stats(table)
         w.writerow(
             [

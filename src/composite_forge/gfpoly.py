@@ -3,11 +3,23 @@
 Polynomials are tuples of ints, ascending degree, trimmed (no trailing
 zeros); the zero polynomial is the empty tuple. Shared by the algebraic root
 finder and the irreducibility check.
+
+`gf_powmod_rows` is the batched counterpart of `gf_powmod` for the root
+finder: one numpy int64 kernel raises X + a to a power modulo many (monic
+modulus, prime) rows at once. It keeps every coefficient in [0, p) and only
+ever multiplies two reduced coefficients, so each product stays below
+p^2 < 2^62 and each sum of a few reduced terms below 2^63; that exactness
+needs every row prime below ROW_PRIME_BOUND = 2^31.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 Poly = tuple[int, ...]
+
+# exclusive bound on the primes of gf_powmod_rows (int64 exactness)
+ROW_PRIME_BOUND = 1 << 31
 
 
 def gf_trim(c: list[int]) -> Poly:
@@ -62,20 +74,16 @@ def gf_divmod(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], -1, p)
     db = len(b) - 1
-    while len(r) >= len(b) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        shift = len(r) - len(b)
-        coef = (r[-1] * inv_lead) % p
-        q[shift] = coef
-        for i in range(db + 1):
-            r[shift + i] = (r[shift + i] - coef * b[i]) % p
-    return gf_trim(q), gf_trim(r)
+    inv_lead = 1 if b[-1] == 1 else pow(b[-1], -1, p)
+    q = [0] * max(len(r) - db, 0)
+    for top in range(len(r) - 1, db - 1, -1):
+        coef = r[top] * inv_lead % p
+        if coef:
+            q[top - db] = coef
+            for i in range(db):
+                r[top - db + i] = (r[top - db + i] - coef * b[i]) % p
+    return gf_trim(q), gf_trim(r[:db])
 
 
 def gf_mod(a: Poly, b: Poly, p: int) -> Poly:
@@ -96,6 +104,56 @@ def gf_powmod(base: Poly, e: int, m: Poly, p: int) -> Poly:
         base = gf_mulmod(base, base, m, p)
         e >>= 1
     return result
+
+
+def _times_x_plus_a(r: np.ndarray, a: np.ndarray | None, top: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """r * (X + a) mod (m, p), coefficient-major (d, n), where top holds
+    X^d mod m: a shift, one reduction of the coefficient pushed to X^d and,
+    unless a is None (a = 0), a scaled copy."""
+    out = top * r[-1] % p
+    out[1:] += r[:-1]
+    if a is not None:
+        out += a * r % p
+    return out % p
+
+
+def gf_powmod_rows(a: np.ndarray, e: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(X + a_i)^e_i mod (m_i, p_i) for every row i at once.
+
+    m is an (n, d + 1) int64 array of monic moduli of one degree d >= 2,
+    ascending, coefficients in [0, p_i); a, e and p are length-n int64
+    arrays with a_i in [0, p_i), e_i >= 0 and 2 <= p_i < ROW_PRIME_BOUND.
+    Returns the (n, d) residues, ascending, coefficients in [0, p_i).
+
+    Left-to-right square and multiply over the bits of the largest
+    exponent; a row whose exponent is shorter squares 1 until its top bit.
+    The work is coefficient-major, (d, n), so each numpy call runs over all
+    rows. A square reduces its degree d..2d-2 terms with the precomputed
+    X^(d+k) mod m_i; multiplying by X + a needs a single reduction step.
+    """
+    n, d = m.shape[0], m.shape[1] - 1
+    if d < 2:
+        raise ValueError("gf_powmod_rows needs moduli of degree at least 2")
+    if n and (p.min() < 2 or p.max() >= ROW_PRIME_BOUND):
+        raise ValueError(f"gf_powmod_rows needs primes in [2, {ROW_PRIME_BOUND})")
+    shift_only = not a.any()
+    # fold[k] = X^(d+k) mod m, k = 0 .. d-2
+    fold = np.empty((d - 1, d, n), dtype=np.int64)
+    fold[0] = -m[:, :d].T % p
+    for k in range(1, d - 1):
+        fold[k] = _times_x_plus_a(fold[k - 1], None, fold[0], p)
+    r = np.zeros((d, n), dtype=np.int64)
+    r[0] = 1
+    for bit in reversed(range(int(e.max(initial=0)).bit_length())):
+        outer = r[:, None] * r % p
+        sq = np.zeros((2 * d - 1, n), dtype=np.int64)
+        for i in range(d):
+            sq[i : i + d] += outer[i]
+        sq %= p
+        r = (sq[:d] + (fold * sq[d:, None] % p).sum(axis=0)) % p
+        on = ((e >> bit) & 1).astype(bool)
+        r = np.where(on, _times_x_plus_a(r, None if shift_only else a, fold[0], p), r)
+    return r.T
 
 
 def gf_gcd(a: Poly, b: Poly, p: int) -> Poly:

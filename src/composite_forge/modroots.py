@@ -3,11 +3,16 @@
 For each prime p the table stores I_p, the sorted residues where B! * f
 vanishes mod p, with I_p = () whenever p <= B or p divides the leading
 coefficient (those primes are never used by the sieve). Production root
-finding is algebraic above a small cutoff: linear solve for degree 1,
-discriminant plus a modular square root for degree 2, and gcd(X^p - X, f)
-followed by deterministic equal-degree splitting beyond that. Primes below
-the cutoff use a vectorized exhaustive scan; the scan also serves as the
-independent cross-check route in the test suite.
+finding is algebraic from SCAN_LIMIT on: linear solve for degree 1,
+discriminant plus a modular square root for degree 2, prime by prime.
+Beyond that one batch covers every prime of a table: the int64 kernel
+`gf_powmod_rows` computes X^p mod (f, p) for all of them at once,
+gcd(X^p - X, f) is taken per prime, and the factors of degree 3 or more
+are split together by deterministic equal-degree splitting (Cantor-
+Zassenhaus with shifts a = 1, 2, ...), one batched (X + a)^((p-1)/2) per
+round and factor degree. `roots_mod_p` runs the same route on a one-prime
+batch. Primes below the cutoff use a vectorized exhaustive scan; the scan
+also serves as the independent cross-check route in the test suite.
 """
 
 from __future__ import annotations
@@ -21,14 +26,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gfpoly import (
+    ROW_PRIME_BOUND,
     Poly,
     gf_divmod,
     gf_gcd,
     gf_monic,
-    gf_normalize,
-    gf_powmod,
-    gf_sub,
+    gf_powmod_rows,
+    gf_trim,
 )
+from .gfpoly import gf_powmod  # noqa: F401  (bench/harness.py traces modroots.gf_powmod)
 from .poly import IntPolynomial
 from .primes import sieve_primes, sqrt_mod_prime
 
@@ -59,66 +65,80 @@ def _quad_roots(c0: int, c1: int, c2: int, p: int) -> tuple[int, ...]:
     return tuple(sorted({r1, r2}))
 
 
-def _split_linear_factors(g: Poly, p: int) -> list[int]:
-    """All roots of a monic squarefree product of linear factors mod p."""
-    roots: list[int] = []
-    stack = [g]
-    while stack:
-        h = stack.pop()
-        d = len(h) - 1
-        if d <= 0:
-            continue
-        if d == 1:
-            roots.append((-h[0] * pow(h[1], -1, p)) % p)
-            continue
-        if d == 2:
-            roots.extend(_quad_roots(h[0], h[1], h[2], p))
-            continue
-        # deterministic splitting sweep; terminates because the roots are
-        # distinct and some shift separates them by quadratic character
-        for a in range(1, p):
-            w = gf_sub(gf_powmod((a, 1), (p - 1) // 2, h, p), (1,), p)
-            f1 = gf_gcd(w, h, p)
-            if 0 < len(f1) - 1 < d:
-                q, r = gf_divmod(h, f1, p)
-                assert not r
-                stack.append(f1)
-                stack.append(gf_monic(q, p))
-                break
-        else:  # pragma: no cover - cannot happen for squarefree split input
-            raise ArithmeticError(f"splitting failed mod {p}")
-    return roots
-
-
-def _roots_algebraic(comp: tuple[int, ...], p: int) -> tuple[int, ...]:
-    cp = gf_normalize(comp, p)
-    d = len(cp) - 1
-    if d <= 0:
-        return ()
+def _roots_algebraic(comp: tuple[int, ...], primes: list[int]) -> list[tuple[int, ...]]:
+    """Sorted root sets of the companion mod each prime p in `primes`; every
+    p is at least SCAN_LIMIT, exceeds the degree and does not divide the
+    leading coefficient, so the reduction keeps the full degree."""
+    d = len(comp) - 1
     if d == 1:
-        return ((-cp[0] * pow(cp[1], -1, p)) % p,)
+        return [((-comp[0] * pow(comp[1], -1, p)) % p,) for p in primes]
     if d == 2:
-        return _quad_roots(cp[0], cp[1], cp[2], p)
-    cp = gf_monic(cp, p)
-    xp = gf_powmod((0, 1), p, cp, p)
-    g = gf_gcd(gf_sub(xp, (0, 1), p), cp, p)
-    if len(g) - 1 <= 0:
-        return ()
-    return tuple(sorted(_split_linear_factors(g, p)))
+        return [_quad_roots(comp[0] % p, comp[1] % p, comp[2] % p, p) for p in primes]
+    monic = []
+    for p in primes:
+        inv = pow(comp[-1], -1, p)
+        monic.append(tuple(c * inv % p for c in comp))
+    ps = np.array(primes, dtype=np.int64)
+    # Frobenius step: X^p mod (f, p) for every prime in one kernel run
+    xp = gf_powmod_rows(
+        np.zeros_like(ps), ps, np.array(monic, dtype=np.int64).reshape(-1, d + 1), ps
+    )
+    roots: list[list[int]] = [[] for _ in primes]
+    pending: list[tuple[int, Poly]] = []  # (row, monic factor of degree >= 3)
+
+    def collect(i: int, h: Poly) -> None:
+        # h is monic, squarefree and a product of distinct linear factors
+        k = len(h) - 1
+        if k == 1:
+            roots[i].append(-h[0] % primes[i])
+        elif k == 2:
+            roots[i].extend(_quad_roots(h[0], h[1], 1, primes[i]))
+        elif k > 2:
+            pending.append((i, h))
+
+    for i, (p, row) in enumerate(zip(primes, xp.tolist())):
+        row[1] = (row[1] - 1) % p  # X^p - X
+        collect(i, gf_gcd(gf_trim(row), monic[i], p))
+    # equal-degree splitting, batched per factor degree: round a tries
+    # gcd((X + a)^((p-1)/2) - 1, h) for every pending h. Two distinct roots
+    # r, s are separated once (r + a)/(s + a) is a non-residue, which some
+    # a in any p consecutive rounds achieves, so every h splits.
+    a = 0
+    while pending:
+        a += 1
+        groups: dict[int, list[tuple[int, Poly]]] = {}
+        for i, h in pending:
+            groups.setdefault(len(h) - 1, []).append((i, h))
+        pending = []
+        for k, group in groups.items():
+            gp = np.array([primes[i] for i, _ in group], dtype=np.int64)
+            hs = np.array([h for _, h in group], dtype=np.int64)
+            ws = gf_powmod_rows(a % gp, (gp - 1) // 2, hs, gp)
+            for (i, h), w in zip(group, ws.tolist()):
+                p = primes[i]
+                w[0] = (w[0] - 1) % p
+                f1 = gf_gcd(gf_trim(w), h, p)
+                if 0 < len(f1) - 1 < k:
+                    collect(i, f1)
+                    collect(i, gf_monic(gf_divmod(h, f1, p)[0], p))
+                else:
+                    pending.append((i, h))
+    return [tuple(sorted(r)) for r in roots]
 
 
 def roots_mod_p(f: IntPolynomial, p: int, _comp: tuple[int, ...] | None = None) -> tuple[int, ...]:
     """Sorted residues r with (B! * f)(r) = 0 mod p.
 
     Empty for p <= degree or p dividing the leading coefficient: those
-    primes carry no usable congruence information for the sieve.
+    primes carry no usable congruence information for the sieve. The
+    algebraic route is the table builder's, run on a one-prime batch.
     """
     if p <= f.degree or f.leading % p == 0:
         return ()
     comp = _comp if _comp is not None else f.companion()
     if p < SCAN_LIMIT:
         return _roots_scan(comp, p)
-    return _roots_algebraic(comp, p)
+    return _roots_algebraic(comp, [p])[0]
 
 
 @dataclass
@@ -217,8 +237,12 @@ def _read_cache(path: str, f: IntPolynomial, limit: int) -> dict | None:
 def build_root_table(f: IntPolynomial, limit: int, cache_dir: str | None = None) -> RootTable:
     """Compute (or load from cache) all root sets for primes <= limit.
 
-    A corrupt or mismatching cache file is ignored and rebuilt.
+    A corrupt or mismatching cache file is ignored and rebuilt. A limit of
+    ROW_PRIME_BOUND (2^31) or more raises ValueError before anything is
+    sieved: the batched root kernel is exact only below it.
     """
+    if limit >= ROW_PRIME_BOUND:
+        raise ValueError(f"root table limit {limit} must stay below {ROW_PRIME_BOUND}")
     primes = sieve_primes(limit)
     if cache_dir:
         path = _cache_path(cache_dir, f, limit)
@@ -226,7 +250,12 @@ def build_root_table(f: IntPolynomial, limit: int, cache_dir: str | None = None)
         if cached is not None and len(cached) == len(primes):
             return RootTable(f, limit, primes, cached)
     comp = f.companion()
-    roots = {int(p): roots_mod_p(f, int(p), _comp=comp) for p in primes}
+    ps = primes.tolist()
+    roots = {p: roots_mod_p(f, p, _comp=comp) if p < SCAN_LIMIT else () for p in ps}
+    # one algebraic batch over every usable prime from SCAN_LIMIT on
+    lo, lead = max(SCAN_LIMIT, f.degree + 1), f.leading
+    batch = [p for p in ps if p >= lo and lead % p]
+    roots.update(zip(batch, _roots_algebraic(comp, batch)))
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         _write_cache(_cache_path(cache_dir, f, limit), f, limit, primes, roots)

@@ -11,7 +11,8 @@ The witness search works on a whole window at a time: each window start is
 reduced once per prime, the window's offsets are then walked with small-int
 arithmetic, and the size condition |f(n)| > q is proved once per window
 (with an exact per-value check only for small or hostile windows). The
-stored y is bounded by the formula length before anything is sized by it.
+stored y is bounded by the formula length, and the stored x by the root
+table's bound, before anything is sized by them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .assemble import ResidueCertificate
 from .modroots import build_root_table, companion_eval_mod
 from .poly import IntPolynomial, irreducibility_check
 from .primes import is_prime, sieve_primes
-from .sievecore import sieve_survivors
+from .sievecore import MissingResidueError, sieve_survivors
 
 VERIFY_SAMPLE_STREAM = 11
 
@@ -145,6 +146,9 @@ def verify_certificate(
     forward window [1, y] must be fully covered by the residue classes.
     Neither check runs when y lies outside [1, formula y], and deep mode
     skips a stored window whose length is not y; both faults are reported.
+    An x the root table refuses (2^31 or more) is reported before anything
+    is sized by it, and a listed modulus below 2 is reported and takes no
+    further part.
     Invalid certificates produce a negative report, not an exception.
     """
     mode = "deep" if deep else "fast"
@@ -162,7 +166,13 @@ def verify_certificate(
     y_bounded = 1 <= y <= y_formula
     if not y_bounded:
         report.messages.append(f"window length {y} outside [1, formula length {y_formula}]")
-    table = build_root_table(f, x)
+    try:
+        # refuses an x at or above its bound before it sizes anything by x
+        table = build_root_table(f, x)
+    except ValueError as e:
+        report.messages.append(str(e))
+        report.valid = False
+        return report
 
     try:
         residues = cert.residues()
@@ -170,6 +180,10 @@ def verify_certificate(
         report.messages.append(str(e))
         report.valid = False
         return report
+    for q in [q for q in residues if q < 2]:
+        # no residue class modulo q < 2 can vouch for anything
+        report.messages.append(f"modulus {q} is not a prime")
+        del residues[q]
     for q, r in residues.items():
         if not (0 <= r < q):
             report.messages.append(f"residue {r} out of range for prime {q}")
@@ -186,9 +200,13 @@ def verify_certificate(
     if cert.placement is None:
         # offset-level check: the residue classes must blanket [1, y]
         if y_bounded:
-            leftover = sieve_survivors(table, residues, (1, y), (0, x))
-            report.checked = y
-            report.failures = [int(v) for v in leftover.survivors()]
+            try:
+                leftover = sieve_survivors(table, residues, (1, y), (0, x))
+            except MissingResidueError as e:
+                report.messages.append(f"usable prime {e.args[0]} has no residue")
+            else:
+                report.checked = y
+                report.failures = [int(v) for v in leftover.survivors()]
         report.valid = not report.failures and not report.messages
         return report
 

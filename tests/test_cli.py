@@ -135,6 +135,17 @@ class TestVerify:
         report = json.loads(r.stdout)
         assert report["valid"] is False
 
+    def test_prime_zero_exits_1_without_traceback(self, workdir):
+        with open(workdir / "cert.json") as fh:
+            obj = json.load(fh)
+        obj["stages"].append({"stage": "cleanup", "side": "fwd", "assignments": [[0, 0]]})
+        with open(workdir / "zero.json", "w") as fh:
+            json.dump(obj, fh)
+        r = run_cli("verify", "zero.json", cwd=workdir)
+        assert r.returncode == VERIFY_FAILED
+        assert "Traceback" not in r.stderr
+        assert "modulus 0 is not a prime" in json.loads(r.stdout)["messages"]
+
     def test_missing_file_exits_64(self, tmp_path):
         r = run_cli("verify", "nope.json", cwd=tmp_path)
         assert r.returncode == USAGE
@@ -186,6 +197,11 @@ class TestStats:
     def test_empty_grid_exits_64(self, tmp_path):
         r = run_cli("stats", "--poly", "poly:[1,0,1]", "--x", "", cwd=tmp_path)
         assert r.returncode == USAGE
+
+    def test_x_at_the_root_table_bound_exits_64(self, tmp_path):
+        r = run_cli("stats", "--poly", "poly:[1,0,1]", "--x", "1e3,3e9", cwd=tmp_path)
+        assert r.returncode == USAGE
+        assert "Traceback" not in r.stderr and "below 2147483648" in r.stderr
 
     def test_cache_env_honored(self, tmp_path):
         cache = tmp_path / "cache"

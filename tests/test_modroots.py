@@ -1,7 +1,9 @@
 """Root tables: dual-route root finding against an exhaustive oracle, the
-prime-indexed accessors, the binary cache, density statistics, and residue
-collision counts."""
+batched Frobenius kernel and root finder against the per-prime route it
+replaced, the prime-indexed accessors, the binary cache, density
+statistics, and residue collision counts."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,16 +11,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import composite_forge.modroots as modroots_mod
+from composite_forge.gfpoly import (
+    ROW_PRIME_BOUND,
+    gf_add,
+    gf_divmod,
+    gf_gcd,
+    gf_mod,
+    gf_monic,
+    gf_mul,
+    gf_normalize,
+    gf_powmod,
+    gf_powmod_rows,
+    gf_sub,
+)
 from composite_forge.modroots import (
     SCAN_LIMIT,
     RootTable,
+    _cache_path,
+    _quad_roots,
+    _roots_algebraic,
     build_root_table,
     companion_eval_mod,
     density_stats,
     residue_collision_count,
     roots_mod_p,
 )
-from composite_forge.poly import IntPolynomial
+from composite_forge.poly import IntPolynomial, parse_poly_literal
 from composite_forge.primes import sieve_primes
 
 
@@ -95,6 +114,179 @@ class TestRootsModP:
                 assert companion_eval_mod(comp, a, p) == 0
 
 
+# reference oracle: the per-prime algebraic route that the batched one
+# replaced, kept verbatim
+def _split_linear_factors(g, p: int) -> list[int]:
+    """All roots of a monic squarefree product of linear factors mod p."""
+    roots: list[int] = []
+    stack = [g]
+    while stack:
+        h = stack.pop()
+        d = len(h) - 1
+        if d <= 0:
+            continue
+        if d == 1:
+            roots.append((-h[0] * pow(h[1], -1, p)) % p)
+            continue
+        if d == 2:
+            roots.extend(_quad_roots(h[0], h[1], h[2], p))
+            continue
+        # deterministic splitting sweep; terminates because the roots are
+        # distinct and some shift separates them by quadratic character
+        for a in range(1, p):
+            w = gf_sub(gf_powmod((a, 1), (p - 1) // 2, h, p), (1,), p)
+            f1 = gf_gcd(w, h, p)
+            if 0 < len(f1) - 1 < d:
+                q, r = gf_divmod(h, f1, p)
+                assert not r
+                stack.append(f1)
+                stack.append(gf_monic(q, p))
+                break
+        else:  # pragma: no cover - cannot happen for squarefree split input
+            raise ArithmeticError(f"splitting failed mod {p}")
+    return roots
+
+
+def legacy_roots_algebraic(comp: tuple[int, ...], p: int) -> tuple[int, ...]:
+    cp = gf_normalize(comp, p)
+    d = len(cp) - 1
+    if d <= 0:
+        return ()
+    if d == 1:
+        return ((-cp[0] * pow(cp[1], -1, p)) % p,)
+    if d == 2:
+        return _quad_roots(cp[0], cp[1], cp[2], p)
+    cp = gf_monic(cp, p)
+    xp = gf_powmod((0, 1), p, cp, p)
+    g = gf_gcd(gf_sub(xp, (0, 1), p), cp, p)
+    if len(g) - 1 <= 0:
+        return ()
+    return tuple(sorted(_split_linear_factors(g, p)))
+
+
+# primes from SCAN_LIMIT to 3000, the batch route's domain in the tests
+BATCH_PRIMES = [int(p) for p in sieve_primes(3000) if p >= SCAN_LIMIT]
+# the largest primes below ROW_PRIME_BOUND, where int64 exactness is tight
+TOP_PRIMES = [2147483647, 2147483629, 2147483587]
+
+
+class TestGfDivmod:
+    @given(
+        st.sampled_from([2, 3, 67, 3001, ROW_PRIME_BOUND - 1]),
+        st.lists(st.integers(0, 10**12), max_size=9),
+        st.lists(st.integers(0, 10**12), min_size=1, max_size=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_quotient_and_remainder_rebuild_the_dividend(self, p, a, b):
+        a, b = gf_normalize(a, p), gf_normalize(b, p)
+        if not b:
+            return
+        q, r = gf_divmod(a, b, p)
+        assert len(r) < len(b)
+        assert gf_add(gf_mul(q, b, p), r, p) == a
+        assert gf_mod(a, b, p) == r
+
+
+class TestRowKernel:
+    @given(
+        st.integers(2, 6),
+        st.lists(st.one_of(st.sampled_from(BATCH_PRIMES), st.sampled_from(TOP_PRIMES)),
+                 min_size=1, max_size=8),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_gf_powmod(self, d, primes, data):
+        rows, shifts, exps = [], [], []
+        for p in primes:
+            low = data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+            rows.append(low + [1])
+            shifts.append(data.draw(st.integers(0, p - 1)))
+            exps.append(data.draw(st.one_of(st.just(p), st.integers(0, 2 * p))))
+        ps = np.array(primes, dtype=np.int64)
+        got = gf_powmod_rows(
+            np.array(shifts, dtype=np.int64), np.array(exps, dtype=np.int64),
+            np.array(rows, dtype=np.int64), ps,
+        )
+        for p, m, a, e, row in zip(primes, rows, shifts, exps, got.tolist()):
+            want = gf_powmod((a, 1), e, tuple(m), p)
+            assert tuple(row) == want + (0,) * (d - len(want)), (p, m, a, e)
+
+    def test_rejects_primes_outside_the_exact_range(self):
+        m = np.array([[1, 0, 1]], dtype=np.int64)
+        one = np.ones(1, dtype=np.int64)
+        for p in (ROW_PRIME_BOUND, 1):
+            with pytest.raises(ValueError):
+                gf_powmod_rows(one - 1, one, m, np.array([p], dtype=np.int64))
+        with pytest.raises(ValueError):
+            gf_powmod_rows(one - 1, one, np.array([[1, 1]], dtype=np.int64), one * 7)
+
+
+@st.composite
+def batch_cases(draw):
+    """f of degree 3-6 with random coefficients, forced to have a repeated
+    root mod one drawn prime (so that prime divides the discriminant) and,
+    sometimes, a leading coefficient divisible by another."""
+    primes = draw(st.lists(st.sampled_from(BATCH_PRIMES), min_size=2, max_size=10, unique=True))
+    d = draw(st.integers(3, 6))
+    q = primes[0]
+    r = draw(st.integers(0, q - 1))
+    g = draw(st.lists(st.integers(-50, 50), min_size=d - 1, max_size=d - 1))
+    g[-1] = draw(st.integers(1, 20)) * (primes[1] if draw(st.booleans()) else 1)
+    h = draw(st.lists(st.integers(-50, 50), min_size=d, max_size=d))
+    # (x - r)^2 * g + q * h, ascending monomial coefficients
+    sq = [r * r, -2 * r, 1]
+    mono = [q * c for c in h] + [0]
+    for i, gi in enumerate(g):
+        for j, sj in enumerate(sq):
+            mono[i + j] += gi * sj
+    return IntPolynomial.from_monomial(mono), primes
+
+
+class TestBatchedRoute:
+    @given(batch_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_the_scan_oracle(self, case):
+        f, primes = case
+        comp = f.companion()
+        # a prime dividing the leading coefficient is no row of a batch
+        batch = [p for p in primes if comp[-1] % p]
+        rows = dict(zip(batch, _roots_algebraic(comp, batch)))
+        for p in primes:
+            assert rows.get(p, ()) == oracle_roots(f, p), (f, p)
+            assert roots_mod_p(f, p) == oracle_roots(f, p), (f, p)
+
+    def test_fully_split_sextic(self):
+        # (x-1)...(x-6) has six roots mod every prime > 6, so every row is
+        # split down from degree 6 through mixed-degree groups
+        mono = [1]
+        for i in range(1, 7):
+            mono = [a - i * b for a, b in zip([0] + mono, mono + [0])]
+        f = IntPolynomial.from_monomial(mono)
+        rows = _roots_algebraic(f.companion(), BATCH_PRIMES)
+        assert rows == [tuple(range(1, 7))] * len(BATCH_PRIMES)
+
+    @pytest.mark.parametrize("literal", ["poly:[2,0,0,1]", "poly:[1,2,3,0,4]"])
+    def test_table_equals_per_prime_route(self, literal):
+        f = parse_poly_literal(literal)
+        comp = f.companion()
+        table = build_root_table(f, 3 * 10**4)
+        for p in map(int, table.primes):
+            if p < SCAN_LIMIT or p <= f.degree or f.leading % p == 0:
+                want = roots_mod_p(f, p)
+            else:
+                want = legacy_roots_algebraic(comp, p)
+            assert table.roots[p] == want, p
+
+    def test_limit_at_the_kernel_bound_refused_before_sieving(self, f_x, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError("sieved")
+
+        monkeypatch.setattr(modroots_mod, "sieve_primes", no_sieve)
+        for limit in (ROW_PRIME_BOUND, 2**40):
+            with pytest.raises(ValueError, match="below"):
+                build_root_table(f_x, limit)
+
+
 class TestRootTable:
     def test_usable_primes(self, table_x2p1_100):
         # p = 1 mod 4, plus nothing else below 100
@@ -156,6 +348,20 @@ class TestCache:
         assert len(list(tmp_path.iterdir())) == 2
         assert build_root_table(f_x, 500, cache_dir=d).roots[13] == (0,)
         assert build_root_table(f_x2p1, 500, cache_dir=d).roots[13] == (5, 8)
+
+    @pytest.mark.parametrize(
+        "literal, digest",
+        [
+            ("poly:[1,0,1]", "079869011ee97edbb505cf387eadac3fd11f7aef94787cbb4a86e7606977ae62"),
+            ("poly:[2,0,0,1]", "df714b6de0d866199e6acfea389292f7f43dc74bafe6908a07e6547599a5fa97"),
+        ],
+    )
+    def test_cache_bytes_pinned(self, literal, digest, tmp_path):
+        # digests of the files the per-prime route wrote at x = 10^4
+        f = parse_poly_literal(literal)
+        build_root_table(f, 10**4, cache_dir=str(tmp_path))
+        data = open(_cache_path(str(tmp_path), f, 10**4), "rb").read()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_cached_equals_fresh(self, f_x2p1, tmp_path, table_x2p1_2000):
         t = build_root_table(f_x2p1, 2000, cache_dir=str(tmp_path))

@@ -5,12 +5,14 @@ import dataclasses
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import composite_forge.modroots as modroots_mod
 import composite_forge.verify as verify_mod
 from composite_forge.assemble import ResidueCertificate, StageRecord, construct_certificate
 from composite_forge.cover import SieveParams
@@ -198,6 +200,40 @@ class TestFaultInjection:
         assert report.checked == 0 and report.failures == []
         assert any("formula length 11" in m for m in report.messages)
 
+    @pytest.mark.parametrize("q", [0, 1, -5])
+    @pytest.mark.parametrize("deep", [True, False])
+    def test_modulus_below_two_reported(self, q, deep):
+        cert = reload(toy_certificate())
+        cert.stages.append(StageRecord("cleanup", "fwd", [(q, 0)]))
+        report = verify_certificate(cert, deep=deep)
+        assert not report.valid
+        assert f"modulus {q} is not a prime" in report.messages
+        # the toy residues still vouch for every checked value
+        assert report.failures == [] and report.checked > 0
+
+    @pytest.mark.parametrize("placed", [True, False])
+    @pytest.mark.parametrize("deep", [True, False])
+    def test_x_beyond_root_table_bound_refused_before_sieving(self, placed, deep, monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError("primes sieved")
+
+        obj = toy_certificate().to_json_dict()
+        obj["params"]["x"] = 2**40  # the stored z = 2 still fits y = 4
+        if not placed:
+            obj["placement"] = None
+        cert = ResidueCertificate.from_json_dict(obj)
+        monkeypatch.setattr(modroots_mod, "sieve_primes", no_sieve)
+        tracemalloc.start()
+        try:
+            report = verify_certificate(cert, deep=deep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.valid
+        assert report.checked == 0
+        assert any("must stay below 2147483648" in m for m in report.messages)
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("deep", [True, False])
     def test_huge_stored_window_not_walked(self, deep):
         cert = reload(toy_certificate())
@@ -323,6 +359,82 @@ def witness_cases(draw):
         )
     )
     return f, primes_with_roots, base, offsets
+
+
+def json_paths(obj, prefix=()):
+    """Path (tuple of keys and indices) of every node below obj."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    out = []
+    for k, v in items:
+        out.append(prefix + (k,))
+        out.extend(json_paths(v, prefix + (k,)))
+    return out
+
+
+def _perturbed(value, delta: int):
+    """value + delta for an int or a decimal string; a bool or a float is
+    negated, another string reversed, anything else kept."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + delta
+    if isinstance(value, float):
+        return -value
+    if isinstance(value, str):
+        try:
+            return str(int(value) + delta)
+        except ValueError:
+            return value[::-1]
+    return value
+
+
+@st.composite
+def mutated_certificates(draw):
+    """A valid x = 300 certificate with one to three fields dropped,
+    retyped or perturbed, or a prime replaced by 0, 1, -5 or another
+    integer. No mutation takes x above 1000."""
+    obj = json.loads(built_certificate(draw(st.sampled_from(["x^2+1", "x^3+2"])), 300))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = json_paths(obj)
+        if not paths:
+            break
+        # the prime of an assignment pair sits at ("stages", i, "assignments", j, 0)
+        primes = [p for p in paths if len(p) == 5 and p[2] == "assignments" and p[4] == 0]
+        kind = draw(st.sampled_from(["drop", "retype", "perturb"] + ["prime"] * bool(primes)))
+        path = draw(st.sampled_from(primes if kind == "prime" else paths))
+        parent = functools.reduce(lambda node, k: node[k], path[:-1], obj)
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind == "retype":
+            parent[path[-1]] = draw(
+                st.sampled_from([None, True, 1.5, -1, 0, 7, "", "zz", [], {}, [0, 0], {"a": 1}])
+            )
+        elif kind == "perturb":
+            parent[path[-1]] = _perturbed(parent[path[-1]], draw(st.integers(-3, 3)))
+        else:
+            parent[0] = draw(st.sampled_from([0, 1, -5, 2, 4, 9, 997, 1009]))
+    return obj, draw(st.booleans())
+
+
+class TestMutatedCertificates:
+    """The loader and the verifier are total on hostile input."""
+
+    def test_unmutated_certificates_verify(self):
+        for name in ("x^2+1", "x^3+2"):
+            assert verify_certificate(certificate(name, 300), deep=True).valid
+
+    @given(mutated_certificates())
+    @settings(max_examples=150, deadline=None)
+    def test_load_and_verify_never_crash(self, case):
+        obj, deep = case
+        x = obj.get("params", {}).get("x") if isinstance(obj.get("params"), dict) else None
+        assert not isinstance(x, int) or x <= 1000
+        try:
+            cert = ResidueCertificate.from_json_dict(obj)
+        except ValueError:
+            return
+        report = verify_certificate(cert, deep=deep)
+        assert isinstance(report, verify_mod.VerifyReport)
 
 
 class TestWindowWitnessSearch:
