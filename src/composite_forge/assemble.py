@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -28,6 +30,7 @@ from .cover import (
     sample_small_residue,
     select_shifts_greedy,
     select_shifts_random,
+    target_residues,
 )
 from .modroots import RootTable, build_root_table
 from .poly import IntPolynomial, irreducibility_check
@@ -84,9 +87,11 @@ def pairing_stage(
 
     Forward survivors a (offsets in [1, y]) pair with usable primes in
     (x/2, 3x/4] via r_q = a - alpha_1; backward survivors (offsets in
-    [-y, -1]) pair with (3x/4, x] via r_q = -N - a + alpha_1. Primes in
-    these ranges exceed y, so one congruence kills exactly its survivor
-    within the window.
+    [-y, -1]) pair with (3x/4, x] via r_q = -N - a + alpha_1. Each
+    congruence kills its survivor; when y exceeds the prime (y > x/2 happens,
+    e.g. y = 4577 at x = 3000 for f = x) it kills other offsets of the
+    window too, which does no harm. Full cover is not argued here: the
+    construction asserts it with a final sieve of both windows.
     """
     fwd = sorted(int(a) for a in residual_fwd)
     bwd = sorted(int(a) for a in residual_bwd)
@@ -113,6 +118,46 @@ def pairing_stage(
     return out_f, out_b
 
 
+def decimal_digit_bound(x: int) -> int:
+    """Most decimal digits N, and so any placement field, has at prime bound
+    x. An auto N is the least power of ten >= P(x)^3, where P(x) <= e^theta(x)
+    and theta(x) < 1.0163 x (Rosser and Schoenfeld), so N < 10 P(x)^3 has at
+    most 2 + 3 * 1.0163 x / ln 10 digits; an explicit N is held to the same
+    bound."""
+    return 2 + int(3 * 1.0163 * x / math.log(10))
+
+
+@contextmanager
+def big_decimals():
+    """Lift the interpreter's limit on int <-> decimal string conversion
+    (4300 digits by default) for the duration of the block. Certificate
+    integers pass it from x of about 3400 on; every conversion of one runs
+    inside this block, and parsing checks the length first (see
+    parse_decimal), as int() of a decimal string is quadratic in its
+    length. The limit is process-wide: a conversion in another thread
+    during the block is unlimited too."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def parse_decimal(value, max_digits: int | None) -> int:
+    """int() of a certificate field, refusing a string of more than
+    max_digits characters after an optional sign before any conversion
+    work. With no max_digits the interpreter's own limit stays in force."""
+    if max_digits is None:
+        return int(value)
+    if isinstance(value, str) and len(value) - value.startswith(("-", "+")) > max_digits:
+        raise ValueError(
+            f"decimal field of {len(value)} characters exceeds the {max_digits}-digit bound"
+        )
+    with big_decimals():
+        return int(value)
+
+
 def auto_target(modulus: int) -> int:
     """Smallest power of ten N with modulus <= N^(1/3)."""
     need = modulus**3
@@ -134,29 +179,36 @@ class Placement:
     m: int
 
     def to_json(self) -> dict:
-        return {
-            "N": str(self.N),
-            "b1": str(self.b1),
-            "I1": [str(self.I1[0]), str(self.I1[1])],
-            "I2": [str(self.I2[0]), str(self.I2[1])],
-            "n1": str(self.n1),
-            "n2": str(self.n2),
-            "m": str(self.m),
-        }
+        with big_decimals():
+            return {
+                "N": str(self.N),
+                "b1": str(self.b1),
+                "I1": [str(self.I1[0]), str(self.I1[1])],
+                "I2": [str(self.I2[0]), str(self.I2[1])],
+                "n1": str(self.n1),
+                "n2": str(self.n2),
+                "m": str(self.m),
+            }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Placement":
-        n = int(obj["N"])
-        b1 = int(obj["b1"])
+    def from_json(cls, obj: dict, max_digits: int | None = None) -> "Placement":
+        """Parse the decimal fields, each refused beyond max_digits digits
+        (see decimal_digit_bound) before it is converted; see
+        parse_decimal."""
+
+        def num(value) -> int:
+            return parse_decimal(value, max_digits)
+
+        b1 = num(obj["b1"])
         return cls(
-            N=n,
+            N=num(obj["N"]),
             b1=b1,
             b2=-b1,
-            I1=(int(obj["I1"][0]), int(obj["I1"][1])),
-            I2=(int(obj["I2"][0]), int(obj["I2"][1])),
-            n1=int(obj["n1"]),
-            n2=int(obj["n2"]),
-            m=int(obj["m"]),
+            I1=(num(obj["I1"][0]), num(obj["I1"][1])),
+            I2=(num(obj["I2"][0]), num(obj["I2"][1])),
+            n1=num(obj["n1"]),
+            n2=num(obj["n2"]),
+            m=num(obj["m"]),
         )
 
 
@@ -165,9 +217,11 @@ def place(b: int, modulus: int, n_target: int, y: int) -> Placement:
     (smallest absolute value, i.e. the largest such integer) and derive the
     two windows and centers."""
     if modulus**3 > n_target:
+        with big_decimals():
+            n_text = str(n_target)
         raise ConstructionError(
             "modulus exceeds N^(1/3); increase N or use the auto target",
-            {"modulus_bits": modulus.bit_length(), "N": str(n_target)},
+            {"modulus_bits": modulus.bit_length(), "N": n_text},
         )
     hi = -((n_target + 4) // 5)  # largest integer <= -N/5
     lo = -((3 * n_target) // 10)  # smallest integer >= -3N/10
@@ -260,15 +314,18 @@ class ResidueCertificate:
     def from_json_dict(cls, obj: dict) -> "ResidueCertificate":
         """Rebuild a certificate from parsed JSON. Input of the wrong shape
         (a list where an object belongs, a number where a list does, a
-        missing field) raises ValueError."""
+        missing field) raises ValueError, and so does a placement field with
+        more digits than the stored x allows (see decimal_digit_bound)."""
         try:
-            placement = obj.get("placement")
+            params = SieveParams.from_json(obj["params"])
+            raw = obj.get("placement")
+            placement = None
+            if raw:
+                placement = Placement.from_json(raw, decimal_digit_bound(params.x))
+                params = params.with_target(placement.N)
             return cls(
                 poly=IntPolynomial.from_json(obj["poly"]),
-                params=SieveParams.from_json(
-                    obj["params"],
-                    n_target=int(placement["N"]) if placement else None,
-                ),
+                params=params,
                 seed=int(obj["seed"]),
                 stages=[
                     StageRecord(
@@ -279,7 +336,7 @@ class ResidueCertificate:
                     for st in obj["stages"]
                 ],
                 irreducibility=_text(obj["irreducibility"]),
-                placement=Placement.from_json(placement) if placement else None,
+                placement=placement,
                 version=int(obj["version"]),
             )
         except (AttributeError, IndexError, KeyError, OverflowError, TypeError) as e:
@@ -375,7 +432,16 @@ def construct_certificate(
             "explicit N is smaller than modulus^3; use --n-mode auto or raise N",
             {"modulus_bits": modulus.bit_length()},
         )
+    max_digits = decimal_digit_bound(x)
+    if target >= 10**max_digits:
+        raise ConstructionError(
+            f"explicit N has more than {max_digits} digits, the most a certificate"
+            f" at x = {x} may carry",
+            {"max_digits": max_digits},
+        )
     base = params.with_target(target)
+    # N mod q once per construction, read by every cover state of every attempt
+    n_mod = target_residues(target, table)
     cap_f = len(table.usable_between(x / 2, 3 * x / 4))
     cap_b = len(table.usable_between(3 * x / 4, x))
     attempts: list[dict] = []  # one outcome record per window length tried
@@ -409,11 +475,11 @@ def construct_certificate(
                 StageStats("small", "bwd", len(residues), y, bwd0.count(), None, seed)
             )
         if mode == "greedy":
-            plan = select_shifts_greedy(med, fwd0, table, paired=bwd0, n_target=target)
+            plan = select_shifts_greedy(med, fwd0, table, paired=bwd0, n_target=n_mod)
             assignment = dict(residues)
             assignment.update(plan.residues())
             if sweeps > 0 and med:
-                assignment = refine_residues(table, p, assignment, med, target, sweeps)
+                assignment = refine_residues(table, p, assignment, med, n_mod, sweeps)
         else:
             ladder = build_ladder(p, table)
             rng_med = stage_rng(seed, STREAM_MEDIUM, y)
@@ -426,7 +492,7 @@ def construct_certificate(
         assigned_med = [q for q in med if q in assignment]
         # post-medium residuals: the small-stage survivors less every class
         # the medium stage assigned (one-sided: an empty backward window)
-        state = CoverState.from_survivors(table, fwd0, bwd0, target)
+        state = CoverState.from_survivors(table, fwd0, bwd0, n_mod)
         for q in assigned_med:
             state.add(q, assignment[q])
         res_f, res_b = state.survivors_fwd(), state.survivors_bwd()
@@ -523,6 +589,8 @@ def construct_certificate(
         placement=placement,
     )
     stats = ConstructionStats(rows=best["stats_rows"])
+    with big_decimals():
+        n_digits = len(str(target))
     m_achieved = achieved_y // 2 - 1
     m_formula = _theorem_window_center_radius(target, p_final.delta)
     stats.extras.update(
@@ -537,7 +605,7 @@ def construct_certificate(
             "m_achieved": m_achieved,
             "m_formula": m_formula,
             "m_larger": "achieved" if m_achieved >= m_formula else "formula",
-            "n_digits": len(str(target)),
+            "n_digits": n_digits,
             "modulus_bits": p_x.bit_length(),
             "fills": len(fills),
             "mode": mode,

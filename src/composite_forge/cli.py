@@ -21,9 +21,11 @@ from .assemble import (
     ConstructionError,
     ResidueCertificate,
     construct_certificate,
+    decimal_digit_bound,
+    parse_decimal,
 )
 from .cover import RetryBudgetError, SieveParams
-from .modroots import build_root_table, density_stats
+from .modroots import ROW_PRIME_BOUND, build_root_table, density_stats
 from .poly import parse_poly_literal
 from .verify import (
     CoveringConfigError,
@@ -143,12 +145,23 @@ def cmd_construct(args) -> int:
     except ValueError as e:
         print(f"composite-forge: bad parameters: {e}", file=sys.stderr)
         return EXIT_USAGE
+    if args.x >= ROW_PRIME_BOUND:
+        print(
+            f"composite-forge: bad parameters: root table limit {args.x}"
+            f" must stay below {ROW_PRIME_BOUND}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     n_target = None
     if args.n_mode == "explicit":
         if args.N is None:
             print("composite-forge: --n-mode explicit requires --N", file=sys.stderr)
             return EXIT_USAGE
-        n_target = int(args.N)
+        try:
+            n_target = parse_decimal(args.N, decimal_digit_bound(args.x))
+        except ValueError as e:
+            print(f"composite-forge: bad --N: {e}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         cert, stats = construct_certificate(
             args.poly,

@@ -9,7 +9,9 @@ and induces residues from them. The shifts are uniform: the paper weights a
 shift by sigma2^(-count) over its progression, and sigma2 = 1 at every
 supported scale (the small-stage boundary z sits below H^M for every ladder
 scale), so each weight is 1. The greedy pass, the refinement sweeps and the
-post-medium residuals all run on one incremental engine, CoverState.
+post-medium residuals all run on one incremental engine, CoverState. It
+scores a prime with one bincount over the class keys of both windows, and
+reads N only through a map q -> N mod q that a construction builds once.
 """
 
 from __future__ import annotations
@@ -264,25 +266,13 @@ def shift_range(params: SieveParams, side: str) -> tuple[int, int]:
     return (-params.y, ky - 1)
 
 
-def _class_counts(positions: np.ndarray, q: int) -> np.ndarray:
-    return np.bincount(positions % q, minlength=q).astype(np.int64)
-
-
-def forward_class_scores(q: int, alphas: Sequence[int], fwd_pos: np.ndarray) -> np.ndarray:
-    """scores[r] = how many forward survivors sit in classes r + alpha."""
-    cnt = _class_counts(fwd_pos, q)
-    idx = (np.arange(q)[None, :] + np.asarray(alphas)[:, None]) % q
-    return cnt[idx].sum(axis=0)
-
-
-def backward_class_scores(
-    q: int, alphas: Sequence[int], bwd_pos: np.ndarray, n_target: int
-) -> np.ndarray:
-    """scores[r] = how many backward survivors sit in classes alpha - N - r."""
-    cnt = _class_counts(bwd_pos, q)
-    nt = n_target % q  # N can be hundreds of digits; reduce before numpy
-    idx = ((np.asarray(alphas)[:, None] - nt) - np.arange(q)[None, :]) % q
-    return cnt[idx].sum(axis=0)
+def target_residues(n_target: int | Mapping[int, int], table: RootTable) -> Mapping[int, int]:
+    """q -> N mod q for every usable prime of the table. A mapping is taken
+    to be that map already and passes through, so a construction reduces its
+    N (thousands of digits) once per prime and every cover state reads it."""
+    if isinstance(n_target, Mapping):
+        return n_target
+    return {q: n_target % q for q in table.usable_primes()}
 
 
 class CoverState:
@@ -292,27 +282,36 @@ class CoverState:
     (prime q with residue r hits j = r + alpha mod q); bwd[i] counts those
     hitting backward offset bwd_lo + i (j = alpha - N - r mod q). Offsets
     with count zero are the survivors. Adding or removing one prime's class
-    is nu strided slice updates per window, and N mod q is reduced once per
-    prime, however many digits N has.
+    is nu strided slice updates per window. N enters only through the map
+    q -> N mod q (see target_residues), which a construction builds once
+    and shares between all its states.
+
+    Scoring a prime takes one survivor extraction per window and a single
+    bincount: residue r hits forward survivor o when r = o - alpha and
+    backward survivor o when r = alpha - N - o (mod q), so counting those
+    keys over every survivor and root gives each residue's joint score.
     """
 
-    def __init__(self, table: RootTable, n_target: int, fwd_lo: int, fwd: np.ndarray,
-                 bwd_lo: int, bwd: np.ndarray):
+    def __init__(self, table: RootTable, n_target: int | Mapping[int, int], fwd_lo: int,
+                 fwd: np.ndarray, bwd_lo: int, bwd: np.ndarray):
         self.table = table
-        self.n_target = n_target
+        self.n_mod = target_residues(n_target, table)
         self.fwd_lo, self.fwd = fwd_lo, fwd
         self.bwd_lo, self.bwd = bwd_lo, bwd
-        self._n_mod: dict[int, int] = {}
 
     @classmethod
-    def empty(cls, table: RootTable, y: int, n_target: int) -> "CoverState":
+    def empty(cls, table: RootTable, y: int, n_target: int | Mapping[int, int]) -> "CoverState":
         """Nothing assigned over [1, y] and [-y, -1]."""
         fwd, bwd = np.zeros(y, dtype=np.int32), np.zeros(y, dtype=np.int32)
         return cls(table, n_target, 1, fwd, -y, bwd)
 
     @classmethod
     def from_survivors(
-        cls, table: RootTable, fwd: SurvivorSet, bwd: SurvivorSet | None, n_target: int | None
+        cls,
+        table: RootTable,
+        fwd: SurvivorSet,
+        bwd: SurvivorSet | None,
+        n_target: int | Mapping[int, int] | None,
     ) -> "CoverState":
         """Start from survivor bitmaps; each killed offset counts once. With
         no backward bitmap the backward window is empty and N plays no part."""
@@ -321,15 +320,9 @@ class CoverState:
             return cls(table, 0, fwd.lo, f, 0, np.zeros(0, dtype=np.int32))
         return cls(table, n_target, fwd.lo, f, bwd.lo, (~bwd.bits).astype(np.int32))
 
-    def n_mod(self, q: int) -> int:
-        nq = self._n_mod.get(q)
-        if nq is None:
-            nq = self._n_mod[q] = self.n_target % q
-        return nq
-
     def add(self, q: int, r: int, count: int = 1) -> None:
         """Assign residue r to q (count -1 takes the assignment back)."""
-        nq = self.n_mod(q)
+        nq = self.n_mod[q]
         for a in self.table.roots[q]:
             self.fwd[(r + a - self.fwd_lo) % q :: q] += count
             self.bwd[(a - nq - r - self.bwd_lo) % q :: q] += count
@@ -348,10 +341,19 @@ class CoverState:
         (ties to the smallest), with the forward and backward survivors it
         hits."""
         alphas = self.table.roots[q]
-        sf = forward_class_scores(q, alphas, self.survivors_fwd())
-        sb = backward_class_scores(q, alphas, self.survivors_bwd(), self.n_mod(q))
-        r = int(np.argmax(sf + sb))
-        return r, int(sf[r]), int(sb[r])
+        fi = (self.fwd == 0).nonzero()[0]
+        bi = (self.bwd == 0).nonzero()[0]
+        # forward key o - alpha with o = fwd_lo + i; backward key
+        # alpha - N - o with o = bwd_lo + i; one shift per root and window
+        c_bwd = -self.n_mod[q] - self.bwd_lo
+        keys = np.concatenate(
+            [fi + (self.fwd_lo - a) for a in alphas] + [(c_bwd + a) - bi for a in alphas]
+        )
+        keys %= q
+        counts = np.bincount(keys, minlength=q)
+        r = int(counts.argmax())
+        cov_f = int(np.count_nonzero(keys[: fi.size * len(alphas)] == r))
+        return r, cov_f, int(counts[r]) - cov_f
 
 
 def select_shifts_greedy(
@@ -360,7 +362,7 @@ def select_shifts_greedy(
     table: RootTable,
     *,
     paired: SurvivorSet | None = None,
-    n_target: int | None = None,
+    n_target: int | Mapping[int, int] | None = None,
 ) -> CoverPlan:
     """Deterministic shift selection: primes in descending order, each takes
     the residue class covering the most not-yet-covered survivors (ties to
@@ -369,7 +371,8 @@ def select_shifts_greedy(
     With `paired` (the backward survivors, which need the target sum) one
     certificate residue is scored against both windows jointly, since it
     kills on both sides; this is the construction default. Without it the
-    backward window is empty and only forward survivors count.
+    backward window is empty and only forward survivors count. n_target is
+    N or its residue map (see target_residues).
     """
     if paired is not None and n_target is None:
         raise ValueError("backward coverage requires the target sum")
@@ -450,13 +453,14 @@ def refine_residues(
     params: SieveParams,
     residues: dict[int, int],
     medium_primes: Sequence[int],
-    n_target: int,
+    n_target: int | Mapping[int, int],
     sweeps: int = 2,
 ) -> dict[int, int]:
     """Local improvement on top of the greedy pass: re-pick each medium
     prime's residue against the survivors of everything else, holding the
     rest fixed. Every usable prime up to the largest medium prime must be
-    assigned. Deterministic; returns a new residue map."""
+    assigned. n_target is N or its residue map (see target_residues).
+    Deterministic; returns a new residue map."""
     if sweeps <= 0:
         return dict(residues)
     out = dict(residues)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assemble import ResidueCertificate
+from .assemble import ResidueCertificate, big_decimals
 from .modroots import build_root_table, companion_eval_mod
 from .poly import IntPolynomial, irreducibility_check
 from .primes import is_prime, sieve_primes
@@ -54,10 +54,12 @@ class VerifyReport:
     witness_primes: Counter[int] = field(default_factory=Counter)
 
     def to_json_dict(self) -> dict:
+        with big_decimals():
+            failures = [str(n) for n in sorted(self.failures)]
         return {
             "valid": self.valid,
             "checked": self.checked,
-            "failures": [str(n) for n in sorted(self.failures)],
+            "failures": failures,
             "mode": self.mode,
             "messages": list(self.messages),
             "witness_primes": {str(q): c for q, c in sorted(self.witness_primes.items())},

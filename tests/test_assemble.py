@@ -3,6 +3,7 @@ serialization, and the end-to-end construction driver."""
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,13 +16,16 @@ from composite_forge.assemble import (
     ResidueCertificate,
     StageRecord,
     auto_target,
+    big_decimals,
     construct_certificate,
     crt_combine,
+    decimal_digit_bound,
     pairing_stage,
     place,
 )
 from composite_forge.cover import SieveParams
 from composite_forge.poly import IntPolynomial
+from composite_forge.primes import sieve_primes
 from composite_forge.verify import verify_certificate
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
@@ -161,6 +165,22 @@ class TestPlacement:
             assert pl.I2[1] - pl.I2[0] == y - 1
             # the two windows mirror each other through N/2
             assert pl.I2 == (N - pl.I1[1], N - pl.I1[0])
+
+    @pytest.mark.parametrize("x", [8, 100, 300, 1000, 3000, 4000, 10**4])
+    def test_digit_bound_holds_for_auto_target(self, x):
+        # f = x makes every prime usable, the largest modulus at this x
+        n = auto_target(math.prod(int(p) for p in sieve_primes(x)))
+        with big_decimals():
+            digits = len(str(n))
+        assert digits <= decimal_digit_bound(x)
+
+    def test_long_field_refused_before_conversion(self):
+        obj = place(209, 210, 10**7, 4).to_json()
+        assert Placement.from_json(obj, 8).N == 10**7
+        with pytest.raises(ValueError, match="7-digit bound"):
+            Placement.from_json(obj, 7)
+        obj["b1"] = "-" + "1" * 8  # a sign does not count as a digit
+        assert Placement.from_json(obj, 8).b1 == -11111111
 
     def test_json_round_trip(self):
         pl = place(209, 210, 10**7, 4)
@@ -302,6 +322,28 @@ class TestConstructCertificate:
         assert len(stats.extras["attempts"]) > 1
         assert seen == [(1, y), (-y, -1)][:calls]
 
+    @pytest.mark.parametrize("two_sided", [True, False])
+    def test_target_reduced_once_per_prime(self, f_x2p1, cache_dir, monkeypatch, two_sided):
+        # N mod q is taken once per construction, for every usable prime,
+        # and shared by the cover states of every window length tried
+        from composite_forge import assemble
+
+        reductions = Counter()
+
+        class CountingInt(int):
+            def __mod__(self, q):
+                reductions[q] += 1
+                return int(self) % q
+
+        auto = assemble.auto_target
+        monkeypatch.setattr(assemble, "auto_target", lambda m: CountingInt(auto(m)))
+        cert, stats = construct_certificate(
+            f_x2p1, SieveParams(x=300), seed=7, two_sided=two_sided, cache_dir=cache_dir
+        )
+        assert len(stats.extras["attempts"]) > 1
+        usable = sorted(q for st in cert.stages for q, _ in st.assignments)
+        assert reductions == Counter(usable)
+
     def test_every_usable_prime_assigned(self, f_x, cache_dir):
         cert, _ = construct_certificate(
             f_x, SieveParams(x=300), seed=7, cache_dir=cache_dir
@@ -333,6 +375,18 @@ class TestConstructCertificate:
     def test_explicit_target_too_small(self, f_x):
         with pytest.raises(ConstructionError):
             construct_certificate(f_x, SieveParams(x=300), seed=0, n_target=10**6)
+
+    def test_explicit_target_beyond_digit_bound(self, f_x, cache_dir):
+        # at x = 300 a certificate may carry 399 digits, which a verifier
+        # will parse, and no more
+        assert decimal_digit_bound(300) == 399
+        with pytest.raises(ConstructionError, match="more than 399 digits"):
+            construct_certificate(f_x, SieveParams(x=300), seed=0, n_target=10**399)
+        cert, _ = construct_certificate(
+            f_x, SieveParams(x=300), seed=0, n_target=10**398, cache_dir=cache_dir
+        )
+        again = ResidueCertificate.from_json_dict(json.loads(cert.to_json_bytes()))
+        assert again.placement.N == 10**398
 
     def test_one_sided_has_no_placement(self, f_x, cache_dir):
         cert, _ = construct_certificate(

@@ -99,6 +99,66 @@ class TestConstruct:
         r = run_cli(cwd=tmp_path)
         assert r.returncode == USAGE
 
+    def test_x_at_the_root_table_bound_exits_64(self, tmp_path):
+        r = run_cli(
+            "construct", "--poly", "poly:[0,1]", "--x", "3000000000",
+            "--out", "no.json", cwd=tmp_path,
+        )
+        assert r.returncode == USAGE
+        assert "Traceback" not in r.stderr and "below 2147483648" in r.stderr
+        assert not (tmp_path / "no.json").exists()
+
+    @pytest.mark.parametrize("digits", [400, 6000])
+    def test_explicit_target_beyond_digit_bound_exits_64(self, tmp_path, digits):
+        # at x = 300 a target has at most 399 digits; 6000 also passes the
+        # interpreter's own 4300-digit conversion limit
+        r = run_cli(
+            "construct", "--poly", "poly:[0,1]", "--x", "300", "--n-mode", "explicit",
+            "--N", "1" + "0" * (digits - 1), "--out", "no.json", cwd=tmp_path,
+        )
+        assert r.returncode == USAGE
+        assert "Traceback" not in r.stderr and "399-digit bound" in r.stderr
+        assert not (tmp_path / "no.json").exists()
+
+    def test_explicit_target_not_a_number_exits_64(self, tmp_path):
+        r = run_cli(
+            "construct", "--poly", "poly:[0,1]", "--x", "300", "--n-mode", "explicit",
+            "--N", "1e400", cwd=tmp_path,
+        )
+        assert r.returncode == USAGE
+        assert "Traceback" not in r.stderr
+
+
+class TestBeyondDecimalLimit:
+    """From x of about 3400 on, N has more than the interpreter's default
+    4300 decimal digits (5097 at x = 4000)."""
+
+    def test_construct_then_deep_verify(self, tmp_path):
+        r = run_cli(
+            "construct", "--poly", "poly:[0,1]", "--x", "4000", "--seed", "7",
+            "--out", "cert.json", cwd=tmp_path,
+        )
+        assert r.returncode == OK, r.stderr
+        assert "N has 5097 digits" in r.stdout
+        with open(tmp_path / "cert.json") as fh:
+            assert len(json.load(fh)["placement"]["N"]) == 5097
+        r = run_cli("verify", "cert.json", "--deep", cwd=tmp_path)
+        assert r.returncode == OK, r.stderr
+        report = json.loads(r.stdout)
+        assert report["valid"] is True and report["failures"] == []
+
+    @pytest.mark.parametrize("field", ["N", "b1", "n2"])
+    def test_field_beyond_digit_bound_exits_64(self, workdir, field):
+        # x = 300 allows 399 digits; a longer field is refused before int()
+        with open(workdir / "cert.json") as fh:
+            obj = json.load(fh)
+        obj["placement"][field] = "7" * 400
+        with open(workdir / "long.json", "w") as fh:
+            json.dump(obj, fh)
+        r = run_cli("verify", "long.json", cwd=workdir)
+        assert r.returncode == USAGE
+        assert "Traceback" not in r.stderr and "399-digit bound" in r.stderr
+
 
 class TestVerify:
     def test_valid_deep(self, workdir):

@@ -16,10 +16,8 @@ from composite_forge.cover import (
     CoverState,
     RetryBudgetError,
     SieveParams,
-    backward_class_scores,
     backward_residues,
     build_ladder,
-    forward_class_scores,
     refine_residues,
     sample_small_residue,
     select_shifts_greedy,
@@ -31,6 +29,29 @@ from composite_forge.sievecore import SurvivorSet, sieve_survivors
 
 def full_window(lo, hi):
     return SurvivorSet(lo, hi, np.ones(hi - lo + 1, dtype=bool), 0, 0)
+
+
+# Reference class scores: the per-window scorers CoverState.best_residue
+# used before it counted both windows' keys with one bincount.
+
+
+def _class_counts(positions: np.ndarray, q: int) -> np.ndarray:
+    return np.bincount(positions % q, minlength=q).astype(np.int64)
+
+
+def forward_class_scores(q, alphas, fwd_pos):
+    """scores[r] = how many forward survivors sit in classes r + alpha."""
+    cnt = _class_counts(fwd_pos, q)
+    idx = (np.arange(q)[None, :] + np.asarray(alphas)[:, None]) % q
+    return cnt[idx].sum(axis=0)
+
+
+def backward_class_scores(q, alphas, bwd_pos, n_target):
+    """scores[r] = how many backward survivors sit in classes alpha - N - r."""
+    cnt = _class_counts(bwd_pos, q)
+    nt = n_target % q  # N can be hundreds of digits; reduce before numpy
+    idx = ((np.asarray(alphas)[:, None] - nt) - np.arange(q)[None, :]) % q
+    return cnt[idx].sum(axis=0)
 
 
 class TestSieveParams:
@@ -454,8 +475,14 @@ def oracle_refine(table, params, residues, medium_primes, n_target, sweeps):
 @pytest.fixture(scope="module")
 def tables_2000(f_x, f_x2p1, table_x2p1_2000, cache_dir):
     from composite_forge.modroots import build_root_table
+    from composite_forge.poly import IntPolynomial
 
-    return {"x": build_root_table(f_x, 2000, cache_dir=cache_dir), "x^2+1": table_x2p1_2000}
+    cubic = IntPolynomial.from_monomial([2, 0, 0, 1])
+    return {
+        "x": build_root_table(f_x, 2000, cache_dir=cache_dir),
+        "x^2+1": table_x2p1_2000,
+        "x^3+2": build_root_table(cubic, 2000, cache_dir=cache_dir),
+    }
 
 
 def choice_tuples(plan):
@@ -539,3 +566,85 @@ class TestCoverState:
         merged = dict(residues)
         merged.update(plan.residues())
         refine_residues(table_x2p1_2000, params, merged, med, params.N_target, sweeps=1)
+
+
+def counts_window(rng, length, p_survive):
+    """Cover counts over a window: 0 (a survivor) with probability
+    p_survive, else 1 or 2."""
+    hit = rng.integers(1, 3, size=length)
+    return np.where(rng.random(length) < p_survive, 0, hit).astype(np.int32)
+
+
+def oracle_best_residue(q, alphas, fwd_lo, fwd, bwd_lo, bwd, n_target):
+    fpos = np.flatnonzero(fwd == 0) + fwd_lo
+    bpos = np.flatnonzero(bwd == 0) + bwd_lo
+    sf = forward_class_scores(q, alphas, fpos)
+    sb = backward_class_scores(q, alphas, bpos, n_target)
+    r = int(np.argmax(sf + sb))
+    return r, int(sf[r]), int(sb[r])
+
+
+class TestFusedScorer:
+    """CoverState.best_residue (one bincount over both windows' class keys)
+    against the per-window class scores it replaced."""
+
+    @given(
+        case=st.sampled_from([("x", 1), ("x^2+1", 2), ("x^3+2", 1), ("x^3+2", 3)]),
+        pick=st.integers(0, 10**6),
+        n_target=st.integers(0, 10**1500),
+        fwd_lo=st.integers(-3000, 3000),
+        fwd_len=st.integers(0, 2500),
+        bwd_lo=st.integers(-3000, 3000),
+        bwd_len=st.sampled_from([0, 1, 7]) | st.integers(0, 2500),
+        p_survive=st.sampled_from([0.0, 0.002, 0.05, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_window_scores(
+        self, tables_2000, case, pick, n_target, fwd_lo, fwd_len, bwd_lo, bwd_len,
+        p_survive, seed,
+    ):
+        poly, nu = case
+        table = tables_2000[poly]
+        qs = [q for q in table.usable_primes() if len(table.roots[q]) == nu]
+        q = qs[pick % len(qs)]
+        rng = np.random.default_rng(seed)
+        fwd = counts_window(rng, fwd_len, p_survive)
+        bwd = counts_window(rng, bwd_len, p_survive)
+        state = CoverState(table, n_target, fwd_lo, fwd, bwd_lo, bwd)
+        expect = oracle_best_residue(q, table.roots[q], fwd_lo, fwd, bwd_lo, bwd, n_target)
+        assert state.best_residue(q) == expect
+
+    @pytest.mark.parametrize("poly", ["x", "x^2+1", "x^3+2"])
+    def test_full_windows_tie_to_zero(self, tables_2000, poly):
+        # every residue hits k of each root's offsets on both sides
+        table = tables_2000[poly]
+        for q in table.usable_between(100, 200):
+            k, nu = 3, len(table.roots[q])
+            fwd, bwd = np.zeros(k * q, dtype=np.int32), np.zeros(k * q, dtype=np.int32)
+            state = CoverState(table, 10**1500 + 11, -q, fwd, -5 * q, bwd)
+            assert state.best_residue(q) == (0, k * nu, k * nu)
+
+    @pytest.mark.parametrize("o_fwd,o_bwd", [(30, -7), (5, -40), (-3, -1)])
+    def test_two_single_survivors_tie_to_smaller_residue(self, table_x_100, o_fwd, o_bwd):
+        # f = x: the only root is 0, so a forward survivor o has key o and a
+        # backward one -N - o; both score 1 and the smaller key wins
+        q, n_target = 97, 10**1500
+        fwd, bwd = np.ones(100, dtype=np.int32), np.ones(100, dtype=np.int32)
+        fwd[o_fwd + 50] = 0  # window [-50, 49]
+        bwd[o_bwd + 100] = 0  # window [-100, -1]
+        k_f, k_b = o_fwd % q, (-n_target - o_bwd) % q
+        r = min(k_f, k_b)
+        state = CoverState(table_x_100, n_target, -50, fwd, -100, bwd)
+        assert state.best_residue(q) == (r, int(r == k_f), int(r == k_b))
+
+    def test_one_sided_state_ignores_target(self, table_x2p1_2000):
+        fwd = full_window(-20, 700)
+        fwd.bits[::3] = False
+        state = CoverState.from_survivors(table_x2p1_2000, fwd, None, None)
+        assert state.bwd.size == 0
+        for q in table_x2p1_2000.usable_between(100, 400):
+            expect = oracle_best_residue(
+                q, table_x2p1_2000.roots[q], -20, state.fwd, 0, state.bwd, 0
+            )
+            assert state.best_residue(q) == expect and expect[2] == 0

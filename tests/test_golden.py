@@ -1,16 +1,23 @@
 """Golden certificates: equal inputs and seeds give the same bytes across
 versions of the constructor, not only within one run.
 
-All cases are x = 300 with seeds 7 and 8 under default parameters (two
-refinement sweeps, auto N). The default greedy two-sided digests are the
-ones recorded in bench/results/construct-small-seed{7,8}.json; the
-one-sided greedy and the two-sided random digests were recorded from the
-constructor before the medium stage moved onto the cover-count engine. A
+The cases are x = 300 with seeds 7 and 8, and x = 1000 with seed 7, under
+default parameters (two refinement sweeps, auto N). The default greedy
+two-sided digests at x = 300 are the ones recorded in
+bench/results/construct-small-seed{7,8}.json; the one-sided greedy and the
+two-sided random digests were recorded from the constructor before the
+medium stage moved onto the cover-count engine, and the x = 1000 digests
+before the one-bincount scorer replaced the per-window class scores. A
 change that moves one of them changes the certificate format or the
 construction, and must say so.
+
+Run as a script (`PYTHONPATH=src python tests/test_golden.py`) to print the
+current digest of every case, ready to paste over GOLDEN when a change moves
+the certificates on purpose.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -40,15 +47,32 @@ GOLDEN = {
     ("x", 8, "random"): "7a6c269ff59c8bb037da2420c6649962c2d8017516c175572c5eca92a37bf63e",
     ("x^2+1", 8, "random"): "e1416236a1fdebf11d5cac7312c3b594582f9b00da47115bd17ad1417075fdfb",
     ("x^3+2", 8, "random"): "64804910738ec20f5185c029fb09ce6bd4b3dee5e4e39adfcdc0f2896aeea2ae",
+    ("x", 7, "x=1000"): "a4af46cc1fa6249568fd4a90e0d7677b5a8bb161934e7897329fa085aff6ccde",
+    ("x^2+1", 7, "x=1000"): "250abb71c744d17c336547ec6abed10fac4d567a46bc23835bbcb29ab0df90c8",
+    ("x^3+2", 7, "x=1000"): "23e9b6a24fcc1aac23233b8050925fa716dea8f2e78fbdf64cb2012fc8e7a2d0",
 }
-# keyword arguments of construct_certificate for each variant
-VARIANTS = {"one-sided": {"two_sided": False}, "random": {"mode": "random"}}
+# (x, keyword arguments of construct_certificate) for each variant
+VARIANTS = {
+    "one-sided": (300, {"two_sided": False}),
+    "random": (300, {"mode": "random"}),
+    "x=1000": (1000, {}),
+}
+
+
+def certificate_digest(case) -> str:
+    name, seed, *variant = case
+    f = IntPolynomial.from_monomial(POLYS[name])
+    x, kwargs = VARIANTS[variant[0]] if variant else (300, {})
+    cert, _ = construct_certificate(f, SieveParams(x=x), seed, **kwargs)
+    return hashlib.sha256(cert.to_json_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda case: "-".join(map(str, case)))
 def test_certificate_digest(case):
-    name, seed, *variant = case
-    f = IntPolynomial.from_monomial(POLYS[name])
-    kwargs = VARIANTS[variant[0]] if variant else {}
-    cert, _ = construct_certificate(f, SieveParams(x=300), seed, **kwargs)
-    assert hashlib.sha256(cert.to_json_bytes()).hexdigest() == GOLDEN[case]
+    assert certificate_digest(case) == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    for case in GOLDEN:
+        key = ", ".join(json.dumps(part) for part in case)
+        print(f"    ({key}): {json.dumps(certificate_digest(case))},")

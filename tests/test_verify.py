@@ -23,6 +23,7 @@ from composite_forge.verify import (
     CoveringConfigError,
     CoveringSimConfig,
     RunRecord,
+    VerifyReport,
     Witness,
     covering_lemma_sim,
     find_witness,
@@ -75,6 +76,12 @@ class TestVerifyToyCertificate:
         assert report.witness_primes == {2: 4, 3: 1, 5: 2, 7: 1}
         assert report.to_json_dict()["witness_primes"] == {"2": 4, "3": 1, "5": 2, "7": 1}
         assert list(report.to_json_dict()["witness_primes"]) == ["2", "3", "5", "7"]
+
+    def test_failures_beyond_decimal_limit_serialized(self):
+        # window elements have as many digits as N: 5097 at x = 4000
+        n = 10**5000 + 1
+        report = VerifyReport(valid=False, mode="deep", checked=1, failures=[n])
+        assert report.to_json_dict()["failures"] == ["1" + "0" * 4999 + "1"]
 
     def test_witness_primes_skip_failures(self):
         cert = reload(toy_certificate())
