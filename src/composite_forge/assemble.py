@@ -474,34 +474,27 @@ def construct_certificate(
             stats_rows.append(
                 StageStats("small", "bwd", len(residues), y, bwd0.count(), None, seed)
             )
+        # the attempt's one cover state: the small-stage survivors, less
+        # every class the medium stage assigns (one-sided: no backward window)
+        state = CoverState.from_survivors(table, fwd0, bwd0, n_mod)
         if mode == "greedy":
-            plan = select_shifts_greedy(med, fwd0, table, paired=bwd0, n_target=n_mod)
-            assignment = dict(residues)
-            assignment.update(plan.residues())
-            if sweeps > 0 and med:
-                assignment = refine_residues(table, p, assignment, med, n_mod, sweeps)
+            medium = select_shifts_greedy(state, med)
+            medium = refine_residues(state, medium, med, sweeps)
         else:
             ladder = build_ladder(p, table)
             rng_med = stage_rng(seed, STREAM_MEDIUM, y)
-            plan_f = select_shifts_random(ladder, "fwd", fwd0, rng_med, p, table)
-            assignment = dict(residues)
-            assignment.update(plan_f.residues())
+            medium = select_shifts_random(ladder, "fwd", rng_med, p)
             if two_sided:
-                plan_b = select_shifts_random(ladder, "bwd", bwd0, rng_med, p, table)
-                assignment.update(plan_b.residues())
-        assigned_med = [q for q in med if q in assignment]
-        # post-medium residuals: the small-stage survivors less every class
-        # the medium stage assigned (one-sided: an empty backward window)
-        state = CoverState.from_survivors(table, fwd0, bwd0, n_mod)
-        for q in assigned_med:
-            state.add(q, assignment[q])
+                medium.update(select_shifts_random(ladder, "bwd", rng_med, p))
+            for q, r in medium.items():
+                state.add(q, r)
         res_f, res_b = state.survivors_fwd(), state.survivors_bwd()
         stats_rows.append(
-            StageStats("medium", "fwd", len(assigned_med), fwd0.count(), len(res_f), cap_f, seed)
+            StageStats("medium", "fwd", len(medium), fwd0.count(), len(res_f), cap_f, seed)
         )
         if two_sided:
             stats_rows.append(
-                StageStats("medium", "bwd", len(assigned_med), bwd0.count(), len(res_b), cap_b, seed)
+                StageStats("medium", "bwd", len(medium), bwd0.count(), len(res_b), cap_b, seed)
             )
         if len(res_f) > cap_f or (two_sided and len(res_b) > cap_b):
             record(y, "residual_over_capacity", res_f, res_b)
@@ -519,7 +512,7 @@ def construct_certificate(
             "y": y,
             "params": p,
             "small": residues,
-            "medium": {q: assignment[q] for q in assigned_med},
+            "medium": medium,
             "cleanup_fwd": pairs_f,
             "cleanup_bwd": pairs_b,
             "rejections": rejections,

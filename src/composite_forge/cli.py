@@ -62,7 +62,10 @@ def _x_grid(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        out.append(int(float(part)))
+        try:
+            out.append(int(float(part)))
+        except (OverflowError, ValueError):
+            raise argparse.ArgumentTypeError(f"x value {part!r} is not a finite number") from None
     return out
 
 
@@ -101,7 +104,7 @@ def build_parser() -> _Parser:
     v = sub.add_parser("verify", help="verify a certificate file")
     v.add_argument("cert", help="certificate JSON path")
     v.add_argument("--deep", action="store_true", help="check every window element")
-    v.add_argument("--sample", type=float, default=0.01, help="fast-mode sample rate")
+    v.add_argument("--sample", type=float, default=0.01, help="fast-mode sample rate, in (0, 1]")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default=None, help="write the report JSON here (default stdout)")
     v.set_defaults(func=cmd_verify)
@@ -201,6 +204,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (0 < args.sample <= 1):
+        print(f"composite-forge: --sample {args.sample} is not a rate in (0, 1]", file=sys.stderr)
+        return EXIT_USAGE
     if not os.path.exists(args.cert):
         print(f"composite-forge: no such certificate file: {args.cert}", file=sys.stderr)
         return EXIT_USAGE
@@ -220,7 +226,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    rec = oracle_longest_run(args.poly, args.n)
+    try:
+        rec = oracle_longest_run(args.poly, args.n)
+    except ValueError as e:
+        print(f"composite-forge: bad --n: {e}", file=sys.stderr)
+        return EXIT_USAGE
     print(json.dumps({"start": rec.start, "length": rec.length, "n_scanned": rec.n_scanned}))
     return EXIT_OK
 

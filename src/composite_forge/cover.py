@@ -8,16 +8,19 @@ Greedy mode scores residue classes directly; random mode samples shifts n_q
 and induces residues from them. The shifts are uniform: the paper weights a
 shift by sigma2^(-count) over its progression, and sigma2 = 1 at every
 supported scale (the small-stage boundary z sits below H^M for every ladder
-scale), so each weight is 1. The greedy pass, the refinement sweeps and the
-post-medium residuals all run on one incremental engine, CoverState. It
-scores a prime with one bincount over the class keys of both windows, and
-reads N only through a map q -> N mod q that a construction builds once.
+scale), so each weight is 1. Each window-length attempt builds one
+incremental engine, CoverState, from its small-stage survivors; the greedy
+pass, the refinement sweeps, the random-mode residues and the post-medium
+residuals all work on that state, and the medium stage hands back plain
+q -> residue maps. The state scores a prime with one bincount over the
+class keys of both windows, and reads N only through a map q -> N mod q
+that a construction builds once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -57,12 +60,12 @@ class SieveParams:
             raise ValueError("x must be at least 8")
         if not (1e-6 < self.delta <= 0.5):
             raise ValueError("delta must lie in (1e-6, 0.5]")
-        if self.xi <= 1:
-            raise ValueError("xi must exceed 1")
+        if not (1 < self.xi < math.inf):
+            raise ValueError("xi must be finite and exceed 1")
         if not (6 < self.M < 7):
             raise ValueError("M must lie in (6, 7)")
-        if self.K <= 0:
-            raise ValueError("K must be positive")
+        if not (0 < self.K < math.inf):
+            raise ValueError("K must be finite and positive")
         if not (0 < self.eps < (self.M - 6) / 7):
             raise ValueError("eps must lie in (0, (M - 6) / 7)")
         if self.retry_budget < 0:
@@ -141,12 +144,6 @@ class LadderScale:
     H: float
     side: str  # "fwd" for even j, "bwd" for odd j
     buckets: dict[int, tuple[int, ...]]  # root count -> primes in (y/(xi H), y/H]
-
-    def primes(self) -> list[int]:
-        out: list[int] = []
-        for qs in self.buckets.values():
-            out.extend(qs)
-        return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -235,29 +232,6 @@ def sample_small_residue(
     )
 
 
-@dataclass
-class CoverChoice:
-    q: int
-    side: str  # fwd | bwd | both
-    residue: int  # certificate residue r_q
-    shift: int | None  # shift n_q when one was sampled/derived
-    covered_fwd: int
-    covered_bwd: int
-    stage: str = "medium"
-
-
-@dataclass
-class CoverPlan:
-    mode: str
-    choices: list[CoverChoice] = field(default_factory=list)
-    residual_fwd: np.ndarray | None = None
-    residual_bwd: np.ndarray | None = None
-    dropped: list[tuple[int, str]] = field(default_factory=list)
-
-    def residues(self) -> dict[int, int]:
-        return {c.q: c.residue for c in self.choices}
-
-
 def shift_range(params: SieveParams, side: str) -> tuple[int, int]:
     """Inclusive shift bounds: forward (-(K+1)y, y], backward [-y, (K+1)y)."""
     ky = int((params.K + 1) * params.y)
@@ -283,8 +257,9 @@ class CoverState:
     hitting backward offset bwd_lo + i (j = alpha - N - r mod q). Offsets
     with count zero are the survivors. Adding or removing one prime's class
     is nu strided slice updates per window. N enters only through the map
-    q -> N mod q (see target_residues), which a construction builds once
-    and shares between all its states.
+    q -> N mod q (see target_residues), which a construction builds once.
+    One window-length attempt builds one state from its small-stage
+    survivors; the medium stage assigns, re-picks and reads residuals on it.
 
     Scoring a prime takes one survivor extraction per window and a single
     bincount: residue r hits forward survivor o when r = o - alpha and
@@ -300,12 +275,6 @@ class CoverState:
         self.bwd_lo, self.bwd = bwd_lo, bwd
 
     @classmethod
-    def empty(cls, table: RootTable, y: int, n_target: int | Mapping[int, int]) -> "CoverState":
-        """Nothing assigned over [1, y] and [-y, -1]."""
-        fwd, bwd = np.zeros(y, dtype=np.int32), np.zeros(y, dtype=np.int32)
-        return cls(table, n_target, 1, fwd, -y, bwd)
-
-    @classmethod
     def from_survivors(
         cls,
         table: RootTable,
@@ -314,10 +283,13 @@ class CoverState:
         n_target: int | Mapping[int, int] | None,
     ) -> "CoverState":
         """Start from survivor bitmaps; each killed offset counts once. With
-        no backward bitmap the backward window is empty and N plays no part."""
+        no backward bitmap the backward window is empty and N plays no part;
+        with one, n_target (N or its residue map) is required."""
         f = (~fwd.bits).astype(np.int32)
         if bwd is None:
             return cls(table, 0, fwd.lo, f, 0, np.zeros(0, dtype=np.int32))
+        if n_target is None:
+            raise ValueError("backward coverage requires the target sum")
         return cls(table, n_target, fwd.lo, f, bwd.lo, (~bwd.bits).astype(np.int32))
 
     def add(self, q: int, r: int, count: int = 1) -> None:
@@ -336,10 +308,9 @@ class CoverState:
     def survivors_bwd(self) -> np.ndarray:
         return np.flatnonzero(self.bwd == 0).astype(np.int64) + self.bwd_lo
 
-    def best_residue(self, q: int) -> tuple[int, int, int]:
+    def best_residue(self, q: int) -> int:
         """The residue for q hitting the most survivors on both sides jointly
-        (ties to the smallest), with the forward and backward survivors it
-        hits."""
+        (ties to the smallest)."""
         alphas = self.table.roots[q]
         fi = (self.fwd == 0).nonzero()[0]
         bi = (self.bwd == 0).nonzero()[0]
@@ -350,126 +321,67 @@ class CoverState:
             [fi + (self.fwd_lo - a) for a in alphas] + [(c_bwd + a) - bi for a in alphas]
         )
         keys %= q
-        counts = np.bincount(keys, minlength=q)
-        r = int(counts.argmax())
-        cov_f = int(np.count_nonzero(keys[: fi.size * len(alphas)] == r))
-        return r, cov_f, int(counts[r]) - cov_f
+        return int(np.bincount(keys, minlength=q).argmax())
 
 
-def select_shifts_greedy(
-    primes: Iterable[int],
-    survivors: SurvivorSet,
-    table: RootTable,
-    *,
-    paired: SurvivorSet | None = None,
-    n_target: int | Mapping[int, int] | None = None,
-) -> CoverPlan:
-    """Deterministic shift selection: primes in descending order, each takes
-    the residue class covering the most not-yet-covered survivors (ties to
-    the smallest residue).
-
-    With `paired` (the backward survivors, which need the target sum) one
-    certificate residue is scored against both windows jointly, since it
-    kills on both sides; this is the construction default. Without it the
-    backward window is empty and only forward survivors count. n_target is
-    N or its residue map (see target_residues).
-    """
-    if paired is not None and n_target is None:
-        raise ValueError("backward coverage requires the target sum")
-    plan = CoverPlan(mode="greedy")
-    side = "fwd" if paired is None else "both"
-    # one engine sweep that starts with only the small stage assigned
-    state = CoverState.from_survivors(table, survivors, paired, n_target)
+def select_shifts_greedy(state: CoverState, primes: Iterable[int]) -> dict[int, int]:
+    """Deterministic shift selection on the attempt's cover state: primes in
+    descending order, each takes the residue class covering the most
+    survivors left (ties to the smallest residue) and is assigned in the
+    state. A two-sided state scores one certificate residue against both
+    windows jointly, since it kills on both sides; a one-sided state has an
+    empty backward window, so only forward survivors count. Returns
+    q -> residue."""
+    out: dict[int, int] = {}
     for q in sorted(set(primes), reverse=True):
-        if not table.roots[q]:
-            continue
-        r, cov_f, cov_b = state.best_residue(q)
-        state.add(q, r)
-        plan.choices.append(CoverChoice(q, side, r, r - q, cov_f, cov_b))
-    plan.residual_fwd = state.survivors_fwd()
-    plan.residual_bwd = state.survivors_bwd()
-    return plan
+        out[q] = state.best_residue(q)
+        state.add(q, out[q])
+    return out
 
 
 def select_shifts_random(
     ladder: ScaleLadder,
     side: str,
-    survivors: SurvivorSet | None,
     rng: np.random.Generator,
     params: SieveParams,
-    table: RootTable,
-) -> CoverPlan:
+) -> dict[int, int]:
     """Sample one shift per bucket prime on the given side, uniformly over
-    the shift range: the progression weight sigma2^(-count) is 1 for every
-    shift, as sigma2 = 1 at every supported scale (the small-stage boundary
-    z sits below H^M for every ladder scale). A prime is dropped and logged
-    in the plan when the weight sum, here the size of the shift range,
-    fails the factor-2 mass sanity check around (K+2)*y. Choices record how
-    many of `survivors` (None: none counted) each progression covers.
+    the shift range, and return q -> the certificate residue it induces. The
+    paper's progression weight sigma2^(-count) is 1 for every shift, as
+    sigma2 = 1 at every supported scale (the small-stage boundary z sits
+    below H^M for every ladder scale). The range holds (K+2)*y - O(1)
+    shifts, so the paper's weight-sum condition around (K+2)*y always holds.
     """
     if side not in ("fwd", "bwd"):
         raise ValueError("side must be fwd or bwd")
     if side == "bwd" and params.N_target is None:
         raise ValueError("backward selection requires the target sum")
     lo, hi = shift_range(params, side)
-    n_range = hi - lo + 1
-    expected_mass = (params.K + 2) * params.y
-    plan = CoverPlan(mode="random")
+    out: dict[int, int] = {}
     for scale in ladder.side_scales(side):
         for nu in sorted(scale.buckets):
             for q in scale.buckets[nu]:
-                alphas = table.roots[q]
-                if not (0.5 * expected_mass <= n_range <= 2.0 * expected_mass):
-                    plan.dropped.append((q, "weight-sum out of window"))
-                    continue
                 n = int(rng.integers(lo, hi + 1))
-                if side == "fwd":
-                    r_cert = n % q
-                else:
-                    r_cert = (-params.N_target - n) % q
-                covered = 0
-                if survivors is not None:
-                    h_max = int(params.K * scale.H)
-                    for a in alphas:
-                        for h in range(1, h_max + 1):
-                            e = n + a + q * h if side == "fwd" else n + a - q * h
-                            if survivors.contains(e):
-                                covered += 1
-                plan.choices.append(
-                    CoverChoice(
-                        q,
-                        side,
-                        r_cert,
-                        n,
-                        covered if side == "fwd" else 0,
-                        covered if side == "bwd" else 0,
-                    )
-                )
-    return plan
+                out[q] = n % q if side == "fwd" else (-params.N_target - n) % q
+    return out
 
 
 def refine_residues(
-    table: RootTable,
-    params: SieveParams,
-    residues: dict[int, int],
+    state: CoverState,
+    residues: Mapping[int, int],
     medium_primes: Sequence[int],
-    n_target: int | Mapping[int, int],
     sweeps: int = 2,
 ) -> dict[int, int]:
     """Local improvement on top of the greedy pass: re-pick each medium
-    prime's residue against the survivors of everything else, holding the
-    rest fixed. Every usable prime up to the largest medium prime must be
-    assigned. n_target is N or its residue map (see target_residues).
+    prime's residue against the survivors of everything else in the state,
+    holding the rest fixed. The state must hold residues[q] for every medium
+    prime, and ends holding the returned map. Only the state's windows are
+    scored: a one-sided state has no backward window, so N plays no part.
     Deterministic; returns a new residue map."""
-    if sweeps <= 0:
-        return dict(residues)
     out = dict(residues)
-    state = CoverState.empty(table, params.y, n_target)
-    for q in table.usable_between(0, max(medium_primes, default=0)):
-        state.add(q, out[q])
     for _ in range(sweeps):
         for q in sorted(medium_primes, reverse=True):
             state.remove(q, out[q])
-            out[q] = state.best_residue(q)[0]
+            out[q] = state.best_residue(q)
             state.add(q, out[q])
     return out

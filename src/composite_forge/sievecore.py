@@ -29,8 +29,6 @@ class SurvivorSet:
     lo: int
     hi: int
     bits: np.ndarray
-    prime_lo: int
-    prime_hi: int
 
     def count(self) -> int:
         return int(self.bits.sum())
@@ -39,29 +37,14 @@ class SurvivorSet:
         """Absolute positions of survivors, ascending int64."""
         return np.nonzero(self.bits)[0].astype(np.int64) + self.lo
 
-    def contains(self, n: int) -> bool:
-        return self.lo <= n <= self.hi and bool(self.bits[n - self.lo])
-
-    def kill(self, positions) -> None:
-        idx = np.asarray(positions, dtype=np.int64) - self.lo
-        self.bits[idx] = False
-
-    def copy(self) -> "SurvivorSet":
-        return SurvivorSet(self.lo, self.hi, self.bits.copy(), self.prime_lo, self.prime_hi)
-
 
 def sieve_survivors(
     table: RootTable,
     residues: Mapping[int, int],
     interval: tuple[int, int],
     prime_range: tuple[int, int],
-    skip: frozenset[int] | set[int] = frozenset(),
 ) -> SurvivorSet:
-    """Sieve [lo, hi] by all usable primes q with prime_range[0] < q <= prime_range[1].
-
-    Primes listed in `skip` are left out even when usable (used to score one
-    prime's residue candidates against the survivors of everything else).
-    """
+    """Sieve [lo, hi] by all usable primes q with prime_range[0] < q <= prime_range[1]."""
     lo, hi = interval
     if hi < lo:
         raise ValueError("empty interval")
@@ -70,8 +53,6 @@ def sieve_survivors(
     z1, z2 = prime_range
     active: list[tuple[int, tuple[int, ...]]] = []
     for q in table.usable_between(z1, z2):
-        if q in skip:
-            continue
         if q not in residues:
             raise MissingResidueError(q)
         r = residues[q]
@@ -80,7 +61,7 @@ def sieve_survivors(
     for q, classes in active:
         for c in classes:
             bits[(c - lo) % q :: q] = False
-    return SurvivorSet(lo, hi, bits, z1, z2)
+    return SurvivorSet(lo, hi, bits)
 
 
 def translate_check(

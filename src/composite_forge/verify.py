@@ -385,6 +385,8 @@ class CoveringSimConfig:
         v = self.ground_size
         if v < 16:
             raise CoveringConfigError("ground set too small")
+        if self.candidates < 1:
+            raise CoveringConfigError("at least one candidate per round is needed")
         k = self.k
         if k < 1:
             raise CoveringConfigError("subset size collapsed to zero")

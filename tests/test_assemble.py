@@ -344,6 +344,52 @@ class TestConstructCertificate:
         usable = sorted(q for st in cert.stages for q, _ in st.assignments)
         assert reductions == Counter(usable)
 
+    @pytest.mark.parametrize("mode", ["greedy", "random"])
+    @pytest.mark.parametrize("two_sided", [True, False])
+    def test_one_cover_state_per_attempt(
+        self, f_x2p1, cache_dir, monkeypatch, mode, two_sided
+    ):
+        # the greedy pass, the refinement, the random-mode residues and the
+        # post-medium residuals all work on the one state an attempt builds
+        from composite_forge import assemble, cover
+
+        built = []
+        tried = []
+        init = cover.CoverState.__init__
+        draw = assemble.sample_small_residue
+
+        def counting_init(self, *args, **kwargs):
+            built.append(tried[-1])
+            init(self, *args, **kwargs)
+
+        def counting_draw(params, *args, **kwargs):
+            tried.append(params.y)
+            return draw(params, *args, **kwargs)
+
+        monkeypatch.setattr(cover.CoverState, "__init__", counting_init)
+        monkeypatch.setattr(assemble, "sample_small_residue", counting_draw)
+        _, stats = construct_certificate(
+            f_x2p1, SieveParams(x=300), seed=7, two_sided=two_sided, mode=mode,
+            cache_dir=cache_dir,
+        )
+        attempts = stats.extras["attempts"]
+        assert len(attempts) > 1
+        assert all(a["outcome"] != "small_retry_budget" for a in attempts)
+        assert built == [a["y"] for a in attempts]
+
+    @pytest.mark.parametrize("coeffs", [[0, 1], [1, 0, 1], [2, 0, 0, 1]])
+    def test_one_sided_bytes_ignore_target(self, cache_dir, coeffs):
+        # a one-sided certificate records no N, so N must not steer it
+        f = IntPolynomial.from_monomial(coeffs)
+        digests = {
+            construct_certificate(
+                f, SieveParams(x=300), seed=7, two_sided=False, n_target=n,
+                cache_dir=cache_dir,
+            )[0].to_json_bytes()
+            for n in (None, 10**390, 10**398 - 1)
+        }
+        assert len(digests) == 1
+
     def test_every_usable_prime_assigned(self, f_x, cache_dir):
         cert, _ = construct_certificate(
             f_x, SieveParams(x=300), seed=7, cache_dir=cache_dir

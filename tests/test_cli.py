@@ -88,6 +88,21 @@ class TestConstruct:
         assert r.returncode == USAGE
         assert "bad parameters" in r.stderr
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--K", "nan"], ["--K", "inf"], ["--xi", "nan"], ["--mode", "random", "--K", "nan"]],
+        ids=["K-nan", "K-inf", "xi-nan", "random-K-nan"],
+    )
+    def test_non_finite_parameter_exits_64(self, tmp_path, extra):
+        # a NaN would reach the certificate as "K": NaN, which is not JSON
+        r = run_cli(
+            "construct", "--poly", "poly:[0,1]", "--x", "300", *extra,
+            "--out", "no.json", cwd=tmp_path,
+        )
+        assert r.returncode == USAGE
+        assert "Traceback" not in r.stderr and "must be finite" in r.stderr
+        assert not (tmp_path / "no.json").exists()
+
     def test_explicit_mode_requires_target(self, tmp_path):
         r = run_cli(
             "construct", "--poly", "poly:[0,1]", "--x", "300",
@@ -206,6 +221,23 @@ class TestVerify:
         assert "Traceback" not in r.stderr
         assert "modulus 0 is not a prime" in json.loads(r.stdout)["messages"]
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "1e30", "0", "-0.5"])
+    def test_sample_rate_outside_unit_interval_exits_64(self, workdir, rate):
+        r = run_cli("verify", "cert.json", "--sample", rate, cwd=workdir)
+        assert r.returncode == USAGE
+        assert "Traceback" not in r.stderr and "(0, 1]" in r.stderr
+        assert r.stdout == ""
+
+    def test_non_finite_parameter_exits_64(self, workdir):
+        with open(workdir / "cert.json") as fh:
+            obj = json.load(fh)
+        obj["params"]["K"] = float("nan")
+        with open(workdir / "nan.json", "w") as fh:
+            json.dump(obj, fh)
+        r = run_cli("verify", "nan.json", cwd=workdir)
+        assert r.returncode == USAGE
+        assert "Traceback" not in r.stderr and "K must be finite" in r.stderr
+
     def test_missing_file_exits_64(self, tmp_path):
         r = run_cli("verify", "nope.json", cwd=tmp_path)
         assert r.returncode == USAGE
@@ -234,6 +266,21 @@ class TestVerify:
         assert r.returncode == USAGE
         assert "Traceback" not in r.stderr
         assert "malformed certificate" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["stats", "--poly", "poly:[0,1]", "--x", "1e400"], "not a finite number"),
+        (["oracle", "--poly", "poly:[0,1]", "--n", "0"], "n_max must be positive"),
+        (["simulate", "--candidates", "0"], "at least one candidate"),
+    ],
+    ids=["stats-x-overflow", "oracle-n-zero", "simulate-no-candidates"],
+)
+def test_bad_argument_exits_64(tmp_path, args, message):
+    r = run_cli(*args, cwd=tmp_path)
+    assert r.returncode == USAGE
+    assert "Traceback" not in r.stderr and message in r.stderr
 
 
 class TestOracle:

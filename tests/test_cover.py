@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from composite_forge import cover
 from composite_forge.assemble import stage_rng
 from composite_forge.cover import (
-    CoverChoice,
-    CoverPlan,
     CoverState,
     RetryBudgetError,
     SieveParams,
@@ -28,7 +26,7 @@ from composite_forge.sievecore import SurvivorSet, sieve_survivors
 
 
 def full_window(lo, hi):
-    return SurvivorSet(lo, hi, np.ones(hi - lo + 1, dtype=bool), 0, 0)
+    return SurvivorSet(lo, hi, np.ones(hi - lo + 1, dtype=bool))
 
 
 # Reference class scores: the per-window scorers CoverState.best_residue
@@ -94,6 +92,17 @@ class TestSieveParams:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SieveParams(**kwargs)
+
+    @pytest.mark.parametrize("name", ["xi", "K"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            SieveParams(x=300, **{name: value})
+        # a stored certificate carries the same check
+        obj = SieveParams(x=300).to_json()
+        obj[name] = value
+        with pytest.raises(ValueError, match="finite"):
+            SieveParams.from_json(obj)
 
     def test_delta_shrinks_y(self):
         assert SieveParams(x=2000, delta=0.25).y < SieveParams(x=2000, delta=0.5).y
@@ -211,17 +220,20 @@ class TestBackwardResidues:
                 assert killed == ((N + r + j) % q in roots)
 
 
+def one_sided(table, fwd):
+    return CoverState.from_survivors(table, fwd, None, None)
+
+
 class TestGreedySelection:
     def test_single_prime_hand_case(self, table_x_100):
-        plan = select_shifts_greedy([7], full_window(1, 30), table_x_100)
-        (c,) = plan.choices
+        state = one_sided(table_x_100, full_window(1, 30))
         # classes 1 and 2 mod 7 tie at 5 hits in [1, 30]; argmax takes 1
-        assert (c.q, c.residue, c.covered_fwd) == (7, 1, 5)
-        assert len(plan.residual_fwd) == 25
+        assert select_shifts_greedy(state, [7]) == {7: 1}
+        assert len(state.survivors_fwd()) == 25
 
     def test_descending_prime_order(self, table_x_100):
-        plan = select_shifts_greedy([7, 11, 13], full_window(1, 40), table_x_100)
-        assert [c.q for c in plan.choices] == [13, 11, 7]
+        state = one_sided(table_x_100, full_window(1, 40))
+        assert list(select_shifts_greedy(state, [7, 11, 13])) == [13, 11, 7]
 
     def test_coverage_bookkeeping_is_exact(self, table_x2p1_2000):
         params = SieveParams(x=2000)
@@ -229,17 +241,15 @@ class TestGreedySelection:
             params, table_x2p1_2000, stage_rng(3, 1, 0), two_sided=False
         )
         med = table_x2p1_2000.usable_between(params.z, 300)
-        plan = select_shifts_greedy(med, fwd, table_x2p1_2000)
-        assert fwd.count() - sum(c.covered_fwd for c in plan.choices) == len(
-            plan.residual_fwd
-        )
-        # residual must equal an actual re-sieve with the chosen residues
+        state = one_sided(table_x2p1_2000, fwd)
+        chosen = select_shifts_greedy(state, med)
+        # the state's residual must equal an actual re-sieve with the chosen residues
         merged = dict(residues)
-        merged.update(plan.residues())
+        merged.update(chosen)
         resieved = sieve_survivors(
             table_x2p1_2000, merged, (1, params.y), (0, 300)
         )
-        assert list(resieved.survivors()) == list(plan.residual_fwd)
+        assert list(resieved.survivors()) == list(state.survivors_fwd())
 
     def test_joint_two_sided_consistency(self, table_x2p1_2000):
         params = SieveParams(x=2000, N_target=10**60)
@@ -247,11 +257,9 @@ class TestGreedySelection:
             params, table_x2p1_2000, stage_rng(4, 1, 0)
         )
         med = table_x2p1_2000.usable_between(params.z, 400)
-        plan = select_shifts_greedy(
-            med, fwd, table_x2p1_2000, paired=bwd, n_target=params.N_target
-        )
+        state = CoverState.from_survivors(table_x2p1_2000, fwd, bwd, params.N_target)
         merged = dict(residues)
-        merged.update(plan.residues())
+        merged.update(select_shifts_greedy(state, med))
         f2 = sieve_survivors(table_x2p1_2000, merged, (1, params.y), (0, 400))
         b2 = sieve_survivors(
             table_x2p1_2000,
@@ -259,13 +267,13 @@ class TestGreedySelection:
             (-params.y, -1),
             (0, 400),
         )
-        assert list(f2.survivors()) == list(plan.residual_fwd)
-        assert list(b2.survivors()) == list(plan.residual_bwd)
+        assert list(f2.survivors()) == list(state.survivors_fwd())
+        assert list(b2.survivors()) == list(state.survivors_bwd())
 
     def test_both_requires_target(self, table_x2p1_100):
         with pytest.raises(ValueError):
-            select_shifts_greedy(
-                [13], full_window(1, 20), table_x2p1_100, paired=full_window(-20, -1)
+            CoverState.from_survivors(
+                table_x2p1_100, full_window(1, 20), full_window(-20, -1), None
             )
 
     def test_greedy_beats_random_here(self, table_x2p1_2000):
@@ -274,52 +282,55 @@ class TestGreedySelection:
             params, table_x2p1_2000, stage_rng(5, 1, 0), two_sided=False
         )
         med = table_x2p1_2000.usable_between(params.z, 1000)
-        greedy = select_shifts_greedy(med, fwd, table_x2p1_2000)
+        greedy = one_sided(table_x2p1_2000, fwd)
+        select_shifts_greedy(greedy, med)
+        # random mode leaves the medium primes outside every ladder window
+        # unassigned; its residual is the small stage's less the sampled classes
         ladder = build_ladder(params, table_x2p1_2000)
-        rnd = select_shifts_random(
-            ladder, "fwd", fwd, stage_rng(5, 2, 0), params, table_x2p1_2000
-        )
-        merged = rnd.residues()
-        skip = {q for q in med if q not in merged}
-        after = sieve_survivors(
-            table_x2p1_2000, merged, (1, params.y), (params.z, 1000), skip=skip
-        )
-        leftover_random = sum(1 for t in fwd.survivors() if after.contains(int(t)))
-        assert len(greedy.residual_fwd) <= leftover_random
+        rnd = one_sided(table_x2p1_2000, fwd)
+        for q, r in select_shifts_random(ladder, "fwd", stage_rng(5, 2, 0), params).items():
+            rnd.add(q, r)
+        assert len(greedy.survivors_fwd()) <= len(rnd.survivors_fwd())
+
+
+def drawn_shifts(ladder, side, rng, params):
+    """q -> the shift select_shifts_random draws for q from this stream."""
+    lo, hi = shift_range(params, side)
+    return {
+        q: int(rng.integers(lo, hi + 1))
+        for s in ladder.side_scales(side)
+        for nu in sorted(s.buckets)
+        for q in s.buckets[nu]
+    }
 
 
 class TestRandomSelection:
     def test_one_choice_per_bucket_prime(self, table_x2p1_2000):
         params = SieveParams(x=2000)
         ladder = build_ladder(params, table_x2p1_2000)
-        plan = select_shifts_random(
-            ladder, "fwd", None, stage_rng(9, 2, 0), params, table_x2p1_2000
-        )
-        fwd_primes = [q for s in ladder.side_scales("fwd") for q in s.primes()]
-        assert sorted(c.q for c in plan.choices) == sorted(fwd_primes)
-        assert plan.dropped == []
+        out = select_shifts_random(ladder, "fwd", stage_rng(9, 2, 0), params)
+        fwd_primes = [q for s in ladder.side_scales("fwd") for qs in s.buckets.values() for q in qs]
+        assert sorted(out) == sorted(fwd_primes)
         lo, hi = shift_range(params, "fwd")
-        for c in plan.choices:
-            assert 0 <= c.residue < c.q
-            assert lo <= c.shift <= hi
-            assert c.residue == c.shift % c.q
+        for q, n in drawn_shifts(ladder, "fwd", stage_rng(9, 2, 0), params).items():
+            assert 0 <= out[q] < q
+            assert lo <= n <= hi
+            assert out[q] == n % q
 
     def test_backward_residue_convention(self, table_x2p1_2000):
         params = SieveParams(x=2000, N_target=10**60)
         ladder = build_ladder(params, table_x2p1_2000)
-        plan = select_shifts_random(
-            ladder, "bwd", None, stage_rng(9, 2, 1), params, table_x2p1_2000
-        )
-        for c in plan.choices:
-            assert c.residue == (-params.N_target - c.shift) % c.q
+        out = select_shifts_random(ladder, "bwd", stage_rng(9, 2, 1), params)
+        shifts = drawn_shifts(ladder, "bwd", stage_rng(9, 2, 1), params)
+        assert sorted(out) == sorted(shifts)
+        for q, n in shifts.items():
+            assert out[q] == (-params.N_target - n) % q
 
     def test_rejects_bad_side(self, table_x2p1_100):
         params = SieveParams(x=100)
         ladder = build_ladder(params, table_x2p1_100)
         with pytest.raises(ValueError):
-            select_shifts_random(
-                ladder, "both", None, stage_rng(0, 2, 0), params, table_x2p1_100
-            )
+            select_shifts_random(ladder, "both", stage_rng(0, 2, 0), params)
 
 
 class TestResidualCheck:
@@ -346,13 +357,12 @@ class TestRefinement:
             params, table_x2p1_2000, stage_rng(6, 1, 0)
         )
         med = table_x2p1_2000.usable_between(params.z, 1000)
-        plan = select_shifts_greedy(
-            med, fwd, table_x2p1_2000, paired=bwd, n_target=params.N_target
-        )
-        merged = dict(residues)
-        merged.update(plan.residues())
+        state = CoverState.from_survivors(table_x2p1_2000, fwd, bwd, params.N_target)
+        chosen = select_shifts_greedy(state, med)
 
-        def joint_residual(assignment):
+        def joint_residual(medium):
+            assignment = dict(residues)
+            assignment.update(medium)
             f = sieve_survivors(table_x2p1_2000, assignment, (1, params.y), (0, 1000))
             b = sieve_survivors(
                 table_x2p1_2000,
@@ -360,21 +370,21 @@ class TestRefinement:
                 (-params.y, -1),
                 (0, 1000),
             )
-            return f.count() + b.count()
+            return f, b
 
-        before = joint_residual(merged)
-        refined = refine_residues(
-            table_x2p1_2000, params, merged, med, params.N_target, sweeps=2
-        )
-        assert sorted(refined) == sorted(merged)
-        assert joint_residual(refined) <= before
+        before = sum(s.count() for s in joint_residual(chosen))
+        refined = refine_residues(state, chosen, med, sweeps=2)
+        assert sorted(refined) == sorted(chosen)
+        f, b = joint_residual(refined)
+        assert f.count() + b.count() <= before
+        # the state ends holding the refined residues
+        assert list(f.survivors()) == list(state.survivors_fwd())
+        assert list(b.survivors()) == list(state.survivors_bwd())
 
     def test_zero_sweeps_is_identity(self, table_x2p1_2000):
-        params = SieveParams(x=2000, N_target=10**60)
         residues = {5: 1, 13: 2}
-        out = refine_residues(
-            table_x2p1_2000, params, residues, [], params.N_target, sweeps=0
-        )
+        state = one_sided(table_x2p1_2000, full_window(1, 40))
+        out = refine_residues(state, residues, [], sweeps=0)
         assert out == residues and out is not residues
 
 
@@ -400,7 +410,7 @@ class TestClassScores:
 
 # Reference oracles: the re-sieve refinement and the copy-and-kill greedy
 # loops (joint and forward-only) that CoverState replaced, kept verbatim in
-# behaviour.
+# behaviour, on plain survivor bitmaps.
 
 
 def covered_mask_bwd(pos, q, r, alphas, n_target):
@@ -408,66 +418,65 @@ def covered_mask_bwd(pos, q, r, alphas, n_target):
     return np.isin((pos + n_target % q + r) % q, np.asarray(alphas) % q)
 
 
+def kill(bits, lo, positions):
+    bits[np.asarray(positions, dtype=np.int64) - lo] = False
+
+
 def oracle_greedy_both(primes, survivors, paired, table, n_target):
-    F, B = survivors.copy(), paired.copy()
-    plan = CoverPlan(mode="greedy")
+    """(q -> residue in choice order, forward residual, backward residual)."""
+    F, B = survivors.bits.copy(), paired.bits.copy()
+    chosen = {}
     for q in sorted(set(primes), reverse=True):
         alphas = table.roots[q]
-        if not alphas:
-            continue
-        fpos, bpos = F.survivors(), B.survivors()
+        fpos = np.flatnonzero(F).astype(np.int64) + survivors.lo
+        bpos = np.flatnonzero(B).astype(np.int64) + paired.lo
         scores = forward_class_scores(q, alphas, fpos) + backward_class_scores(
             q, alphas, bpos, n_target
         )
-        r = int(np.argmax(scores))
-        fmask = np.isin((fpos - r) % q, np.asarray(alphas) % q)
-        bmask = covered_mask_bwd(bpos, q, r, alphas, n_target)
-        F.kill(fpos[fmask])
-        B.kill(bpos[bmask])
-        plan.choices.append(
-            CoverChoice(q, "both", r, r - q, int(fmask.sum()), int(bmask.sum()))
-        )
-    plan.residual_fwd = F.survivors()
-    plan.residual_bwd = B.survivors()
-    return plan
+        r = chosen[q] = int(np.argmax(scores))
+        kill(F, survivors.lo, fpos[np.isin((fpos - r) % q, np.asarray(alphas) % q)])
+        kill(B, paired.lo, bpos[covered_mask_bwd(bpos, q, r, alphas, n_target)])
+    return (
+        chosen,
+        np.flatnonzero(F).astype(np.int64) + survivors.lo,
+        np.flatnonzero(B).astype(np.int64) + paired.lo,
+    )
 
 
 def oracle_greedy_fwd(primes, survivors, table):
-    F = survivors.copy()
-    plan = CoverPlan(mode="greedy")
+    """(q -> residue in choice order, forward residual)."""
+    F = survivors.bits.copy()
+    chosen = {}
     for q in sorted(set(primes), reverse=True):
         alphas = table.roots[q]
-        if not alphas:
-            continue
-        pos = F.survivors()
-        scores = forward_class_scores(q, alphas, pos)
-        base = int(np.argmax(scores))
-        mask = np.isin((pos - base) % q, np.asarray(alphas) % q)
-        F.kill(pos[mask])
-        covered = int(mask.sum())
-        plan.choices.append(CoverChoice(q, "fwd", base, base - q, covered, 0))
-    plan.residual_fwd = F.survivors()
-    return plan
+        pos = np.flatnonzero(F).astype(np.int64) + survivors.lo
+        base = chosen[q] = int(np.argmax(forward_class_scores(q, alphas, pos)))
+        kill(F, survivors.lo, pos[np.isin((pos - base) % q, np.asarray(alphas) % q)])
+    return chosen, np.flatnonzero(F).astype(np.int64) + survivors.lo
 
 
-def oracle_refine(table, params, residues, medium_primes, n_target, sweeps):
-    if sweeps <= 0:
-        return dict(residues)
-    y = params.y
+def sieve_only(table, residues, interval):
+    """Survivor positions of [lo, hi] under exactly the primes in residues."""
+    lo, hi = interval
+    bits = np.ones(hi - lo + 1, dtype=bool)
+    for q, r in residues.items():
+        for a in table.roots[q]:
+            bits[(r + a - lo) % q :: q] = False
+    return np.flatnonzero(bits).astype(np.int64) + lo
+
+
+def oracle_refine(table, y, residues, medium_primes, n_target, sweeps, paired):
+    """Re-pick each medium residue against a full re-sieve of every other
+    prime; a one-sided (unpaired) refinement scores the forward window only."""
     out = dict(residues)
-    hi = max(medium_primes, default=0)
     for _ in range(sweeps):
         for q in sorted(medium_primes, reverse=True):
             others = {p: r for p, r in out.items() if p != q}
-            fwd = sieve_survivors(table, others, (1, y), (0, hi), skip={q})
-            bwd = sieve_survivors(
-                table, backward_residues(others, n_target), (-y, -1), (0, hi), skip={q}
-            )
             alphas = table.roots[q]
-            fpos, bpos = fwd.survivors(), bwd.survivors()
-            scores = forward_class_scores(q, alphas, fpos) + backward_class_scores(
-                q, alphas, bpos, n_target
-            )
+            scores = forward_class_scores(q, alphas, sieve_only(table, others, (1, y)))
+            if paired:
+                bpos = sieve_only(table, backward_residues(others, n_target), (-y, -1))
+                scores = scores + backward_class_scores(q, alphas, bpos, n_target)
             out[q] = int(np.argmax(scores))
     return out
 
@@ -483,10 +492,6 @@ def tables_2000(f_x, f_x2p1, table_x2p1_2000, cache_dir):
         "x^2+1": table_x2p1_2000,
         "x^3+2": build_root_table(cubic, 2000, cache_dir=cache_dir),
     }
-
-
-def choice_tuples(plan):
-    return [(c.q, c.side, c.residue, c.shift, c.covered_fwd, c.covered_bwd) for c in plan.choices]
 
 
 class TestCoverState:
@@ -512,28 +517,37 @@ class TestCoverState:
         med = table.usable_between(z, x / 2)
 
         if paired:
-            plan = select_shifts_greedy(med, fwd0, table, paired=bwd0, n_target=n_target)
-            ref = oracle_greedy_both(med, fwd0, bwd0, table, n_target)
-            assert np.array_equal(plan.residual_bwd, ref.residual_bwd)
+            state = CoverState.from_survivors(table, fwd0, bwd0, n_target)
+            chosen = select_shifts_greedy(state, med)
+            ref, ref_fwd, ref_bwd = oracle_greedy_both(med, fwd0, bwd0, table, n_target)
+            assert np.array_equal(state.survivors_bwd(), ref_bwd)
         else:
             # one-sided: the backward window is empty and only forward
-            # survivors are scored
-            plan = select_shifts_greedy(med, fwd0, table, n_target=n_target)
-            ref = oracle_greedy_fwd(med, fwd0, table)
-            assert plan.residual_bwd.size == 0
-        assert choice_tuples(plan) == choice_tuples(ref)
-        assert plan.residual_fwd.dtype == ref.residual_fwd.dtype == np.int64
-        assert np.array_equal(plan.residual_fwd, ref.residual_fwd)
+            # survivors are scored, by the greedy pass and the refinement
+            state = CoverState.from_survivors(table, fwd0, None, n_target)
+            chosen = select_shifts_greedy(state, med)
+            ref, ref_fwd = oracle_greedy_fwd(med, fwd0, table)
+            assert state.survivors_bwd().size == 0
+        assert list(chosen.items()) == list(ref.items())
+        assert state.survivors_fwd().dtype == ref_fwd.dtype == np.int64
+        assert np.array_equal(state.survivors_fwd(), ref_fwd)
 
+        got = refine_residues(state, chosen, med, sweeps)
         merged = dict(small)
-        merged.update(plan.residues())
-        got = refine_residues(table, params, merged, med, n_target, sweeps)
-        assert got == oracle_refine(table, params, merged, med, n_target, sweeps)
+        merged.update(chosen)
+        expect = oracle_refine(table, y, merged, med, n_target, sweeps, paired)
+        assert got == {q: expect[q] for q in med}
+        merged.update(got)
+        assert np.array_equal(state.survivors_fwd(), sieve_only(table, merged, (1, y)))
+        if paired:
+            back = sieve_only(table, backward_residues(merged, n_target), (-y, -1))
+            assert np.array_equal(state.survivors_bwd(), back)
 
     def test_add_then_remove_restores_counts(self, table_x2p1_100):
         N = 10**80 + 3
         residues = {13: 4, 17: 9}
-        state = CoverState.empty(table_x2p1_100, 60, N)
+        zeros = np.zeros(60, dtype=np.int32)
+        state = CoverState(table_x2p1_100, N, 1, zeros.copy(), -60, zeros.copy())
         for q, r in residues.items():
             state.add(q, r)
         fwd = sieve_survivors(table_x2p1_100, residues, (1, 60), (12, 17))
@@ -560,12 +574,9 @@ class TestCoverState:
         monkeypatch.setattr(cover, "sieve_survivors", forbidden)
         monkeypatch.setattr(cover, "backward_residues", forbidden)
         monkeypatch.setattr(np, "isin", forbidden)
-        plan = select_shifts_greedy(
-            med, fwd, table_x2p1_2000, paired=bwd, n_target=params.N_target
-        )
-        merged = dict(residues)
-        merged.update(plan.residues())
-        refine_residues(table_x2p1_2000, params, merged, med, params.N_target, sweeps=1)
+        state = CoverState.from_survivors(table_x2p1_2000, fwd, bwd, params.N_target)
+        chosen = select_shifts_greedy(state, med)
+        refine_residues(state, chosen, med, sweeps=1)
 
 
 def counts_window(rng, length, p_survive):
@@ -580,8 +591,7 @@ def oracle_best_residue(q, alphas, fwd_lo, fwd, bwd_lo, bwd, n_target):
     bpos = np.flatnonzero(bwd == 0) + bwd_lo
     sf = forward_class_scores(q, alphas, fpos)
     sb = backward_class_scores(q, alphas, bpos, n_target)
-    r = int(np.argmax(sf + sb))
-    return r, int(sf[r]), int(sb[r])
+    return int(np.argmax(sf + sb))
 
 
 class TestFusedScorer:
@@ -620,10 +630,10 @@ class TestFusedScorer:
         # every residue hits k of each root's offsets on both sides
         table = tables_2000[poly]
         for q in table.usable_between(100, 200):
-            k, nu = 3, len(table.roots[q])
+            k = 3
             fwd, bwd = np.zeros(k * q, dtype=np.int32), np.zeros(k * q, dtype=np.int32)
             state = CoverState(table, 10**1500 + 11, -q, fwd, -5 * q, bwd)
-            assert state.best_residue(q) == (0, k * nu, k * nu)
+            assert state.best_residue(q) == 0
 
     @pytest.mark.parametrize("o_fwd,o_bwd", [(30, -7), (5, -40), (-3, -1)])
     def test_two_single_survivors_tie_to_smaller_residue(self, table_x_100, o_fwd, o_bwd):
@@ -634,17 +644,16 @@ class TestFusedScorer:
         fwd[o_fwd + 50] = 0  # window [-50, 49]
         bwd[o_bwd + 100] = 0  # window [-100, -1]
         k_f, k_b = o_fwd % q, (-n_target - o_bwd) % q
-        r = min(k_f, k_b)
         state = CoverState(table_x_100, n_target, -50, fwd, -100, bwd)
-        assert state.best_residue(q) == (r, int(r == k_f), int(r == k_b))
+        assert state.best_residue(q) == min(k_f, k_b)
 
     def test_one_sided_state_ignores_target(self, table_x2p1_2000):
         fwd = full_window(-20, 700)
         fwd.bits[::3] = False
-        state = CoverState.from_survivors(table_x2p1_2000, fwd, None, None)
+        state = one_sided(table_x2p1_2000, fwd)
         assert state.bwd.size == 0
         for q in table_x2p1_2000.usable_between(100, 400):
             expect = oracle_best_residue(
                 q, table_x2p1_2000.roots[q], -20, state.fwd, 0, state.bwd, 0
             )
-            assert state.best_residue(q) == expect and expect[2] == 0
+            assert state.best_residue(q) == expect

@@ -7,9 +7,13 @@ two-sided digests at x = 300 are the ones recorded in
 bench/results/construct-small-seed{7,8}.json; the one-sided greedy and the
 two-sided random digests were recorded from the constructor before the
 medium stage moved onto the cover-count engine, and the x = 1000 digests
-before the one-bincount scorer replaced the per-window class scores. A
-change that moves one of them changes the certificate format or the
-construction, and must say so.
+before the one-bincount scorer replaced the per-window class scores. The
+one-sided digests were re-recorded when each window-length attempt came to
+build one cover state: refinement used to score a backward window built
+from N, which a one-sided certificate neither covers nor records, and now
+scores only the forward window, so those certificates changed (and no
+longer depend on N). A change that moves one of them changes the
+certificate format or the construction, and must say so.
 
 Run as a script (`PYTHONPATH=src python tests/test_golden.py`) to print the
 current digest of every case, ready to paste over GOLDEN when a change moves
@@ -35,12 +39,12 @@ GOLDEN = {
     ("x", 8): "b9cc4fd4e0b41b08714e14ece70edfcd0ccef940027f4ea6740080ddaf4e73fd",
     ("x^2+1", 8): "f5ec2f174901c23cbecaa929034d3c97d0d9e8aa939226fc25bd64ec25e061f8",
     ("x^3+2", 8): "aceacd79e13d2d020bd2803134ffc30787ed338fa269fdddbd9b57db06ccefdb",
-    ("x", 7, "one-sided"): "95af07404fecb21428b90781ffeb2236192576ee92622ff3716f2bc50d588b75",
-    ("x^2+1", 7, "one-sided"): "bf47dfe50a7ff7bab7c3dee1c86a44743642a25505882d06fb7f58027bd56038",
-    ("x^3+2", 7, "one-sided"): "29ab797d45112438ef6d0b33d2442c37a8a5a134bd37cbd3ee07f423e06709bc",
-    ("x", 8, "one-sided"): "fb59475967512bb85ae60938d26b2cb5f69d116fcb173dcf52d9e0571b1dc2e0",
-    ("x^2+1", 8, "one-sided"): "32819a401a6889714913570cceffc792fcf545304f201e4cf18cb88526c1ce13",
-    ("x^3+2", 8, "one-sided"): "d888e633b6dc83e911d6cf26409394c3c508f60054941e5d5a7361e8d3b70202",
+    ("x", 7, "one-sided"): "93a8c26fb1bf819eb8ef98aece953b7835cc93cfb13fbb1e152a1a2c30523c88",
+    ("x^2+1", 7, "one-sided"): "2f6505ad6a8a573092b2edc988761e59de49f9096935b09cec7bb1767c848149",
+    ("x^3+2", 7, "one-sided"): "dd16d33434e1327a7e20834b46037e85dd4b9c6f90ed35976e28217e9246b8b7",
+    ("x", 8, "one-sided"): "76620ff4afa284b621a4d6a7c06075696166839805a3a8ebf48ddca3e2a2694f",
+    ("x^2+1", 8, "one-sided"): "2f859a9a832e4835488d7745667407f3ce50903c35b404dd21cbdb84def7dce8",
+    ("x^3+2", 8, "one-sided"): "ac69dce0054b6bf4ea69152d3dadbd8590a7a7e522a9ad12f820ad314e5b2225",
     ("x", 7, "random"): "a54badaf3611ae05e758ab791b56d153dc81839324ede1c09296ccf47e3b5418",
     ("x^2+1", 7, "random"): "cae6cb58d690e54ff39680038752e37a506b4d5ecede701cac5a5a4b8851b38a",
     ("x^3+2", 7, "random"): "a707ba47eb3e0f582da9d331c4c19c96866663b43bdb476dbe39b373a08928c2",
