@@ -3,20 +3,24 @@
 For each prime p the table stores I_p, the sorted residues where B! * f
 vanishes mod p, with I_p = () whenever p <= B or p divides the leading
 coefficient (those primes are never used by the sieve). Production root
-finding is algebraic from SCAN_LIMIT on: linear solve for degree 1,
-discriminant plus a modular square root for degree 2, prime by prime.
-Beyond that one batch covers every prime of a table: the int64 kernel
-`gf_powmod_rows` computes X^p mod (f, p) for all of them at once,
-gcd(X^p - X, f) is taken per prime, and the factors of degree 3 or more
-are split together by deterministic equal-degree splitting (Cantor-
-Zassenhaus with shifts a = 1, 2, ...), one batched (X + a)^((p-1)/2) per
-round and factor degree. `roots_mod_p` runs the same route on a one-prime
-batch. Primes below the cutoff use a vectorized exhaustive scan; the scan
-also serves as the independent cross-check route in the test suite.
+finding is algebraic from SCAN_LIMIT on, one batch per table: a linear
+solve for degree 1, and for degree 2 the discriminant plus the row kernel
+`primes.sqrt_and_inverse_rows`, which takes the square roots and the
+inverses of 2 c_2 for a block of ROW_BLOCK primes in one Tonelli-Shanks
+pass. Beyond that the int64 kernel `gf_powmod_rows` computes X^p mod (f, p)
+for every prime at once, gcd(X^p - X, f) is taken per prime, and the
+factors of degree 3 or more are split together by deterministic
+equal-degree splitting (Cantor-Zassenhaus with shifts a = 1, 2, ...), one
+batched (X + a)^((p-1)/2) per round and factor degree; the quadratic
+factors met on the way are solved together by the quadratic route at the
+end. `roots_mod_p` runs the same route on a one-prime batch. Primes below
+the cutoff use a vectorized exhaustive scan; the scan also serves as the
+independent cross-check route in the test suite.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 import os
@@ -36,7 +40,7 @@ from .gfpoly import (
 )
 from .gfpoly import gf_powmod  # noqa: F401  (bench/harness.py traces modroots.gf_powmod)
 from .poly import IntPolynomial
-from .primes import sieve_primes, sqrt_mod_prime
+from .primes import mod_rows, sieve_primes, sqrt_and_inverse_rows
 
 # primes below this are scanned exhaustively; at and above it the algebraic
 # path runs (and is cross-checked against an independent scan in the tests)
@@ -44,25 +48,39 @@ SCAN_LIMIT = 64
 
 _CACHE_MAGIC = b"CFROOTS1"
 
+# primes per block of the quadratic route, the cache writer and the cache
+# reader: numpy temporaries and Python lists stay this long whatever the
+# table size
+ROW_BLOCK = 4096
 
-def _roots_scan(comp: tuple[int, ...], p: int) -> tuple[int, ...]:
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
+
+def _roots_scan(comp: tuple[int, ...], primes: list[int]) -> list[tuple[int, ...]]:
+    """Sorted roots of the companion mod each prime below SCAN_LIMIT, by
+    evaluating it at every residue of every prime in one (prime, residue)
+    array."""
+    ps = np.array(primes, dtype=np.int64)[:, None]
+    xs = np.arange(SCAN_LIMIT, dtype=np.int64)
+    acc = np.zeros((len(primes), SCAN_LIMIT), dtype=np.int64)
     for c in reversed(comp):
-        acc = (acc * xs + c % p) % p
-    return tuple(int(r) for r in np.nonzero(acc == 0)[0])
+        acc = (acc * xs + mod_rows(c, ps)) % ps
+    out: list[list[int]] = [[] for _ in primes]
+    for i, r in zip(*(v.tolist() for v in np.nonzero((acc == 0) & (xs < ps)))):
+        out[i].append(r)
+    return [tuple(r) for r in out]
 
 
-def _quad_roots(c0: int, c1: int, c2: int, p: int) -> tuple[int, ...]:
-    """Roots of c2 x^2 + c1 x + c0 mod an odd prime p, p not dividing c2."""
-    disc = (c1 * c1 - 4 * c2 * c0) % p
-    s = sqrt_mod_prime(disc, p)
-    if s is None:
-        return ()
-    inv = pow(2 * c2, -1, p)
-    r1 = ((-c1 + s) * inv) % p
-    r2 = ((-c1 - s) * inv) % p
-    return tuple(sorted({r1, r2}))
+def _quad_rows(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, p: np.ndarray) -> list[tuple[int, ...]]:
+    """Sorted roots of c2 x^2 + c1 x + c0 mod every row prime; coefficients
+    in [0, p), p odd and not dividing c2. Callers pass ROW_BLOCK rows at
+    most."""
+    disc = (c1 * c1 - 4 * (c2 * c0 % p)) % p
+    s, inv = sqrt_and_inverse_rows(disc, 2 * c2 % p, p)
+    r1 = (s - c1) % p * inv % p
+    r2 = (-s - c1) % p * inv % p
+    return [
+        () if si < 0 else (x,) if x == y else (x, y)
+        for si, x, y in zip(s.tolist(), np.minimum(r1, r2).tolist(), np.maximum(r1, r2).tolist())
+    ]
 
 
 def _roots_algebraic(comp: tuple[int, ...], primes: list[int]) -> list[tuple[int, ...]]:
@@ -73,7 +91,11 @@ def _roots_algebraic(comp: tuple[int, ...], primes: list[int]) -> list[tuple[int
     if d == 1:
         return [((-comp[0] * pow(comp[1], -1, p)) % p,) for p in primes]
     if d == 2:
-        return [_quad_roots(comp[0] % p, comp[1] % p, comp[2] % p, p) for p in primes]
+        out: list[tuple[int, ...]] = []
+        for lo in range(0, len(primes), ROW_BLOCK):
+            ps = np.array(primes[lo : lo + ROW_BLOCK], dtype=np.int64)
+            out += _quad_rows(*(mod_rows(c, ps) for c in comp), ps)
+        return out
     monic = []
     for p in primes:
         inv = pow(comp[-1], -1, p)
@@ -85,6 +107,7 @@ def _roots_algebraic(comp: tuple[int, ...], primes: list[int]) -> list[tuple[int
     )
     roots: list[list[int]] = [[] for _ in primes]
     pending: list[tuple[int, Poly]] = []  # (row, monic factor of degree >= 3)
+    quads: list[tuple[int, Poly]] = []  # (row, monic quadratic factor)
 
     def collect(i: int, h: Poly) -> None:
         # h is monic, squarefree and a product of distinct linear factors
@@ -92,7 +115,7 @@ def _roots_algebraic(comp: tuple[int, ...], primes: list[int]) -> list[tuple[int
         if k == 1:
             roots[i].append(-h[0] % primes[i])
         elif k == 2:
-            roots[i].extend(_quad_roots(h[0], h[1], 1, primes[i]))
+            quads.append((i, h))
         elif k > 2:
             pending.append((i, h))
 
@@ -123,22 +146,27 @@ def _roots_algebraic(comp: tuple[int, ...], primes: list[int]) -> list[tuple[int
                     collect(i, gf_monic(gf_divmod(h, f1, p)[0], p))
                 else:
                     pending.append((i, h))
+    # the quadratic factors of every row, solved together
+    for lo in range(0, len(quads), ROW_BLOCK):
+        block = quads[lo : lo + ROW_BLOCK]
+        ps = np.array([primes[i] for i, _ in block], dtype=np.int64)
+        hs = np.array([h for _, h in block], dtype=np.int64)
+        for (i, _), rs in zip(block, _quad_rows(hs[:, 0], hs[:, 1], hs[:, 2], ps)):
+            roots[i].extend(rs)
     return [tuple(sorted(r)) for r in roots]
 
 
-def roots_mod_p(f: IntPolynomial, p: int, _comp: tuple[int, ...] | None = None) -> tuple[int, ...]:
+def roots_mod_p(f: IntPolynomial, p: int) -> tuple[int, ...]:
     """Sorted residues r with (B! * f)(r) = 0 mod p.
 
     Empty for p <= degree or p dividing the leading coefficient: those
-    primes carry no usable congruence information for the sieve. The
-    algebraic route is the table builder's, run on a one-prime batch.
+    primes carry no usable congruence information for the sieve. Both
+    routes are the table builder's, run on a one-prime batch.
     """
     if p <= f.degree or f.leading % p == 0:
         return ()
-    comp = _comp if _comp is not None else f.companion()
-    if p < SCAN_LIMIT:
-        return _roots_scan(comp, p)
-    return _roots_algebraic(comp, [p])[0]
+    route = _roots_scan if p < SCAN_LIMIT else _roots_algebraic
+    return route(f.companion(), [p])[0]
 
 
 @dataclass
@@ -201,11 +229,15 @@ def _write_cache(path: str, f: IntPolynomial, limit: int, primes: np.ndarray, ro
     with open(tmp, "wb") as fh:
         fh.write(_CACHE_MAGIC)
         fh.write(struct.pack("<QQ", _poly_digest(f), limit))
-        for p in primes:
-            rs = roots[int(p)]
-            fh.write(struct.pack("<QQ", int(p), len(rs)))
-            if rs:
-                fh.write(struct.pack(f"<{len(rs)}Q", *rs))
+        # records (p, k, r_1 .. r_k) as little-endian u64, a block of primes at a time
+        for lo in range(0, len(primes), ROW_BLOCK):
+            words: list[int] = []
+            for p in primes[lo : lo + ROW_BLOCK].tolist():
+                rs = roots[p]
+                words.append(p)
+                words.append(len(rs))
+                words.extend(rs)
+            fh.write(np.array(words, dtype="<u8").tobytes())
     os.replace(tmp, path)
 
 
@@ -215,22 +247,29 @@ def _read_cache(path: str, f: IntPolynomial, limit: int) -> dict | None:
             data = fh.read()
     except OSError:
         return None
-    if len(data) < 24 or data[:8] != _CACHE_MAGIC:
+    if len(data) < 24 or len(data) % 8 or data[:8] != _CACHE_MAGIC:
         return None
     digest, stored_limit = struct.unpack_from("<QQ", data, 8)
     if digest != _poly_digest(f) or stored_limit != limit:
         return None
+    words = np.frombuffer(data, dtype="<u8", offset=24)
+    # records (p, k, r_1 .. r_k), read from windows of whole records; a
+    # valid record has k <= degree, so it always fits a window
+    span = ROW_BLOCK + 2 + f.degree
     roots: dict[int, tuple[int, ...]] = {}
-    off = 24
-    try:
-        while off < len(data):
-            p, k = struct.unpack_from("<QQ", data, off)
-            off += 16
-            rs = struct.unpack_from(f"<{k}Q", data, off)
-            off += 8 * k
-            roots[int(p)] = tuple(int(r) for r in rs)
-    except struct.error:
-        return None
+    i = 0
+    while i < len(words):
+        w = words[i : i + span].tolist()
+        j = 0
+        while j + 2 <= len(w):
+            end = j + 2 + w[j + 1]
+            if end > len(w):
+                break
+            roots[w[j]] = tuple(w[j + 2 : end])
+            j = end
+        if j == 0:  # a record that runs past the end of the file
+            return None
+        i += j
     return roots
 
 
@@ -249,12 +288,14 @@ def build_root_table(f: IntPolynomial, limit: int, cache_dir: str | None = None)
         cached = _read_cache(path, f, limit)
         if cached is not None and len(cached) == len(primes):
             return RootTable(f, limit, primes, cached)
-    comp = f.companion()
-    ps = primes.tolist()
-    roots = {p: roots_mod_p(f, p, _comp=comp) if p < SCAN_LIMIT else () for p in ps}
-    # one algebraic batch over every usable prime from SCAN_LIMIT on
-    lo, lead = max(SCAN_LIMIT, f.degree + 1), f.leading
-    batch = [p for p in ps if p >= lo and lead % p]
+    comp, lead, degree = f.companion(), f.leading, f.degree
+    roots: dict[int, tuple[int, ...]] = dict.fromkeys(primes.tolist(), ())
+    # p <= degree and p dividing the leading coefficient keep I_p = ();
+    # the others go in one scan batch below SCAN_LIMIT, one algebraic above
+    batch = [p for p in roots if p > degree and lead % p]
+    scan = batch[: bisect.bisect_left(batch, SCAN_LIMIT)]
+    del batch[: len(scan)]
+    roots.update(zip(scan, _roots_scan(comp, scan)))
     roots.update(zip(batch, _roots_algebraic(comp, batch)))
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)

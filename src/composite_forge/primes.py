@@ -1,14 +1,24 @@
-"""Prime generation and primality utilities.
+"""Prime generation, primality and row-wise modular arithmetic.
 
 Everything here is deterministic for a fixed input so that sieve output and
 certificates are reproducible byte for byte.
+
+The row kernels (`mod_rows`, `pow_mod_rows`, `sqrt_and_inverse_rows`) work
+on int64 arrays with one prime per row, so the quadratic root finder solves
+a whole block of primes in a fixed number of numpy calls instead of one
+Tonelli-Shanks per prime. Like `gfpoly.gf_powmod_rows` they keep every value
+in [0, p) and only multiply two reduced values, so each product stays below
+p^2 < 2^62; that exactness needs every row prime below ROW_PRIME_BOUND.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
+
+from .gfpoly import ROW_PRIME_BOUND
 
 # Witness set proven deterministic for n < 3.317e24 (covers all 64-bit inputs
 # with a wide margin).
@@ -73,41 +83,126 @@ def is_prime(n: int, rounds: int = 64) -> bool:
     return all(_mr_witness(n, a, d, s) for a in bases)
 
 
-def sqrt_mod_prime(a: int, p: int) -> int | None:
-    """A square root of a modulo an odd prime p, or None if a is a non-residue.
+_LIMB_BITS = 31
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
-    Tonelli-Shanks; returns the smaller of the two roots for determinism.
+
+def mod_rows(c: int, p: np.ndarray) -> np.ndarray:
+    """c mod p_i for every row, exactly, for an int c of any size.
+
+    Horner over the 31-bit limbs of |c|: with every p_i below
+    ROW_PRIME_BOUND each step stays below 2^62 + 2^31.
     """
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    # p = 1 mod 4: full Tonelli-Shanks
-    q = p - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m = s
-    c = pow(z, q, p)
-    t = pow(a, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2 = t
-        i = 0
-        while t2 != 1:
-            t2 = (t2 * t2) % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m = i
-        c = (b * b) % p
-        t = (t * c) % p
-        r = (r * b) % p
-    return min(r, p - r)
+    m = abs(c)
+    acc = np.zeros_like(p)
+    for shift in reversed(range(0, m.bit_length(), _LIMB_BITS)):
+        acc = ((acc << _LIMB_BITS) + ((m >> shift) & _LIMB_MASK)) % p
+    return -acc % p if c < 0 else acc
+
+
+def pow_mod_rows(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """b_i^e_i mod p_i for every row; b_i in [0, p_i), e_i >= 0 and
+    p_i < ROW_PRIME_BOUND.
+
+    Left-to-right square and multiply over the bits of the largest
+    exponent; a row whose exponent is shorter squares 1 until its top bit.
+    """
+    nbits = int(e.max(initial=0)).bit_length()
+    # on[j, i] is bit j of e_i, unpacked from its little-endian bytes
+    on = np.unpackbits(
+        e.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, count=nbits, bitorder="little"
+    ).view(bool).T
+    r = np.ones_like(p)
+    for bit in reversed(range(nbits)):
+        r = r * r % p
+        r = np.where(on[bit], r * b % p, r)
+    return r
+
+
+def _nonresidues(p: np.ndarray) -> np.ndarray:
+    """The least quadratic non-residue mod every prime p_i = 1 mod 8.
+
+    Euler's criterion z^((p-1)/2) for an odd prime z, read off by
+    reciprocity: since p = 1 mod 4, (z | p) = (p mod z | z), a lookup in
+    the squares mod z. The least non-residue is an odd prime (2 is a
+    residue here) below sqrt(p) + 1, so the candidates z = 3, 5, 7, ...
+    reach every row while z < p.
+    """
+    z = np.zeros_like(p)
+    todo = np.arange(len(p))
+    for cand in filter(is_prime, itertools.count(3, 2)):
+        if not len(todo):
+            break
+        squares = np.zeros(cand, dtype=bool)
+        squares[np.arange(cand) ** 2 % cand] = True
+        hit = ~squares[p[todo] % cand]
+        z[todo[hit]] = cand
+        todo = todo[~hit]
+    return z
+
+
+def sqrt_and_inverse_rows(
+    a: np.ndarray, u: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the smaller square root of a_i mod the odd prime p_i (-1
+    where a_i is a non-residue) and the inverse of u_i mod p_i.
+
+    a_i in [0, p_i), u_i in [1, p_i), 3 <= p_i < ROW_PRIME_BOUND. Write
+    p - 1 = q 2^s with q odd. The quadratic formula needs both results, so
+    they share one exponentiation pass, which holds every row's powers:
+      s = 1 (p = 3 mod 4): r = a^((q+1)/2) = a^((p+1)/4);
+      s = 2 (p = 5 mod 8): Atkin's formula, v = (2a)^((q-1)/2) =
+        (2a)^((p-5)/8) and r = a v (2a v^2 - 1);
+      s >= 3 (p = 1 mod 8): w = a^((q-1)/2), so r = a w and t = a w^2 =
+        a^q, and c = z^q for a non-residue z (`_nonresidues`);
+      every row: u^(p-2).
+    Rows with s >= 3 then run Tonelli-Shanks from the top step down: at
+    step k = s - 1 .. 1, when t^(2^(k-1)) != 1, r *= c and t *= c^2; then
+    c squares. That keeps r^2 = a t and halves the order of t each step,
+    so t ends at 1 exactly when a is a residue. The rows are sorted by s,
+    descending, so the rows still running at step k are a prefix and each
+    row stops at its own s. Every row is checked by r^2 = a at the end,
+    which is also the residue test of the rows with s <= 2.
+    """
+    if len(p) and (p.min() < 3 or p.max() >= ROW_PRIME_BOUND):
+        raise ValueError(f"sqrt_and_inverse_rows needs odd primes in [3, {ROW_PRIME_BOUND})")
+    low = (p - 1) & (1 - p)  # lowest set bit of p - 1
+    s = np.frexp(low.astype(np.float64))[1] - 1
+    order = np.argsort(-s, kind="stable")
+    p, s, a = p[order], s[order], a[order]
+    n1, n2 = np.count_nonzero(s >= 3), np.count_nonzero(s >= 2)
+    q = (p - 1) >> s
+    base = a << (s == 2)  # 2a on the Atkin rows
+    base[n1:n2] %= p[n1:n2]
+    p1 = p[:n1]
+    powers = pow_mod_rows(
+        np.concatenate((base, _nonresidues(p1), u[order])),
+        np.concatenate(((q >> 1) + (s == 1), q[:n1], p - 2)),
+        np.concatenate((p, p1, p)),
+    )
+    n = len(p)
+    w, c, inv = powers[:n], powers[n : n + n1], powers[n + n1 :]
+    r = a * w % p  # s >= 2: a w, and t = a w^2 for s >= 3
+    t = r[:n1] * w[:n1] % p1
+    p5, v = p[n1:n2], w[n1:n2]
+    r[n1:n2] = r[n1:n2] * ((base[n1:n2] * (v * v % p5) - 1) % p5) % p5
+    r[n2:] = w[n2:]
+    # m[k] rows have s > k, a prefix; the largest s is s[0] when n1 > 0
+    top = int(s[0]) if n1 else 0
+    m = np.searchsorted(-s[:n1], -np.arange(top), side="left").tolist()
+    for k in range(top - 1, 0, -1):
+        pm, cm = p1[: m[k]], c[: m[k]]
+        d = t[: m[k]]
+        for _ in range(k - 1):
+            d = d * d % pm
+        f = np.where(d != 1, cm, 1)
+        r[: m[k]] = r[: m[k]] * f % pm
+        t[: m[k]] = t[: m[k]] * (f * f % pm) % pm
+        c[: m[k]] = cm * cm % pm
+    r = np.minimum(r, p - r)
+    r[r * r % p != a] = -1
+    out = np.empty_like(r)
+    out[order] = r
+    inv_out = np.empty_like(inv)
+    inv_out[order] = inv
+    return out, inv_out

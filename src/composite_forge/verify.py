@@ -151,8 +151,12 @@ def verify_certificate(
     An x the root table refuses (2^31 or more) is reported before anything
     is sized by it, and a listed modulus below 2 is reported and takes no
     further part.
-    Invalid certificates produce a negative report, not an exception.
+    Invalid certificates produce a negative report, not an exception; a
+    sample_rate that is not a finite rate in (0, 1] raises ValueError
+    before anything is checked.
     """
+    if not 0 < sample_rate <= 1:  # also false for nan
+        raise ValueError(f"sample_rate {sample_rate} is not a rate in (0, 1]")
     mode = "deep" if deep else "fast"
     report = VerifyReport(valid=True, mode=mode, checked=0)
     report.messages.extend(_structural_failures(cert))
@@ -430,6 +434,11 @@ class CoveringSimReport:
     c_hat: float
 
 
+# rounds per block of covering-simulation draws, so memory stays at
+# SIM_ROUND_BLOCK * candidates * k int64 whatever the ground size
+SIM_ROUND_BLOCK = 1024
+
+
 def covering_lemma_sim(config: CoveringSimConfig, seed: int = 0) -> CoveringSimReport:
     """Run the synthetic covering trials and report residual statistics.
 
@@ -444,11 +453,13 @@ def covering_lemma_sim(config: CoveringSimConfig, seed: int = 0) -> CoveringSimR
     for t in range(config.trials):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 13, t])))
         uncovered = np.ones(v, dtype=bool)
-        draws = rng.integers(0, v, size=(s, config.candidates, k))
-        for i in range(s):
-            cand = draws[i]
-            gains = uncovered[cand].sum(axis=1)
-            uncovered[cand[int(np.argmax(gains))]] = False
+        # the rounds are drawn SIM_ROUND_BLOCK at a time; consecutive draws
+        # continue one stream, so the blocks equal one draw of all rounds
+        for lo in range(0, s, SIM_ROUND_BLOCK):
+            draws = rng.integers(0, v, size=(min(SIM_ROUND_BLOCK, s - lo), config.candidates, k))
+            for cand in draws:
+                gains = uncovered[cand].sum(axis=1)
+                uncovered[cand[int(np.argmax(gains))]] = False
         residuals.append(int(uncovered.sum()))
     passes = sum(1 for r in residuals if r <= threshold)
     c_hat = max(residuals) / (config.eta * v) if residuals else 0.0

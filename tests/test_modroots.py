@@ -1,7 +1,7 @@
 """Root tables: dual-route root finding against an exhaustive oracle, the
-batched Frobenius kernel and root finder against the per-prime route it
-replaced, the prime-indexed accessors, the binary cache, density
-statistics, and residue collision counts."""
+batched Frobenius kernel and root finder and the row square-root kernel
+against the per-prime routes they replaced, the prime-indexed accessors,
+the binary cache, density statistics, and residue collision counts."""
 
 import hashlib
 import math
@@ -29,7 +29,7 @@ from composite_forge.modroots import (
     SCAN_LIMIT,
     RootTable,
     _cache_path,
-    _quad_roots,
+    _read_cache,
     _roots_algebraic,
     build_root_table,
     companion_eval_mod,
@@ -38,7 +38,7 @@ from composite_forge.modroots import (
     roots_mod_p,
 )
 from composite_forge.poly import IntPolynomial, parse_poly_literal
-from composite_forge.primes import sieve_primes
+from composite_forge.primes import mod_rows, pow_mod_rows, sieve_primes, sqrt_and_inverse_rows
 
 
 def scan_roots(comp, p):
@@ -115,7 +115,59 @@ class TestRootsModP:
 
 
 # reference oracle: the per-prime algebraic route that the batched one
-# replaced, kept verbatim
+# replaced, with its scalar square root and quadratic solver, kept verbatim
+def sqrt_mod_prime(a: int, p: int) -> int | None:
+    """A square root of a modulo an odd prime p, or None if a is a non-residue.
+
+    Tonelli-Shanks; returns the smaller of the two roots for determinism.
+    """
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+        return min(r, p - r)
+    # p = 1 mod 4: full Tonelli-Shanks
+    q = p - 1
+    s = 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m = s
+    c = pow(z, q, p)
+    t = pow(a, q, p)
+    r = pow(a, (q + 1) // 2, p)
+    while t != 1:
+        t2 = t
+        i = 0
+        while t2 != 1:
+            t2 = (t2 * t2) % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m = i
+        c = (b * b) % p
+        t = (t * c) % p
+        r = (r * b) % p
+    return min(r, p - r)
+
+
+def _quad_roots(c0: int, c1: int, c2: int, p: int) -> tuple[int, ...]:
+    """Roots of c2 x^2 + c1 x + c0 mod an odd prime p, p not dividing c2."""
+    disc = (c1 * c1 - 4 * c2 * c0) % p
+    s = sqrt_mod_prime(disc, p)
+    if s is None:
+        return ()
+    inv = pow(2 * c2, -1, p)
+    r1 = ((-c1 + s) * inv) % p
+    r2 = ((-c1 - s) * inv) % p
+    return tuple(sorted({r1, r2}))
+
+
 def _split_linear_factors(g, p: int) -> list[int]:
     """All roots of a monic squarefree product of linear factors mod p."""
     roots: list[int] = []
@@ -221,6 +273,79 @@ class TestRowKernel:
             gf_powmod_rows(one - 1, one, np.array([[1, 1]], dtype=np.int64), one * 7)
 
 
+# primes p = 1 mod 2^s with a large s: 119 * 2^23 + 1, 7 * 2^26 + 1 and
+# 15 * 2^27 + 1, where Tonelli-Shanks takes the most steps
+DEEP_PRIMES = [998244353, 469762049, 2013265921]
+SQRT_PRIMES = BATCH_PRIMES + TOP_PRIMES + DEEP_PRIMES + [3, 5, 7, 11, 13, 17, 41, 73, 97, 193, 257]
+
+
+@st.composite
+def sqrt_rows(draw):
+    """Rows (a, u, p): a is 0, a square or any value mod p, u any unit."""
+    rows = []
+    for p in draw(st.lists(st.sampled_from(SQRT_PRIMES), min_size=1, max_size=40)):
+        x = draw(st.integers(0, p - 1))
+        a = draw(st.sampled_from([0, x * x % p, x]))
+        rows.append((a, draw(st.integers(1, p - 1)), p))
+    return rows
+
+
+class TestRowSqrt:
+    @given(sqrt_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_scalar_oracle(self, rows):
+        a, u, p = (np.array(v, dtype=np.int64) for v in zip(*rows))
+        roots, invs = sqrt_and_inverse_rows(a, u, p)
+        for (ai, ui, pi), r, inv in zip(rows, roots.tolist(), invs.tolist()):
+            want = sqrt_mod_prime(ai, pi)
+            assert r == (-1 if want is None else want), (ai, pi)
+            assert ui * inv % pi == 1, (ui, pi)
+
+    @pytest.mark.parametrize("p", TOP_PRIMES + DEEP_PRIMES)
+    def test_zero_squares_and_nonresidues_at_the_edges(self, p):
+        z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+        xs = [1, 2, 3, p - 1, p // 2, 12345]
+        a = [0] + [x * x % p for x in xs] + [z * x * x % p for x in xs]
+        ps = np.full(len(a), p, dtype=np.int64)
+        roots, _ = sqrt_and_inverse_rows(np.array(a, dtype=np.int64), ps - 1, ps)
+        got = [None if r < 0 else r for r in roots.tolist()]
+        assert got == [sqrt_mod_prime(ai, p) for ai in a]
+        assert got.count(None) == len(xs)
+
+    def test_rejects_primes_outside_the_exact_range(self):
+        one = np.ones(1, dtype=np.int64)
+        for p in (ROW_PRIME_BOUND + 11, 2):
+            with pytest.raises(ValueError):
+                sqrt_and_inverse_rows(one, one, one * p)
+
+    def test_empty_block(self):
+        empty = np.empty(0, dtype=np.int64)
+        roots, invs = sqrt_and_inverse_rows(empty, empty, empty)
+        assert roots.shape == invs.shape == (0,)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 2**62), st.integers(0, 2**40)), min_size=1, max_size=20),
+        st.sampled_from(SQRT_PRIMES),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pow_rows_match_pow(self, rows, p):
+        b = np.array([x % p for x, _ in rows], dtype=np.int64)
+        e = np.array([y for _, y in rows], dtype=np.int64)
+        got = pow_mod_rows(b, e, np.full(len(rows), p, dtype=np.int64))
+        assert got.tolist() == [pow(x % p, y, p) for x, y in rows]
+
+    @given(st.integers(-(2**200), 2**200), st.lists(st.sampled_from(SQRT_PRIMES), min_size=1, max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_mod_rows_is_exact_for_any_size(self, c, primes):
+        assert mod_rows(c, np.array(primes, dtype=np.int64)).tolist() == [c % p for p in primes]
+
+
+# a quadratic whose companion is above 2^64 and whose discriminant,
+# -4 * c2 * 101 * 2003, vanishes mod 101 and 2003 (one double root there)
+_BIG_C2 = 2**70 + 3
+BIG_QUADRATIC = f"poly:[{_BIG_C2 * 49 + 101 * 2003},{-14 * _BIG_C2},{_BIG_C2}]"
+
+
 @st.composite
 def batch_cases(draw):
     """f of degree 3-6 with random coefficients, forced to have a repeated
@@ -265,7 +390,18 @@ class TestBatchedRoute:
         rows = _roots_algebraic(f.companion(), BATCH_PRIMES)
         assert rows == [tuple(range(1, 7))] * len(BATCH_PRIMES)
 
-    @pytest.mark.parametrize("literal", ["poly:[2,0,0,1]", "poly:[1,2,3,0,4]"])
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            "poly:[2,0,0,1]",
+            "poly:[1,2,3,0,4]",
+            "poly:[1,0,1]",
+            "poly:[7,5,3]",
+            "poly:[-5,0,1]",
+            "poly:[1,1,1]",
+            pytest.param(BIG_QUADRATIC, id="big-quadratic"),
+        ],
+    )
     def test_table_equals_per_prime_route(self, literal):
         f = parse_poly_literal(literal)
         comp = f.companion()
@@ -276,6 +412,12 @@ class TestBatchedRoute:
             else:
                 want = legacy_roots_algebraic(comp, p)
             assert table.roots[p] == want, p
+
+    def test_big_quadratic_has_double_roots(self):
+        f = parse_poly_literal(BIG_QUADRATIC)
+        assert max(map(abs, f.companion())) > 2**64
+        table = build_root_table(f, 3000)
+        assert table.roots[101] == table.roots[2003] == (7,)
 
     def test_limit_at_the_kernel_bound_refused_before_sieving(self, f_x, monkeypatch):
         def no_sieve(limit):
@@ -341,6 +483,25 @@ class TestCache:
         t = build_root_table(f_x2p1, 1000, cache_dir=d)
         assert t.roots[13] == (5, 8)
 
+    def test_truncated_or_ragged_cache_is_not_read(self, f_x2p1, tmp_path):
+        d = str(tmp_path)
+        build_root_table(f_x2p1, 1000, cache_dir=d)
+        (path,) = list(tmp_path.iterdir())
+        data = path.read_bytes()
+        assert _read_cache(str(path), f_x2p1, 1000) is not None
+        # 13 = 1 mod 4: its record is (13, 2, 5, 8); cut after its root count
+        rec = np.array([13, 2, 5, 8], dtype="<u8").tobytes()
+        cut = data.index(rec) + 16
+        for bad in (data[:cut], data[: cut + 8], data[:-3], data + b"\x00"):
+            path.write_bytes(bad)
+            assert _read_cache(str(path), f_x2p1, 1000) is None
+        # a record whose root count runs past the end of the file
+        path.write_bytes(data[:-24] + np.array([997, 10**6], dtype="<u8").tobytes())
+        assert _read_cache(str(path), f_x2p1, 1000) is None
+        path.write_bytes(data[:cut])
+        assert build_root_table(f_x2p1, 1000, cache_dir=d).roots == build_root_table(f_x2p1, 1000).roots
+        assert path.read_bytes() == data
+
     def test_distinct_polys_do_not_collide(self, f_x, f_x2p1, tmp_path):
         d = str(tmp_path)
         build_root_table(f_x, 500, cache_dir=d)
@@ -350,18 +511,21 @@ class TestCache:
         assert build_root_table(f_x2p1, 500, cache_dir=d).roots[13] == (5, 8)
 
     @pytest.mark.parametrize(
-        "literal, digest",
+        "literal, digest, limit",
         [
-            ("poly:[1,0,1]", "079869011ee97edbb505cf387eadac3fd11f7aef94787cbb4a86e7606977ae62"),
-            ("poly:[2,0,0,1]", "df714b6de0d866199e6acfea389292f7f43dc74bafe6908a07e6547599a5fa97"),
+            ("poly:[1,0,1]", "079869011ee97edbb505cf387eadac3fd11f7aef94787cbb4a86e7606977ae62", 10**4),
+            ("poly:[2,0,0,1]", "df714b6de0d866199e6acfea389292f7f43dc74bafe6908a07e6547599a5fa97", 10**4),
+            ("poly:[1,0,1]", "162881b4b4608ba4dcd03fd69ca8fd413e9df97fb5d0841c9c79689a3f20400b", 10**5),
         ],
     )
-    def test_cache_bytes_pinned(self, literal, digest, tmp_path):
-        # digests of the files the per-prime route wrote at x = 10^4
+    def test_cache_bytes_pinned(self, literal, digest, limit, tmp_path):
+        # digests of the files the per-prime route and the per-record
+        # writer produced; 10^5 spans more than one block of the writer
         f = parse_poly_literal(literal)
-        build_root_table(f, 10**4, cache_dir=str(tmp_path))
-        data = open(_cache_path(str(tmp_path), f, 10**4), "rb").read()
+        build_root_table(f, limit, cache_dir=str(tmp_path))
+        data = open(_cache_path(str(tmp_path), f, limit), "rb").read()
         assert hashlib.sha256(data).hexdigest() == digest
+        assert build_root_table(f, limit, cache_dir=str(tmp_path)).roots == build_root_table(f, limit).roots
 
     def test_cached_equals_fresh(self, f_x2p1, tmp_path, table_x2p1_2000):
         t = build_root_table(f_x2p1, 2000, cache_dir=str(tmp_path))

@@ -83,6 +83,20 @@ class TestVerifyToyCertificate:
         report = VerifyReport(valid=False, mode="deep", checked=1, failures=[n])
         assert report.to_json_dict()["failures"] == ["1" + "0" * 4999 + "1"]
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0, -1, 1.5])
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_sample_rate_outside_unit_interval_raises(self, rate, deep, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("checked before the rate was refused")
+
+        monkeypatch.setattr(verify_mod, "build_root_table", no_table)
+        with pytest.raises(ValueError, match="not a rate"):
+            verify_certificate(toy_certificate(), deep=deep, sample_rate=rate)
+
+    def test_sample_rate_one_is_accepted(self):
+        report = verify_certificate(toy_certificate(), sample_rate=1.0)
+        assert report.valid and report.checked == 8
+
     def test_witness_primes_skip_failures(self):
         cert = reload(toy_certificate())
         cert.stages[0].assignments = [(2, 1), (3, 2), (5, 3), (7, 6)]
@@ -587,3 +601,35 @@ class TestCoveringSim:
         a = covering_lemma_sim(config, seed=9)
         b = covering_lemma_sim(config, seed=9)
         assert a.residuals == b.residuals
+
+    @staticmethod
+    def one_shot_residuals(config, seed):
+        """The simulation as it was written before the draws were blocked:
+        every round of a trial drawn up front in one call."""
+        v, k, s = config.ground_size, config.k, config.rounds
+        residuals = []
+        for t in range(config.trials):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 13, t])))
+            uncovered = np.ones(v, dtype=bool)
+            draws = rng.integers(0, v, size=(s, config.candidates, k))
+            for i in range(s):
+                cand = draws[i]
+                gains = uncovered[cand].sum(axis=1)
+                uncovered[cand[int(np.argmax(gains))]] = False
+            residuals.append(int(uncovered.sum()))
+        return residuals
+
+    @pytest.mark.parametrize(
+        "config",
+        [CoveringSimConfig(trials=2), CoveringSimConfig(ground_size=20487, c1=1.0, candidates=3, trials=3)],
+        ids=["default", "odd"],
+    )
+    def test_blocked_draws_equal_the_one_shot_draw(self, config):
+        config.validate()
+        # 10000 = 9 * 1024 + 784 and 2049 = 2 * 1024 + 1 rounds: a short last block
+        assert config.rounds % verify_mod.SIM_ROUND_BLOCK
+        got = covering_lemma_sim(config, seed=4).residuals
+        assert got == self.one_shot_residuals(config, seed=4)
+        # the default config covers everything; at c1 = 1 about 6000 of the
+        # 20487 elements stay uncovered, so another stream would show
+        assert config.c1 == 10.0 or min(got) > 5000
