@@ -41,8 +41,6 @@ CERT_VERSION = 1
 # fixed stream labels so adding a stage never reshuffles another stage's draws
 STREAM_SMALL = 1
 STREAM_MEDIUM = 2
-STREAM_SAMPLE = 5
-STREAM_SIM = 7
 
 
 def stage_rng(seed: int, label: int, *extra: int) -> np.random.Generator:
@@ -57,19 +55,11 @@ class ConstructionError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-def crt_combine(assignments: Mapping[int, int] | Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """Combine per-prime residues into (b, modulus) with 0 <= b < modulus.
-
-    Duplicate primes are a hard error; moduli must be pairwise coprime
-    (primes, in practice).
-    """
-    items = sorted(assignments.items() if isinstance(assignments, Mapping) else assignments)
-    seen: set[int] = set()
+def crt_combine(assignments: Mapping[int, int]) -> tuple[int, int]:
+    """Combine per-prime residues q -> r into (b, modulus) with
+    0 <= b < modulus; the primes must be distinct (a map's keys are)."""
     b, modulus = 0, 1
-    for q, r in items:
-        if q in seen:
-            raise ValueError(f"duplicate prime {q} in residue system")
-        seen.add(q)
+    for q, r in sorted(assignments.items()):
         t = ((r - b) * pow(modulus, -1, q)) % q
         b += modulus * t
         modulus *= q
@@ -81,13 +71,15 @@ def pairing_stage(
     residual_bwd: Iterable[int],
     table: RootTable,
     x: int,
-    n_target: int,
+    n_mod: Mapping[int, int],
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Assign each leftover survivor its own large prime.
 
     Forward survivors a (offsets in [1, y]) pair with usable primes in
     (x/2, 3x/4] via r_q = a - alpha_1; backward survivors (offsets in
-    [-y, -1]) pair with (3x/4, x] via r_q = -N - a + alpha_1. Each
+    [-y, -1]) pair with (3x/4, x] via r_q = -N - a + alpha_1, with N taken
+    mod q from n_mod. More survivors than primes on either side raises
+    ConstructionError with the counts, rather than leave any unpaired. Each
     congruence kills its survivor; when y exceeds the prime (y > x/2 happens,
     e.g. y = 4577 at x = 3000 for f = x) it kills other offsets of the
     window too, which does no harm. Full cover is not argued here: the
@@ -114,7 +106,7 @@ def pairing_stage(
     out_b: dict[int, int] = {}
     for a, q in zip(bwd, pool_b):
         alpha = table.roots[q][0]
-        out_b[q] = (-n_target - a + alpha) % q
+        out_b[q] = (-n_mod[q] - a + alpha) % q
     return out_f, out_b
 
 
@@ -285,16 +277,6 @@ class ResidueCertificate:
                 out[q] = r
         return out
 
-    def modulus(self) -> int:
-        return math.prod(self.residues().keys())
-
-    @property
-    def p_x_bitlength(self) -> int:
-        return self.modulus().bit_length()
-
-    def b_mod(self) -> tuple[int, int]:
-        return crt_combine(self.residues())
-
     def to_json_dict(self) -> dict:
         out = {
             "poly": self.poly.to_json(),
@@ -322,7 +304,6 @@ class ResidueCertificate:
             placement = None
             if raw:
                 placement = Placement.from_json(raw, decimal_digit_bound(params.x))
-                params = params.with_target(placement.N)
             return cls(
                 poly=IntPolynomial.from_json(obj["poly"]),
                 params=params,
@@ -399,7 +380,6 @@ def construct_certificate(
     sweeps: int = 2,
     cache_dir: str | None = None,
     assert_irreducible: bool = False,
-    threshold_factor: float = 2.0,
 ) -> tuple[ResidueCertificate, ConstructionStats]:
     """Run the full staged sieve and emit a certificate.
 
@@ -429,7 +409,7 @@ def construct_certificate(
     target = auto_target(modulus) if n_target is None else int(n_target)
     if modulus**3 > target:
         raise ConstructionError(
-            "explicit N is smaller than modulus^3; use --n-mode auto or raise N",
+            "explicit N is smaller than modulus^3; raise N, or give none for the auto target",
             {"modulus_bits": modulus.bit_length()},
         )
     max_digits = decimal_digit_bound(x)
@@ -439,8 +419,8 @@ def construct_certificate(
             f" at x = {x} may carry",
             {"max_digits": max_digits},
         )
-    base = params.with_target(target)
-    # N mod q once per construction, read by every cover state of every attempt
+    # N mod q once per construction: the only form of N any sieve stage of
+    # any attempt takes; N itself is read again only at placement
     n_mod = target_residues(target, table)
     cap_f = len(table.usable_between(x / 2, 3 * x / 4))
     cap_b = len(table.usable_between(3 * x / 4, x))
@@ -457,11 +437,11 @@ def construct_certificate(
         )
 
     def attempt(y: int):
-        p = base.with_y(y)
+        p = params.with_y(y)
         z = p.z
         try:
             residues, fwd0, bwd0, rejections = sample_small_residue(
-                p, table, stage_rng(seed, STREAM_SMALL, y), two_sided, threshold_factor
+                p, table, stage_rng(seed, STREAM_SMALL, y), n_mod, two_sided
             )
         except RetryBudgetError:
             record(y, "small_retry_budget")
@@ -483,9 +463,9 @@ def construct_certificate(
         else:
             ladder = build_ladder(p, table)
             rng_med = stage_rng(seed, STREAM_MEDIUM, y)
-            medium = select_shifts_random(ladder, "fwd", rng_med, p)
+            medium = select_shifts_random(ladder, "fwd", rng_med, p, n_mod)
             if two_sided:
-                medium.update(select_shifts_random(ladder, "bwd", rng_med, p))
+                medium.update(select_shifts_random(ladder, "bwd", rng_med, p, n_mod))
             for q, r in medium.items():
                 state.add(q, r)
         res_f, res_b = state.survivors_fwd(), state.survivors_bwd()
@@ -496,13 +476,10 @@ def construct_certificate(
             stats_rows.append(
                 StageStats("medium", "bwd", len(medium), bwd0.count(), len(res_b), cap_b, seed)
             )
-        if len(res_f) > cap_f or (two_sided and len(res_b) > cap_b):
-            record(y, "residual_over_capacity", res_f, res_b)
-            return None
         try:
-            pairs_f, pairs_b = pairing_stage(res_f, res_b, table, x, target)
+            pairs_f, pairs_b = pairing_stage(res_f, res_b, table, x, n_mod)
         except ConstructionError:
-            record(y, "pairing_failed", res_f, res_b)
+            record(y, "residual_over_capacity", res_f, res_b)
             return None
         record(y, "ok", res_f, res_b)
         stats_rows.append(StageStats("cleanup", "fwd", len(pairs_f), len(res_f), 0, cap_f, seed))
@@ -520,7 +497,7 @@ def construct_certificate(
             "residuals": (len(res_f), len(res_b)),
         }
 
-    y_formula = base.y
+    y_formula = params.y
     best = attempt(y_formula)
     achieved_y = y_formula
     if best is None:
@@ -553,7 +530,7 @@ def construct_certificate(
     assert final_f.count() == 0, "internal error: forward window not fully covered"
     if two_sided:
         final_b = sieve_survivors(
-            table, backward_residues(full, target), (-achieved_y, -1), (0, x)
+            table, backward_residues(full, n_mod), (-achieved_y, -1), (0, x)
         )
         assert final_b.count() == 0, "internal error: backward window not fully covered"
 

@@ -90,9 +90,9 @@ def build_parser() -> _Parser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--mode", choices=["greedy", "random"], default="greedy")
     c.add_argument("--two-sided", action=argparse.BooleanOptionalAction, default=True)
-    c.add_argument("--n-mode", choices=["auto", "explicit"], default="auto")
     c.add_argument("--N", type=str, default=None,
-                   help="explicit target sum (decimal); requires --n-mode explicit")
+                   help="explicit target sum (decimal); default: the least power of"
+                        " ten at least the cube of the prime modulus")
     c.add_argument("--sweeps", type=int, default=2,
                    help="post-greedy residue refinement passes")
     c.add_argument("--assert-irreducible", action="store_true")
@@ -156,10 +156,7 @@ def cmd_construct(args) -> int:
         )
         return EXIT_USAGE
     n_target = None
-    if args.n_mode == "explicit":
-        if args.N is None:
-            print("composite-forge: --n-mode explicit requires --N", file=sys.stderr)
-            return EXIT_USAGE
+    if args.N is not None:
         try:
             n_target = parse_decimal(args.N, decimal_digit_bound(args.x))
         except ValueError as e:

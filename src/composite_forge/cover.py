@@ -2,8 +2,11 @@
 and medium-prime shift selection (random and greedy).
 
 The sieve covers two offset windows, forward [1, y] and backward [-y, -1].
-A certificate residue r_q kills forward offsets j = r_q + alpha (mod q) and,
-once the target sum N is fixed, backward offsets j = alpha - N - r_q (mod q).
+A certificate residue r_q kills forward offsets j = r_q + alpha (mod q) and
+backward offsets j = alpha - N - r_q (mod q), where N is the target sum. So
+the sieve needs N only mod each sieving prime: every stage that touches the
+backward window takes the map q -> N mod q (target_residues), which a
+construction builds once, and N in full enters only at placement.
 Greedy mode scores residue classes directly; random mode samples shifts n_q
 and induces residues from them. The shifts are uniform: the paper weights a
 shift by sigma2^(-count) over its progression, and sigma2 = 1 at every
@@ -13,8 +16,7 @@ incremental engine, CoverState, from its small-stage survivors; the greedy
 pass, the refinement sweeps, the random-mode residues and the post-medium
 residuals all work on that state, and the medium stage hands back plain
 q -> residue maps. The state scores a prime with one bincount over the
-class keys of both windows, and reads N only through a map q -> N mod q
-that a construction builds once.
+class keys of both windows.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ class SieveParams:
     K: float = 8.0
     eps: float = 0.05
     retry_budget: int = 64
-    N_target: int | None = None
     y_override: int | None = None
 
     def __post_init__(self):
@@ -88,25 +89,6 @@ class SieveParams:
     def with_y(self, y: int) -> "SieveParams":
         return replace(self, y_override=int(y))
 
-    def with_target(self, n_target: int) -> "SieveParams":
-        return replace(self, N_target=int(n_target))
-
-    def constraint_report(self, rho_hat: float | None = None) -> dict:
-        """Density requirement 6*10^(2 delta) / log(1/(2 delta)) < rho.
-
-        The threshold blows up as delta -> 1/2 (log term hits zero), so at
-        the desk-scale default it is reported as unsatisfied; nothing
-        downstream enforces it.
-        """
-        log_term = math.log(1.0 / (2.0 * self.delta)) if self.delta < 0.5 else 0.0
-        threshold = math.inf if log_term <= 0 else 6.0 * 10 ** (2 * self.delta) / log_term
-        return {
-            "delta": self.delta,
-            "rho_threshold": threshold,
-            "rho_hat": rho_hat,
-            "satisfied": rho_hat is not None and rho_hat > threshold,
-        }
-
     def to_json(self) -> dict:
         return {
             "x": self.x,
@@ -120,7 +102,7 @@ class SieveParams:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, n_target: int | None = None) -> "SieveParams":
+    def from_json(cls, obj: dict) -> "SieveParams":
         p = cls(
             x=int(obj["x"]),
             delta=float(obj["delta"]),
@@ -128,7 +110,6 @@ class SieveParams:
             M=float(obj["M"]),
             K=float(obj["K"]),
             eps=float(obj["eps"]),
-            N_target=n_target,
             y_override=int(obj["y"]),
         )
         if p.z != int(obj["z"]):
@@ -183,33 +164,32 @@ def build_ladder(params: SieveParams, table: RootTable) -> ScaleLadder:
     return ScaleLadder(tuple(scales))
 
 
-def backward_residues(residues: Mapping[int, int], n_target: int) -> dict[int, int]:
+def backward_residues(residues: Mapping[int, int], n_mod: Mapping[int, int]) -> dict[int, int]:
     """Translate certificate residues to the backward offset frame: offset j
     in [-y, -1] is killed by q when (j - c_q) mod q is a root, with
-    c_q = -N - r_q."""
-    return {q: (-n_target - r) % q for q, r in residues.items()}
+    c_q = -N - r_q, taken mod q from n_mod[q] = N mod q."""
+    return {q: (-n_mod[q] - r) % q for q, r in residues.items()}
 
 
 def sample_small_residue(
     params: SieveParams,
     table: RootTable,
     rng: np.random.Generator,
+    n_mod: Mapping[int, int] | None = None,
     two_sided: bool = True,
-    threshold_factor: float = 2.0,
 ) -> tuple[dict[int, int], SurvivorSet, SurvivorSet | None, int]:
     """Draw uniform residues for the usable primes q <= z, rejecting until
-    both survivor windows hold at most threshold_factor * sigma(z) * y
-    offsets. Returns (residues, fwd survivors, bwd survivors, rejections).
+    both survivor windows hold at most 2 * sigma(z) * y offsets. Returns
+    (residues, fwd survivors, bwd survivors, rejections).
 
-    The backward window needs the target sum N; in two-sided mode
-    params.N_target must be set.
+    The backward window needs the target sum N mod each small prime; in
+    two-sided mode n_mod (see target_residues) must be given.
     """
     y, z = params.y, params.z
-    if two_sided and params.N_target is None:
-        raise ValueError("two-sided sampling requires N_target")
+    if two_sided and n_mod is None:
+        raise ValueError("two-sided sampling requires the target residues")
     small = table.usable_between(0, z)
-    sigma = table.density_product(z)
-    bound = threshold_factor * sigma * y
+    bound = 2.0 * table.density_product(z) * y
     rejections = 0
     for _ in range(params.retry_budget):
         residues = {q: int(rng.integers(q)) for q in small}
@@ -220,7 +200,7 @@ def sample_small_residue(
         bwd = None
         if two_sided:
             bwd = sieve_survivors(
-                table, backward_residues(residues, params.N_target), (-y, -1), (0, z)
+                table, backward_residues(residues, n_mod), (-y, -1), (0, z)
             )
             if bwd.count() > bound:
                 rejections += 1
@@ -240,12 +220,11 @@ def shift_range(params: SieveParams, side: str) -> tuple[int, int]:
     return (-params.y, ky - 1)
 
 
-def target_residues(n_target: int | Mapping[int, int], table: RootTable) -> Mapping[int, int]:
-    """q -> N mod q for every usable prime of the table. A mapping is taken
-    to be that map already and passes through, so a construction reduces its
-    N (thousands of digits) once per prime and every cover state reads it."""
-    if isinstance(n_target, Mapping):
-        return n_target
+def target_residues(n_target: int, table: RootTable) -> dict[int, int]:
+    """q -> N mod q for every usable prime of the table: the only form of N
+    the sieve stages take. A construction reduces its N (thousands of
+    digits) once per prime, and every stage of every attempt reads the
+    map."""
     return {q: n_target % q for q in table.usable_primes()}
 
 
@@ -256,10 +235,10 @@ class CoverState:
     (prime q with residue r hits j = r + alpha mod q); bwd[i] counts those
     hitting backward offset bwd_lo + i (j = alpha - N - r mod q). Offsets
     with count zero are the survivors. Adding or removing one prime's class
-    is nu strided slice updates per window. N enters only through the map
-    q -> N mod q (see target_residues), which a construction builds once.
-    One window-length attempt builds one state from its small-stage
-    survivors; the medium stage assigns, re-picks and reads residuals on it.
+    is nu strided slice updates per window. N enters only through n_mod,
+    the map q -> N mod q (see target_residues). One window-length attempt
+    builds one state from its small-stage survivors; the medium stage
+    assigns, re-picks and reads residuals on it.
 
     Scoring a prime takes one survivor extraction per window and a single
     bincount: residue r hits forward survivor o when r = o - alpha and
@@ -267,10 +246,10 @@ class CoverState:
     keys over every survivor and root gives each residue's joint score.
     """
 
-    def __init__(self, table: RootTable, n_target: int | Mapping[int, int], fwd_lo: int,
+    def __init__(self, table: RootTable, n_mod: Mapping[int, int], fwd_lo: int,
                  fwd: np.ndarray, bwd_lo: int, bwd: np.ndarray):
         self.table = table
-        self.n_mod = target_residues(n_target, table)
+        self.n_mod = n_mod
         self.fwd_lo, self.fwd = fwd_lo, fwd
         self.bwd_lo, self.bwd = bwd_lo, bwd
 
@@ -280,17 +259,15 @@ class CoverState:
         table: RootTable,
         fwd: SurvivorSet,
         bwd: SurvivorSet | None,
-        n_target: int | Mapping[int, int] | None,
+        n_mod: Mapping[int, int],
     ) -> "CoverState":
         """Start from survivor bitmaps; each killed offset counts once. With
-        no backward bitmap the backward window is empty and N plays no part;
-        with one, n_target (N or its residue map) is required."""
+        no backward bitmap the backward window is empty, so no count and no
+        score depends on n_mod."""
         f = (~fwd.bits).astype(np.int32)
         if bwd is None:
-            return cls(table, 0, fwd.lo, f, 0, np.zeros(0, dtype=np.int32))
-        if n_target is None:
-            raise ValueError("backward coverage requires the target sum")
-        return cls(table, n_target, fwd.lo, f, bwd.lo, (~bwd.bits).astype(np.int32))
+            return cls(table, n_mod, fwd.lo, f, 0, np.zeros(0, dtype=np.int32))
+        return cls(table, n_mod, fwd.lo, f, bwd.lo, (~bwd.bits).astype(np.int32))
 
     def add(self, q: int, r: int, count: int = 1) -> None:
         """Assign residue r to q (count -1 takes the assignment back)."""
@@ -344,9 +321,11 @@ def select_shifts_random(
     side: str,
     rng: np.random.Generator,
     params: SieveParams,
+    n_mod: Mapping[int, int],
 ) -> dict[int, int]:
     """Sample one shift per bucket prime on the given side, uniformly over
-    the shift range, and return q -> the certificate residue it induces. The
+    the shift range, and return q -> the certificate residue it induces
+    (n mod q forward, -N - n mod q backward, N read from n_mod). The
     paper's progression weight sigma2^(-count) is 1 for every shift, as
     sigma2 = 1 at every supported scale (the small-stage boundary z sits
     below H^M for every ladder scale). The range holds (K+2)*y - O(1)
@@ -354,15 +333,13 @@ def select_shifts_random(
     """
     if side not in ("fwd", "bwd"):
         raise ValueError("side must be fwd or bwd")
-    if side == "bwd" and params.N_target is None:
-        raise ValueError("backward selection requires the target sum")
     lo, hi = shift_range(params, side)
     out: dict[int, int] = {}
     for scale in ladder.side_scales(side):
         for nu in sorted(scale.buckets):
             for q in scale.buckets[nu]:
                 n = int(rng.integers(lo, hi + 1))
-                out[q] = n % q if side == "fwd" else (-params.N_target - n) % q
+                out[q] = n % q if side == "fwd" else (-n_mod[q] - n) % q
     return out
 
 

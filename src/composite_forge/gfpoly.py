@@ -39,16 +39,6 @@ def gf_monic(a: Poly, p: int) -> Poly:
     return tuple((ci * inv) % p for ci in a)
 
 
-def gf_add(a: Poly, b: Poly, p: int) -> Poly:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, ci in enumerate(a):
-        out[i] = ci
-    for i, ci in enumerate(b):
-        out[i] = (out[i] + ci) % p
-    return gf_trim(out)
-
-
 def gf_sub(a: Poly, b: Poly, p: int) -> Poly:
     n = max(len(a), len(b))
     out = [0] * n
@@ -160,13 +150,6 @@ def gf_gcd(a: Poly, b: Poly, p: int) -> Poly:
     while b:
         a, b = b, gf_mod(a, b, p)
     return gf_monic(a, p)
-
-
-def gf_eval(c: Poly, n: int, p: int) -> int:
-    acc = 0
-    for ci in reversed(c):
-        acc = (acc * n + ci) % p
-    return acc
 
 
 def gf_is_irreducible(c: Poly, p: int) -> bool:

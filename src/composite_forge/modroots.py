@@ -179,9 +179,6 @@ class RootTable:
     roots: dict[int, tuple[int, ...]]
     _diff_sets: dict[int, frozenset[int]] = field(default_factory=dict, repr=False)
 
-    def root_count(self, p: int) -> int:
-        return len(self.roots[p])
-
     def usable_primes(self) -> list[int]:
         """Primes with a nonempty root set, ascending."""
         return [int(p) for p in self.primes if self.roots[int(p)]]

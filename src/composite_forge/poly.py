@@ -8,12 +8,14 @@ same roots modulo any prime p > B, which is what the sieve machinery needs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .gfpoly import gf_is_irreducible, gf_normalize
+from .primes import sieve_primes
 
 
 @dataclass(frozen=True)
@@ -230,16 +232,12 @@ def irreducibility_check(f: IntPolynomial, assert_irreducible: bool = False) -> 
         if disc >= 0 and math.isqrt(disc) ** 2 == disc:
             return "fail"
         return "proved"
-    # reduction criterion: irreducible mod p with degree preserved is a proof
-    tried = 0
-    p = 2
-    while p < 200 and tried < 25:
-        if _is_prime_small(p):
-            if g[-1] % p != 0:
-                tried += 1
-                if gf_is_irreducible(gf_normalize(g, p), p):
-                    return "proved"
-        p += 1
+    # reduction criterion: irreducible mod p with degree preserved is a
+    # proof; tried for the first 25 primes below 200 keeping the degree
+    kept = (p for p in map(int, sieve_primes(199)) if g[-1] % p)
+    for p in itertools.islice(kept, 25):
+        if gf_is_irreducible(gf_normalize(g, p), p):
+            return "proved"
     try:
         factor = _numeric_factor_screen(g)
     except OverflowError:
@@ -247,14 +245,3 @@ def irreducibility_check(f: IntPolynomial, assert_irreducible: bool = False) -> 
     if factor is not None:
         return "fail"
     return "asserted-by-user" if assert_irreducible else "heuristic-pass"
-
-
-def _is_prime_small(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True

@@ -23,7 +23,7 @@ from composite_forge.assemble import (
     pairing_stage,
     place,
 )
-from composite_forge.cover import SieveParams
+from composite_forge.cover import SieveParams, target_residues
 from composite_forge.poly import IntPolynomial
 from composite_forge.primes import sieve_primes
 from composite_forge.verify import verify_certificate
@@ -39,7 +39,7 @@ def toy_certificate():
     7999958], and every window element has one of 2, 3, 5, 7 as a factor.
     """
     f = IntPolynomial.from_monomial([0, 1])
-    params = SieveParams(x=8).with_y(4).with_target(10**7)
+    params = SieveParams(x=8).with_y(4)
     assignments = [(2, 1), (3, 2), (5, 4), (7, 6)]
     placement = place(209, 210, 10**7, 4)
     return ResidueCertificate(
@@ -61,13 +61,6 @@ class TestCrtCombine:
         b, modulus = crt_combine({2: 1, 3: 2, 5: 4, 7: 6})
         assert (b, modulus) == (209, 210)
 
-    def test_accepts_pairs(self):
-        assert crt_combine([(3, 1), (5, 2)]) == crt_combine({3: 1, 5: 2})
-
-    def test_duplicate_prime_rejected(self):
-        with pytest.raises(ValueError):
-            crt_combine([(5, 1), (5, 2)])
-
     def test_empty(self):
         assert crt_combine({}) == (0, 1)
 
@@ -87,7 +80,7 @@ class TestCrtCombine:
 
 class TestPairing:
     def test_forward_assignment(self, table_x_100):
-        out_f, out_b = pairing_stage([5, 17], [], table_x_100, 100, 10**6)
+        out_f, out_b = pairing_stage([5, 17], [], table_x_100, 100, {})
         # survivors pair with the usable primes of (50, 75] in order
         assert list(out_f) == [53, 59]
         assert out_f[53] == 5 and out_f[59] == 17
@@ -95,14 +88,15 @@ class TestPairing:
 
     def test_backward_assignment(self, table_x_100):
         N = 10**6
-        out_f, out_b = pairing_stage([], [-3], table_x_100, 100, N)
+        out_f, out_b = pairing_stage([], [-3], table_x_100, 100, target_residues(N, table_x_100))
         assert list(out_b) == [79]
         # the backward kill class of (q, r) must land on the survivor offset
         assert (-N - out_b[79]) % 79 == (-3) % 79
 
     def test_root_offset_respected(self, table_x2p1_100, f_x2p1):
         N = 10**30
-        out_f, out_b = pairing_stage([7], [-9], table_x2p1_100, 100, N)
+        n_mod = target_residues(N, table_x2p1_100)
+        out_f, out_b = pairing_stage([7], [-9], table_x2p1_100, 100, n_mod)
         (qf,) = out_f
         (qb,) = out_b
         alpha_f = table_x2p1_100.roots[qf][0]
@@ -114,11 +108,12 @@ class TestPairing:
 
     def test_capacity_exceeded(self, table_x_100):
         with pytest.raises(ConstructionError) as exc:
-            pairing_stage(list(range(1, 8)), [], table_x_100, 100, 10**6)
+            pairing_stage(list(range(1, 8)), [], table_x_100, 100, {})
         assert exc.value.diagnostics["capacity_fwd"] == 6
 
     def test_each_prime_used_once(self, table_x_100):
-        out_f, out_b = pairing_stage([1, 2, 3], [-1, -2], table_x_100, 100, 10**6)
+        n_mod = target_residues(10**6, table_x_100)
+        out_f, out_b = pairing_stage([1, 2, 3], [-1, -2], table_x_100, 100, n_mod)
         assert len(out_f) == 3 and len(out_b) == 2
         assert set(out_f).isdisjoint(out_b)
 
@@ -214,10 +209,7 @@ class TestCertificateSerialization:
         assert ResidueCertificate.load(str(path)).to_json_bytes() == cert.to_json_bytes()
 
     def test_modulus_and_b(self):
-        cert = toy_certificate()
-        assert cert.modulus() == 210
-        assert cert.b_mod() == (209, 210)
-        assert cert.p_x_bitlength == 8
+        assert crt_combine(toy_certificate().residues()) == (209, 210)
 
     def test_duplicate_assignment_detected(self):
         cert = toy_certificate()
@@ -237,7 +229,7 @@ class TestConstructCertificate:
         assert e["residual_bwd"] <= e["capacity_bwd"]
         pl = cert.placement
         assert pl.n1 + pl.n2 == pl.N
-        assert pl.N == auto_target(cert.modulus())
+        assert pl.N == auto_target(math.prod(cert.residues()))
         assert cert.irreducibility == "proved"
         report = verify_certificate(cert, deep=True)
         assert report.valid, report.messages
@@ -285,7 +277,7 @@ class TestConstructCertificate:
         attempts = e["attempts"]
         assert [a["y"] for a in attempts] == tried
         assert {a["outcome"] for a in attempts} <= {
-            "ok", "small_retry_budget", "residual_over_capacity", "pairing_failed",
+            "ok", "small_retry_budget", "residual_over_capacity",
         }
         last_ok = [a for a in attempts if a["outcome"] == "ok"][-1]
         assert last_ok["y"] == e["achieved_y"]
@@ -325,15 +317,21 @@ class TestConstructCertificate:
     @pytest.mark.parametrize("two_sided", [True, False])
     def test_target_reduced_once_per_prime(self, f_x2p1, cache_dir, monkeypatch, two_sided):
         # N mod q is taken once per construction, for every usable prime,
-        # and shared by the cover states of every window length tried
+        # and every sieve stage of every window length tried reads only that
+        # map: no stage negates N itself (the backward classes -N - r)
         from composite_forge import assemble
 
         reductions = Counter()
+        negations = []
 
         class CountingInt(int):
             def __mod__(self, q):
                 reductions[q] += 1
                 return int(self) % q
+
+            def __neg__(self):
+                negations.append(1)
+                return -int(self)
 
         auto = assemble.auto_target
         monkeypatch.setattr(assemble, "auto_target", lambda m: CountingInt(auto(m)))
@@ -343,6 +341,7 @@ class TestConstructCertificate:
         assert len(stats.extras["attempts"]) > 1
         usable = sorted(q for st in cert.stages for q, _ in st.assignments)
         assert reductions == Counter(usable)
+        assert not negations
 
     @pytest.mark.parametrize("mode", ["greedy", "random"])
     @pytest.mark.parametrize("two_sided", [True, False])

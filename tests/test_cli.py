@@ -103,12 +103,16 @@ class TestConstruct:
         assert "Traceback" not in r.stderr and "must be finite" in r.stderr
         assert not (tmp_path / "no.json").exists()
 
-    def test_explicit_mode_requires_target(self, tmp_path):
+    def test_explicit_target_is_used(self, tmp_path):
+        # --N alone selects the explicit target; 12345 is far below the
+        # cube of the prime modulus, so construction is infeasible
         r = run_cli(
-            "construct", "--poly", "poly:[0,1]", "--x", "300",
-            "--n-mode", "explicit", cwd=tmp_path,
+            "construct", "--poly", "poly:[0,1]", "--x", "300", "--N", "12345",
+            "--out", "no.json", cwd=tmp_path,
         )
-        assert r.returncode == USAGE
+        assert r.returncode == INFEASIBLE
+        assert "explicit N is smaller than modulus^3" in r.stderr
+        assert not (tmp_path / "no.json").exists()
 
     def test_missing_subcommand(self, tmp_path):
         r = run_cli(cwd=tmp_path)
@@ -128,7 +132,7 @@ class TestConstruct:
         # at x = 300 a target has at most 399 digits; 6000 also passes the
         # interpreter's own 4300-digit conversion limit
         r = run_cli(
-            "construct", "--poly", "poly:[0,1]", "--x", "300", "--n-mode", "explicit",
+            "construct", "--poly", "poly:[0,1]", "--x", "300",
             "--N", "1" + "0" * (digits - 1), "--out", "no.json", cwd=tmp_path,
         )
         assert r.returncode == USAGE
@@ -137,7 +141,7 @@ class TestConstruct:
 
     def test_explicit_target_not_a_number_exits_64(self, tmp_path):
         r = run_cli(
-            "construct", "--poly", "poly:[0,1]", "--x", "300", "--n-mode", "explicit",
+            "construct", "--poly", "poly:[0,1]", "--x", "300",
             "--N", "1e400", cwd=tmp_path,
         )
         assert r.returncode == USAGE

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composite_forge import cover
-from composite_forge.assemble import stage_rng
+from composite_forge.assemble import ConstructionError, pairing_stage, stage_rng
 from composite_forge.cover import (
     CoverState,
     RetryBudgetError,
@@ -21,8 +21,12 @@ from composite_forge.cover import (
     select_shifts_greedy,
     select_shifts_random,
     shift_range,
+    target_residues,
 )
 from composite_forge.sievecore import SurvivorSet, sieve_survivors
+
+
+N60 = 10**60  # the target sum of the hand-sized two-sided cases
 
 
 def full_window(lo, hi):
@@ -108,25 +112,15 @@ class TestSieveParams:
         assert SieveParams(x=2000, delta=0.25).y < SieveParams(x=2000, delta=0.5).y
 
     def test_json_round_trip(self):
-        p = SieveParams(x=500, delta=0.4, eps=0.03).with_y(700).with_target(10**30)
-        q = SieveParams.from_json(p.to_json(), n_target=10**30)
-        assert q.x == p.x and q.y == 700 and q.z == p.z
-        assert q.delta == p.delta and q.eps == p.eps
-        assert q.N_target == 10**30
+        p = SieveParams(x=500, delta=0.4, eps=0.03).with_y(700)
+        q = SieveParams.from_json(p.to_json())
+        assert q == p
 
     def test_json_rejects_inconsistent_z(self):
         obj = SieveParams(x=500).to_json()
         obj["z"] = obj["z"] + 1
         with pytest.raises(ValueError):
             SieveParams.from_json(obj)
-
-    def test_constraint_report(self):
-        # at delta = 0.5 the density threshold blows up and is only reported
-        r = SieveParams(x=2000).constraint_report(rho_hat=0.5)
-        assert not math.isfinite(r["rho_threshold"])
-        assert r["satisfied"] is False
-        r2 = SieveParams(x=2000, delta=0.25).constraint_report(rho_hat=0.5)
-        assert math.isfinite(r2["rho_threshold"])
 
 
 class TestLadder:
@@ -161,9 +155,9 @@ class TestLadder:
 
 class TestSmallStage:
     def test_residues_cover_small_primes(self, table_x2p1_2000):
-        params = SieveParams(x=2000, N_target=10**60)
+        params = SieveParams(x=2000)
         residues, fwd, bwd, rej = sample_small_residue(
-            params, table_x2p1_2000, stage_rng(1, 1, 0)
+            params, table_x2p1_2000, stage_rng(1, 1, 0), target_residues(N60, table_x2p1_2000)
         )
         assert sorted(residues) == table_x2p1_2000.usable_between(0, params.z)
         assert all(0 <= r < q for q, r in residues.items())
@@ -173,15 +167,16 @@ class TestSmallStage:
         assert rej >= 0
 
     def test_survivors_match_resieve(self, table_x2p1_2000):
-        params = SieveParams(x=2000, N_target=10**60)
+        params = SieveParams(x=2000)
+        n_mod = target_residues(N60, table_x2p1_2000)
         residues, fwd, bwd, _ = sample_small_residue(
-            params, table_x2p1_2000, stage_rng(2, 1, 0)
+            params, table_x2p1_2000, stage_rng(2, 1, 0), n_mod
         )
         again = sieve_survivors(table_x2p1_2000, residues, (1, params.y), (0, params.z))
         assert np.array_equal(fwd.bits, again.bits)
         back = sieve_survivors(
             table_x2p1_2000,
-            backward_residues(residues, params.N_target),
+            backward_residues(residues, n_mod),
             (-params.y, -1),
             (0, params.z),
         )
@@ -191,17 +186,20 @@ class TestSmallStage:
         with pytest.raises(ValueError):
             sample_small_residue(SieveParams(x=2000), table_x2p1_2000, stage_rng(0, 1, 0))
 
-    def test_impossible_threshold_exhausts_budget(self, table_x2p1_2000):
-        params = SieveParams(x=2000, N_target=10**60, retry_budget=5)
-        with pytest.raises(RetryBudgetError):
+    def test_impossible_threshold_exhausts_budget(self, table_x2p1_2000, monkeypatch):
+        # a density product of 0 makes the survivor bound 0, which no draw meets
+        monkeypatch.setattr(table_x2p1_2000, "density_product", lambda *args: 0.0)
+        params = SieveParams(x=2000, retry_budget=5)
+        with pytest.raises(RetryBudgetError, match="in 5 attempts"):
             sample_small_residue(
-                params, table_x2p1_2000, stage_rng(0, 1, 0), threshold_factor=0.01
+                params, table_x2p1_2000, stage_rng(0, 1, 0), target_residues(N60, table_x2p1_2000)
             )
 
     def test_deterministic_given_stream(self, table_x2p1_2000):
-        params = SieveParams(x=2000, N_target=10**60)
-        a = sample_small_residue(params, table_x2p1_2000, stage_rng(7, 1, 0))
-        b = sample_small_residue(params, table_x2p1_2000, stage_rng(7, 1, 0))
+        params = SieveParams(x=2000)
+        n_mod = target_residues(N60, table_x2p1_2000)
+        a = sample_small_residue(params, table_x2p1_2000, stage_rng(7, 1, 0), n_mod)
+        b = sample_small_residue(params, table_x2p1_2000, stage_rng(7, 1, 0), n_mod)
         assert a[0] == b[0]
 
 
@@ -212,7 +210,7 @@ class TestBackwardResidues:
         # element is congruent to N + r + j mod q
         N = 10**12 + 39
         residues = {5: 2, 13: 7, 17: 11}
-        back = backward_residues(residues, N)
+        back = backward_residues(residues, target_residues(N, table_x2p1_100))
         for q, r in residues.items():
             roots = set(table_x2p1_100.roots[q])
             for j in range(-60, 0):
@@ -220,8 +218,8 @@ class TestBackwardResidues:
                 assert killed == ((N + r + j) % q in roots)
 
 
-def one_sided(table, fwd):
-    return CoverState.from_survivors(table, fwd, None, None)
+def one_sided(table, fwd, n_target=0):
+    return CoverState.from_survivors(table, fwd, None, target_residues(n_target, table))
 
 
 class TestGreedySelection:
@@ -252,29 +250,24 @@ class TestGreedySelection:
         assert list(resieved.survivors()) == list(state.survivors_fwd())
 
     def test_joint_two_sided_consistency(self, table_x2p1_2000):
-        params = SieveParams(x=2000, N_target=10**60)
+        params = SieveParams(x=2000)
+        n_mod = target_residues(N60, table_x2p1_2000)
         residues, fwd, bwd, _ = sample_small_residue(
-            params, table_x2p1_2000, stage_rng(4, 1, 0)
+            params, table_x2p1_2000, stage_rng(4, 1, 0), n_mod
         )
         med = table_x2p1_2000.usable_between(params.z, 400)
-        state = CoverState.from_survivors(table_x2p1_2000, fwd, bwd, params.N_target)
+        state = CoverState.from_survivors(table_x2p1_2000, fwd, bwd, n_mod)
         merged = dict(residues)
         merged.update(select_shifts_greedy(state, med))
         f2 = sieve_survivors(table_x2p1_2000, merged, (1, params.y), (0, 400))
         b2 = sieve_survivors(
             table_x2p1_2000,
-            backward_residues(merged, params.N_target),
+            backward_residues(merged, n_mod),
             (-params.y, -1),
             (0, 400),
         )
         assert list(f2.survivors()) == list(state.survivors_fwd())
         assert list(b2.survivors()) == list(state.survivors_bwd())
-
-    def test_both_requires_target(self, table_x2p1_100):
-        with pytest.raises(ValueError):
-            CoverState.from_survivors(
-                table_x2p1_100, full_window(1, 20), full_window(-20, -1), None
-            )
 
     def test_greedy_beats_random_here(self, table_x2p1_2000):
         params = SieveParams(x=2000)
@@ -288,7 +281,9 @@ class TestGreedySelection:
         # unassigned; its residual is the small stage's less the sampled classes
         ladder = build_ladder(params, table_x2p1_2000)
         rnd = one_sided(table_x2p1_2000, fwd)
-        for q, r in select_shifts_random(ladder, "fwd", stage_rng(5, 2, 0), params).items():
+        n_mod = target_residues(N60, table_x2p1_2000)
+        drawn = select_shifts_random(ladder, "fwd", stage_rng(5, 2, 0), params, n_mod)
+        for q, r in drawn.items():
             rnd.add(q, r)
         assert len(greedy.survivors_fwd()) <= len(rnd.survivors_fwd())
 
@@ -308,7 +303,8 @@ class TestRandomSelection:
     def test_one_choice_per_bucket_prime(self, table_x2p1_2000):
         params = SieveParams(x=2000)
         ladder = build_ladder(params, table_x2p1_2000)
-        out = select_shifts_random(ladder, "fwd", stage_rng(9, 2, 0), params)
+        n_mod = target_residues(N60, table_x2p1_2000)
+        out = select_shifts_random(ladder, "fwd", stage_rng(9, 2, 0), params, n_mod)
         fwd_primes = [q for s in ladder.side_scales("fwd") for qs in s.buckets.values() for q in qs]
         assert sorted(out) == sorted(fwd_primes)
         lo, hi = shift_range(params, "fwd")
@@ -318,46 +314,48 @@ class TestRandomSelection:
             assert out[q] == n % q
 
     def test_backward_residue_convention(self, table_x2p1_2000):
-        params = SieveParams(x=2000, N_target=10**60)
+        params = SieveParams(x=2000)
         ladder = build_ladder(params, table_x2p1_2000)
-        out = select_shifts_random(ladder, "bwd", stage_rng(9, 2, 1), params)
+        n_mod = target_residues(N60, table_x2p1_2000)
+        out = select_shifts_random(ladder, "bwd", stage_rng(9, 2, 1), params, n_mod)
         shifts = drawn_shifts(ladder, "bwd", stage_rng(9, 2, 1), params)
         assert sorted(out) == sorted(shifts)
         for q, n in shifts.items():
-            assert out[q] == (-params.N_target - n) % q
+            assert out[q] == (-N60 - n) % q
+
 
     def test_rejects_bad_side(self, table_x2p1_100):
         params = SieveParams(x=100)
         ladder = build_ladder(params, table_x2p1_100)
         with pytest.raises(ValueError):
-            select_shifts_random(ladder, "both", stage_rng(0, 2, 0), params)
+            select_shifts_random(ladder, "both", stage_rng(0, 2, 0), params, {})
 
 
 class TestResidualCheck:
     def test_capacities(self, table_x_100):
-        # the residual-vs-capacity check lives in the pairing stage
-        from composite_forge.assemble import ConstructionError, pairing_stage
-
+        # the residual-vs-capacity check lives in the pairing stage only
+        n_mod = target_residues(10**6, table_x_100)
         # usable primes in (50, 75] absorb forward, (75, 100] backward survivors
         with pytest.raises(ConstructionError) as exc:
-            pairing_stage([1, 2, 3], [-1, -2, -3, -4, -5], table_x_100, 100, 10**6)
+            pairing_stage([1, 2, 3], [-1, -2, -3, -4, -5], table_x_100, 100, n_mod)
         d = exc.value.diagnostics
         assert (d["capacity_fwd"], d["capacity_bwd"]) == (6, 4)
         assert (d["residual_fwd"], d["residual_bwd"]) == (3, 5)
         out_f, out_b = pairing_stage(
-            [1, 2, 3], [-1, -2, -3, -4], table_x_100, 100, 10**6
+            [1, 2, 3], [-1, -2, -3, -4], table_x_100, 100, n_mod
         )
         assert (len(out_f), len(out_b)) == (3, 4)
 
 
 class TestRefinement:
     def test_never_increases_joint_residual(self, table_x2p1_2000):
-        params = SieveParams(x=2000, N_target=10**60)
+        params = SieveParams(x=2000)
+        n_mod = target_residues(N60, table_x2p1_2000)
         residues, fwd, bwd, _ = sample_small_residue(
-            params, table_x2p1_2000, stage_rng(6, 1, 0)
+            params, table_x2p1_2000, stage_rng(6, 1, 0), n_mod
         )
         med = table_x2p1_2000.usable_between(params.z, 1000)
-        state = CoverState.from_survivors(table_x2p1_2000, fwd, bwd, params.N_target)
+        state = CoverState.from_survivors(table_x2p1_2000, fwd, bwd, n_mod)
         chosen = select_shifts_greedy(state, med)
 
         def joint_residual(medium):
@@ -366,7 +364,7 @@ class TestRefinement:
             f = sieve_survivors(table_x2p1_2000, assignment, (1, params.y), (0, 1000))
             b = sieve_survivors(
                 table_x2p1_2000,
-                backward_residues(assignment, params.N_target),
+                backward_residues(assignment, n_mod),
                 (-params.y, -1),
                 (0, 1000),
             )
@@ -410,7 +408,41 @@ class TestClassScores:
 
 # Reference oracles: the re-sieve refinement and the copy-and-kill greedy
 # loops (joint and forward-only) that CoverState replaced, kept verbatim in
-# behaviour, on plain survivor bitmaps.
+# behaviour, on plain survivor bitmaps; and the stages that took N itself
+# before every stage came to take the map q -> N mod q.
+
+
+def backward_residues_int(residues, n_target):
+    return {q: (-n_target - r) % q for q, r in residues.items()}
+
+
+def pairing_stage_int(residual_fwd, residual_bwd, table, x, n_target):
+    fwd = sorted(int(a) for a in residual_fwd)
+    bwd = sorted(int(a) for a in residual_bwd)
+    pool_f = table.usable_between(x / 2, 3 * x / 4)
+    pool_b = table.usable_between(3 * x / 4, x)
+    if len(fwd) > len(pool_f) or len(bwd) > len(pool_b):
+        raise ConstructionError("cleanup capacity exceeded")
+    out_f = {}
+    for a, q in zip(fwd, pool_f):
+        alpha = table.roots[q][0]
+        out_f[q] = (a - alpha) % q
+    out_b = {}
+    for a, q in zip(bwd, pool_b):
+        alpha = table.roots[q][0]
+        out_b[q] = (-n_target - a + alpha) % q
+    return out_f, out_b
+
+
+def select_shifts_random_int(ladder, side, rng, params, n_target):
+    lo, hi = shift_range(params, side)
+    out = {}
+    for scale in ladder.side_scales(side):
+        for nu in sorted(scale.buckets):
+            for q in scale.buckets[nu]:
+                n = int(rng.integers(lo, hi + 1))
+                out[q] = n % q if side == "fwd" else (-n_target - n) % q
+    return out
 
 
 def covered_mask_bwd(pos, q, r, alphas, n_target):
@@ -475,7 +507,7 @@ def oracle_refine(table, y, residues, medium_primes, n_target, sweeps, paired):
             alphas = table.roots[q]
             scores = forward_class_scores(q, alphas, sieve_only(table, others, (1, y)))
             if paired:
-                bpos = sieve_only(table, backward_residues(others, n_target), (-y, -1))
+                bpos = sieve_only(table, backward_residues_int(others, n_target), (-y, -1))
                 scores = scores + backward_class_scores(q, alphas, bpos, n_target)
             out[q] = int(np.argmax(scores))
     return out
@@ -508,23 +540,24 @@ class TestCoverState:
         self, tables_2000, poly, x, draw_seed, n_target, sweeps, paired
     ):
         table = tables_2000[poly]
-        params = SieveParams(x=x, N_target=n_target)
+        params = SieveParams(x=x)
+        n_mod = target_residues(n_target, table)
         y, z = params.y, params.z
         rng = np.random.default_rng(draw_seed)
         small = {q: int(rng.integers(q)) for q in table.usable_between(0, z)}
         fwd0 = sieve_survivors(table, small, (1, y), (0, z))
-        bwd0 = sieve_survivors(table, backward_residues(small, n_target), (-y, -1), (0, z))
+        bwd0 = sieve_survivors(table, backward_residues_int(small, n_target), (-y, -1), (0, z))
         med = table.usable_between(z, x / 2)
 
         if paired:
-            state = CoverState.from_survivors(table, fwd0, bwd0, n_target)
+            state = CoverState.from_survivors(table, fwd0, bwd0, n_mod)
             chosen = select_shifts_greedy(state, med)
             ref, ref_fwd, ref_bwd = oracle_greedy_both(med, fwd0, bwd0, table, n_target)
             assert np.array_equal(state.survivors_bwd(), ref_bwd)
         else:
             # one-sided: the backward window is empty and only forward
             # survivors are scored, by the greedy pass and the refinement
-            state = CoverState.from_survivors(table, fwd0, None, n_target)
+            state = CoverState.from_survivors(table, fwd0, None, n_mod)
             chosen = select_shifts_greedy(state, med)
             ref, ref_fwd = oracle_greedy_fwd(med, fwd0, table)
             assert state.survivors_bwd().size == 0
@@ -540,19 +573,58 @@ class TestCoverState:
         merged.update(got)
         assert np.array_equal(state.survivors_fwd(), sieve_only(table, merged, (1, y)))
         if paired:
-            back = sieve_only(table, backward_residues(merged, n_target), (-y, -1))
+            back = sieve_only(table, backward_residues_int(merged, n_target), (-y, -1))
             assert np.array_equal(state.survivors_bwd(), back)
 
+    @given(
+        poly=st.sampled_from(["x", "x^2+1", "x^3+2"]),
+        x=st.integers(100, 2000),
+        n_target=st.integers(0, 10**1500),
+        draw_seed=st.integers(0, 2**32 - 1),
+        n_fwd=st.integers(0, 40),
+        n_bwd=st.integers(0, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_residue_map_stages_match_int_target(
+        self, tables_2000, poly, x, n_target, draw_seed, n_fwd, n_bwd
+    ):
+        # -N - r and -(N mod q) - r agree mod q, so the stages that take the
+        # map give what the stages that took N itself gave
+        table = tables_2000[poly]
+        params = SieveParams(x=x)
+        n_mod = target_residues(n_target, table)
+        rng = np.random.default_rng(draw_seed)
+        residues = {q: int(rng.integers(q)) for q in table.usable_between(0, x)}
+        assert backward_residues(residues, n_mod) == backward_residues_int(residues, n_target)
+
+        fwd = rng.choice(np.arange(1, params.y + 1), size=min(n_fwd, params.y), replace=False)
+        bwd = rng.choice(np.arange(-params.y, 0), size=min(n_bwd, params.y), replace=False)
+        try:
+            expect = pairing_stage_int(fwd, bwd, table, x, n_target)
+        except ConstructionError:
+            with pytest.raises(ConstructionError):
+                pairing_stage(fwd, bwd, table, x, n_mod)
+        else:
+            assert pairing_stage(fwd, bwd, table, x, n_mod) == expect
+
+        ladder = build_ladder(params, table)
+        for side in ("fwd", "bwd"):
+            got = select_shifts_random(ladder, side, stage_rng(draw_seed, 2), params, n_mod)
+            expect = select_shifts_random_int(
+                ladder, side, stage_rng(draw_seed, 2), params, n_target
+            )
+            assert got == expect
+
     def test_add_then_remove_restores_counts(self, table_x2p1_100):
-        N = 10**80 + 3
+        n_mod = target_residues(10**80 + 3, table_x2p1_100)
         residues = {13: 4, 17: 9}
         zeros = np.zeros(60, dtype=np.int32)
-        state = CoverState(table_x2p1_100, N, 1, zeros.copy(), -60, zeros.copy())
+        state = CoverState(table_x2p1_100, n_mod, 1, zeros.copy(), -60, zeros.copy())
         for q, r in residues.items():
             state.add(q, r)
         fwd = sieve_survivors(table_x2p1_100, residues, (1, 60), (12, 17))
         bwd = sieve_survivors(
-            table_x2p1_100, backward_residues(residues, N), (-60, -1), (12, 17)
+            table_x2p1_100, backward_residues(residues, n_mod), (-60, -1), (12, 17)
         )
         assert list(state.survivors_fwd()) == list(fwd.survivors())
         assert list(state.survivors_bwd()) == list(bwd.survivors())
@@ -562,9 +634,10 @@ class TestCoverState:
         assert list(state.survivors_bwd()) == list(range(-60, 0))
 
     def test_engine_paths_do_not_resieve(self, table_x2p1_2000, monkeypatch):
-        params = SieveParams(x=2000, N_target=10**60)
+        params = SieveParams(x=2000)
+        n_mod = target_residues(N60, table_x2p1_2000)
         residues, fwd, bwd, _ = sample_small_residue(
-            params, table_x2p1_2000, stage_rng(6, 1, 0)
+            params, table_x2p1_2000, stage_rng(6, 1, 0), n_mod
         )
         med = table_x2p1_2000.usable_between(params.z, 1000)
 
@@ -574,7 +647,7 @@ class TestCoverState:
         monkeypatch.setattr(cover, "sieve_survivors", forbidden)
         monkeypatch.setattr(cover, "backward_residues", forbidden)
         monkeypatch.setattr(np, "isin", forbidden)
-        state = CoverState.from_survivors(table_x2p1_2000, fwd, bwd, params.N_target)
+        state = CoverState.from_survivors(table_x2p1_2000, fwd, bwd, n_mod)
         chosen = select_shifts_greedy(state, med)
         refine_residues(state, chosen, med, sweeps=1)
 
@@ -621,7 +694,7 @@ class TestFusedScorer:
         rng = np.random.default_rng(seed)
         fwd = counts_window(rng, fwd_len, p_survive)
         bwd = counts_window(rng, bwd_len, p_survive)
-        state = CoverState(table, n_target, fwd_lo, fwd, bwd_lo, bwd)
+        state = CoverState(table, target_residues(n_target, table), fwd_lo, fwd, bwd_lo, bwd)
         expect = oracle_best_residue(q, table.roots[q], fwd_lo, fwd, bwd_lo, bwd, n_target)
         assert state.best_residue(q) == expect
 
@@ -632,7 +705,7 @@ class TestFusedScorer:
         for q in table.usable_between(100, 200):
             k = 3
             fwd, bwd = np.zeros(k * q, dtype=np.int32), np.zeros(k * q, dtype=np.int32)
-            state = CoverState(table, 10**1500 + 11, -q, fwd, -5 * q, bwd)
+            state = CoverState(table, target_residues(10**1500 + 11, table), -q, fwd, -5 * q, bwd)
             assert state.best_residue(q) == 0
 
     @pytest.mark.parametrize("o_fwd,o_bwd", [(30, -7), (5, -40), (-3, -1)])
@@ -644,16 +717,17 @@ class TestFusedScorer:
         fwd[o_fwd + 50] = 0  # window [-50, 49]
         bwd[o_bwd + 100] = 0  # window [-100, -1]
         k_f, k_b = o_fwd % q, (-n_target - o_bwd) % q
-        state = CoverState(table_x_100, n_target, -50, fwd, -100, bwd)
+        state = CoverState(table_x_100, target_residues(n_target, table_x_100), -50, fwd, -100, bwd)
         assert state.best_residue(q) == min(k_f, k_b)
 
     def test_one_sided_state_ignores_target(self, table_x2p1_2000):
         fwd = full_window(-20, 700)
         fwd.bits[::3] = False
-        state = one_sided(table_x2p1_2000, fwd)
-        assert state.bwd.size == 0
-        for q in table_x2p1_2000.usable_between(100, 400):
-            expect = oracle_best_residue(
-                q, table_x2p1_2000.roots[q], -20, state.fwd, 0, state.bwd, 0
-            )
-            assert state.best_residue(q) == expect
+        for n_target in (0, 10**1500 + 11):
+            state = one_sided(table_x2p1_2000, fwd, n_target)
+            assert state.bwd.size == 0
+            for q in table_x2p1_2000.usable_between(100, 400):
+                expect = oracle_best_residue(
+                    q, table_x2p1_2000.roots[q], -20, state.fwd, 0, state.bwd, 0
+                )
+                assert state.best_residue(q) == expect

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import composite_forge.modroots as modroots_mod
 from composite_forge.gfpoly import (
     ROW_PRIME_BOUND,
-    gf_add,
     gf_divmod,
     gf_gcd,
     gf_mod,
@@ -235,7 +234,7 @@ class TestGfDivmod:
             return
         q, r = gf_divmod(a, b, p)
         assert len(r) < len(b)
-        assert gf_add(gf_mul(q, b, p), r, p) == a
+        assert gf_sub(a, r, p) == gf_mul(q, b, p)
         assert gf_mod(a, b, p) == r
 
 
@@ -444,13 +443,14 @@ class TestRootTable:
         assert 53 not in table_x_100.primes_between(53, 60)
 
     def test_root_count(self, table_x2p1_100):
-        assert table_x2p1_100.root_count(13) == 2
-        assert table_x2p1_100.root_count(7) == 0
+        # x^2 + 1 splits mod 13 (5^2 = 25 = -1) and has no root mod 7
+        assert table_x2p1_100.roots[13] == (5, 8)
+        assert table_x2p1_100.roots[7] == ()
 
     def test_density_product_matches_direct(self, table_x2p1_100):
         direct = 1.0
         for q in table_x2p1_100.usable_between(0, 50):
-            direct *= 1.0 - table_x2p1_100.root_count(q) / q
+            direct *= 1.0 - len(table_x2p1_100.roots[q]) / q
         assert table_x2p1_100.density_product(50) == pytest.approx(direct)
 
     def test_diff_set_contains_zero_and_differences(self, table_x2p1_100):
