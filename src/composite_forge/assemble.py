@@ -25,7 +25,6 @@ from .cover import (
     RetryBudgetError,
     SieveParams,
     backward_residues,
-    build_ladder,
     refine_residues,
     sample_small_residue,
     select_shifts_greedy,
@@ -136,12 +135,10 @@ def big_decimals():
         sys.set_int_max_str_digits(old)
 
 
-def parse_decimal(value, max_digits: int | None) -> int:
+def parse_decimal(value, max_digits: int) -> int:
     """int() of a certificate field, refusing a string of more than
     max_digits characters after an optional sign before any conversion
-    work. With no max_digits the interpreter's own limit stays in force."""
-    if max_digits is None:
-        return int(value)
+    work."""
     if isinstance(value, str) and len(value) - value.startswith(("-", "+")) > max_digits:
         raise ValueError(
             f"decimal field of {len(value)} characters exceeds the {max_digits}-digit bound"
@@ -153,7 +150,10 @@ def parse_decimal(value, max_digits: int | None) -> int:
 def auto_target(modulus: int) -> int:
     """Smallest power of ten N with modulus <= N^(1/3)."""
     need = modulus**3
-    n = 1
+    # 10^k <= 2^(bit_length - 1) <= need < 10^(k + 2) for
+    # k = floor((bit_length - 1) * log10 2), so the loop steps at most twice
+    # (once more if the float product rounds k down)
+    n = 10 ** int((need.bit_length() - 1) * math.log10(2))
     while n < need:
         n *= 10
     return n
@@ -183,7 +183,7 @@ class Placement:
             }
 
     @classmethod
-    def from_json(cls, obj: dict, max_digits: int | None = None) -> "Placement":
+    def from_json(cls, obj: dict, max_digits: int) -> "Placement":
         """Parse the decimal fields, each refused beyond max_digits digits
         (see decimal_digit_bound) before it is converted; see
         parse_decimal."""
@@ -207,14 +207,7 @@ class Placement:
 def place(b: int, modulus: int, n_target: int, y: int) -> Placement:
     """Pick the representative of b mod modulus inside [-0.3N, -0.2N]
     (smallest absolute value, i.e. the largest such integer) and derive the
-    two windows and centers."""
-    if modulus**3 > n_target:
-        with big_decimals():
-            n_text = str(n_target)
-        raise ConstructionError(
-            "modulus exceeds N^(1/3); increase N or use the auto target",
-            {"modulus_bits": modulus.bit_length(), "N": n_text},
-        )
+    two windows and centers. The caller has checked modulus^3 <= N."""
     hi = -((n_target + 4) // 5)  # largest integer <= -N/5
     lo = -((3 * n_target) // 10)  # smallest integer >= -3N/10
     if hi - lo + 1 < modulus:
@@ -389,7 +382,9 @@ def construct_certificate(
     monotone in y and the length found need not be the largest feasible one.
     stats.extras["attempts"] records the outcome of every length tried.
     Raises ConstructionError when even the smallest window fails or the
-    target N is too small for the prime modulus.
+    target N is too small for the prime modulus. Only a two-sided
+    construction has a target N: a one-sided one ignores n_target, and its
+    stats.extras carry no n_digits, m_formula or m_larger.
     """
     if mode not in ("greedy", "random"):
         raise ValueError("mode must be greedy or random")
@@ -405,23 +400,26 @@ def construct_certificate(
     usable = table.usable_primes()
     if not usable:
         raise ConstructionError("no usable primes below x", {"x": x})
-    modulus = math.prod(usable)
-    target = auto_target(modulus) if n_target is None else int(n_target)
-    if modulus**3 > target:
-        raise ConstructionError(
-            "explicit N is smaller than modulus^3; raise N, or give none for the auto target",
-            {"modulus_bits": modulus.bit_length()},
-        )
-    max_digits = decimal_digit_bound(x)
-    if target >= 10**max_digits:
-        raise ConstructionError(
-            f"explicit N has more than {max_digits} digits, the most a certificate"
-            f" at x = {x} may carry",
-            {"max_digits": max_digits},
-        )
-    # N mod q once per construction: the only form of N any sieve stage of
-    # any attempt takes; N itself is read again only at placement
-    n_mod = target_residues(target, table)
+    target = n_mod = None
+    if two_sided:
+        # a one-sided certificate has no placement, so it has no N at all
+        modulus = math.prod(usable)
+        target = auto_target(modulus) if n_target is None else int(n_target)
+        if modulus**3 > target:
+            raise ConstructionError(
+                "explicit N is smaller than modulus^3; raise N, or give none for the auto target",
+                {"modulus_bits": modulus.bit_length()},
+            )
+        max_digits = decimal_digit_bound(x)
+        if target >= 10**max_digits:
+            raise ConstructionError(
+                f"explicit N has more than {max_digits} digits, the most a certificate"
+                f" at x = {x} may carry",
+                {"max_digits": max_digits},
+            )
+        # N mod q once per construction: the only form of N any sieve stage
+        # of any attempt takes; N itself is read again only at placement
+        n_mod = target_residues(target, table)
     cap_f = len(table.usable_between(x / 2, 3 * x / 4))
     cap_b = len(table.usable_between(3 * x / 4, x))
     attempts: list[dict] = []  # one outcome record per window length tried
@@ -461,11 +459,8 @@ def construct_certificate(
             medium = select_shifts_greedy(state, med)
             medium = refine_residues(state, medium, med, sweeps)
         else:
-            ladder = build_ladder(p, table)
             rng_med = stage_rng(seed, STREAM_MEDIUM, y)
-            medium = select_shifts_random(ladder, "fwd", rng_med, p, n_mod)
-            if two_sided:
-                medium.update(select_shifts_random(ladder, "bwd", rng_med, p, n_mod))
+            medium = select_shifts_random(p, table, rng_med, n_mod, two_sided)
             for q, r in medium.items():
                 state.add(q, r)
         res_f, res_b = state.survivors_fwd(), state.survivors_bwd()
@@ -559,10 +554,7 @@ def construct_certificate(
         placement=placement,
     )
     stats = ConstructionStats(rows=best["stats_rows"])
-    with big_decimals():
-        n_digits = len(str(target))
     m_achieved = achieved_y // 2 - 1
-    m_formula = _theorem_window_center_radius(target, p_final.delta)
     stats.extras.update(
         {
             "achieved_y": achieved_y,
@@ -573,13 +565,17 @@ def construct_certificate(
             "capacity_fwd": cap_f,
             "capacity_bwd": cap_b,
             "m_achieved": m_achieved,
-            "m_formula": m_formula,
-            "m_larger": "achieved" if m_achieved >= m_formula else "formula",
-            "n_digits": n_digits,
             "modulus_bits": p_x.bit_length(),
             "fills": len(fills),
             "mode": mode,
             "attempts": attempts,
         }
     )
+    if two_sided:
+        # N and the formula radius it gives exist only for a placed certificate
+        m_formula = _theorem_window_center_radius(target, p_final.delta)
+        stats.extras["m_formula"] = m_formula
+        stats.extras["m_larger"] = "achieved" if m_achieved >= m_formula else "formula"
+        with big_decimals():
+            stats.extras["n_digits"] = len(str(target))
     return cert, stats

@@ -188,9 +188,16 @@ def cmd_construct(args) -> int:
         for row in stats.rows:
             w.writerow(row.row())
     e = stats.extras
-    print(
+    summary = (
         f"certificate written to {args.out}: y = {e['achieved_y']}"
-        f" (formula {e['formula_y']}), N has {e['n_digits']} digits,"
+        f" (formula {e['formula_y']}),"
+    )
+    if not args.two_sided:
+        # no placement, so no N and no centers to report
+        print(f"{summary} one-sided, residual fwd {e['residual_fwd']}/{e['capacity_fwd']}")
+        return EXIT_OK
+    print(
+        f"{summary} N has {e['n_digits']} digits,"
         f" residuals fwd {e['residual_fwd']}/{e['capacity_fwd']}"
         f" bwd {e['residual_bwd']}/{e['capacity_bwd']},"
         f" center radius m = {e['m_achieved']}"

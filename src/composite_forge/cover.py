@@ -1,5 +1,5 @@
-"""Staged residue selection: parameters, scale ladder, small-prime sampling,
-and medium-prime shift selection (random and greedy).
+"""Staged residue selection: parameters, small-prime sampling, and
+medium-prime shift selection (random and greedy).
 
 The sieve covers two offset windows, forward [1, y] and backward [-y, -1].
 A certificate residue r_q kills forward offsets j = r_q + alpha (mod q) and
@@ -7,16 +7,16 @@ backward offsets j = alpha - N - r_q (mod q), where N is the target sum. So
 the sieve needs N only mod each sieving prime: every stage that touches the
 backward window takes the map q -> N mod q (target_residues), which a
 construction builds once, and N in full enters only at placement.
-Greedy mode scores residue classes directly; random mode samples shifts n_q
-and induces residues from them. The shifts are uniform: the paper weights a
-shift by sigma2^(-count) over its progression, and sigma2 = 1 at every
-supported scale (the small-stage boundary z sits below H^M for every ladder
-scale), so each weight is 1. Each window-length attempt builds one
-incremental engine, CoverState, from its small-stage survivors; the greedy
-pass, the refinement sweeps, the random-mode residues and the post-medium
-residuals all work on that state, and the medium stage hands back plain
-q -> residue maps. The state scores a prime with one bincount over the
-class keys of both windows.
+Greedy mode scores residue classes directly; random mode walks the scales
+H = xi^j, samples a shift n_q per prime and induces residues from it. The
+shifts are uniform: the paper weights a shift by sigma2^(-count) over its
+progression, and sigma2 = 1 at every supported scale (the small-stage
+boundary z sits below H^M for every scale), so each weight is 1. Each
+window-length attempt builds one incremental engine, CoverState, from its
+small-stage survivors; the greedy pass, the refinement sweeps, the
+random-mode residues and the post-medium residuals all work on that state,
+and the medium stage hands back plain q -> residue maps. The state scores
+a prime with one bincount over the class keys of both windows.
 """
 
 from __future__ import annotations
@@ -117,53 +117,6 @@ class SieveParams:
         return p
 
 
-@dataclass(frozen=True)
-class LadderScale:
-    """One scale H = xi^j with its per-root-count prime buckets."""
-
-    j: int
-    H: float
-    side: str  # "fwd" for even j, "bwd" for odd j
-    buckets: dict[int, tuple[int, ...]]  # root count -> primes in (y/(xi H), y/H]
-
-
-@dataclass(frozen=True)
-class ScaleLadder:
-    scales: tuple[LadderScale, ...]
-
-    def side_scales(self, side: str) -> list[LadderScale]:
-        return [s for s in self.scales if s.side == side]
-
-
-def build_ladder(params: SieveParams, table: RootTable) -> ScaleLadder:
-    """Enumerate scales H = xi^j with 2y/x <= H <= y/(xi z) and their prime
-    buckets; empty whenever the scale window is empty (then shift selection
-    falls back to dense mode over all of (z, x/2])."""
-    y, z, xi, x = params.y, params.z, params.xi, params.x
-    scales = []
-    if z >= 1 and y / (xi * z) >= 2 * y / x:
-        j_lo = math.ceil(math.log(2 * y / x) / math.log(xi) - 1e-12)
-        j_hi = math.floor(math.log(y / (xi * z)) / math.log(xi) + 1e-12)
-        for j in range(j_lo, j_hi + 1):
-            h = xi**j
-            if h < 2 * y / x - 1e-12 or h > y / (xi * z) + 1e-12:
-                continue
-            lo, hi = y / (xi * h), y / h
-            assert lo >= z - 1e-9 and hi <= x / 2 + 1e-9
-            buckets: dict[int, list[int]] = {}
-            for q in table.usable_between(lo, hi):
-                buckets.setdefault(len(table.roots[q]), []).append(q)
-            scales.append(
-                LadderScale(
-                    j=j,
-                    H=h,
-                    side="fwd" if j % 2 == 0 else "bwd",
-                    buckets={k: tuple(v) for k, v in sorted(buckets.items())},
-                )
-            )
-    return ScaleLadder(tuple(scales))
-
-
 def backward_residues(residues: Mapping[int, int], n_mod: Mapping[int, int]) -> dict[int, int]:
     """Translate certificate residues to the backward offset frame: offset j
     in [-y, -1] is killed by q when (j - c_q) mod q is a root, with
@@ -212,14 +165,6 @@ def sample_small_residue(
     )
 
 
-def shift_range(params: SieveParams, side: str) -> tuple[int, int]:
-    """Inclusive shift bounds: forward (-(K+1)y, y], backward [-y, (K+1)y)."""
-    ky = int((params.K + 1) * params.y)
-    if side == "fwd":
-        return (-ky + 1, params.y)
-    return (-params.y, ky - 1)
-
-
 def target_residues(n_target: int, table: RootTable) -> dict[int, int]:
     """q -> N mod q for every usable prime of the table: the only form of N
     the sieve stages take. A construction reduces its N (thousands of
@@ -236,7 +181,8 @@ class CoverState:
     hitting backward offset bwd_lo + i (j = alpha - N - r mod q). Offsets
     with count zero are the survivors. Adding or removing one prime's class
     is nu strided slice updates per window. N enters only through n_mod,
-    the map q -> N mod q (see target_residues). One window-length attempt
+    the map q -> N mod q (see target_residues), which is read only while
+    the backward window is nonempty. One window-length attempt
     builds one state from its small-stage survivors; the medium stage
     assigns, re-picks and reads residuals on it.
 
@@ -246,7 +192,7 @@ class CoverState:
     keys over every survivor and root gives each residue's joint score.
     """
 
-    def __init__(self, table: RootTable, n_mod: Mapping[int, int], fwd_lo: int,
+    def __init__(self, table: RootTable, n_mod: Mapping[int, int] | None, fwd_lo: int,
                  fwd: np.ndarray, bwd_lo: int, bwd: np.ndarray):
         self.table = table
         self.n_mod = n_mod
@@ -259,11 +205,11 @@ class CoverState:
         table: RootTable,
         fwd: SurvivorSet,
         bwd: SurvivorSet | None,
-        n_mod: Mapping[int, int],
+        n_mod: Mapping[int, int] | None,
     ) -> "CoverState":
         """Start from survivor bitmaps; each killed offset counts once. With
         no backward bitmap the backward window is empty, so no count and no
-        score depends on n_mod."""
+        score reads n_mod, which may then be None."""
         f = (~fwd.bits).astype(np.int32)
         if bwd is None:
             return cls(table, n_mod, fwd.lo, f, 0, np.zeros(0, dtype=np.int32))
@@ -271,7 +217,7 @@ class CoverState:
 
     def add(self, q: int, r: int, count: int = 1) -> None:
         """Assign residue r to q (count -1 takes the assignment back)."""
-        nq = self.n_mod[q]
+        nq = self.n_mod[q] if self.bwd.size else 0
         for a in self.table.roots[q]:
             self.fwd[(r + a - self.fwd_lo) % q :: q] += count
             self.bwd[(a - nq - r - self.bwd_lo) % q :: q] += count
@@ -293,7 +239,7 @@ class CoverState:
         bi = (self.bwd == 0).nonzero()[0]
         # forward key o - alpha with o = fwd_lo + i; backward key
         # alpha - N - o with o = bwd_lo + i; one shift per root and window
-        c_bwd = -self.n_mod[q] - self.bwd_lo
+        c_bwd = -self.n_mod[q] - self.bwd_lo if bi.size else 0
         keys = np.concatenate(
             [fi + (self.fwd_lo - a) for a in alphas] + [(c_bwd + a) - bi for a in alphas]
         )
@@ -317,29 +263,43 @@ def select_shifts_greedy(state: CoverState, primes: Iterable[int]) -> dict[int, 
 
 
 def select_shifts_random(
-    ladder: ScaleLadder,
-    side: str,
-    rng: np.random.Generator,
     params: SieveParams,
-    n_mod: Mapping[int, int],
+    table: RootTable,
+    rng: np.random.Generator,
+    n_mod: Mapping[int, int] | None,
+    two_sided: bool = True,
 ) -> dict[int, int]:
-    """Sample one shift per bucket prime on the given side, uniformly over
-    the shift range, and return q -> the certificate residue it induces
-    (n mod q forward, -N - n mod q backward, N read from n_mod). The
-    paper's progression weight sigma2^(-count) is 1 for every shift, as
-    sigma2 = 1 at every supported scale (the small-stage boundary z sits
-    below H^M for every ladder scale). The range holds (K+2)*y - O(1)
-    shifts, so the paper's weight-sum condition around (K+2)*y always holds.
+    """Randomized medium stage over the scales H = xi^j with
+    2y/x <= H <= y/(xi z): each usable prime q in (y/(xi H), y/H] draws one
+    shift n, uniform over (-(K+1)y, y] on a forward scale (even j) or
+    [-y, (K+1)y) on a backward one (odd j), and takes the residue it
+    induces: n mod q forward, -N - n mod q backward (N read from n_mod,
+    which a one-sided run, having no backward scales, need not give). Draw
+    order: the forward scales, then the backward ones, each by ascending j;
+    within a scale by root count, then by size. Primes outside every scale
+    window stay unassigned.
+
+    The paper's progression weight sigma2^(-count) is 1 for every shift
+    (see the module docstring). The range holds (K+2)*y - O(1) shifts, so
+    the paper's weight-sum condition around (K+2)*y always holds.
     """
-    if side not in ("fwd", "bwd"):
-        raise ValueError("side must be fwd or bwd")
-    lo, hi = shift_range(params, side)
+    y, z, xi, x = params.y, params.z, params.xi, params.x
+    ky = int((params.K + 1) * y)
     out: dict[int, int] = {}
-    for scale in ladder.side_scales(side):
-        for nu in sorted(scale.buckets):
-            for q in scale.buckets[nu]:
+    if z < 1 or y / (xi * z) < 2 * y / x:
+        return out
+    j_lo = math.ceil(math.log(2 * y / x) / math.log(xi) - 1e-12)
+    j_hi = math.floor(math.log(y / (xi * z)) / math.log(xi) + 1e-12)
+    for side in (0, 1) if two_sided else (0,):
+        lo, hi = (-y, ky - 1) if side else (-ky + 1, y)
+        for j in range(j_lo, j_hi + 1):
+            h = xi**j
+            if j % 2 != side or not 2 * y / x - 1e-12 <= h <= y / (xi * z) + 1e-12:
+                continue
+            primes = table.usable_between(y / (xi * h), y / h)
+            for q in sorted(primes, key=lambda q: len(table.roots[q])):
                 n = int(rng.integers(lo, hi + 1))
-                out[q] = n % q if side == "fwd" else (-n_mod[q] - n) % q
+                out[q] = (-n_mod[q] - n) % q if side else n % q
     return out
 
 

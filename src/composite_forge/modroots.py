@@ -2,9 +2,9 @@
 
 For each prime p the table stores I_p, the sorted residues where B! * f
 vanishes mod p, with I_p = () whenever p <= B or p divides the leading
-coefficient (those primes are never used by the sieve). Production root
-finding is algebraic from SCAN_LIMIT on, one batch per table: a linear
-solve for degree 1, and for degree 2 the discriminant plus the row kernel
+coefficient (those primes are never used by the sieve). Every other prime
+goes through one algebraic route, one batch per table: a linear solve for
+degree 1, and for degree 2 the discriminant plus the row kernel
 `primes.sqrt_and_inverse_rows`, which takes the square roots and the
 inverses of 2 c_2 for a block of ROW_BLOCK primes in one Tonelli-Shanks
 pass. Beyond that the int64 kernel `gf_powmod_rows` computes X^p mod (f, p)
@@ -13,14 +13,12 @@ factors of degree 3 or more are split together by deterministic
 equal-degree splitting (Cantor-Zassenhaus with shifts a = 1, 2, ...), one
 batched (X + a)^((p-1)/2) per round and factor degree; the quadratic
 factors met on the way are solved together by the quadratic route at the
-end. `roots_mod_p` runs the same route on a one-prime batch. Primes below
-the cutoff use a vectorized exhaustive scan; the scan also serves as the
-independent cross-check route in the test suite.
+end. `roots_mod_p` runs the same route on a one-prime batch; the test
+suite cross-checks it against an exhaustive scan of every residue.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import math
 import os
@@ -42,31 +40,12 @@ from .gfpoly import gf_powmod  # noqa: F401  (bench/harness.py traces modroots.g
 from .poly import IntPolynomial
 from .primes import mod_rows, sieve_primes, sqrt_and_inverse_rows
 
-# primes below this are scanned exhaustively; at and above it the algebraic
-# path runs (and is cross-checked against an independent scan in the tests)
-SCAN_LIMIT = 64
-
 _CACHE_MAGIC = b"CFROOTS1"
 
 # primes per block of the quadratic route, the cache writer and the cache
 # reader: numpy temporaries and Python lists stay this long whatever the
 # table size
 ROW_BLOCK = 4096
-
-
-def _roots_scan(comp: tuple[int, ...], primes: list[int]) -> list[tuple[int, ...]]:
-    """Sorted roots of the companion mod each prime below SCAN_LIMIT, by
-    evaluating it at every residue of every prime in one (prime, residue)
-    array."""
-    ps = np.array(primes, dtype=np.int64)[:, None]
-    xs = np.arange(SCAN_LIMIT, dtype=np.int64)
-    acc = np.zeros((len(primes), SCAN_LIMIT), dtype=np.int64)
-    for c in reversed(comp):
-        acc = (acc * xs + mod_rows(c, ps)) % ps
-    out: list[list[int]] = [[] for _ in primes]
-    for i, r in zip(*(v.tolist() for v in np.nonzero((acc == 0) & (xs < ps)))):
-        out[i].append(r)
-    return [tuple(r) for r in out]
 
 
 def _quad_rows(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, p: np.ndarray) -> list[tuple[int, ...]]:
@@ -85,8 +64,8 @@ def _quad_rows(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, p: np.ndarray) ->
 
 def _roots_algebraic(comp: tuple[int, ...], primes: list[int]) -> list[tuple[int, ...]]:
     """Sorted root sets of the companion mod each prime p in `primes`; every
-    p is at least SCAN_LIMIT, exceeds the degree and does not divide the
-    leading coefficient, so the reduction keeps the full degree."""
+    p exceeds the degree and does not divide the leading coefficient, so
+    the reduction keeps the full degree."""
     d = len(comp) - 1
     if d == 1:
         return [((-comp[0] * pow(comp[1], -1, p)) % p,) for p in primes]
@@ -160,13 +139,12 @@ def roots_mod_p(f: IntPolynomial, p: int) -> tuple[int, ...]:
     """Sorted residues r with (B! * f)(r) = 0 mod p.
 
     Empty for p <= degree or p dividing the leading coefficient: those
-    primes carry no usable congruence information for the sieve. Both
-    routes are the table builder's, run on a one-prime batch.
+    primes carry no usable congruence information for the sieve. The
+    route is the table builder's, run on a one-prime batch.
     """
     if p <= f.degree or f.leading % p == 0:
         return ()
-    route = _roots_scan if p < SCAN_LIMIT else _roots_algebraic
-    return route(f.companion(), [p])[0]
+    return _roots_algebraic(f.companion(), [p])[0]
 
 
 @dataclass
@@ -192,10 +170,10 @@ class RootTable:
     def usable_between(self, lo: int | float, hi: int | float) -> list[int]:
         return [q for q in self.primes_between(lo, hi) if self.roots[q]]
 
-    def density_product(self, hi: int | float, lo: int | float = 0) -> float:
-        """prod over primes lo < q <= hi of (1 - nu_q / q)."""
+    def density_product(self, hi: int | float) -> float:
+        """prod over primes q <= hi of (1 - nu_q / q)."""
         out = 1.0
-        for q in self.primes_between(lo, hi):
+        for q in self.primes_between(0, hi):
             k = len(self.roots[q])
             if k:
                 out *= 1.0 - k / q
@@ -285,15 +263,11 @@ def build_root_table(f: IntPolynomial, limit: int, cache_dir: str | None = None)
         cached = _read_cache(path, f, limit)
         if cached is not None and len(cached) == len(primes):
             return RootTable(f, limit, primes, cached)
-    comp, lead, degree = f.companion(), f.leading, f.degree
     roots: dict[int, tuple[int, ...]] = dict.fromkeys(primes.tolist(), ())
     # p <= degree and p dividing the leading coefficient keep I_p = ();
-    # the others go in one scan batch below SCAN_LIMIT, one algebraic above
-    batch = [p for p in roots if p > degree and lead % p]
-    scan = batch[: bisect.bisect_left(batch, SCAN_LIMIT)]
-    del batch[: len(scan)]
-    roots.update(zip(scan, _roots_scan(comp, scan)))
-    roots.update(zip(batch, _roots_algebraic(comp, batch)))
+    # the others go in one algebraic batch
+    batch = [p for p in roots if p > f.degree and f.leading % p]
+    roots.update(zip(batch, _roots_algebraic(f.companion(), batch)))
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         _write_cache(_cache_path(cache_dir, f, limit), f, limit, primes, roots)

@@ -58,12 +58,12 @@ def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
     return False
 
 
-def is_prime(n: int, rounds: int = 64) -> bool:
+def is_prime(n: int) -> bool:
     """Primality test.
 
     Deterministic (fixed witness set) below ~3.3e24; above that it falls back
-    to `rounds` Miller-Rabin rounds with bases drawn from a PRNG seeded by n,
-    so repeated calls agree.
+    to 64 Miller-Rabin rounds with bases drawn from a PRNG seeded by n, so
+    repeated calls agree.
     """
     if n < 2:
         return False
@@ -79,7 +79,7 @@ def is_prime(n: int, rounds: int = 64) -> bool:
         bases = _MR_WITNESSES
     else:
         rng = random.Random(n)
-        bases = [rng.randrange(2, n - 1) for _ in range(rounds)]
+        bases = [rng.randrange(2, n - 1) for _ in range(64)]
     return all(_mr_witness(n, a, d, s) for a in bases)
 
 

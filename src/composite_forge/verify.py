@@ -33,15 +33,6 @@ from .sievecore import MissingResidueError, sieve_survivors
 VERIFY_SAMPLE_STREAM = 11
 
 
-@dataclass(frozen=True)
-class Witness:
-    """q divides f(n) and 1 < q < |f(n)|, so f(n) is composite."""
-
-    n: int
-    q: int
-    alpha: int
-
-
 @dataclass
 class VerifyReport:
     valid: bool
@@ -49,7 +40,6 @@ class VerifyReport:
     checked: int
     failures: list[int] = field(default_factory=list)
     messages: list[str] = field(default_factory=list)
-    witnesses: list[Witness] = field(default_factory=list)
     # prime q -> number of checked values whose smallest witness is q
     witness_primes: Counter[int] = field(default_factory=Counter)
 
@@ -73,10 +63,11 @@ def find_witness(
     comp: tuple[int, ...],
     f: IntPolynomial,
     degree: int,
-) -> list[Witness | None]:
-    """Witness for each n = base + k, k in offsets (distinct, all k >= 0):
-    the smallest prime q > degree (primes ascending) with q | f(n) and
-    |f(n)| > q, or None when no listed prime works.
+) -> list[int | None]:
+    """Witnessing prime for each n = base + k, k in offsets (distinct, all
+    k >= 0): the smallest prime q > degree (primes ascending) with q | f(n)
+    and |f(n)| > q, so that f(n) is composite, or None when no listed prime
+    works.
 
     Each prime costs one big-int reduction s = base mod q; an offset is a
     hit when (s + k) mod q is a root r of the companion B!*f mod q, which
@@ -91,7 +82,7 @@ def find_witness(
     otherwise |f(n)| > q is checked exactly per hit. A hit failing it has
     no witness at all, as every later prime is larger still.
     """
-    out: list[Witness | None] = [None] * len(offsets)
+    out: list[int | None] = [None] * len(offsets)
     q_max = max((q for q, roots in primes_with_roots if q > degree and roots), default=0)
     size_ok = base >= 1 and comp[-1] * base - sum(map(abs, comp[:-1])) > (
         math.factorial(degree) * q_max
@@ -113,9 +104,8 @@ def find_witness(
             hits = [k for r in good for k in range((r - s) % q, span, q) if k in open_]
         for k in hits:
             i = open_.pop(k)
-            n = base + k
-            if size_ok or abs(f.eval(n)) > q:
-                out[i] = Witness(n, q, (s + k) % q)
+            if size_ok or abs(f.eval(base + k)) > q:
+                out[i] = q
     return out
 
 
@@ -261,14 +251,12 @@ def verify_certificate(
         groups = _window_groups(sorted(targets), windows)
 
     for base, offsets in groups:
-        for k, w in zip(offsets, find_witness(base, offsets, consistent, comp, f, degree)):
+        for k, q in zip(offsets, find_witness(base, offsets, consistent, comp, f, degree)):
             report.checked += 1
-            if w is None:
+            if q is None:
                 report.failures.append(base + k)
-                continue
-            report.witness_primes[w.q] += 1
-            if len(report.witnesses) < 32:
-                report.witnesses.append(w)
+            else:
+                report.witness_primes[q] += 1
     report.failures.sort()
     report.valid = not report.failures and not report.messages
     return report

@@ -125,6 +125,21 @@ class TestPlacement:
         assert auto_target(1) == 1
         assert auto_target(10) == 10**3
 
+    def test_auto_target_matches_digit_loop(self):
+        # the power of ten sized from bit_length against the loop it replaced
+        def by_loop(modulus):
+            n = 1
+            while n < modulus**3:
+                n *= 10
+            return n
+
+        rng = np.random.default_rng(10)
+        moduli = [1, 10, 15, 210]
+        moduli += [10**k + d for k in range(40) for d in (-1, 0, 1) if 10**k + d > 0]
+        moduli += [int(rng.integers(1, 2**62)) ** int(rng.integers(1, 40)) for _ in range(200)]
+        for m in moduli:
+            assert auto_target(m) == by_loop(m), m
+
     def test_hand_case(self):
         pl = place(7, 15, 10**6, 30)
         assert pl.b1 == -200003
@@ -147,10 +162,6 @@ class TestPlacement:
         pl = place(7, 15, 10**6, 30)
         assert pl.b1 + 15 > -((10**6 + 4) // 5)
         assert pl.b1 >= -((3 * 10**6) // 10)
-
-    def test_rejects_oversized_modulus(self):
-        with pytest.raises(ConstructionError):
-            place(1, 101, 10**6, 10)  # 101^3 > 10^6
 
     def test_centers_split_target(self):
         for b, P, N, y in [(3, 35, 10**6, 20), (11, 105, 10**9, 101)]:
@@ -179,7 +190,7 @@ class TestPlacement:
 
     def test_json_round_trip(self):
         pl = place(209, 210, 10**7, 4)
-        again = Placement.from_json(json.loads(json.dumps(pl.to_json())))
+        again = Placement.from_json(json.loads(json.dumps(pl.to_json())), 8)
         assert again == pl
         assert isinstance(pl.to_json()["N"], str)
 
@@ -339,8 +350,9 @@ class TestConstructCertificate:
             f_x2p1, SieveParams(x=300), seed=7, two_sided=two_sided, cache_dir=cache_dir
         )
         assert len(stats.extras["attempts"]) > 1
+        # a one-sided construction builds no N, so it reduces none
         usable = sorted(q for st in cert.stages for q, _ in st.assignments)
-        assert reductions == Counter(usable)
+        assert reductions == (Counter(usable) if two_sided else Counter())
         assert not negations
 
     @pytest.mark.parametrize("mode", ["greedy", "random"])
@@ -378,14 +390,16 @@ class TestConstructCertificate:
 
     @pytest.mark.parametrize("coeffs", [[0, 1], [1, 0, 1], [2, 0, 0, 1]])
     def test_one_sided_bytes_ignore_target(self, cache_dir, coeffs):
-        # a one-sided certificate records no N, so N must not steer it
+        # a one-sided certificate records no N, so N must not steer it, nor
+        # be checked: 12345 is below modulus^3 and 10**399 beyond the digit
+        # bound, which only a two-sided construction refuses
         f = IntPolynomial.from_monomial(coeffs)
         digests = {
             construct_certificate(
                 f, SieveParams(x=300), seed=7, two_sided=False, n_target=n,
                 cache_dir=cache_dir,
             )[0].to_json_bytes()
-            for n in (None, 10**390, 10**398 - 1)
+            for n in (None, 10**390, 10**398 - 1, 12345, 10**399)
         }
         assert len(digests) == 1
 
@@ -434,10 +448,11 @@ class TestConstructCertificate:
         assert again.placement.N == 10**398
 
     def test_one_sided_has_no_placement(self, f_x, cache_dir):
-        cert, _ = construct_certificate(
+        cert, stats = construct_certificate(
             f_x, SieveParams(x=300), seed=7, two_sided=False, cache_dir=cache_dir
         )
         assert cert.placement is None
+        assert not {"n_digits", "m_formula", "m_larger"} & set(stats.extras)
         report = verify_certificate(cert, deep=True)
         assert report.valid
         assert report.checked == cert.params.y

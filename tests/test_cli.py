@@ -114,6 +114,17 @@ class TestConstruct:
         assert "explicit N is smaller than modulus^3" in r.stderr
         assert not (tmp_path / "no.json").exists()
 
+    def test_one_sided_ignores_explicit_target(self, tmp_path):
+        # a one-sided certificate carries no N, so --N is neither checked
+        # nor used, and the summary line names no N
+        base = ("construct", "--poly", "poly:[0,1]", "--x", "300", "--no-two-sided")
+        a = run_cli(*base, "--out", "a.json", cwd=tmp_path)
+        b = run_cli(*base, "--N", "12345", "--out", "b.json", cwd=tmp_path)
+        assert a.returncode == b.returncode == 0, b.stderr
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        assert "one-sided" in a.stdout and "N has" not in a.stdout
+        assert a.stdout.replace("a.json", "b.json") == b.stdout
+
     def test_missing_subcommand(self, tmp_path):
         r = run_cli(cwd=tmp_path)
         assert r.returncode == USAGE

@@ -1,5 +1,6 @@
-"""Parameter formulas, the scale ladder, small-prime residue sampling, shift
-selection (greedy and randomized), refinement, and the cover-count engine."""
+"""Parameter formulas, small-prime residue sampling, shift selection (greedy,
+and randomized against the scale-ladder walk it replaced), refinement, and
+the cover-count engine."""
 
 import math
 
@@ -15,14 +16,13 @@ from composite_forge.cover import (
     RetryBudgetError,
     SieveParams,
     backward_residues,
-    build_ladder,
     refine_residues,
     sample_small_residue,
     select_shifts_greedy,
     select_shifts_random,
-    shift_range,
     target_residues,
 )
+from composite_forge.poly import IntPolynomial
 from composite_forge.sievecore import SurvivorSet, sieve_survivors
 
 
@@ -123,17 +123,85 @@ class TestSieveParams:
             SieveParams.from_json(obj)
 
 
+# Reference oracle: the scale ladder that the randomized medium stage used
+# to build and then walk (its dataclasses flattened to tuples), kept as the
+# draw-order oracle.
+
+
+def build_ladder(params, table):
+    """[(j, H, side, {root count: primes in (y/(xi H), y/H]})] for the
+    scales H = xi^j with 2y/x <= H <= y/(xi z), ascending j."""
+    y, z, xi, x = params.y, params.z, params.xi, params.x
+    scales = []
+    if z >= 1 and y / (xi * z) >= 2 * y / x:
+        j_lo = math.ceil(math.log(2 * y / x) / math.log(xi) - 1e-12)
+        j_hi = math.floor(math.log(y / (xi * z)) / math.log(xi) + 1e-12)
+        for j in range(j_lo, j_hi + 1):
+            h = xi**j
+            if h < 2 * y / x - 1e-12 or h > y / (xi * z) + 1e-12:
+                continue
+            lo, hi = y / (xi * h), y / h
+            assert lo >= z - 1e-9 and hi <= x / 2 + 1e-9
+            buckets = {}
+            for q in table.usable_between(lo, hi):
+                buckets.setdefault(len(table.roots[q]), []).append(q)
+            side = "fwd" if j % 2 == 0 else "bwd"
+            scales.append((j, h, side, {k: tuple(v) for k, v in sorted(buckets.items())}))
+    return scales
+
+
+def shift_range(params, side):
+    """Inclusive shift bounds: forward (-(K+1)y, y], backward [-y, (K+1)y)."""
+    ky = int((params.K + 1) * params.y)
+    if side == "fwd":
+        return (-ky + 1, params.y)
+    return (-params.y, ky - 1)
+
+
+def drawn_shifts(ladder, side, rng, params):
+    """q -> the shift the ladder walk draws for q on one side, in draw
+    order."""
+    lo, hi = shift_range(params, side)
+    return {
+        q: int(rng.integers(lo, hi + 1))
+        for _, _, s, buckets in ladder
+        if s == side
+        for nu in sorted(buckets)
+        for q in buckets[nu]
+    }
+
+
+def select_shifts_random_int(params, table, rng, n_target, two_sided=True):
+    """The ladder walk with N itself: forward scales, then backward ones,
+    from one stream."""
+    ladder = build_ladder(params, table)
+    out = {q: n % q for q, n in drawn_shifts(ladder, "fwd", rng, params).items()}
+    if two_sided:
+        for q, n in drawn_shifts(ladder, "bwd", rng, params).items():
+            out[q] = (-n_target - n) % q
+    return out
+
+
 class TestLadder:
     def test_frozen_shape_at_1e4(self, f_x, cache_dir):
         from composite_forge.modroots import build_root_table
 
         # prime counts per scale window checked against a prime-pi table
         table = build_root_table(f_x, 10**4, cache_dir=cache_dir)
-        ladder = build_ladder(SieveParams(x=10**4), table)
-        assert [s.H for s in ladder.scales] == [8, 16, 32, 64]
-        assert [s.side for s in ladder.scales] == ["bwd", "fwd", "bwd", "fwd"]
-        sizes = [sum(len(v) for v in s.buckets.values()) for s in ladder.scales]
+        params = SieveParams(x=10**4)
+        ladder = build_ladder(params, table)
+        assert [h for _, h, _, _ in ladder] == [8, 16, 32, 64]
+        assert [side for _, _, side, _ in ladder] == ["bwd", "fwd", "bwd", "fwd"]
+        sizes = [sum(len(v) for v in buckets.values()) for *_, buckets in ladder]
         assert sizes == [237, 129, 70, 40]
+        # the random stage draws for exactly these 476 primes, forward first
+        n_mod = target_residues(N60, table)
+        out = select_shifts_random(params, table, stage_rng(3, 2, 0), n_mod)
+        assert len(out) == 476
+        fwd_primes = {
+            q for _, _, side, b in ladder if side == "fwd" for qs in b.values() for q in qs
+        }
+        assert set(list(out)[: len(fwd_primes)]) == fwd_primes
 
     def test_buckets_live_in_their_scale_windows(self, table_x2p1_2000):
         # scale windows tile only part of (z, x/2]; primes outside every
@@ -142,15 +210,18 @@ class TestLadder:
         y, xi = params.y, params.xi
         ladder = build_ladder(params, table_x2p1_2000)
         seen = []
-        for s in ladder.scales:
-            for nu, qs in s.buckets.items():
+        for _, h, _, buckets in ladder:
+            for nu, qs in buckets.items():
                 for q in qs:
-                    assert y / (xi * s.H) < q <= y / s.H
+                    assert y / (xi * h) < q <= y / h
                     assert params.z < q <= params.x / 2
                     assert len(table_x2p1_2000.roots[q]) == nu
                 seen.extend(qs)
         assert len(set(seen)) == len(seen)
         assert set(seen) <= set(table_x2p1_2000.usable_between(params.z, 1000))
+        n_mod = target_residues(N60, table_x2p1_2000)
+        out = select_shifts_random(params, table_x2p1_2000, stage_rng(4, 2, 0), n_mod)
+        assert set(out) == set(seen)
 
 
 class TestSmallStage:
@@ -218,8 +289,8 @@ class TestBackwardResidues:
                 assert killed == ((N + r + j) % q in roots)
 
 
-def one_sided(table, fwd, n_target=0):
-    return CoverState.from_survivors(table, fwd, None, target_residues(n_target, table))
+def one_sided(table, fwd):
+    return CoverState.from_survivors(table, fwd, None, None)
 
 
 class TestGreedySelection:
@@ -277,58 +348,62 @@ class TestGreedySelection:
         med = table_x2p1_2000.usable_between(params.z, 1000)
         greedy = one_sided(table_x2p1_2000, fwd)
         select_shifts_greedy(greedy, med)
-        # random mode leaves the medium primes outside every ladder window
+        # random mode leaves the medium primes outside every scale window
         # unassigned; its residual is the small stage's less the sampled classes
-        ladder = build_ladder(params, table_x2p1_2000)
         rnd = one_sided(table_x2p1_2000, fwd)
-        n_mod = target_residues(N60, table_x2p1_2000)
-        drawn = select_shifts_random(ladder, "fwd", stage_rng(5, 2, 0), params, n_mod)
+        drawn = select_shifts_random(params, table_x2p1_2000, stage_rng(5, 2, 0), None, False)
         for q, r in drawn.items():
             rnd.add(q, r)
         assert len(greedy.survivors_fwd()) <= len(rnd.survivors_fwd())
 
 
-def drawn_shifts(ladder, side, rng, params):
-    """q -> the shift select_shifts_random draws for q from this stream."""
-    lo, hi = shift_range(params, side)
-    return {
-        q: int(rng.integers(lo, hi + 1))
-        for s in ladder.side_scales(side)
-        for nu in sorted(s.buckets)
-        for q in s.buckets[nu]
-    }
-
-
 class TestRandomSelection:
     def test_one_choice_per_bucket_prime(self, table_x2p1_2000):
+        # one-sided: forward scales only, and no target residues to read
         params = SieveParams(x=2000)
         ladder = build_ladder(params, table_x2p1_2000)
-        n_mod = target_residues(N60, table_x2p1_2000)
-        out = select_shifts_random(ladder, "fwd", stage_rng(9, 2, 0), params, n_mod)
-        fwd_primes = [q for s in ladder.side_scales("fwd") for qs in s.buckets.values() for q in qs]
-        assert sorted(out) == sorted(fwd_primes)
+        out = select_shifts_random(params, table_x2p1_2000, stage_rng(9, 2, 0), None, False)
+        shifts = drawn_shifts(ladder, "fwd", stage_rng(9, 2, 0), params)
+        assert list(out) == list(shifts)
         lo, hi = shift_range(params, "fwd")
-        for q, n in drawn_shifts(ladder, "fwd", stage_rng(9, 2, 0), params).items():
+        for q, n in shifts.items():
             assert 0 <= out[q] < q
             assert lo <= n <= hi
             assert out[q] == n % q
 
     def test_backward_residue_convention(self, table_x2p1_2000):
+        # the backward scales draw after the forward ones, from one stream
         params = SieveParams(x=2000)
         ladder = build_ladder(params, table_x2p1_2000)
         n_mod = target_residues(N60, table_x2p1_2000)
-        out = select_shifts_random(ladder, "bwd", stage_rng(9, 2, 1), params, n_mod)
-        shifts = drawn_shifts(ladder, "bwd", stage_rng(9, 2, 1), params)
-        assert sorted(out) == sorted(shifts)
+        out = select_shifts_random(params, table_x2p1_2000, stage_rng(9, 2, 1), n_mod)
+        rng = stage_rng(9, 2, 1)
+        fwd = drawn_shifts(ladder, "fwd", rng, params)
+        shifts = drawn_shifts(ladder, "bwd", rng, params)
+        assert list(out) == list(fwd) + list(shifts)
+        lo, hi = shift_range(params, "bwd")
         for q, n in shifts.items():
+            assert lo <= n <= hi
             assert out[q] == (-N60 - n) % q
 
+    @pytest.mark.parametrize("x", [100, 300, 1000, 2000, 10**4])
+    @pytest.mark.parametrize("two_sided", [True, False])
+    def test_matches_ladder_walk(self, f_x, f_x2p1, cache_dir, x, two_sided):
+        from composite_forge.modroots import build_root_table
 
-    def test_rejects_bad_side(self, table_x2p1_100):
-        params = SieveParams(x=100)
-        ladder = build_ladder(params, table_x2p1_100)
-        with pytest.raises(ValueError):
-            select_shifts_random(ladder, "both", stage_rng(0, 2, 0), params, {})
+        # x^3 + 2 has one or three roots mod a prime, so its scales sort
+        # their primes by root count before size
+        for f in (f_x, f_x2p1, IntPolynomial.from_monomial([2, 0, 0, 1])):
+            table = build_root_table(f, x, cache_dir=cache_dir)
+            n_target = 10**200 + 7
+            n_mod = target_residues(n_target, table) if two_sided else None
+            for y in (None, 40, 97):
+                params = SieveParams(x=x, y_override=y)
+                got = select_shifts_random(params, table, stage_rng(x, 2, 5), n_mod, two_sided)
+                want = select_shifts_random_int(
+                    params, table, stage_rng(x, 2, 5), n_target, two_sided
+                )
+                assert list(got.items()) == list(want.items())
 
 
 class TestResidualCheck:
@@ -432,17 +507,6 @@ def pairing_stage_int(residual_fwd, residual_bwd, table, x, n_target):
         alpha = table.roots[q][0]
         out_b[q] = (-n_target - a + alpha) % q
     return out_f, out_b
-
-
-def select_shifts_random_int(ladder, side, rng, params, n_target):
-    lo, hi = shift_range(params, side)
-    out = {}
-    for scale in ladder.side_scales(side):
-        for nu in sorted(scale.buckets):
-            for q in scale.buckets[nu]:
-                n = int(rng.integers(lo, hi + 1))
-                out[q] = n % q if side == "fwd" else (-n_target - n) % q
-    return out
 
 
 def covered_mask_bwd(pos, q, r, alphas, n_target):
@@ -607,13 +671,8 @@ class TestCoverState:
         else:
             assert pairing_stage(fwd, bwd, table, x, n_mod) == expect
 
-        ladder = build_ladder(params, table)
-        for side in ("fwd", "bwd"):
-            got = select_shifts_random(ladder, side, stage_rng(draw_seed, 2), params, n_mod)
-            expect = select_shifts_random_int(
-                ladder, side, stage_rng(draw_seed, 2), params, n_target
-            )
-            assert got == expect
+        got = select_shifts_random(params, table, stage_rng(draw_seed, 2), n_mod)
+        assert got == select_shifts_random_int(params, table, stage_rng(draw_seed, 2), n_target)
 
     def test_add_then_remove_restores_counts(self, table_x2p1_100):
         n_mod = target_residues(10**80 + 3, table_x2p1_100)
@@ -721,13 +780,18 @@ class TestFusedScorer:
         assert state.best_residue(q) == min(k_f, k_b)
 
     def test_one_sided_state_ignores_target(self, table_x2p1_2000):
+        # a one-sided state has no target residues at all: scoring, adding
+        # and removing never read them
         fwd = full_window(-20, 700)
         fwd.bits[::3] = False
-        for n_target in (0, 10**1500 + 11):
-            state = one_sided(table_x2p1_2000, fwd, n_target)
-            assert state.bwd.size == 0
-            for q in table_x2p1_2000.usable_between(100, 400):
-                expect = oracle_best_residue(
-                    q, table_x2p1_2000.roots[q], -20, state.fwd, 0, state.bwd, 0
-                )
-                assert state.best_residue(q) == expect
+        state = one_sided(table_x2p1_2000, fwd)
+        assert state.bwd.size == 0 and state.n_mod is None
+        before = state.fwd.copy()
+        for q in table_x2p1_2000.usable_between(100, 400):
+            expect = oracle_best_residue(
+                q, table_x2p1_2000.roots[q], -20, state.fwd, 0, state.bwd, 0
+            )
+            assert state.best_residue(q) == expect
+            state.add(q, expect)
+            state.remove(q, expect)
+        assert np.array_equal(state.fwd, before)

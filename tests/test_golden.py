@@ -12,8 +12,10 @@ one-sided digests were re-recorded when each window-length attempt came to
 build one cover state: refinement used to score a backward window built
 from N, which a one-sided certificate neither covers nor records, and now
 scores only the forward window, so those certificates changed (and no
-longer depend on N). A change that moves one of them changes the
-certificate format or the construction, and must say so.
+longer depend on N). The random one-sided digests were recorded before the
+randomized medium stage stopped building a scale-ladder object and came to
+walk its scales itself, in the same draw order. A change that moves one of
+them changes the certificate format or the construction, and must say so.
 
 Run as a script (`PYTHONPATH=src python tests/test_golden.py`) to print the
 current digest of every case, ready to paste over GOLDEN when a change moves
@@ -51,6 +53,12 @@ GOLDEN = {
     ("x", 8, "random"): "7a6c269ff59c8bb037da2420c6649962c2d8017516c175572c5eca92a37bf63e",
     ("x^2+1", 8, "random"): "e1416236a1fdebf11d5cac7312c3b594582f9b00da47115bd17ad1417075fdfb",
     ("x^3+2", 8, "random"): "64804910738ec20f5185c029fb09ce6bd4b3dee5e4e39adfcdc0f2896aeea2ae",
+    ("x", 7, "random-one-sided"): "fdc0136dd214ab4c96a7c4b8dd8ea833f0bd3f928043581b45fdb70bf42d5926",
+    ("x^2+1", 7, "random-one-sided"): "df0505a068016c81be15bd25987296a68061d7dcab2d13f0cacafc890e331ac0",
+    ("x^3+2", 7, "random-one-sided"): "ac5bb35661bfb9594bb1468e181beab0b3f89dcfe0de89dd6000b570088bb238",
+    ("x", 8, "random-one-sided"): "f874e4d377e492b5f19cbe2ad3fff514d2a96708fc6ac67bc2819ecb44c35a7b",
+    ("x^2+1", 8, "random-one-sided"): "78694a2637dea7f3b2246c2e0724c21fba551c242baf6f38d186236ce3d7b335",
+    ("x^3+2", 8, "random-one-sided"): "3d741cf7093ccfc3ce42c4a2f9dacef0f983af6e690caff65601639f9530acee",
     ("x", 7, "x=1000"): "a4af46cc1fa6249568fd4a90e0d7677b5a8bb161934e7897329fa085aff6ccde",
     ("x^2+1", 7, "x=1000"): "250abb71c744d17c336547ec6abed10fac4d567a46bc23835bbcb29ab0df90c8",
     ("x^3+2", 7, "x=1000"): "23e9b6a24fcc1aac23233b8050925fa716dea8f2e78fbdf64cb2012fc8e7a2d0",
@@ -59,6 +67,7 @@ GOLDEN = {
 VARIANTS = {
     "one-sided": (300, {"two_sided": False}),
     "random": (300, {"mode": "random"}),
+    "random-one-sided": (300, {"mode": "random", "two_sided": False}),
     "x=1000": (1000, {}),
 }
 

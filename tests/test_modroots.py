@@ -1,4 +1,4 @@
-"""Root tables: dual-route root finding against an exhaustive oracle, the
+"""Root tables: the algebraic root finder against an exhaustive oracle, the
 batched Frobenius kernel and root finder and the row square-root kernel
 against the per-prime routes they replaced, the prime-indexed accessors,
 the binary cache, density statistics, and residue collision counts."""
@@ -25,7 +25,6 @@ from composite_forge.gfpoly import (
     gf_sub,
 )
 from composite_forge.modroots import (
-    SCAN_LIMIT,
     RootTable,
     _cache_path,
     _read_cache,
@@ -81,21 +80,27 @@ class TestRootsModP:
         assert roots_mod_p(g, 3) == ()
 
     @pytest.mark.parametrize(
-        "mono", [[0, 1], [1, 0, 1], [2, 0, 0, 1], [1, 2, 3, 0, 4]]
+        "mono",
+        [
+            [0, 1], [1, 0, 1], [2, 0, 0, 1], [1, 2, 3, 0, 4],
+            [3, 3, 0, 0, 0, 1], [2, 0, 0, 0, 0, 0, 1],
+        ],
     )
     def test_both_routes_match_oracle(self, mono):
-        # primes straddling SCAN_LIMIT exercise the scan and algebraic paths
+        # the per-prime route and the table, from the first prime above the
+        # degree on (the ones at or below it have no roots by definition)
         f = IntPolynomial.from_monomial(mono)
-        for p in map(int, sieve_primes(500)):
-            assert roots_mod_p(f, p) == oracle_roots(f, p), (mono, p)
-
-    def test_scan_limit_is_a_route_boundary(self):
-        assert any(int(p) > SCAN_LIMIT for p in sieve_primes(500))
-        assert any(int(p) <= SCAN_LIMIT for p in sieve_primes(500))
+        table = build_root_table(f, 500)
+        primes = [int(p) for p in sieve_primes(500) if p > f.degree]
+        assert primes[0] == next(p for p in (2, 3, 5, 7) if p > f.degree)
+        for p in primes:
+            want = oracle_roots(f, p)
+            assert roots_mod_p(f, p) == want, (mono, p)
+            assert table.roots[p] == want, (mono, p)
 
     @given(
         st.lists(st.integers(-30, 30), min_size=2, max_size=5),
-        st.sampled_from([61, 67, 71, 73, 79, 83, 89, 97, 101, 103]),
+        st.sampled_from([2, 3, 5, 7, 11, 13, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103]),
     )
     @settings(max_examples=150, deadline=None)
     def test_algebraic_route_random_polys(self, binom, p):
@@ -215,8 +220,9 @@ def legacy_roots_algebraic(comp: tuple[int, ...], p: int) -> tuple[int, ...]:
     return tuple(sorted(_split_linear_factors(g, p)))
 
 
-# primes from SCAN_LIMIT to 3000, the batch route's domain in the tests
-BATCH_PRIMES = [int(p) for p in sieve_primes(3000) if p >= SCAN_LIMIT]
+# primes from 7 to 3000: every prime above the degree (at most 6) of the
+# batch cases
+BATCH_PRIMES = [int(p) for p in sieve_primes(3000) if p >= 7]
 # the largest primes below ROW_PRIME_BOUND, where int64 exactness is tight
 TOP_PRIMES = [2147483647, 2147483629, 2147483587]
 
@@ -406,8 +412,8 @@ class TestBatchedRoute:
         comp = f.companion()
         table = build_root_table(f, 3 * 10**4)
         for p in map(int, table.primes):
-            if p < SCAN_LIMIT or p <= f.degree or f.leading % p == 0:
-                want = roots_mod_p(f, p)
+            if p <= f.degree or f.leading % p == 0:
+                want = ()
             else:
                 want = legacy_roots_algebraic(comp, p)
             assert table.roots[p] == want, p

@@ -24,7 +24,6 @@ from composite_forge.verify import (
     CoveringSimConfig,
     RunRecord,
     VerifyReport,
-    Witness,
     covering_lemma_sim,
     find_witness,
     oracle_longest_run,
@@ -45,17 +44,26 @@ class TestVerifyToyCertificate:
         assert report.valid
         assert report.checked == 8  # both windows of length 4
         assert report.failures == [] and report.messages == []
-        for w in report.witnesses:
-            assert w.q in {2, 3, 5, 7}
+        assert set(report.witness_primes) <= {2, 3, 5, 7}
 
-    def test_witnesses_divide_values(self):
+    def test_witnesses_divide_values(self, monkeypatch):
+        # every prime find_witness returns divides its value and is smaller
+        witnessed: list[tuple[int, int]] = []
+        inner = verify_mod.find_witness
+
+        def recording(base, offsets, *args):
+            qs = inner(base, offsets, *args)
+            witnessed.extend((base + k, q) for k, q in zip(offsets, qs))
+            return qs
+
+        monkeypatch.setattr(verify_mod, "find_witness", recording)
         report = verify_certificate(toy_certificate(), deep=True)
         f = IntPolynomial.from_monomial([0, 1])
-        assert len(report.witnesses) == 8
-        for w in report.witnesses:
-            v = f.eval(w.n)
-            assert v % w.q == 0
-            assert 1 < w.q < abs(v)
+        assert report.valid and len(witnessed) == 8
+        for n, q in witnessed:
+            v = f.eval(n)
+            assert v % q == 0
+            assert 1 < q < abs(v)
 
     def test_fast_mode_subset(self):
         report = verify_certificate(toy_certificate(), deep=False)
@@ -275,7 +283,7 @@ def find_witness_per_n(
     comp: tuple[int, ...],
     f: IntPolynomial,
     degree: int,
-) -> Witness | None:
+) -> int | None:
     """Smallest assigned prime dividing the companion value at n with the
     size condition |f(n)| > q; None when no assigned prime works."""
     fn = None
@@ -290,7 +298,7 @@ def find_witness_per_n(
         if fn is None:
             fn = abs(f.eval(n))
         if fn > q:
-            return Witness(n, q, alpha)
+            return q
     return None
 
 
@@ -479,7 +487,7 @@ class TestWindowWitnessSearch:
             if n == 1 or all(n % q for q in range(2, n)):
                 assert w is None
             else:
-                assert w == Witness(n, min(q for q in range(2, n) if n % q == 0), 0)
+                assert w == min(q for q in range(2, n) if n % q == 0)
 
     @pytest.mark.parametrize("deep", [True, False])
     @pytest.mark.parametrize("tamper", sorted(TAMPERS))
@@ -497,7 +505,6 @@ class TestWindowWitnessSearch:
         want = verify_certificate(cert, deep=deep, seed=7)
         assert seen == per_n_targets(cert, deep, 7)
         assert got.to_json_dict() == want.to_json_dict()
-        assert got.witnesses == want.witnesses
         assert got.witness_primes == want.witness_primes
         assert got.valid == (tamper == "none")
 
