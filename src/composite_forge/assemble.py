@@ -16,7 +16,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -107,6 +107,107 @@ def pairing_stage(
         alpha = table.roots[q][0]
         out_b[q] = (-n_mod[q] - a + alpha) % q
     return out_f, out_b
+
+
+# The window-length search (search_window_length): the attempts after which
+# a feasible length in hand ends it, the feasible-infeasible bracket, relative
+# to y, that ends it sooner, the log-log slope of the residual against y
+# assumed until two attempts measure one, and the most one step before the
+# bracket may scale y by.
+SEARCH_ATTEMPTS = 6
+SEARCH_TOLERANCE = 0.005
+SEARCH_SLOPE = 3.0
+SEARCH_STEP = 2.0
+
+
+def residual_excess(record: dict, cap_f: int, cap_b: int) -> float | None:
+    """The larger over an attempt's windows of ln((residual + 1) / (capacity
+    + 1)): at most 0 exactly when every residual fits its capacity, and None
+    when the attempt left no residuals (small-stage retry budget)."""
+    out = None
+    for res, cap in ((record["residual_fwd"], cap_f), (record["residual_bwd"], cap_b)):
+        if res is not None:
+            g = math.log((res + 1) / (cap + 1))
+            out = g if out is None else max(out, g)
+    return out
+
+
+def _slope(excess: dict[int, float | None], near: int) -> float:
+    """Log-log slope of the excess between the two measured lengths nearest
+    to near, or SEARCH_SLOPE when fewer than two are measured or their
+    excess does not rise with y."""
+    measured = sorted((t for t, g in excess.items() if g is not None),
+                      key=lambda t: abs(math.log(t / near)))
+    if len(measured) >= 2:
+        a, b = measured[:2]
+        k = (excess[a] - excess[b]) / math.log(a / b)
+        if k > 0.5:
+            return k
+    return SEARCH_SLOPE
+
+
+def search_window_length(
+    try_length: Callable[[int], tuple[bool, float | None]], y_max: int, y_start: int
+) -> int | None:
+    """The largest feasible window length a few attempts find, or None when
+    nothing is feasible down to y = 8.
+
+    try_length(y) runs one attempt and returns (feasible, excess), the
+    excess as in residual_excess. The search solves excess = 0 against ln y.
+    It starts at y_start, clamped to [8, y_max]. Until a feasible length and
+    a larger infeasible one bracket the root it steps along the local
+    log-log slope (_slope), by at most a factor SEARCH_STEP: up from the
+    largest feasible length, or down from the smallest infeasible one while
+    none is feasible, halving when that one has no excess. Once bracketed it
+    takes the regula falsi step; when one end has held for two steps in a
+    row, the secant has stalled, and the held end's excess counts half
+    (Illinois); an infeasible end with no excess gives the geometric
+    midpoint. It stops when y_max is feasible, when the bracket is within
+    SEARCH_TOLERANCE of y, or after SEARCH_ATTEMPTS attempts with a feasible
+    length in hand, and returns the largest feasible length tried. Every
+    attempt draws its own random stream, so feasibility is not monotone in
+    y: a feasible length above the infeasible end moves the bracket up, and
+    the length returned need not be the largest feasible one.
+    """
+    excess: dict[int, float | None] = {}  # length tried -> its excess
+    feasible: set[int] = set()
+    moved: list[bool] = []  # per bracketed attempt: did it move the feasible end
+    y = min(max(y_start, 8), y_max)
+    while True:
+        good, excess[y] = try_length(y)
+        if good:
+            feasible.add(y)
+        lo = max(feasible, default=None)
+        hi = min((t for t in excess if t not in feasible and (lo is None or t > lo)), default=None)
+        if lo is None:
+            if y <= 8:
+                return None
+            if excess[hi] is None:
+                y = max(8, hi // 2)
+            else:
+                step = max(excess[hi] / _slope(excess, hi), math.log1p(SEARCH_TOLERANCE))
+                y = max(8, min(hi - 1, int(hi * math.exp(-min(step, math.log(SEARCH_STEP))))))
+            continue
+        if lo >= y_max or len(excess) >= SEARCH_ATTEMPTS:
+            return lo
+        if hi is None:
+            step = max(-excess[lo] / _slope(excess, lo), math.log1p(SEARCH_TOLERANCE))
+            y = min(y_max, max(lo + 1, int(lo * math.exp(min(step, math.log(SEARCH_STEP))))))
+            continue
+        if hi - lo <= max(1, SEARCH_TOLERANCE * lo):
+            return lo
+        moved.append(good)
+        span = math.log(hi / lo)
+        g_lo, g_hi = excess[lo], excess[hi]
+        if g_hi is None:
+            t = span / 2
+        else:
+            if moved[-2:] == [True, True]:
+                g_hi /= 2
+            elif moved[-2:] == [False, False]:
+                g_lo /= 2
+            t = span * -g_lo / (g_hi - g_lo)
+        y = min(hi - 1, max(lo + 1, round(lo * math.exp(t))))
 
 
 def decimal_digit_bound(x: int) -> int:
@@ -376,15 +477,20 @@ def construct_certificate(
 ) -> tuple[ResidueCertificate, ConstructionStats]:
     """Run the full staged sieve and emit a certificate.
 
-    The window length y starts at the parameter formula and, when the prime
-    budget cannot cover that window, bisects to a feasible length (never
-    below 8). Each length draws its own random stream, so feasibility is not
-    monotone in y and the length found need not be the largest feasible one.
-    stats.extras["attempts"] records the outcome of every length tried.
-    Raises ConstructionError when even the smallest window fails or the
-    target N is too small for the prime modulus. Only a two-sided
-    construction has a target N: a one-sided one ignores n_target, and its
-    stats.extras carry no n_digits, m_formula or m_larger.
+    The window length y is found by search_window_length, a secant search
+    on the residual excess of each attempt against ln y. It starts at
+    3 * capacity / sigma(x/2) (capacity: the cleanup primes of the tighter
+    window; sigma: RootTable.density_product), capped at the formula y, and
+    never tries a length above the formula y or below 8. It stops once a
+    feasible and an infeasible length lie within 0.5 % of each other, or
+    after 6 attempts with a feasible length in hand, and keeps the largest
+    feasible length tried. Each length draws its own random stream, so
+    feasibility is not monotone in y and the length found need not be the
+    largest feasible one. stats.extras["attempts"] records the outcome of
+    every length tried. Raises ConstructionError when nothing down to y = 8
+    is feasible or the target N is too small for the prime modulus. Only a
+    two-sided construction has a target N: a one-sided one ignores
+    n_target, and its stats.extras carry no n_digits, m_formula or m_larger.
     """
     if mode not in ("greedy", "random"):
         raise ValueError("mode must be greedy or random")
@@ -493,23 +599,27 @@ def construct_certificate(
         }
 
     y_formula = params.y
-    best = attempt(y_formula)
-    achieved_y = y_formula
-    if best is None:
-        lo, hi = 8, y_formula - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            got = attempt(mid)
-            if got is not None:
-                best, achieved_y = got, mid
-                lo = mid + 1
-            else:
-                hi = mid - 1
-    if best is None:
+    feasible: dict[int, dict] = {}
+
+    def try_length(y: int) -> tuple[bool, float | None]:
+        got = attempt(y)
+        if got is not None:
+            feasible[y] = got
+        return got is not None, residual_excess(attempts[-1], cap_f, cap_b)
+
+    # the survivors left after the primes <= x/2 number y * sigma(x/2) less
+    # what the greedy choice gains; at the lengths found, y * sigma(x/2) /
+    # capacity lies between about 2.7 and 3.8 for every degree tried, so the
+    # search starts at 3
+    capacity = min(cap_f, cap_b) if two_sided else cap_f
+    guess = 3 * capacity / max(table.density_product(x / 2), 1e-300)
+    achieved_y = search_window_length(try_length, y_formula, int(guess))
+    if achieved_y is None:
         raise ConstructionError(
             "no feasible window length down to y = 8; x is too small for this polynomial",
             {"x": x, "y_formula": y_formula, "capacity_fwd": cap_f, "capacity_bwd": cap_b},
         )
+    best = feasible[achieved_y]
 
     p_final: SieveParams = best["params"]
     assigned = dict(best["small"])

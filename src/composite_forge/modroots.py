@@ -297,17 +297,18 @@ def density_stats(table: RootTable, limit: int | None = None) -> DensityStats:
     mert = 0.0
     sigma = 1.0
     counts: dict[int, int] = {}
-    n_primes = 0
-    for p in table.primes:
-        p = int(p)
-        if p > x:
-            break
-        n_primes += 1
-        k = len(table.roots[p])
-        if k:
-            mert += k / p
-            sigma *= 1.0 - k / p
-            counts[k] = counts.get(k, 0) + 1
+    roots = table.roots
+    primes = table.primes[: np.searchsorted(table.primes, x, side="right")]
+    n_primes = len(primes)
+    # ascending, as plain ints a block at a time: a list of every prime would
+    # raise the peak memory by megabytes at x = 10^6
+    for i in range(0, n_primes, ROW_BLOCK):
+        for p in primes[i : i + ROW_BLOCK].tolist():
+            k = len(roots[p])
+            if k:
+                mert += k / p
+                sigma *= 1.0 - k / p
+                counts[k] = counts.get(k, 0) + 1
     n_usable = sum(counts.values())
     rho_nu = {k: c / n_primes for k, c in sorted(counts.items())}
     return DensityStats(

@@ -11,8 +11,9 @@ The witness search works on a whole window at a time: each window start is
 reduced once per prime, the window's offsets are then walked with small-int
 arithmetic, and the size condition |f(n)| > q is proved once per window
 (with an exact per-value check only for small or hostile windows). The
-stored y is bounded by the formula length, and the stored x by the root
-table's bound, before anything is sized by them.
+stored y is bounded by the formula length, and the stored x by what the
+certificate's N or listed primes can support (stored_x_bound) and by the
+root table's bound, before anything is sized by them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assemble import ResidueCertificate, big_decimals
-from .modroots import build_root_table, companion_eval_mod
+from .modroots import ROW_PRIME_BOUND, build_root_table, companion_eval_mod
 from .poly import IntPolynomial, irreducibility_check
 from .primes import is_prime, sieve_primes
 from .sievecore import MissingResidueError, sieve_survivors
@@ -109,6 +110,39 @@ def find_witness(
     return out
 
 
+# The stored x the verifier always accepts: a root table that size takes
+# milliseconds, and it spares small pathological polynomials the cap below.
+X_BOUND_FLOOR = 2**16
+
+
+def stored_x_bound(degree: int, n_target: int | None, n_listed: int) -> int:
+    """The largest stored x a certificate can support, refused beyond this
+    before any root table is built; never below X_BOUND_FLOOR.
+
+    A construction lists every usable prime q <= x (those with a root of f
+    mod q), and a placed one has P(x)^3 <= N for their product P(x), so
+    theta_u(x) = ln P(x) <= ln N / 3. By Chebotarev's theorem the usable
+    primes of an irreducible f of degree d carry theta_u(x) ~ c x with
+    c >= 1/d (a transitive group of degree d fixes a point in at least 1/d
+    of its elements). The cap allows theta_u(x) down to x / (12 d):
+    x <= 4 d ln N, with ln N taken as bit_length * ln 2. A placement-free
+    certificate has no N; its n_listed primes are all the usable ones, about
+    x / (d ln x) for density 1/d, so it is held to x <= 4 u ln(u + 2) with
+    u = d * (n_listed + 1). Measured on ten polynomials of degree 1 to 10
+    (among them x^3 - 3x + 1, whose usable primes have density 1/3, and
+    x^2 + x + 41, with no usable prime below 41) at every x from 2^16 to
+    2 * 10^5, with the least N a construction takes: x / (d ln N) stays
+    below 0.35 and x / (u ln(u + 2)) below 1.2, against the cap's 4. Below
+    the floor x^2 + x + 41 reaches 1.9 and 5.9 (at x = 42).
+    """
+    if n_target is not None:
+        cap = 4 * degree * max(n_target, 1).bit_length() * math.log(2)
+    else:
+        u = degree * (n_listed + 1)
+        cap = 4 * u * math.log(u + 2)
+    return max(X_BOUND_FLOOR, int(cap))
+
+
 def _structural_failures(cert: ResidueCertificate) -> list[str]:
     msgs: list[str] = []
     if cert.version != 1:
@@ -138,9 +172,10 @@ def verify_certificate(
     forward window [1, y] must be fully covered by the residue classes.
     Neither check runs when y lies outside [1, formula y], and deep mode
     skips a stored window whose length is not y; both faults are reported.
-    An x the root table refuses (2^31 or more) is reported before anything
-    is sized by it, and a listed modulus below 2 is reported and takes no
-    further part.
+    An x beyond what the certificate can support (stored_x_bound) or the
+    root table refuses (2^31 or more) is reported before anything is sized
+    by it, and a listed modulus below 2 is reported and takes no further
+    part.
     Invalid certificates produce a negative report, not an exception; a
     sample_rate that is not a finite rate in (0, 1] raises ValueError
     before anything is checked.
@@ -162,6 +197,18 @@ def verify_certificate(
     y_bounded = 1 <= y <= y_formula
     if not y_bounded:
         report.messages.append(f"window length {y} outside [1, formula length {y_formula}]")
+    pl = cert.placement
+    x_max = stored_x_bound(
+        degree, None if pl is None else pl.N, sum(len(st.assignments) for st in cert.stages)
+    )
+    # an x the root table cannot hold at all is refused by build_root_table
+    if ROW_PRIME_BOUND > x > x_max:
+        report.messages.append(
+            f"x = {x} exceeds {x_max}, the most this certificate's"
+            f" {'N' if pl else 'listed primes'} can support"
+        )
+        report.valid = False
+        return report
     try:
         # refuses an x at or above its bound before it sizes anything by x
         table = build_root_table(f, x)
@@ -206,7 +253,6 @@ def verify_certificate(
         report.valid = not report.failures and not report.messages
         return report
 
-    pl = cert.placement
     n_target, b1, b2 = pl.N, pl.b1, pl.b2
     modulus = math.prod(residues.keys())
     if modulus**3 > n_target:

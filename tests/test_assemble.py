@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composite_forge.assemble import (
+    SEARCH_ATTEMPTS,
+    SEARCH_TOLERANCE,
     ConstructionError,
     Placement,
     ResidueCertificate,
@@ -22,6 +24,8 @@ from composite_forge.assemble import (
     decimal_digit_bound,
     pairing_stage,
     place,
+    residual_excess,
+    search_window_length,
 )
 from composite_forge.cover import SieveParams, target_residues
 from composite_forge.poly import IntPolynomial
@@ -467,3 +471,163 @@ class TestConstructCertificate:
     def test_bad_mode_rejected(self, f_x):
         with pytest.raises(ValueError):
             construct_certificate(f_x, SieveParams(x=300), seed=0, mode="clever")
+
+
+POLYS = {"x": [0, 1], "x^2+1": [1, 0, 1], "x^3+2": [2, 0, 0, 1]}
+
+
+def log_excess(root: float, slope: float = 3.0):
+    """A try_length with excess slope * ln(y / root): feasible exactly up
+    to root."""
+
+    def try_length(y):
+        g = slope * math.log(y / root)
+        return g <= 0, g
+
+    return try_length
+
+
+def recording(try_length):
+    tried = []
+
+    def wrapped(y):
+        tried.append(y)
+        return try_length(y)
+
+    return wrapped, tried
+
+
+class TestWindowLengthSearch:
+    def test_residual_excess(self):
+        rec = {"residual_fwd": 13, "residual_bwd": 20}
+        assert residual_excess(rec, 13, 20) == 0
+        assert residual_excess(rec, 13, 19) == pytest.approx(math.log(21 / 20))
+        assert residual_excess(rec, 27, 41) == pytest.approx(math.log(1 / 2))
+        one_sided = {"residual_fwd": 3, "residual_bwd": None}
+        assert residual_excess(one_sided, 1, 0) == pytest.approx(math.log(2))
+        retry = {"residual_fwd": None, "residual_bwd": None}
+        assert residual_excess(retry, 5, 5) is None
+
+    def test_feasible_start_at_the_cap_is_taken_at_once(self):
+        try_length, tried = recording(log_excess(5000))
+        assert search_window_length(try_length, 700, 10**6) == 700
+        assert tried == [700]
+
+    @pytest.mark.parametrize("slope", [1.5, 3.0, 6.0])
+    @pytest.mark.parametrize("root", [9.5, 60, 1234.5, 7777])
+    @pytest.mark.parametrize("start", [0.25, 0.8, 1.25, 4.0])
+    def test_smooth_excess_is_solved_within_budget(self, root, start, slope):
+        # a start within a factor 4 of the root, as the capacity guess gives
+        try_length, tried = recording(log_excess(root, slope))
+        y = search_window_length(try_length, 10**5, int(root * start))
+        assert 8 <= min(tried) and max(tried) <= 10**5
+        assert len(set(tried)) == len(tried) <= SEARCH_ATTEMPTS
+        assert y == max(t for t in tried if t <= root)
+        assert y >= math.floor(root) * 0.97
+
+    @pytest.mark.parametrize("root,slope,start", [(1000, 1.5, 0.8), (7777, 3.0, 0.8),
+                                                  (7777, 6.0, 1.25)])
+    def test_stalled_secant_still_closes_in(self, root, slope, start):
+        # a sharply convex excess above the root: plain regula falsi creeps
+        # down from the infeasible end and keeps the far feasible one; the
+        # held end's halved excess (Illinois) moves it
+        def try_length(y):
+            u = math.log(y / root)
+            g = slope * u + 8 * u * abs(u)
+            return g <= 0, g
+
+        wrapped, tried = recording(try_length)
+        y = search_window_length(wrapped, 10**5, int(root * start))
+        assert len(tried) <= SEARCH_ATTEMPTS
+        assert y >= 0.99 * root
+
+    def test_stops_at_the_tolerance(self):
+        try_length, tried = recording(log_excess(1000))
+        y = search_window_length(try_length, 10**5, 990)
+        infeasible = min(t for t in tried if t > 1000)
+        assert infeasible - y <= max(1, SEARCH_TOLERANCE * y)
+
+    def test_nothing_feasible_halves_down_to_8(self):
+        # retry-budget attempts carry no excess: the search halves
+        try_length, tried = recording(lambda y: (False, None))
+        assert search_window_length(try_length, 716, 5000) is None
+        assert tried == [716, 358, 179, 89, 44, 22, 11, 8]
+
+    def test_descends_along_the_slope_then_stops_at_8(self):
+        try_length, tried = recording(lambda y: (False, 0.5))
+        assert search_window_length(try_length, 716, 716) is None
+        assert tried[-1] == 8 and min(tried) == 8
+        assert tried == sorted(tried, reverse=True)
+
+    def test_largest_feasible_kept_when_feasibility_is_not_monotone(self):
+        # feasible at and below 400 and at 450 and 451, so 450 may be found
+        # above an infeasible length; whatever is tried, the largest
+        # feasible one comes back
+        def try_length(y):
+            good = y <= 400 or y in (450, 451)
+            return good, -0.1 if good else 0.1
+
+        wrapped, tried = recording(try_length)
+        y = search_window_length(wrapped, 1000, 300)
+        assert y == max(t for t in tried if try_length(t)[0])
+
+    def test_attempt_bounds_in_construction(self, f_x2p1, cache_dir):
+        # formula y at x = 300 is 716; nothing above it or below 8 is tried
+        for mode in ("greedy", "random"):
+            for two_sided in (True, False):
+                _, stats = construct_certificate(
+                    f_x2p1, SieveParams(x=300), seed=7, mode=mode, two_sided=two_sided,
+                    cache_dir=cache_dir,
+                )
+                ys = [a["y"] for a in stats.extras["attempts"]]
+                assert 8 <= min(ys) and max(ys) <= 716
+
+    def test_feasible_formula_y_is_taken_at_once(self, f_x, cache_dir):
+        # y = 40 is far below what x = 300 covers for f = x
+        cert, stats = construct_certificate(
+            f_x, SieveParams(x=300, y_override=40), seed=7, cache_dir=cache_dir
+        )
+        assert [(a["y"], a["outcome"]) for a in stats.extras["attempts"]] == [(40, "ok")]
+        assert stats.extras["achieved_y"] == cert.params.y == 40
+
+    def test_nothing_fits_raises(self, f_x2p1, cache_dir, monkeypatch):
+        from composite_forge import assemble
+
+        tried = []
+        search = assemble.search_window_length
+
+        def recording_search(try_length, y_max, y_start):
+            def wrapped(y):
+                tried.append(y)
+                return try_length(y)
+
+            return search(wrapped, y_max, y_start)
+
+        monkeypatch.setattr(assemble, "search_window_length", recording_search)
+        with pytest.raises(ConstructionError, match="no feasible window length"):
+            construct_certificate(f_x2p1, SieveParams(x=10), seed=1, cache_dir=cache_dir)
+        assert tried and tried[-1] == 8 and min(tried) == 8
+
+    @pytest.mark.parametrize("x", [300, 1000])
+    @pytest.mark.parametrize("seed", [7, 8])
+    @pytest.mark.parametrize("name", sorted(POLYS))
+    def test_few_attempts_and_largest_ok_achieved(self, cache_dir, name, x, seed):
+        f = IntPolynomial.from_monomial(POLYS[name])
+        _, stats = construct_certificate(f, SieveParams(x=x), seed=seed, cache_dir=cache_dir)
+        e = stats.extras
+        attempts = e["attempts"]
+        assert len(attempts) <= SEARCH_ATTEMPTS
+        assert e["achieved_y"] == max(a["y"] for a in attempts if a["outcome"] == "ok")
+        assert all(8 <= a["y"] <= e["formula_y"] for a in attempts)
+
+    @pytest.mark.parametrize("mode,two_sided", [("random", True), ("random", False),
+                                                ("greedy", False)])
+    @pytest.mark.parametrize("name", sorted(POLYS))
+    def test_other_modes_construct(self, cache_dir, name, mode, two_sided):
+        f = IntPolynomial.from_monomial(POLYS[name])
+        cert, stats = construct_certificate(
+            f, SieveParams(x=300), seed=8, mode=mode, two_sided=two_sided, cache_dir=cache_dir
+        )
+        e = stats.extras
+        assert e["achieved_y"] == max(a["y"] for a in e["attempts"] if a["outcome"] == "ok")
+        assert verify_certificate(cert, deep=True).valid

@@ -236,6 +236,21 @@ class TestVerify:
         assert "Traceback" not in r.stderr
         assert "modulus 0 is not a prime" in json.loads(r.stdout)["messages"]
 
+    def test_x_near_root_table_bound_exits_1_without_sieving(self, workdir):
+        # a sieve to 2^31 would take about a gigabyte; the x = 300
+        # certificate's N cannot support that x, which is refused first
+        with open(workdir / "cert.json") as fh:
+            obj = json.load(fh)
+        obj["params"]["x"] = 2**31 - 1
+        with open(workdir / "huge_x.json", "w") as fh:
+            json.dump(obj, fh)
+        r = run_cli("verify", "huge_x.json", "--deep", cwd=workdir)
+        assert r.returncode == VERIFY_FAILED
+        assert "Traceback" not in r.stderr
+        report = json.loads(r.stdout)
+        assert report["checked"] == 0
+        assert any("can support" in m for m in report["messages"])
+
     @pytest.mark.parametrize("rate", ["nan", "inf", "1e30", "0", "-0.5"])
     def test_sample_rate_outside_unit_interval_exits_64(self, workdir, rate):
         r = run_cli("verify", "cert.json", "--sample", rate, cwd=workdir)

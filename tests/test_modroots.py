@@ -561,6 +561,28 @@ class TestDensityStats:
             sum(k * v for k, v in st_.rho_nu_hat.items())
         )
 
+    @pytest.mark.parametrize("coeffs,limit", [([1, 0, 1], None), ([1, 0, 1], 1000),
+                                              ([1, 0, 1], 7), ([2, 0, 0, 1], None)])
+    def test_bit_identical_to_per_prime_loop(self, coeffs, limit):
+        # the sums and the product run in the same order as in a walk over
+        # numpy scalars, so every float is equal, not only close
+        table = build_root_table(IntPolynomial.from_monomial(coeffs), 3000)
+        x = table.limit if limit is None else min(limit, table.limit)
+        mert, sigma, counts, n_primes = 0.0, 1.0, {}, 0
+        for p in table.primes:
+            p = int(p)
+            if p > x:
+                break
+            n_primes += 1
+            k = len(table.roots[p])
+            if k:
+                mert += k / p
+                sigma *= 1.0 - k / p
+                counts[k] = counts.get(k, 0) + 1
+        st_ = density_stats(table, limit)
+        assert (st_.n_primes, st_.mertens_sum, st_.sigma) == (n_primes, mert, sigma)
+        assert st_.rho_nu_hat == {k: c / n_primes for k, c in sorted(counts.items())}
+
     def test_linear_poly_has_all_primes_usable(self, table_x_100):
         st_ = density_stats(table_x_100)
         assert st_.rho_hat == 1.0

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from composite_forge.modroots import build_root_table, companion_eval_mod
 from composite_forge.poly import IntPolynomial
 from composite_forge.verify import (
     VERIFY_SAMPLE_STREAM,
+    X_BOUND_FLOOR,
     CoveringConfigError,
     CoveringSimConfig,
     RunRecord,
@@ -262,6 +264,59 @@ class TestFaultInjection:
         assert report.checked == 0
         assert any("must stay below 2147483648" in m for m in report.messages)
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("placed", [True, False])
+    @pytest.mark.parametrize("deep", [True, False])
+    def test_x_beyond_certificate_support_refused_in_milliseconds(
+        self, placed, deep, monkeypatch
+    ):
+        # 2^31 - 1 fits the root table, but neither the toy's N = 10^7 nor
+        # its four listed primes can come from a construction at that x
+        def no_sieve(limit):
+            raise AssertionError("primes sieved")
+
+        obj = toy_certificate().to_json_dict()
+        obj["params"]["x"] = 2**31 - 1  # the stored z = 2 still fits y = 4
+        if not placed:
+            obj["placement"] = None
+        cert = ResidueCertificate.from_json_dict(obj)
+        monkeypatch.setattr(modroots_mod, "sieve_primes", no_sieve)
+        t0 = time.perf_counter()
+        report = verify_certificate(cert, deep=deep)
+        assert time.perf_counter() - t0 < 0.05
+        assert not report.valid
+        assert report.checked == 0
+        assert report.messages == [
+            f"x = {2**31 - 1} exceeds {X_BOUND_FLOOR}, the most this certificate's"
+            f" {'N' if placed else 'listed primes'} can support"
+        ]
+
+    @pytest.mark.parametrize(
+        "coeffs", [[0, 1], [1, 0, 1], [1, -3, 0, 1], [41, 1, 1]],
+        ids=["x", "x^2+1", "x^3-3x+1", "x^2+x+41"],
+    )
+    def test_x_bound_admits_every_construction(self, coeffs):
+        # at every x up to 1.2 * 10^5 (each x just below the next usable
+        # prime is the tightest) with the least N a construction takes,
+        # P(x)^3, or with all usable primes listed and no N; x^3 - 3x + 1
+        # has usable density 1/3, x^2 + x + 41 no usable prime below 41
+        f = IntPolynomial.from_monomial(coeffs)
+        limit = 120_000
+        usable = build_root_table(f, limit).usable_primes()
+        theta = 0.0
+        for k, (q, nxt) in enumerate(zip(usable, usable[1:] + [limit + 1]), 1):
+            theta += math.log(q)
+            x = nxt - 1
+            n_least = 1 << int(3 * theta / math.log(2))  # at most P(x)^3
+            assert verify_mod.stored_x_bound(f.degree, n_least, k) >= x
+            assert verify_mod.stored_x_bound(f.degree, None, k) >= x
+
+    def test_x_bound_floor_and_growth(self):
+        assert verify_mod.stored_x_bound(1, 10**7, 4) == X_BOUND_FLOOR
+        assert verify_mod.stored_x_bound(1, None, 4) == X_BOUND_FLOOR
+        # 4 d ln N and 4 u ln(u + 2), u = d (listed + 1), past the floor
+        assert verify_mod.stored_x_bound(2, 1 << 100_000, 1) == int(8 * 100_001 * math.log(2))
+        assert verify_mod.stored_x_bound(3, None, 9999) == int(120_000 * math.log(30_002))
 
     @pytest.mark.parametrize("deep", [True, False])
     def test_huge_stored_window_not_walked(self, deep):
