@@ -25,12 +25,12 @@ from .cover import (
     RetryBudgetError,
     SieveParams,
     backward_residues,
-    refine_residues,
     sample_small_residue,
     select_shifts_greedy,
     select_shifts_random,
     target_residues,
 )
+from .cover import refine_residues  # noqa: F401  (bench/harness.py traces assemble.refine_residues)
 from .modroots import RootTable, build_root_table
 from .poly import IntPolynomial, irreducibility_check
 from .sievecore import sieve_survivors
@@ -152,24 +152,25 @@ def search_window_length(
     """The largest feasible window length a few attempts find, or None when
     nothing is feasible down to y = 8.
 
-    try_length(y) runs one attempt and returns (feasible, excess), the
-    excess as in residual_excess. The search solves excess = 0 against ln y.
-    It starts at y_start, clamped to [8, y_max]. Until a feasible length and
-    a larger infeasible one bracket the root it steps along the local
-    log-log slope (_slope), by at most a factor SEARCH_STEP: up from the
-    largest feasible length, or down from the smallest infeasible one while
-    none is feasible, halving when that one has no excess. Once bracketed it
-    takes the regula falsi step; when one end has held for two steps in a
-    row, the secant has stalled, and the held end's excess counts half
-    (Illinois); an infeasible end with no excess gives the geometric
-    midpoint. It stops when y_max is feasible, when the bracket is within
+    try_length(y) runs one attempt and returns (feasible, excess), the excess
+    as in residual_excess. The search solves excess = 0 against ln y. It starts
+    at y_start, clamped to [8, y_max]. Until a feasible length and a larger
+    infeasible one bracket the root it steps along the local log-log slope
+    (_slope), by at most a factor SEARCH_STEP: up from the largest feasible
+    length, or down from the smallest infeasible one while none is feasible,
+    halving when that one has no excess. Once bracketed it takes the regula
+    falsi step; when one end has held for two steps in a row, the secant has
+    stalled, and the held end's stored excess is halved, again at each further
+    hold (Illinois), so even a saturated end (residual 0) far from the root
+    gives way; an infeasible end with no excess gives the geometric midpoint.
+    It stops when y_max is feasible, when the bracket is within
     SEARCH_TOLERANCE of y, or after SEARCH_ATTEMPTS attempts with a feasible
     length in hand, and returns the largest feasible length tried. Every
-    attempt draws its own random stream, so feasibility is not monotone in
-    y: a feasible length above the infeasible end moves the bracket up, and
-    the length returned need not be the largest feasible one.
+    attempt draws its own random stream, so feasibility is not monotone in y: a
+    feasible length above the infeasible end moves the bracket up, and the
+    length returned need not be the largest feasible one.
     """
-    excess: dict[int, float | None] = {}  # length tried -> its excess
+    excess: dict[int, float | None] = {}  # length tried -> its excess, halved per hold
     feasible: set[int] = set()
     moved: list[bool] = []  # per bracketed attempt: did it move the feasible end
     y = min(max(y_start, 8), y_max)
@@ -203,9 +204,9 @@ def search_window_length(
             t = span / 2
         else:
             if moved[-2:] == [True, True]:
-                g_hi /= 2
+                g_hi = excess[hi] = g_hi / 2
             elif moved[-2:] == [False, False]:
-                g_lo /= 2
+                g_lo = excess[lo] = g_lo / 2
             t = span * -g_lo / (g_hi - g_lo)
         y = min(hi - 1, max(lo + 1, round(lo * math.exp(t))))
 
@@ -471,11 +472,15 @@ def construct_certificate(
     two_sided: bool = True,
     mode: str = "greedy",
     n_target: int | None = None,
-    sweeps: int = 2,
     cache_dir: str | None = None,
     assert_irreducible: bool = False,
 ) -> tuple[ResidueCertificate, ConstructionStats]:
     """Run the full staged sieve and emit a certificate.
+
+    An attempt at length y draws the small residues (q <= z) at random,
+    assigns the medium primes (z, x/2] (greedy: one ascending pass of
+    select_shifts_greedy; random: select_shifts_random), and is feasible
+    when the survivors left fit the cleanup primes of pairing_stage.
 
     The window length y is found by search_window_length, a secant search
     on the residual excess of each attempt against ln y. It starts at
@@ -563,7 +568,6 @@ def construct_certificate(
         state = CoverState.from_survivors(table, fwd0, bwd0, n_mod)
         if mode == "greedy":
             medium = select_shifts_greedy(state, med)
-            medium = refine_residues(state, medium, med, sweeps)
         else:
             rng_med = stage_rng(seed, STREAM_MEDIUM, y)
             medium = select_shifts_random(p, table, rng_med, n_mod, two_sided)
@@ -607,10 +611,10 @@ def construct_certificate(
             feasible[y] = got
         return got is not None, residual_excess(attempts[-1], cap_f, cap_b)
 
-    # the survivors left after the primes <= x/2 number y * sigma(x/2) less
-    # what the greedy choice gains; at the lengths found, y * sigma(x/2) /
-    # capacity lies between about 2.7 and 3.8 for every degree tried, so the
-    # search starts at 3
+    # y * sigma(x/2) / capacity at the greedy two-sided lengths found (x, x^2+1,
+    # x^3+2; x <= 3000; seeds 7 to 14) lies in [2.8, 4.4], 64 of 72 at 3 or
+    # more: a start at 3 is mostly feasible, so the attempt cap holds from it
+    # (3.5 found the same mean y, but moves random-mode certificates)
     capacity = min(cap_f, cap_b) if two_sided else cap_f
     guess = 3 * capacity / max(table.density_product(x / 2), 1e-300)
     achieved_y = search_window_length(try_length, y_formula, int(guess))

@@ -83,9 +83,7 @@ def build_parser() -> _Parser:
     c.add_argument("--x", type=int, required=True, help="sieve prime bound")
     c.add_argument("--delta", type=float, default=0.5)
     c.add_argument("--xi", type=float, default=2.0)
-    c.add_argument("--M", type=float, default=6.5)
     c.add_argument("--K", type=float, default=8.0)
-    c.add_argument("--eps", type=float, default=0.05)
     c.add_argument("--retry-budget", type=int, default=64)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--mode", choices=["greedy", "random"], default="greedy")
@@ -93,8 +91,6 @@ def build_parser() -> _Parser:
     c.add_argument("--N", type=str, default=None,
                    help="explicit target sum (decimal); default: the least power of"
                         " ten at least the cube of the prime modulus")
-    c.add_argument("--sweeps", type=int, default=2,
-                   help="post-greedy residue refinement passes")
     c.add_argument("--assert-irreducible", action="store_true")
     c.add_argument("--cache-dir", default=default_cache_dir())
     c.add_argument("--out", default="certificate.json")
@@ -140,9 +136,7 @@ def cmd_construct(args) -> int:
             x=args.x,
             delta=args.delta,
             xi=args.xi,
-            M=args.M,
             K=args.K,
-            eps=args.eps,
             retry_budget=args.retry_budget,
         )
     except ValueError as e:
@@ -170,7 +164,6 @@ def cmd_construct(args) -> int:
             two_sided=args.two_sided,
             mode=args.mode,
             n_target=n_target,
-            sweeps=args.sweeps,
             cache_dir=args.cache_dir,
             assert_irreducible=args.assert_irreducible,
         )

@@ -7,16 +7,16 @@ backward offsets j = alpha - N - r_q (mod q), where N is the target sum. So
 the sieve needs N only mod each sieving prime: every stage that touches the
 backward window takes the map q -> N mod q (target_residues), which a
 construction builds once, and N in full enters only at placement.
-Greedy mode scores residue classes directly; random mode walks the scales
-H = xi^j, samples a shift n_q per prime and induces residues from it. The
-shifts are uniform: the paper weights a shift by sigma2^(-count) over its
-progression, and sigma2 = 1 at every supported scale (the small-stage
-boundary z sits below H^M for every scale), so each weight is 1. Each
-window-length attempt builds one incremental engine, CoverState, from its
-small-stage survivors; the greedy pass, the refinement sweeps, the
-random-mode residues and the post-medium residuals all work on that state,
-and the medium stage hands back plain q -> residue maps. The state scores
-a prime with one bincount over the class keys of both windows.
+Greedy mode scores residue classes directly, in one ascending pass over the
+medium primes; random mode walks the scales H = xi^j, samples a shift n_q
+per prime and induces residues from it. The shifts are uniform: the paper
+weights a shift by sigma2^(-count) over its progression, and sigma2 = 1 at
+every supported scale (the small-stage boundary z sits below H^M for every
+scale), so each weight is 1. Each window-length attempt builds one
+incremental engine, CoverState, from its small-stage survivors; the greedy
+pass, the random-mode residues and the post-medium residuals all work on
+that state, and the medium stage hands back plain q -> residue maps. The
+state scores a prime with one bincount over the class keys of both windows.
 """
 
 from __future__ import annotations
@@ -248,15 +248,16 @@ class CoverState:
 
 
 def select_shifts_greedy(state: CoverState, primes: Iterable[int]) -> dict[int, int]:
-    """Deterministic shift selection on the attempt's cover state: primes in
-    descending order, each takes the residue class covering the most
-    survivors left (ties to the smallest residue) and is assigned in the
-    state. A two-sided state scores one certificate residue against both
-    windows jointly, since it kills on both sides; a one-sided state has an
-    empty backward window, so only forward survivors count. Returns
-    q -> residue."""
+    """Deterministic shift selection on the attempt's cover state, in
+    Rankin's order (Rankin 1938; Ford, Green, Konyagin, Maynard and Tao 2018
+    for f(n) = n): primes in ascending order, each takes the residue class
+    covering the most survivors left (ties to the smallest residue) and is
+    assigned in the state. A two-sided state scores one certificate residue
+    against both windows jointly, since it kills on both sides; a one-sided
+    state has an empty backward window, so only forward survivors count.
+    Returns q -> residue."""
     out: dict[int, int] = {}
-    for q in sorted(set(primes), reverse=True):
+    for q in sorted(set(primes)):
         out[q] = state.best_residue(q)
         state.add(q, out[q])
     return out
@@ -309,7 +310,7 @@ def refine_residues(
     medium_primes: Sequence[int],
     sweeps: int = 2,
 ) -> dict[int, int]:
-    """Local improvement on top of the greedy pass: re-pick each medium
+    """Local improvement on top of a greedy pass: re-pick each medium
     prime's residue against the survivors of everything else in the state,
     holding the rest fixed. The state must hold residues[q] for every medium
     prime, and ends holding the returned map. Only the state's windows are

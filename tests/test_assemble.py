@@ -364,8 +364,8 @@ class TestConstructCertificate:
     def test_one_cover_state_per_attempt(
         self, f_x2p1, cache_dir, monkeypatch, mode, two_sided
     ):
-        # the greedy pass, the refinement, the random-mode residues and the
-        # post-medium residuals all work on the one state an attempt builds
+        # the greedy pass, the random-mode residues and the post-medium
+        # residuals all work on the one state an attempt builds
         from composite_forge import assemble, cover
 
         built = []
@@ -391,6 +391,21 @@ class TestConstructCertificate:
         assert len(attempts) > 1
         assert all(a["outcome"] != "small_retry_budget" for a in attempts)
         assert built == [a["y"] for a in attempts]
+
+    @pytest.mark.parametrize("two_sided", [True, False])
+    def test_greedy_medium_stage_is_one_pass(self, f_x2p1, cache_dir, monkeypatch, two_sided):
+        # the ascending greedy pass alone fixes the medium residues; no
+        # refinement sweep follows it
+        from composite_forge import assemble
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("construction must not refine the greedy pass")
+
+        monkeypatch.setattr(assemble, "refine_residues", forbidden)
+        cert, _ = construct_certificate(
+            f_x2p1, SieveParams(x=300), seed=7, two_sided=two_sided, cache_dir=cache_dir
+        )
+        assert verify_certificate(cert, deep=True).valid
 
     @pytest.mark.parametrize("coeffs", [[0, 1], [1, 0, 1], [2, 0, 0, 1]])
     def test_one_sided_bytes_ignore_target(self, cache_dir, coeffs):
@@ -540,6 +555,23 @@ class TestWindowLengthSearch:
         y = search_window_length(wrapped, 10**5, int(root * start))
         assert len(tried) <= SEARCH_ATTEMPTS
         assert y >= 0.99 * root
+
+    @pytest.mark.parametrize("root,start", [(1110, 663), (2000, 900), (5000, 2600)])
+    def test_saturated_feasible_start_gives_way(self, root, start):
+        # residual 0 far below the root floors the excess at -ln(capacity + 1)
+        # (capacity 66 here), much lower than the smooth curve: the secant
+        # from that end creeps down from the infeasible one unless the held
+        # feasible end's excess keeps halving
+        def try_length(y):
+            g = 3 * math.log(y / root)
+            g = g if g > -1 else -math.log(67)
+            return g <= 0, g
+
+        wrapped, tried = recording(try_length)
+        assert try_length(start)[1] == -math.log(67)
+        y = search_window_length(wrapped, 10**5, start)
+        assert len(tried) <= SEARCH_ATTEMPTS
+        assert y >= 0.97 * root
 
     def test_stops_at_the_tolerance(self):
         try_length, tried = recording(log_excess(1000))

@@ -88,9 +88,20 @@ class TestConstruct:
         assert r.returncode == USAGE
         assert "bad parameters" in r.stderr
 
+    @pytest.mark.parametrize("flag,value", [("--sweeps", "2"), ("--M", "6.5"), ("--eps", "0.05")])
+    def test_removed_flag_exits_64(self, tmp_path, flag, value):
+        # no stage reads these, so construct no longer takes them
+        r = run_cli(
+            "construct", "--poly", "poly:[0,1]", "--x", "300", flag, value,
+            "--out", "no.json", cwd=tmp_path,
+        )
+        assert r.returncode == USAGE
+        assert "unrecognized arguments" in r.stderr and flag in r.stderr
+        assert not (tmp_path / "no.json").exists()
+
     @pytest.mark.parametrize(
         "extra",
-        [["--K", "nan"], ["--K", "inf"], ["--xi", "nan"], ["--mode", "random", "--K", "nan"]],
+        [["--K", "nan"],["--K", "inf"], ["--xi", "nan"], ["--mode", "random", "--K", "nan"]],
         ids=["K-nan", "K-inf", "xi-nan", "random-K-nan"],
     )
     def test_non_finite_parameter_exits_64(self, tmp_path, extra):

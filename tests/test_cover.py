@@ -300,9 +300,9 @@ class TestGreedySelection:
         assert select_shifts_greedy(state, [7]) == {7: 1}
         assert len(state.survivors_fwd()) == 25
 
-    def test_descending_prime_order(self, table_x_100):
+    def test_ascending_prime_order(self, table_x_100):
         state = one_sided(table_x_100, full_window(1, 40))
-        assert list(select_shifts_greedy(state, [7, 11, 13])) == [13, 11, 7]
+        assert list(select_shifts_greedy(state, [13, 7, 11, 7])) == [7, 11, 13]
 
     def test_coverage_bookkeeping_is_exact(self, table_x2p1_2000):
         params = SieveParams(x=2000)
@@ -483,7 +483,8 @@ class TestClassScores:
 
 # Reference oracles: the re-sieve refinement and the copy-and-kill greedy
 # loops (joint and forward-only) that CoverState replaced, kept verbatim in
-# behaviour, on plain survivor bitmaps; and the stages that took N itself
+# behaviour but for the greedy pass's order, now ascending, on plain
+# survivor bitmaps; and the stages that took N itself
 # before every stage came to take the map q -> N mod q.
 
 
@@ -522,7 +523,7 @@ def oracle_greedy_both(primes, survivors, paired, table, n_target):
     """(q -> residue in choice order, forward residual, backward residual)."""
     F, B = survivors.bits.copy(), paired.bits.copy()
     chosen = {}
-    for q in sorted(set(primes), reverse=True):
+    for q in sorted(set(primes)):
         alphas = table.roots[q]
         fpos = np.flatnonzero(F).astype(np.int64) + survivors.lo
         bpos = np.flatnonzero(B).astype(np.int64) + paired.lo
@@ -543,7 +544,7 @@ def oracle_greedy_fwd(primes, survivors, table):
     """(q -> residue in choice order, forward residual)."""
     F = survivors.bits.copy()
     chosen = {}
-    for q in sorted(set(primes), reverse=True):
+    for q in sorted(set(primes)):
         alphas = table.roots[q]
         pos = np.flatnonzero(F).astype(np.int64) + survivors.lo
         base = chosen[q] = int(np.argmax(forward_class_scores(q, alphas, pos)))

@@ -2,18 +2,19 @@
 versions of the constructor, not only within one run.
 
 The cases are x = 300 with seeds 7 and 8, and x = 1000 with seed 7, under
-default parameters (two refinement sweeps, auto N), and at x = 300 also
-one-sided, random and random one-sided. Each digest pins the certificate of
-the window length the constructor settles on, so a change to the search
-over y moves every digest whose y it moves. The digests were last
-re-recorded when the bisection over y gave way to the secant search on the
-residual excess: the cases whose y stayed kept their digests, and the rest
-moved with their y. So only some of the default x = 300 digests still equal
-the ones in bench/results/construct-small-seed{7,8}.json, which predate that
-search, until the benchmark's recorded results are refreshed. Earlier
-changes that moved digests on purpose: one-sided refinement came to score
-the forward window only (the one-sided cases). A change that moves one of
-them changes the certificate format or the construction, and must say so.
+default parameters (greedy mode, auto N), and at x = 300 also one-sided,
+random and random one-sided. Each digest pins the certificate of the window
+length the constructor settles on, so a change to the search over y moves
+every digest whose y it moves. The 15 greedy digests were last re-recorded
+when the greedy medium stage became one ascending pass with no refinement
+sweeps: every greedy certificate moved, and the 12 random-mode ones kept
+their bytes. So none of the default x = 300 digests equals the ones in
+bench/results/construct-small-seed{7,8}.json until the benchmark's recorded
+results are refreshed. Earlier changes that moved digests on purpose: the
+secant search over y (the cases whose y it moved), and one-sided
+refinement coming to score the forward window only (the one-sided cases).
+A change that moves one of them changes the certificate format or the
+construction, and must say so.
 
 Run as a script (`PYTHONPATH=src python tests/test_golden.py`) to print the
 current digest and achieved y of every case, ready to paste over GOLDEN when
@@ -33,18 +34,18 @@ POLYS = {"x": [0, 1], "x^2+1": [1, 0, 1], "x^3+2": [2, 0, 0, 1]}
 
 # (poly, seed) for the default construction, (poly, seed, variant) otherwise
 GOLDEN = {
-    ("x", 7): "0e09a4705f24d2d2acb4519a5448923aa348b48882a7564b8b422fe108d1e212",
-    ("x^2+1", 7): "befc5abe938008f9cdc429619e1b4cfdd91b8512e9f171b61595448fe27d960a",
-    ("x^3+2", 7): "56820e0025c798bcdf080cc3df0fce6f047c1cdbf318b1a30682d35f4c175d8e",
-    ("x", 8): "9699b7e0c352022f313526c7f9e2f903815fc68700243b8a1cafe0e383b97fe7",
-    ("x^2+1", 8): "0db958724167529ebfba5ad1bcc53206bc42585a2125f9a6cfa5974ba9e34065",
-    ("x^3+2", 8): "aceacd79e13d2d020bd2803134ffc30787ed338fa269fdddbd9b57db06ccefdb",
-    ("x", 7, "one-sided"): "96ecac9de6d4222dcfbb7189ae4a2965c21b81480671d927857aa58fa0268235",
-    ("x^2+1", 7, "one-sided"): "2f6505ad6a8a573092b2edc988761e59de49f9096935b09cec7bb1767c848149",
-    ("x^3+2", 7, "one-sided"): "dd16d33434e1327a7e20834b46037e85dd4b9c6f90ed35976e28217e9246b8b7",
-    ("x", 8, "one-sided"): "f4091e273706b08f9059b7a10d235f941829c38a7afa42948c4ebc4cf971934f",
-    ("x^2+1", 8, "one-sided"): "9023501f8d1b60436134174b965ae6770402048d2e944b3a5db02482abff905f",
-    ("x^3+2", 8, "one-sided"): "ac69dce0054b6bf4ea69152d3dadbd8590a7a7e522a9ad12f820ad314e5b2225",
+    ("x", 7): "f37ba5abee2d4517b236ef0ce444b2d26ea7b6d664ef88671079ead1d7a5d25c",
+    ("x^2+1", 7): "b45e1066ace4bac10e331f0c9a4e4c4973b65c684b5990f29f13e0e006f4f174",
+    ("x^3+2", 7): "d21da84fe69948d860e0ddd7b4dac921de50b1fd9af17437409e088d2af50538",
+    ("x", 8): "23e38e846b9a6cf6da608aa4655808ad22bc616a5e7a0e75df6593d8108b4a46",
+    ("x^2+1", 8): "2d8306f35180939513387984a2daae9c35951c0db7d1dbe0b04bff3e65692a2d",
+    ("x^3+2", 8): "955dc640a1a780a76a13349e864110b28c15f2f4b23f838a71571fb428fed1ff",
+    ("x", 7, "one-sided"): "78aaab2555b70f8227be4dc16d9cd666eb436f2eedc75e122f09feec531d9f3a",
+    ("x^2+1", 7, "one-sided"): "e852e007ea6163abbe6e0bd8bac5ab6c737e76230f4df52df08b4bcffda8efc0",
+    ("x^3+2", 7, "one-sided"): "bca2dc8494c164429ffd690a24555f52266c17356f97e19b732ed9962ddbfa78",
+    ("x", 8, "one-sided"): "eae72ae18d7971dca0fa7b8b559ae0d8ec3569201b2221a30b9244df48004e45",
+    ("x^2+1", 8, "one-sided"): "0f7442035ac4d2f2decfba15b2f821230de1b3ae3a5a64ff44713823638f0153",
+    ("x^3+2", 8, "one-sided"): "58464a5b63ab3708f52d5aff89cc2c65f62fdb2b06ab9c3a5416987864219d2d",
     ("x", 7, "random"): "77970ec9c0ca0103b253c8e6d098d38a731529de73d4205db61a727a58b82cb3",
     ("x^2+1", 7, "random"): "cae6cb58d690e54ff39680038752e37a506b4d5ecede701cac5a5a4b8851b38a",
     ("x^3+2", 7, "random"): "a707ba47eb3e0f582da9d331c4c19c96866663b43bdb476dbe39b373a08928c2",
@@ -57,9 +58,9 @@ GOLDEN = {
     ("x", 8, "random-one-sided"): "7c30e29e5704831341c7b88e756929dd43fa85c2afd7954f98cd2b0e2834ff42",
     ("x^2+1", 8, "random-one-sided"): "78694a2637dea7f3b2246c2e0724c21fba551c242baf6f38d186236ce3d7b335",
     ("x^3+2", 8, "random-one-sided"): "b93ed2b9df0bfe8ddaf671ad0dfe00cf1168d43720bbcedc3ecee94a9b92b085",
-    ("x", 7, "x=1000"): "a4af46cc1fa6249568fd4a90e0d7677b5a8bb161934e7897329fa085aff6ccde",
-    ("x^2+1", 7, "x=1000"): "d399001a6bf3e96e453c5b869d0e4ccb8a73f9366922f5c9981f9317cd490b82",
-    ("x^3+2", 7, "x=1000"): "20614be7f94de10b4ddbde348f6cf585570692a9f6f543fc5a6dbda477687cc9",
+    ("x", 7, "x=1000"): "d65bfcd00729362f418cc143555e1da3e52fa7093658e7d2804f0ee810e8a1cc",
+    ("x^2+1", 7, "x=1000"): "f5858d70391997fc1aa3e094c43e025f857816e91f302647844ebc0541b61493",
+    ("x^3+2", 7, "x=1000"): "779f3fe04877a0c50e646ac99cec3cef7cb9bf676391cec230880d6a750235e4",
 }
 # (x, keyword arguments of construct_certificate) for each variant
 VARIANTS = {
