@@ -7,7 +7,7 @@ from .assemble import (
     ResidueCertificate,
     construct_certificate,
 )
-from .cover import RetryBudgetError, SieveParams
+from .cover import SieveParams
 from .modroots import build_root_table, density_stats
 from .poly import IntPolynomial, parse_poly_literal
 from .verify import (
@@ -28,7 +28,6 @@ __all__ = [
     "CoveringSimConfig",
     "IntPolynomial",
     "ResidueCertificate",
-    "RetryBudgetError",
     "SieveParams",
     "build_root_table",
     "construct_certificate",

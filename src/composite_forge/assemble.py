@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
@@ -78,7 +79,9 @@ def pairing_stage(
     (x/2, 3x/4] via r_q = a - alpha_1; backward survivors (offsets in
     [-y, -1]) pair with (3x/4, x] via r_q = -N - a + alpha_1, with N taken
     mod q from n_mod. More survivors than primes on either side raises
-    ConstructionError with the counts, rather than leave any unpaired. Each
+    ConstructionError with the counts, rather than leave any unpaired;
+    construction pairs only attempts that fit, so this guards direct
+    callers. Each
     congruence kills its survivor; when y exceeds the prime (y > x/2 happens,
     e.g. y = 4577 at x = 3000 for f = x) it kills other offsets of the
     window too, which does no harm. Full cover is not argued here: the
@@ -123,7 +126,8 @@ SEARCH_STEP = 2.0
 def residual_excess(record: dict, cap_f: int, cap_b: int) -> float | None:
     """The larger over an attempt's windows of ln((residual + 1) / (capacity
     + 1)): at most 0 exactly when every residual fits its capacity, and None
-    when the attempt left no residuals (small-stage retry budget)."""
+    when the attempt left no residuals (small-stage retry budget). A window
+    whose residual is None (a one-sided attempt's backward one) is left out."""
     out = None
     for res, cap in ((record["residual_fwd"], cap_f), (record["residual_bwd"], cap_b)):
         if res is not None:
@@ -480,7 +484,8 @@ def construct_certificate(
     An attempt at length y draws the small residues (q <= z) at random,
     assigns the medium primes (z, x/2] (greedy: one ascending pass of
     select_shifts_greedy; random: select_shifts_random), and is feasible
-    when the survivors left fit the cleanup primes of pairing_stage.
+    when the survivors left in each window fit its cleanup primes, the rule
+    residual_excess <= 0 encodes; only then does pairing_stage pair them.
 
     The window length y is found by search_window_length, a secant search
     on the residual excess of each attempt against ln y. It starts at
@@ -491,11 +496,15 @@ def construct_certificate(
     after 6 attempts with a feasible length in hand, and keeps the largest
     feasible length tried. Each length draws its own random stream, so
     feasibility is not monotone in y and the length found need not be the
-    largest feasible one. stats.extras["attempts"] records the outcome of
-    every length tried. Raises ConstructionError when nothing down to y = 8
-    is feasible or the target N is too small for the prime modulus. Only a
-    two-sided construction has a target N: a one-sided one ignores
-    n_target, and its stats.extras carry no n_digits, m_formula or m_larger.
+    largest feasible one. Each length tried leaves one record in
+    stats.extras["attempts"]: y, outcome (ok, small_retry_budget or
+    residual_over_capacity) and the residual per window, None for a window
+    not reached or absent; the stats rows come from the chosen attempt.
+    Raises ConstructionError, counting the outcomes in its diagnostics, when
+    nothing down to y = 8 is feasible, and when the target N is too small
+    for the prime modulus. Only a two-sided construction has a target N: a
+    one-sided one ignores n_target, its stats.extras carry no n_digits,
+    m_formula or m_larger, and its residual_bwd is None.
     """
     if mode not in ("greedy", "random"):
         raise ValueError("mode must be greedy or random")
@@ -534,82 +543,42 @@ def construct_certificate(
     cap_f = len(table.usable_between(x / 2, 3 * x / 4))
     cap_b = len(table.usable_between(3 * x / 4, x))
     attempts: list[dict] = []  # one outcome record per window length tried
+    # y -> (params, small, medium, (cleanup fwd, cleanup bwd), rejections,
+    # (small-stage survivors, residual) per window), per feasible length
+    feasible: dict[int, tuple] = {}
 
-    def record(y: int, outcome: str, res_f=None, res_b=None) -> None:
-        attempts.append(
-            {
-                "y": y,
-                "outcome": outcome,
-                "residual_fwd": None if res_f is None else len(res_f),
-                "residual_bwd": None if res_b is None else len(res_b),
-            }
-        )
-
-    def attempt(y: int):
+    def try_length(y: int) -> tuple[bool, float | None]:
+        rec = {"y": y, "outcome": "small_retry_budget", "residual_fwd": None, "residual_bwd": None}
+        attempts.append(rec)
         p = params.with_y(y)
-        z = p.z
         try:
-            residues, fwd0, bwd0, rejections = sample_small_residue(
+            small, fwd0, bwd0, rejections = sample_small_residue(
                 p, table, stage_rng(seed, STREAM_SMALL, y), n_mod, two_sided
             )
         except RetryBudgetError:
-            record(y, "small_retry_budget")
-            return None
-        med = table.usable_between(z, x / 2)
-        stats_rows = [
-            StageStats("small", "fwd", len(residues), y, fwd0.count(), None, seed),
-        ]
-        if two_sided:
-            stats_rows.append(
-                StageStats("small", "bwd", len(residues), y, bwd0.count(), None, seed)
-            )
+            return False, None
         # the attempt's one cover state: the small-stage survivors, less
         # every class the medium stage assigns (one-sided: no backward window)
         state = CoverState.from_survivors(table, fwd0, bwd0, n_mod)
+        med = table.usable_between(p.z, x / 2)
         if mode == "greedy":
             medium = select_shifts_greedy(state, med)
         else:
-            rng_med = stage_rng(seed, STREAM_MEDIUM, y)
-            medium = select_shifts_random(p, table, rng_med, n_mod, two_sided)
+            medium = select_shifts_random(p, table, stage_rng(seed, STREAM_MEDIUM, y), n_mod, two_sided)
             for q, r in medium.items():
                 state.add(q, r)
         res_f, res_b = state.survivors_fwd(), state.survivors_bwd()
-        stats_rows.append(
-            StageStats("medium", "fwd", len(medium), fwd0.count(), len(res_f), cap_f, seed)
-        )
+        counts = [(fwd0.count(), len(res_f))]
         if two_sided:
-            stats_rows.append(
-                StageStats("medium", "bwd", len(medium), bwd0.count(), len(res_b), cap_b, seed)
-            )
-        try:
-            pairs_f, pairs_b = pairing_stage(res_f, res_b, table, x, n_mod)
-        except ConstructionError:
-            record(y, "residual_over_capacity", res_f, res_b)
-            return None
-        record(y, "ok", res_f, res_b)
-        stats_rows.append(StageStats("cleanup", "fwd", len(pairs_f), len(res_f), 0, cap_f, seed))
-        if two_sided:
-            stats_rows.append(StageStats("cleanup", "bwd", len(pairs_b), len(res_b), 0, cap_b, seed))
-        return {
-            "y": y,
-            "params": p,
-            "small": residues,
-            "medium": medium,
-            "cleanup_fwd": pairs_f,
-            "cleanup_bwd": pairs_b,
-            "rejections": rejections,
-            "stats_rows": stats_rows,
-            "residuals": (len(res_f), len(res_b)),
-        }
-
-    y_formula = params.y
-    feasible: dict[int, dict] = {}
-
-    def try_length(y: int) -> tuple[bool, float | None]:
-        got = attempt(y)
-        if got is not None:
-            feasible[y] = got
-        return got is not None, residual_excess(attempts[-1], cap_f, cap_b)
+            counts.append((bwd0.count(), len(res_b)))
+        rec.update(residual_fwd=len(res_f), residual_bwd=len(res_b) if two_sided else None)
+        excess = residual_excess(rec, cap_f, cap_b)
+        good = excess <= 0
+        rec["outcome"] = "ok" if good else "residual_over_capacity"
+        if good:
+            pairs = pairing_stage(res_f, res_b, table, x, n_mod)
+            feasible[y] = (p, small, medium, pairs, rejections, counts)
+        return good, excess
 
     # y * sigma(x/2) / capacity at the greedy two-sided lengths found (x, x^2+1,
     # x^3+2; x <= 3000; seeds 7 to 14) lies in [2.8, 4.4], 64 of 72 at 3 or
@@ -617,22 +586,22 @@ def construct_certificate(
     # (3.5 found the same mean y, but moves random-mode certificates)
     capacity = min(cap_f, cap_b) if two_sided else cap_f
     guess = 3 * capacity / max(table.density_product(x / 2), 1e-300)
-    achieved_y = search_window_length(try_length, y_formula, int(guess))
+    achieved_y = search_window_length(try_length, params.y, int(guess))
     if achieved_y is None:
+        outcomes = Counter(a["outcome"] for a in attempts)
+        # only an attempt that got past the small stage says anything about x
+        reason = ("x is too small for this polynomial" if outcomes["residual_over_capacity"]
+                  else "every attempt used up the small-stage retry budget")
         raise ConstructionError(
-            "no feasible window length down to y = 8; x is too small for this polynomial",
-            {"x": x, "y_formula": y_formula, "capacity_fwd": cap_f, "capacity_bwd": cap_b},
+            f"no feasible window length down to y = 8; {reason}",
+            {"x": x, "y_formula": params.y, "capacity_fwd": cap_f, "capacity_bwd": cap_b,
+             "outcomes": dict(outcomes)},
         )
-    best = feasible[achieved_y]
+    p_final, small, medium, pairs, rejections, counts = feasible[achieved_y]
 
-    p_final: SieveParams = best["params"]
-    assigned = dict(best["small"])
-    assigned.update(best["medium"])
-    assigned.update(best["cleanup_fwd"])
-    assigned.update(best["cleanup_bwd"])
+    assigned = {**small, **medium, **pairs[0], **pairs[1]}
     fills = {q: 0 for q in usable if q not in assigned}
-    full = dict(assigned)
-    full.update(fills)
+    full = {**assigned, **fills}
 
     # the whole point: no offset in either window survives the full system
     final_f = sieve_survivors(table, full, (1, achieved_y), (0, x))
@@ -644,16 +613,16 @@ def construct_certificate(
         assert final_b.count() == 0, "internal error: backward window not fully covered"
 
     stages = [
-        StageRecord("small", "both" if two_sided else "fwd", sorted(best["small"].items())),
+        StageRecord("small", "both" if two_sided else "fwd", sorted(small.items())),
         StageRecord(
             "medium",
             "both" if (two_sided and mode == "greedy") else "fwd",
-            sorted(best["medium"].items()),
+            sorted(medium.items()),
         ),
-        StageRecord("cleanup", "fwd", sorted(best["cleanup_fwd"].items())),
+        StageRecord("cleanup", "fwd", sorted(pairs[0].items())),
     ]
     if two_sided:
-        stages.append(StageRecord("cleanup", "bwd", sorted(best["cleanup_bwd"].items())))
+        stages.append(StageRecord("cleanup", "bwd", sorted(pairs[1].items())))
     if fills:
         stages.append(StageRecord("cleanup", "both", sorted(fills.items())))
 
@@ -667,15 +636,21 @@ def construct_certificate(
         irreducibility=verdict,
         placement=placement,
     )
-    stats = ConstructionStats(rows=best["stats_rows"])
+    # the chosen attempt's stage rows, one per window and stage (zip stops
+    # at the forward window when counts has no backward entry)
+    sides = list(zip(("fwd", "bwd"), counts, pairs, (cap_f, cap_b)))
+    rows = [StageStats("small", s, len(small), achieved_y, n0, None, seed) for s, (n0, _), _, _ in sides]
+    rows += [StageStats("medium", s, len(medium), n0, n1, cap, seed) for s, (n0, n1), _, cap in sides]
+    rows += [StageStats("cleanup", s, len(pr), n1, 0, cap, seed) for s, (_, n1), pr, cap in sides]
+    stats = ConstructionStats(rows=rows)
     m_achieved = achieved_y // 2 - 1
     stats.extras.update(
         {
             "achieved_y": achieved_y,
-            "formula_y": y_formula,
-            "rejections": best["rejections"],
-            "residual_fwd": best["residuals"][0],
-            "residual_bwd": best["residuals"][1],
+            "formula_y": params.y,
+            "rejections": rejections,
+            "residual_fwd": counts[0][1],
+            "residual_bwd": counts[1][1] if two_sided else None,
             "capacity_fwd": cap_f,
             "capacity_bwd": cap_b,
             "m_achieved": m_achieved,

@@ -24,7 +24,7 @@ from .assemble import (
     decimal_digit_bound,
     parse_decimal,
 )
-from .cover import RetryBudgetError, SieveParams
+from .cover import SieveParams
 from .modroots import ROW_PRIME_BOUND, build_root_table, density_stats
 from .poly import parse_poly_literal
 from .verify import (
@@ -167,11 +167,10 @@ def cmd_construct(args) -> int:
             cache_dir=args.cache_dir,
             assert_irreducible=args.assert_irreducible,
         )
-    except (ConstructionError, RetryBudgetError) as e:
+    except ConstructionError as e:
         print(f"composite-forge: construction failed: {e}", file=sys.stderr)
-        diag = getattr(e, "diagnostics", None)
-        if diag:
-            print(f"composite-forge: diagnostics: {json.dumps(diag)}", file=sys.stderr)
+        if e.diagnostics:
+            print(f"composite-forge: diagnostics: {json.dumps(e.diagnostics)}", file=sys.stderr)
         return EXIT_INFEASIBLE
     cert.save(args.out)
     stats_path = args.stats or args.out + ".stats.csv"

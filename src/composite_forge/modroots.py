@@ -20,6 +20,7 @@ suite cross-checks it against an exhaustive scan of every residue.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import struct
@@ -40,11 +41,10 @@ from .gfpoly import gf_powmod  # noqa: F401  (bench/harness.py traces modroots.g
 from .poly import IntPolynomial
 from .primes import mod_rows, sieve_primes, sqrt_and_inverse_rows
 
-_CACHE_MAGIC = b"CFROOTS1"
+_CACHE_MAGIC = b"CFROOTS2"
 
-# primes per block of the quadratic route, the cache writer and the cache
-# reader: numpy temporaries and Python lists stay this long whatever the
-# table size
+# primes per block of the quadratic route and of density_stats: numpy
+# temporaries and Python lists stay this long whatever the table size
 ROW_BLOCK = 4096
 
 
@@ -199,52 +199,41 @@ def _cache_path(cache_dir: str, f: IntPolynomial, limit: int) -> str:
     return os.path.join(cache_dir, f"roots_{_poly_digest(f):016x}_{limit}.bin")
 
 
-def _write_cache(path: str, f: IntPolynomial, limit: int, primes: np.ndarray, roots: dict) -> None:
+def _write_cache(path: str, f: IntPolynomial, limit: int, roots: dict) -> None:
+    """Write the header, one u1 root count per prime, then every root as
+    u4, both in prime order (the order of the roots map)."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(_CACHE_MAGIC)
         fh.write(struct.pack("<QQ", _poly_digest(f), limit))
-        # records (p, k, r_1 .. r_k) as little-endian u64, a block of primes at a time
-        for lo in range(0, len(primes), ROW_BLOCK):
-            words: list[int] = []
-            for p in primes[lo : lo + ROW_BLOCK].tolist():
-                rs = roots[p]
-                words.append(p)
-                words.append(len(rs))
-                words.extend(rs)
-            fh.write(np.array(words, dtype="<u8").tobytes())
+        fh.write(np.fromiter(map(len, roots.values()), dtype="u1", count=len(roots)).tobytes())
+        fh.write(np.fromiter(itertools.chain.from_iterable(roots.values()), dtype="<u4").tobytes())
     os.replace(tmp, path)
 
 
-def _read_cache(path: str, f: IntPolynomial, limit: int) -> dict | None:
+def _read_cache(path: str, f: IntPolynomial, limit: int, primes: np.ndarray) -> dict | None:
+    """The roots map of a cache file written for f, limit and so for
+    primes, or None when there is none or it does not parse."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError:
         return None
-    if len(data) < 24 or len(data) % 8 or data[:8] != _CACHE_MAGIC:
+    n = len(primes)
+    if len(data) < 24 + n or (len(data) - 24 - n) % 4 or data[:8] != _CACHE_MAGIC:
         return None
-    digest, stored_limit = struct.unpack_from("<QQ", data, 8)
-    if digest != _poly_digest(f) or stored_limit != limit:
+    if struct.unpack_from("<QQ", data, 8) != (_poly_digest(f), limit):
         return None
-    words = np.frombuffer(data, dtype="<u8", offset=24)
-    # records (p, k, r_1 .. r_k), read from windows of whole records; a
-    # valid record has k <= degree, so it always fits a window
-    span = ROW_BLOCK + 2 + f.degree
+    counts = np.frombuffer(data, dtype="u1", count=n, offset=24)
+    flat = np.frombuffer(data, dtype="<u4", offset=24 + n)
+    if n and counts.max() > f.degree or counts.sum() != len(flat):
+        return None
+    rs = flat.tolist()
     roots: dict[int, tuple[int, ...]] = {}
     i = 0
-    while i < len(words):
-        w = words[i : i + span].tolist()
-        j = 0
-        while j + 2 <= len(w):
-            end = j + 2 + w[j + 1]
-            if end > len(w):
-                break
-            roots[w[j]] = tuple(w[j + 2 : end])
-            j = end
-        if j == 0:  # a record that runs past the end of the file
-            return None
-        i += j
+    for p, k in zip(primes.tolist(), counts.tolist()):
+        roots[p] = tuple(rs[i : i + k])
+        i += k
     return roots
 
 
@@ -253,24 +242,27 @@ def build_root_table(f: IntPolynomial, limit: int, cache_dir: str | None = None)
 
     A corrupt or mismatching cache file is ignored and rebuilt. A limit of
     ROW_PRIME_BOUND (2^31) or more raises ValueError before anything is
-    sieved: the batched root kernel is exact only below it.
+    sieved: the batched root kernel is exact only below it. A polynomial of
+    degree above 255, whose root counts a cache byte cannot hold, is not
+    cached.
     """
     if limit >= ROW_PRIME_BOUND:
         raise ValueError(f"root table limit {limit} must stay below {ROW_PRIME_BOUND}")
     primes = sieve_primes(limit)
-    if cache_dir:
-        path = _cache_path(cache_dir, f, limit)
-        cached = _read_cache(path, f, limit)
-        if cached is not None and len(cached) == len(primes):
+    degree, leading = f.degree, f.leading
+    path = _cache_path(cache_dir, f, limit) if cache_dir and degree <= 255 else None
+    if path:
+        cached = _read_cache(path, f, limit, primes)
+        if cached is not None:
             return RootTable(f, limit, primes, cached)
     roots: dict[int, tuple[int, ...]] = dict.fromkeys(primes.tolist(), ())
     # p <= degree and p dividing the leading coefficient keep I_p = ();
     # the others go in one algebraic batch
-    batch = [p for p in roots if p > f.degree and f.leading % p]
+    batch = [p for p in roots if p > degree and leading % p]
     roots.update(zip(batch, _roots_algebraic(f.companion(), batch)))
-    if cache_dir:
+    if path:
         os.makedirs(cache_dir, exist_ok=True)
-        _write_cache(_cache_path(cache_dir, f, limit), f, limit, primes, roots)
+        _write_cache(path, f, limit, roots)
     return RootTable(f, limit, primes, roots)
 
 

@@ -10,7 +10,9 @@ testing appears only in the small-scale oracle.
 The witness search works on a whole window at a time: each window start is
 reduced once per prime, the window's offsets are then walked with small-int
 arithmetic, and the size condition |f(n)| > q is proved once per window
-(with an exact per-value check only for small or hostile windows). The
+(with an exact per-value check only for small or hostile windows). Fast
+mode is deep mode's walk on a sample of each window's offsets, and neither
+mode walks a stored window of the wrong length or the stored centers. The
 stored y is bounded by the formula length, and the stored x by what the
 certificate's N or listed primes can support (stored_x_bound) and by the
 root table's bound, before anything is sized by them.
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assemble import ResidueCertificate, big_decimals
+from .assemble import ResidueCertificate, big_decimals, stage_rng
 from .modroots import ROW_PRIME_BOUND, build_root_table, companion_eval_mod
 from .poly import IntPolynomial, irreducibility_check
 from .primes import is_prime, sieve_primes
@@ -165,13 +167,16 @@ def verify_certificate(
 ) -> VerifyReport:
     """Check a certificate from its serialized content alone.
 
-    Placed certificates: every n in I1 and I2 (deep mode) or a seeded 1%
-    sample plus endpoints and centers (fast mode) must have a witness among
-    the certificate primes whose residues are consistent with b1. A
+    Placed certificates: every n in I1 and I2 (deep mode), or in each
+    window its two ends, its center (offset y//2 - 1 in I1, y - y//2 in I2,
+    where it lies in the window) and the offsets of one seeded sample of
+    max(1, int(sample_rate * 2y)) draws (fast mode), must have a witness
+    among the certificate primes whose residues are consistent with b1. A
     placement-free certificate is checked at offset level instead: the
     forward window [1, y] must be fully covered by the residue classes.
-    Neither check runs when y lies outside [1, formula y], and deep mode
-    skips a stored window whose length is not y; both faults are reported.
+    Neither check runs when y lies outside [1, formula y], and neither mode
+    walks a stored window whose length is not y; both faults are reported.
+    The stored centers n1, n2 are checked against b2 and N, not walked.
     An x beyond what the certificate can support (stored_x_bound) or the
     root table refuses (2^31 or more) is reported before anything is sized
     by it, and a listed modulus below 2 is reported and takes no further
@@ -277,24 +282,18 @@ def verify_certificate(
         else:
             report.messages.append(f"b1 does not satisfy the residue for prime {q}")
 
-    # each group is (base, offsets): its values are base + k, in target order.
-    # A stored window of the wrong length is already reported above; it is
-    # not walked, so its bounds cannot size the work.
-    windows = [(lo, hi) for lo, hi in (pl.I1, pl.I2) if hi - lo + 1 == y]
-    if not y_bounded:
-        groups = []
-    elif deep:
-        groups = [(lo, range(y)) for lo, _ in windows]
-    else:
-        i1_lo, i1_hi = pl.I1
-        i2_lo, i2_hi = pl.I2
-        targets = {i1_lo, i1_hi, i2_lo, i2_hi, pl.n1, pl.n2}
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, VERIFY_SAMPLE_STREAM])))
-        n_sample = max(1, int(sample_rate * 2 * y))
-        for off in rng.integers(0, y, size=n_sample):
-            targets.add(i1_lo + int(off))
-            targets.add(i2_lo + int(off))
-        groups = _window_groups(sorted(targets), windows)
+    # each group is (base, offsets): a stored window of length y from its
+    # start, walked whole (deep) or at its ends, its center and a seeded
+    # sample shared by both windows (fast). A window of the wrong length,
+    # reported above, is not walked, so its bounds cannot size the work.
+    groups = []
+    if y_bounded and not deep:
+        rng = stage_rng(seed, VERIFY_SAMPLE_STREAM)
+        sample = {0, y - 1, *map(int, rng.integers(0, y, size=max(1, int(sample_rate * 2 * y))))}
+    for (lo, hi), center in ((pl.I1, y // 2 - 1), (pl.I2, y - y // 2)):
+        if y_bounded and hi - lo + 1 == y:
+            in_window = {center} if 0 <= center < y else set()
+            groups.append((lo, range(y) if deep else sorted(sample | in_window)))
 
     for base, offsets in groups:
         for k, q in zip(offsets, find_witness(base, offsets, consistent, comp, f, degree)):
@@ -306,24 +305,6 @@ def verify_certificate(
     report.failures.sort()
     report.valid = not report.failures and not report.messages
     return report
-
-
-def _window_groups(
-    targets: list[int], windows: list[tuple[int, int]]
-) -> list[tuple[int, list[int]]]:
-    """Split sorted targets into runs lying in one window (base = the
-    window start); a target in no window is a group of its own."""
-    groups: list[tuple[int, list[int]]] = []
-    prev = None
-    for n in targets:
-        win = next((w for w in windows if w[0] <= n <= w[1]), None)
-        if win is not None and win is prev:
-            groups[-1][1].append(n - win[0])
-        else:
-            base = n if win is None else win[0]
-            groups.append((base, [n - base]))
-        prev = win
-    return groups
 
 
 @dataclass(frozen=True)

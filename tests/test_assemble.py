@@ -305,6 +305,54 @@ class TestConstructCertificate:
                     a["residual_bwd"] > e["capacity_bwd"]
                 )
 
+    @pytest.mark.parametrize("mode", ["greedy", "random"])
+    def test_one_sided_excess_is_the_forward_term(self, f_x2p1, cache_dir, monkeypatch, mode):
+        # a one-sided attempt has no backward window: its record says None
+        # there, and the excess the search sees is the forward term alone,
+        # not floored by the capacity of a window that does not exist
+        from composite_forge import assemble
+
+        seen = []
+        search = assemble.search_window_length
+
+        def recording_search(try_length, y_max, y_start):
+            def wrapped(y):
+                got = try_length(y)
+                seen.append(got[1])
+                return got
+
+            return search(wrapped, y_max, y_start)
+
+        monkeypatch.setattr(assemble, "search_window_length", recording_search)
+        _, stats = construct_certificate(
+            f_x2p1, SieveParams(x=300), seed=7, two_sided=False, mode=mode, cache_dir=cache_dir
+        )
+        e = stats.extras
+        assert e["residual_bwd"] is None
+        for a, g in zip(e["attempts"], seen, strict=True):
+            assert a["residual_bwd"] is None
+            assert g == math.log((a["residual_fwd"] + 1) / (e["capacity_fwd"] + 1))
+
+    def test_pairing_only_for_feasible_attempts(self, f_x2p1, cache_dir, monkeypatch):
+        # the capacity rule decides feasibility before any pairing; every
+        # pairing call is one ok attempt, and none of them raises
+        from composite_forge import assemble
+
+        paired = []
+        pair = assemble.pairing_stage
+
+        def recording_pair(res_f, res_b, *args):
+            paired.append((len(res_f), len(res_b)))
+            return pair(res_f, res_b, *args)
+
+        monkeypatch.setattr(assemble, "pairing_stage", recording_pair)
+        _, stats = construct_certificate(f_x2p1, SieveParams(x=300), seed=7, cache_dir=cache_dir)
+        attempts = stats.extras["attempts"]
+        assert any(a["outcome"] == "residual_over_capacity" for a in attempts)
+        assert paired == [
+            (a["residual_fwd"], a["residual_bwd"]) for a in attempts if a["outcome"] == "ok"
+        ]
+
     @pytest.mark.parametrize("two_sided,calls", [(True, 2), (False, 1)])
     def test_sieves_only_for_the_final_check(
         self, f_x2p1, cache_dir, monkeypatch, two_sided, calls

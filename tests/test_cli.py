@@ -73,7 +73,7 @@ class TestConstruct:
             "--out", "no.json", cwd=tmp_path,
         )
         assert r.returncode == INFEASIBLE
-        assert "construction failed" in r.stderr
+        assert "construction failed" in r.stderr and "x is too small" in r.stderr
         assert not (tmp_path / "no.json").exists()
 
     def test_bad_poly_literal(self, tmp_path):
@@ -97,6 +97,21 @@ class TestConstruct:
         )
         assert r.returncode == USAGE
         assert "unrecognized arguments" in r.stderr and flag in r.stderr
+        assert not (tmp_path / "no.json").exists()
+
+    def test_exhausted_retry_budget_exits_2_without_blaming_x(self, tmp_path):
+        # with no small-stage draw allowed, every attempt ends at the retry
+        # budget, which says nothing about x; the diagnostics count outcomes
+        r = run_cli(
+            "construct", "--poly", "poly:[1,0,1]", "--x", "300", "--retry-budget", "0",
+            "--out", "no.json", cwd=tmp_path,
+        )
+        assert r.returncode == INFEASIBLE
+        assert "Traceback" not in r.stderr
+        assert "every attempt used up the small-stage retry budget" in r.stderr
+        assert "x is too small" not in r.stderr
+        diag = json.loads(r.stderr.split("diagnostics: ", 1)[1])
+        assert list(diag["outcomes"]) == ["small_retry_budget"]
         assert not (tmp_path / "no.json").exists()
 
     @pytest.mark.parametrize(

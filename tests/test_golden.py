@@ -16,17 +16,23 @@ refinement coming to score the forward window only (the one-sided cases).
 A change that moves one of them changes the certificate format or the
 construction, and must say so.
 
+Two stats CSVs, of one two-sided and one one-sided case, are pinned the
+same way (STATS_GOLDEN).
+
 Run as a script (`PYTHONPATH=src python tests/test_golden.py`) to print the
-current digest and achieved y of every case, ready to paste over GOLDEN when
-a change moves the certificates on purpose.
+current digest and achieved y of every case, and the pinned stats digests,
+ready to paste over GOLDEN and STATS_GOLDEN when a change moves them on
+purpose.
 """
 
+import csv
 import hashlib
+import io
 import json
 
 import pytest
 
-from composite_forge.assemble import construct_certificate
+from composite_forge.assemble import STATS_HEADER, construct_certificate
 from composite_forge.cover import SieveParams
 from composite_forge.poly import IntPolynomial
 
@@ -71,13 +77,36 @@ VARIANTS = {
 }
 
 
-def certificate_digest(case) -> tuple[str, int]:
-    """The sha256 of the case's certificate bytes, and its achieved y."""
+# sha256 of the stats CSV that `construct` writes beside the certificate,
+# for one two-sided and one one-sided case: the rows come from the chosen
+# attempt alone, so they move only with its certificate
+STATS_GOLDEN = {
+    ("x^2+1", 7): "0543ed61b7588c1953b02cb8f1f47899dd8b60111f021825ff478ab65d9f736b",
+    ("x^3+2", 7, "one-sided"): "35b3515c43f3b12745669dedea3704f42fbc60bf12a9e96a834c84a254262a55",
+}
+
+
+def construct(case):
     name, seed, *variant = case
     f = IntPolynomial.from_monomial(POLYS[name])
     x, kwargs = VARIANTS[variant[0]] if variant else (300, {})
-    cert, stats = construct_certificate(f, SieveParams(x=x), seed, **kwargs)
+    return construct_certificate(f, SieveParams(x=x), seed, **kwargs)
+
+
+def certificate_digest(case) -> tuple[str, int]:
+    """The sha256 of the case's certificate bytes, and its achieved y."""
+    cert, stats = construct(case)
     return hashlib.sha256(cert.to_json_bytes()).hexdigest(), stats.extras["achieved_y"]
+
+
+def stats_csv_digest(case) -> str:
+    """The sha256 of the case's stats CSV, written as the CLI writes it."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(STATS_HEADER)
+    for row in construct(case)[1].rows:
+        w.writerow(row.row())
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda case: "-".join(map(str, case)))
@@ -85,8 +114,16 @@ def test_certificate_digest(case):
     assert certificate_digest(case)[0] == GOLDEN[case]
 
 
+@pytest.mark.parametrize("case", sorted(STATS_GOLDEN), ids=lambda case: "-".join(map(str, case)))
+def test_stats_csv_digest(case):
+    assert stats_csv_digest(case) == STATS_GOLDEN[case]
+
+
 if __name__ == "__main__":
     for case in GOLDEN:
         key = ", ".join(json.dumps(part) for part in case)
         digest, y = certificate_digest(case)
         print(f"    ({key}): {json.dumps(digest)},  # y = {y}")
+    for case in STATS_GOLDEN:
+        key = ", ".join(json.dumps(part) for part in case)
+        print(f"    ({key}): {json.dumps(stats_csv_digest(case))},  # stats CSV")

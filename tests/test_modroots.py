@@ -494,17 +494,25 @@ class TestCache:
         build_root_table(f_x2p1, 1000, cache_dir=d)
         (path,) = list(tmp_path.iterdir())
         data = path.read_bytes()
-        assert _read_cache(str(path), f_x2p1, 1000) is not None
-        # 13 = 1 mod 4: its record is (13, 2, 5, 8); cut after its root count
-        rec = np.array([13, 2, 5, 8], dtype="<u8").tobytes()
-        cut = data.index(rec) + 16
-        for bad in (data[:cut], data[: cut + 8], data[:-3], data + b"\x00"):
+        primes = sieve_primes(1000)
+        n = len(primes)
+        assert _read_cache(str(path), f_x2p1, 1000, primes) is not None
+        # a 24-byte header, one u1 root count per prime, then every root as
+        # u4; 13 = 1 mod 4 has two roots
+        at13 = 24 + int(np.searchsorted(primes, 13))
+        assert data[at13] == 2
+        # three roots for 13 exceed the degree, though the lengths agree
+        too_many = data[:at13] + b"\x03" + data[at13 + 1 :] + bytes(4)
+        for bad in (
+            data[:10], data[: 24 + n - 1], data[: 24 + n], data[:-4], data[:-3],
+            data + b"\x00", data + bytes(4), too_many, b"CFROOTS1" + data[8:],
+        ):
             path.write_bytes(bad)
-            assert _read_cache(str(path), f_x2p1, 1000) is None
-        # a record whose root count runs past the end of the file
-        path.write_bytes(data[:-24] + np.array([997, 10**6], dtype="<u8").tobytes())
-        assert _read_cache(str(path), f_x2p1, 1000) is None
-        path.write_bytes(data[:cut])
+            assert _read_cache(str(path), f_x2p1, 1000, primes) is None
+        # a file written for another prime list does not parse either
+        path.write_bytes(data)
+        assert _read_cache(str(path), f_x2p1, 1000, sieve_primes(990)) is None
+        path.write_bytes(data[: 24 + n])
         assert build_root_table(f_x2p1, 1000, cache_dir=d).roots == build_root_table(f_x2p1, 1000).roots
         assert path.read_bytes() == data
 
@@ -519,14 +527,15 @@ class TestCache:
     @pytest.mark.parametrize(
         "literal, digest, limit",
         [
-            ("poly:[1,0,1]", "079869011ee97edbb505cf387eadac3fd11f7aef94787cbb4a86e7606977ae62", 10**4),
-            ("poly:[2,0,0,1]", "df714b6de0d866199e6acfea389292f7f43dc74bafe6908a07e6547599a5fa97", 10**4),
-            ("poly:[1,0,1]", "162881b4b4608ba4dcd03fd69ca8fd413e9df97fb5d0841c9c79689a3f20400b", 10**5),
+            ("poly:[1,0,1]", "b722c907e6afc0c1ea57f930b430702bba31ebdd0cd1d3dd8e742ae4e648a854", 10**4),
+            ("poly:[2,0,0,1]", "8b0051cab7ae1c27ba33a8391190fc370be0eda5f552807d1bfeacc0d84902ef", 10**4),
+            ("poly:[1,0,1]", "1e2b1c330a8c7ddca0fabbf9d7c42a45f784091df05ef18bfc1662fe13854083", 10**5),
         ],
+        ids=["x^2+1-1e4", "x^3+2-1e4", "x^2+1-1e5"],
     )
     def test_cache_bytes_pinned(self, literal, digest, limit, tmp_path):
-        # digests of the files the per-prime route and the per-record
-        # writer produced; 10^5 spans more than one block of the writer
+        # digests of the files the two-array writer (root counts, then the
+        # roots) produced for tables the per-prime route gave
         f = parse_poly_literal(literal)
         build_root_table(f, limit, cache_dir=str(tmp_path))
         data = open(_cache_path(str(tmp_path), f, limit), "rb").read()

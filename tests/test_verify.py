@@ -407,18 +407,17 @@ TAMPERS = {
 
 
 def per_n_targets(cert, deep: bool, seed: int) -> list[int]:
-    """The values the per-n verifier walked, in its order."""
+    """The values the per-n verifier walks, in its order: each stored window
+    of length y from its start, whole (deep) or at its ends, its center and
+    the seeded sample's offsets (fast)."""
     pl, y = cert.placement, cert.params.y
-    i1_lo, i1_hi = pl.I1
-    i2_lo, i2_hi = pl.I2
-    if deep:
-        return list(range(i1_lo, i1_hi + 1)) + list(range(i2_lo, i2_hi + 1))
-    targets = {i1_lo, i1_hi, i2_lo, i2_hi, pl.n1, pl.n2}
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, VERIFY_SAMPLE_STREAM])))
-    for off in rng.integers(0, y, size=max(1, int(0.01 * 2 * y))):
-        targets.add(i1_lo + int(off))
-        targets.add(i2_lo + int(off))
-    return sorted(targets)
+    sample = {int(k) for k in rng.integers(0, y, size=max(1, int(0.01 * 2 * y)))}
+    out = []
+    for (lo, hi), center in ((pl.I1, y // 2 - 1), (pl.I2, y - y // 2)):
+        if hi - lo + 1 == y:
+            out += [lo + k for k in (range(y) if deep else sorted(sample | {0, y - 1, center}))]
+    return out
 
 
 @st.composite
@@ -562,6 +561,51 @@ class TestWindowWitnessSearch:
         assert got.to_json_dict() == want.to_json_dict()
         assert got.witness_primes == want.witness_primes
         assert got.valid == (tamper == "none")
+
+    @pytest.mark.parametrize("deep", [True, False])
+    def test_stored_center_outside_the_windows_is_not_walked(self, deep, monkeypatch):
+        # a stored n1 far below I1 (and n2 = N - n1 far above I2) is
+        # reported, but no witness search starts anywhere outside the
+        # stored windows
+        cert = certificate("x^2+1", 300)
+        pl = cert.placement
+        n1 = pl.I1[0] - 10**6
+        cert.placement = dataclasses.replace(pl, n1=n1, n2=pl.N - n1)
+        walked: list[int] = []
+        inner = verify_mod.find_witness
+
+        def recording(base, offsets, *args):
+            walked.extend(base + k for k in offsets)
+            return inner(base, offsets, *args)
+
+        monkeypatch.setattr(verify_mod, "find_witness", recording)
+        report = verify_certificate(cert, deep=deep, seed=7)
+        assert not report.valid
+        assert any("centers" in m for m in report.messages)
+        assert walked and all(any(lo <= n <= hi for lo, hi in (pl.I1, pl.I2)) for n in walked)
+        assert report.checked == len(walked) and not report.failures
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("name", sorted(POLYS))
+    def test_fast_offsets_are_a_subset_of_deep_offsets(self, name, seed, monkeypatch):
+        cert = certificate(name, 300)
+        groups: dict[bool, list] = {}
+        inner = verify_mod.find_witness
+        for deep in (True, False):
+            seen = groups[deep] = []
+
+            def recording(base, offsets, *args, seen=seen):
+                seen.append((base, list(offsets)))
+                return inner(base, offsets, *args)
+
+            monkeypatch.setattr(verify_mod, "find_witness", recording)
+            assert verify_certificate(cert, deep=deep, seed=seed).valid
+        y, pl = cert.params.y, cert.placement
+        assert [base for base, _ in groups[True]] == [base for base, _ in groups[False]]
+        assert [base for base, _ in groups[True]] == [pl.I1[0], pl.I2[0]]
+        for (_, whole), (_, part) in zip(groups[True], groups[False]):
+            assert whole == list(range(y))
+            assert part and set(part) <= set(whole) and {0, y - 1} <= set(part)
 
     def test_companion_only_sees_reduced_residues(self, monkeypatch):
         cert = certificate("x^2+1", 1000)
