@@ -16,8 +16,8 @@ import math
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from dataclasses import astuple, dataclass, field, fields
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -70,46 +70,28 @@ def pairing_stage(
     residual_fwd: Iterable[int],
     residual_bwd: Iterable[int],
     table: RootTable,
-    x: int,
-    n_mod: Mapping[int, int],
+    pool_f: Sequence[int],
+    pool_b: Sequence[int],
+    n_mod: Mapping[int, int] | None,
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Assign each leftover survivor its own large prime.
 
-    Forward survivors a (offsets in [1, y]) pair with usable primes in
-    (x/2, 3x/4] via r_q = a - alpha_1; backward survivors (offsets in
-    [-y, -1]) pair with (3x/4, x] via r_q = -N - a + alpha_1, with N taken
-    mod q from n_mod. More survivors than primes on either side raises
-    ConstructionError with the counts, rather than leave any unpaired;
-    construction pairs only attempts that fit, so this guards direct
-    callers. Each
-    congruence kills its survivor; when y exceeds the prime (y > x/2 happens,
-    e.g. y = 4577 at x = 3000 for f = x) it kills other offsets of the
-    window too, which does no harm. Full cover is not argued here: the
-    construction asserts it with a final sieve of both windows.
+    Sorted forward survivors a (offsets in [1, y]) pair in order with
+    pool_f, the usable primes in (x/2, 3x/4], via r_q = a - alpha_1; sorted
+    backward survivors (offsets in [-y, -1]) pair with pool_b, those in
+    (3x/4, x], via that class in the backward frame (backward_residues; a
+    one-sided run has no backward survivors and may give n_mod None). A
+    survivor beyond its pool stays unpaired: construction pairs only
+    attempts whose survivors fit (residual_excess <= 0). Each congruence
+    kills its survivor, and other offsets too when y exceeds the prime (e.g.
+    y = 4577 at x = 3000 for f = x), which does no harm. Full cover is not
+    argued here: the construction asserts it with a final sieve.
     """
-    fwd = sorted(int(a) for a in residual_fwd)
-    bwd = sorted(int(a) for a in residual_bwd)
-    pool_f = table.usable_between(x / 2, 3 * x / 4)
-    pool_b = table.usable_between(3 * x / 4, x)
-    if len(fwd) > len(pool_f) or len(bwd) > len(pool_b):
-        raise ConstructionError(
-            "cleanup capacity exceeded; retry with another seed or larger x",
-            {
-                "residual_fwd": len(fwd),
-                "capacity_fwd": len(pool_f),
-                "residual_bwd": len(bwd),
-                "capacity_bwd": len(pool_b),
-            },
-        )
-    out_f: dict[int, int] = {}
-    for a, q in zip(fwd, pool_f):
-        alpha = table.roots[q][0]
-        out_f[q] = (a - alpha) % q
-    out_b: dict[int, int] = {}
-    for a, q in zip(bwd, pool_b):
-        alpha = table.roots[q][0]
-        out_b[q] = (-n_mod[q] - a + alpha) % q
-    return out_f, out_b
+
+    def pair(survivors: Iterable[int], pool: Sequence[int]) -> dict[int, int]:
+        return {q: (a - table.roots[q][0]) % q for a, q in zip(sorted(map(int, survivors)), pool)}
+
+    return pair(residual_fwd, pool_f), backward_residues(pair(residual_bwd, pool_b), n_mod)
 
 
 # The window-length search (search_window_length): the attempts after which
@@ -267,14 +249,20 @@ def auto_target(modulus: int) -> int:
 
 @dataclass(frozen=True)
 class Placement:
+    """A two-sided certificate's placement: N, the representative b1 and
+    the windows and centers it gives; b2 = -b1 is derived, never stored."""
+
     N: int
     b1: int
-    b2: int
     I1: tuple[int, int]
     I2: tuple[int, int]
     n1: int
     n2: int
     m: int
+
+    @property
+    def b2(self) -> int:
+        return -self.b1
 
     def to_json(self) -> dict:
         with big_decimals():
@@ -297,11 +285,9 @@ class Placement:
         def num(value) -> int:
             return parse_decimal(value, max_digits)
 
-        b1 = num(obj["b1"])
         return cls(
             N=num(obj["N"]),
-            b1=b1,
-            b2=-b1,
+            b1=num(obj["b1"]),
             I1=(num(obj["I1"][0]), num(obj["I1"][1])),
             I2=(num(obj["I2"][0]), num(obj["I2"][1])),
             n1=num(obj["n1"]),
@@ -328,7 +314,6 @@ def place(b: int, modulus: int, n_target: int, y: int) -> Placement:
     return Placement(
         N=n_target,
         b1=b1,
-        b2=b2,
         I1=(b2 + 1, b2 + y),
         I2=(n_target - b2 - y, n_target - b2 - 1),
         n1=b2 + half,
@@ -443,18 +428,10 @@ class StageStats:
     seed: int
 
     def row(self) -> list:
-        return [
-            self.stage,
-            self.side,
-            self.primes_used,
-            self.survivors_before,
-            self.survivors_after,
-            "" if self.capacity is None else self.capacity,
-            self.seed,
-        ]
+        return ["" if v is None else v for v in astuple(self)]
 
 
-STATS_HEADER = ["stage", "side", "primes_used", "survivors_before", "survivors_after", "capacity", "seed"]
+STATS_HEADER = [f.name for f in fields(StageStats)]
 
 
 @dataclass
@@ -540,8 +517,9 @@ def construct_certificate(
         # N mod q once per construction: the only form of N any sieve stage
         # of any attempt takes; N itself is read again only at placement
         n_mod = target_residues(target, table)
-    cap_f = len(table.usable_between(x / 2, 3 * x / 4))
-    cap_b = len(table.usable_between(3 * x / 4, x))
+    # the cleanup primes, one per survivor left: their counts are the capacities
+    pools = table.usable_between(x / 2, 3 * x / 4), table.usable_between(3 * x / 4, x)
+    cap_f, cap_b = map(len, pools)
     attempts: list[dict] = []  # one outcome record per window length tried
     # y -> (params, small, medium, (cleanup fwd, cleanup bwd), rejections,
     # (small-stage survivors, residual) per window), per feasible length
@@ -559,12 +537,12 @@ def construct_certificate(
             return False, None
         # the attempt's one cover state: the small-stage survivors, less
         # every class the medium stage assigns (one-sided: no backward window)
-        state = CoverState.from_survivors(table, fwd0, bwd0, n_mod)
+        state = CoverState(table, fwd0, bwd0, n_mod)
         med = table.usable_between(p.z, x / 2)
         if mode == "greedy":
             medium = select_shifts_greedy(state, med)
         else:
-            medium = select_shifts_random(p, table, stage_rng(seed, STREAM_MEDIUM, y), n_mod, two_sided)
+            medium = select_shifts_random(p, table, stage_rng(seed, STREAM_MEDIUM, y), n_mod)
             for q, r in medium.items():
                 state.add(q, r)
         res_f, res_b = state.survivors_fwd(), state.survivors_bwd()
@@ -576,7 +554,7 @@ def construct_certificate(
         good = excess <= 0
         rec["outcome"] = "ok" if good else "residual_over_capacity"
         if good:
-            pairs = pairing_stage(res_f, res_b, table, x, n_mod)
+            pairs = pairing_stage(res_f, res_b, table, *pools, n_mod)
             feasible[y] = (p, small, medium, pairs, rejections, counts)
         return good, excess
 

@@ -56,6 +56,14 @@ def _poly(text: str):
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+def nonnegative_int(text: str) -> int:
+    # the type of every --seed: numpy takes nonnegative seeds only
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def _x_grid(text: str) -> list[int]:
     out = []
     for part in text.split(","):
@@ -66,6 +74,8 @@ def _x_grid(text: str) -> list[int]:
             out.append(int(float(part)))
         except (OverflowError, ValueError):
             raise argparse.ArgumentTypeError(f"x value {part!r} is not a finite number") from None
+        if out[-1] < 2:
+            raise argparse.ArgumentTypeError(f"x value {part!r} is below 2")
     return out
 
 
@@ -85,7 +95,7 @@ def build_parser() -> _Parser:
     c.add_argument("--xi", type=float, default=2.0)
     c.add_argument("--K", type=float, default=8.0)
     c.add_argument("--retry-budget", type=int, default=64)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=nonnegative_int, default=0)
     c.add_argument("--mode", choices=["greedy", "random"], default="greedy")
     c.add_argument("--two-sided", action=argparse.BooleanOptionalAction, default=True)
     c.add_argument("--N", type=str, default=None,
@@ -101,7 +111,7 @@ def build_parser() -> _Parser:
     v.add_argument("cert", help="certificate JSON path")
     v.add_argument("--deep", action="store_true", help="check every window element")
     v.add_argument("--sample", type=float, default=0.01, help="fast-mode sample rate, in (0, 1]")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=nonnegative_int, default=0)
     v.add_argument("--out", default=None, help="write the report JSON here (default stdout)")
     v.set_defaults(func=cmd_verify)
 
@@ -124,13 +134,21 @@ def build_parser() -> _Parser:
     m.add_argument("--k0", type=float, default=8.0)
     m.add_argument("--candidates", type=int, default=8)
     m.add_argument("--trials", type=int, default=100)
-    m.add_argument("--seed", type=int, default=0)
+    m.add_argument("--seed", type=nonnegative_int, default=0)
     m.add_argument("--out", default=None, help="CSV path (default stdout)")
     m.set_defaults(func=cmd_simulate)
     return p
 
 
 def cmd_construct(args) -> int:
+    if args.x >= ROW_PRIME_BOUND:
+        # checked first: SieveParams takes the formula length of x as a float
+        print(
+            f"composite-forge: bad parameters: root table limit {args.x}"
+            f" must stay below {ROW_PRIME_BOUND}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     try:
         params = SieveParams(
             x=args.x,
@@ -141,13 +159,6 @@ def cmd_construct(args) -> int:
         )
     except ValueError as e:
         print(f"composite-forge: bad parameters: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.x >= ROW_PRIME_BOUND:
-        print(
-            f"composite-forge: bad parameters: root table limit {args.x}"
-            f" must stay below {ROW_PRIME_BOUND}",
-            file=sys.stderr,
-        )
         return EXIT_USAGE
     n_target = None
     if args.N is not None:

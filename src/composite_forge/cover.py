@@ -31,6 +31,10 @@ from .modroots import RootTable
 from .sievecore import SurvivorSet, sieve_survivors
 
 
+# the most scales H = xi^j per side that SieveParams lets random mode walk
+MAX_SCALES = 1024
+
+
 class RetryBudgetError(RuntimeError):
     """Residue sampling failed the survivor-count bound too many times."""
 
@@ -45,6 +49,10 @@ class SieveParams:
     formula alone exceeds x/2 for every x reachable in practice, which would
     leave no primes for shift selection at all, so the cap is what makes the
     staged pipeline nondegenerate; both values are exposed.
+
+    Random mode draws int64 shifts from ranges of (K + 2) * y values and
+    walks at most ln(x/2) / ln(xi) scales per side, so (K + 2) * y must stay
+    below 2^63 at the formula y, and ln(x/2) / ln(xi) within MAX_SCALES.
     """
 
     x: int
@@ -67,16 +75,22 @@ class SieveParams:
             raise ValueError("M must lie in (6, 7)")
         if not (0 < self.K < math.inf):
             raise ValueError("K must be finite and positive")
+        if (self.K + 2) * self.y_formula >= 2**63:
+            raise ValueError("(K + 2) * y must stay below 2^63 at the formula length")
+        if math.log(self.x / 2) > MAX_SCALES * math.log(self.xi):
+            raise ValueError(f"xi must be at least (x/2)^(1/{MAX_SCALES}): too many scales")
         if not (0 < self.eps < (self.M - 6) / 7):
             raise ValueError("eps must lie in (0, (M - 6) / 7)")
         if self.retry_budget < 0:
             raise ValueError("retry budget must be nonnegative")
 
     @property
-    def y(self) -> int:
-        if self.y_override is not None:
-            return self.y_override
+    def y_formula(self) -> int:
         return int(self.x * math.log(self.x) ** self.delta)
+
+    @property
+    def y(self) -> int:
+        return self.y_formula if self.y_override is None else self.y_override
 
     @property
     def boundary_formula(self) -> int:
@@ -180,11 +194,11 @@ class CoverState:
     (prime q with residue r hits j = r + alpha mod q); bwd[i] counts those
     hitting backward offset bwd_lo + i (j = alpha - N - r mod q). Offsets
     with count zero are the survivors. Adding or removing one prime's class
-    is nu strided slice updates per window. N enters only through n_mod,
-    the map q -> N mod q (see target_residues), which is read only while
-    the backward window is nonempty. One window-length attempt
-    builds one state from its small-stage survivors; the medium stage
-    assigns, re-picks and reads residuals on it.
+    is nu strided slice updates per window. One window-length attempt builds
+    one state from its small-stage survivor bitmaps; the medium stage
+    assigns, re-picks and reads residuals on it. With no backward bitmap the
+    backward window is empty, and n_mod, the map q -> N mod q (see
+    target_residues) read only for a nonempty backward window, may be None.
 
     Scoring a prime takes one survivor extraction per window and a single
     bincount: residue r hits forward survivor o when r = o - alpha and
@@ -192,28 +206,15 @@ class CoverState:
     keys over every survivor and root gives each residue's joint score.
     """
 
-    def __init__(self, table: RootTable, n_mod: Mapping[int, int] | None, fwd_lo: int,
-                 fwd: np.ndarray, bwd_lo: int, bwd: np.ndarray):
+    def __init__(self, table: RootTable, fwd: SurvivorSet, bwd: SurvivorSet | None,
+                 n_mod: Mapping[int, int] | None):
         self.table = table
         self.n_mod = n_mod
-        self.fwd_lo, self.fwd = fwd_lo, fwd
-        self.bwd_lo, self.bwd = bwd_lo, bwd
-
-    @classmethod
-    def from_survivors(
-        cls,
-        table: RootTable,
-        fwd: SurvivorSet,
-        bwd: SurvivorSet | None,
-        n_mod: Mapping[int, int] | None,
-    ) -> "CoverState":
-        """Start from survivor bitmaps; each killed offset counts once. With
-        no backward bitmap the backward window is empty, so no count and no
-        score reads n_mod, which may then be None."""
-        f = (~fwd.bits).astype(np.int32)
-        if bwd is None:
-            return cls(table, n_mod, fwd.lo, f, 0, np.zeros(0, dtype=np.int32))
-        return cls(table, n_mod, fwd.lo, f, bwd.lo, (~bwd.bits).astype(np.int32))
+        # each offset the small stage killed counts once
+        self.fwd_lo, self.fwd = fwd.lo, (~fwd.bits).astype(np.int32)
+        self.bwd_lo, self.bwd = 0, np.zeros(0, dtype=np.int32)
+        if bwd is not None:
+            self.bwd_lo, self.bwd = bwd.lo, (~bwd.bits).astype(np.int32)
 
     def add(self, q: int, r: int, count: int = 1) -> None:
         """Assign residue r to q (count -1 takes the assignment back)."""
@@ -268,17 +269,17 @@ def select_shifts_random(
     table: RootTable,
     rng: np.random.Generator,
     n_mod: Mapping[int, int] | None,
-    two_sided: bool = True,
 ) -> dict[int, int]:
     """Randomized medium stage over the scales H = xi^j with
     2y/x <= H <= y/(xi z): each usable prime q in (y/(xi H), y/H] draws one
     shift n, uniform over (-(K+1)y, y] on a forward scale (even j) or
     [-y, (K+1)y) on a backward one (odd j), and takes the residue it
-    induces: n mod q forward, -N - n mod q backward (N read from n_mod,
-    which a one-sided run, having no backward scales, need not give). Draw
+    induces: n mod q forward, -N - n mod q backward (N read from n_mod;
+    n_mod None makes the run one-sided, with no backward scales). Draw
     order: the forward scales, then the backward ones, each by ascending j;
     within a scale by root count, then by size. Primes outside every scale
-    window stay unassigned.
+    window stay unassigned. At most ln(x/2) / ln(xi) <= MAX_SCALES scales
+    lie in range (SieveParams refuses a larger count).
 
     The paper's progression weight sigma2^(-count) is 1 for every shift
     (see the module docstring). The range holds (K+2)*y - O(1) shifts, so
@@ -291,7 +292,7 @@ def select_shifts_random(
         return out
     j_lo = math.ceil(math.log(2 * y / x) / math.log(xi) - 1e-12)
     j_hi = math.floor(math.log(y / (xi * z)) / math.log(xi) + 1e-12)
-    for side in (0, 1) if two_sided else (0,):
+    for side in (0, 1) if n_mod is not None else (0,):
         lo, hi = (-y, ky - 1) if side else (-ky + 1, y)
         for j in range(j_lo, j_hi + 1):
             h = xi**j

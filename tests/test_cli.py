@@ -328,10 +328,25 @@ class TestVerify:
     "args,message",
     [
         (["stats", "--poly", "poly:[0,1]", "--x", "1e400"], "not a finite number"),
+        (["stats", "--poly", "poly:[1,0,1]", "--x", "1"], "below 2"),
+        (["stats", "--poly", "poly:[1,0,1]", "--x", "0,100"], "below 2"),
         (["oracle", "--poly", "poly:[0,1]", "--n", "0"], "n_max must be positive"),
         (["simulate", "--candidates", "0"], "at least one candidate"),
+        (["construct", "--poly", "poly:[0,1]", "--x", "300", "--seed", "-1"], "negative"),
+        (["verify", "cert.json", "--seed", "-1"], "negative"),
+        (["simulate", "--seed", "-1"], "negative"),
+        # the shift range (K + 2) * y must fit int64
+        (["construct", "--poly", "poly:[0,1]", "--x", "300", "--mode", "random", "--K", "1e30"],
+         "2^63"),
+        # about 10^6 scales per side would not finish
+        (["construct", "--poly", "poly:[0,1]", "--x", "300", "--mode", "random",
+          "--xi", "1.000001"], "scales"),
     ],
-    ids=["stats-x-overflow", "oracle-n-zero", "simulate-no-candidates"],
+    ids=[
+        "stats-x-overflow", "stats-x-one", "stats-x-zero", "oracle-n-zero",
+        "simulate-no-candidates", "construct-seed-negative", "verify-seed-negative",
+        "simulate-seed-negative", "random-K-overflow", "random-xi-near-one",
+    ],
 )
 def test_bad_argument_exits_64(tmp_path, args, message):
     r = run_cli(*args, cwd=tmp_path)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composite_forge import cover
-from composite_forge.assemble import ConstructionError, pairing_stage, stage_rng
+from composite_forge.assemble import pairing_stage, stage_rng
 from composite_forge.cover import (
     CoverState,
     RetryBudgetError,
@@ -91,11 +91,24 @@ class TestSieveParams:
             {"x": 300, "eps": 0.0},
             {"x": 300, "eps": 0.072},
             {"x": 300, "retry_budget": -1},
+            {"x": 300, "K": 1e30},
+            {"x": 300, "xi": 1.000001},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SieveParams(**kwargs)
+
+    def test_random_mode_limits_admit_their_edges(self, f_x, cache_dir):
+        from composite_forge.modroots import build_root_table
+
+        # (K + 2) * y = 7.2e18 < 2^63 at x = 300, and every shift fits int64
+        params = SieveParams(x=300, K=1e16)
+        table = build_root_table(f_x, 300, cache_dir=cache_dir)
+        n_mod = target_residues(N60, table)
+        assert select_shifts_random(params, table, stage_rng(1, 2, 0), n_mod)
+        # ln(150) / ln(1.01) = 504 scales per side, within MAX_SCALES
+        assert select_shifts_random(SieveParams(x=300, xi=1.01), table, stage_rng(1, 2, 0), n_mod)
 
     @pytest.mark.parametrize("name", ["xi", "K"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -290,7 +303,7 @@ class TestBackwardResidues:
 
 
 def one_sided(table, fwd):
-    return CoverState.from_survivors(table, fwd, None, None)
+    return CoverState(table, fwd, None, None)
 
 
 class TestGreedySelection:
@@ -327,7 +340,7 @@ class TestGreedySelection:
             params, table_x2p1_2000, stage_rng(4, 1, 0), n_mod
         )
         med = table_x2p1_2000.usable_between(params.z, 400)
-        state = CoverState.from_survivors(table_x2p1_2000, fwd, bwd, n_mod)
+        state = CoverState(table_x2p1_2000, fwd, bwd, n_mod)
         merged = dict(residues)
         merged.update(select_shifts_greedy(state, med))
         f2 = sieve_survivors(table_x2p1_2000, merged, (1, params.y), (0, 400))
@@ -351,7 +364,7 @@ class TestGreedySelection:
         # random mode leaves the medium primes outside every scale window
         # unassigned; its residual is the small stage's less the sampled classes
         rnd = one_sided(table_x2p1_2000, fwd)
-        drawn = select_shifts_random(params, table_x2p1_2000, stage_rng(5, 2, 0), None, False)
+        drawn = select_shifts_random(params, table_x2p1_2000, stage_rng(5, 2, 0), None)
         for q, r in drawn.items():
             rnd.add(q, r)
         assert len(greedy.survivors_fwd()) <= len(rnd.survivors_fwd())
@@ -362,7 +375,7 @@ class TestRandomSelection:
         # one-sided: forward scales only, and no target residues to read
         params = SieveParams(x=2000)
         ladder = build_ladder(params, table_x2p1_2000)
-        out = select_shifts_random(params, table_x2p1_2000, stage_rng(9, 2, 0), None, False)
+        out = select_shifts_random(params, table_x2p1_2000, stage_rng(9, 2, 0), None)
         shifts = drawn_shifts(ladder, "fwd", stage_rng(9, 2, 0), params)
         assert list(out) == list(shifts)
         lo, hi = shift_range(params, "fwd")
@@ -399,7 +412,7 @@ class TestRandomSelection:
             n_mod = target_residues(n_target, table) if two_sided else None
             for y in (None, 40, 97):
                 params = SieveParams(x=x, y_override=y)
-                got = select_shifts_random(params, table, stage_rng(x, 2, 5), n_mod, two_sided)
+                got = select_shifts_random(params, table, stage_rng(x, 2, 5), n_mod)
                 want = select_shifts_random_int(
                     params, table, stage_rng(x, 2, 5), n_target, two_sided
                 )
@@ -408,18 +421,14 @@ class TestRandomSelection:
 
 class TestResidualCheck:
     def test_capacities(self, table_x_100):
-        # the residual-vs-capacity check lives in the pairing stage only
+        # usable primes in (50, 75] absorb forward, (75, 100] backward
+        # survivors; a window filled to its pool's length takes every prime
         n_mod = target_residues(10**6, table_x_100)
-        # usable primes in (50, 75] absorb forward, (75, 100] backward survivors
-        with pytest.raises(ConstructionError) as exc:
-            pairing_stage([1, 2, 3], [-1, -2, -3, -4, -5], table_x_100, 100, n_mod)
-        d = exc.value.diagnostics
-        assert (d["capacity_fwd"], d["capacity_bwd"]) == (6, 4)
-        assert (d["residual_fwd"], d["residual_bwd"]) == (3, 5)
-        out_f, out_b = pairing_stage(
-            [1, 2, 3], [-1, -2, -3, -4], table_x_100, 100, n_mod
-        )
+        pools = table_x_100.usable_between(50, 75), table_x_100.usable_between(75, 100)
+        assert tuple(map(len, pools)) == (6, 4)
+        out_f, out_b = pairing_stage([1, 2, 3], [-1, -2, -3, -4], table_x_100, *pools, n_mod)
         assert (len(out_f), len(out_b)) == (3, 4)
+        assert list(out_b) == pools[1]
 
 
 class TestRefinement:
@@ -430,7 +439,7 @@ class TestRefinement:
             params, table_x2p1_2000, stage_rng(6, 1, 0), n_mod
         )
         med = table_x2p1_2000.usable_between(params.z, 1000)
-        state = CoverState.from_survivors(table_x2p1_2000, fwd, bwd, n_mod)
+        state = CoverState(table_x2p1_2000, fwd, bwd, n_mod)
         chosen = select_shifts_greedy(state, med)
 
         def joint_residual(medium):
@@ -485,7 +494,9 @@ class TestClassScores:
 # loops (joint and forward-only) that CoverState replaced, kept verbatim in
 # behaviour but for the greedy pass's order, now ascending, on plain
 # survivor bitmaps; and the stages that took N itself
-# before every stage came to take the map q -> N mod q.
+# before every stage came to take the map q -> N mod q (the pairing one
+# without the capacity error it raised then: survivors beyond a pool stay
+# unpaired).
 
 
 def backward_residues_int(residues, n_target):
@@ -497,8 +508,6 @@ def pairing_stage_int(residual_fwd, residual_bwd, table, x, n_target):
     bwd = sorted(int(a) for a in residual_bwd)
     pool_f = table.usable_between(x / 2, 3 * x / 4)
     pool_b = table.usable_between(3 * x / 4, x)
-    if len(fwd) > len(pool_f) or len(bwd) > len(pool_b):
-        raise ConstructionError("cleanup capacity exceeded")
     out_f = {}
     for a, q in zip(fwd, pool_f):
         alpha = table.roots[q][0]
@@ -615,14 +624,14 @@ class TestCoverState:
         med = table.usable_between(z, x / 2)
 
         if paired:
-            state = CoverState.from_survivors(table, fwd0, bwd0, n_mod)
+            state = CoverState(table, fwd0, bwd0, n_mod)
             chosen = select_shifts_greedy(state, med)
             ref, ref_fwd, ref_bwd = oracle_greedy_both(med, fwd0, bwd0, table, n_target)
             assert np.array_equal(state.survivors_bwd(), ref_bwd)
         else:
             # one-sided: the backward window is empty and only forward
             # survivors are scored, by the greedy pass and the refinement
-            state = CoverState.from_survivors(table, fwd0, None, n_mod)
+            state = CoverState(table, fwd0, None, n_mod)
             chosen = select_shifts_greedy(state, med)
             ref, ref_fwd = oracle_greedy_fwd(med, fwd0, table)
             assert state.survivors_bwd().size == 0
@@ -664,13 +673,9 @@ class TestCoverState:
 
         fwd = rng.choice(np.arange(1, params.y + 1), size=min(n_fwd, params.y), replace=False)
         bwd = rng.choice(np.arange(-params.y, 0), size=min(n_bwd, params.y), replace=False)
-        try:
-            expect = pairing_stage_int(fwd, bwd, table, x, n_target)
-        except ConstructionError:
-            with pytest.raises(ConstructionError):
-                pairing_stage(fwd, bwd, table, x, n_mod)
-        else:
-            assert pairing_stage(fwd, bwd, table, x, n_mod) == expect
+        pools = table.usable_between(x / 2, 3 * x / 4), table.usable_between(3 * x / 4, x)
+        expect = pairing_stage_int(fwd, bwd, table, x, n_target)
+        assert pairing_stage(fwd, bwd, table, *pools, n_mod) == expect
 
         got = select_shifts_random(params, table, stage_rng(draw_seed, 2), n_mod)
         assert got == select_shifts_random_int(params, table, stage_rng(draw_seed, 2), n_target)
@@ -678,8 +683,7 @@ class TestCoverState:
     def test_add_then_remove_restores_counts(self, table_x2p1_100):
         n_mod = target_residues(10**80 + 3, table_x2p1_100)
         residues = {13: 4, 17: 9}
-        zeros = np.zeros(60, dtype=np.int32)
-        state = CoverState(table_x2p1_100, n_mod, 1, zeros.copy(), -60, zeros.copy())
+        state = CoverState(table_x2p1_100, full_window(1, 60), full_window(-60, -1), n_mod)
         for q, r in residues.items():
             state.add(q, r)
         fwd = sieve_survivors(table_x2p1_100, residues, (1, 60), (12, 17))
@@ -707,21 +711,18 @@ class TestCoverState:
         monkeypatch.setattr(cover, "sieve_survivors", forbidden)
         monkeypatch.setattr(cover, "backward_residues", forbidden)
         monkeypatch.setattr(np, "isin", forbidden)
-        state = CoverState.from_survivors(table_x2p1_2000, fwd, bwd, n_mod)
+        state = CoverState(table_x2p1_2000, fwd, bwd, n_mod)
         chosen = select_shifts_greedy(state, med)
         refine_residues(state, chosen, med, sweeps=1)
 
 
-def counts_window(rng, length, p_survive):
-    """Cover counts over a window: 0 (a survivor) with probability
-    p_survive, else 1 or 2."""
-    hit = rng.integers(1, 3, size=length)
-    return np.where(rng.random(length) < p_survive, 0, hit).astype(np.int32)
+def random_window(rng, lo, length, p_survive):
+    """Survivor bitmap over [lo, lo + length - 1]: each offset survives
+    with probability p_survive."""
+    return SurvivorSet(lo, lo + length - 1, rng.random(length) < p_survive)
 
 
-def oracle_best_residue(q, alphas, fwd_lo, fwd, bwd_lo, bwd, n_target):
-    fpos = np.flatnonzero(fwd == 0) + fwd_lo
-    bpos = np.flatnonzero(bwd == 0) + bwd_lo
+def oracle_best_residue(q, alphas, fpos, bpos, n_target):
     sf = forward_class_scores(q, alphas, fpos)
     sb = backward_class_scores(q, alphas, bpos, n_target)
     return int(np.argmax(sf + sb))
@@ -752,10 +753,10 @@ class TestFusedScorer:
         qs = [q for q in table.usable_primes() if len(table.roots[q]) == nu]
         q = qs[pick % len(qs)]
         rng = np.random.default_rng(seed)
-        fwd = counts_window(rng, fwd_len, p_survive)
-        bwd = counts_window(rng, bwd_len, p_survive)
-        state = CoverState(table, target_residues(n_target, table), fwd_lo, fwd, bwd_lo, bwd)
-        expect = oracle_best_residue(q, table.roots[q], fwd_lo, fwd, bwd_lo, bwd, n_target)
+        fwd = random_window(rng, fwd_lo, fwd_len, p_survive)
+        bwd = random_window(rng, bwd_lo, bwd_len, p_survive)
+        state = CoverState(table, fwd, bwd, target_residues(n_target, table))
+        expect = oracle_best_residue(q, table.roots[q], fwd.survivors(), bwd.survivors(), n_target)
         assert state.best_residue(q) == expect
 
     @pytest.mark.parametrize("poly", ["x", "x^2+1", "x^3+2"])
@@ -764,8 +765,8 @@ class TestFusedScorer:
         table = tables_2000[poly]
         for q in table.usable_between(100, 200):
             k = 3
-            fwd, bwd = np.zeros(k * q, dtype=np.int32), np.zeros(k * q, dtype=np.int32)
-            state = CoverState(table, target_residues(10**1500 + 11, table), -q, fwd, -5 * q, bwd)
+            fwd, bwd = full_window(-q, (k - 1) * q - 1), full_window(-5 * q, (k - 5) * q - 1)
+            state = CoverState(table, fwd, bwd, target_residues(10**1500 + 11, table))
             assert state.best_residue(q) == 0
 
     @pytest.mark.parametrize("o_fwd,o_bwd", [(30, -7), (5, -40), (-3, -1)])
@@ -773,11 +774,10 @@ class TestFusedScorer:
         # f = x: the only root is 0, so a forward survivor o has key o and a
         # backward one -N - o; both score 1 and the smaller key wins
         q, n_target = 97, 10**1500
-        fwd, bwd = np.ones(100, dtype=np.int32), np.ones(100, dtype=np.int32)
-        fwd[o_fwd + 50] = 0  # window [-50, 49]
-        bwd[o_bwd + 100] = 0  # window [-100, -1]
+        fwd = SurvivorSet(-50, 49, np.arange(-50, 50) == o_fwd)
+        bwd = SurvivorSet(-100, -1, np.arange(-100, 0) == o_bwd)
         k_f, k_b = o_fwd % q, (-n_target - o_bwd) % q
-        state = CoverState(table_x_100, target_residues(n_target, table_x_100), -50, fwd, -100, bwd)
+        state = CoverState(table_x_100, fwd, bwd, target_residues(n_target, table_x_100))
         assert state.best_residue(q) == min(k_f, k_b)
 
     def test_one_sided_state_ignores_target(self, table_x2p1_2000):
@@ -790,7 +790,7 @@ class TestFusedScorer:
         before = state.fwd.copy()
         for q in table_x2p1_2000.usable_between(100, 400):
             expect = oracle_best_residue(
-                q, table_x2p1_2000.roots[q], -20, state.fwd, 0, state.bwd, 0
+                q, table_x2p1_2000.roots[q], fwd.survivors(), np.zeros(0, dtype=np.int64), 0
             )
             assert state.best_residue(q) == expect
             state.add(q, expect)

@@ -1,10 +1,13 @@
 """Every module-level function, class and UPPERCASE constant of the package
 is named somewhere besides its own definition: elsewhere in the package, in
-the benchmark, or in the acceptance tests. A name that only the unit tests
-reach is dead code kept alive by its tests, and gets deleted instead.
+the benchmark, or in the acceptance tests. So is every method, property and
+dataclass field of a package class, read as an attribute there. A name that
+only the unit tests reach is dead code kept alive by its tests, and gets
+deleted instead.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -15,6 +18,8 @@ READERS = [
     *sorted((ROOT / "bench").glob("*.py")),
     ROOT / "tests" / "test_acceptance.py",
 ]
+# the dataclass functions that read every field of the class they are given
+WHOLESALE = {"fields", "astuple", "asdict"}
 
 
 def defined_names(tree: ast.Module) -> list[str]:
@@ -60,5 +65,67 @@ def unused_names() -> list[str]:
     )
 
 
+def class_members(tree: ast.Module):
+    """(class, member, is a field) for each method, property and annotated
+    class attribute (dataclass field) of the module's classes, dunder
+    methods left out."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, is_field = node.name, False
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name, is_field = node.target.id, True
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                yield cls.name, name, is_field
+
+
+def member_reads(tree: ast.AST) -> tuple[Counter, set[str]]:
+    """Attribute loads and identifier strings (getattr, the benchmark's
+    patches), and the names handed to fields(), astuple() or asdict()."""
+    reads: Counter = Counter()
+    wholesale: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                reads[node.value] += 1
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in WHOLESALE:
+            wholesale.update(a.id for a in node.args if isinstance(a, ast.Name))
+    return reads, wholesale
+
+
+def overrides_base(module: str, cls_name: str, name: str) -> bool:
+    """Whether the member overrides a base-class attribute, which the base
+    class's own code calls (argparse calls _Parser.error)."""
+    cls = getattr(importlib.import_module(f"composite_forge.{module}"), cls_name)
+    return any(name in vars(base) for base in cls.__mro__[1:])
+
+
+def unused_members() -> list[str]:
+    reads: Counter = Counter()
+    wholesale: set[str] = set()
+    for path in READERS:
+        r, w = member_reads(ast.parse(path.read_text(), str(path)))
+        reads += r
+        wholesale |= w
+    return sorted(
+        f"{path.stem}.{cls}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls, name, is_field in class_members(ast.parse(path.read_text(), str(path)))
+        if reads[name] == 0
+        and not (is_field and cls in wholesale)
+        and not overrides_base(path.stem, cls, name)
+    )
+
+
 def test_every_package_name_is_used_outside_the_unit_tests():
     assert unused_names() == []
+
+
+def test_every_package_member_is_read_outside_the_unit_tests():
+    assert unused_members() == []

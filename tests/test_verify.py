@@ -160,7 +160,7 @@ class TestFaultInjection:
         cert = reload(toy_certificate())
         pl = cert.placement
         shift = 210 * ((pl.N // 2) // 210)
-        cert.placement = dataclasses.replace(pl, b1=pl.b1 + shift, b2=-(pl.b1 + shift))
+        cert.placement = dataclasses.replace(pl, b1=pl.b1 + shift)
         report = verify_certificate(cert, deep=True)
         assert not report.valid
         assert any("b1" in m for m in report.messages)
