@@ -28,6 +28,7 @@ from .cover import SieveParams
 from .modroots import ROW_PRIME_BOUND, build_root_table, density_stats
 from .poly import parse_poly_literal
 from .verify import (
+    ORACLE_N_MAX,
     CoveringConfigError,
     CoveringSimConfig,
     covering_lemma_sim,
@@ -117,7 +118,8 @@ def build_parser() -> _Parser:
 
     o = sub.add_parser("oracle", help="longest composite run by brute force")
     o.add_argument("--poly", type=_poly, required=True)
-    o.add_argument("--n", type=int, required=True, help="scan n = 1..n")
+    o.add_argument("--n", type=int, required=True,
+                   help=f"scan n = 1..n, for n in [1, {ORACLE_N_MAX}]")
     o.set_defaults(func=cmd_oracle)
 
     s = sub.add_parser("stats", help="root-density statistics over an x grid")

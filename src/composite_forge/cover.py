@@ -13,17 +13,19 @@ per prime and induces residues from it. The shifts are uniform: the paper
 weights a shift by sigma2^(-count) over its progression, and sigma2 = 1 at
 every supported scale (the small-stage boundary z sits below H^M for every
 scale), so each weight is 1. Each window-length attempt builds one
-incremental engine, CoverState, from its small-stage survivors; the greedy
-pass, the random-mode residues and the post-medium residuals all work on
-that state, and the medium stage hands back plain q -> residue maps. The
-state scores a prime with one bincount over the class keys of both windows.
+CoverState from its small-stage survivors: the sorted offsets of both
+windows that no class assigned so far kills. The greedy pass and the
+random-mode residues assign their classes on it, its arrays are the
+post-medium residuals, and the medium stage hands back plain q -> residue
+maps. Assigning a prime computes its class keys over the survivors of both
+windows once; greedy mode picks the residue by one bincount of those keys.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -37,6 +39,20 @@ MAX_SCALES = 1024
 
 class RetryBudgetError(RuntimeError):
     """Residue sampling failed the survivor-count bound too many times."""
+
+
+def json_int(value) -> int:
+    """A JSON integer field of a certificate; a bool, float or string raises ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"expected a JSON integer, got {value!r:.40}")
+    return value
+
+
+def json_number(value) -> float:
+    """A JSON number field of a certificate; a bool or string raises ValueError."""
+    if type(value) not in (int, float):
+        raise ValueError(f"expected a JSON number, got {value!r:.40}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -118,15 +134,15 @@ class SieveParams:
     @classmethod
     def from_json(cls, obj: dict) -> "SieveParams":
         p = cls(
-            x=int(obj["x"]),
-            delta=float(obj["delta"]),
-            xi=float(obj["xi"]),
-            M=float(obj["M"]),
-            K=float(obj["K"]),
-            eps=float(obj["eps"]),
-            y_override=int(obj["y"]),
+            x=json_int(obj["x"]),
+            delta=json_number(obj["delta"]),
+            xi=json_number(obj["xi"]),
+            M=json_number(obj["M"]),
+            K=json_number(obj["K"]),
+            eps=json_number(obj["eps"]),
+            y_override=json_int(obj["y"]),
         )
-        if p.z != int(obj["z"]):
+        if p.z != json_int(obj["z"]):
             raise ValueError("stored staging boundary disagrees with parameters")
         return p
 
@@ -188,64 +204,48 @@ def target_residues(n_target: int, table: RootTable) -> dict[int, int]:
 
 
 class CoverState:
-    """Incremental cover counts for the forward and backward offset windows.
+    """The surviving offsets of the forward and backward windows.
 
-    fwd[i] counts the assigned classes hitting forward offset fwd_lo + i
-    (prime q with residue r hits j = r + alpha mod q); bwd[i] counts those
-    hitting backward offset bwd_lo + i (j = alpha - N - r mod q). Offsets
-    with count zero are the survivors. Adding or removing one prime's class
-    is nu strided slice updates per window. One window-length attempt builds
-    one state from its small-stage survivor bitmaps; the medium stage
-    assigns, re-picks and reads residuals on it. With no backward bitmap the
-    backward window is empty, and n_mod, the map q -> N mod q (see
-    target_residues) read only for a nonempty backward window, may be None.
+    fwd and bwd are the sorted int64 absolute offsets that no class assigned
+    so far kills. One window-length attempt builds one state from its
+    small-stage survivor bitmaps; the medium stage assigns its classes on it,
+    and its arrays are the residuals. With no backward bitmap the backward
+    array is empty, and n_mod, the map q -> N mod q (see target_residues)
+    read only for a nonempty backward array, may be None.
 
-    Scoring a prime takes one survivor extraction per window and a single
-    bincount: residue r hits forward survivor o when r = o - alpha and
-    backward survivor o when r = alpha - N - o (mod q), so counting those
-    keys over every survivor and root gives each residue's joint score.
+    Assigning a prime computes its class keys once over every survivor and
+    root alpha: residue r kills forward survivor o when r = o - alpha and
+    backward survivor o when r = alpha - N - o (mod q). One bincount of the
+    keys scores every residue on both sides jointly, and the survivors none
+    of whose keys is the chosen residue are kept.
     """
 
     def __init__(self, table: RootTable, fwd: SurvivorSet, bwd: SurvivorSet | None,
                  n_mod: Mapping[int, int] | None):
         self.table = table
         self.n_mod = n_mod
-        # each offset the small stage killed counts once
-        self.fwd_lo, self.fwd = fwd.lo, (~fwd.bits).astype(np.int32)
-        self.bwd_lo, self.bwd = 0, np.zeros(0, dtype=np.int32)
-        if bwd is not None:
-            self.bwd_lo, self.bwd = bwd.lo, (~bwd.bits).astype(np.int32)
+        self.fwd = fwd.survivors()
+        self.bwd = np.zeros(0, dtype=np.int64) if bwd is None else bwd.survivors()
 
-    def add(self, q: int, r: int, count: int = 1) -> None:
-        """Assign residue r to q (count -1 takes the assignment back)."""
-        nq = self.n_mod[q] if self.bwd.size else 0
-        for a in self.table.roots[q]:
-            self.fwd[(r + a - self.fwd_lo) % q :: q] += count
-            self.bwd[(a - nq - r - self.bwd_lo) % q :: q] += count
-
-    def remove(self, q: int, r: int) -> None:
-        self.add(q, r, -1)
-
-    def survivors_fwd(self) -> np.ndarray:
-        return np.flatnonzero(self.fwd == 0).astype(np.int64) + self.fwd_lo
-
-    def survivors_bwd(self) -> np.ndarray:
-        return np.flatnonzero(self.bwd == 0).astype(np.int64) + self.bwd_lo
-
-    def best_residue(self, q: int) -> int:
-        """The residue for q hitting the most survivors on both sides jointly
-        (ties to the smallest)."""
+    def add(self, q: int, r: int | None = None) -> int:
+        """Assign q the residue r, or, when r is None, the residue killing
+        the most survivors on both sides jointly (ties to the smallest);
+        drop the survivors it kills and return it."""
         alphas = self.table.roots[q]
-        fi = (self.fwd == 0).nonzero()[0]
-        bi = (self.bwd == 0).nonzero()[0]
-        # forward key o - alpha with o = fwd_lo + i; backward key
-        # alpha - N - o with o = bwd_lo + i; one shift per root and window
-        c_bwd = -self.n_mod[q] - self.bwd_lo if bi.size else 0
+        nf, nb = self.fwd.size, self.bwd.size
+        c_bwd = -self.n_mod[q] if nb else 0
         keys = np.concatenate(
-            [fi + (self.fwd_lo - a) for a in alphas] + [(c_bwd + a) - bi for a in alphas]
+            [self.fwd - a for a in alphas] + [(c_bwd + a) - self.bwd for a in alphas]
         )
         keys %= q
-        return int(np.bincount(keys, minlength=q).argmax())
+        if r is None:
+            r = int(np.bincount(keys, minlength=q).argmax())
+        # a survivor stays when none of its keys (one per root) is r
+        live = keys != r
+        k = len(alphas) * nf
+        self.fwd = self.fwd[live[:k].reshape(len(alphas), nf).all(axis=0)]
+        self.bwd = self.bwd[live[k:].reshape(len(alphas), nb).all(axis=0)]
+        return r
 
 
 def select_shifts_greedy(state: CoverState, primes: Iterable[int]) -> dict[int, int]:
@@ -257,11 +257,7 @@ def select_shifts_greedy(state: CoverState, primes: Iterable[int]) -> dict[int, 
     against both windows jointly, since it kills on both sides; a one-sided
     state has an empty backward window, so only forward survivors count.
     Returns q -> residue."""
-    out: dict[int, int] = {}
-    for q in sorted(set(primes)):
-        out[q] = state.best_residue(q)
-        state.add(q, out[q])
-    return out
+    return {q: state.add(q) for q in sorted(set(primes))}
 
 
 def select_shifts_random(
@@ -304,23 +300,3 @@ def select_shifts_random(
                 out[q] = (-n_mod[q] - n) % q if side else n % q
     return out
 
-
-def refine_residues(
-    state: CoverState,
-    residues: Mapping[int, int],
-    medium_primes: Sequence[int],
-    sweeps: int = 2,
-) -> dict[int, int]:
-    """Local improvement on top of a greedy pass: re-pick each medium
-    prime's residue against the survivors of everything else in the state,
-    holding the rest fixed. The state must hold residues[q] for every medium
-    prime, and ends holding the returned map. Only the state's windows are
-    scored: a one-sided state has no backward window, so N plays no part.
-    Deterministic; returns a new residue map."""
-    out = dict(residues)
-    for _ in range(sweeps):
-        for q in sorted(medium_primes, reverse=True):
-            state.remove(q, out[q])
-            out[q] = state.best_residue(q)
-            state.add(q, out[q])
-    return out

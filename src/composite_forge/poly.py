@@ -11,11 +11,21 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .gfpoly import gf_is_irreducible, gf_normalize
 from .primes import sieve_primes
+
+
+def decimal_int(value) -> int:
+    """int() of a decimal string in the form construct writes a
+    certificate's big integers in (-?[0-9]+); any other value raises
+    ValueError."""
+    if not (isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value)):
+        raise ValueError(f"expected a decimal string, got {value!r:.40}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -91,9 +101,9 @@ class IntPolynomial:
 
     @classmethod
     def from_json(cls, obj: dict) -> "IntPolynomial":
-        if obj.get("basis") != "binomial":
+        if obj.get("basis") != "binomial" or not isinstance(obj["coeffs"], list):
             raise ValueError("unknown polynomial encoding")
-        return cls(tuple(int(c) for c in obj["coeffs"]))
+        return cls(tuple(decimal_int(c) for c in obj["coeffs"]))
 
     def __str__(self) -> str:
         return "binom:" + json.dumps(list(self.coeffs), separators=(",", ":"))

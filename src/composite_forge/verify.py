@@ -314,41 +314,37 @@ class RunRecord:
     n_scanned: int
 
 
+# the most n the oracle scans: its value table holds one int64 per n
+ORACLE_N_MAX = 10**7
+
+
 def oracle_longest_run(f: IntPolynomial, n_max: int) -> RunRecord:
     """Exact longest run of n in [1, n_max] where f(n) is composite or
-    |f(n)| <= 1. Values are tested with a value sieve when they fit a
-    reasonable table, deterministic Miller-Rabin otherwise (probabilistic
-    only beyond 64-bit scale). Ties go to the earliest run."""
+    |f(n)| <= 1, for 1 <= n_max <= ORACLE_N_MAX (else ValueError before any
+    scan). Values are tested with a value sieve when they fit a reasonable
+    table, deterministic Miller-Rabin otherwise (probabilistic only beyond
+    64-bit scale). Ties go to the earliest run."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    values = None
-    bound = 0
+    if n_max > ORACLE_N_MAX:
+        raise ValueError(f"n_max must not exceed {ORACLE_N_MAX}")
     comp = f.companion()
-    fact = math.factorial(f.degree)
-    if n_max <= 10**7:
-        try:
-            xs = np.arange(n_max + 1, dtype=np.int64)
-            acc = np.zeros(n_max + 1, dtype=np.int64)
-            limit = np.iinfo(np.int64).max
-            coeff_bound = sum(abs(c) for c in comp)
-            if coeff_bound * (max(n_max, 1) ** f.degree) >= limit:
-                raise OverflowError
-            for c in reversed(comp):
-                acc = acc * xs + c
-            vals = np.abs(acc // fact)
-            bound = int(vals.max())
-            if bound <= 3 * 10**8:
-                values = vals
-        except OverflowError:
-            values = None
-    if values is not None:
-        sieve = np.ones(bound + 1, dtype=bool)
-        sieve[:2] = False
-        for p in sieve_primes(math.isqrt(bound)):
-            sieve[p * p :: p] = False
-        prime_flags = sieve[values]
-    else:
-        prime_flags = None
+    prime_flags = None
+    # a value sieve when every |B! f(n)| fits int64 (so does each Horner
+    # step) and the largest |f(n)| is at most 3 * 10^8
+    if sum(abs(c) for c in comp) * n_max**f.degree < np.iinfo(np.int64).max:
+        xs = np.arange(n_max + 1, dtype=np.int64)
+        acc = np.zeros(n_max + 1, dtype=np.int64)
+        for c in reversed(comp):
+            acc = acc * xs + c
+        values = np.abs(acc // math.factorial(f.degree))
+        bound = int(values.max())
+        if bound <= 3 * 10**8:
+            sieve = np.ones(bound + 1, dtype=bool)
+            sieve[:2] = False
+            for p in sieve_primes(math.isqrt(bound)):
+                sieve[p * p :: p] = False
+            prime_flags = sieve[values]
 
     best_start, best_len = 1, 0
     cur_start, cur_len = 1, 0

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -304,6 +305,36 @@ class TestVerify:
         assert r.returncode == USAGE
 
     @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("poly", "coeffs", 0), 1.5),
+            (("poly", "coeffs", 0), True),
+            (("poly", "coeffs", 0), " 1"),
+            (("params", "x"), 300.7),
+            (("params", "x"), "300"),
+            (("params", "K"), "8"),
+            (("params", "K"), True),
+            (("seed",), "7"),
+            (("version",), True),
+        ],
+        ids=["coeff-float", "coeff-bool", "coeff-padded", "x-float", "x-string",
+             "K-string", "K-bool", "seed-string", "version-bool"],
+    )
+    def test_field_in_another_form_exits_64(self, workdir, path, value):
+        # each used to be coerced, and the certificate verified as valid
+        with open(workdir / "cert.json") as fh:
+            obj = json.load(fh)
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with open(workdir / "retyped.json", "w") as fh:
+            json.dump(obj, fh)
+        r = run_cli("verify", "retyped.json", cwd=workdir)
+        assert r.returncode == USAGE
+        assert "Traceback" not in r.stderr and r.stdout == ""
+
+    @pytest.mark.parametrize(
         "mangle",
         [
             lambda obj: [obj],
@@ -359,6 +390,19 @@ class TestOracle:
         r = run_cli("oracle", "--poly", "poly:[0,1]", "--n", "100", cwd=tmp_path)
         assert r.returncode == OK
         assert json.loads(r.stdout) == {"start": 90, "length": 7, "n_scanned": 100}
+
+    def test_n_beyond_the_cap_exits_64_before_scanning(self, capsys):
+        from composite_forge.cli import main
+
+        t = time.perf_counter()
+        assert main(["oracle", "--poly", "poly:[1,0,1]", "--n", "10000001"]) == USAGE
+        assert time.perf_counter() - t < 0.5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "must not exceed 10000000" in err
+
+    def test_help_names_the_cap(self, tmp_path):
+        r = run_cli("oracle", "--help", cwd=tmp_path)
+        assert r.returncode == OK and "10000000" in r.stdout
 
 
 class TestStats:

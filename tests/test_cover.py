@@ -1,6 +1,6 @@
 """Parameter formulas, small-prime residue sampling, shift selection (greedy,
-and randomized against the scale-ladder walk it replaced), refinement, and
-the cover-count engine."""
+and randomized against the scale-ladder walk it replaced), and the cover
+state."""
 
 import math
 
@@ -16,7 +16,6 @@ from composite_forge.cover import (
     RetryBudgetError,
     SieveParams,
     backward_residues,
-    refine_residues,
     sample_small_residue,
     select_shifts_greedy,
     select_shifts_random,
@@ -33,7 +32,7 @@ def full_window(lo, hi):
     return SurvivorSet(lo, hi, np.ones(hi - lo + 1, dtype=bool))
 
 
-# Reference class scores: the per-window scorers CoverState.best_residue
+# Reference class scores: the per-window scorers that CoverState's scoring
 # used before it counted both windows' keys with one bincount.
 
 
@@ -311,7 +310,7 @@ class TestGreedySelection:
         state = one_sided(table_x_100, full_window(1, 30))
         # classes 1 and 2 mod 7 tie at 5 hits in [1, 30]; argmax takes 1
         assert select_shifts_greedy(state, [7]) == {7: 1}
-        assert len(state.survivors_fwd()) == 25
+        assert len(state.fwd) == 25
 
     def test_ascending_prime_order(self, table_x_100):
         state = one_sided(table_x_100, full_window(1, 40))
@@ -331,7 +330,7 @@ class TestGreedySelection:
         resieved = sieve_survivors(
             table_x2p1_2000, merged, (1, params.y), (0, 300)
         )
-        assert list(resieved.survivors()) == list(state.survivors_fwd())
+        assert list(resieved.survivors()) == list(state.fwd)
 
     def test_joint_two_sided_consistency(self, table_x2p1_2000):
         params = SieveParams(x=2000)
@@ -350,8 +349,8 @@ class TestGreedySelection:
             (-params.y, -1),
             (0, 400),
         )
-        assert list(f2.survivors()) == list(state.survivors_fwd())
-        assert list(b2.survivors()) == list(state.survivors_bwd())
+        assert list(f2.survivors()) == list(state.fwd)
+        assert list(b2.survivors()) == list(state.bwd)
 
     def test_greedy_beats_random_here(self, table_x2p1_2000):
         params = SieveParams(x=2000)
@@ -367,7 +366,7 @@ class TestGreedySelection:
         drawn = select_shifts_random(params, table_x2p1_2000, stage_rng(5, 2, 0), None)
         for q, r in drawn.items():
             rnd.add(q, r)
-        assert len(greedy.survivors_fwd()) <= len(rnd.survivors_fwd())
+        assert len(greedy.fwd) <= len(rnd.fwd)
 
 
 class TestRandomSelection:
@@ -431,45 +430,6 @@ class TestResidualCheck:
         assert list(out_b) == pools[1]
 
 
-class TestRefinement:
-    def test_never_increases_joint_residual(self, table_x2p1_2000):
-        params = SieveParams(x=2000)
-        n_mod = target_residues(N60, table_x2p1_2000)
-        residues, fwd, bwd, _ = sample_small_residue(
-            params, table_x2p1_2000, stage_rng(6, 1, 0), n_mod
-        )
-        med = table_x2p1_2000.usable_between(params.z, 1000)
-        state = CoverState(table_x2p1_2000, fwd, bwd, n_mod)
-        chosen = select_shifts_greedy(state, med)
-
-        def joint_residual(medium):
-            assignment = dict(residues)
-            assignment.update(medium)
-            f = sieve_survivors(table_x2p1_2000, assignment, (1, params.y), (0, 1000))
-            b = sieve_survivors(
-                table_x2p1_2000,
-                backward_residues(assignment, n_mod),
-                (-params.y, -1),
-                (0, 1000),
-            )
-            return f, b
-
-        before = sum(s.count() for s in joint_residual(chosen))
-        refined = refine_residues(state, chosen, med, sweeps=2)
-        assert sorted(refined) == sorted(chosen)
-        f, b = joint_residual(refined)
-        assert f.count() + b.count() <= before
-        # the state ends holding the refined residues
-        assert list(f.survivors()) == list(state.survivors_fwd())
-        assert list(b.survivors()) == list(state.survivors_bwd())
-
-    def test_zero_sweeps_is_identity(self, table_x2p1_2000):
-        residues = {5: 1, 13: 2}
-        state = one_sided(table_x2p1_2000, full_window(1, 40))
-        out = refine_residues(state, residues, [], sweeps=0)
-        assert out == residues and out is not residues
-
-
 class TestClassScores:
     def test_forward_scores_by_brute_force(self, table_x2p1_100):
         pos = np.array([1, 5, 9, 14, 18, 27, 31, 40])
@@ -490,10 +450,10 @@ class TestClassScores:
             assert scores[r] == expect == mask.sum()
 
 
-# Reference oracles: the re-sieve refinement and the copy-and-kill greedy
-# loops (joint and forward-only) that CoverState replaced, kept verbatim in
-# behaviour but for the greedy pass's order, now ascending, on plain
-# survivor bitmaps; and the stages that took N itself
+# Reference oracles: the copy-and-kill greedy loops (joint and
+# forward-only) that CoverState replaced, kept verbatim in behaviour but for
+# the greedy pass's order, now ascending, on plain survivor bitmaps; and the
+# stages that took N itself
 # before every stage came to take the map q -> N mod q (the pairing one
 # without the capacity error it raised then: survivors beyond a pool stay
 # unpaired).
@@ -571,22 +531,6 @@ def sieve_only(table, residues, interval):
     return np.flatnonzero(bits).astype(np.int64) + lo
 
 
-def oracle_refine(table, y, residues, medium_primes, n_target, sweeps, paired):
-    """Re-pick each medium residue against a full re-sieve of every other
-    prime; a one-sided (unpaired) refinement scores the forward window only."""
-    out = dict(residues)
-    for _ in range(sweeps):
-        for q in sorted(medium_primes, reverse=True):
-            others = {p: r for p, r in out.items() if p != q}
-            alphas = table.roots[q]
-            scores = forward_class_scores(q, alphas, sieve_only(table, others, (1, y)))
-            if paired:
-                bpos = sieve_only(table, backward_residues_int(others, n_target), (-y, -1))
-                scores = scores + backward_class_scores(q, alphas, bpos, n_target)
-            out[q] = int(np.argmax(scores))
-    return out
-
-
 @pytest.fixture(scope="module")
 def tables_2000(f_x, f_x2p1, table_x2p1_2000, cache_dir):
     from composite_forge.modroots import build_root_table
@@ -606,13 +550,10 @@ class TestCoverState:
         x=st.integers(100, 2000),
         draw_seed=st.integers(0, 2**32 - 1),
         n_target=st.integers(10**100, 10**1500),
-        sweeps=st.sampled_from([0, 1, 2]),
         paired=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_resieve_oracles(
-        self, tables_2000, poly, x, draw_seed, n_target, sweeps, paired
-    ):
+    def test_matches_resieve_oracles(self, tables_2000, poly, x, draw_seed, n_target, paired):
         table = tables_2000[poly]
         params = SieveParams(x=x)
         n_mod = target_residues(n_target, table)
@@ -627,28 +568,23 @@ class TestCoverState:
             state = CoverState(table, fwd0, bwd0, n_mod)
             chosen = select_shifts_greedy(state, med)
             ref, ref_fwd, ref_bwd = oracle_greedy_both(med, fwd0, bwd0, table, n_target)
-            assert np.array_equal(state.survivors_bwd(), ref_bwd)
+            assert np.array_equal(state.bwd, ref_bwd)
         else:
             # one-sided: the backward window is empty and only forward
-            # survivors are scored, by the greedy pass and the refinement
+            # survivors are scored
             state = CoverState(table, fwd0, None, n_mod)
             chosen = select_shifts_greedy(state, med)
             ref, ref_fwd = oracle_greedy_fwd(med, fwd0, table)
-            assert state.survivors_bwd().size == 0
+            assert state.bwd.size == 0
         assert list(chosen.items()) == list(ref.items())
-        assert state.survivors_fwd().dtype == ref_fwd.dtype == np.int64
-        assert np.array_equal(state.survivors_fwd(), ref_fwd)
+        assert state.fwd.dtype == ref_fwd.dtype == np.int64
+        assert np.array_equal(state.fwd, ref_fwd)
 
-        got = refine_residues(state, chosen, med, sweeps)
-        merged = dict(small)
-        merged.update(chosen)
-        expect = oracle_refine(table, y, merged, med, n_target, sweeps, paired)
-        assert got == {q: expect[q] for q in med}
-        merged.update(got)
-        assert np.array_equal(state.survivors_fwd(), sieve_only(table, merged, (1, y)))
+        merged = {**small, **chosen}
+        assert np.array_equal(state.fwd, sieve_only(table, merged, (1, y)))
         if paired:
             back = sieve_only(table, backward_residues_int(merged, n_target), (-y, -1))
-            assert np.array_equal(state.survivors_bwd(), back)
+            assert np.array_equal(state.bwd, back)
 
     @given(
         poly=st.sampled_from(["x", "x^2+1", "x^3+2"]),
@@ -680,22 +616,21 @@ class TestCoverState:
         got = select_shifts_random(params, table, stage_rng(draw_seed, 2), n_mod)
         assert got == select_shifts_random_int(params, table, stage_rng(draw_seed, 2), n_target)
 
-    def test_add_then_remove_restores_counts(self, table_x2p1_100):
-        n_mod = target_residues(10**80 + 3, table_x2p1_100)
-        residues = {13: 4, 17: 9}
-        state = CoverState(table_x2p1_100, full_window(1, 60), full_window(-60, -1), n_mod)
+    @pytest.mark.parametrize("poly", ["x", "x^2+1", "x^3+2"])
+    def test_given_residues_match_sieve(self, tables_2000, poly):
+        # random mode's path: each prime's residue is given, not scored, and
+        # add returns it
+        table = tables_2000[poly]
+        n_target = 10**80 + 3
+        n_mod = target_residues(n_target, table)
+        rng = np.random.default_rng(11)
+        residues = {q: int(rng.integers(q)) for q in table.usable_between(0, 200)}
+        state = CoverState(table, full_window(1, 900), full_window(-900, -1), n_mod)
         for q, r in residues.items():
-            state.add(q, r)
-        fwd = sieve_survivors(table_x2p1_100, residues, (1, 60), (12, 17))
-        bwd = sieve_survivors(
-            table_x2p1_100, backward_residues(residues, n_mod), (-60, -1), (12, 17)
-        )
-        assert list(state.survivors_fwd()) == list(fwd.survivors())
-        assert list(state.survivors_bwd()) == list(bwd.survivors())
-        for q, r in residues.items():
-            state.remove(q, r)
-        assert not state.fwd.any() and not state.bwd.any()
-        assert list(state.survivors_bwd()) == list(range(-60, 0))
+            assert state.add(q, r) == r
+        assert np.array_equal(state.fwd, sieve_only(table, residues, (1, 900)))
+        back = sieve_only(table, backward_residues_int(residues, n_target), (-900, -1))
+        assert np.array_equal(state.bwd, back)
 
     def test_engine_paths_do_not_resieve(self, table_x2p1_2000, monkeypatch):
         params = SieveParams(x=2000)
@@ -712,8 +647,7 @@ class TestCoverState:
         monkeypatch.setattr(cover, "backward_residues", forbidden)
         monkeypatch.setattr(np, "isin", forbidden)
         state = CoverState(table_x2p1_2000, fwd, bwd, n_mod)
-        chosen = select_shifts_greedy(state, med)
-        refine_residues(state, chosen, med, sweeps=1)
+        select_shifts_greedy(state, med)
 
 
 def random_window(rng, lo, length, p_survive):
@@ -729,8 +663,8 @@ def oracle_best_residue(q, alphas, fpos, bpos, n_target):
 
 
 class TestFusedScorer:
-    """CoverState.best_residue (one bincount over both windows' class keys)
-    against the per-window class scores it replaced."""
+    """CoverState.add's choice on a fresh state (one bincount over both
+    windows' class keys) against the per-window class scores it replaced."""
 
     @given(
         case=st.sampled_from([("x", 1), ("x^2+1", 2), ("x^3+2", 1), ("x^3+2", 3)]),
@@ -757,7 +691,7 @@ class TestFusedScorer:
         bwd = random_window(rng, bwd_lo, bwd_len, p_survive)
         state = CoverState(table, fwd, bwd, target_residues(n_target, table))
         expect = oracle_best_residue(q, table.roots[q], fwd.survivors(), bwd.survivors(), n_target)
-        assert state.best_residue(q) == expect
+        assert state.add(q) == expect
 
     @pytest.mark.parametrize("poly", ["x", "x^2+1", "x^3+2"])
     def test_full_windows_tie_to_zero(self, tables_2000, poly):
@@ -767,7 +701,7 @@ class TestFusedScorer:
             k = 3
             fwd, bwd = full_window(-q, (k - 1) * q - 1), full_window(-5 * q, (k - 5) * q - 1)
             state = CoverState(table, fwd, bwd, target_residues(10**1500 + 11, table))
-            assert state.best_residue(q) == 0
+            assert state.add(q) == 0
 
     @pytest.mark.parametrize("o_fwd,o_bwd", [(30, -7), (5, -40), (-3, -1)])
     def test_two_single_survivors_tie_to_smaller_residue(self, table_x_100, o_fwd, o_bwd):
@@ -778,21 +712,21 @@ class TestFusedScorer:
         bwd = SurvivorSet(-100, -1, np.arange(-100, 0) == o_bwd)
         k_f, k_b = o_fwd % q, (-n_target - o_bwd) % q
         state = CoverState(table_x_100, fwd, bwd, target_residues(n_target, table_x_100))
-        assert state.best_residue(q) == min(k_f, k_b)
+        assert state.add(q) == min(k_f, k_b)
 
     def test_one_sided_state_ignores_target(self, table_x2p1_2000):
-        # a one-sided state has no target residues at all: scoring, adding
-        # and removing never read them
+        # a one-sided state has no target residues at all: scoring and
+        # adding never read them
         fwd = full_window(-20, 700)
         fwd.bits[::3] = False
         state = one_sided(table_x2p1_2000, fwd)
         assert state.bwd.size == 0 and state.n_mod is None
-        before = state.fwd.copy()
+        chosen = {}
         for q in table_x2p1_2000.usable_between(100, 400):
             expect = oracle_best_residue(
-                q, table_x2p1_2000.roots[q], fwd.survivors(), np.zeros(0, dtype=np.int64), 0
+                q, table_x2p1_2000.roots[q], state.fwd, np.zeros(0, dtype=np.int64), 0
             )
-            assert state.best_residue(q) == expect
-            state.add(q, expect)
-            state.remove(q, expect)
-        assert np.array_equal(state.fwd, before)
+            chosen[q] = state.add(q)
+            assert chosen[q] == expect
+        kept = sieve_only(table_x2p1_2000, chosen, (-20, 700))
+        assert np.array_equal(state.fwd, np.intersect1d(kept, fwd.survivors()))

@@ -1,18 +1,22 @@
 """Golden certificates: equal inputs and seeds give the same bytes across
 versions of the constructor, not only within one run.
 
-The cases are x = 300 with seeds 7 and 8, and x = 1000 with seed 7, under
-default parameters (greedy mode, auto N), and at x = 300 also one-sided,
-random and random one-sided. Each digest pins the certificate of the window
-length the constructor settles on, so a change to the search over y moves
-every digest whose y it moves. The 15 greedy digests were last re-recorded
-when the greedy medium stage became one ascending pass with no refinement
-sweeps: every greedy certificate moved, and the 12 random-mode ones kept
-their bytes. So none of the default x = 300 digests equals the ones in
+The cases are x = 300 with seeds 7 and 8, and x = 1000 and x = 10^4 with
+seed 7, under default parameters (greedy mode, auto N), and at x = 300 also
+one-sided, random and random one-sided. At x = 10^4 the survivors are
+sparse against the windows, which pins the cover state where it differs
+most from a bitmap. Each digest pins the certificate of the window length
+the constructor settles on, so a change to the search over y moves every
+digest whose y it moves. The 15 greedy digests at x <= 1000 were last
+re-recorded when the greedy medium stage became one ascending pass, in
+place of a greedy pass followed by refinement sweeps that re-picked each
+medium residue: every greedy certificate moved, and the 12 random-mode ones
+kept their bytes. So none of the default x = 300 digests equals the ones in
 bench/results/construct-small-seed{7,8}.json until the benchmark's recorded
 results are refreshed. Earlier changes that moved digests on purpose: the
-secant search over y (the cases whose y it moved), and one-sided
-refinement coming to score the forward window only (the one-sided cases).
+secant search over y (the cases whose y it moved), and the one-sided
+refinement sweeps coming to score the forward window only (the one-sided
+cases).
 A change that moves one of them changes the certificate format or the
 construction, and must say so.
 
@@ -67,6 +71,9 @@ GOLDEN = {
     ("x", 7, "x=1000"): "d65bfcd00729362f418cc143555e1da3e52fa7093658e7d2804f0ee810e8a1cc",
     ("x^2+1", 7, "x=1000"): "f5858d70391997fc1aa3e094c43e025f857816e91f302647844ebc0541b61493",
     ("x^3+2", 7, "x=1000"): "779f3fe04877a0c50e646ac99cec3cef7cb9bf676391cec230880d6a750235e4",
+    ("x", 7, "x=10000"): "86b31609d61eca3efa9035dd7e2053e64cb81d3a5befed5663e1ac415982e0a9",
+    ("x^2+1", 7, "x=10000"): "fcbc0cb8086a7682c39dacb81fd37f0ffe3c0d733a9677f39ad1c647ad2448b4",
+    ("x^3+2", 7, "x=10000"): "e8215e4634a0507919008f619be4b5dcd836857a9e5fd917fcdfc7a1dbbff940",
 }
 # (x, keyword arguments of construct_certificate) for each variant
 VARIANTS = {
@@ -74,6 +81,7 @@ VARIANTS = {
     "random": (300, {"mode": "random"}),
     "random-one-sided": (300, {"mode": "random", "two_sided": False}),
     "x=1000": (1000, {}),
+    "x=10000": (10**4, {}),
 }
 
 

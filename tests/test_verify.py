@@ -20,6 +20,7 @@ from composite_forge.cover import SieveParams
 from composite_forge.modroots import build_root_table, companion_eval_mod
 from composite_forge.poly import IntPolynomial
 from composite_forge.verify import (
+    ORACLE_N_MAX,
     VERIFY_SAMPLE_STREAM,
     X_BOUND_FLOOR,
     CoveringConfigError,
@@ -622,6 +623,51 @@ class TestWindowWitnessSearch:
         assert calls and all(0 <= n < p for n, p in calls)
 
 
+# One field of the x^2+1, x = 300, seed 7 certificate rewritten in a form
+# construct never writes, as (path, old value -> new value). Each of these
+# used to load by coercion and verify as valid.
+LENIENT_FORMS = {
+    "coeff-float": (("poly", "coeffs", 0), lambda v: 1.5),
+    "coeff-integral-float": (("poly", "coeffs", 0), lambda v: 1.0),
+    "coeff-bool": (("poly", "coeffs", 0), lambda v: True),
+    "coeff-padded": (("poly", "coeffs", 0), lambda v: " 1"),
+    "coeff-plus": (("poly", "coeffs", 0), lambda v: "+1"),
+    "coeff-int": (("poly", "coeffs", 0), lambda v: 1),
+    "x-float": (("params", "x"), lambda v: 300.7),
+    "x-integral-float": (("params", "x"), lambda v: 300.0),
+    "x-string": (("params", "x"), lambda v: "300"),
+    "y-string": (("params", "y"), str),
+    "K-string": (("params", "K"), lambda v: "8"),
+    "K-bool": (("params", "K"), lambda v: True),
+    "seed-string": (("seed",), lambda v: "7"),
+    "version-bool": (("version",), lambda v: True),
+    "prime-float": (("stages", 0, "assignments", 0, 0), float),
+    "residue-string": (("stages", 0, "assignments", 0, 1), str),
+    "N-int": (("placement", "N"), int),
+    "N-padded": (("placement", "N"), lambda v: v + " "),
+    "n1-plus": (("placement", "n1"), lambda v: "+" + v),
+    "b1-underscored": (("placement", "b1"), lambda v: v[:3] + "_" + v[3:]),
+}
+
+
+class TestStrictFields:
+    """Each certificate field loads only in the form construct writes."""
+
+    @pytest.mark.parametrize("name", sorted(LENIENT_FORMS))
+    def test_other_forms_do_not_load(self, name):
+        path, rewrite = LENIENT_FORMS[name]
+        obj = json.loads(built_certificate("x^2+1", 300))
+        parent = functools.reduce(lambda node, k: node[k], path[:-1], obj)
+        parent[path[-1]] = rewrite(parent[path[-1]])
+        with pytest.raises(ValueError):
+            ResidueCertificate.from_json_dict(obj)
+
+    def test_written_forms_load(self):
+        obj = json.loads(built_certificate("x^2+1", 300))
+        cert = ResidueCertificate.from_json_dict(obj)
+        assert cert.to_json_dict() == obj and verify_certificate(cert).valid
+
+
 class TestOracleLongestRun:
     # frozen against a by-hand composite scan of the small ranges
     @pytest.mark.parametrize(
@@ -660,6 +706,14 @@ class TestOracleLongestRun:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             oracle_longest_run(IntPolynomial.from_monomial([0, 1]), 0)
+
+    def test_rejects_n_beyond_the_cap_before_scanning(self):
+        # below the cap x^2 + 1 would leave the value sieve for a per-n
+        # Miller-Rabin loop; above it nothing is scanned at all
+        t = time.perf_counter()
+        with pytest.raises(ValueError, match="must not exceed"):
+            oracle_longest_run(IntPolynomial.from_monomial([1, 0, 1]), ORACLE_N_MAX + 1)
+        assert time.perf_counter() - t < 0.1
 
     def test_published_gap_below_1e6(self, f_x):
         # the longest run of composite n below 10^6 follows the maximal
