@@ -256,13 +256,15 @@ def cmd_stats(args) -> int:
             "sigma_log_x", "rho_hat", "rho_hat_norm", "nu_weighted_sum", "rho_nu_hat",
         ]
     )
-    for x in sorted(args.x):
-        try:
-            table = build_root_table(args.poly, x, cache_dir=args.cache_dir)
-        except ValueError as e:
-            print(f"composite-forge: bad x grid: {e}", file=sys.stderr)
-            return EXIT_USAGE
-        st = density_stats(table)
+    xs = sorted(args.x)
+    # one table for the largest x; every smaller x reads its prefix
+    try:
+        table = build_root_table(args.poly, xs[-1], cache_dir=args.cache_dir)
+    except ValueError as e:
+        print(f"composite-forge: bad x grid: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    for x in xs:
+        st = density_stats(table, limit=x)
         w.writerow(
             [
                 st.x, st.n_primes, st.n_usable,

@@ -1,15 +1,22 @@
 """Dense polynomial arithmetic over prime fields.
 
 Polynomials are tuples of ints, ascending degree, trimmed (no trailing
-zeros); the zero polynomial is the empty tuple. Shared by the algebraic root
-finder and the irreducibility check.
+zeros); the zero polynomial is the empty tuple. The scalar `gf_*` helpers
+serve the irreducibility check.
 
-`gf_powmod_rows` is the batched counterpart of `gf_powmod` for the root
-finder: one numpy int64 kernel raises X + a to a power modulo many (monic
-modulus, prime) rows at once. It keeps every coefficient in [0, p) and only
-ever multiplies two reduced coefficients, so each product stays below
-p^2 < 2^62 and each sum of a few reduced terms below 2^63; that exactness
-needs every row prime below ROW_PRIME_BOUND = 2^31.
+The row kernels are their batched counterparts for the root finder: each
+works on numpy int64 arrays with one prime per row, so a whole table of
+primes takes a fixed number of numpy calls. A row polynomial is an (n, w)
+array, ascending, zero-padded to the common width w, each row with its own
+degree (`gf_degree_rows`).
+- `pow_mod_rows`: b^e mod p per row (the Fermat inverses);
+- `gf_powmod_rows`: (X + a)^e modulo a monic modulus of one degree d;
+- `gf_gcd_rows`: the monic gcd, by division-free Euclid steps;
+- `gf_div_rows`: the quotient by a monic divisor.
+They keep every coefficient in [0, p) and only ever multiply two reduced
+coefficients, so each product stays below p^2 < 2^62 and each sum of a few
+reduced terms below 2^63; that exactness needs every row prime below
+ROW_PRIME_BOUND = 2^31, and the polynomial kernels refuse any other prime.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 
 Poly = tuple[int, ...]
 
-# exclusive bound on the primes of gf_powmod_rows (int64 exactness)
+# exclusive bound on the primes of the row kernels (int64 exactness)
 ROW_PRIME_BOUND = 1 << 31
 
 
@@ -96,6 +103,30 @@ def gf_powmod(base: Poly, e: int, m: Poly, p: int) -> Poly:
     return result
 
 
+def _check_row_primes(p: np.ndarray, kernel: str) -> None:
+    if len(p) and (p.min() < 2 or p.max() >= ROW_PRIME_BOUND):
+        raise ValueError(f"{kernel} needs primes in [2, {ROW_PRIME_BOUND})")
+
+
+def pow_mod_rows(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """b_i^e_i mod p_i for every row; b_i in [0, p_i), e_i >= 0 and
+    p_i < ROW_PRIME_BOUND.
+
+    Left-to-right square and multiply over the bits of the largest
+    exponent; a row whose exponent is shorter squares 1 until its top bit.
+    """
+    nbits = int(e.max(initial=0)).bit_length()
+    # on[j, i] is bit j of e_i, unpacked from its little-endian bytes
+    on = np.unpackbits(
+        e.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, count=nbits, bitorder="little"
+    ).view(bool).T
+    r = np.ones_like(p)
+    for bit in reversed(range(nbits)):
+        r = r * r % p
+        r = np.where(on[bit], r * b % p, r)
+    return r
+
+
 def _times_x_plus_a(r: np.ndarray, a: np.ndarray | None, top: np.ndarray, p: np.ndarray) -> np.ndarray:
     """r * (X + a) mod (m, p), coefficient-major (d, n), where top holds
     X^d mod m: a shift, one reduction of the coefficient pushed to X^d and,
@@ -124,8 +155,7 @@ def gf_powmod_rows(a: np.ndarray, e: np.ndarray, m: np.ndarray, p: np.ndarray) -
     n, d = m.shape[0], m.shape[1] - 1
     if d < 2:
         raise ValueError("gf_powmod_rows needs moduli of degree at least 2")
-    if n and (p.min() < 2 or p.max() >= ROW_PRIME_BOUND):
-        raise ValueError(f"gf_powmod_rows needs primes in [2, {ROW_PRIME_BOUND})")
+    _check_row_primes(p, "gf_powmod_rows")
     shift_only = not a.any()
     # fold[k] = X^(d+k) mod m, k = 0 .. d-2
     fold = np.empty((d - 1, d, n), dtype=np.int64)
@@ -144,6 +174,88 @@ def gf_powmod_rows(a: np.ndarray, e: np.ndarray, m: np.ndarray, p: np.ndarray) -
         on = ((e >> bit) & 1).astype(bool)
         r = np.where(on, _times_x_plus_a(r, None if shift_only else a, fold[0], p), r)
     return r.T
+
+
+def gf_degree_rows(a: np.ndarray) -> np.ndarray:
+    """The degree of every row of an (n, w) coefficient array, -1 for a
+    zero row."""
+    nz = a != 0
+    return np.where(nz.any(axis=1), a.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
+
+
+def gf_shift_rows(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """X^s_i * a_i for every row, in a's width: terms pushed above it or
+    below X^0 (s_i < 0) are dropped."""
+    cols = np.arange(a.shape[1]) - s[:, None]
+    inside = (cols >= 0) & (cols < a.shape[1])
+    return np.where(inside, np.take_along_axis(a, np.clip(cols, 0, a.shape[1] - 1), axis=1), 0)
+
+
+def gf_gcd_rows(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Monic gcd(a_i, b_i) mod p_i for every row i at once.
+
+    a and b are (n, w) int64 arrays, ascending, coefficients in [0, p_i),
+    and 2 <= p_i < ROW_PRIME_BOUND. Returns the (n, w) gcds, a zero row
+    where a_i and b_i are both zero.
+
+    Euclid without division, as the divsteps of Bernstein and Yang ("Fast
+    constant-time gcd computation and modular inversion", 2019), on rows
+    aligned at the top: the last column of F holds its coefficient of
+    degree df, that of G its coefficient of degree dg; these degrees bound
+    the true ones. F starts as the operand of higher degree, and its top is
+    never zero. A step forms H = lc(F) G - lc(G) F column by column, which
+    clears the top column, and moves H up one column. Where df > dg and
+    lc(G) != 0, H reduces F by G: G becomes F, and H, of degree df - 1, the
+    next G. Otherwise H reduces G by F (or, where the top of G is zero,
+    only scales it) and is the next G, of degree dg - 1. Each step lowers
+    df + dg by one. A row is done when dg reaches -1, since G is then zero,
+    so no row takes more than 2w - 1 steps; a done row that steps on keeps
+    F as it is, and F is the gcd, of degree df. Each sum is of two products
+    of reduced values, below 2 p^2 < 2^63. One batched Fermat inverse of
+    the leading coefficients then makes every gcd monic.
+    """
+    _check_row_primes(p, "gf_gcd_rows")
+    w = a.shape[1]
+    da, db = gf_degree_rows(a), gf_degree_rows(b)
+    high = (da > db)[:, None]
+    f, g = np.where(high, a, b), np.where(high, b, a)
+    df, dg = np.maximum(da, db), np.minimum(da, db)
+    # coefficient-major, each row moved up to its top column
+    f, g = gf_shift_rows(f, w - 1 - df).T, gf_shift_rows(g, w - 1 - dg).T
+    while dg.max(initial=-1) >= 0:
+        swap = (df > dg) & (g[-1] != 0)
+        h = (f[-1] * g + (p - g[-1]) * f) % p
+        f = np.where(swap, g, f)
+        g = np.empty_like(h)
+        g[0], g[1:] = 0, h[:-1]
+        df, dg = np.where(swap, dg, df), np.where(swap, df, dg) - 1
+    return gf_shift_rows(f.T, df - (w - 1)) * pow_mod_rows(f[-1], p - 2, p)[:, None] % p[:, None]
+
+
+def gf_div_rows(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The quotient of a_i by the monic b_i mod p_i for every row i at once.
+
+    a and b are (n, w) int64 arrays, ascending, coefficients in [0, p_i),
+    and 2 <= p_i < ROW_PRIME_BOUND. Returns the (n, w) quotients, the
+    remainders dropped. Long division on rows aligned at the top: step t
+    reads the coefficient c_t of degree deg a_i - t and subtracts
+    c_t X^(deg a_i - deg b_i - t) b_i. Every row takes as many steps as
+    the longest quotient; the steps past its own quotient only change a
+    remainder that is not kept.
+    """
+    _check_row_primes(p, "gf_div_rows")
+    w = a.shape[1]
+    da, db = gf_degree_rows(a), gf_degree_rows(b)
+    if (db < 0).any():
+        raise ZeroDivisionError("polynomial division by zero")
+    a, b = gf_shift_rows(a, w - 1 - da).T, gf_shift_rows(b, w - 1 - db).T
+    steps = int((da - db).max(initial=-1)) + 1
+    coef = np.zeros((len(p), w), dtype=np.int64)
+    for t in range(steps):
+        coef[:, t] = a[w - 1 - t]
+        a[: w - t] = (a[: w - t] - coef[:, t] * b[t:] % p) % p
+    # coef[:, t] is the quotient's coefficient of degree deg a - deg b - t
+    return gf_shift_rows(coef[:, ::-1], da - db - (w - 1))
 
 
 def gf_gcd(a: Poly, b: Poly, p: int) -> Poly:

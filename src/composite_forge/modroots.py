@@ -7,14 +7,19 @@ goes through one algebraic route, one batch per table: a linear solve for
 degree 1, and for degree 2 the discriminant plus the row kernel
 `primes.sqrt_and_inverse_rows`, which takes the square roots and the
 inverses of 2 c_2 for a block of ROW_BLOCK primes in one Tonelli-Shanks
-pass. Beyond that the int64 kernel `gf_powmod_rows` computes X^p mod (f, p)
-for every prime at once, gcd(X^p - X, f) is taken per prime, and the
-factors of degree 3 or more are split together by deterministic
-equal-degree splitting (Cantor-Zassenhaus with shifts a = 1, 2, ...), one
-batched (X + a)^((p-1)/2) per round and factor degree; the quadratic
-factors met on the way are solved together by the quadratic route at the
-end. `roots_mod_p` runs the same route on a one-prime batch; the test
-suite cross-checks it against an exhaustive scan of every residue.
+pass. Beyond that no step loops over the primes: every step is a row kernel
+of `gfpoly`, with one numpy row per prime. The companion is made monic mod
+every prime at once, `gf_powmod_rows` computes X^p mod (f, p),
+`gf_gcd_rows` takes g = gcd(X^p - X, f), the product of the distinct
+linear factors, and deterministic equal-degree splitting (Cantor-Zassenhaus
+with a fixed sequence of shifts a) cuts the factors of degree 3 or more in
+rounds.
+A round tries several shifts on every pending factor in one
+(X + a)^((p-1)/2) kernel run, one row gcd and one exact division
+(`gf_div_rows`). Linear factors give their roots directly; the quadratic
+ones are solved together by the quadratic route at the end.
+`roots_mod_p` runs the same route on a one-prime batch; the test suite
+cross-checks it against an exhaustive scan of every residue.
 """
 
 from __future__ import annotations
@@ -30,12 +35,12 @@ import numpy as np
 
 from .gfpoly import (
     ROW_PRIME_BOUND,
-    Poly,
-    gf_divmod,
-    gf_gcd,
-    gf_monic,
+    gf_degree_rows,
+    gf_div_rows,
+    gf_gcd_rows,
     gf_powmod_rows,
-    gf_trim,
+    gf_shift_rows,
+    pow_mod_rows,
 )
 from .gfpoly import gf_powmod  # noqa: F401  (bench/harness.py traces modroots.gf_powmod)
 from .poly import IntPolynomial
@@ -47,19 +52,27 @@ _CACHE_MAGIC = b"CFROOTS2"
 # temporaries and Python lists stay this long whatever the table size
 ROW_BLOCK = 4096
 
+# kernel work of a splitting round with few pending factors, in rows times
+# d^2 (the products per coefficient step of a degree-d row): such a round
+# tries SPLIT_WORK / d^2 shifts in all, spread evenly over its factors
+SPLIT_WORK = 1152
+# shift number j of a splitting round is a = j * SHIFT_STEP mod p. The step
+# is a prime above every row prime, so any p consecutive j give every
+# residue once, and consecutive j land far apart: small consecutive shifts
+# tend to fail together (a = 1, 2, 3 all leave x^3 + 2 whole mod 127)
+SHIFT_STEP = 3474701543
 
-def _quad_rows(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, p: np.ndarray) -> list[tuple[int, ...]]:
-    """Sorted roots of c2 x^2 + c1 x + c0 mod every row prime; coefficients
-    in [0, p), p odd and not dividing c2. Callers pass ROW_BLOCK rows at
-    most."""
+
+def _quad_rows(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The smaller and the larger root of c2 x^2 + c1 x + c0 mod every row
+    prime, both -1 where there is none; coefficients in [0, p), p odd and
+    not dividing c2. Callers pass ROW_BLOCK rows at most."""
     disc = (c1 * c1 - 4 * (c2 * c0 % p)) % p
     s, inv = sqrt_and_inverse_rows(disc, 2 * c2 % p, p)
     r1 = (s - c1) % p * inv % p
     r2 = (-s - c1) % p * inv % p
-    return [
-        () if si < 0 else (x,) if x == y else (x, y)
-        for si, x, y in zip(s.tolist(), np.minimum(r1, r2).tolist(), np.maximum(r1, r2).tolist())
-    ]
+    none = s < 0
+    return np.where(none, -1, np.minimum(r1, r2)), np.where(none, -1, np.maximum(r1, r2))
 
 
 def _roots_algebraic(comp: tuple[int, ...], primes: list[int]) -> list[tuple[int, ...]]:
@@ -73,66 +86,72 @@ def _roots_algebraic(comp: tuple[int, ...], primes: list[int]) -> list[tuple[int
         out: list[tuple[int, ...]] = []
         for lo in range(0, len(primes), ROW_BLOCK):
             ps = np.array(primes[lo : lo + ROW_BLOCK], dtype=np.int64)
-            out += _quad_rows(*(mod_rows(c, ps) for c in comp), ps)
+            small, big = _quad_rows(*(mod_rows(c, ps) for c in comp), ps)
+            out += [
+                () if x < 0 else (x,) if x == y else (x, y)
+                for x, y in zip(small.tolist(), big.tolist())
+            ]
         return out
-    monic = []
-    for p in primes:
-        inv = pow(comp[-1], -1, p)
-        monic.append(tuple(c * inv % p for c in comp))
     ps = np.array(primes, dtype=np.int64)
-    # Frobenius step: X^p mod (f, p) for every prime in one kernel run
-    xp = gf_powmod_rows(
-        np.zeros_like(ps), ps, np.array(monic, dtype=np.int64).reshape(-1, d + 1), ps
-    )
-    roots: list[list[int]] = [[] for _ in primes]
-    pending: list[tuple[int, Poly]] = []  # (row, monic factor of degree >= 3)
-    quads: list[tuple[int, Poly]] = []  # (row, monic quadratic factor)
-
-    def collect(i: int, h: Poly) -> None:
-        # h is monic, squarefree and a product of distinct linear factors
-        k = len(h) - 1
-        if k == 1:
-            roots[i].append(-h[0] % primes[i])
-        elif k == 2:
-            quads.append((i, h))
-        elif k > 2:
-            pending.append((i, h))
-
-    for i, (p, row) in enumerate(zip(primes, xp.tolist())):
-        row[1] = (row[1] - 1) % p  # X^p - X
-        collect(i, gf_gcd(gf_trim(row), monic[i], p))
-    # equal-degree splitting, batched per factor degree: round a tries
-    # gcd((X + a)^((p-1)/2) - 1, h) for every pending h. Two distinct roots
-    # r, s are separated once (r + a)/(s + a) is a non-residue, which some
-    # a in any p consecutive rounds achieves, so every h splits.
-    a = 0
-    while pending:
-        a += 1
-        groups: dict[int, list[tuple[int, Poly]]] = {}
-        for i, h in pending:
-            groups.setdefault(len(h) - 1, []).append((i, h))
-        pending = []
-        for k, group in groups.items():
-            gp = np.array([primes[i] for i, _ in group], dtype=np.int64)
-            hs = np.array([h for _, h in group], dtype=np.int64)
-            ws = gf_powmod_rows(a % gp, (gp - 1) // 2, hs, gp)
-            for (i, h), w in zip(group, ws.tolist()):
-                p = primes[i]
-                w[0] = (w[0] - 1) % p
-                f1 = gf_gcd(gf_trim(w), h, p)
-                if 0 < len(f1) - 1 < k:
-                    collect(i, f1)
-                    collect(i, gf_monic(gf_divmod(h, f1, p)[0], p))
-                else:
-                    pending.append((i, h))
-    # the quadratic factors of every row, solved together
-    for lo in range(0, len(quads), ROW_BLOCK):
-        block = quads[lo : lo + ROW_BLOCK]
-        ps = np.array([primes[i] for i, _ in block], dtype=np.int64)
-        hs = np.array([h for _, h in block], dtype=np.int64)
-        for (i, _), rs in zip(block, _quad_rows(hs[:, 0], hs[:, 1], hs[:, 2], ps)):
-            roots[i].extend(rs)
-    return [tuple(sorted(r)) for r in roots]
+    n = len(ps)
+    # the companion mod every prime, made monic by one batched inverse
+    monic = np.stack([mod_rows(c, ps) for c in comp], axis=1)
+    monic = monic * pow_mod_rows(monic[:, -1], ps - 2, ps)[:, None] % ps[:, None]
+    # Frobenius step: X^p - X mod (f, p) for every prime in one kernel run
+    xp = np.zeros_like(monic)
+    xp[:, :d] = gf_powmod_rows(np.zeros_like(ps), ps, monic, ps)
+    xp[:, 1] = (xp[:, 1] - 1) % ps
+    # the factors still to read or split: their rows, the monic factors h,
+    # and the next shift each is to try
+    rows, hs, shift = np.arange(n), gf_gcd_rows(xp, monic, ps), np.ones(n, dtype=np.int64)
+    found: list[tuple[np.ndarray, np.ndarray]] = []  # (rows, roots)
+    quads: list[tuple[np.ndarray, np.ndarray]] = []  # (rows, quadratic factors)
+    while True:
+        k = gf_degree_rows(hs)
+        found.append((rows[k == 1], -hs[k == 1, 0] % ps[rows[k == 1]]))
+        quads.append((rows[k == 2], hs[k == 2]))
+        big = k >= 3
+        rows, hs, shift, k = rows[big], hs[big], shift[big], k[big]
+        if not len(rows):
+            break
+        # one splitting round: each pending h tries m shifts a, one
+        # candidate row each, taking gcd((X + a)^((p-1)/2) - 1, h).
+        # Two distinct roots r, s are separated once (r + a)/(s + a) is a
+        # non-residue, which some a among any p consecutive shifts achieves,
+        # since those cover every residue, so every h splits. The power is taken mod X^(d - k) h, a monic
+        # modulus of the full degree d that h divides, so every pending
+        # factor shares one kernel run.
+        m = max(1, SPLIT_WORK // (d * d * len(rows)))
+        c = np.repeat(np.arange(len(rows)), m)
+        pc = ps[rows[c]]
+        a = (shift[c] + np.tile(np.arange(m), len(rows))) % pc * (SHIFT_STEP % pc) % pc
+        w = np.zeros((len(c), d + 1), dtype=np.int64)
+        w[:, :d] = gf_powmod_rows(a, (pc - 1) // 2, gf_shift_rows(hs[c], d - k[c]), pc)
+        w[:, 0] = (w[:, 0] - 1) % pc
+        f1 = gf_gcd_rows(w, hs[c], pc)
+        k1 = gf_degree_rows(f1)
+        # each h is cut at its most even split, the first shift among equals;
+        # both parts go on from the first shift not yet tried
+        ok = np.nonzero((k1 > 0) & (k1 < k[c]))[0]
+        ok = ok[np.lexsort((ok, np.abs(2 * k1[ok] - k[c[ok]]), c[ok]))]
+        cut, first = np.unique(c[ok], return_index=True)
+        j = ok[first]
+        keep = np.ones(len(rows), dtype=bool)
+        keep[cut] = False
+        f2 = gf_div_rows(hs[cut], f1[j], ps[rows[cut]])
+        rows = np.concatenate((rows[keep], rows[cut], rows[cut]))
+        hs = np.concatenate((hs[keep], f1[j], f2))
+        shift = np.concatenate((shift[keep], shift[cut], shift[cut])) + m
+    # the quadratic factors of every row, solved together; each has two
+    # distinct roots, since g is squarefree and splits into linear factors
+    qrows, qhs = (np.concatenate(v) for v in zip(*quads))
+    for lo in range(0, len(qrows), ROW_BLOCK):
+        r, h = qrows[lo : lo + ROW_BLOCK], qhs[lo : lo + ROW_BLOCK]
+        found += [(r, x) for x in _quad_rows(h[:, 0], h[:, 1], h[:, 2], ps[r])]
+    rows, roots = (np.concatenate(v) for v in zip(*found))
+    flat = tuple(roots[np.lexsort((roots, rows))].tolist())
+    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    return [flat[i:j] for i, j in zip([0] + ends[:-1], ends)]
 
 
 def roots_mod_p(f: IntPolynomial, p: int) -> tuple[int, ...]:
@@ -213,7 +232,9 @@ def _write_cache(path: str, f: IntPolynomial, limit: int, roots: dict) -> None:
 
 def _read_cache(path: str, f: IntPolynomial, limit: int, primes: np.ndarray) -> dict | None:
     """The roots map of a cache file written for f, limit and so for
-    primes, or None when there is none or it does not parse."""
+    primes, or None when there is none, it does not parse, or a root is
+    out of range or out of order. A wrong root that is in range and in
+    order is not caught."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -228,11 +249,17 @@ def _read_cache(path: str, f: IntPolynomial, limit: int, primes: np.ndarray) -> 
     flat = np.frombuffer(data, dtype="<u4", offset=24 + n)
     if n and counts.max() > f.degree or counts.sum() != len(flat):
         return None
-    rs = flat.tolist()
+    # every root below its prime, and the roots of each prime strictly
+    # ascending; 32-bit temporaries, since this runs on every cached read
+    owner = np.repeat(primes.astype("<u4"), counts)
+    if (flat >= owner).any() | ((flat[1:] <= flat[:-1]) & (owner[1:] == owner[:-1])).any():
+        return None
+    # slices of a tuple are tuples: one allocation per prime
+    rs = tuple(flat.tolist())
     roots: dict[int, tuple[int, ...]] = {}
     i = 0
     for p, k in zip(primes.tolist(), counts.tolist()):
-        roots[p] = tuple(rs[i : i + k])
+        roots[p] = rs[i : i + k]
         i += k
     return roots
 

@@ -3,12 +3,13 @@
 Everything here is deterministic for a fixed input so that sieve output and
 certificates are reproducible byte for byte.
 
-The row kernels (`mod_rows`, `pow_mod_rows`, `sqrt_and_inverse_rows`) work
-on int64 arrays with one prime per row, so the quadratic root finder solves
-a whole block of primes in a fixed number of numpy calls instead of one
-Tonelli-Shanks per prime. Like `gfpoly.gf_powmod_rows` they keep every value
-in [0, p) and only multiply two reduced values, so each product stays below
-p^2 < 2^62; that exactness needs every row prime below ROW_PRIME_BOUND.
+The row kernels (`mod_rows`, `sqrt_and_inverse_rows`, with
+`gfpoly.pow_mod_rows`) work on int64 arrays with one prime per row, so the
+quadratic root finder solves a whole block of primes in a fixed number of
+numpy calls instead of one Tonelli-Shanks per prime. Like the polynomial row
+kernels of `gfpoly` they keep every value in [0, p) and only multiply two
+reduced values, so each product stays below p^2 < 2^62; that exactness
+needs every row prime below ROW_PRIME_BOUND.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import random
 
 import numpy as np
 
-from .gfpoly import ROW_PRIME_BOUND
+from .gfpoly import ROW_PRIME_BOUND, pow_mod_rows
 
 # Witness set proven deterministic for n < 3.317e24 (covers all 64-bit inputs
 # with a wide margin).
@@ -98,25 +99,6 @@ def mod_rows(c: int, p: np.ndarray) -> np.ndarray:
     for shift in reversed(range(0, m.bit_length(), _LIMB_BITS)):
         acc = ((acc << _LIMB_BITS) + ((m >> shift) & _LIMB_MASK)) % p
     return -acc % p if c < 0 else acc
-
-
-def pow_mod_rows(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """b_i^e_i mod p_i for every row; b_i in [0, p_i), e_i >= 0 and
-    p_i < ROW_PRIME_BOUND.
-
-    Left-to-right square and multiply over the bits of the largest
-    exponent; a row whose exponent is shorter squares 1 until its top bit.
-    """
-    nbits = int(e.max(initial=0)).bit_length()
-    # on[j, i] is bit j of e_i, unpacked from its little-endian bytes
-    on = np.unpackbits(
-        e.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, count=nbits, bitorder="little"
-    ).view(bool).T
-    r = np.ones_like(p)
-    for bit in reversed(range(nbits)):
-        r = r * r % p
-        r = np.where(on[bit], r * b % p, r)
-    return r
 
 
 def _nonresidues(p: np.ndarray) -> np.ndarray:

@@ -416,6 +416,31 @@ class TestStats:
         assert rows[0][0] == "x"
         assert [row[0] for row in rows[1:]] == ["1000", "2000"]
 
+    def test_one_table_serves_the_whole_grid(self, tmp_path, monkeypatch):
+        from composite_forge import cli
+
+        monkeypatch.delenv("COMPOSITE_FORGE_CACHE", raising=False)
+        limits = []
+        build = cli.build_root_table
+
+        def counted(f, limit, cache_dir=None):
+            limits.append(limit)
+            return build(f, limit, cache_dir=cache_dir)
+
+        monkeypatch.setattr(cli, "build_root_table", counted)
+
+        def stats_rows(grid):
+            out = tmp_path / "stats.csv"
+            assert cli.main(["stats", "--poly", "poly:[2,0,0,1]", "--x", grid, "--out", str(out)]) == OK
+            return list(csv.reader(out.read_text().splitlines()))
+
+        rows = stats_rows("1000,2,997,3e4")
+        assert limits == [30000]
+        # the same rows as a table built for each x alone
+        alone = [stats_rows(x) for x in ("2", "997", "1000", "3e4")]
+        assert limits[1:] == [2, 997, 1000, 30000]
+        assert rows == alone[0][:1] + [r[1] for r in alone]
+
     def test_empty_grid_exits_64(self, tmp_path):
         r = run_cli("stats", "--poly", "poly:[1,0,1]", "--x", "", cwd=tmp_path)
         assert r.returncode == USAGE

@@ -1,7 +1,8 @@
-"""Root tables: the algebraic root finder against an exhaustive oracle, the
-batched Frobenius kernel and root finder and the row square-root kernel
-against the per-prime routes they replaced, the prime-indexed accessors,
-the binary cache, density statistics, and residue collision counts."""
+"""Root tables: the algebraic root finder against an exhaustive oracle; the
+batched Frobenius, gcd and division kernels, the root finder and the row
+square-root kernel against the scalar and per-prime routes they replaced;
+the prime-indexed accessors, the binary cache, density statistics, and
+residue collision counts."""
 
 import hashlib
 import math
@@ -14,8 +15,10 @@ from hypothesis import strategies as st
 import composite_forge.modroots as modroots_mod
 from composite_forge.gfpoly import (
     ROW_PRIME_BOUND,
+    gf_div_rows,
     gf_divmod,
     gf_gcd,
+    gf_gcd_rows,
     gf_mod,
     gf_monic,
     gf_mul,
@@ -278,6 +281,87 @@ class TestRowKernel:
             gf_powmod_rows(one - 1, one, np.array([[1, 1]], dtype=np.int64), one * 7)
 
 
+ROW_PRIMES = [2, 3, 5, 7, 67, 3001] + TOP_PRIMES
+
+
+def padded(c, w):
+    return tuple(c) + (0,) * (w - len(c))
+
+
+def row_batch(rows, w):
+    """The (p, a, b) rows as the kernels take them: two (n, w) arrays of
+    coefficients and the primes."""
+    a = np.array([padded(r[1], w) for r in rows], dtype=np.int64).reshape(-1, w)
+    b = np.array([padded(r[2], w) for r in rows], dtype=np.int64).reshape(-1, w)
+    return a, b, np.array([r[0] for r in rows], dtype=np.int64)
+
+
+@st.composite
+def euclid_rows(draw, monic_b=False):
+    """(w, rows): rows (p, a, b) of trimmed polynomials of degree below w.
+    a = g u and b = g v share a drawn factor g, so gcds are often
+    nontrivial; u or v, and so a or b, may be zero, and either may have the
+    higher degree. With monic_b, b is g made monic instead, never zero."""
+    w = draw(st.integers(1, 7))
+    rows = []
+    for p in draw(st.lists(st.sampled_from(ROW_PRIMES), min_size=1, max_size=12)):
+
+        def poly(top):
+            k = draw(st.integers(-1, top))
+            low = [draw(st.integers(0, p - 1)) for _ in range(k)]
+            return tuple(low + [draw(st.integers(1, p - 1))] * (k >= 0))
+
+        g = poly(w - 1)
+        if monic_b:
+            rows.append((p, poly(w - 1), gf_monic(g, p) or (1,)))
+        else:
+            top = w - 1 - max(len(g) - 1, 0)
+            rows.append((p, gf_mul(g, poly(top), p), gf_mul(g, poly(top), p)))
+    return w, rows
+
+
+class TestRowEuclid:
+    @given(euclid_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_gcd_matches_gf_gcd(self, case):
+        w, rows = case
+        got = gf_gcd_rows(*row_batch(rows, w))
+        for (p, a, b), g in zip(rows, got.tolist()):
+            assert tuple(g) == padded(gf_gcd(a, b, p), w), (p, a, b)
+
+    @given(euclid_rows(monic_b=True))
+    @settings(max_examples=100, deadline=None)
+    def test_quotient_matches_gf_divmod(self, case):
+        w, rows = case
+        got = gf_div_rows(*row_batch(rows, w))
+        for (p, a, b), q in zip(rows, got.tolist()):
+            assert tuple(q) == padded(gf_divmod(a, b, p)[0], w), (p, a, b)
+
+    def test_one_row_and_empty_batches(self):
+        p = TOP_PRIMES[0]
+        # (x - 1)(x - 2) and (x - 1)(x + 5) share x - 1
+        a, b, ps = row_batch([(p, gf_mul((p - 1, 1), (p - 2, 1), p), gf_mul((p - 1, 1), (5, 1), p))], 3)
+        assert gf_gcd_rows(a, b, ps).tolist() == [[p - 1, 1, 0]]
+        assert gf_div_rows(a, gf_gcd_rows(a, b, ps), ps).tolist() == [[p - 2, 1, 0]]
+        empty = np.empty((0, 4), dtype=np.int64)
+        none = np.empty(0, dtype=np.int64)
+        assert gf_gcd_rows(empty, empty, none).shape == gf_div_rows(empty, empty, none).shape == (0, 4)
+
+    def test_rejects_primes_outside_the_exact_range(self):
+        one = np.array([[1, 1]], dtype=np.int64)
+        for p in (ROW_PRIME_BOUND, 1):
+            ps = np.array([p], dtype=np.int64)
+            for kernel in (gf_gcd_rows, gf_div_rows):
+                with pytest.raises(ValueError, match="needs primes"):
+                    kernel(one, one, ps)
+
+    def test_division_by_a_zero_row_is_refused(self):
+        a = np.array([[1, 1], [1, 1]], dtype=np.int64)
+        b = np.array([[1, 0], [0, 0]], dtype=np.int64)
+        with pytest.raises(ZeroDivisionError):
+            gf_div_rows(a, b, np.array([7, 7], dtype=np.int64))
+
+
 # primes p = 1 mod 2^s with a large s: 119 * 2^23 + 1, 7 * 2^26 + 1 and
 # 15 * 2^27 + 1, where Tonelli-Shanks takes the most steps
 DEEP_PRIMES = [998244353, 469762049, 2013265921]
@@ -400,6 +484,8 @@ class TestBatchedRoute:
         [
             "poly:[2,0,0,1]",
             "poly:[1,2,3,0,4]",
+            "poly:[3,3,0,0,0,1]",
+            "poly:[2,0,0,0,0,0,1]",
             "poly:[1,0,1]",
             "poly:[7,5,3]",
             "poly:[-5,0,1]",
@@ -503,9 +589,18 @@ class TestCache:
         assert data[at13] == 2
         # three roots for 13 exceed the degree, though the lengths agree
         too_many = data[:at13] + b"\x03" + data[at13 + 1 :] + bytes(4)
+        # the roots of 13, (5, 8), replaced: out of range, at the prime,
+        # swapped and repeated
+        roots13 = 24 + n + 4 * sum(data[24:at13])
+        assert data[roots13 : roots13 + 8] == np.array([5, 8], dtype="<u4").tobytes()
+
+        def with_roots13(*rs):
+            return data[:roots13] + np.array(rs, dtype="<u4").tobytes() + data[roots13 + 8 :]
+
         for bad in (
             data[:10], data[: 24 + n - 1], data[: 24 + n], data[:-4], data[:-3],
             data + b"\x00", data + bytes(4), too_many, b"CFROOTS1" + data[8:],
+            with_roots13(4 * 10**9, 8), with_roots13(5, 13), with_roots13(8, 5), with_roots13(5, 5),
         ):
             path.write_bytes(bad)
             assert _read_cache(str(path), f_x2p1, 1000, primes) is None
