@@ -3,7 +3,8 @@
 Subcommands: construct (build a certificate), verify (check one), oracle
 (longest composite run by brute force), stats (root-density table over an x
 grid), simulate (covering harness). Exit codes: 0 success, 1 verification
-failure, 2 construction infeasible, 64 usage error.
+failure, 2 construction infeasible, 64 usage error, which includes a named
+path that cannot be read, written or made.
 """
 
 from __future__ import annotations
@@ -216,9 +217,6 @@ def cmd_verify(args) -> int:
     if not (0 < args.sample <= 1):
         print(f"composite-forge: --sample {args.sample} is not a rate in (0, 1]", file=sys.stderr)
         return EXIT_USAGE
-    if not os.path.exists(args.cert):
-        print(f"composite-forge: no such certificate file: {args.cert}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         cert = ResidueCertificate.load(args.cert)
     except (ValueError, KeyError, json.JSONDecodeError) as e:
@@ -322,7 +320,12 @@ def _emit(text: str, out: str | None) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as e:
+        # a path the user named cannot be read, written or made
+        print(f"composite-forge: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

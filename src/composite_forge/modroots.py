@@ -1,19 +1,20 @@
 """Root sets of the companion polynomial modulo primes.
 
-For each prime p the table stores I_p, the sorted residues where B! * f
+For each prime p the table holds I_p, the sorted residues where B! * f
 vanishes mod p, with I_p = () whenever p <= B or p divides the leading
-coefficient (those primes are never used by the sieve). Every other prime
-goes through one algebraic route, one batch per table: a linear solve for
-degree 1, and for degree 2 the discriminant plus the row kernel
-`primes.sqrt_and_inverse_rows`, which takes the square roots and the
+coefficient (those primes are never used by the sieve). It holds them as
+the two arrays of its cache file, the root counts and the roots in prime
+order, and builds the map from a prime to I_p on first lookup only. The
+primes not excluded go through one algebraic route, one batch per table: a
+linear solve for degree 1, and for degree 2 the discriminant plus the row
+kernel `primes.sqrt_and_inverse_rows`, which takes the square roots and the
 inverses of 2 c_2 for a block of ROW_BLOCK primes in one Tonelli-Shanks
 pass. Beyond that no step loops over the primes: every step is a row kernel
 of `gfpoly`, with one numpy row per prime. The companion is made monic mod
 every prime at once, `gf_powmod_rows` computes X^p mod (f, p),
-`gf_gcd_rows` takes g = gcd(X^p - X, f), the product of the distinct
-linear factors, and deterministic equal-degree splitting (Cantor-Zassenhaus
-with a fixed sequence of shifts a) cuts the factors of degree 3 or more in
-rounds.
+`gf_gcd_rows` takes g = gcd(X^p - X, f), the product of the distinct linear
+factors, and deterministic equal-degree splitting (Cantor-Zassenhaus with a
+fixed sequence of shifts a) cuts the factors of degree 3 or more in rounds.
 A round tries several shifts on every pending factor in one
 (X + a)^((p-1)/2) kernel run, one row gcd and one exact division
 (`gf_div_rows`). Linear factors give their roots directly; the quadratic
@@ -24,12 +25,14 @@ cross-checks it against an exhaustive scan of every residue.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,8 +51,8 @@ from .primes import mod_rows, sieve_primes, sqrt_and_inverse_rows
 
 _CACHE_MAGIC = b"CFROOTS2"
 
-# primes per block of the quadratic route and of density_stats: numpy
-# temporaries and Python lists stay this long whatever the table size
+# primes per block of the quadratic solver: its numpy temporaries stay
+# this long whatever the table size
 ROW_BLOCK = 4096
 
 # kernel work of a splitting round with few pending factors, in rows times
@@ -63,37 +66,41 @@ SPLIT_WORK = 1152
 SHIFT_STEP = 3474701543
 
 
-def _quad_rows(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The smaller and the larger root of c2 x^2 + c1 x + c0 mod every row
-    prime, both -1 where there is none; coefficients in [0, p), p odd and
-    not dividing c2. Callers pass ROW_BLOCK rows at most."""
-    disc = (c1 * c1 - 4 * (c2 * c0 % p)) % p
-    s, inv = sqrt_and_inverse_rows(disc, 2 * c2 % p, p)
-    r1 = (s - c1) % p * inv % p
-    r2 = (-s - c1) % p * inv % p
-    none = s < 0
-    return np.where(none, -1, np.minimum(r1, r2)), np.where(none, -1, np.maximum(r1, r2))
+def _quad_roots(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The root count of c2 x^2 + c1 x + c0 mod every row prime, and the
+    roots, ascending within a row and a double root once, in row order;
+    coefficients in [0, p), p odd and not dividing c2. The rows go
+    ROW_BLOCK at a time, so no temporary outgrows a block."""
+    counts, flat = [], []
+    for i in range(0, max(len(p), 1), ROW_BLOCK):
+        b0, b1, b2, q = (v[i : i + ROW_BLOCK] for v in (c0, c1, c2, p))
+        disc = (b1 * b1 - 4 * (b2 * b0 % q)) % q
+        s, inv = sqrt_and_inverse_rows(disc, 2 * b2 % q, q)
+        r1 = (s - b1) % q * inv % q
+        r2 = (-s - b1) % q * inv % q
+        pair = np.stack((np.minimum(r1, r2), np.maximum(r1, r2)), axis=1)
+        # s is -1 where there is no root, and 0 for a double root
+        has = np.stack((s >= 0, s > 0), axis=1)
+        counts.append(has.sum(axis=1))
+        flat.append(pair[has])
+    return np.concatenate(counts), np.concatenate(flat)
 
 
-def _roots_algebraic(comp: tuple[int, ...], primes: list[int]) -> list[tuple[int, ...]]:
-    """Sorted root sets of the companion mod each prime p in `primes`; every
-    p exceeds the degree and does not divide the leading coefficient, so
-    the reduction keeps the full degree."""
+def _roots_algebraic(comp: tuple[int, ...], ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The root count of the companion mod each prime p in `ps`, and
+    every root in prime order, ascending within its prime; every p exceeds
+    the degree and does not divide the leading coefficient, so the
+    reduction keeps the full degree."""
     d = len(comp) - 1
-    if d == 1:
-        return [((-comp[0] * pow(comp[1], -1, p)) % p,) for p in primes]
-    if d == 2:
-        out: list[tuple[int, ...]] = []
-        for lo in range(0, len(primes), ROW_BLOCK):
-            ps = np.array(primes[lo : lo + ROW_BLOCK], dtype=np.int64)
-            small, big = _quad_rows(*(mod_rows(c, ps) for c in comp), ps)
-            out += [
-                () if x < 0 else (x,) if x == y else (x, y)
-                for x, y in zip(small.tolist(), big.tolist())
-            ]
-        return out
-    ps = np.array(primes, dtype=np.int64)
     n = len(ps)
+    if d == 1:
+        # -c0 / c1, the inverses by pow: a row kernel costs more on the few
+        # hundred primes of a verifier's table
+        inv = map(pow, itertools.repeat(comp[1]), itertools.repeat(-1), ps.tolist())
+        roots = mod_rows(-comp[0], ps) * np.fromiter(inv, dtype=np.int64, count=n) % ps
+        return np.ones(n, dtype=np.int64), roots
+    if d == 2:
+        return _quad_roots(*(mod_rows(c, ps) for c in comp), ps)
     # the companion mod every prime, made monic by one batched inverse
     monic = np.stack([mod_rows(c, ps) for c in comp], axis=1)
     monic = monic * pow_mod_rows(monic[:, -1], ps - 2, ps)[:, None] % ps[:, None]
@@ -145,13 +152,10 @@ def _roots_algebraic(comp: tuple[int, ...], primes: list[int]) -> list[tuple[int
     # the quadratic factors of every row, solved together; each has two
     # distinct roots, since g is squarefree and splits into linear factors
     qrows, qhs = (np.concatenate(v) for v in zip(*quads))
-    for lo in range(0, len(qrows), ROW_BLOCK):
-        r, h = qrows[lo : lo + ROW_BLOCK], qhs[lo : lo + ROW_BLOCK]
-        found += [(r, x) for x in _quad_rows(h[:, 0], h[:, 1], h[:, 2], ps[r])]
+    k, roots = _quad_roots(qhs[:, 0], qhs[:, 1], qhs[:, 2], ps[qrows])
+    found.append((np.repeat(qrows, k), roots))
     rows, roots = (np.concatenate(v) for v in zip(*found))
-    flat = tuple(roots[np.lexsort((roots, rows))].tolist())
-    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
-    return [flat[i:j] for i, j in zip([0] + ends[:-1], ends)]
+    return np.bincount(rows, minlength=n), roots[np.lexsort((roots, rows))]
 
 
 def roots_mod_p(f: IntPolynomial, p: int) -> tuple[int, ...]:
@@ -159,54 +163,56 @@ def roots_mod_p(f: IntPolynomial, p: int) -> tuple[int, ...]:
 
     Empty for p <= degree or p dividing the leading coefficient: those
     primes carry no usable congruence information for the sieve. The
-    route is the table builder's, run on a one-prime batch.
+    route is the table builder's, run on a one-prime batch, so p must stay
+    below ROW_PRIME_BOUND (2^31) like every prime of a table.
     """
+    if p >= ROW_PRIME_BOUND:
+        raise ValueError(f"roots_mod_p needs p below {ROW_PRIME_BOUND}")
     if p <= f.degree or f.leading % p == 0:
         return ()
-    return _roots_algebraic(f.companion(), [p])[0]
+    return tuple(_roots_algebraic(f.companion(), np.array([p]))[1].tolist())
 
 
 @dataclass
 class RootTable:
-    """Root sets I_p for every prime p <= limit."""
+    """Root sets I_p for every prime p <= limit: `counts[i]` roots mod
+    primes[i], and `flat`, every root in prime order, ascending within its
+    prime. `roots`, the map from p to I_p, is built on first lookup."""
 
     poly: IntPolynomial
     limit: int
     primes: np.ndarray
-    roots: dict[int, tuple[int, ...]]
-    _diff_sets: dict[int, frozenset[int]] = field(default_factory=dict, repr=False)
+    counts: np.ndarray
+    flat: np.ndarray
+
+    @functools.cached_property
+    def roots(self) -> MappingProxyType[int, tuple[int, ...]]:
+        """I_p for every prime p <= limit, () where there is none."""
+        # each prime takes the next k roots off one iterator over them all
+        it = iter(self.flat.tolist())
+        tuples = map(tuple, map(itertools.islice, itertools.repeat(it), self.counts.tolist()))
+        return MappingProxyType(dict(zip(self.primes.tolist(), tuples)))
+
+    def _span(self, lo: int | float, hi: int | float) -> slice:
+        """The index range of the primes q with lo < q <= hi."""
+        i, j = np.searchsorted(self.primes, (math.floor(lo), math.floor(hi)), side="right")
+        return slice(i, j)
 
     def usable_primes(self) -> list[int]:
         """Primes with a nonempty root set, ascending."""
-        return [int(p) for p in self.primes if self.roots[int(p)]]
-
-    def primes_between(self, lo: int | float, hi: int | float) -> list[int]:
-        """Primes q with lo < q <= hi, ascending."""
-        i = np.searchsorted(self.primes, math.floor(lo), side="right")
-        j = np.searchsorted(self.primes, math.floor(hi), side="right")
-        return [int(p) for p in self.primes[i:j]]
+        return self.primes[self.counts > 0].tolist()
 
     def usable_between(self, lo: int | float, hi: int | float) -> list[int]:
-        return [q for q in self.primes_between(lo, hi) if self.roots[q]]
+        """Primes q with lo < q <= hi and a nonempty root set, ascending."""
+        span = self._span(lo, hi)
+        return self.primes[span][self.counts[span] > 0].tolist()
 
     def density_product(self, hi: int | float) -> float:
-        """prod over primes q <= hi of (1 - nu_q / q)."""
-        out = 1.0
-        for q in self.primes_between(0, hi):
-            k = len(self.roots[q])
-            if k:
-                out *= 1.0 - k / q
-        return out
-
-    def diff_set(self, q: int) -> frozenset[int]:
-        """Pairwise root differences mod q, self-differences included, so 0
-        is present whenever the root set is nonempty (cached)."""
-        ds = self._diff_sets.get(q)
-        if ds is None:
-            rs = self.roots[q]
-            ds = frozenset((a - b) % q for a in rs for b in rs)
-            self._diff_sets[q] = ds
-        return ds
+        """prod over primes q <= hi of (1 - nu_q / q), multiplied in prime
+        order: a running product keeps a loop's rounding."""
+        span = self._span(0, hi)
+        factors = 1.0 - self.counts[span] / self.primes[span]
+        return float(np.cumprod(factors)[-1]) if len(factors) else 1.0
 
 
 def _poly_digest(f: IntPolynomial) -> int:
@@ -218,23 +224,23 @@ def _cache_path(cache_dir: str, f: IntPolynomial, limit: int) -> str:
     return os.path.join(cache_dir, f"roots_{_poly_digest(f):016x}_{limit}.bin")
 
 
-def _write_cache(path: str, f: IntPolynomial, limit: int, roots: dict) -> None:
+def _write_cache(path: str, f: IntPolynomial, limit: int, counts: np.ndarray, flat: np.ndarray) -> None:
     """Write the header, one u1 root count per prime, then every root as
-    u4, both in prime order (the order of the roots map)."""
+    u4, both in prime order."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(_CACHE_MAGIC)
         fh.write(struct.pack("<QQ", _poly_digest(f), limit))
-        fh.write(np.fromiter(map(len, roots.values()), dtype="u1", count=len(roots)).tobytes())
-        fh.write(np.fromiter(itertools.chain.from_iterable(roots.values()), dtype="<u4").tobytes())
+        fh.write(counts.astype("u1").tobytes())
+        fh.write(flat.astype("<u4").tobytes())
     os.replace(tmp, path)
 
 
-def _read_cache(path: str, f: IntPolynomial, limit: int, primes: np.ndarray) -> dict | None:
-    """The roots map of a cache file written for f, limit and so for
-    primes, or None when there is none, it does not parse, or a root is
-    out of range or out of order. A wrong root that is in range and in
-    order is not caught."""
+def _read_cache(path: str, f: IntPolynomial, limit: int, primes: np.ndarray) -> tuple | None:
+    """The root counts and flat roots of a cache file written for f, limit
+    and so for primes, or None when there is none, it does not parse, or a
+    root is out of range or out of order. A wrong root that is in range
+    and in order is not caught."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -254,14 +260,7 @@ def _read_cache(path: str, f: IntPolynomial, limit: int, primes: np.ndarray) -> 
     owner = np.repeat(primes.astype("<u4"), counts)
     if (flat >= owner).any() | ((flat[1:] <= flat[:-1]) & (owner[1:] == owner[:-1])).any():
         return None
-    # slices of a tuple are tuples: one allocation per prime
-    rs = tuple(flat.tolist())
-    roots: dict[int, tuple[int, ...]] = {}
-    i = 0
-    for p, k in zip(primes.tolist(), counts.tolist()):
-        roots[p] = rs[i : i + k]
-        i += k
-    return roots
+    return counts, flat
 
 
 def build_root_table(f: IntPolynomial, limit: int, cache_dir: str | None = None) -> RootTable:
@@ -276,21 +275,21 @@ def build_root_table(f: IntPolynomial, limit: int, cache_dir: str | None = None)
     if limit >= ROW_PRIME_BOUND:
         raise ValueError(f"root table limit {limit} must stay below {ROW_PRIME_BOUND}")
     primes = sieve_primes(limit)
-    degree, leading = f.degree, f.leading
-    path = _cache_path(cache_dir, f, limit) if cache_dir and degree <= 255 else None
+    path = _cache_path(cache_dir, f, limit) if cache_dir and f.degree <= 255 else None
     if path:
         cached = _read_cache(path, f, limit, primes)
         if cached is not None:
-            return RootTable(f, limit, primes, cached)
-    roots: dict[int, tuple[int, ...]] = dict.fromkeys(primes.tolist(), ())
+            return RootTable(f, limit, primes, *cached)
     # p <= degree and p dividing the leading coefficient keep I_p = ();
-    # the others go in one algebraic batch
-    batch = [p for p in roots if p > degree and leading % p]
-    roots.update(zip(batch, _roots_algebraic(f.companion(), batch)))
+    # the others go in one algebraic batch. A prime divides B! exactly when
+    # it is at most B, so the two kinds are the primes dividing B! * leading
+    batch = mod_rows(math.factorial(f.degree) * f.leading, primes) != 0
+    counts = np.zeros(len(primes), dtype=np.int64)
+    counts[batch], flat = _roots_algebraic(f.companion(), primes[batch])
     if path:
         os.makedirs(cache_dir, exist_ok=True)
-        _write_cache(path, f, limit, roots)
-    return RootTable(f, limit, primes, roots)
+        _write_cache(path, f, limit, counts, flat)
+    return RootTable(f, limit, primes, counts, flat)
 
 
 @dataclass(frozen=True)
@@ -313,29 +312,21 @@ class DensityStats:
 
 def density_stats(table: RootTable, limit: int | None = None) -> DensityStats:
     x = table.limit if limit is None else min(limit, table.limit)
-    mert = 0.0
-    sigma = 1.0
-    counts: dict[int, int] = {}
-    roots = table.roots
-    primes = table.primes[: np.searchsorted(table.primes, x, side="right")]
-    n_primes = len(primes)
-    # ascending, as plain ints a block at a time: a list of every prime would
-    # raise the peak memory by megabytes at x = 10^6
-    for i in range(0, n_primes, ROW_BLOCK):
-        for p in primes[i : i + ROW_BLOCK].tolist():
-            k = len(roots[p])
-            if k:
-                mert += k / p
-                sigma *= 1.0 - k / p
-                counts[k] = counts.get(k, 0) + 1
-    n_usable = sum(counts.values())
-    rho_nu = {k: c / n_primes for k, c in sorted(counts.items())}
+    span = table._span(0, x)
+    counts = table.counts[span]
+    n_primes = len(counts)
+    # a running sum keeps a loop's order, so the float is the one a walk
+    # over the primes gives
+    mert = float(np.cumsum(counts / table.primes[span])[-1]) if n_primes else 0.0
+    freq = np.bincount(counts).tolist()
+    n_usable = sum(freq[1:])
+    rho_nu = {k: c / n_primes for k, c in enumerate(freq) if k and c}
     return DensityStats(
         x=x,
         n_primes=n_primes,
         n_usable=n_usable,
         mertens_sum=mert,
-        sigma=sigma,
+        sigma=table.density_product(x),
         rho_hat=n_usable / n_primes if n_primes else 0.0,
         rho_hat_norm=n_usable * math.log(x) / x if x > 1 else 0.0,
         rho_nu_hat=rho_nu,
@@ -347,11 +338,17 @@ def residue_collision_count(table: RootTable, m: int, qmin: int, qmax: int) -> i
     """Number of primes qmin < q <= qmax whose root set contains two roots
     differing by m mod q. Drives the heuristic independence check: the count
     should stay logarithmic in m."""
-    total = 0
-    for q in table.primes_between(qmin, qmax):
-        if table.roots[q] and m % q in table.diff_set(q):
-            total += 1
-    return total
+    span = table._span(qmin, qmax)
+    q, k = table.primes[span], table.counts[span]
+    start = np.cumsum(table.counts[: span.stop], dtype=np.int64)[span.start :] - k
+    shift = mod_rows(m, q)
+    hit = np.zeros(len(q), dtype=bool)
+    # root slots i and j of every prime with both; i = j is the
+    # self-difference 0
+    for i, j in itertools.product(range(int(k.max(initial=0))), repeat=2):
+        at = np.flatnonzero(k > max(i, j))
+        hit[at] |= table.flat[start[at] + i] == (table.flat[start[at] + j] + shift[at]) % q[at]
+    return int(hit.sum())
 
 
 def companion_eval_mod(comp: tuple[int, ...], n: int, p: int) -> int:

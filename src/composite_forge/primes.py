@@ -95,8 +95,10 @@ def mod_rows(c: int, p: np.ndarray) -> np.ndarray:
     ROW_PRIME_BOUND each step stays below 2^62 + 2^31.
     """
     m = abs(c)
-    acc = np.zeros_like(p)
-    for shift in reversed(range(0, m.bit_length(), _LIMB_BITS)):
+    # the first step turns the top limb into the array (c = 0 takes one
+    # step too), so a one-limb c costs a single numpy operation
+    acc = 0
+    for shift in reversed(range(0, max(m.bit_length(), 1), _LIMB_BITS)):
         acc = ((acc << _LIMB_BITS) + ((m >> shift) & _LIMB_MASK)) % p
     return -acc % p if c < 0 else acc
 

@@ -232,10 +232,11 @@ def verify_certificate(
         # no residue class modulo q < 2 can vouch for anything
         report.messages.append(f"modulus {q} is not a prime")
         del residues[q]
+    usable = set(table.usable_primes())  # every one is at most x
     for q, r in residues.items():
         if not (0 <= r < q):
             report.messages.append(f"residue {r} out of range for prime {q}")
-        if q > x or not table.roots.get(q):
+        if q not in usable:
             report.messages.append(f"prime {q} is not a usable sieve prime below x")
     verdict = irreducibility_check(
         f, assert_irreducible=cert.irreducibility == "asserted-by-user"

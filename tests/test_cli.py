@@ -385,6 +385,30 @@ def test_bad_argument_exits_64(tmp_path, args, message):
     assert "Traceback" not in r.stderr and message in r.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "."],
+        ["construct", "--poly", "poly:[1,0,1]", "--x", "300", "--out", "missing/c.json"],
+        ["verify", "cert.json", "--out", "missing/r.json"],
+        ["stats", "--poly", "poly:[1,0,1]", "--x", "1e3", "--out", "missing/s.csv"],
+        # a regular file where a cache directory belongs
+        ["construct", "--poly", "poly:[1,0,1]", "--x", "300", "--out", "c.json",
+         "--cache-dir", "cert.json"],
+        ["stats", "--poly", "poly:[1,0,1]", "--x", "1e3", "--cache-dir", "cert.json"],
+    ],
+    ids=[
+        "verify-directory", "construct-out-missing-dir", "verify-out-missing-dir",
+        "stats-out-missing-dir", "construct-cache-dir-is-a-file", "stats-cache-dir-is-a-file",
+    ],
+)
+def test_unusable_path_exits_64(workdir, args):
+    r = run_cli(*args, cwd=workdir)
+    assert r.returncode == USAGE
+    assert "Traceback" not in r.stderr and r.stderr.startswith("composite-forge: ")
+    assert not (workdir / "missing").exists() and not (workdir / "c.json").exists()
+
+
 class TestOracle:
     def test_frozen_run(self, tmp_path):
         r = run_cli("oracle", "--poly", "poly:[0,1]", "--n", "100", cwd=tmp_path)

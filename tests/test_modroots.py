@@ -77,6 +77,11 @@ class TestRootsModP:
         f = IntPolynomial.from_monomial([1, 0, 5])
         assert f.companion() == (2, 0, 10)
         assert roots_mod_p(f, 5) == ()
+        # 5x^3 + 3x^2 - x + 1 without its top term has roots mod 5, but 5
+        # divides the leading coefficient, so the table has none either
+        g = IntPolynomial.from_monomial([1, -1, 3, 5])
+        assert scan_roots(g.companion(), 5) == (3, 4)
+        assert roots_mod_p(g, 5) == build_root_table(g, 100).roots[5] == ()
         # p <= degree
         g = IntPolynomial.from_monomial([2, 0, 0, 1])
         assert roots_mod_p(g, 2) == ()
@@ -85,16 +90,18 @@ class TestRootsModP:
     @pytest.mark.parametrize(
         "mono",
         [
-            [0, 1], [1, 0, 1], [2, 0, 0, 1], [1, 2, 3, 0, 4],
+            [0, 1], [1, 0, 1], [2, 0, 0, 1], [1, -1, 3, 5], [1, 2, 3, 0, 4],
             [3, 3, 0, 0, 0, 1], [2, 0, 0, 0, 0, 0, 1],
         ],
     )
     def test_both_routes_match_oracle(self, mono):
         # the per-prime route and the table, from the first prime above the
-        # degree on (the ones at or below it have no roots by definition)
+        # degree on (the ones at or below it have no roots by definition);
+        # the table's map holds every prime up to its limit, in order
         f = IntPolynomial.from_monomial(mono)
-        table = build_root_table(f, 500)
-        primes = [int(p) for p in sieve_primes(500) if p > f.degree]
+        table = build_root_table(f, 2000)
+        assert list(table.roots) == table.primes.tolist()
+        primes = [int(p) for p in sieve_primes(2000) if p > f.degree]
         assert primes[0] == next(p for p in (2, 3, 5, 7) if p > f.degree)
         for p in primes:
             want = oracle_roots(f, p)
@@ -111,6 +118,12 @@ class TestRootsModP:
             binom[-1] = abs(binom[-1]) + 1
         f = IntPolynomial(tuple(binom))
         assert roots_mod_p(f, p) == oracle_roots(f, p)
+
+    def test_prime_at_the_kernel_bound_refused(self, f_x):
+        # the linear route multiplies two residues in int64, exact below 2^31
+        assert roots_mod_p(f_x, 2147483647) == (0,)
+        with pytest.raises(ValueError, match="below"):
+            roots_mod_p(f_x, 4294967311)
 
     def test_roots_are_actual_zeros(self, f_x2p1):
         comp = f_x2p1.companion()
@@ -464,7 +477,10 @@ class TestBatchedRoute:
         comp = f.companion()
         # a prime dividing the leading coefficient is no row of a batch
         batch = [p for p in primes if comp[-1] % p]
-        rows = dict(zip(batch, _roots_algebraic(comp, batch)))
+        counts, flat = _roots_algebraic(comp, np.array(batch, dtype=np.int64))
+        assert len(counts) == len(batch) and counts.sum() == len(flat)
+        ends = np.cumsum(counts).tolist()
+        rows = {p: tuple(flat[e - k : e].tolist()) for p, k, e in zip(batch, counts.tolist(), ends)}
         for p in primes:
             assert rows.get(p, ()) == oracle_roots(f, p), (f, p)
             assert roots_mod_p(f, p) == oracle_roots(f, p), (f, p)
@@ -476,8 +492,9 @@ class TestBatchedRoute:
         for i in range(1, 7):
             mono = [a - i * b for a, b in zip([0] + mono, mono + [0])]
         f = IntPolynomial.from_monomial(mono)
-        rows = _roots_algebraic(f.companion(), BATCH_PRIMES)
-        assert rows == [tuple(range(1, 7))] * len(BATCH_PRIMES)
+        counts, flat = _roots_algebraic(f.companion(), np.array(BATCH_PRIMES, dtype=np.int64))
+        assert counts.tolist() == [6] * len(BATCH_PRIMES)
+        assert flat.tolist() == list(range(1, 7)) * len(BATCH_PRIMES)
 
     @pytest.mark.parametrize(
         "literal",
@@ -525,30 +542,34 @@ class TestRootTable:
         # p = 1 mod 4, plus nothing else below 100
         assert table_x2p1_100.usable_primes() == [5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97]
 
-    def test_primes_between_accepts_floats(self, table_x_100):
-        assert table_x_100.primes_between(50, 75) == [53, 59, 61, 67, 71, 73]
-        assert table_x_100.primes_between(50.0, 75.0) == [53, 59, 61, 67, 71, 73]
+    def test_usable_between_accepts_floats(self, table_x_100):
+        # every prime is usable for f = x
+        assert table_x_100.usable_between(50, 75) == [53, 59, 61, 67, 71, 73]
+        assert table_x_100.usable_between(50.0, 75.0) == [53, 59, 61, 67, 71, 73]
         assert table_x_100.usable_between(75, 100) == [79, 83, 89, 97]
 
-    def test_bounds_are_open_closed(self, table_x_100):
-        assert 53 in table_x_100.primes_between(53 - 1, 53)
-        assert 53 not in table_x_100.primes_between(53, 60)
+    def test_bounds_are_open_closed(self, table_x_100, table_x2p1_100):
+        assert 53 in table_x_100.usable_between(53 - 1, 53)
+        assert 53 not in table_x_100.usable_between(53, 60)
+        # primes without roots are skipped: 7 and 11 have none for x^2 + 1
+        assert table_x2p1_100.usable_between(5, 17) == [13, 17]
 
     def test_root_count(self, table_x2p1_100):
         # x^2 + 1 splits mod 13 (5^2 = 25 = -1) and has no root mod 7
         assert table_x2p1_100.roots[13] == (5, 8)
         assert table_x2p1_100.roots[7] == ()
 
-    def test_density_product_matches_direct(self, table_x2p1_100):
-        direct = 1.0
-        for q in table_x2p1_100.usable_between(0, 50):
-            direct *= 1.0 - len(table_x2p1_100.roots[q]) / q
-        assert table_x2p1_100.density_product(50) == pytest.approx(direct)
+    def test_density_product_matches_direct(self, table_x2p1_100, table_x2p1_2000):
+        # the running product keeps the loop's order, so the floats are equal
+        for table, hi in ((table_x2p1_100, 50), (table_x2p1_2000, 1000.5)):
+            direct = 1.0
+            for q in table.usable_between(0, hi):
+                direct *= 1.0 - len(table.roots[q]) / q
+            assert table.density_product(hi) == direct
 
-    def test_diff_set_contains_zero_and_differences(self, table_x2p1_100):
-        # roots mod 13 are {5, 8}: pairwise differences give {0, 3, 10}
-        assert table_x2p1_100.diff_set(13) == frozenset({0, 3, 10})
-        assert table_x2p1_100.diff_set(7) == frozenset()
+    def test_roots_map_is_read_only(self, table_x2p1_100):
+        with pytest.raises(TypeError):
+            table_x2p1_100.roots[13] = (1,)
 
     def test_companion_eval_mod_matches_bigint(self, f_x2p1):
         comp = f_x2p1.companion()
@@ -637,9 +658,29 @@ class TestCache:
         assert hashlib.sha256(data).hexdigest() == digest
         assert build_root_table(f, limit, cache_dir=str(tmp_path)).roots == build_root_table(f, limit).roots
 
-    def test_cached_equals_fresh(self, f_x2p1, tmp_path, table_x2p1_2000):
-        t = build_root_table(f_x2p1, 2000, cache_dir=str(tmp_path))
-        assert t.roots == table_x2p1_2000.roots
+    def test_cached_equals_fresh(self, tmp_path, monkeypatch):
+        # x, x^2 + 1, x^3 + 2, and 5x^3 + 3x^2 - x + 1 with no roots mod 5
+        polys = [IntPolynomial.from_monomial(m) for m in ([0, 1], [1, 0, 1], [2, 0, 0, 1], [1, -1, 3, 5])]
+        cold = [build_root_table(f, 2000) for f in polys]
+        for f in polys:
+            build_root_table(f, 2000, cache_dir=str(tmp_path))
+
+        def no_roots(*args):
+            raise AssertionError("a cached table was recomputed")
+
+        monkeypatch.setattr(modroots_mod, "_roots_algebraic", no_roots)
+        for f, c in zip(polys, cold):
+            warm = build_root_table(f, 2000, cache_dir=str(tmp_path))
+            assert warm.roots == c.roots
+            assert warm.counts.tolist() == c.counts.tolist()
+            assert warm.flat.tolist() == c.flat.tolist()
+
+    def test_cached_stats_build_no_roots_map(self, f_x2p1, tmp_path):
+        build_root_table(f_x2p1, 10**5, cache_dir=str(tmp_path))
+        table = build_root_table(f_x2p1, 10**5, cache_dir=str(tmp_path))
+        density_stats(table)
+        density_stats(table, limit=10**4)
+        assert "roots" not in vars(table)
 
 
 class TestDensityStats:
@@ -698,13 +739,18 @@ class TestDensityStats:
         assert st_.n_primes == 15
 
 
+@pytest.fixture(scope="module")
+def table_x3p2_1000():
+    table = build_root_table(parse_poly_literal("poly:[2,0,0,1]"), 1000)
+    assert max(map(len, table.roots.values())) == 3
+    return table
+
+
 class TestResidueCollisions:
     def brute(self, table, m, qmin, qmax):
         count = 0
-        for q in table.primes_between(qmin, qmax):
+        for q in table.usable_between(qmin, qmax):
             roots = table.roots[q]
-            if not roots:
-                continue
             diffs = {(a - b) % q for a in roots for b in roots}
             if m % q in diffs:
                 count += 1
@@ -718,9 +764,20 @@ class TestResidueCollisions:
 
     @given(m=st.integers(1, 10**6))
     @settings(max_examples=200, deadline=None)
-    def test_matches_brute_force(self, m, table_x2p1_100):
+    def test_matches_brute_force(self, m, table_x2p1_100, table_x3p2_1000):
         got = residue_collision_count(table_x2p1_100, m, 10, 100)
         assert got == self.brute(table_x2p1_100, m, 10, 100)
+        # x^3 + 2 has three roots mod every prime where it splits, so
+        # every ordered pair of root slots is tried
+        got = residue_collision_count(table_x3p2_1000, m, 10, 1000)
+        assert got == self.brute(table_x3p2_1000, m, 10, 1000)
+
+    def test_quadratic_hand_case(self, table_x2p1_100):
+        # x^2 + 1 has the roots 5 and 8 mod 13, which differ by 3; it has
+        # none mod 7 and 11
+        assert residue_collision_count(table_x2p1_100, 3, 6, 13) == 1
+        assert residue_collision_count(table_x2p1_100, 3 + 13 * 7, 12, 13) == 1
+        assert residue_collision_count(table_x2p1_100, 4, 12, 13) == 0
 
     def test_zero_difference_counts(self, table_x2p1_100):
         # m = 0 mod q hits the self-difference for every usable q
