@@ -7,15 +7,15 @@ Compositeness inside the windows is always certified by a divisor witness
 (q | f(n) with 1 < q < |f(n)|), never by primality testing; primality
 testing appears only in the small-scale oracle.
 
-The witness search works on a whole window at a time: each window start is
-reduced once per prime, the window's offsets are then walked with small-int
-arithmetic, and the size condition |f(n)| > q is proved once per window
-(with an exact per-value check only for small or hostile windows). Fast
-mode is deep mode's walk on a sample of each window's offsets, and neither
-mode walks a stored window of the wrong length or the stored centers. The
-stored y is bounded by the formula length, and the stored x by what the
-certificate's N or listed primes can support (stored_x_bound) and by the
-root table's bound, before anything is sized by them.
+Both windows are the ones N, b1 and y give: I1 from 1 - b1, I2 from
+N + b1 - y. One pass over the listed moduli reduces b1 once by each, and N
+once by each prime that vouches, whose roots it checks against the
+companion; that gives each window start mod q. The witness search walks a
+window's offsets (all, or a sample in fast mode) with small-int arithmetic
+and proves |f(n)| > q once per window. Stored bounds and centers are only
+compared. The stored y is bounded by the formula length, and the stored x
+by what the certificate's N or listed primes can support (stored_x_bound)
+and by the root table's bound, before anything is sized by them.
 """
 
 from __future__ import annotations
@@ -62,49 +62,40 @@ class VerifyReport:
 def find_witness(
     base: int,
     offsets: Sequence[int],
-    primes_with_roots: list[tuple[int, tuple[int, ...]]],
-    comp: tuple[int, ...],
+    rows: list[tuple[int, list[int], int]],
     f: IntPolynomial,
-    degree: int,
 ) -> list[int | None]:
     """Witnessing prime for each n = base + k, k in offsets (distinct, all
-    k >= 0): the smallest prime q > degree (primes ascending) with q | f(n)
-    and |f(n)| > q, so that f(n) is composite, or None when no listed prime
-    works.
+    k >= 0): the first q of rows (primes ascending) with q | f(n) and
+    |f(n)| > q, so that f(n) is composite, or None when no row works.
 
-    Each prime costs one big-int reduction s = base mod q; an offset is a
-    hit when (s + k) mod q is a root r of the companion B!*f mod q, which
-    is checked once per root on r itself (the companion has integer
-    coefficients, so its value at n agrees with its value at r mod q).
-    Per prime the hits are found by scanning the open offsets or by
-    striding through each root's progression, whichever visits fewer, and
-    an offset is closed at its first hit. The size condition is
-    proved once for the whole group when the companion g = sum c_i n^i
-    gives c_d*base - sum_{i<d} |c_i| > B!*q_max with base >= 1, since then
-    |g(n)| >= n^(d-1) (c_d n - sum |c_i|) > B!*q_max for every n >= base;
-    otherwise |f(n)| > q is checked exactly per hit. A hit failing it has
-    no witness at all, as every later prime is larger still.
+    A row (q, roots, s) holds a prime q > deg f, the roots of the companion
+    B!*f mod q, checked by the caller, and s = base mod q; an offset k is a
+    hit when (s + k) mod q is one of those roots. Per prime the hits are
+    found by scanning the open offsets or by striding through each root's
+    progression, whichever visits fewer, and an offset is closed at its
+    first hit. The size condition is proved once for the whole group when
+    the companion g = sum c_i n^i gives c_d*base - sum_{i<d} |c_i| > B!*q_max
+    with base >= 1, since then |g(n)| >= n^(d-1) (c_d n - sum |c_i|) >
+    B!*q_max for every n >= base; otherwise |f(n)| > q is checked exactly
+    per hit. A hit failing it has no witness at all, as every later prime
+    is larger still.
     """
     out: list[int | None] = [None] * len(offsets)
-    q_max = max((q for q, roots in primes_with_roots if q > degree and roots), default=0)
+    comp = f.companion()
+    q_max = max((q for q, _, _ in rows), default=0)
     size_ok = base >= 1 and comp[-1] * base - sum(map(abs, comp[:-1])) > (
-        math.factorial(degree) * q_max
+        math.factorial(f.degree) * q_max
     )
     open_ = {k: i for i, k in enumerate(offsets)}  # open offset -> position
     span = max(offsets, default=0) + 1
-    for q, roots in primes_with_roots:
+    for q, roots, s in rows:
         if not open_:
             break
-        if q <= degree:
-            continue
-        good = [r for r in roots if companion_eval_mod(comp, r, q) == 0]
-        if not good:
-            continue
-        s = base % q
-        if len(open_) * q <= len(good) * span:
-            hits = [k for k in open_ if (s + k) % q in good]
+        if len(open_) * q <= len(roots) * span:
+            hits = [k for k in open_ if (s + k) % q in roots]
         else:
-            hits = [k for r in good for k in range((r - s) % q, span, q) if k in open_]
+            hits = [k for r in roots for k in range((r - s) % q, span, q) if k in open_]
         for k in hits:
             i = open_.pop(k)
             if size_ok or abs(f.eval(base + k)) > q:
@@ -167,20 +158,21 @@ def verify_certificate(
 ) -> VerifyReport:
     """Check a certificate from its serialized content alone.
 
-    Placed certificates: every n in I1 and I2 (deep mode), or in each
-    window its two ends, its center (offset y//2 - 1 in I1, y - y//2 in I2,
-    where it lies in the window) and the offsets of one seeded sample of
+    Placed certificates: every n in I1 = [1 - b1, y - b1] and
+    I2 = [N + b1 - y, N + b1 - 1] (deep mode), or in each window its two
+    ends, its center (offset y//2 - 1 in I1, y - y//2 in I2, where it lies
+    in the window) and the offsets of one seeded sample of
     max(1, int(sample_rate * 2y)) draws (fast mode), must have a witness
-    among the certificate primes whose residues are consistent with b1. A
-    placement-free certificate is checked at offset level instead: the
-    forward window [1, y] must be fully covered by the residue classes.
-    Neither check runs when y lies outside [1, formula y], and neither mode
-    walks a stored window whose length is not y; both faults are reported.
-    The stored centers n1, n2 are checked against b2 and N, not walked.
-    An x beyond what the certificate can support (stored_x_bound) or the
-    root table refuses (2^31 or more) is reported before anything is sized
-    by it, and a listed modulus below 2 is reported and takes no further
-    part.
+    among the certificate primes whose residues are consistent with b1;
+    b1 and N are reduced once per prime. The stored I1, I2, n1, n2 and m
+    are compared with these, never walked. A placement-free certificate is
+    checked at offset level instead: the forward window [1, y] must be fully
+    covered by the residue classes. Neither check runs when y lies outside
+    [1, formula y], which is reported. Moduli whose bit lengths put their
+    product's cube above N are reported without forming it. An x beyond
+    what the certificate can support (stored_x_bound) or the root table
+    refuses (2^31 or more) is reported before anything is sized by it, and
+    a listed modulus below 2 is reported and takes no further part.
     Invalid certificates produce a negative report, not an exception; a
     sample_rate that is not a finite rate in (0, 1] raises ValueError
     before anything is checked.
@@ -260,47 +252,49 @@ def verify_certificate(
         return report
 
     n_target, b1, b2 = pl.N, pl.b1, pl.b2
-    modulus = math.prod(residues.keys())
-    if modulus**3 > n_target:
+    # q >= 2^(q.bit_length() - 1), so enough bits decide it without the product
+    bits = 3 * sum(q.bit_length() - 1 for q in residues)
+    if bits >= n_target.bit_length() or math.prod(residues) ** 3 > n_target:
         report.messages.append("modulus exceeds N^(1/3)")
     if not (-((3 * n_target) // 10) <= b1 <= -((n_target + 4) // 5)):
         report.messages.append("b1 outside [-0.3N, -0.2N]")
-    if pl.I1 != (b2 + 1, b2 + y) or pl.I2 != (n_target - b2 - y, n_target - b2 - 1):
+    starts = (b2 + 1, n_target - b2 - y)
+    if pl.I1 != (starts[0], b2 + y) or pl.I2 != (starts[1], n_target - b2 - 1):
         report.messages.append("window bounds disagree with b2 and y")
     if pl.n1 != b2 + y // 2 or pl.n2 != n_target - pl.n1:
         report.messages.append("centers do not split N")
     if pl.m != y // 2 - 1:
         report.messages.append("center radius m is not floor(y/2) - 1")
 
-    # a prime vouches for nothing unless b1 actually satisfies its congruence;
-    # foreign primes get an empty root set and can never produce a witness
-    consistent: list[tuple[int, tuple[int, ...]]] = []
+    # a prime vouches for nothing unless b1 satisfies its congruence, it
+    # exceeds the degree and it has companion roots (a foreign prime has
+    # none); one row per window, each with the window start mod q
+    rows: tuple[list, list] = ([], [])
     for q in sorted(residues):
-        if (b1 - residues[q]) % q == 0:
-            consistent.append((q, table.roots.get(q, ())))
-        else:
+        b1_q = b1 % q
+        if (b1_q - residues[q]) % q:
             report.messages.append(f"b1 does not satisfy the residue for prime {q}")
+        elif q > degree:
+            roots = [r for r in table.roots.get(q, ()) if companion_eval_mod(comp, r, q) == 0]
+            if roots:
+                rows[0].append((q, roots, (1 - b1_q) % q))
+                rows[1].append((q, roots, (n_target % q + b1_q - y) % q))
 
-    # each group is (base, offsets): a stored window of length y from its
-    # start, walked whole (deep) or at its ends, its center and a seeded
-    # sample shared by both windows (fast). A window of the wrong length,
-    # reported above, is not walked, so its bounds cannot size the work.
-    groups = []
-    if y_bounded and not deep:
-        rng = stage_rng(seed, VERIFY_SAMPLE_STREAM)
-        sample = {0, y - 1, *map(int, rng.integers(0, y, size=max(1, int(sample_rate * 2 * y))))}
-    for (lo, hi), center in ((pl.I1, y // 2 - 1), (pl.I2, y - y // 2)):
-        if y_bounded and hi - lo + 1 == y:
+    # each window is walked whole (deep) or at its ends, its center and a
+    # seeded sample shared by both windows (fast)
+    if y_bounded:
+        if not deep:
+            rng = stage_rng(seed, VERIFY_SAMPLE_STREAM)
+            sample = {0, y - 1, *map(int, rng.integers(0, y, size=max(1, int(sample_rate * 2 * y))))}
+        for base, window_rows, center in zip(starts, rows, (y // 2 - 1, y - y // 2)):
             in_window = {center} if 0 <= center < y else set()
-            groups.append((lo, range(y) if deep else sorted(sample | in_window)))
-
-    for base, offsets in groups:
-        for k, q in zip(offsets, find_witness(base, offsets, consistent, comp, f, degree)):
-            report.checked += 1
-            if q is None:
-                report.failures.append(base + k)
-            else:
-                report.witness_primes[q] += 1
+            offsets = range(y) if deep else sorted(sample | in_window)
+            for k, q in zip(offsets, find_witness(base, offsets, window_rows, f)):
+                report.checked += 1
+                if q is None:
+                    report.failures.append(base + k)
+                else:
+                    report.witness_primes[q] += 1
     report.failures.sort()
     report.valid = not report.failures and not report.messages
     return report

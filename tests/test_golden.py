@@ -21,12 +21,13 @@ A change that moves one of them changes the certificate format or the
 construction, and must say so.
 
 Two stats CSVs, of one two-sided and one one-sided case, are pinned the
-same way (STATS_GOLDEN).
+same way (STATS_GOLDEN), and so are the verify reports of the x = 1000
+certificates in fast and deep mode (VERIFY_GOLDEN).
 
 Run as a script (`PYTHONPATH=src python tests/test_golden.py`) to print the
-current digest and achieved y of every case, and the pinned stats digests,
-ready to paste over GOLDEN and STATS_GOLDEN when a change moves them on
-purpose.
+current digest and achieved y of every case, and the pinned stats and
+verify-report digests, ready to paste over GOLDEN, STATS_GOLDEN and
+VERIFY_GOLDEN when a change moves them on purpose.
 """
 
 import csv
@@ -36,9 +37,10 @@ import json
 
 import pytest
 
-from composite_forge.assemble import STATS_HEADER, construct_certificate
+from composite_forge.assemble import STATS_HEADER, ResidueCertificate, construct_certificate
 from composite_forge.cover import SieveParams
 from composite_forge.poly import IntPolynomial
+from composite_forge.verify import verify_certificate
 
 POLYS = {"x": [0, 1], "x^2+1": [1, 0, 1], "x^3+2": [2, 0, 0, 1]}
 
@@ -94,6 +96,19 @@ STATS_GOLDEN = {
 }
 
 
+# sha256 of the verify report JSON (keys sorted) of the x = 1000, seed 7
+# certificate of each polynomial, in fast mode at seed 7 and in deep mode;
+# a report moves only when the verifier's checks or sampling move
+VERIFY_GOLDEN = {
+    ("x", "fast"): "cb80678d67ce089fc34ef97ec004efa003ea201ba766fd28983d68c74f55ab6c",
+    ("x", "deep"): "27d19fecb68980a55e416e81b7a782e91d396d0b63a32babe111266fd9d8f200",
+    ("x^2+1", "fast"): "fedeb1482e2b152e8f3249fbcdc5281afd4193a4acaac93400b79e0fafe26ab1",
+    ("x^2+1", "deep"): "0d0c0185e18c965bcb0eac69393a5b3717136bb8de5e8ea28698cc4642f6ed10",
+    ("x^3+2", "fast"): "aee4d872eeaf8de3a99878b939d9a7de90feebdecfe3d16b556456a54cdb6925",
+    ("x^3+2", "deep"): "9f79f7347d96a7fd327db07e221f594d888ae3f0f8cd10c24c9a94ee828c586d",
+}
+
+
 def construct(case):
     name, seed, *variant = case
     f = IntPolynomial.from_monomial(POLYS[name])
@@ -117,6 +132,16 @@ def stats_csv_digest(case) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
+def verify_report_digest(case) -> str:
+    """The sha256 of the verify report of the case's x = 1000 certificate,
+    read back from its bytes as the CLI reads it."""
+    name, mode = case
+    cert = construct((name, 7, "x=1000"))[0]
+    loaded = ResidueCertificate.from_json_dict(json.loads(cert.to_json_bytes()))
+    report = verify_certificate(loaded, deep=mode == "deep", seed=7)
+    return hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda case: "-".join(map(str, case)))
 def test_certificate_digest(case):
     assert certificate_digest(case)[0] == GOLDEN[case]
@@ -127,6 +152,13 @@ def test_stats_csv_digest(case):
     assert stats_csv_digest(case) == STATS_GOLDEN[case]
 
 
+@pytest.mark.parametrize(
+    "case", sorted(VERIFY_GOLDEN), ids=lambda case: "-".join(map(str, case))
+)
+def test_verify_report_digest(case):
+    assert verify_report_digest(case) == VERIFY_GOLDEN[case]
+
+
 if __name__ == "__main__":
     for case in GOLDEN:
         key = ", ".join(json.dumps(part) for part in case)
@@ -135,3 +167,6 @@ if __name__ == "__main__":
     for case in STATS_GOLDEN:
         key = ", ".join(json.dumps(part) for part in case)
         print(f"    ({key}): {json.dumps(stats_csv_digest(case))},  # stats CSV")
+    for case in VERIFY_GOLDEN:
+        key = ", ".join(json.dumps(part) for part in case)
+        print(f"    ({key}): {json.dumps(verify_report_digest(case))},  # verify report")

@@ -7,6 +7,7 @@ import json
 import math
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -320,16 +321,68 @@ class TestFaultInjection:
         assert verify_mod.stored_x_bound(3, None, 9999) == int(120_000 * math.log(30_002))
 
     @pytest.mark.parametrize("deep", [True, False])
-    def test_huge_stored_window_not_walked(self, deep):
+    def test_huge_stored_window_not_walked(self, deep, monkeypatch):
+        # the stored I1 is only compared; the walk covers the two windows
+        # of length y that N, b1 and y give
         cert = reload(toy_certificate())
         pl = cert.placement
         cert.placement = dataclasses.replace(pl, I1=(pl.I1[0], pl.I1[0] + 10**12 - 1))
+        walked = record_walk(monkeypatch)
         report = verify_certificate(cert, deep=deep)
         assert not report.valid
         assert any("window bounds" in m for m in report.messages)
+        assert walked and all(in_derived_windows(cert, n) for n in walked)
+        assert report.checked == len(walked) and report.failures == []
         if deep:
-            # only I2, whose length is still y, is witness-checked
-            assert report.checked == 4 and report.failures == []
+            assert report.checked == 8
+
+    @pytest.mark.parametrize("deep", [True, False])
+    def test_padded_moduli_refused_without_their_product(self, deep):
+        # 300 listed 4000-digit moduli, b1 in each class: their product has
+        # 1.2 million digits, and forming and cubing it took seconds
+        obj = json.loads(built_certificate("x^2+1", 300))
+        b1 = int(obj["placement"]["b1"])
+        moduli = [10**3999 + 2 * i + 1 for i in range(300)]
+        obj["stages"].append(
+            {"stage": "cleanup", "side": "fwd", "assignments": [[q, b1 % q] for q in moduli]}
+        )
+        cert = ResidueCertificate.from_json_dict(obj)
+        t0 = time.perf_counter()
+        report = verify_certificate(cert, deep=deep)
+        assert time.perf_counter() - t0 < 1
+        assert not report.valid and "modulus exceeds N^(1/3)" in report.messages
+        assert report.failures == [] and report.checked > 0
+
+
+def derived_windows(cert) -> tuple[tuple[int, int], tuple[int, int]]:
+    """I1 = [1 - b1, y - b1] and I2 = [N + b1 - y, N + b1 - 1]."""
+    pl, y = cert.placement, cert.params.y
+    return (1 - pl.b1, y - pl.b1), (pl.N + pl.b1 - y, pl.N + pl.b1 - 1)
+
+
+def in_derived_windows(cert, n: int) -> bool:
+    return any(lo <= n <= hi for lo, hi in derived_windows(cert))
+
+
+def record_walk(monkeypatch) -> list[int]:
+    """Every value find_witness is asked about, in order, from now on."""
+    walked: list[int] = []
+    inner = verify_mod.find_witness
+
+    def recording(base, offsets, *args):
+        walked.extend(base + k for k in offsets)
+        return inner(base, offsets, *args)
+
+    monkeypatch.setattr(verify_mod, "find_witness", recording)
+    return walked
+
+
+def consistent_primes(cert, table) -> list[tuple[int, tuple[int, ...]]]:
+    """(q, table roots of q) for each listed q whose class holds b1,
+    ascending: the primes that may vouch, found without the verifier."""
+    residues = cert.residues()
+    b1 = cert.placement.b1
+    return [(q, table.roots.get(q, ())) for q in sorted(residues) if (b1 - residues[q]) % q == 0]
 
 
 # reference oracle: the per-n witness search that the window search replaced
@@ -408,31 +461,30 @@ TAMPERS = {
 
 
 def per_n_targets(cert, deep: bool, seed: int) -> list[int]:
-    """The values the per-n verifier walks, in its order: each stored window
-    of length y from its start, whole (deep) or at its ends, its center and
-    the seeded sample's offsets (fast)."""
-    pl, y = cert.placement, cert.params.y
+    """The values the per-n verifier walks, in its order: each window that
+    N, b1 and y give, whole (deep) or at its ends, its center and the seeded
+    sample's offsets (fast)."""
+    y = cert.params.y
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, VERIFY_SAMPLE_STREAM])))
     sample = {int(k) for k in rng.integers(0, y, size=max(1, int(0.01 * 2 * y)))}
     out = []
-    for (lo, hi), center in ((pl.I1, y // 2 - 1), (pl.I2, y - y // 2)):
-        if hi - lo + 1 == y:
-            out += [lo + k for k in (range(y) if deep else sorted(sample | {0, y - 1, center}))]
+    for (lo, _), center in zip(derived_windows(cert), (y // 2 - 1, y - y // 2)):
+        out += [lo + k for k in (range(y) if deep else sorted(sample | {0, y - 1, center}))]
     return out
 
 
 @st.composite
 def witness_cases(draw):
     """A polynomial, a random choice of vouching primes <= 60 (some foreign,
-    i.e. with no roots, some listing every residue, so that only the
-    companion check and the q > degree rule pick the roots), a base small enough to need the per-n size check or
-    up to 10^1500, and a sparse offset set or a whole window."""
+    i.e. with no roots, some with only part of their roots), a base small
+    enough to need the per-n size check or up to 10^1500, and a sparse
+    offset set or a whole window."""
     name = draw(st.sampled_from(sorted(POLYS)))
     f, table = poly_table(name, 60)
     primes_with_roots = []
     for q in (int(p) for p in table.primes):
-        kind = draw(st.sampled_from(("skip", "use", "use", "foreign", "every")))
-        roots = {"use": table.roots[q], "foreign": (), "every": tuple(range(q))}
+        kind = draw(st.sampled_from(("skip", "use", "use", "foreign", "part")))
+        roots = {"use": table.roots[q], "foreign": (), "part": table.roots[q][1:]}
         if kind != "skip":
             primes_with_roots.append((q, roots[kind]))
     base = draw(st.one_of(st.integers(-100, 500), st.integers(1, 10**1500)))
@@ -521,6 +573,12 @@ class TestMutatedCertificates:
         assert isinstance(report, verify_mod.VerifyReport)
 
 
+def rows_for(base: int, primes_with_roots, degree: int):
+    """find_witness rows: each prime above the degree, its roots and base
+    mod q."""
+    return [(q, list(roots), base % q) for q, roots in primes_with_roots if q > degree]
+
+
 class TestWindowWitnessSearch:
     """find_witness on a window agrees with the per-n search it replaced."""
 
@@ -528,15 +586,45 @@ class TestWindowWitnessSearch:
     @settings(max_examples=300, deadline=None)
     def test_matches_per_n_oracle(self, case):
         f, pwr, base, offsets = case
-        comp = f.companion()
-        got = find_witness(base, offsets, pwr, comp, f, f.degree)
-        want = [find_witness_per_n(base + k, pwr, comp, f, f.degree) for k in offsets]
+        got = find_witness(base, offsets, rows_for(base, pwr, f.degree), f)
+        want = [find_witness_per_n(base + k, pwr, f.companion(), f, f.degree) for k in offsets]
         assert got == want
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_verifier_filters_table_roots_like_the_oracle(self, data):
+        # a root table whose primes list true, no or every residue: only
+        # the verifier's companion check and q > degree rule pick the roots.
+        # The primes up to the degree, which divide the companion's B!, are
+        # listed too, each with b1 in its class.
+        name = data.draw(st.sampled_from(sorted(POLYS)))
+        cert = certificate(name, 300)
+        small = [(q, cert.placement.b1 % q) for q in (2, 3) if q <= cert.poly.degree]
+        cert.stages.append(StageRecord("cleanup", "fwd", small))
+        true_table = poly_table(name, 300)[1]
+        roots = {}
+        for q in map(int, true_table.primes):
+            kind = data.draw(st.sampled_from(("use", "use", "foreign", "every")))
+            roots[q] = {"use": true_table.roots[q], "foreign": (), "every": tuple(range(q))}[kind]
+        table = types.SimpleNamespace(roots=roots, usable_primes=true_table.usable_primes)
+        deep = data.draw(st.booleans())
+        pwr = consistent_primes(cert, table)
+        f = cert.poly
+
+        def oracle(base, offsets, rows, f_):
+            return [find_witness_per_n(base + k, pwr, f.companion(), f, f.degree) for k in offsets]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify_mod, "build_root_table", lambda f, x: table)
+            got = verify_certificate(cert, deep=deep, seed=7)
+            mp.setattr(verify_mod, "find_witness", oracle)
+            want = verify_certificate(cert, deep=deep, seed=7)
+        assert got.to_json_dict() == want.to_json_dict()
 
     def test_small_prime_values_get_no_witness(self):
         f, table = poly_table("x", 60)
         pwr = [(int(q), table.roots[int(q)]) for q in table.primes]
-        got = find_witness(1, range(60), pwr, f.companion(), f, 1)
+        got = find_witness(1, range(60), rows_for(1, pwr, 1), f)
         for k, w in enumerate(got):
             n = 1 + k
             if n == 1 or all(n % q for q in range(2, n)):
@@ -550,11 +638,13 @@ class TestWindowWitnessSearch:
     def test_report_matches_per_n_oracle(self, name, tamper, deep, monkeypatch):
         cert = TAMPERS[tamper](certificate(name, 300))
         got = verify_certificate(cert, deep=deep, seed=7)
+        pwr = consistent_primes(cert, poly_table(name, 300)[1])
+        f = cert.poly
         seen: list[int] = []
 
-        def oracle(base, offsets, primes_with_roots, comp, f, degree):
+        def oracle(base, offsets, rows, f_):
             seen.extend(base + k for k in offsets)
-            return [find_witness_per_n(base + k, primes_with_roots, comp, f, degree) for k in offsets]
+            return [find_witness_per_n(base + k, pwr, f.companion(), f, f.degree) for k in offsets]
 
         monkeypatch.setattr(verify_mod, "find_witness", oracle)
         want = verify_certificate(cert, deep=deep, seed=7)
@@ -572,18 +662,25 @@ class TestWindowWitnessSearch:
         pl = cert.placement
         n1 = pl.I1[0] - 10**6
         cert.placement = dataclasses.replace(pl, n1=n1, n2=pl.N - n1)
-        walked: list[int] = []
-        inner = verify_mod.find_witness
-
-        def recording(base, offsets, *args):
-            walked.extend(base + k for k in offsets)
-            return inner(base, offsets, *args)
-
-        monkeypatch.setattr(verify_mod, "find_witness", recording)
+        walked = record_walk(monkeypatch)
         report = verify_certificate(cert, deep=deep, seed=7)
         assert not report.valid
         assert any("centers" in m for m in report.messages)
         assert walked and all(any(lo <= n <= hi for lo, hi in (pl.I1, pl.I2)) for n in walked)
+        assert report.checked == len(walked) and not report.failures
+
+    @pytest.mark.parametrize("deep", [True, False])
+    def test_moved_stored_window_is_reported_not_walked(self, deep, monkeypatch):
+        # an I1 of the right length moved 10^6 away is compared and
+        # reported; the walk stays in the windows N, b1 and y give
+        cert = certificate("x^2+1", 300)
+        pl = cert.placement
+        cert.placement = dataclasses.replace(pl, I1=(pl.I1[0] + 10**6, pl.I1[1] + 10**6))
+        walked = record_walk(monkeypatch)
+        report = verify_certificate(cert, deep=deep, seed=7)
+        assert not report.valid
+        assert report.messages == ["window bounds disagree with b2 and y"]
+        assert walked and all(in_derived_windows(cert, n) for n in walked)
         assert report.checked == len(walked) and not report.failures
 
     @pytest.mark.parametrize("seed", [0, 7])
