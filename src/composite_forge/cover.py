@@ -30,6 +30,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .modroots import RootTable
+from .primes import residues_mod
 from .sievecore import SurvivorSet, sieve_survivors
 
 
@@ -198,9 +199,10 @@ def sample_small_residue(
 def target_residues(n_target: int, table: RootTable) -> dict[int, int]:
     """q -> N mod q for every usable prime of the table: the only form of N
     the sieve stages take. A construction reduces its N (thousands of
-    digits) once per prime, and every stage of every attempt reads the
-    map."""
-    return {q: n_target % q for q in table.usable_primes()}
+    digits) once per block of primes (residues_mod), and every stage of
+    every attempt reads the map."""
+    usable = table.usable_primes()
+    return dict(zip(usable, residues_mod(n_target, usable)))
 
 
 class CoverState:

@@ -19,13 +19,13 @@ from .gfpoly import gf_is_irreducible, gf_normalize
 from .primes import sieve_primes
 
 
-def decimal_int(value) -> int:
-    """int() of a decimal string in the form construct writes a
-    certificate's big integers in (-?[0-9]+); any other value raises
+def decimal_text(value) -> str:
+    """value itself when it is a decimal string in the form construct writes
+    a certificate's big integers in (-?[0-9]+); any other value raises
     ValueError."""
     if not (isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value)):
         raise ValueError(f"expected a decimal string, got {value!r:.40}")
-    return int(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class IntPolynomial:
     def from_json(cls, obj: dict) -> "IntPolynomial":
         if obj.get("basis") != "binomial" or not isinstance(obj["coeffs"], list):
             raise ValueError("unknown polynomial encoding")
-        return cls(tuple(decimal_int(c) for c in obj["coeffs"]))
+        return cls(tuple(int(decimal_text(c)) for c in obj["coeffs"]))
 
     def __str__(self) -> str:
         return "binom:" + json.dumps(list(self.coeffs), separators=(",", ":"))

@@ -3,6 +3,9 @@
 Everything here is deterministic for a fixed input so that sieve output and
 certificates are reproducible byte for byte.
 
+`residues_mod` reduces one big integer by many moduli in blocks, for the
+certificate's N and b1 (thousands of digits) modulo every sieve prime.
+
 The row kernels (`mod_rows`, `sqrt_and_inverse_rows`, with
 `gfpoly.pow_mod_rows`) work on int64 arrays with one prime per row, so the
 quadratic root finder solves a whole block of primes in a fixed number of
@@ -15,7 +18,9 @@ needs every row prime below ROW_PRIME_BOUND.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -31,20 +36,20 @@ def sieve_primes(limit: int) -> np.ndarray:
     """Return all primes <= limit as an int64 array (Eratosthenes, odds only)."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    if limit < 3:
-        return np.array([2], dtype=np.int64)
-    # index i represents the odd number 2*i + 1; index 0 (=1) is not prime
-    n_odd = (limit + 1) // 2
-    is_prime = np.ones(n_odd, dtype=bool)
-    is_prime[0] = False
-    for i in range(1, (int(limit**0.5) + 1) // 2 + 1):
-        if is_prime[i]:
-            p = 2 * i + 1
-            start = (p * p) // 2
-            if start < n_odd:
-                is_prime[start::p] = False
-    odds = 2 * np.nonzero(is_prime)[0].astype(np.int64) + 1
-    return np.concatenate(([np.int64(2)], odds))
+    # index i represents the odd number 2*i + 1, except index 0, which
+    # stands for 2 in place of 1
+    is_prime = np.ones((limit + 1) // 2, dtype=bool)
+    # the sieving primes, the odd primes up to isqrt(limit), as a short
+    # set: the odd numbers there less the multiples of smaller odd numbers
+    r = math.isqrt(limit)
+    sieving = set(range(3, r + 1, 2))
+    for d in range(3, math.isqrt(r) + 1, 2):
+        sieving.difference_update(range(d * d, r + 1, 2 * d))
+    for p in sieving:
+        is_prime[(p * p) // 2 :: p] = False
+    out = 2 * np.flatnonzero(is_prime).astype(np.int64) + 1
+    out[0] = 2
+    return out
 
 
 def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
@@ -82,6 +87,42 @@ def is_prime(n: int) -> bool:
         rng = random.Random(n)
         bases = [rng.randrange(2, n - 1) for _ in range(64)]
     return all(_mr_witness(n, a, d, s) for a in bases)
+
+
+# Bit budget of a block of moduli in residues_mod. v mod q for every
+# modulus costs one division of v per block plus one of a remainder of at
+# most this size per modulus, so the best budget grows with v. Measured for
+# N mod every prime up to x (f = x, N of 360 to 130k digits), this one is
+# within 3 % of the best power of two at x = 10^4 and 10^5 and 0.08 ms
+# behind it at x = 3000
+RESIDUE_BLOCK_BITS = 2048
+
+
+def residues_mod(v: int, moduli: Sequence[int]) -> list[int]:
+    """[v % q for q in moduli], with v reduced once per block instead of
+    once per modulus.
+
+    Consecutive moduli form a block while their bit lengths sum to at most
+    RESIDUE_BLOCK_BITS, so their product stays below 2^RESIDUE_BLOCK_BITS;
+    v is reduced by that product, and the remainder by each modulus of the
+    block, which gives v % q as q divides the product. A modulus longer than
+    the budget is a block of its own, reduced as v % q, so long moduli cost
+    one division of v each, as they would without blocks, and no product
+    grows beyond the budget or one modulus. A zero modulus raises
+    ZeroDivisionError, as % does.
+    """
+    out: list[int] = []
+    i, n = 0, len(moduli)
+    while i < n:
+        j, bits = i + 1, moduli[i].bit_length()
+        while j < n and bits + moduli[j].bit_length() <= RESIDUE_BLOCK_BITS:
+            bits += moduli[j].bit_length()
+            j += 1
+        block = moduli[i:j]
+        rest = v % math.prod(block)
+        out += [rest % q for q in block]
+        i = j
+    return out
 
 
 _LIMB_BITS = 31

@@ -8,14 +8,19 @@ Compositeness inside the windows is always certified by a divisor witness
 testing appears only in the small-scale oracle.
 
 Both windows are the ones N, b1 and y give: I1 from 1 - b1, I2 from
-N + b1 - y. One pass over the listed moduli reduces b1 once by each, and N
-once by each prime that vouches, whose roots it checks against the
-companion; that gives each window start mod q. The witness search walks a
-window's offsets (all, or a sample in fast mode) with small-int arithmetic
-and proves |f(n)| > q once per window. Stored bounds and centers are only
-compared. The stored y is bounded by the formula length, and the stored x
-by what the certificate's N or listed primes can support (stored_x_bound)
-and by the root table's bound, before anything is sized by them.
+N + b1 - y. One pass over the listed moduli takes b1 mod each, and N mod
+each prime that vouches, whose roots (RootTable.roots_of) it checks against
+the companion; that gives each window start mod q. Both reductions go
+through primes.residues_mod, which divides the big number once per block of
+moduli, not once per modulus. Certificate integers and reported failures
+go to and from decimal through assemble.int_to_decimal and decimal_to_int:
+sub-quadratic above 10k digits, and never stopped by the interpreter's
+int-string digit limit. The witness search walks a window's offsets (all,
+or a sample in fast mode) with small-int arithmetic and proves |f(n)| > q
+once per window. Stored bounds and centers are only compared. The stored
+y is bounded by the formula length, and the stored x by what the
+certificate's N or listed primes can support (stored_x_bound) and by the
+root table's bound, before anything is sized by them.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assemble import ResidueCertificate, big_decimals, stage_rng
+from .assemble import ResidueCertificate, int_to_decimal, stage_rng
 from .modroots import ROW_PRIME_BOUND, build_root_table, companion_eval_mod
 from .poly import IntPolynomial, irreducibility_check
-from .primes import is_prime, sieve_primes
+from .primes import is_prime, residues_mod, sieve_primes
 from .sievecore import MissingResidueError, sieve_survivors
 
 VERIFY_SAMPLE_STREAM = 11
@@ -47,12 +52,10 @@ class VerifyReport:
     witness_primes: Counter[int] = field(default_factory=Counter)
 
     def to_json_dict(self) -> dict:
-        with big_decimals():
-            failures = [str(n) for n in sorted(self.failures)]
         return {
             "valid": self.valid,
             "checked": self.checked,
-            "failures": failures,
+            "failures": [int_to_decimal(n) for n in sorted(self.failures)],
             "mode": self.mode,
             "messages": list(self.messages),
             "witness_primes": {str(q): c for q, c in sorted(self.witness_primes.items())},
@@ -164,15 +167,16 @@ def verify_certificate(
     in the window) and the offsets of one seeded sample of
     max(1, int(sample_rate * 2y)) draws (fast mode), must have a witness
     among the certificate primes whose residues are consistent with b1;
-    b1 and N are reduced once per prime. The stored I1, I2, n1, n2 and m
-    are compared with these, never walked. A placement-free certificate is
-    checked at offset level instead: the forward window [1, y] must be fully
-    covered by the residue classes. Neither check runs when y lies outside
-    [1, formula y], which is reported. Moduli whose bit lengths put their
-    product's cube above N are reported without forming it. An x beyond
-    what the certificate can support (stored_x_bound) or the root table
-    refuses (2^31 or more) is reported before anything is sized by it, and
-    a listed modulus below 2 is reported and takes no further part.
+    b1 and N are reduced in blocks of moduli (residues_mod). The stored I1,
+    I2, n1, n2 and m are compared with these, never walked. A
+    placement-free certificate is checked at offset level instead: the
+    forward window [1, y] must be fully covered by the residue classes.
+    Neither check runs when y lies outside [1, formula y], which is
+    reported. Moduli whose bit lengths put their product's cube above N are
+    reported without forming it. An x beyond what the certificate can
+    support (stored_x_bound) or the root table refuses (2^31 or more) is
+    reported before anything is sized by it, and a listed modulus below 2
+    is reported and takes no further part.
     Invalid certificates produce a negative report, not an exception; a
     sample_rate that is not a finite rate in (0, 1] raises ValueError
     before anything is checked.
@@ -224,11 +228,12 @@ def verify_certificate(
         # no residue class modulo q < 2 can vouch for anything
         report.messages.append(f"modulus {q} is not a prime")
         del residues[q]
-    usable = set(table.usable_primes())  # every one is at most x
+    # each listed modulus's table roots, [] unless it is a usable prime <= x
+    table_roots = dict(zip(residues, table.roots_of(list(residues))))
     for q, r in residues.items():
         if not (0 <= r < q):
             report.messages.append(f"residue {r} out of range for prime {q}")
-        if q not in usable:
+        if not table_roots[q]:
             report.messages.append(f"prime {q} is not a usable sieve prime below x")
     verdict = irreducibility_check(
         f, assert_irreducible=cert.irreducibility == "asserted-by-user"
@@ -268,17 +273,23 @@ def verify_certificate(
 
     # a prime vouches for nothing unless b1 satisfies its congruence, it
     # exceeds the degree and it has companion roots (a foreign prime has
-    # none); one row per window, each with the window start mod q
-    rows: tuple[list, list] = ([], [])
-    for q in sorted(residues):
-        b1_q = b1 % q
+    # none); b1 is reduced by every listed modulus and N by every prime that
+    # vouches, each in blocks (residues_mod)
+    listed = sorted(residues)
+    vouching = []  # (q, roots, b1 mod q), ascending
+    for q, b1_q in zip(listed, residues_mod(b1, listed)):
         if (b1_q - residues[q]) % q:
             report.messages.append(f"b1 does not satisfy the residue for prime {q}")
         elif q > degree:
-            roots = [r for r in table.roots.get(q, ()) if companion_eval_mod(comp, r, q) == 0]
+            roots = [r for r in table_roots[q] if companion_eval_mod(comp, r, q) == 0]
             if roots:
-                rows[0].append((q, roots, (1 - b1_q) % q))
-                rows[1].append((q, roots, (n_target % q + b1_q - y) % q))
+                vouching.append((q, roots, b1_q))
+    n_mod = residues_mod(n_target, [q for q, _, _ in vouching])
+    # one row per window, each with the window start mod q
+    rows = (
+        [(q, roots, (1 - b1_q) % q) for q, roots, b1_q in vouching],
+        [(q, roots, (n_q + b1_q - y) % q) for (q, roots, b1_q), n_q in zip(vouching, n_mod)],
+    )
 
     # each window is walked whole (deep) or at its ends, its center and a
     # seeded sample shared by both windows (fast)

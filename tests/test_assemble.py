@@ -3,7 +3,7 @@ serialization, and the end-to-end construction driver."""
 
 import json
 import math
-from collections import Counter
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composite_forge.assemble import (
+    DECIMAL_DIRECT_DIGITS,
+    DECIMAL_PIECE_DIGITS,
     SEARCH_ATTEMPTS,
     SEARCH_TOLERANCE,
     ConstructionError,
@@ -22,6 +24,8 @@ from composite_forge.assemble import (
     construct_certificate,
     crt_combine,
     decimal_digit_bound,
+    decimal_to_int,
+    int_to_decimal,
     pairing_stage,
     place,
     residual_excess,
@@ -204,6 +208,55 @@ class TestPlacement:
         assert isinstance(pl.to_json()["N"], str)
 
 
+# digit counts on both sides of the direct-conversion crossover and of the
+# split routes' piece size
+DECIMAL_SIZES = sorted({
+    1, 2, 300, DECIMAL_PIECE_DIGITS, DECIMAL_PIECE_DIGITS + 1, 4300, 4301,
+    DECIMAL_DIRECT_DIGITS - 1, DECIMAL_DIRECT_DIGITS, DECIMAL_DIRECT_DIGITS + 1,
+    2 * DECIMAL_DIRECT_DIGITS + 7,
+})
+
+
+@st.composite
+def decimal_ints(draw) -> int:
+    """A signed int of a drawn digit count: 0, 10^d - 1, 10^(d-1) or any
+    d-digit value."""
+    d = draw(st.sampled_from(DECIMAL_SIZES))
+    n = draw(st.one_of(st.just(0), st.just(10**d - 1), st.just(10 ** (d - 1)),
+                       st.integers(10 ** (d - 1), 10**d - 1)))
+    return -n if draw(st.booleans()) else n
+
+
+class TestDecimalConversion:
+    @given(decimal_ints())
+    @settings(max_examples=60, deadline=None)
+    def test_pair_equals_str_and_int_and_round_trips(self, n):
+        with big_decimals():
+            text = str(n)
+        assert int_to_decimal(n) == text
+        assert decimal_to_int(text) == n
+        assert decimal_to_int(int_to_decimal(n)) == n
+
+    @given(decimal_ints(), st.integers(0, 40))
+    @settings(max_examples=30, deadline=None)
+    def test_leading_zeros_read_like_int(self, n, zeros):
+        with big_decimals():
+            text = ("-" if n < 0 else "") + "0" * zeros + str(abs(n))
+            want = int(text)
+        assert decimal_to_int(text) == want
+
+    def test_direct_path_ignores_a_lowered_interpreter_limit(self):
+        # 640 is the lowest limit the interpreter accepts
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            n = 7**3000  # 2536 digits
+            assert decimal_to_int(int_to_decimal(n)) == n
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(old)
+
+
 class TestCertificateSerialization:
     def test_round_trip(self):
         cert = toy_certificate()
@@ -384,18 +437,20 @@ class TestConstructCertificate:
 
     @pytest.mark.parametrize("two_sided", [True, False])
     def test_target_reduced_once_per_prime(self, f_x2p1, cache_dir, monkeypatch, two_sided):
-        # N mod q is taken once per construction, for every usable prime,
-        # and every sieve stage of every window length tried reads only that
-        # map: no stage negates N itself (the backward classes -N - r)
+        # N is reduced once per construction, once per block of usable
+        # primes (residues_mod), the blocks partitioning the usable primes,
+        # and every sieve stage of every window length tried reads only the
+        # map q -> N mod q: no stage negates N itself (the backward classes
+        # -N - r)
         from composite_forge import assemble
 
-        reductions = Counter()
+        reductions = []
         negations = []
 
         class CountingInt(int):
-            def __mod__(self, q):
-                reductions[q] += 1
-                return int(self) % q
+            def __mod__(self, m):
+                reductions.append(m)
+                return int(self) % m
 
             def __neg__(self):
                 negations.append(1)
@@ -408,8 +463,16 @@ class TestConstructCertificate:
         )
         assert len(stats.extras["attempts"]) > 1
         # a one-sided construction builds no N, so it reduces none
-        usable = sorted(q for st in cert.stages for q, _ in st.assignments)
-        assert reductions == (Counter(usable) if two_sided else Counter())
+        usable = sorted(q for st in cert.stages for q, _ in st.assignments) if two_sided else []
+        # each reduction is by the product of the next run of usable primes
+        i = 0
+        for m in reductions:
+            j = i + 1
+            while math.prod(usable[i:j]) < m and j < len(usable):
+                j += 1
+            assert math.prod(usable[i:j]) == m
+            i = j
+        assert i == len(usable)
         assert not negations
 
     @pytest.mark.parametrize("mode", ["greedy", "random"])

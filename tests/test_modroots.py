@@ -4,6 +4,7 @@ square-root kernel against the scalar and per-prime routes they replaced;
 the prime-indexed accessors, the binary cache, density statistics, and
 residue collision counts."""
 
+import bisect
 import hashlib
 import math
 
@@ -39,7 +40,14 @@ from composite_forge.modroots import (
     roots_mod_p,
 )
 from composite_forge.poly import IntPolynomial, parse_poly_literal
-from composite_forge.primes import mod_rows, pow_mod_rows, sieve_primes, sqrt_and_inverse_rows
+from composite_forge.primes import (
+    RESIDUE_BLOCK_BITS,
+    mod_rows,
+    pow_mod_rows,
+    residues_mod,
+    sieve_primes,
+    sqrt_and_inverse_rows,
+)
 
 
 def scan_roots(comp, p):
@@ -442,6 +450,54 @@ class TestRowSqrt:
         assert mod_rows(c, np.array(primes, dtype=np.int64)).tolist() == [c % p for p in primes]
 
 
+def reference_primes(limit: int) -> list[int]:
+    """The primes up to limit by a plain sieve over every integer."""
+    flags = bytearray([1]) * (limit + 1)
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return [n for n in range(2, limit + 1) if flags[n]]
+
+
+class TestPrimeHelpers:
+    def test_sieve_matches_reference(self):
+        ref = reference_primes(3000)
+        for limit in range(3001):
+            got = sieve_primes(limit)
+            assert got.dtype == np.int64
+            assert got.tolist() == ref[: bisect.bisect_right(ref, limit)]
+        big = sieve_primes(10**6)
+        assert len(big) == 78_498 and big.tolist() == reference_primes(10**6)
+
+    @given(
+        st.one_of(
+            st.just(0),
+            st.integers(-(2**80), 2**80),
+            st.integers(-(10**4000), 10**4000),
+            st.builds(lambda k, s: s * 7**k, st.integers(20_000, 60_000), st.sampled_from((1, -1))),
+        ),
+        st.lists(
+            st.one_of(
+                st.sampled_from(SQRT_PRIMES),
+                st.integers(1, 10**6),  # composite ones and 1 among them
+                st.integers(2 ** (RESIDUE_BLOCK_BITS - 40), 2 ** (RESIDUE_BLOCK_BITS + 40)),
+                st.integers(-(10**5), -1),
+            ),
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_residues_mod_matches_per_modulus(self, v, moduli):
+        assert residues_mod(v, moduli) == [v % q for q in moduli]
+
+    def test_residues_mod_of_the_empty_list(self):
+        assert residues_mod(10**100, []) == []
+
+    def test_residues_mod_zero_modulus_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            residues_mod(5, [3, 0, 7])
+
+
 # a quadratic whose companion is above 2^64 and whose discriminant,
 # -4 * c2 * 101 * 2003, vanishes mod 101 and 2003 (one double root there)
 _BIG_C2 = 2**70 + 3
@@ -558,6 +614,14 @@ class TestRootTable:
         # x^2 + 1 splits mod 13 (5^2 = 25 = -1) and has no root mod 7
         assert table_x2p1_100.roots[13] == (5, 8)
         assert table_x2p1_100.roots[7] == ()
+
+    def test_roots_of_matches_the_map(self, table_x2p1_100):
+        # primes with and without roots, composites, 0, 1, a negative, and
+        # moduli above the limit or beyond int64, in no particular order
+        qs = [13, 7, 4, 97, 100, 101, 1, 0, -5, 2, 10**40 + 1, 89, 9, 5]
+        want = [list(table_x2p1_100.roots.get(q, ())) for q in qs]
+        assert table_x2p1_100.roots_of(qs) == want
+        assert table_x2p1_100.roots_of([]) == []
 
     def test_density_product_matches_direct(self, table_x2p1_100, table_x2p1_2000):
         # the running product keeps the loop's order, so the floats are equal

@@ -7,7 +7,6 @@ import json
 import math
 import time
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -186,6 +185,13 @@ class TestFaultInjection:
         report = verify_certificate(cert, deep=True)
         assert not report.valid
         assert any("prime 11" in m for m in report.messages)
+
+    def test_composite_modulus_below_x_flagged(self):
+        # 4 lies between the table primes 3 and 5, and has no roots of its own
+        cert = reload(toy_certificate())
+        cert.stages.append(StageRecord("cleanup", "fwd", [(4, cert.placement.b1 % 4)]))
+        report = verify_certificate(cert, deep=True)
+        assert "prime 4 is not a usable sieve prime below x" in report.messages
 
     def test_foreign_prime_with_consistent_residue_does_not_crash(self):
         cert = reload(toy_certificate())
@@ -602,11 +608,14 @@ class TestWindowWitnessSearch:
         small = [(q, cert.placement.b1 % q) for q in (2, 3) if q <= cert.poly.degree]
         cert.stages.append(StageRecord("cleanup", "fwd", small))
         true_table = poly_table(name, 300)[1]
-        roots = {}
+        roots = []
         for q in map(int, true_table.primes):
             kind = data.draw(st.sampled_from(("use", "use", "foreign", "every")))
-            roots[q] = {"use": true_table.roots[q], "foreign": (), "every": tuple(range(q))}[kind]
-        table = types.SimpleNamespace(roots=roots, usable_primes=true_table.usable_primes)
+            roots.append({"use": true_table.roots[q], "foreign": (), "every": tuple(range(q))}[kind])
+        table = modroots_mod.RootTable(
+            cert.poly, 300, true_table.primes, np.array([len(r) for r in roots]),
+            np.array([r for rs in roots for r in rs], dtype=np.int64),
+        )
         deep = data.draw(st.booleans())
         pwr = consistent_primes(cert, table)
         f = cert.poly
