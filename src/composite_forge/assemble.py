@@ -35,6 +35,7 @@ from .cover import (
 )
 from .modroots import RootTable, build_root_table
 from .poly import IntPolynomial, decimal_text, irreducibility_check
+from .primes import product
 from .sievecore import sieve_survivors
 
 CERT_VERSION = 1
@@ -241,6 +242,14 @@ _DIRECT_BITS = int(DECIMAL_DIRECT_DIGITS * math.log2(10))
 _PIECE_BITS = int(DECIMAL_PIECE_DIGITS * math.log2(10))
 
 
+def exact_decimal_context() -> decimal.Context:
+    """A decimal context in which integer arithmetic is exact: the module's
+    largest precision and exponent, and Inexact trapped. A Decimal's own
+    operators, unary minus included, round to the default context's 28
+    digits instead, so exact code calls this context's methods."""
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+
+
 def int_to_decimal(n: int) -> str:
     """str(n), for an int of any size. A longer n is split at powers of two
     into pieces, which become Decimals and are recombined in the decimal
@@ -249,7 +258,7 @@ def int_to_decimal(n: int) -> str:
     if n.bit_length() <= _DIRECT_BITS:
         with big_decimals():
             return str(n)
-    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    ctx = exact_decimal_context()
     powers: dict[int, decimal.Decimal] = {}  # w -> 2^w
 
     def convert(m: int, w: int) -> decimal.Decimal:
@@ -303,6 +312,16 @@ def parse_decimal(value, max_digits: int) -> int:
     return decimal_to_int(decimal_text(value))
 
 
+def decimal_digits(n: int) -> int:
+    """len(str(n)) for n >= 1, without converting n. With b its bit length,
+    k = floor(b log10 2) gives 10^(k-1) < n < 10^(k+1), so n has k + 1
+    digits when n >= 10^k and k otherwise. The float product is off by far
+    less than b log10 2 lies from an integer for any b a certificate
+    reaches."""
+    k = int(n.bit_length() * math.log10(2))
+    return k + (n >= 10**k)
+
+
 def auto_target(modulus: int) -> int:
     """Smallest power of ten N with modulus <= N^(1/3)."""
     need = modulus**3
@@ -333,15 +352,29 @@ class Placement:
         return -self.b1
 
     def to_json(self) -> dict:
-        dec = int_to_decimal
+        """The fields as decimal strings. Only N and b1 are converted
+        (int_to_decimal): I1, I2, n1 and n2 are b2 or N - b2 plus an offset,
+        short for a placement place() made, so each is taken as that decimal
+        plus its offset, added exactly (exact_decimal_context), which costs
+        time linear in the digits where a conversion does not. The offsets
+        come from the stored fields, so any placement is written as it is."""
+        n_text, b1_text = int_to_decimal(self.N), int_to_decimal(self.b1)
+        ctx = exact_decimal_context()
+        b2 = ctx.minus(decimal.Decimal(b1_text))
+        far = ctx.subtract(decimal.Decimal(n_text), b2)  # N - b2
+
+        def near(value: int, base: decimal.Decimal, base_int: int) -> str:
+            return str(ctx.add(base, decimal.Decimal(value - base_int)))
+
+        b2_int, far_int = self.b2, self.N - self.b2
         return {
-            "N": dec(self.N),
-            "b1": dec(self.b1),
-            "I1": [dec(self.I1[0]), dec(self.I1[1])],
-            "I2": [dec(self.I2[0]), dec(self.I2[1])],
-            "n1": dec(self.n1),
-            "n2": dec(self.n2),
-            "m": dec(self.m),
+            "N": n_text,
+            "b1": b1_text,
+            "I1": [near(self.I1[0], b2, b2_int), near(self.I1[1], b2, b2_int)],
+            "I2": [near(self.I2[0], far, far_int), near(self.I2[1], far, far_int)],
+            "n1": near(self.n1, b2, b2_int),
+            "n2": near(self.n2, far, far_int),
+            "m": int_to_decimal(self.m),
         }
 
     @classmethod
@@ -403,6 +436,22 @@ class StageRecord:
             "assignments": [[q, r] for q, r in self.assignments],
         }
 
+    def to_json_text(self) -> str:
+        """to_json() as json.dumps(..., indent=2) writes it as an item of a
+        certificate's stage list, two levels deep, each [q, r] pair on five
+        lines (see ResidueCertificate.to_json_bytes)."""
+        pairs = ",\n".join(
+            f"        [\n          {q:d},\n          {r:d}\n        ]" for q, r in self.assignments
+        )
+        assignments = f"[\n{pairs}\n      ]" if pairs else "[]"
+        return (
+            "    {\n"
+            f'      "stage": {json.dumps(self.stage)},\n'
+            f'      "side": {json.dumps(self.side)},\n'
+            f'      "assignments": {assignments}\n'
+            "    }"
+        )
+
 
 def _text(value) -> str:
     if not isinstance(value, str):
@@ -429,20 +478,39 @@ class ResidueCertificate:
                 out[q] = r
         return out
 
-    def to_json_dict(self) -> dict:
-        out = {
+    def _json_fields(self, stages) -> dict:
+        return {
             "poly": self.poly.to_json(),
             "params": self.params.to_json(),
             "seed": self.seed,
-            "stages": [st.to_json() for st in self.stages],
+            "stages": stages,
             "placement": self.placement.to_json() if self.placement else None,
             "irreducibility": self.irreducibility,
             "version": self.version,
         }
-        return out
+
+    def to_json_dict(self) -> dict:
+        return self._json_fields([st.to_json() for st in self.stages])
 
     def to_json_bytes(self) -> bytes:
-        return (json.dumps(self.to_json_dict(), indent=2) + "\n").encode()
+        """(json.dumps(self.to_json_dict(), indent=2) + "\n").encode(), byte
+        for byte, without that call. CPython's C encoder does not indent, so
+        json.dumps with an indent runs the pure-Python encoder, one generator
+        step per token: most of a certificate's tokens are its [q, r] pairs,
+        and they cost 2-5 ms per certificate at x = 3000. The stage lists are
+        written directly in the same layout (StageRecord.to_json_text), and
+        only the short fields around them go through json.dumps, each
+        indented to its depth."""
+        items = []
+        for key, value in self._json_fields(None).items():
+            if key != "stages":
+                text = json.dumps(value, indent=2).replace("\n", "\n  ")
+            elif self.stages:
+                text = "[\n" + ",\n".join(st.to_json_text() for st in self.stages) + "\n  ]"
+            else:
+                text = "[]"
+            items.append(f"  {json.dumps(key)}: {text}")
+        return ("{\n" + ",\n".join(items) + "\n}\n").encode()
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ResidueCertificate":
@@ -571,15 +639,19 @@ def construct_certificate(
     target = n_mod = None
     if two_sided:
         # a one-sided certificate has no placement, so it has no N at all
-        modulus = math.prod(usable)
-        target = auto_target(modulus) if n_target is None else int(n_target)
-        if modulus**3 > target:
-            raise ConstructionError(
-                "explicit N is smaller than modulus^3; raise N, or give none for the auto target",
-                {"modulus_bits": modulus.bit_length()},
-            )
+        modulus = product(usable)
+        if n_target is None:
+            target = auto_target(modulus)
+        else:
+            target = int(n_target)
+            if modulus**3 > target:
+                raise ConstructionError(
+                    "explicit N is smaller than modulus^3; raise N, or give none for the auto target",
+                    {"modulus_bits": modulus.bit_length()},
+                )
+        n_digits = decimal_digits(target)
         max_digits = decimal_digit_bound(x)
-        if target >= 10**max_digits:
+        if n_digits > max_digits:
             raise ConstructionError(
                 f"explicit N has more than {max_digits} digits, the most a certificate"
                 f" at x = {x} may carry",
@@ -714,5 +786,5 @@ def construct_certificate(
         m_formula = _theorem_window_center_radius(target, p_final.delta)
         stats.extras["m_formula"] = m_formula
         stats.extras["m_larger"] = "achieved" if m_achieved >= m_formula else "formula"
-        stats.extras["n_digits"] = len(int_to_decimal(target))
+        stats.extras["n_digits"] = n_digits
     return cert, stats

@@ -4,7 +4,8 @@ Everything here is deterministic for a fixed input so that sieve output and
 certificates are reproducible byte for byte.
 
 `residues_mod` reduces one big integer by many moduli in blocks, for the
-certificate's N and b1 (thousands of digits) modulo every sieve prime.
+certificate's N and b1 (thousands of digits) modulo every sieve prime, and
+`product` multiplies many primes by halves.
 
 The row kernels (`mod_rows`, `sqrt_and_inverse_rows`, with
 `gfpoly.pow_mod_rows`) work on int64 arrays with one prime per row, so the
@@ -123,6 +124,23 @@ def residues_mod(v: int, moduli: Sequence[int]) -> list[int]:
         out += [rest % q for q in block]
         i = j
     return out
+
+
+# Length up to which product() multiplies in sequence. Timed against
+# math.prod over the primes up to x (Python 3.11, 2-vCPU x86 host): equal
+# within noise at 62 and 168 primes, and 33.6 -> 9.2 ms at 9,592
+PRODUCT_LEAF = 64
+
+
+def product(values: Sequence[int]) -> int:
+    """math.prod(values), taken by halves: the two halves' products are of
+    about equal size, where Python's multiplication is sub-quadratic
+    (Karatsuba), while a running product multiplies a long number by a short
+    one each step. Lists of at most PRODUCT_LEAF values go to math.prod."""
+    n = len(values)
+    if n <= PRODUCT_LEAF:
+        return math.prod(values)
+    return product(values[: n // 2]) * product(values[n // 2 :])
 
 
 _LIMB_BITS = 31

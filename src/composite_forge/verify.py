@@ -35,7 +35,7 @@ import numpy as np
 from .assemble import ResidueCertificate, int_to_decimal, stage_rng
 from .modroots import ROW_PRIME_BOUND, build_root_table, companion_eval_mod
 from .poly import IntPolynomial, irreducibility_check
-from .primes import is_prime, residues_mod, sieve_primes
+from .primes import is_prime, product, residues_mod, sieve_primes
 from .sievecore import MissingResidueError, sieve_survivors
 
 VERIFY_SAMPLE_STREAM = 11
@@ -257,9 +257,10 @@ def verify_certificate(
         return report
 
     n_target, b1, b2 = pl.N, pl.b1, pl.b2
-    # q >= 2^(q.bit_length() - 1), so enough bits decide it without the product
+    # q >= 2^(q.bit_length() - 1), so enough bits decide it without the
+    # product, which is otherwise taken by halves
     bits = 3 * sum(q.bit_length() - 1 for q in residues)
-    if bits >= n_target.bit_length() or math.prod(residues) ** 3 > n_target:
+    if bits >= n_target.bit_length() or product(list(residues)) ** 3 > n_target:
         report.messages.append("modulus exceeds N^(1/3)")
     if not (-((3 * n_target) // 10) <= b1 <= -((n_target + 4) // 5)):
         report.messages.append("b1 outside [-0.3N, -0.2N]")

@@ -3,7 +3,9 @@ serialization, and the end-to-end construction driver."""
 
 import json
 import math
+import os
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from composite_forge.assemble import (
     construct_certificate,
     crt_combine,
     decimal_digit_bound,
+    decimal_digits,
     decimal_to_int,
     int_to_decimal,
     pairing_stage,
@@ -131,6 +134,70 @@ class TestPairing:
         assert set(out_f).isdisjoint(out_b)
 
 
+# digit counts on both sides of the direct-conversion crossover and of the
+# split routes' piece size
+DECIMAL_SIZES = sorted({
+    1, 2, 300, DECIMAL_PIECE_DIGITS, DECIMAL_PIECE_DIGITS + 1, 4300, 4301,
+    DECIMAL_DIRECT_DIGITS - 1, DECIMAL_DIRECT_DIGITS, DECIMAL_DIRECT_DIGITS + 1,
+    2 * DECIMAL_DIRECT_DIGITS + 7,
+})
+
+
+@st.composite
+def decimal_ints(draw) -> int:
+    """A signed int of a drawn digit count: 0, 10^d - 1, 10^(d-1) or any
+    d-digit value."""
+    d = draw(st.sampled_from(DECIMAL_SIZES))
+    n = draw(st.one_of(st.just(0), st.just(10**d - 1), st.just(10 ** (d - 1)),
+                       st.integers(10 ** (d - 1), 10**d - 1)))
+    return -n if draw(st.booleans()) else n
+
+
+# a certificate x whose digit bound admits every field decimal_ints draws
+WIDE_X = 20_000
+
+
+@st.composite
+def placements(draw) -> Placement:
+    """A placement with N and b1 of digit counts on both sides of the
+    direct-conversion crossover: either what place() derives from them for
+    a drawn window length, or with every other field drawn freely."""
+    n_target, b1 = abs(draw(decimal_ints())), draw(decimal_ints())
+    if draw(st.booleans()):
+        y = draw(st.integers(2, 10**6))
+        b2 = -b1
+        return Placement(n_target, b1, (b2 + 1, b2 + y), (n_target - b2 - y, n_target - b2 - 1),
+                         b2 + y // 2, n_target - b2 - y // 2, y // 2 - 1)
+    i1, i2 = (draw(decimal_ints()), draw(decimal_ints())), (draw(decimal_ints()), draw(decimal_ints()))
+    return Placement(n_target, b1, i1, i2, draw(decimal_ints()), draw(decimal_ints()),
+                     draw(decimal_ints()))
+
+
+@st.composite
+def certificates(draw) -> ResidueCertificate:
+    """A certificate of drawn shape: up to four stages of zero, one or more
+    [q, r] pairs (any ints), stage and side names of any text, and no
+    placement (one-sided) or one from placements()."""
+    names = st.text(max_size=8)
+    ints = st.integers(-(10**30), 10**30)
+    stages = draw(st.lists(
+        st.builds(StageRecord, names, names,
+                  st.lists(st.tuples(ints, ints), max_size=6) | st.lists(
+                      st.tuples(ints, ints), min_size=1, max_size=1)),
+        max_size=4,
+    ))
+    coeffs = draw(st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=3))
+    return ResidueCertificate(
+        poly=IntPolynomial(tuple(coeffs) + (draw(st.integers(1, 10**40)),)),
+        params=SieveParams(x=WIDE_X).with_y(draw(st.integers(8, 10**6))),
+        seed=draw(st.integers(0, 2**70)),
+        stages=stages,
+        irreducibility=draw(names),
+        placement=draw(st.none() | placements()),
+        version=draw(st.integers(-5, 5)),
+    )
+
+
 class TestPlacement:
     def test_auto_target(self):
         assert auto_target(15) == 10**4  # 15^3 = 3375
@@ -201,30 +268,36 @@ class TestPlacement:
         obj["b1"] = "-" + "1" * 8  # a sign does not count as a digit
         assert Placement.from_json(obj, 8).b1 == -11111111
 
+    @given(placements())
+    @settings(max_examples=60, deadline=None)
+    def test_to_json_converts_every_field_exactly(self, pl):
+        # the fields derived from N and b1 by decimal addition against a
+        # conversion of each field
+        with big_decimals():
+            want = {
+                "N": str(pl.N), "b1": str(pl.b1), "I1": [str(pl.I1[0]), str(pl.I1[1])],
+                "I2": [str(pl.I2[0]), str(pl.I2[1])], "n1": str(pl.n1), "n2": str(pl.n2),
+                "m": str(pl.m),
+            }
+        assert pl.to_json() == want
+
+    def test_to_json_zero_fields(self):
+        pl = Placement(0, 0, (0, -1), (1, 0), 0, 0, 0)
+        assert pl.to_json() == {"N": "0", "b1": "0", "I1": ["0", "-1"], "I2": ["1", "0"],
+                                "n1": "0", "n2": "0", "m": "0"}
+
+    @given(st.integers(1, 10**DECIMAL_DIRECT_DIGITS) | st.sampled_from(
+        [10**k + d for k in range(0, 20_001, 997) for d in (-1, 0, 1) if 10**k + d > 0]))
+    @settings(max_examples=80, deadline=None)
+    def test_decimal_digits_is_the_string_length(self, n):
+        with big_decimals():
+            assert decimal_digits(n) == len(str(n))
+
     def test_json_round_trip(self):
         pl = place(209, 210, 10**7, 4)
         again = Placement.from_json(json.loads(json.dumps(pl.to_json())), 8)
         assert again == pl
         assert isinstance(pl.to_json()["N"], str)
-
-
-# digit counts on both sides of the direct-conversion crossover and of the
-# split routes' piece size
-DECIMAL_SIZES = sorted({
-    1, 2, 300, DECIMAL_PIECE_DIGITS, DECIMAL_PIECE_DIGITS + 1, 4300, 4301,
-    DECIMAL_DIRECT_DIGITS - 1, DECIMAL_DIRECT_DIGITS, DECIMAL_DIRECT_DIGITS + 1,
-    2 * DECIMAL_DIRECT_DIGITS + 7,
-})
-
-
-@st.composite
-def decimal_ints(draw) -> int:
-    """A signed int of a drawn digit count: 0, 10^d - 1, 10^(d-1) or any
-    d-digit value."""
-    d = draw(st.sampled_from(DECIMAL_SIZES))
-    n = draw(st.one_of(st.just(0), st.just(10**d - 1), st.just(10 ** (d - 1)),
-                       st.integers(10 ** (d - 1), 10**d - 1)))
-    return -n if draw(st.booleans()) else n
 
 
 class TestDecimalConversion:
@@ -283,6 +356,31 @@ class TestCertificateSerialization:
 
     def test_modulus_and_b(self):
         assert crt_combine(toy_certificate().residues()) == (209, 210)
+
+    @given(certificates())
+    @settings(max_examples=60, deadline=None)
+    def test_writer_matches_the_stdlib_encoder(self, cert):
+        # json.dumps(indent=2) is the oracle for the layout to_json_bytes
+        # writes directly; the bytes read back through load and write again
+        raw = cert.to_json_bytes()
+        assert raw == (json.dumps(cert.to_json_dict(), indent=2) + "\n").encode()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cert.json")
+            cert.save(path)
+            again = ResidueCertificate.load(path)
+        assert again.to_json_bytes() == raw
+        assert again.to_json_dict() == cert.to_json_dict()
+
+    @pytest.mark.parametrize("stages", [[], [[]], [[(2, 1)]], [[(2, 1)], [], [(3, 0), (5, 4)]]])
+    @pytest.mark.parametrize("placed", [True, False])
+    def test_writer_edge_shapes(self, stages, placed):
+        cert = toy_certificate()
+        cert.stages = [StageRecord("small", "fwd", a) for a in stages]
+        if not placed:
+            cert.placement = None
+        raw = cert.to_json_bytes()
+        assert raw == (json.dumps(cert.to_json_dict(), indent=2) + "\n").encode()
+        assert ResidueCertificate.from_json_dict(json.loads(raw)).to_json_bytes() == raw
 
     def test_duplicate_assignment_detected(self):
         cert = toy_certificate()

@@ -544,9 +544,16 @@ def tables_2000(f_x, f_x2p1, table_x2p1_2000, cache_dir):
     }
 
 
+def narrow_dtype(table, *windows):
+    """The survivor dtype CoverState must pick: int32 exactly when the
+    windows' largest |offset| plus the table's limit is below 2^31."""
+    reach = max(max(abs(w.lo), abs(w.hi)) for w in windows) + table.limit
+    return np.int32 if reach < 2**31 else np.int64
+
+
 class TestCoverState:
     @given(
-        poly=st.sampled_from(["x", "x^2+1"]),
+        poly=st.sampled_from(["x", "x^2+1", "x^3+2"]),
         x=st.integers(100, 2000),
         draw_seed=st.integers(0, 2**32 - 1),
         n_target=st.integers(10**100, 10**1500),
@@ -577,7 +584,8 @@ class TestCoverState:
             ref, ref_fwd = oracle_greedy_fwd(med, fwd0, table)
             assert state.bwd.size == 0
         assert list(chosen.items()) == list(ref.items())
-        assert state.fwd.dtype == ref_fwd.dtype == np.int64
+        windows = (fwd0, bwd0) if paired else (fwd0,)
+        assert state.fwd.dtype == state.bwd.dtype == narrow_dtype(table, *windows) == np.int32
         assert np.array_equal(state.fwd, ref_fwd)
 
         merged = {**small, **chosen}
@@ -631,6 +639,30 @@ class TestCoverState:
         assert np.array_equal(state.fwd, sieve_only(table, residues, (1, 900)))
         back = sieve_only(table, backward_residues_int(residues, n_target), (-900, -1))
         assert np.array_equal(state.bwd, back)
+
+    @pytest.mark.parametrize("reach", [2**31 - 1, 2**31])
+    @pytest.mark.parametrize("poly", ["x", "x^2+1", "x^3+2"])
+    def test_narrow_and_wide_at_the_key_bound(self, tables_2000, poly, reach):
+        # windows at the far end of the int32 range: their largest |offset|
+        # plus the table limit is the bound's last narrow value, then its
+        # first wide one; the greedy pass must match the oracle either way
+        table = tables_2000[poly]
+        top = reach - table.limit
+        rng = np.random.default_rng(reach % 1000)
+        fwd0 = random_window(rng, top - 2999, 3000, 0.3)
+        bwd0 = random_window(rng, -top, 3000, 0.3)
+        fwd0.bits[-1] = bwd0.bits[0] = True  # the extreme offsets survive
+        n_target = 10**300 + 11
+        med = table.usable_between(20, 1000)
+        state = CoverState(table, fwd0, bwd0, target_residues(n_target, table))
+        assert state.fwd.dtype == state.bwd.dtype == narrow_dtype(table, fwd0, bwd0)
+        assert state.fwd.dtype == (np.int32 if reach < 2**31 else np.int64)
+        assert (state.fwd[-1], state.bwd[0]) == (top, -top)
+        chosen = select_shifts_greedy(state, med)
+        ref, ref_fwd, ref_bwd = oracle_greedy_both(med, fwd0, bwd0, table, n_target)
+        assert list(chosen.items()) == list(ref.items())
+        assert np.array_equal(state.fwd, ref_fwd)
+        assert np.array_equal(state.bwd, ref_bwd)
 
     def test_engine_paths_do_not_resieve(self, table_x2p1_2000, monkeypatch):
         params = SieveParams(x=2000)

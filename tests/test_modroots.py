@@ -41,9 +41,11 @@ from composite_forge.modroots import (
 )
 from composite_forge.poly import IntPolynomial, parse_poly_literal
 from composite_forge.primes import (
+    PRODUCT_LEAF,
     RESIDUE_BLOCK_BITS,
     mod_rows,
     pow_mod_rows,
+    product,
     residues_mod,
     sieve_primes,
     sqrt_and_inverse_rows,
@@ -496,6 +498,16 @@ class TestPrimeHelpers:
     def test_residues_mod_zero_modulus_raises(self):
         with pytest.raises(ZeroDivisionError):
             residues_mod(5, [3, 0, 7])
+
+    @given(st.lists(st.integers(-(2**70), 2**70), max_size=4 * PRODUCT_LEAF + 3))
+    @settings(max_examples=100, deadline=None)
+    def test_product_matches_math_prod(self, values):
+        assert product(values) == math.prod(values)
+
+    @pytest.mark.parametrize("n", [0, 1, PRODUCT_LEAF, PRODUCT_LEAF + 1, 9592])
+    def test_product_of_the_first_primes(self, n):
+        primes = sieve_primes(10**5).tolist()[:n]
+        assert product(primes) == math.prod(primes)
 
 
 # a quadratic whose companion is above 2^64 and whose discriminant,
