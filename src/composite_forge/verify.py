@@ -15,12 +15,15 @@ through primes.residues_mod, which divides the big number once per block of
 moduli, not once per modulus. Certificate integers and reported failures
 go to and from decimal through assemble.int_to_decimal and decimal_to_int:
 sub-quadratic above 10k digits, and never stopped by the interpreter's
-int-string digit limit. The witness search walks a window's offsets (all,
-or a sample in fast mode) with small-int arithmetic and proves |f(n)| > q
-once per window. Stored bounds and centers are only compared. The stored
-y is bounded by the formula length, and the stored x by what the
-certificate's N or listed primes can support (stored_x_bound) and by the
-root table's bound, before anything is sized by them.
+int-string digit limit. The witness search is one least-prime-factor
+sieve per window: an int32 array over the window takes, prime by prime in
+descending order, one strided slice assignment per root, so each offset
+keeps its smallest witnessing prime; deep mode reads every offset, fast
+mode a sample. |f(n)| > q is proved once per window. Stored bounds and
+centers are only compared. The stored y is bounded by the formula length,
+and the stored x by what the certificate's N or listed primes can support
+(stored_x_bound) and by the root table's bound, before anything is sized
+by them.
 """
 
 from __future__ import annotations
@@ -69,41 +72,37 @@ def find_witness(
     f: IntPolynomial,
 ) -> list[int | None]:
     """Witnessing prime for each n = base + k, k in offsets (distinct, all
-    k >= 0): the first q of rows (primes ascending) with q | f(n) and
-    |f(n)| > q, so that f(n) is composite, or None when no row works.
+    k >= 0): the smallest q of rows with q | f(n) and |f(n)| > q, so that
+    f(n) is composite, or None when no row works.
 
     A row (q, roots, s) holds a prime q > deg f, the roots of the companion
-    B!*f mod q, checked by the caller, and s = base mod q; an offset k is a
-    hit when (s + k) mod q is one of those roots. Per prime the hits are
-    found by scanning the open offsets or by striding through each root's
-    progression, whichever visits fewer, and an offset is closed at its
-    first hit. The size condition is proved once for the whole group when
-    the companion g = sum c_i n^i gives c_d*base - sum_{i<d} |c_i| > B!*q_max
-    with base >= 1, since then |g(n)| >= n^(d-1) (c_d n - sum |c_i|) >
-    B!*q_max for every n >= base; otherwise |f(n)| > q is checked exactly
-    per hit. A hit failing it has no witness at all, as every later prime
-    is larger still.
+    B!*f mod q, checked by the caller, and s = base mod q; rows ascend in q,
+    and q < 2^31 (ROW_PRIME_BOUND, as for every root table prime).
+    An offset k is a hit of q when (s + k) mod q is one of those roots. One
+    int32 array over [0, max(offsets)] is filled by walking the rows in
+    descending q with w[(r - s) mod q :: q] = q per root r, so the smallest
+    prime is written last and each offset ends up holding its smallest hit
+    (0 for none); the requested offsets are read from it. The size condition
+    is proved once for the whole group when the companion g = sum c_i n^i
+    gives c_d*base - sum_{i<d} |c_i| > B!*q_max with base >= 1, since then
+    |g(n)| >= n^(d-1) (c_d n - sum |c_i|) > B!*q_max for every n >= base;
+    otherwise |f(n)| > q is checked exactly on each requested hit. A hit
+    failing it has no witness at all, as every larger prime is larger still.
     """
-    out: list[int | None] = [None] * len(offsets)
     comp = f.companion()
     q_max = max((q for q, _, _ in rows), default=0)
     size_ok = base >= 1 and comp[-1] * base - sum(map(abs, comp[:-1])) > (
         math.factorial(f.degree) * q_max
     )
-    open_ = {k: i for i, k in enumerate(offsets)}  # open offset -> position
-    span = max(offsets, default=0) + 1
-    for q, roots, s in rows:
-        if not open_:
-            break
-        if len(open_) * q <= len(roots) * span:
-            hits = [k for k in open_ if (s + k) % q in roots]
-        else:
-            hits = [k for r in roots for k in range((r - s) % q, span, q) if k in open_]
-        for k in hits:
-            i = open_.pop(k)
-            if size_ok or abs(f.eval(base + k)) > q:
-                out[i] = q
-    return out
+    w = np.zeros(max(offsets, default=-1) + 1, dtype=np.int32)
+    for q, roots, s in reversed(rows):
+        for r in roots:
+            w[(r - s) % q :: q] = q
+    smallest = w.tolist()
+    got = [smallest[k] or None for k in offsets]
+    if not size_ok:
+        got = [q if q and abs(f.eval(base + k)) > q else None for k, q in zip(offsets, got)]
+    return got
 
 
 # The stored x the verifier always accepts: a root table that size takes
@@ -292,8 +291,8 @@ def verify_certificate(
         [(q, roots, (n_q + b1_q - y) % q) for (q, roots, b1_q), n_q in zip(vouching, n_mod)],
     )
 
-    # each window is walked whole (deep) or at its ends, its center and a
-    # seeded sample shared by both windows (fast)
+    # each window is sieved whole and read whole (deep) or at its ends, its
+    # center and a seeded sample shared by both windows (fast)
     if y_bounded:
         if not deep:
             rng = stage_rng(seed, VERIFY_SAMPLE_STREAM)
@@ -301,12 +300,10 @@ def verify_certificate(
         for base, window_rows, center in zip(starts, rows, (y // 2 - 1, y - y // 2)):
             in_window = {center} if 0 <= center < y else set()
             offsets = range(y) if deep else sorted(sample | in_window)
-            for k, q in zip(offsets, find_witness(base, offsets, window_rows, f)):
-                report.checked += 1
-                if q is None:
-                    report.failures.append(base + k)
-                else:
-                    report.witness_primes[q] += 1
+            got = find_witness(base, offsets, window_rows, f)
+            report.checked += len(offsets)
+            report.failures.extend(base + k for k, q in zip(offsets, got) if q is None)
+            report.witness_primes.update(filter(None, got))
     report.failures.sort()
     report.valid = not report.failures and not report.messages
     return report
@@ -401,10 +398,21 @@ class CoveringSimConfig:
 
     def validate(self) -> dict:
         """Check the four hypotheses for the actual generator (draws are
-        uniform with replacement, so inclusion probabilities are exact)."""
+        uniform with replacement, so inclusion probabilities are exact),
+        after the parameters themselves: c1, eta and k0 finite and positive,
+        trials not negative, and neither the ground set nor one block of
+        draws beyond SIM_ELEMENTS_MAX elements."""
+        for name in ("c1", "eta", "k0"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # also false for nan
+                raise CoveringConfigError(f"{name} must be finite and positive, not {value}")
+        if self.trials < 0:
+            raise CoveringConfigError(f"trial count {self.trials} is negative")
         v = self.ground_size
         if v < 16:
             raise CoveringConfigError("ground set too small")
+        if v > SIM_ELEMENTS_MAX:
+            raise CoveringConfigError(f"ground size {v} exceeds {SIM_ELEMENTS_MAX}")
         if self.candidates < 1:
             raise CoveringConfigError("at least one candidate per round is needed")
         k = self.k
@@ -416,6 +424,11 @@ class CoveringSimConfig:
         if s > v:
             raise CoveringConfigError(
                 f"round count {s} exceeds the ground size {v}; lower c1 or raise k0"
+            )
+        block = min(SIM_ROUND_BLOCK, s) * self.candidates * k
+        if block > SIM_ELEMENTS_MAX:
+            raise CoveringConfigError(
+                f"a block of {block} draws exceeds {SIM_ELEMENTS_MAX}; lower candidates"
             )
         p_in = 1.0 - (1.0 - 1.0 / v) ** k
         mass = s * p_in
@@ -452,6 +465,10 @@ class CoveringSimReport:
 # rounds per block of covering-simulation draws, so memory stays at
 # SIM_ROUND_BLOCK * candidates * k int64 whatever the ground size
 SIM_ROUND_BLOCK = 1024
+# the most elements the simulation holds in one array, checked by
+# CoveringSimConfig.validate: the ground set (one bool each) or one block
+# of draws (one int64 each)
+SIM_ELEMENTS_MAX = 10**7
 
 
 def covering_lemma_sim(config: CoveringSimConfig, seed: int = 0) -> CoveringSimReport:

@@ -372,11 +372,24 @@ class TestVerify:
         # about 10^6 scales per side would not finish
         (["construct", "--poly", "poly:[0,1]", "--x", "300", "--mode", "random",
           "--xi", "1.000001"], "scales"),
+        (["simulate", "--k0", "nan"], "k0 must be finite and positive"),
+        (["simulate", "--k0", "inf"], "k0 must be finite and positive"),
+        (["simulate", "--c1", "nan"], "c1 must be finite and positive"),
+        (["simulate", "--c1", "inf"], "c1 must be finite and positive"),
+        (["simulate", "--c1", "-5"], "c1 must be finite and positive"),
+        (["simulate", "--eta", "nan"], "eta must be finite and positive"),
+        (["simulate", "--trials", "-3"], "negative"),
+        # refused before anything of that size is allocated
+        (["simulate", "--ground-size", "100000000"], "ground size"),
+        (["simulate", "--candidates", "1000000000000"], "draws exceeds"),
     ],
     ids=[
         "stats-x-overflow", "stats-x-one", "stats-x-zero", "oracle-n-zero",
         "simulate-no-candidates", "construct-seed-negative", "verify-seed-negative",
         "simulate-seed-negative", "random-K-overflow", "random-xi-near-one",
+        "simulate-k0-nan", "simulate-k0-inf", "simulate-c1-nan", "simulate-c1-inf",
+        "simulate-c1-negative", "simulate-eta-nan", "simulate-trials-negative",
+        "simulate-ground-size-over-bound", "simulate-block-over-bound",
     ],
 )
 def test_bad_argument_exits_64(tmp_path, args, message):

@@ -21,8 +21,8 @@ A change that moves one of them changes the certificate format or the
 construction, and must say so.
 
 Two stats CSVs, of one two-sided and one one-sided case, are pinned the
-same way (STATS_GOLDEN), and so are the verify reports of the x = 1000
-certificates in fast and deep mode (VERIFY_GOLDEN).
+same way (STATS_GOLDEN), and so are the verify reports of the x = 1000 and
+x = 10^4 certificates in fast and deep mode (VERIFY_GOLDEN).
 
 Run as a script (`PYTHONPATH=src python tests/test_golden.py`) to print the
 current digest and achieved y of every case, and the pinned stats and
@@ -96,9 +96,10 @@ STATS_GOLDEN = {
 }
 
 
-# sha256 of the verify report JSON (keys sorted) of the x = 1000, seed 7
-# certificate of each polynomial, in fast mode at seed 7 and in deep mode;
-# a report moves only when the verifier's checks or sampling move
+# sha256 of the verify report JSON (keys sorted) of the seed 7 certificate
+# of each polynomial, at x = 1000 (no variant named) or at the named
+# variant's x, in fast mode at seed 7 and in deep mode; a report moves only
+# when the verifier's checks or sampling move
 VERIFY_GOLDEN = {
     ("x", "fast"): "cb80678d67ce089fc34ef97ec004efa003ea201ba766fd28983d68c74f55ab6c",
     ("x", "deep"): "27d19fecb68980a55e416e81b7a782e91d396d0b63a32babe111266fd9d8f200",
@@ -106,6 +107,12 @@ VERIFY_GOLDEN = {
     ("x^2+1", "deep"): "0d0c0185e18c965bcb0eac69393a5b3717136bb8de5e8ea28698cc4642f6ed10",
     ("x^3+2", "fast"): "aee4d872eeaf8de3a99878b939d9a7de90feebdecfe3d16b556456a54cdb6925",
     ("x^3+2", "deep"): "9f79f7347d96a7fd327db07e221f594d888ae3f0f8cd10c24c9a94ee828c586d",
+    ("x", "fast", "x=10000"): "316f09cccf87a5a4fad4ab8d312a6a92204a346890c6442a8c5871a65cc477d1",
+    ("x", "deep", "x=10000"): "499c1630d60d77fc3351b4a67098d905fd9114d5e3d91439552c1cd23f6fe4eb",
+    ("x^2+1", "fast", "x=10000"): "2ce4daf62f268b86065edf245986fb76940e2e0bd3e292666eca0c539880e5a3",
+    ("x^2+1", "deep", "x=10000"): "643f8d6e86e21584f594312fa31aa7b7b41be285d5e2e8c3837d4a9e07c14155",
+    ("x^3+2", "fast", "x=10000"): "900001dc13125f9c7c7cd2bb850a2e737dbe40bb3371b2cc374aa3875c896f89",
+    ("x^3+2", "deep", "x=10000"): "845c30c97748d0af39fc884608972a87debc422e1fc26b2e68d5698687a56455",
 }
 
 
@@ -133,10 +140,11 @@ def stats_csv_digest(case) -> str:
 
 
 def verify_report_digest(case) -> str:
-    """The sha256 of the verify report of the case's x = 1000 certificate,
-    read back from its bytes as the CLI reads it."""
-    name, mode = case
-    cert = construct((name, 7, "x=1000"))[0]
+    """The sha256 of the verify report of the case's certificate (x = 1000
+    unless the case names a variant), read back from its bytes as the CLI
+    reads it."""
+    name, mode, *variant = case
+    cert = construct((name, 7, *(variant or ["x=1000"])))[0]
     loaded = ResidueCertificate.from_json_dict(json.loads(cert.to_json_bytes()))
     report = verify_certificate(loaded, deep=mode == "deep", seed=7)
     return hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode()).hexdigest()
