@@ -301,15 +301,20 @@ def decimal_to_int(text: str) -> int:
     return -value if negative else value
 
 
-def parse_decimal(value, max_digits: int) -> int:
-    """The integer of a decimal field (see poly.decimal_text), refusing a
-    string of more than max_digits characters after an optional sign before
-    any conversion work."""
+def decimal_field(value, max_digits: int) -> str:
+    """value itself when it is a decimal string (see poly.decimal_text) of
+    at most max_digits characters after an optional sign; ValueError
+    otherwise, before any conversion work."""
     if isinstance(value, str) and len(value) - value.startswith("-") > max_digits:
         raise ValueError(
             f"decimal field of {len(value)} characters exceeds the {max_digits}-digit bound"
         )
-    return decimal_to_int(decimal_text(value))
+    return decimal_text(value)
+
+
+def parse_decimal(value, max_digits: int) -> int:
+    """The integer of a decimal field, refused as decimal_field refuses it."""
+    return decimal_to_int(decimal_field(value, max_digits))
 
 
 def decimal_digits(n: int) -> int:
@@ -379,21 +384,37 @@ class Placement:
 
     @classmethod
     def from_json(cls, obj: dict, max_digits: int) -> "Placement":
-        """Parse the decimal fields, each refused beyond max_digits digits
-        (see decimal_digit_bound) before it is converted; see
-        parse_decimal."""
+        """Parse the decimal fields, every one checked and refused beyond
+        max_digits digits (see decimal_digit_bound, decimal_field) before
+        any is converted. Only N, b1 and m are converted (decimal_to_int):
+        as to_json writes them, I1 and n1 are taken as b2, and I2 and n2 as
+        N - b2, plus the field's difference from it, found exactly
+        (exact_decimal_context) in time linear in the digits. The values
+        are those of parse_decimal, whatever the fields hold."""
 
-        def num(value) -> int:
-            return parse_decimal(value, max_digits)
+        def field(value) -> str:
+            return decimal_field(value, max_digits)
+
+        n_text, b1_text = field(obj["N"]), field(obj["b1"])
+        i1 = (field(obj["I1"][0]), field(obj["I1"][1]))
+        i2 = (field(obj["I2"][0]), field(obj["I2"][1]))
+        n1_text, n2_text, m_text = field(obj["n1"]), field(obj["n2"]), field(obj["m"])
+        N, b1 = decimal_to_int(n_text), decimal_to_int(b1_text)
+        ctx = exact_decimal_context()
+        b2 = ctx.minus(decimal.Decimal(b1_text))
+        far = ctx.subtract(decimal.Decimal(n_text), b2)  # N - b2
+
+        def near(text: str, base: decimal.Decimal, base_int: int) -> int:
+            return base_int + int(ctx.subtract(decimal.Decimal(text), base))
 
         return cls(
-            N=num(obj["N"]),
-            b1=num(obj["b1"]),
-            I1=(num(obj["I1"][0]), num(obj["I1"][1])),
-            I2=(num(obj["I2"][0]), num(obj["I2"][1])),
-            n1=num(obj["n1"]),
-            n2=num(obj["n2"]),
-            m=num(obj["m"]),
+            N=N,
+            b1=b1,
+            I1=(near(i1[0], b2, -b1), near(i1[1], b2, -b1)),
+            I2=(near(i2[0], far, N + b1), near(i2[1], far, N + b1)),
+            n1=near(n1_text, b2, -b1),
+            n2=near(n2_text, far, N + b1),
+            m=decimal_to_int(m_text),
         )
 
 

@@ -257,7 +257,10 @@ class CoverState:
     def add(self, q: int, r: int | None = None) -> int:
         """Assign q the residue r, or, when r is None, the residue killing
         the most survivors on both sides jointly (ties to the smallest);
-        drop the survivors it kills and return it."""
+        drop the survivors it kills and return it. With no survivor left
+        that residue is 0, so the call returns at once."""
+        if not (self.fwd.size or self.bwd.size):
+            return 0 if r is None else r
         alphas = self.table.roots[q]
         fwd, bwd = self.fwd, self.bwd
         nf = fwd.size

@@ -10,13 +10,19 @@ primes takes a fixed number of numpy calls. A row polynomial is an (n, w)
 array, ascending, zero-padded to the common width w, each row with its own
 degree (`gf_degree_rows`).
 - `pow_mod_rows`: b^e mod p per row (the Fermat inverses);
-- `gf_powmod_rows`: (X + a)^e modulo a monic modulus of one degree d;
+- `gf_powmod_rows`: (X + a)^e modulo a monic modulus of one degree d, and
+  `gf_powmod_half_rows`, which also returns (X + a)^(e >> 1);
 - `gf_gcd_rows`: the monic gcd, by division-free Euclid steps;
 - `gf_div_rows`: the quotient by a monic divisor.
-They keep every coefficient in [0, p) and only ever multiply two reduced
-coefficients, so each product stays below p^2 < 2^62 and each sum of a few
-reduced terms below 2^63; that exactness needs every row prime below
-ROW_PRIME_BOUND = 2^31, and the polynomial kernels refuse any other prime.
+They keep every coefficient they return in [0, p) and only ever multiply
+two reduced coefficients, so each product stays below p^2 < 2^62. The other
+kernels reduce every sum, of two products or of a few reduced terms, which
+stays below 2^63 in int64. The power ladder works in uint64 and reduces once
+per sum instead: a sum of up to four products plus one reduced term stays
+below 4 p^2 + p < 2^64, and a longer sum, of a square's or a fold's terms at
+degree 5 or more, is reduced after every four products. That exactness
+needs every row prime below ROW_PRIME_BOUND = 2^31, and the polynomial
+kernels refuse any other prime.
 """
 
 from __future__ import annotations
@@ -127,17 +133,6 @@ def pow_mod_rows(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
     return r
 
 
-def _times_x_plus_a(r: np.ndarray, a: np.ndarray | None, top: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """r * (X + a) mod (m, p), coefficient-major (d, n), where top holds
-    X^d mod m: a shift, one reduction of the coefficient pushed to X^d and,
-    unless a is None (a = 0), a scaled copy."""
-    out = top * r[-1] % p
-    out[1:] += r[:-1]
-    if a is not None:
-        out += a * r % p
-    return out % p
-
-
 def gf_powmod_rows(a: np.ndarray, e: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
     """(X + a_i)^e_i mod (m_i, p_i) for every row i at once.
 
@@ -145,35 +140,67 @@ def gf_powmod_rows(a: np.ndarray, e: np.ndarray, m: np.ndarray, p: np.ndarray) -
     ascending, coefficients in [0, p_i); a, e and p are length-n int64
     arrays with a_i in [0, p_i), e_i >= 0 and 2 <= p_i < ROW_PRIME_BOUND.
     Returns the (n, d) residues, ascending, coefficients in [0, p_i).
+    """
+    return gf_powmod_half_rows(a, e, m, p)[1]
+
+
+def gf_powmod_half_rows(
+    a: np.ndarray, e: np.ndarray, m: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(X + a_i)^(e_i >> 1) and (X + a_i)^e_i mod (m_i, p_i) for every row
+    i at once, arguments and results as for gf_powmod_rows. The ladder
+    passes the first on its way to the second: it is the power before the
+    step of bit 0.
 
     Left-to-right square and multiply over the bits of the largest
     exponent; a row whose exponent is shorter squares 1 until its top bit.
     The work is coefficient-major, (d, n), so each numpy call runs over all
-    rows. A square reduces its degree d..2d-2 terms with the precomputed
-    X^(d+k) mod m_i; multiplying by X + a needs a single reduction step.
+    rows, in uint64 (see the module docstring). A square sums the d^2
+    products of coefficients into its 2d - 1 terms, reduces them and folds
+    the terms of degree d..2d-2 back with the precomputed X^(d+k) mod m_i;
+    multiplying by X + a shifts, folds the coefficient pushed to X^d back
+    with X^d mod m_i and adds a times the residue.
     """
     n, d = m.shape[0], m.shape[1] - 1
     if d < 2:
         raise ValueError("gf_powmod_rows needs moduli of degree at least 2")
     _check_row_primes(p, "gf_powmod_rows")
-    shift_only = not a.any()
-    # fold[k] = X^(d+k) mod m, k = 0 .. d-2
-    fold = np.empty((d - 1, d, n), dtype=np.int64)
-    fold[0] = -m[:, :d].T % p
+    # uint64 throughout: numpy turns uint64 mixed with int64 into float64
+    a, p = a.astype(np.uint64), p.astype(np.uint64)
+    # fold[k] = X^(d+k) mod m, k = 0 .. d-2, each X times the one before
+    fold = np.empty((d - 1, d, n), dtype=np.uint64)
+    fold[0] = (p - m[:, :d].T.astype(np.uint64)) % p
     for k in range(1, d - 1):
-        fold[k] = _times_x_plus_a(fold[k - 1], None, fold[0], p)
-    r = np.zeros((d, n), dtype=np.int64)
+        fold[k] = fold[0] * fold[k - 1, -1]
+        fold[k, 1:] += fold[k - 1, :-1]
+        fold[k] %= p
+    # the d^2 products of a square and the (d - 1) d of its fold, written
+    # in place bit after bit
+    outer = np.empty((d, d, n), dtype=np.uint64)
+    prod = np.empty((d - 1, d, n), dtype=np.uint64)
+    half = r = np.zeros((d, n), dtype=np.uint64)
     r[0] = 1
     for bit in reversed(range(int(e.max(initial=0)).bit_length())):
-        outer = r[:, None] * r % p
-        sq = np.zeros((2 * d - 1, n), dtype=np.int64)
+        half = r  # each step makes r anew, so half keeps the power before it
+        np.multiply(r[:, None], r, out=outer)
+        # each term gathers one product per row; reduced every four rows
+        sq = np.zeros((2 * d - 1, n), dtype=np.uint64)
         for i in range(d):
             sq[i : i + d] += outer[i]
+            if i % 4 == 3 and i + 1 < d:
+                sq %= p
         sq %= p
-        r = (sq[:d] + (fold * sq[d:, None] % p).sum(axis=0)) % p
-        on = ((e >> bit) & 1).astype(bool)
-        r = np.where(on, _times_x_plus_a(r, None if shift_only else a, fold[0], p), r)
-    return r.T
+        np.multiply(fold, sq[d:, None], out=prod)
+        r = sq[:d]
+        for k in range(0, d - 1, 4):  # four fold products per reduction
+            r = r + prod[k : k + 4].sum(axis=0)
+            r %= p
+        times = fold[0] * r[-1]
+        times += a * r
+        times[1:] += r[:-1]
+        times %= p
+        np.copyto(r, times, where=((e >> bit) & 1).astype(bool))
+    return half.T.astype(np.int64), r.T.astype(np.int64)
 
 
 def gf_degree_rows(a: np.ndarray) -> np.ndarray:

@@ -11,14 +11,18 @@ kernel `primes.sqrt_and_inverse_rows`, which takes the square roots and the
 inverses of 2 c_2 for a block of ROW_BLOCK primes in one Tonelli-Shanks
 pass. Beyond that no step loops over the primes: every step is a row kernel
 of `gfpoly`, with one numpy row per prime. The companion is made monic mod
-every prime at once, `gf_powmod_rows` computes X^p mod (f, p),
+every prime at once. One kernel run (`gf_powmod_half_rows`) takes the Euler
+power w = (X + a1)^((p-1)/2) mod (f, p) for the first shift a1 and, one
+ladder step on, (X + a1)^p = X^p + a1, so X^p mod (f, p) as well.
 `gf_gcd_rows` takes g = gcd(X^p - X, f), the product of the distinct linear
 factors, and deterministic equal-degree splitting (Cantor-Zassenhaus with a
-fixed sequence of shifts a) cuts the factors of degree 3 or more in rounds.
-A round tries several shifts on every pending factor in one
-(X + a)^((p-1)/2) kernel run, one row gcd and one exact division
-(`gf_div_rows`). Linear factors give their roots directly; the quadratic
-ones are solved together by the quadratic route at the end.
+fixed sequence of shifts a, a1 the first) cuts the factors of degree 3 or
+more in rounds. A round tries several shifts on every pending factor, one
+row gcd and one exact division (`gf_div_rows`); the powers come from one
+(X + a)^((p-1)/2) kernel run, except that of a1, which w already is, so a
+first round that tries one shift per factor runs no kernel. Linear factors
+give their roots directly; the quadratic ones are solved together by the
+quadratic route at the end.
 `roots_mod_p` runs the same route on a one-prime batch; the test suite
 cross-checks it against an exhaustive scan of every residue.
 """
@@ -42,6 +46,7 @@ from .gfpoly import (
     gf_degree_rows,
     gf_div_rows,
     gf_gcd_rows,
+    gf_powmod_half_rows,
     gf_powmod_rows,
     gf_shift_rows,
     pow_mod_rows,
@@ -105,9 +110,15 @@ def _roots_algebraic(comp: tuple[int, ...], ps: np.ndarray) -> tuple[np.ndarray,
     # the companion mod every prime, made monic by one batched inverse
     monic = np.stack([mod_rows(c, ps) for c in comp], axis=1)
     monic = monic * pow_mod_rows(monic[:, -1], ps - 2, ps)[:, None] % ps[:, None]
-    # Frobenius step: X^p - X mod (f, p) for every prime in one kernel run
-    xp = np.zeros_like(monic)
-    xp[:, :d] = gf_powmod_rows(np.zeros_like(ps), ps, monic, ps)
+    # Frobenius step, for every prime in one kernel run: the Euler power
+    # euler = (X + a1)^((p-1)/2) mod (f, p), with a1 the first shift of the
+    # splitting rounds, and one step on (X + a1)^p = X^p + a1, which gives
+    # X^p - X. No a1 = 0: the roots of a binomial such as x^3 + 2 differ by
+    # cube roots of unity, squares mod p, so X^((p-1)/2) never splits them
+    a1 = SHIFT_STEP % ps
+    euler, xp = np.zeros_like(monic), np.zeros_like(monic)
+    euler[:, :d], xp[:, :d] = gf_powmod_half_rows(a1, ps, monic, ps)
+    xp[:, 0] = (xp[:, 0] - a1) % ps
     xp[:, 1] = (xp[:, 1] - 1) % ps
     # the factors still to read or split: their rows, the monic factors h,
     # and the next shift each is to try
@@ -126,15 +137,21 @@ def _roots_algebraic(comp: tuple[int, ...], ps: np.ndarray) -> tuple[np.ndarray,
         # candidate row each, taking gcd((X + a)^((p-1)/2) - 1, h).
         # Two distinct roots r, s are separated once (r + a)/(s + a) is a
         # non-residue, which some a among any p consecutive shifts achieves,
-        # since those cover every residue, so every h splits. The power is taken mod X^(d - k) h, a monic
+        # since those cover every residue, so every h splits. Shift 1 is a1,
+        # whose power mod f the Frobenius step left in euler: the gcd
+        # reduces it mod h, a factor of f. The others are taken mod X^(d - k) h, a monic
         # modulus of the full degree d that h divides, so every pending
         # factor shares one kernel run.
         m = max(1, SPLIT_WORK // (d * d * len(rows)))
         c = np.repeat(np.arange(len(rows)), m)
         pc = ps[rows[c]]
-        a = (shift[c] + np.tile(np.arange(m), len(rows))) % pc * (SHIFT_STEP % pc) % pc
-        w = np.zeros((len(c), d + 1), dtype=np.int64)
-        w[:, :d] = gf_powmod_rows(a, (pc - 1) // 2, gf_shift_rows(hs[c], d - k[c]), pc)
+        num = shift[c] + np.tile(np.arange(m), len(rows))  # shift numbers
+        a = num % pc * (SHIFT_STEP % pc) % pc
+        w = euler[rows[c]]
+        run = np.flatnonzero(num != 1)
+        if len(run):
+            moduli = gf_shift_rows(hs[c[run]], d - k[c[run]])
+            w[run, :d] = gf_powmod_rows(a[run], (pc[run] - 1) // 2, moduli, pc[run])
         w[:, 0] = (w[:, 0] - 1) % pc
         f1 = gf_gcd_rows(w, hs[c], pc)
         k1 = gf_degree_rows(f1)

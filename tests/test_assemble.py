@@ -30,6 +30,7 @@ from composite_forge.assemble import (
     decimal_to_int,
     int_to_decimal,
     pairing_stage,
+    parse_decimal,
     place,
     residual_excess,
     search_window_length,
@@ -292,6 +293,25 @@ class TestPlacement:
     def test_decimal_digits_is_the_string_length(self, n):
         with big_decimals():
             assert decimal_digits(n) == len(str(n))
+
+    @pytest.mark.parametrize("far", [-1, -(10**3000) - 7, 10**3000 + 7, -(10**4500), 10**4500],
+                             ids=["-1", "-1e3000", "1e3000", "-1e4500", "1e4500"])
+    def test_from_json_reads_fields_far_from_their_base(self, far):
+        # near fields are read as b2 or N - b2 plus their difference from
+        # it: negative differences and differences of thousands of digits
+        # must give the ints a conversion of each field gives
+        pl = place(209, 210, 10**7, 4)
+        obj = Placement(pl.N, pl.b1, (pl.I1[0] + far, -far), (pl.I2[0] - far, far), far,
+                        pl.n2 + 3 * far, pl.m).to_json()
+        obj["n1"] = "-000" + obj["n1"].lstrip("-") if far < 0 else "000" + obj["n1"]
+        texts = [obj["N"], obj["b1"], *obj["I1"], *obj["I2"], obj["n1"], obj["n2"], obj["m"]]
+        longest = max(len(t.lstrip("-")) for t in texts)
+        got = Placement.from_json(obj, longest)
+        want = [parse_decimal(t, longest) for t in texts]
+        assert [got.N, got.b1, *got.I1, *got.I2, got.n1, got.n2, got.m] == want
+        assert got.n1 == far
+        with pytest.raises(ValueError, match="digit bound"):
+            Placement.from_json(obj, longest - 1)
 
     def test_json_round_trip(self):
         pl = place(209, 210, 10**7, 4)

@@ -664,6 +664,18 @@ class TestCoverState:
         assert np.array_equal(state.fwd, ref_fwd)
         assert np.array_equal(state.bwd, ref_bwd)
 
+    @pytest.mark.parametrize("poly", ["x", "x^2+1", "x^3+2"])
+    def test_empty_state_returns_what_a_bincount_gives(self, tables_2000, poly):
+        # with no survivor left a scored residue is the argmax of an empty
+        # bincount, 0, and a given one is returned as it is
+        table = tables_2000[poly]
+        dead = SurvivorSet(1, 50, np.zeros(50, dtype=bool))
+        state = CoverState(table, dead, SurvivorSet(-50, -1, np.zeros(50, dtype=bool)), None)
+        for q in table.usable_between(0, 200):
+            assert state.add(q) == int(np.bincount(np.zeros(0, np.int64), minlength=q).argmax()) == 0
+            assert state.add(q, q - 1) == q - 1
+        assert state.fwd.size == state.bwd.size == 0
+
     def test_engine_paths_do_not_resieve(self, table_x2p1_2000, monkeypatch):
         params = SieveParams(x=2000)
         n_mod = target_residues(N60, table_x2p1_2000)

@@ -25,6 +25,7 @@ from composite_forge.gfpoly import (
     gf_mul,
     gf_normalize,
     gf_powmod,
+    gf_powmod_half_rows,
     gf_powmod_rows,
     gf_sub,
 )
@@ -272,7 +273,7 @@ class TestGfDivmod:
 
 class TestRowKernel:
     @given(
-        st.integers(2, 6),
+        st.integers(2, 8),
         st.lists(st.one_of(st.sampled_from(BATCH_PRIMES), st.sampled_from(TOP_PRIMES)),
                  min_size=1, max_size=8),
         st.data(),
@@ -293,6 +294,32 @@ class TestRowKernel:
         for p, m, a, e, row in zip(primes, rows, shifts, exps, got.tolist()):
             want = gf_powmod((a, 1), e, tuple(m), p)
             assert tuple(row) == want + (0,) * (d - len(want)), (p, m, a, e)
+
+    @given(
+        st.integers(2, 8),
+        st.lists(st.one_of(st.sampled_from(BATCH_PRIMES), st.sampled_from(TOP_PRIMES)),
+                 min_size=1, max_size=8),
+        st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_half_power_is_the_power_of_half_the_exponent(self, d, primes, data):
+        # the coefficients at p - 1 make every product and sum of the
+        # ladder as large as it can be
+        rows, shifts, exps = [], [], []
+        for p in primes:
+            top = data.draw(st.booleans())
+            rows.append([p - 1] * d + [1] if top else
+                        data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) + [1])
+            shifts.append(p - 1 if top else data.draw(st.integers(0, p - 1)))
+            exps.append(data.draw(st.one_of(st.just(p), st.integers(0, 2 * p))))
+        half, full = gf_powmod_half_rows(
+            np.array(shifts, dtype=np.int64), np.array(exps, dtype=np.int64),
+            np.array(rows, dtype=np.int64), np.array(primes, dtype=np.int64),
+        )
+        for p, m, a, e, h, g in zip(primes, rows, shifts, exps, half.tolist(), full.tolist()):
+            for got, k in ((h, e >> 1), (g, e)):
+                want = gf_powmod((a, 1), k, tuple(m), p)
+                assert tuple(got) == want + (0,) * (d - len(want)), (p, m, a, k)
 
     def test_rejects_primes_outside_the_exact_range(self):
         m = np.array([[1, 0, 1]], dtype=np.int64)
@@ -722,8 +749,10 @@ class TestCache:
             ("poly:[1,0,1]", "b722c907e6afc0c1ea57f930b430702bba31ebdd0cd1d3dd8e742ae4e648a854", 10**4),
             ("poly:[2,0,0,1]", "8b0051cab7ae1c27ba33a8391190fc370be0eda5f552807d1bfeacc0d84902ef", 10**4),
             ("poly:[1,0,1]", "1e2b1c330a8c7ddca0fabbf9d7c42a45f784091df05ef18bfc1662fe13854083", 10**5),
+            ("poly:[1,-3,0,1]", "303daf9dcaa58966ff884380b76df22d5135f04de4d5a368e4c9d2be7893f1ae", 3 * 10**4),
+            ("poly:[1,0,0,0,1]", "97a1bd5b06d7a73efb67302e5c359b8ac24403da6ec8f27c976cec0ba3394376", 3 * 10**4),
         ],
-        ids=["x^2+1-1e4", "x^3+2-1e4", "x^2+1-1e5"],
+        ids=["x^2+1-1e4", "x^3+2-1e4", "x^2+1-1e5", "x^3-3x+1-3e4", "x^4+1-3e4"],
     )
     def test_cache_bytes_pinned(self, literal, digest, limit, tmp_path):
         # digests of the files the two-array writer (root counts, then the
