@@ -14,9 +14,7 @@ from __future__ import annotations
 import decimal
 import json
 import math
-import sys
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -215,30 +213,12 @@ def decimal_digit_bound(x: int) -> int:
     return 2 + int(3 * 1.0163 * x / math.log(10))
 
 
-@contextmanager
-def big_decimals():
-    """Lift the interpreter's limit on int <-> decimal string conversion
-    (4300 digits by default) for the duration of the block. Only the direct
-    path of int_to_decimal and decimal_to_int needs it: their split routes
-    convert pieces below the limit. The limit is process-wide: a conversion
-    in another thread during the block is unlimited too."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
-# Decimal conversion of certificate integers. str() and int() are quadratic
-# in the number of digits; at or below DECIMAL_DIRECT_DIGITS digits they are
-# called directly, and above it a split route is faster: the crossover,
-# measured on Python 3.11, lies near 10k digits for str() and 8k for int().
-# The split routes go down to pieces of at most DECIMAL_PIECE_DIGITS digits,
-# below the interpreter's default limit.
-DECIMAL_DIRECT_DIGITS = 10_000
-DECIMAL_PIECE_DIGITS = 2_500
-_DIRECT_BITS = int(DECIMAL_DIRECT_DIGITS * math.log2(10))
+# Decimal conversion of certificate integers, which never reads or sets the
+# interpreter's int-string limit: str() and int() take a number of at most
+# DECIMAL_PIECE_DIGITS digits, the lowest limit the interpreter accepts, and
+# a longer one is split into pieces of at most that size, recombined
+# exactly in sub-quadratic time.
+DECIMAL_PIECE_DIGITS = 640
 _PIECE_BITS = int(DECIMAL_PIECE_DIGITS * math.log2(10))
 
 
@@ -254,10 +234,10 @@ def int_to_decimal(n: int) -> str:
     """str(n), for an int of any size. A longer n is split at powers of two
     into pieces, which become Decimals and are recombined in the decimal
     module, whose multiplication is sub-quadratic, exactly: every value is
-    an integer and the precision is the module's maximum."""
-    if n.bit_length() <= _DIRECT_BITS:
-        with big_decimals():
-            return str(n)
+    an integer and the precision is the module's maximum. Neither Decimal(m)
+    nor str() of a Decimal is subject to the int-string limit."""
+    if n.bit_length() <= _PIECE_BITS:
+        return str(n)
     ctx = exact_decimal_context()
     powers: dict[int, decimal.Decimal] = {}  # w -> 2^w
 
@@ -282,9 +262,6 @@ def decimal_to_int(text: str) -> int:
     recombined as high * 10^k + low, with 10^k = 5^k * 2^k: the multiplier
     5^k is shorter, and each one is computed once per call."""
     negative = text.startswith("-")
-    if len(text) - negative <= DECIMAL_DIRECT_DIGITS:
-        with big_decimals():
-            return int(text)
     digits = text[negative:]
     powers: dict[int, int] = {}  # k -> 5^k
 
@@ -573,8 +550,14 @@ class ResidueCertificate:
 
     @classmethod
     def load(cls, path: str) -> "ResidueCertificate":
+        """Read a certificate file; input that is not one raises ValueError,
+        JSON nested past the interpreter's recursion limit included."""
         with open(path, "rb") as fh:
-            return cls.from_json_dict(json.loads(fh.read().decode()))
+            text = fh.read().decode()
+        try:
+            return cls.from_json_dict(json.loads(text))
+        except RecursionError:
+            raise ValueError("certificate JSON nested too deeply") from None
 
 
 @dataclass

@@ -10,8 +10,8 @@ primes takes a fixed number of numpy calls. A row polynomial is an (n, w)
 array, ascending, zero-padded to the common width w, each row with its own
 degree (`gf_degree_rows`).
 - `pow_mod_rows`: b^e mod p per row (the Fermat inverses);
-- `gf_powmod_rows`: (X + a)^e modulo a monic modulus of one degree d, and
-  `gf_powmod_half_rows`, which also returns (X + a)^(e >> 1);
+- `gf_powmod_half_rows`: (X + a)^e modulo a monic modulus of one degree d,
+  and (X + a)^(e >> 1) on the way;
 - `gf_gcd_rows`: the monic gcd, by division-free Euclid steps;
 - `gf_div_rows`: the quotient by a monic divisor.
 They keep every coefficient they return in [0, p) and only ever multiply
@@ -133,24 +133,17 @@ def pow_mod_rows(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
     return r
 
 
-def gf_powmod_rows(a: np.ndarray, e: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(X + a_i)^e_i mod (m_i, p_i) for every row i at once.
-
-    m is an (n, d + 1) int64 array of monic moduli of one degree d >= 2,
-    ascending, coefficients in [0, p_i); a, e and p are length-n int64
-    arrays with a_i in [0, p_i), e_i >= 0 and 2 <= p_i < ROW_PRIME_BOUND.
-    Returns the (n, d) residues, ascending, coefficients in [0, p_i).
-    """
-    return gf_powmod_half_rows(a, e, m, p)[1]
-
-
 def gf_powmod_half_rows(
     a: np.ndarray, e: np.ndarray, m: np.ndarray, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(X + a_i)^(e_i >> 1) and (X + a_i)^e_i mod (m_i, p_i) for every row
-    i at once, arguments and results as for gf_powmod_rows. The ladder
-    passes the first on its way to the second: it is the power before the
-    step of bit 0.
+    i at once. The ladder passes the first on its way to the second: it is
+    the power before the step of bit 0.
+
+    m is an (n, d + 1) int64 array of monic moduli of one degree d >= 2,
+    ascending, coefficients in [0, p_i); a, e and p are length-n int64
+    arrays with a_i in [0, p_i), e_i >= 0 and 2 <= p_i < ROW_PRIME_BOUND.
+    Returns the two (n, d) residues, ascending, coefficients in [0, p_i).
 
     Left-to-right square and multiply over the bits of the largest
     exponent; a row whose exponent is shorter squares 1 until its top bit.
@@ -163,8 +156,8 @@ def gf_powmod_half_rows(
     """
     n, d = m.shape[0], m.shape[1] - 1
     if d < 2:
-        raise ValueError("gf_powmod_rows needs moduli of degree at least 2")
-    _check_row_primes(p, "gf_powmod_rows")
+        raise ValueError("gf_powmod_half_rows needs moduli of degree at least 2")
+    _check_row_primes(p, "gf_powmod_half_rows")
     # uint64 throughout: numpy turns uint64 mixed with int64 into float64
     a, p = a.astype(np.uint64), p.astype(np.uint64)
     # fold[k] = X^(d+k) mod m, k = 0 .. d-2, each X times the one before

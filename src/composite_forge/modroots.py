@@ -47,7 +47,6 @@ from .gfpoly import (
     gf_div_rows,
     gf_gcd_rows,
     gf_powmod_half_rows,
-    gf_powmod_rows,
     gf_shift_rows,
     pow_mod_rows,
 )
@@ -151,7 +150,7 @@ def _roots_algebraic(comp: tuple[int, ...], ps: np.ndarray) -> tuple[np.ndarray,
         run = np.flatnonzero(num != 1)
         if len(run):
             moduli = gf_shift_rows(hs[c[run]], d - k[c[run]])
-            w[run, :d] = gf_powmod_rows(a[run], (pc[run] - 1) // 2, moduli, pc[run])
+            w[run, :d] = gf_powmod_half_rows(a[run], (pc[run] - 1) // 2, moduli, pc[run])[1]
         w[:, 0] = (w[:, 0] - 1) % pc
         f1 = gf_gcd_rows(w, hs[c], pc)
         k1 = gf_degree_rows(f1)
@@ -260,8 +259,9 @@ def _cache_path(cache_dir: str, f: IntPolynomial, limit: int) -> str:
 
 
 def _write_cache(path: str, f: IntPolynomial, limit: int, counts: np.ndarray, flat: np.ndarray) -> None:
-    """Write the header, one u1 root count per prime, then every root as
-    u4, both in prime order."""
+    """Write the header, one u1 root count per prime (at most the degree,
+    which poly.MAX_DEGREE keeps below 256), then every root as u4, both in
+    prime order."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(_CACHE_MAGIC)
@@ -303,14 +303,12 @@ def build_root_table(f: IntPolynomial, limit: int, cache_dir: str | None = None)
 
     A corrupt or mismatching cache file is ignored and rebuilt. A limit of
     ROW_PRIME_BOUND (2^31) or more raises ValueError before anything is
-    sieved: the batched root kernel is exact only below it. A polynomial of
-    degree above 255, whose root counts a cache byte cannot hold, is not
-    cached.
+    sieved: the batched root kernel is exact only below it.
     """
     if limit >= ROW_PRIME_BOUND:
         raise ValueError(f"root table limit {limit} must stay below {ROW_PRIME_BOUND}")
     primes = sieve_primes(limit)
-    path = _cache_path(cache_dir, f, limit) if cache_dir and f.degree <= 255 else None
+    path = _cache_path(cache_dir, f, limit) if cache_dir else None
     if path:
         cached = _read_cache(path, f, limit, primes)
         if cached is not None:

@@ -14,12 +14,12 @@ the companion; that gives each window start mod q. Both reductions go
 through primes.residues_mod, which divides the big number once per block of
 moduli, not once per modulus. Certificate integers and reported failures
 go to and from decimal through assemble.int_to_decimal and decimal_to_int:
-sub-quadratic above 10k digits, and never stopped by the interpreter's
-int-string digit limit. The witness search is one least-prime-factor
-sieve per window: an int32 array over the window takes, prime by prime in
-descending order, one strided slice assignment per root, so each offset
-keeps its smallest witnessing prime; deep mode reads every offset, fast
-mode a sample. |f(n)| > q is proved once per window. Stored bounds and
+sub-quadratic above 640 digits, and never reading or setting the
+interpreter's int-string digit limit. The witness search is one
+least-prime-factor sieve per window: an int32 array over the window takes,
+prime by prime in descending order, one strided slice assignment per root,
+so each offset keeps its smallest witnessing prime; deep mode reads every
+offset, fast mode a sample. |f(n)| > q is proved once per window. Stored bounds and
 centers are only compared. The stored y is bounded by the formula length,
 and the stored x by what the certificate's N or listed primes can support
 (stored_x_bound) and by the root table's bound, before anything is sized
@@ -385,7 +385,6 @@ class CoveringSimConfig:
     k0: float = 8.0
     candidates: int = 8
     trials: int = 100
-    c0_gate: float = 10.0
 
     @property
     def k(self) -> int:
@@ -469,18 +468,20 @@ SIM_ROUND_BLOCK = 1024
 # CoveringSimConfig.validate: the ground set (one bool each) or one block
 # of draws (one int64 each)
 SIM_ELEMENTS_MAX = 10**7
+# the covering constant c0 of the residual gate c0 * eta * ground_size
+SIM_C0_GATE = 10.0
 
 
 def covering_lemma_sim(config: CoveringSimConfig, seed: int = 0) -> CoveringSimReport:
     """Run the synthetic covering trials and report residual statistics.
 
-    Residuals are compared against c0_gate * eta * ground_size; the summary
-    statistic c_hat = max residual / (eta * ground_size) estimates the
-    covering constant the bound hides.
+    Residuals are compared against SIM_C0_GATE * eta * ground_size; the
+    summary statistic c_hat = max residual / (eta * ground_size) estimates
+    the covering constant the bound hides.
     """
     hyp = config.validate()
     v, k, s = config.ground_size, config.k, config.rounds
-    threshold = config.c0_gate * config.eta * v
+    threshold = SIM_C0_GATE * config.eta * v
     residuals: list[int] = []
     for t in range(config.trials):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 13, t])))

@@ -4,8 +4,10 @@ serialization, and the end-to-end construction driver."""
 import json
 import math
 import os
+import random
 import sys
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -13,8 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composite_forge.assemble import (
-    DECIMAL_DIRECT_DIGITS,
-    DECIMAL_PIECE_DIGITS,
     SEARCH_ATTEMPTS,
     SEARCH_TOLERANCE,
     ConstructionError,
@@ -22,7 +22,6 @@ from composite_forge.assemble import (
     ResidueCertificate,
     StageRecord,
     auto_target,
-    big_decimals,
     construct_certificate,
     crt_combine,
     decimal_digit_bound,
@@ -135,13 +134,31 @@ class TestPairing:
         assert set(out_f).isdisjoint(out_b)
 
 
-# digit counts on both sides of the direct-conversion crossover and of the
-# split routes' piece size
-DECIMAL_SIZES = sorted({
-    1, 2, 300, DECIMAL_PIECE_DIGITS, DECIMAL_PIECE_DIGITS + 1, 4300, 4301,
-    DECIMAL_DIRECT_DIGITS - 1, DECIMAL_DIRECT_DIGITS, DECIMAL_DIRECT_DIGITS + 1,
-    2 * DECIMAL_DIRECT_DIGITS + 7,
-})
+# digit counts on both sides of the conversion helpers' piece size (640,
+# the lowest int-string limit the interpreter accepts) and of two pieces,
+# of the interpreter's default limit (4300) and of 10000, where the helpers
+# once changed route
+DECIMAL_SIZES = [1, 2, 300, 639, 640, 641, 1280, 1281, 4300, 4301, 9999, 10000, 10001, 20007]
+
+
+@contextmanager
+def str_digit_limit(limit: int):
+    """The interpreter's int-string limit set to limit (0 lifts it) inside
+    the block, with sys.set_int_max_str_digits patched to fail, so that
+    nothing run there can change it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+
+    def refuse(value):
+        raise AssertionError(f"sys.set_int_max_str_digits({value}) called")
+
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys, "set_int_max_str_digits", refuse)
+            yield
+            assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @st.composite
@@ -257,7 +274,7 @@ class TestPlacement:
     def test_digit_bound_holds_for_auto_target(self, x):
         # f = x makes every prime usable, the largest modulus at this x
         n = auto_target(math.prod(int(p) for p in sieve_primes(x)))
-        with big_decimals():
+        with str_digit_limit(0):
             digits = len(str(n))
         assert digits <= decimal_digit_bound(x)
 
@@ -274,7 +291,7 @@ class TestPlacement:
     def test_to_json_converts_every_field_exactly(self, pl):
         # the fields derived from N and b1 by decimal addition against a
         # conversion of each field
-        with big_decimals():
+        with str_digit_limit(0):
             want = {
                 "N": str(pl.N), "b1": str(pl.b1), "I1": [str(pl.I1[0]), str(pl.I1[1])],
                 "I2": [str(pl.I2[0]), str(pl.I2[1])], "n1": str(pl.n1), "n2": str(pl.n2),
@@ -287,11 +304,11 @@ class TestPlacement:
         assert pl.to_json() == {"N": "0", "b1": "0", "I1": ["0", "-1"], "I2": ["1", "0"],
                                 "n1": "0", "n2": "0", "m": "0"}
 
-    @given(st.integers(1, 10**DECIMAL_DIRECT_DIGITS) | st.sampled_from(
+    @given(st.integers(1, 10**10_000) | st.sampled_from(
         [10**k + d for k in range(0, 20_001, 997) for d in (-1, 0, 1) if 10**k + d > 0]))
     @settings(max_examples=80, deadline=None)
     def test_decimal_digits_is_the_string_length(self, n):
-        with big_decimals():
+        with str_digit_limit(0):
             assert decimal_digits(n) == len(str(n))
 
     @pytest.mark.parametrize("far", [-1, -(10**3000) - 7, 10**3000 + 7, -(10**4500), 10**4500],
@@ -324,7 +341,7 @@ class TestDecimalConversion:
     @given(decimal_ints())
     @settings(max_examples=60, deadline=None)
     def test_pair_equals_str_and_int_and_round_trips(self, n):
-        with big_decimals():
+        with str_digit_limit(0):
             text = str(n)
         assert int_to_decimal(n) == text
         assert decimal_to_int(text) == n
@@ -333,21 +350,25 @@ class TestDecimalConversion:
     @given(decimal_ints(), st.integers(0, 40))
     @settings(max_examples=30, deadline=None)
     def test_leading_zeros_read_like_int(self, n, zeros):
-        with big_decimals():
+        with str_digit_limit(0):
             text = ("-" if n < 0 else "") + "0" * zeros + str(abs(n))
             want = int(text)
         assert decimal_to_int(text) == want
 
-    def test_direct_path_ignores_a_lowered_interpreter_limit(self):
-        # 640 is the lowest limit the interpreter accepts
-        old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)
-        try:
-            n = 7**3000  # 2536 digits
-            assert decimal_to_int(int_to_decimal(n)) == n
-            assert sys.get_int_max_str_digits() == 640
-        finally:
-            sys.set_int_max_str_digits(old)
+    def test_helpers_work_under_the_lowest_limit_and_never_change_it(self):
+        # each size as its largest and a random value, both signs, and the
+        # nonnegative ones read again with leading zeros
+        values = [0, 7**3000]
+        for d in DECIMAL_SIZES:
+            for n in (10**d - 1, random.Random(d).randrange(10 ** (d - 1), 10**d)):
+                values += [n, -n]
+        with str_digit_limit(0):
+            texts = [str(n) for n in values]
+        padded = ["0" * 30 + t for t in texts if t[0] != "-"]
+        with str_digit_limit(640):
+            assert [int_to_decimal(n) for n in values] == texts
+            assert [decimal_to_int(t) for t in texts] == values
+            assert [decimal_to_int(t) for t in padded] == [n for n in values if n >= 0]
 
 
 class TestCertificateSerialization:
@@ -423,6 +444,23 @@ class TestConstructCertificate:
         assert pl.N == auto_target(math.prod(cert.residues()))
         assert cert.irreducibility == "proved"
         report = verify_certificate(cert, deep=True)
+        assert report.valid, report.messages
+
+    def test_beyond_the_default_limit_under_the_lowest_one(self, f_x, cache_dir, tmp_path):
+        # at x = 4000 N has 5097 digits, past the interpreter's default
+        # 4300-digit limit; construction, the certificate file, loading it
+        # and the deep verifier's report all convert under a 640 limit
+        path = str(tmp_path / "cert.json")
+        with str_digit_limit(640):
+            cert, stats = construct_certificate(f_x, SieveParams(x=4000), seed=0,
+                                                cache_dir=cache_dir)
+            assert stats.extras["n_digits"] == decimal_digits(cert.placement.N) == 5097
+            cert.save(path)
+            again = ResidueCertificate.load(path)
+            report = verify_certificate(again, deep=True)
+            json.dumps(report.to_json_dict())
+        assert again.to_json_bytes() == cert.to_json_bytes()
+        assert again.placement == cert.placement
         assert report.valid, report.messages
 
     def test_stage_tags(self, f_x, cache_dir):

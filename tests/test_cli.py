@@ -13,6 +13,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 OK, VERIFY_FAILED, INFEASIBLE, USAGE = 0, 1, 2, 64
 
+# JSON nested 5000 deep, past the interpreter's recursion limit
+NESTED = "[" * 5000 + "]" * 5000
+# 1 + C(x, 25) and x^25 + 1, one degree above poly.MAX_DEGREE
+DEGREE_25 = "[" + "1," + "0," * 24 + "1]"
+
 
 def run_cli(*args, cwd, env_extra=None):
     env = dict(os.environ)
@@ -303,6 +308,22 @@ class TestVerify:
         (tmp_path / "junk.json").write_text("{not json")
         r = run_cli("verify", "junk.json", cwd=tmp_path)
         assert r.returncode == USAGE
+        # nested past the recursion limit, which the JSON parser raises on
+        (tmp_path / "nested.json").write_text(NESTED)
+        r = run_cli("verify", "nested.json", cwd=tmp_path)
+        assert r.returncode == USAGE
+        assert "Traceback" not in r.stderr and "nested too deeply" in r.stderr
+
+    def test_degree_beyond_the_bound_exits_64(self, workdir):
+        # 1 + C(x, 200), which would keep the verifier busy for minutes
+        with open(workdir / "cert.json") as fh:
+            obj = json.load(fh)
+        obj["poly"]["coeffs"] = ["1"] + ["0"] * 199 + ["1"]
+        with open(workdir / "high-degree.json", "w") as fh:
+            json.dump(obj, fh)
+        r = run_cli("verify", "high-degree.json", cwd=workdir)
+        assert r.returncode == USAGE
+        assert "Traceback" not in r.stderr and "degree 200 exceeds the bound" in r.stderr
 
     @pytest.mark.parametrize(
         "path,value",
@@ -382,6 +403,13 @@ class TestVerify:
         # refused before anything of that size is allocated
         (["simulate", "--ground-size", "100000000"], "ground size"),
         (["simulate", "--candidates", "1000000000000"], "draws exceeds"),
+        (["construct", "--poly", NESTED, "--x", "300"], "nested too deeply"),
+        (["oracle", "--poly", NESTED, "--n", "10"], "nested too deeply"),
+        (["stats", "--poly", NESTED, "--x", "1e3"], "nested too deeply"),
+        # refused before any work on the polynomial
+        (["construct", "--poly", DEGREE_25, "--x", "300"], "degree 25 exceeds the bound 24"),
+        (["oracle", "--poly", "poly:" + DEGREE_25, "--n", "10"], "degree 25 exceeds the bound"),
+        (["stats", "--poly", DEGREE_25, "--x", "1e3"], "degree 25 exceeds the bound"),
     ],
     ids=[
         "stats-x-overflow", "stats-x-one", "stats-x-zero", "oracle-n-zero",
@@ -390,6 +418,8 @@ class TestVerify:
         "simulate-k0-nan", "simulate-k0-inf", "simulate-c1-nan", "simulate-c1-inf",
         "simulate-c1-negative", "simulate-eta-nan", "simulate-trials-negative",
         "simulate-ground-size-over-bound", "simulate-block-over-bound",
+        "construct-poly-nested", "oracle-poly-nested", "stats-poly-nested",
+        "construct-poly-degree-25", "oracle-poly-degree-25", "stats-poly-degree-25",
     ],
 )
 def test_bad_argument_exits_64(tmp_path, args, message):

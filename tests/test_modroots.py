@@ -26,7 +26,6 @@ from composite_forge.gfpoly import (
     gf_normalize,
     gf_powmod,
     gf_powmod_half_rows,
-    gf_powmod_rows,
     gf_sub,
 )
 from composite_forge.modroots import (
@@ -287,7 +286,7 @@ class TestRowKernel:
             shifts.append(data.draw(st.integers(0, p - 1)))
             exps.append(data.draw(st.one_of(st.just(p), st.integers(0, 2 * p))))
         ps = np.array(primes, dtype=np.int64)
-        got = gf_powmod_rows(
+        _, got = gf_powmod_half_rows(
             np.array(shifts, dtype=np.int64), np.array(exps, dtype=np.int64),
             np.array(rows, dtype=np.int64), ps,
         )
@@ -326,9 +325,9 @@ class TestRowKernel:
         one = np.ones(1, dtype=np.int64)
         for p in (ROW_PRIME_BOUND, 1):
             with pytest.raises(ValueError):
-                gf_powmod_rows(one - 1, one, m, np.array([p], dtype=np.int64))
+                gf_powmod_half_rows(one - 1, one, m, np.array([p], dtype=np.int64))
         with pytest.raises(ValueError):
-            gf_powmod_rows(one - 1, one, np.array([[1, 1]], dtype=np.int64), one * 7)
+            gf_powmod_half_rows(one - 1, one, np.array([[1, 1]], dtype=np.int64), one * 7)
 
 
 ROW_PRIMES = [2, 3, 5, 7, 67, 3001] + TOP_PRIMES

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from composite_forge.poly import IntPolynomial, irreducibility_check, parse_poly_literal
+from composite_forge.poly import (
+    MAX_DEGREE,
+    IntPolynomial,
+    irreducibility_check,
+    parse_poly_literal,
+)
 
 
 def mono_eval(mono, n):
@@ -51,6 +56,15 @@ class TestFromMonomial:
 
     def test_trailing_zeros_stripped(self):
         assert IntPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
+
+    def test_degree_bound(self):
+        # trailing zeros do not count towards it, in either basis
+        top = (1,) + (0,) * (MAX_DEGREE - 1) + (1,)
+        assert IntPolynomial(top + (0,) * 10**5).degree == MAX_DEGREE
+        assert IntPolynomial.from_monomial(list(top) + [0] * 10**5).degree == MAX_DEGREE
+        for make in (IntPolynomial, IntPolynomial.from_monomial):
+            with pytest.raises(ValueError, match=f"degree {MAX_DEGREE + 1} exceeds"):
+                make((1, 0) + top[1:])
 
 
 class TestEval:
@@ -132,6 +146,11 @@ class TestSerialization:
     def test_parse_rejects_garbage(self, text):
         with pytest.raises(ValueError):
             parse_poly_literal(text)
+
+    @pytest.mark.parametrize("prefix", ["", "poly:", "binom:"])
+    def test_parse_rejects_nesting_past_the_recursion_limit(self, prefix):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_poly_literal(prefix + "[" * 5000 + "]" * 5000)
 
 
 class TestIrreducibility:
