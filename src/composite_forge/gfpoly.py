@@ -9,10 +9,11 @@ works on numpy int64 arrays with one prime per row, so a whole table of
 primes takes a fixed number of numpy calls. A row polynomial is an (n, w)
 array, ascending, zero-padded to the common width w, each row with its own
 degree (`gf_degree_rows`).
-- `pow_mod_rows`: b^e mod p per row (the Fermat inverses);
+- `pow_mod_rows`: b^e mod p per row, by fixed windows of exponent bits;
 - `gf_powmod_half_rows`: (X + a)^e modulo a monic modulus of one degree d,
   and (X + a)^(e >> 1) on the way;
-- `gf_gcd_rows`: the monic gcd, by division-free Euclid steps;
+- `gf_gcd_rows`: the monic gcd, by division-free Euclid steps, with an
+  inverse taken only for a gcd of positive degree;
 - `gf_div_rows`: the quotient by a monic divisor.
 They keep every coefficient they return in [0, p) and only ever multiply
 two reduced coefficients, so each product stays below p^2 < 2^62. The other
@@ -33,6 +34,10 @@ Poly = tuple[int, ...]
 
 # exclusive bound on the primes of the row kernels (int64 exactness)
 ROW_PRIME_BOUND = 1 << 31
+
+# exponent bits per step of pow_mod_rows, which keeps a table of
+# 2^POW_WINDOW_BITS powers per row
+POW_WINDOW_BITS = 3
 
 
 def gf_trim(c: list[int]) -> Poly:
@@ -118,19 +123,30 @@ def pow_mod_rows(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
     """b_i^e_i mod p_i for every row; b_i in [0, p_i), e_i >= 0 and
     p_i < ROW_PRIME_BOUND.
 
-    Left-to-right square and multiply over the bits of the largest
-    exponent; a row whose exponent is shorter squares 1 until its top bit.
+    Left to right by fixed windows (Brauer's k-ary method): a table holds
+    b^j for every window value j < 2^POW_WINDOW_BITS, and each window of
+    the longest exponent, from the top, squares POW_WINDOW_BITS times and
+    multiplies by the table entry its digits pick. A row whose exponent is
+    shorter picks 1 until its own top window.
     """
-    nbits = int(e.max(initial=0)).bit_length()
-    # on[j, i] is bit j of e_i, unpacked from its little-endian bytes
-    on = np.unpackbits(
-        e.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, count=nbits, bitorder="little"
-    ).view(bool).T
-    r = np.ones_like(p)
-    for bit in reversed(range(nbits)):
-        r = r * r % p
-        r = np.where(on[bit], r * b % p, r)
-    return r
+    n = len(p)
+    powers = np.empty((1 << POW_WINDOW_BITS, n), dtype=np.int64)
+    powers[0] = 1
+    for j in range(1, 1 << POW_WINDOW_BITS):
+        powers[j] = powers[j - 1] * b % p
+    flat, cols = powers.ravel(), np.arange(n)
+    r = None
+    for shift in reversed(range(0, int(e.max(initial=0)).bit_length(), POW_WINDOW_BITS)):
+        pick = flat[(e >> shift & (1 << POW_WINDOW_BITS) - 1) * n + cols]
+        if r is None:  # the top window starts from 1, so it only picks
+            r = pick
+            continue
+        for _ in range(POW_WINDOW_BITS):
+            np.multiply(r, r, out=r)
+            np.remainder(r, p, out=r)
+        np.multiply(r, pick, out=r)
+        np.remainder(r, p, out=r)
+    return np.ones_like(p) if r is None else r
 
 
 def gf_powmod_half_rows(
@@ -231,8 +247,9 @@ def gf_gcd_rows(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     df + dg by one. A row is done when dg reaches -1, since G is then zero,
     so no row takes more than 2w - 1 steps; a done row that steps on keeps
     F as it is, and F is the gcd, of degree df. Each sum is of two products
-    of reduced values, below 2 p^2 < 2^63. One batched Fermat inverse of
-    the leading coefficients then makes every gcd monic.
+    of reduced values, below 2 p^2 < 2^63. A gcd of positive degree is
+    then made monic by one batched Fermat inverse of its leading
+    coefficient; a constant gcd is 1 with no power taken.
     """
     _check_row_primes(p, "gf_gcd_rows")
     w = a.shape[1]
@@ -249,7 +266,13 @@ def gf_gcd_rows(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
         g = np.empty_like(h)
         g[0], g[1:] = 0, h[:-1]
         df, dg = np.where(swap, dg, df), np.where(swap, df, dg) - 1
-    return gf_shift_rows(f.T, df - (w - 1)) * pow_mod_rows(f[-1], p - 2, p)[:, None] % p[:, None]
+    # a gcd of positive degree is made monic by its lead's inverse, a
+    # constant one is 1, and a zero one stays zero
+    out = gf_shift_rows(f.T, df - (w - 1))
+    pos = np.flatnonzero(df > 0)
+    out[pos] = out[pos] * pow_mod_rows(f[-1, pos], p[pos] - 2, p[pos])[:, None] % p[pos, None]
+    out[df == 0, 0] = 1
+    return out
 
 
 def gf_div_rows(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -5,13 +5,14 @@ vanishes mod p, with I_p = () whenever p <= B or p divides the leading
 coefficient (those primes are never used by the sieve). It holds them as
 the two arrays of its cache file, the root counts and the roots in prime
 order, and builds the map from a prime to I_p on first lookup only. The
-primes not excluded go through one algebraic route, one batch per table: a
-linear solve for degree 1, and for degree 2 the discriminant plus the row
-kernel `primes.sqrt_and_inverse_rows`, which takes the square roots and the
-inverses of 2 c_2 for a block of ROW_BLOCK primes in one Tonelli-Shanks
-pass. Beyond that no step loops over the primes: every step is a row kernel
-of `gfpoly`, with one numpy row per prime. The companion is made monic mod
-every prime at once. One kernel run (`gf_powmod_half_rows`) takes the Euler
+primes not excluded go through one algebraic route, one batch per table,
+on monic rows: the companion is divided by its content, and only a leading
+coefficient other than 1 is inverted, by one batched power. Degree 1 reads
+its root off, and degree 2 takes (-c_1 +- s)(p + 1)/2 with the square root
+s of the discriminant from the row kernel `primes.sqrt_mod_rows`, for a
+block of ROW_BLOCK primes in one Tonelli-Shanks pass. Beyond that no step
+loops over the primes: every step is a row kernel of `gfpoly`, with one
+numpy row per prime. One kernel run (`gf_powmod_half_rows`) takes the Euler
 power w = (X + a1)^((p-1)/2) mod (f, p) for the first shift a1 and, one
 ladder step on, (X + a1)^p = X^p + a1, so X^p mod (f, p) as well.
 `gf_gcd_rows` takes g = gcd(X^p - X, f), the product of the distinct linear
@@ -52,7 +53,7 @@ from .gfpoly import (
 )
 from .gfpoly import gf_powmod  # noqa: F401  (bench/harness.py traces modroots.gf_powmod)
 from .poly import IntPolynomial
-from .primes import mod_rows, sieve_primes, sqrt_and_inverse_rows
+from .primes import mod_rows, sieve_primes, sqrt_mod_rows
 
 _CACHE_MAGIC = b"CFROOTS2"
 
@@ -71,18 +72,19 @@ SPLIT_WORK = 1152
 SHIFT_STEP = 3474701543
 
 
-def _quad_roots(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The root count of c2 x^2 + c1 x + c0 mod every row prime, and the
+def _quad_roots(c0: np.ndarray, c1: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The root count of x^2 + c1 x + c0 mod every row prime, and the
     roots, ascending within a row and a double root once, in row order;
-    coefficients in [0, p), p odd and not dividing c2. The rows go
-    ROW_BLOCK at a time, so no temporary outgrows a block."""
+    coefficients in [0, p), p odd. The roots are (-c1 +- s) (p + 1)/2 for
+    a square root s of the discriminant. The rows go ROW_BLOCK at a time,
+    so no temporary outgrows a block."""
     counts, flat = [], []
     for i in range(0, max(len(p), 1), ROW_BLOCK):
-        b0, b1, b2, q = (v[i : i + ROW_BLOCK] for v in (c0, c1, c2, p))
-        disc = (b1 * b1 - 4 * (b2 * b0 % q)) % q
-        s, inv = sqrt_and_inverse_rows(disc, 2 * b2 % q, q)
-        r1 = (s - b1) % q * inv % q
-        r2 = (-s - b1) % q * inv % q
+        b0, b1, q = (v[i : i + ROW_BLOCK] for v in (c0, c1, p))
+        s = sqrt_mod_rows((b1 * b1 - 4 * b0) % q, q)
+        half = (q + 1) >> 1
+        r1 = (s - b1) % q * half % q
+        r2 = (-s - b1) % q * half % q
         pair = np.stack((np.minimum(r1, r2), np.maximum(r1, r2)), axis=1)
         # s is -1 where there is no root, and 0 for a double root
         has = np.stack((s >= 0, s > 0), axis=1)
@@ -98,17 +100,19 @@ def _roots_algebraic(comp: tuple[int, ...], ps: np.ndarray) -> tuple[np.ndarray,
     reduction keeps the full degree."""
     d = len(comp) - 1
     n = len(ps)
+    # the companion's primitive part, made monic mod every prime: a prime of
+    # the content divides the leading coefficient, so it is no row, and a
+    # monic f such as x, x^2 + 1 or x^3 + 2 takes no inverse at all
+    content = math.gcd(*comp)
+    cs = [mod_rows(c // content, ps) for c in comp]
+    if comp[-1] != content:
+        inv = pow_mod_rows(cs[-1], ps - 2, ps)
+        cs = [c * inv % ps for c in cs]
     if d == 1:
-        # -c0 / c1, the inverses by pow: a row kernel costs more on the few
-        # hundred primes of a verifier's table
-        inv = map(pow, itertools.repeat(comp[1]), itertools.repeat(-1), ps.tolist())
-        roots = mod_rows(-comp[0], ps) * np.fromiter(inv, dtype=np.int64, count=n) % ps
-        return np.ones(n, dtype=np.int64), roots
+        return np.ones(n, dtype=np.int64), -cs[0] % ps
     if d == 2:
-        return _quad_roots(*(mod_rows(c, ps) for c in comp), ps)
-    # the companion mod every prime, made monic by one batched inverse
-    monic = np.stack([mod_rows(c, ps) for c in comp], axis=1)
-    monic = monic * pow_mod_rows(monic[:, -1], ps - 2, ps)[:, None] % ps[:, None]
+        return _quad_roots(cs[0], cs[1], ps)
+    monic = np.stack(cs, axis=1)
     # Frobenius step, for every prime in one kernel run: the Euler power
     # euler = (X + a1)^((p-1)/2) mod (f, p), with a1 the first shift of the
     # splitting rounds, and one step on (X + a1)^p = X^p + a1, which gives
@@ -169,7 +173,7 @@ def _roots_algebraic(comp: tuple[int, ...], ps: np.ndarray) -> tuple[np.ndarray,
     # the quadratic factors of every row, solved together; each has two
     # distinct roots, since g is squarefree and splits into linear factors
     qrows, qhs = (np.concatenate(v) for v in zip(*quads))
-    k, roots = _quad_roots(qhs[:, 0], qhs[:, 1], qhs[:, 2], ps[qrows])
+    k, roots = _quad_roots(qhs[:, 0], qhs[:, 1], ps[qrows])
     found.append((np.repeat(qrows, k), roots))
     rows, roots = (np.concatenate(v) for v in zip(*found))
     return np.bincount(rows, minlength=n), roots[np.lexsort((roots, rows))]

@@ -7,7 +7,7 @@ certificates are reproducible byte for byte.
 certificate's N and b1 (thousands of digits) modulo every sieve prime, and
 `product` multiplies many primes by halves.
 
-The row kernels (`mod_rows`, `sqrt_and_inverse_rows`, with
+The row kernels (`mod_rows`, `sqrt_mod_rows`, with the windowed
 `gfpoly.pow_mod_rows`) work on int64 arrays with one prime per row, so the
 quadratic root finder solves a whole block of primes in a fixed number of
 numpy calls instead of one Tonelli-Shanks per prime. Like the polynomial row
@@ -184,21 +184,17 @@ def _nonresidues(p: np.ndarray) -> np.ndarray:
     return z
 
 
-def sqrt_and_inverse_rows(
-    a: np.ndarray, u: np.ndarray, p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the smaller square root of a_i mod the odd prime p_i (-1
-    where a_i is a non-residue) and the inverse of u_i mod p_i.
+def sqrt_mod_rows(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Per row, the smaller square root of a_i mod the odd prime p_i, -1
+    where a_i is a non-residue.
 
-    a_i in [0, p_i), u_i in [1, p_i), 3 <= p_i < ROW_PRIME_BOUND. Write
-    p - 1 = q 2^s with q odd. The quadratic formula needs both results, so
-    they share one exponentiation pass, which holds every row's powers:
+    a_i in [0, p_i), 3 <= p_i < ROW_PRIME_BOUND. Write p - 1 = q 2^s with
+    q odd. One exponentiation pass holds every row's powers:
       s = 1 (p = 3 mod 4): r = a^((q+1)/2) = a^((p+1)/4);
       s = 2 (p = 5 mod 8): Atkin's formula, v = (2a)^((q-1)/2) =
         (2a)^((p-5)/8) and r = a v (2a v^2 - 1);
       s >= 3 (p = 1 mod 8): w = a^((q-1)/2), so r = a w and t = a w^2 =
-        a^q, and c = z^q for a non-residue z (`_nonresidues`);
-      every row: u^(p-2).
+        a^q, and c = z^q for a non-residue z (`_nonresidues`).
     Rows with s >= 3 then run Tonelli-Shanks from the top step down: at
     step k = s - 1 .. 1, when t^(2^(k-1)) != 1, r *= c and t *= c^2; then
     c squares. That keeps r^2 = a t and halves the order of t each step,
@@ -208,7 +204,7 @@ def sqrt_and_inverse_rows(
     which is also the residue test of the rows with s <= 2.
     """
     if len(p) and (p.min() < 3 or p.max() >= ROW_PRIME_BOUND):
-        raise ValueError(f"sqrt_and_inverse_rows needs odd primes in [3, {ROW_PRIME_BOUND})")
+        raise ValueError(f"sqrt_mod_rows needs odd primes in [3, {ROW_PRIME_BOUND})")
     low = (p - 1) & (1 - p)  # lowest set bit of p - 1
     s = np.frexp(low.astype(np.float64))[1] - 1
     order = np.argsort(-s, kind="stable")
@@ -219,12 +215,11 @@ def sqrt_and_inverse_rows(
     base[n1:n2] %= p[n1:n2]
     p1 = p[:n1]
     powers = pow_mod_rows(
-        np.concatenate((base, _nonresidues(p1), u[order])),
-        np.concatenate(((q >> 1) + (s == 1), q[:n1], p - 2)),
-        np.concatenate((p, p1, p)),
+        np.concatenate((base, _nonresidues(p1))),
+        np.concatenate(((q >> 1) + (s == 1), q[:n1])),
+        np.concatenate((p, p1)),
     )
-    n = len(p)
-    w, c, inv = powers[:n], powers[n : n + n1], powers[n + n1 :]
+    w, c = powers[: len(p)], powers[len(p) :]
     r = a * w % p  # s >= 2: a w, and t = a w^2 for s >= 3
     t = r[:n1] * w[:n1] % p1
     p5, v = p[n1:n2], w[n1:n2]
@@ -246,6 +241,4 @@ def sqrt_and_inverse_rows(
     r[r * r % p != a] = -1
     out = np.empty_like(r)
     out[order] = r
-    inv_out = np.empty_like(inv)
-    inv_out[order] = inv
-    return out, inv_out
+    return out

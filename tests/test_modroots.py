@@ -1,8 +1,9 @@
 """Root tables: the algebraic root finder against an exhaustive oracle; the
-batched Frobenius, gcd and division kernels, the root finder and the row
-square-root kernel against the scalar and per-prime routes they replaced;
-the prime-indexed accessors, the binary cache, density statistics, and
-residue collision counts."""
+batched Frobenius, gcd and division kernels, the root finder, the row
+square-root kernel and the windowed row power against the scalar and
+per-prime routes they replaced, and which powers a table takes; the
+prime-indexed accessors, the binary cache (its bytes pinned), density
+statistics, and residue collision counts."""
 
 import bisect
 import hashlib
@@ -13,9 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import composite_forge.gfpoly as gfpoly_mod
 import composite_forge.modroots as modroots_mod
+import composite_forge.primes as primes_mod
 from composite_forge.gfpoly import (
     ROW_PRIME_BOUND,
+    gf_degree_rows,
     gf_div_rows,
     gf_divmod,
     gf_gcd,
@@ -48,7 +52,7 @@ from composite_forge.primes import (
     product,
     residues_mod,
     sieve_primes,
-    sqrt_and_inverse_rows,
+    sqrt_mod_rows,
 )
 
 
@@ -66,6 +70,34 @@ def oracle_roots(f, p):
     if p <= f.degree or comp[-1] % p == 0:
         return ()
     return scan_roots(comp, p)
+
+
+# sha256 of the cache file of each table, by test id: (literal, digest,
+# limit). The first five are the files the two-array writer (root counts,
+# then the roots) produced for tables the per-prime route gave. The others
+# were recorded before the root finder moved to monic rows: the largest
+# tables of the bench's roots grid, and the non-monic inverse paths (3x + 1;
+# 3x^2 + 5x + 7, whose companion has content 2; 5x^3 + 3x^2 - x + 1).
+# `python tests/test_modroots.py` prints every digest as the code gives it
+CACHE_PINS = {
+    "x^2+1-1e4": ("poly:[1,0,1]", "b722c907e6afc0c1ea57f930b430702bba31ebdd0cd1d3dd8e742ae4e648a854", 10**4),
+    "x^3+2-1e4": ("poly:[2,0,0,1]", "8b0051cab7ae1c27ba33a8391190fc370be0eda5f552807d1bfeacc0d84902ef", 10**4),
+    "x^2+1-1e5": ("poly:[1,0,1]", "1e2b1c330a8c7ddca0fabbf9d7c42a45f784091df05ef18bfc1662fe13854083", 10**5),
+    "x^3-3x+1-3e4": ("poly:[1,-3,0,1]", "303daf9dcaa58966ff884380b76df22d5135f04de4d5a368e4c9d2be7893f1ae", 3 * 10**4),
+    "x^4+1-3e4": ("poly:[1,0,0,0,1]", "97a1bd5b06d7a73efb67302e5c359b8ac24403da6ec8f27c976cec0ba3394376", 3 * 10**4),
+    "x^2+1-1e6": ("poly:[1,0,1]", "001b0a529786ac22b3333152aa6b146123a95810ed82b0b98f9f83bc6451b267", 10**6),
+    "x^3+2-1e5": ("poly:[2,0,0,1]", "99d6534428f21e8534c5103bcf5cb6c2e341663cb2d993a8e1ff9227d7f1390f", 10**5),
+    "3x+1-3e4": ("poly:[1,3]", "b7aa5254bec8645f5188e72c3e18d2cdf6b2a849209394f18cb57fae4ad4c202", 3 * 10**4),
+    "3x^2+5x+7-3e4": ("poly:[7,5,3]", "500283cbd8594c24bfe69f8dab243a64ed5def1eca66de9af06eaea730b0ae4e", 3 * 10**4),
+    "5x^3+3x^2-x+1-3e4": ("poly:[1,-1,3,5]", "efff985f15f5735cdb1c9ea5e32f080be74c0e422e3622dc94e2d98ee84ae192", 3 * 10**4),
+}
+
+
+def cache_digest(f, limit, cache_dir):
+    """sha256 of the cache file that building f's table up to limit writes."""
+    build_root_table(f, limit, cache_dir=cache_dir)
+    with open(_cache_path(cache_dir, f, limit), "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 class TestRootsModP:
@@ -419,12 +451,11 @@ SQRT_PRIMES = BATCH_PRIMES + TOP_PRIMES + DEEP_PRIMES + [3, 5, 7, 11, 13, 17, 41
 
 @st.composite
 def sqrt_rows(draw):
-    """Rows (a, u, p): a is 0, a square or any value mod p, u any unit."""
+    """Rows (a, p): a is 0, a square or any value mod p."""
     rows = []
     for p in draw(st.lists(st.sampled_from(SQRT_PRIMES), min_size=1, max_size=40)):
         x = draw(st.integers(0, p - 1))
-        a = draw(st.sampled_from([0, x * x % p, x]))
-        rows.append((a, draw(st.integers(1, p - 1)), p))
+        rows.append((draw(st.sampled_from([0, x * x % p, x])), p))
     return rows
 
 
@@ -432,12 +463,10 @@ class TestRowSqrt:
     @given(sqrt_rows())
     @settings(max_examples=200, deadline=None)
     def test_matches_the_scalar_oracle(self, rows):
-        a, u, p = (np.array(v, dtype=np.int64) for v in zip(*rows))
-        roots, invs = sqrt_and_inverse_rows(a, u, p)
-        for (ai, ui, pi), r, inv in zip(rows, roots.tolist(), invs.tolist()):
+        a, p = (np.array(v, dtype=np.int64) for v in zip(*rows))
+        for (ai, pi), r in zip(rows, sqrt_mod_rows(a, p).tolist()):
             want = sqrt_mod_prime(ai, pi)
             assert r == (-1 if want is None else want), (ai, pi)
-            assert ui * inv % pi == 1, (ui, pi)
 
     @pytest.mark.parametrize("p", TOP_PRIMES + DEEP_PRIMES)
     def test_zero_squares_and_nonresidues_at_the_edges(self, p):
@@ -445,7 +474,7 @@ class TestRowSqrt:
         xs = [1, 2, 3, p - 1, p // 2, 12345]
         a = [0] + [x * x % p for x in xs] + [z * x * x % p for x in xs]
         ps = np.full(len(a), p, dtype=np.int64)
-        roots, _ = sqrt_and_inverse_rows(np.array(a, dtype=np.int64), ps - 1, ps)
+        roots = sqrt_mod_rows(np.array(a, dtype=np.int64), ps)
         got = [None if r < 0 else r for r in roots.tolist()]
         assert got == [sqrt_mod_prime(ai, p) for ai in a]
         assert got.count(None) == len(xs)
@@ -454,12 +483,11 @@ class TestRowSqrt:
         one = np.ones(1, dtype=np.int64)
         for p in (ROW_PRIME_BOUND + 11, 2):
             with pytest.raises(ValueError):
-                sqrt_and_inverse_rows(one, one, one * p)
+                sqrt_mod_rows(one, one * p)
 
     def test_empty_block(self):
         empty = np.empty(0, dtype=np.int64)
-        roots, invs = sqrt_and_inverse_rows(empty, empty, empty)
-        assert roots.shape == invs.shape == (0,)
+        assert sqrt_mod_rows(empty, empty).shape == (0,)
 
     @given(
         st.lists(st.tuples(st.integers(0, 2**62), st.integers(0, 2**40)), min_size=1, max_size=20),
@@ -476,6 +504,43 @@ class TestRowSqrt:
     @settings(max_examples=100, deadline=None)
     def test_mod_rows_is_exact_for_any_size(self, c, primes):
         assert mod_rows(c, np.array(primes, dtype=np.int64)).tolist() == [c % p for p in primes]
+
+
+def i64(values) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
+class TestRowPower:
+    """pow_mod_rows, by fixed windows of POW_WINDOW_BITS exponent bits,
+    against pow, with exponents of every length in one batch, so most rows
+    are shorter than the longest and start with windows of zeros."""
+
+    @given(st.lists(st.tuples(st.sampled_from(SQRT_PRIMES), st.integers(1, 2**31)), min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_fermat_inverses(self, rows):
+        p, u = i64([q for q, _ in rows]), i64([max(x % q, 1) for q, x in rows])
+        assert (u * pow_mod_rows(u, p - 2, p) % p == 1).all()
+
+    @pytest.mark.parametrize("p", [2, 3, 257, 2**31 - 1])
+    def test_every_bit_length(self, p):
+        # three exponents of each length 1 .. 62, so the top bit falls in
+        # every position of its window; all in one batch, then each alone
+        e = [x for n in range(1, 63) for x in (1 << n - 1, (1 << n) - 1, (1 << n) - 1 ^ (1 << n) // 3)]
+        assert [x.bit_length() for x in e] == [n for n in range(1, 63) for _ in range(3)]
+        for b in {0, 1, 2 % p, p - 1, 12345 % p}:
+            got = pow_mod_rows(i64([b] * len(e)), i64(e), i64([p] * len(e)))
+            assert got.tolist() == [pow(b, x, p) for x in e], b
+        for x in e:
+            assert pow_mod_rows(i64([3 % p]), i64([x]), i64([p])).tolist() == [pow(3, x, p)], x
+
+    def test_zero_exponents_and_empty_rows(self):
+        p, zero = i64([2, 3, 7, 2**31 - 1]), i64([0] * 4)
+        assert pow_mod_rows(zero, zero, p).tolist() == [1, 1, 1, 1]
+        assert pow_mod_rows(p - 1, zero, p).tolist() == [1, 1, 1, 1]
+        # e = 0 beside a long exponent: the row picks 1 from every window
+        got = pow_mod_rows(i64([5, 5]), i64([0, 2**62 - 1]), i64([7, 7]))
+        assert got.tolist() == [1, pow(5, 2**62 - 1, 7)]
+        assert pow_mod_rows(i64([]), i64([]), i64([])).shape == (0,)
 
 
 def reference_primes(limit: int) -> list[int]:
@@ -621,6 +686,54 @@ class TestBatchedRoute:
         table = build_root_table(f, 3000)
         assert table.roots[101] == table.roots[2003] == (7,)
 
+    @staticmethod
+    def record_powers(monkeypatch):
+        """Patch pow_mod_rows wherever the root finder calls it; the list
+        gets the (exponents, primes) of every call."""
+        calls = []
+
+        def recording(b, e, p):
+            calls.append((e.copy(), p.copy()))
+            return pow_mod_rows(b, e, p)
+
+        for mod in (gfpoly_mod, primes_mod, modroots_mod):
+            monkeypatch.setattr(mod, "pow_mod_rows", recording)
+        return calls
+
+    @staticmethod
+    def fermat_rows(calls):
+        # at p = 3 the square-root exponent (p + 1)/4 is also p - 2 = 1
+        return sum(int(((e == p - 2) & (p > 3)).sum()) for e, p in calls)
+
+    def test_monic_tables_take_no_fermat_inverse(self, monkeypatch):
+        calls = self.record_powers(monkeypatch)
+
+        def no_pow(*args):
+            raise AssertionError("a per-prime pow")
+
+        monkeypatch.setattr(modroots_mod, "pow", no_pow, raising=False)
+        build_root_table(IntPolynomial.from_monomial([0, 1]), 10**4)
+        assert calls == []
+        build_root_table(IntPolynomial.from_monomial([1, 0, 1]), 10**4)
+        assert calls and self.fermat_rows(calls) == 0
+
+    def test_cubic_inverts_only_gcds_of_positive_degree(self, monkeypatch):
+        calls = self.record_powers(monkeypatch)
+        gcds = []  # per gf_gcd_rows call: its slice of calls and its positive-degree rows
+
+        def recording_gcd(a, b, p):
+            start = len(calls)
+            g = gf_gcd_rows(a, b, p)
+            gcds.append((start, len(calls), int((gf_degree_rows(g) > 0).sum())))
+            return g
+
+        monkeypatch.setattr(modroots_mod, "gf_gcd_rows", recording_gcd)
+        build_root_table(IntPolynomial.from_monomial([2, 0, 0, 1]), 10**4)
+        positive = [k for _, _, k in gcds]
+        assert sum(positive) > 0
+        assert [self.fermat_rows(calls[i:j]) for i, j, _ in gcds] == positive
+        assert self.fermat_rows(calls) == sum(positive)
+
     def test_limit_at_the_kernel_bound_refused_before_sieving(self, f_x, monkeypatch):
         def no_sieve(limit):
             raise AssertionError("sieved")
@@ -742,24 +855,10 @@ class TestCache:
         assert build_root_table(f_x, 500, cache_dir=d).roots[13] == (0,)
         assert build_root_table(f_x2p1, 500, cache_dir=d).roots[13] == (5, 8)
 
-    @pytest.mark.parametrize(
-        "literal, digest, limit",
-        [
-            ("poly:[1,0,1]", "b722c907e6afc0c1ea57f930b430702bba31ebdd0cd1d3dd8e742ae4e648a854", 10**4),
-            ("poly:[2,0,0,1]", "8b0051cab7ae1c27ba33a8391190fc370be0eda5f552807d1bfeacc0d84902ef", 10**4),
-            ("poly:[1,0,1]", "1e2b1c330a8c7ddca0fabbf9d7c42a45f784091df05ef18bfc1662fe13854083", 10**5),
-            ("poly:[1,-3,0,1]", "303daf9dcaa58966ff884380b76df22d5135f04de4d5a368e4c9d2be7893f1ae", 3 * 10**4),
-            ("poly:[1,0,0,0,1]", "97a1bd5b06d7a73efb67302e5c359b8ac24403da6ec8f27c976cec0ba3394376", 3 * 10**4),
-        ],
-        ids=["x^2+1-1e4", "x^3+2-1e4", "x^2+1-1e5", "x^3-3x+1-3e4", "x^4+1-3e4"],
-    )
+    @pytest.mark.parametrize("literal, digest, limit", list(CACHE_PINS.values()), ids=list(CACHE_PINS))
     def test_cache_bytes_pinned(self, literal, digest, limit, tmp_path):
-        # digests of the files the two-array writer (root counts, then the
-        # roots) produced for tables the per-prime route gave
         f = parse_poly_literal(literal)
-        build_root_table(f, limit, cache_dir=str(tmp_path))
-        data = open(_cache_path(str(tmp_path), f, limit), "rb").read()
-        assert hashlib.sha256(data).hexdigest() == digest
+        assert cache_digest(f, limit, str(tmp_path)) == digest
         assert build_root_table(f, limit, cache_dir=str(tmp_path)).roots == build_root_table(f, limit).roots
 
     def test_cached_equals_fresh(self, tmp_path, monkeypatch):
@@ -887,3 +986,11 @@ class TestResidueCollisions:
         # m = 0 mod q hits the self-difference for every usable q
         m = 5 * 13 * 17
         assert residue_collision_count(table_x2p1_100, m, 2, 20) == 3
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for name, (literal, _, limit) in CACHE_PINS.items():
+        with tempfile.TemporaryDirectory() as d:
+            print(f"    {name!r}: ({literal!r}, {cache_digest(parse_poly_literal(literal), limit, d)!r}, {limit}),")
