@@ -214,17 +214,21 @@ def gf_powmod_half_rows(
 
 def gf_degree_rows(a: np.ndarray) -> np.ndarray:
     """The degree of every row of an (n, w) coefficient array, -1 for a
-    zero row."""
-    nz = a != 0
-    return np.where(nz.any(axis=1), a.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
+    zero row: the largest j + 1 over its nonzero columns j, less one. The
+    max runs coefficient-major, over w rows of n, since numpy reduces a
+    short inner axis one row at a time."""
+    nonzero = np.ascontiguousarray(a.T) != 0
+    return (nonzero * np.arange(1, a.shape[1] + 1)[:, None]).max(axis=0, initial=0) - 1
 
 
 def gf_shift_rows(a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """X^s_i * a_i for every row, in a's width: terms pushed above it or
-    below X^0 (s_i < 0) are dropped."""
-    cols = np.arange(a.shape[1]) - s[:, None]
-    inside = (cols >= 0) & (cols < a.shape[1])
-    return np.where(inside, np.take_along_axis(a, np.clip(cols, 0, a.shape[1] - 1), axis=1), 0)
+    """X^s_i * a_i for every row, in a's width w, for |s_i| <= w: terms
+    pushed above it or below X^0 (s_i < 0) are dropped. One gather from a
+    copy of a with w zero columns on either side."""
+    n, w = a.shape
+    padded = np.zeros((n, 3 * w), dtype=a.dtype)
+    padded[:, w : 2 * w] = a
+    return padded.ravel()[np.arange(w) + (w - s + 3 * w * np.arange(n))[:, None]]
 
 
 def gf_gcd_rows(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -297,8 +301,9 @@ def gf_div_rows(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     for t in range(steps):
         coef[:, t] = a[w - 1 - t]
         a[: w - t] = (a[: w - t] - coef[:, t] * b[t:] % p) % p
-    # coef[:, t] is the quotient's coefficient of degree deg a - deg b - t
-    return gf_shift_rows(coef[:, ::-1], da - db - (w - 1))
+    # coef[:, t] is the quotient's coefficient of degree deg a - deg b - t;
+    # a row with deg a < deg b has quotient 0, which a shift of -w gives
+    return gf_shift_rows(coef[:, ::-1], np.maximum(da - db, -1) - (w - 1))
 
 
 def gf_gcd(a: Poly, b: Poly, p: int) -> Poly:

@@ -36,7 +36,6 @@ import itertools
 import math
 import os
 import struct
-from collections.abc import Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -214,23 +213,6 @@ class RootTable:
         tuples = map(tuple, map(itertools.islice, itertools.repeat(it), self.counts.tolist()))
         return MappingProxyType(dict(zip(self.primes.tolist(), tuples)))
 
-    def roots_of(self, qs: Sequence[int]) -> list[list[int]]:
-        """I_q as a list for each int q of qs, in order: [] for one that is
-        no prime of the table (composite, or outside [2, limit], however
-        large). One searchsorted places every q, and each list is a slice
-        of `flat`, so no other prime's roots are read."""
-        needles = np.array([min(max(q, 0), self.limit + 1) for q in qs], dtype=np.int64)
-        at = np.searchsorted(self.primes, needles)
-        hit = at < len(self.primes)
-        hit[hit] = self.primes[at[hit]] == needles[hit]
-        count = np.zeros(len(needles), dtype=np.int64)
-        count[hit] = self.counts[at[hit]]
-        # each prime's roots end where the running count of roots reaches it
-        start = np.zeros_like(count)
-        start[hit] = np.cumsum(self.counts)[at[hit]] - count[hit]
-        flat = self.flat.tolist()
-        return [flat[s : s + k] for s, k in zip(start.tolist(), count.tolist())]
-
     def _span(self, lo: int | float, hi: int | float) -> slice:
         """The index range of the primes q with lo < q <= hi."""
         i, j = np.searchsorted(self.primes, (math.floor(lo), math.floor(hi)), side="right")
@@ -388,9 +370,13 @@ def residue_collision_count(table: RootTable, m: int, qmin: int, qmax: int) -> i
     return int(hit.sum())
 
 
-def companion_eval_mod(comp: tuple[int, ...], n: int, p: int) -> int:
-    """(B! * f)(n) mod p for a precomputed companion coefficient tuple."""
+def companion_eval_mod(comp: tuple[int, ...], n, p):
+    """(B! * f)(n) mod p for a precomputed companion coefficient tuple:
+    for ints n and p, or row-wise for int64 arrays with every n_i in
+    [0, p_i) and p_i < ROW_PRIME_BOUND. The coefficients, of any size, are
+    reduced first (`primes.mod_rows`), so each Horner step of a row stays
+    below p^2 + p < 2^63."""
     acc = 0
     for c in reversed(comp):
-        acc = (acc * n + c) % p
+        acc = (acc * n + mod_rows(c, p)) % p
     return acc

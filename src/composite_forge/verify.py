@@ -8,29 +8,33 @@ Compositeness inside the windows is always certified by a divisor witness
 testing appears only in the small-scale oracle.
 
 Both windows are the ones N, b1 and y give: I1 from 1 - b1, I2 from
-N + b1 - y. One pass over the listed moduli takes b1 mod each, and N mod
-each prime that vouches, whose roots (RootTable.roots_of) it checks against
-the companion; that gives each window start mod q. Both reductions go
-through primes.residues_mod, which divides the big number once per block of
-moduli, not once per modulus. Certificate integers and reported failures
-go to and from decimal through assemble.int_to_decimal and decimal_to_int:
-sub-quadratic above 640 digits, and never reading or setting the
-interpreter's int-string digit limit. The witness search is one
-least-prime-factor sieve per window: an int32 array over the window takes,
-prime by prime in descending order, one strided slice assignment per root,
-so each offset keeps its smallest witnessing prime; deep mode reads every
-offset, fast mode a sample. |f(n)| > q is proved once per window. Stored bounds and
-centers are only compared. The stored y is bounded by the formula length,
-and the stored x by what the certificate's N or listed primes can support
-(stored_x_bound) and by the root table's bound, before anything is sized
-by them.
+N + b1 - y. The listed moduli are held ascending, and one searchsorted in
+the root table gives each its roots' place and count. b1 is reduced by
+every listed modulus and N by each prime that vouches: b1 lies in its
+class, it exceeds the degree, and the companion, evaluated by one row
+Horner over every candidate root, confirms a root. That gives each window
+start mod q. Both reductions go through primes.residues_mod, which divides
+the big number once per block of moduli, not once per modulus. Certificate
+integers and reported failures go to and from decimal through
+assemble.int_to_decimal and decimal_to_int: sub-quadratic above 640
+digits, and never reading or setting the interpreter's int-string digit
+limit. The witness search is one least-prime-factor sieve per window on
+int64 rows (q, root, s), one per root (find_witness): a uint32 array over
+the window takes the rows of large q in one gather and the others in one
+strided slice each, so each offset keeps its smallest witnessing prime;
+deep mode reads every offset, fast mode a sample, and failures and
+witness counts are read off the result with numpy. |f(n)| > q is proved
+once per window. Stored bounds and centers are only compared. The stored
+y is bounded by the formula length, and the stored x by what the
+certificate's N or listed primes can support (stored_x_bound) and by the
+root table's bound, before anything is sized by them.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,43 +69,71 @@ class VerifyReport:
         }
 
 
+# A row (q, root, s) of find_witness with q * SPARSE_HITS > n hits [0, n)
+# at most SPARSE_HITS times, and all such rows are struck together by one
+# gather of SPARSE_HITS positions each; a row of smaller q takes a strided
+# slice, about 1 us each. Doubling the constant doubles every sparse row's
+# gather to spare the slices of the rows with q in (n/2H, n/H]. Timed for
+# H = 4 to 128 on deep windows (2-vCPU x86 host, numpy 2.4), 16 was the
+# fastest or within 5 % of it for f = x at x = 3000, 10^4 and 10^5 and for
+# x^2 + 1 at 3000; x^2 + 1 at 10^5, whose window is short for its primes,
+# took 1.5 ms at 8 against 2.2 ms at 16
+SPARSE_HITS = 16
+# what find_witness's uint32 array holds where no row hits: above every
+# row prime, so np.minimum.at never keeps it over a hit
+NO_HIT = 2**32 - 1
+
+
 def find_witness(
     base: int,
-    offsets: Sequence[int],
-    rows: list[tuple[int, list[int], int]],
+    offsets: np.ndarray,
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray],
     f: IntPolynomial,
-) -> list[int | None]:
+) -> np.ndarray:
     """Witnessing prime for each n = base + k, k in offsets (distinct, all
-    k >= 0): the smallest q of rows with q | f(n) and |f(n)| > q, so that
-    f(n) is composite, or None when no row works.
+    k >= 0), as an int32 array: the smallest q of rows with q | f(n) and
+    |f(n)| > q, so that f(n) is composite, or 0 when no row works.
 
-    A row (q, roots, s) holds a prime q > deg f, the roots of the companion
-    B!*f mod q, checked by the caller, and s = base mod q; rows ascend in q,
-    and q < 2^31 (ROW_PRIME_BOUND, as for every root table prime).
-    An offset k is a hit of q when (s + k) mod q is one of those roots. One
-    int32 array over [0, max(offsets)] is filled by walking the rows in
-    descending q with w[(r - s) mod q :: q] = q per root r, so the smallest
-    prime is written last and each offset ends up holding its smallest hit
-    (0 for none); the requested offsets are read from it. The size condition
-    is proved once for the whole group when the companion g = sum c_i n^i
-    gives c_d*base - sum_{i<d} |c_i| > B!*q_max with base >= 1, since then
+    rows is three int64 arrays (q, root, s), one entry per root: q a prime
+    > deg f, below 2^31 (ROW_PRIME_BOUND, as for every root table prime),
+    in ascending order; root a root of the companion B!*f mod q, checked
+    by the caller; s = base mod q. An offset k is a hit of the row when
+    (s + k) mod q is its root, which is every k = (root - s) mod q + j q.
+    One uint32 array over [0, max(offsets)] holds the smallest hit found
+    so far (NO_HIT for none). Rows with q * SPARSE_HITS greater than that
+    length are struck by one gather and np.minimum.at; the others, whose
+    primes are all smaller, then write their slices in descending q, so
+    each offset ends up with its smallest hit. The size condition is proved
+    once for the whole group when the companion g = sum c_i n^i gives
+    c_d*base - sum_{i<d} |c_i| > B!*q_max with base >= 1, since then
     |g(n)| >= n^(d-1) (c_d n - sum |c_i|) > B!*q_max for every n >= base;
     otherwise |f(n)| > q is checked exactly on each requested hit. A hit
     failing it has no witness at all, as every larger prime is larger still.
     """
+    q, root, s = rows
+    offsets = np.asarray(offsets, dtype=np.int64)
     comp = f.companion()
-    q_max = max((q for q, _, _ in rows), default=0)
     size_ok = base >= 1 and comp[-1] * base - sum(map(abs, comp[:-1])) > (
-        math.factorial(f.degree) * q_max
+        math.factorial(f.degree) * int(q.max(initial=0))
     )
-    w = np.zeros(max(offsets, default=-1) + 1, dtype=np.int32)
-    for q, roots, s in reversed(rows):
-        for r in roots:
-            w[(r - s) % q :: q] = q
-    smallest = w.tolist()
-    got = [smallest[k] or None for k in offsets]
+    n = int(offsets.max(initial=-1)) + 1
+    w = np.full(n, NO_HIT, dtype=np.uint32)
+    first = (root - s) % q
+    # rows [0, dense) have q * SPARSE_HITS <= n
+    dense = int(np.searchsorted(q, n // SPARSE_HITS, side="right"))
+    hits = first[dense:, None] + q[dense:, None] * np.arange(SPARSE_HITS)
+    inside = hits < n
+    hit_q = np.broadcast_to(q[dense:, None], hits.shape)[inside].astype(np.uint32)
+    np.minimum.at(w, hits[inside], hit_q)
+    for qi, k in zip(q[:dense][::-1].tolist(), first[:dense][::-1].tolist()):
+        w[k::qi] = qi
+    got = w[offsets]
+    got[got == NO_HIT] = 0
+    got = got.astype(np.int32)
     if not size_ok:
-        got = [q if q and abs(f.eval(base + k)) > q else None for k, q in zip(offsets, got)]
+        for j in np.flatnonzero(got).tolist():
+            if abs(f.eval(base + int(offsets[j]))) <= int(got[j]):
+                got[j] = 0
     return got
 
 
@@ -227,12 +259,27 @@ def verify_certificate(
         # no residue class modulo q < 2 can vouch for anything
         report.messages.append(f"modulus {q} is not a prime")
         del residues[q]
-    # each listed modulus's table roots, [] unless it is a usable prime <= x
-    table_roots = dict(zip(residues, table.roots_of(list(residues))))
+    # the listed moduli ascending, and where the table holds each one's
+    # roots: flat[start : start + count], count 0 unless it is a usable
+    # prime <= x. One searchsorted places them all; the moduli beyond the
+    # table, a suffix, are clamped to limit + 1, which is no prime of it
+    listed = sorted(residues)
+    beyond = bisect.bisect_right(listed, table.limit)
+    clamped = np.array(
+        listed[:beyond] + [table.limit + 1] * (len(listed) - beyond), dtype=np.int64
+    )
+    at = np.searchsorted(table.primes, clamped)
+    known = at < len(table.primes)
+    known[known] = table.primes[at[known]] == clamped[known]
+    count = np.zeros(len(listed), dtype=np.int64)
+    count[known] = table.counts[at[known]]
+    start = np.zeros_like(count)
+    start[known] = np.cumsum(table.counts, dtype=np.int64)[at[known]] - count[known]
+    usable = dict(zip(listed, (count > 0).tolist()))
     for q, r in residues.items():
         if not (0 <= r < q):
             report.messages.append(f"residue {r} out of range for prime {q}")
-        if not table_roots[q]:
+        if not usable[q]:
             report.messages.append(f"prime {q} is not a usable sieve prime below x")
     verdict = irreducibility_check(
         f, assert_irreducible=cert.irreducibility == "asserted-by-user"
@@ -275,35 +322,47 @@ def verify_certificate(
     # exceeds the degree and it has companion roots (a foreign prime has
     # none); b1 is reduced by every listed modulus and N by every prime that
     # vouches, each in blocks (residues_mod)
-    listed = sorted(residues)
-    vouching = []  # (q, roots, b1 mod q), ascending
-    for q, b1_q in zip(listed, residues_mod(b1, listed)):
-        if (b1_q - residues[q]) % q:
-            report.messages.append(f"b1 does not satisfy the residue for prime {q}")
-        elif q > degree:
-            roots = [r for r in table_roots[q] if companion_eval_mod(comp, r, q) == 0]
-            if roots:
-                vouching.append((q, roots, b1_q))
-    n_mod = residues_mod(n_target, [q for q, _, _ in vouching])
-    # one row per window, each with the window start mod q
-    rows = (
-        [(q, roots, (1 - b1_q) % q) for q, roots, b1_q in vouching],
-        [(q, roots, (n_q + b1_q - y) % q) for (q, roots, b1_q), n_q in zip(vouching, n_mod)],
+    b1_mod = residues_mod(b1, listed)
+    consistent = np.array(
+        [(b1_q - residues[q]) % q == 0 for q, b1_q in zip(listed, b1_mod)], dtype=bool
     )
+    for i in np.flatnonzero(~consistent).tolist():
+        report.messages.append(f"b1 does not satisfy the residue for prime {listed[i]}")
+    # one entry per table root of each candidate prime, ascending in q,
+    # re-checked against the companion in one row Horner
+    cand = np.flatnonzero(consistent & (count > 0) & (clamped > degree))
+    n_roots = count[cand]
+    q = np.repeat(clamped[cand], n_roots)
+    b1_q = np.repeat(np.array([b1_mod[i] for i in cand.tolist()], dtype=np.int64), n_roots)
+    # the roots of candidate i are its n_roots_i entries of flat from start_i
+    ends = np.cumsum(n_roots)
+    at_root = np.repeat(start[cand] - ends + n_roots, n_roots) + np.arange(len(q))
+    roots = table.flat[at_root].astype(np.int64)
+    keep = companion_eval_mod(comp, roots, q) == 0
+    q, roots, b1_q = q[keep], roots[keep], b1_q[keep]
+    # the primes that vouch are the distinct q, read off the sorted q
+    new_prime = np.ones(len(q), dtype=bool)
+    new_prime[1:] = q[1:] != q[:-1]
 
     # each window is sieved whole and read whole (deep) or at its ends, its
     # center and a seeded sample shared by both windows (fast)
     if y_bounded:
+        n_mod = np.array(residues_mod(n_target, q[new_prime].tolist()), dtype=np.int64)
+        # one row set per window, each with the window start mod q
+        window_starts = ((1 - b1_q) % q, (n_mod[np.cumsum(new_prime) - 1] + b1_q - y) % q)
         if not deep:
             rng = stage_rng(seed, VERIFY_SAMPLE_STREAM)
             sample = {0, y - 1, *map(int, rng.integers(0, y, size=max(1, int(sample_rate * 2 * y))))}
-        for base, window_rows, center in zip(starts, rows, (y // 2 - 1, y - y // 2)):
+        for base, s, center in zip(starts, window_starts, (y // 2 - 1, y - y // 2)):
             in_window = {center} if 0 <= center < y else set()
-            offsets = range(y) if deep else sorted(sample | in_window)
-            got = find_witness(base, offsets, window_rows, f)
+            offsets = np.arange(y) if deep else np.array(sorted(sample | in_window))
+            got = find_witness(base, offsets, (q, roots, s), f)
             report.checked += len(offsets)
-            report.failures.extend(base + k for k, q in zip(offsets, got) if q is None)
-            report.witness_primes.update(filter(None, got))
+            report.failures.extend(base + k for k in offsets[got == 0].tolist())
+            # witness counts indexed by the witness, so at most x + 1 of them
+            tally = np.bincount(got[got > 0])
+            hit = np.flatnonzero(tally)
+            report.witness_primes.update(dict(zip(hit.tolist(), tally[hit].tolist())))
     report.failures.sort()
     report.valid = not report.failures and not report.messages
     return report

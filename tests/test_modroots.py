@@ -766,14 +766,6 @@ class TestRootTable:
         assert table_x2p1_100.roots[13] == (5, 8)
         assert table_x2p1_100.roots[7] == ()
 
-    def test_roots_of_matches_the_map(self, table_x2p1_100):
-        # primes with and without roots, composites, 0, 1, a negative, and
-        # moduli above the limit or beyond int64, in no particular order
-        qs = [13, 7, 4, 97, 100, 101, 1, 0, -5, 2, 10**40 + 1, 89, 9, 5]
-        want = [list(table_x2p1_100.roots.get(q, ())) for q in qs]
-        assert table_x2p1_100.roots_of(qs) == want
-        assert table_x2p1_100.roots_of([]) == []
-
     def test_density_product_matches_direct(self, table_x2p1_100, table_x2p1_2000):
         # the running product keeps the loop's order, so the floats are equal
         for table, hi in ((table_x2p1_100, 50), (table_x2p1_2000, 1000.5)):

@@ -5,8 +5,12 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,8 @@ from composite_forge.verify import (
 
 from test_assemble import toy_certificate
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
 
 def reload(cert):
     """Round-trip through JSON so tampering happens on serialized content."""
@@ -56,7 +62,7 @@ class TestVerifyToyCertificate:
 
         def recording(base, offsets, *args):
             qs = inner(base, offsets, *args)
-            witnessed.extend((base + k, q) for k, q in zip(offsets, qs))
+            witnessed.extend((base + k, q) for k, q in zip(offsets.tolist(), qs.tolist()))
             return qs
 
         monkeypatch.setattr(verify_mod, "find_witness", recording)
@@ -376,7 +382,7 @@ def record_walk(monkeypatch) -> list[int]:
     inner = verify_mod.find_witness
 
     def recording(base, offsets, *args):
-        walked.extend(base + k for k in offsets)
+        walked.extend(base + k for k in offsets.tolist())
         return inner(base, offsets, *args)
 
     monkeypatch.setattr(verify_mod, "find_witness", recording)
@@ -458,11 +464,43 @@ def i2_shifted(cert):
     return cert
 
 
+def listed_too(q: int):
+    """A tamper listing q as one more cleanup modulus, with b1 in its class."""
+
+    def tamper(cert):
+        cert.stages.append(StageRecord("cleanup", "fwd", [(q, cert.placement.b1 % q)]))
+        return cert
+
+    return tamper
+
+
+def residues_out_of_range(cert):
+    """The first two medium residues r written as r - q and r + q: the
+    same classes, one negative and one at least q."""
+    st_rec = next(st for st in cert.stages if st.stage == "medium" and len(st.assignments) > 1)
+    (q1, r1), (q2, r2) = st_rec.assignments[:2]
+    st_rec.assignments[:2] = [(q1, r1 - q1), (q2, r2 + q2)]
+    return cert
+
+
+def constant_beyond_int64(cert):
+    """f + 2^64: the companion's constant term is at least 2^63, and the
+    roots of f move mod every listed prime."""
+    c = cert.poly.coeffs
+    cert.poly = IntPolynomial((c[0] + 2**64, *c[1:]))
+    return cert
+
+
 TAMPERS = {
     "none": lambda cert: cert,
     "corrupt-residue": corrupt_residue,
     "centers-outside": centers_outside,
     "i2-shifted": i2_shifted,
+    "modulus-beyond-2^64": listed_too(2**64 + 13),
+    "composite-below-x": listed_too(221),
+    "prime-above-x": listed_too(1009),
+    "residues-out-of-range": residues_out_of_range,
+    "constant-beyond-int64": constant_beyond_int64,
 }
 
 
@@ -580,9 +618,17 @@ class TestMutatedCertificates:
 
 
 def rows_for(base: int, primes_with_roots, degree: int):
-    """find_witness rows: each prime above the degree, its roots and base
-    mod q."""
-    return [(q, list(roots), base % q) for q, roots in primes_with_roots if q > degree]
+    """find_witness rows: for each root of each prime above the degree, the
+    prime, the root and base mod q, as three int64 arrays ascending in q."""
+    rows = [(q, r, base % q) for q, roots in primes_with_roots if q > degree for r in roots]
+    return tuple(np.array([row[i] for row in rows], dtype=np.int64) for i in range(3))
+
+
+def oracle_witnesses(base: int, offsets, pwr, f: IntPolynomial) -> np.ndarray:
+    """find_witness's answer from the per-n search: an int32 array, 0 where
+    no prime works."""
+    got = [find_witness_per_n(base + k, pwr, f.companion(), f, f.degree) for k in offsets]
+    return np.array([q or 0 for q in got], dtype=np.int32)
 
 
 class TestWindowWitnessSearch:
@@ -592,9 +638,10 @@ class TestWindowWitnessSearch:
     @settings(max_examples=300, deadline=None)
     def test_matches_per_n_oracle(self, case):
         f, pwr, base, offsets = case
-        got = find_witness(base, offsets, rows_for(base, pwr, f.degree), f)
-        want = [find_witness_per_n(base + k, pwr, f.companion(), f, f.degree) for k in offsets]
-        assert got == want
+        rows = rows_for(base, pwr, f.degree)
+        got = find_witness(base, np.array(offsets, dtype=np.int64), rows, f)
+        assert got.dtype == np.int32
+        assert got.tolist() == oracle_witnesses(base, offsets, pwr, f).tolist()
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -621,7 +668,7 @@ class TestWindowWitnessSearch:
         f = cert.poly
 
         def oracle(base, offsets, rows, f_):
-            return [find_witness_per_n(base + k, pwr, f.companion(), f, f.degree) for k in offsets]
+            return oracle_witnesses(base, offsets.tolist(), pwr, f)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify_mod, "build_root_table", lambda f, x: table)
@@ -633,11 +680,11 @@ class TestWindowWitnessSearch:
     def test_small_prime_values_get_no_witness(self):
         f, table = poly_table("x", 60)
         pwr = [(int(q), table.roots[int(q)]) for q in table.primes]
-        got = find_witness(1, range(60), rows_for(1, pwr, 1), f)
-        for k, w in enumerate(got):
+        got = find_witness(1, np.arange(60), rows_for(1, pwr, 1), f)
+        for k, w in enumerate(got.tolist()):
             n = 1 + k
             if n == 1 or all(n % q for q in range(2, n)):
-                assert w is None
+                assert w == 0
             else:
                 assert w == min(q for q in range(2, n) if n % q == 0)
 
@@ -647,20 +694,23 @@ class TestWindowWitnessSearch:
     def test_report_matches_per_n_oracle(self, name, tamper, deep, monkeypatch):
         cert = TAMPERS[tamper](certificate(name, 300))
         got = verify_certificate(cert, deep=deep, seed=7)
-        pwr = consistent_primes(cert, poly_table(name, 300)[1])
+        # the table of the polynomial the certificate now names
+        pwr = consistent_primes(cert, build_root_table(cert.poly, 300))
         f = cert.poly
         seen: list[int] = []
 
         def oracle(base, offsets, rows, f_):
-            seen.extend(base + k for k in offsets)
-            return [find_witness_per_n(base + k, pwr, f.companion(), f, f.degree) for k in offsets]
+            seen.extend(base + k for k in offsets.tolist())
+            return oracle_witnesses(base, offsets.tolist(), pwr, f)
 
         monkeypatch.setattr(verify_mod, "find_witness", oracle)
         want = verify_certificate(cert, deep=deep, seed=7)
         assert seen == per_n_targets(cert, deep, 7)
         assert got.to_json_dict() == want.to_json_dict()
         assert got.witness_primes == want.witness_primes
-        assert got.valid == (tamper == "none")
+        # f + 2^64 only leaves offsets uncovered, which a fast sample may miss
+        if deep or tamper != "constant-beyond-int64":
+            assert got.valid == (tamper == "none")
 
     @pytest.mark.parametrize("deep", [True, False])
     def test_stored_center_outside_the_windows_is_not_walked(self, deep, monkeypatch):
@@ -702,7 +752,7 @@ class TestWindowWitnessSearch:
             seen = groups[deep] = []
 
             def recording(base, offsets, *args, seen=seen):
-                seen.append((base, list(offsets)))
+                seen.append((base, offsets.tolist()))
                 return inner(base, offsets, *args)
 
             monkeypatch.setattr(verify_mod, "find_witness", recording)
@@ -715,8 +765,10 @@ class TestWindowWitnessSearch:
             assert part and set(part) <= set(whole) and {0, y - 1} <= set(part)
 
     def test_companion_only_sees_reduced_residues(self, monkeypatch):
+        # one row Horner over every candidate root, each reduced mod its
+        # prime, and every prime in the row kernels' exact range
         cert = certificate("x^2+1", 1000)
-        calls: list[tuple[int, int]] = []
+        calls: list[tuple[np.ndarray, np.ndarray]] = []
         inner = verify_mod.companion_eval_mod
 
         def guarded(comp, n, p):
@@ -726,7 +778,38 @@ class TestWindowWitnessSearch:
         monkeypatch.setattr(verify_mod, "companion_eval_mod", guarded)
         report = verify_certificate(cert, deep=True)
         assert report.valid and report.checked == 2 * cert.params.y
-        assert calls and all(0 <= n < p for n, p in calls)
+        assert len(calls) == 1
+        n, p = calls[0]
+        assert n.dtype == p.dtype == np.int64 and len(n) == len(p) > 0
+        assert ((0 <= n) & (n < p)).all() and p.max() < verify_mod.ROW_PRIME_BOUND
+        # every root of every listed prime that may vouch goes in, once
+        pwr = consistent_primes(cert, poly_table("x^2+1", 1000)[1])
+        assert list(zip(p.tolist(), n.tolist())) == [(q, r) for q, roots in pwr for r in roots]
+
+
+def test_construction_and_verification_never_import_numpy_ma():
+    # numpy 2.4's np.unique imports numpy.ma on its first call, which adds
+    # 1.5 MB to peak RSS; construction and verification count with
+    # bincount and sorted arrays instead. Run in a fresh
+    # interpreter, since any earlier test may have imported it
+    code = (
+        "import sys\n"
+        "from composite_forge.assemble import construct_certificate\n"
+        "from composite_forge.cover import SieveParams\n"
+        "from composite_forge.poly import IntPolynomial\n"
+        "from composite_forge.verify import verify_certificate\n"
+        "for mono in ([0, 1], [1, 0, 1], [2, 0, 0, 1]):\n"
+        "    f = IntPolynomial.from_monomial(mono)\n"
+        "    cert, _ = construct_certificate(f, SieveParams(x=300), 7)\n"
+        "    assert verify_certificate(cert).valid and verify_certificate(cert, deep=True).valid\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False"]
 
 
 # One field of the x^2+1, x = 300, seed 7 certificate rewritten in a form
