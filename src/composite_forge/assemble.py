@@ -101,15 +101,50 @@ def pairing_stage(
     return pair(residual_fwd, pool_f), backward_residues(pair(residual_bwd, pool_b), n_mod)
 
 
-# The window-length search (search_window_length): the attempts after which
-# a feasible length in hand ends it, the feasible-infeasible bracket, relative
+# The window-length search (search_window_length): the attempts after which a
+# feasible length in hand ends it, the feasible-infeasible bracket, relative
 # to y, that ends it sooner, the log-log slope of the residual against y
-# assumed until two attempts measure one, and the most one step before the
-# bracket may scale y by.
+# (measured 2.3-2.9 near the root for x <= 3000, 2.5-3.4 above it at large
+# x), and the least and the most factor, 1 + SEARCH_MIN_STEP and SEARCH_STEP,
+# by which one step before the bracket scales y. The least step keeps a run
+# of feasible (or of infeasible) attempts from creeping by the small steps a
+# small excess asks for (0.5 % steps used up the attempts at x = 10^6 for
+# x^2+1 before it), and a climb that fails leaves a bracket one secant step
+# from SEARCH_TOLERANCE. 0.01, 0.015, 0.02, 0.03 and 0.05 were compared on
+# seeds 101 to 140 at x <= 3000: 0.01 took the fewest attempts.
 SEARCH_ATTEMPTS = 6
 SEARCH_TOLERANCE = 0.005
 SEARCH_SLOPE = 3.0
 SEARCH_STEP = 2.0
+SEARCH_MIN_STEP = 0.01
+# The slope a construction assumes until two attempts measure one:
+# SEARCH_SLOPE * (1 + SEARCH_NOISE / (capacity + 1)). Near the root one
+# attempt's excess varies from draw to draw with a standard deviation of
+# 0.35-0.57 / sqrt(capacity) (0.05-0.16 for each f at x <= 3000, 16 seeds at
+# each of five lengths within 10 % of the root), so a step read off one
+# excess is noise as much as signal when the capacity is small. It should go
+# the fraction start error^2 / (start error^2 + noise^2) of the way, about
+# 1 / (1 + 10 / capacity) for a start within 5 % of the root. 5, 10 and 20
+# were compared on seeds 101 to 140 at x <= 3000; 10 took the fewest
+# attempts.
+SEARCH_NOISE = 10.0
+# Its start (construct_certificate): 3 * capacity / sigma(x/2) times
+# a * (x / 300)^b = a * exp(b ln(x / 300)), with (a, b) per
+# (mode, two_sided) fitted by least squares on ln of the found y over that
+# base, for each f at x in {300, 1000, 3000, 10^4, 3 * 10^4}, seeds 21 to
+# 28, with up to 10 attempts (runs that reached the formula y left out).
+# Greedy two-sided the ratio is 1.0-1.1 at 300 and 1.6-1.8 at 3 * 10^4, and
+# f moves it by up to 8 % either way (x^3+2 lowest from 3000 on); the line
+# 1.035 + 0.145 ln(x / 300) fitted to the same points starts 2-4 % lower at
+# 300 and at 10^5, and took more attempts there (seeds 101 to 140 at 300,
+# 21 and 22 at 10^5). Random mode finds a fifth to a third of the base at
+# every x, with no trend in x beyond the spread between f.
+SEARCH_START = {
+    ("greedy", True): (1.056, 0.106),
+    ("greedy", False): (1.390, 0.134),
+    ("random", True): (0.309, -0.018),
+    ("random", False): (0.202, 0.0),
+}
 
 
 def residual_excess(record: dict, cap_f: int, cap_b: int) -> float | None:
@@ -125,9 +160,9 @@ def residual_excess(record: dict, cap_f: int, cap_b: int) -> float | None:
     return out
 
 
-def _slope(excess: dict[int, float | None], near: int) -> float:
+def _slope(excess: dict[int, float | None], near: int, assumed: float) -> float:
     """Log-log slope of the excess between the two measured lengths nearest
-    to near, or SEARCH_SLOPE when fewer than two are measured or their
+    to near, or the assumed one when fewer than two are measured or their
     excess does not rise with y."""
     measured = sorted((t for t, g in excess.items() if g is not None),
                       key=lambda t: abs(math.log(t / near)))
@@ -136,11 +171,22 @@ def _slope(excess: dict[int, float | None], near: int) -> float:
         k = (excess[a] - excess[b]) / math.log(a / b)
         if k > 0.5:
             return k
-    return SEARCH_SLOPE
+    return assumed
+
+
+def _free_step(excess: dict[int, float | None], end: int, slope: float) -> float:
+    """ln of the factor by which a step before the bracket moves y from end:
+    the excess at end over the local slope (_slope), held to
+    [ln(1 + SEARCH_MIN_STEP), ln SEARCH_STEP]."""
+    step = abs(excess[end]) / _slope(excess, end, slope)
+    return min(max(step, math.log1p(SEARCH_MIN_STEP)), math.log(SEARCH_STEP))
 
 
 def search_window_length(
-    try_length: Callable[[int], tuple[bool, float | None]], y_max: int, y_start: int
+    try_length: Callable[[int], tuple[bool, float | None]],
+    y_max: int,
+    y_start: int,
+    slope: float = SEARCH_SLOPE,
 ) -> int | None:
     """The largest feasible window length a few attempts find, or None when
     nothing is feasible down to y = 8.
@@ -149,14 +195,16 @@ def search_window_length(
     as in residual_excess. The search solves excess = 0 against ln y. It starts
     at y_start, clamped to [8, y_max]. Until a feasible length and a larger
     infeasible one bracket the root it steps along the local log-log slope
-    (_slope), by at most a factor SEARCH_STEP: up from the largest feasible
-    length, or down from the smallest infeasible one while none is feasible,
-    halving when that one has no excess. Once bracketed it takes the regula
-    falsi step; when one end has held for two steps in a row, the secant has
-    stalled, and the held end's stored excess is halved, again at each further
-    hold (Illinois), so even a saturated end (residual 0) far from the root
-    gives way; an infeasible end with no excess gives the geometric midpoint.
-    It stops when y_max is feasible, when the bracket is within
+    (_slope; the given slope until two attempts measure one), by at least a
+    factor 1 + SEARCH_MIN_STEP and at most SEARCH_STEP (_free_step): up from
+    the largest feasible length, so a run of feasible attempts climbs instead
+    of creeping, or down from the smallest infeasible one while none is
+    feasible, halving when that one has no excess. Once bracketed it takes the
+    regula falsi step; when one end has held for two steps in a row, the secant
+    has stalled, and the held end's stored excess is halved, again at each
+    further hold (Illinois), so even a saturated end (residual 0) far from the
+    root gives way; an infeasible end with no excess gives the geometric
+    midpoint. It stops when y_max is feasible, when the bracket is within
     SEARCH_TOLERANCE of y, or after SEARCH_ATTEMPTS attempts with a feasible
     length in hand, and returns the largest feasible length tried. Every
     attempt draws its own random stream, so feasibility is not monotone in y: a
@@ -179,14 +227,12 @@ def search_window_length(
             if excess[hi] is None:
                 y = max(8, hi // 2)
             else:
-                step = max(excess[hi] / _slope(excess, hi), math.log1p(SEARCH_TOLERANCE))
-                y = max(8, min(hi - 1, int(hi * math.exp(-min(step, math.log(SEARCH_STEP))))))
+                y = max(8, min(hi - 1, int(hi * math.exp(-_free_step(excess, hi, slope)))))
             continue
         if lo >= y_max or len(excess) >= SEARCH_ATTEMPTS:
             return lo
         if hi is None:
-            step = max(-excess[lo] / _slope(excess, lo), math.log1p(SEARCH_TOLERANCE))
-            y = min(y_max, max(lo + 1, int(lo * math.exp(min(step, math.log(SEARCH_STEP))))))
+            y = min(y_max, max(lo + 1, int(lo * math.exp(_free_step(excess, lo, slope)))))
             continue
         if hi - lo <= max(1, SEARCH_TOLERANCE * lo):
             return lo
@@ -610,21 +656,28 @@ def construct_certificate(
     The window length y is found by search_window_length, a secant search
     on the residual excess of each attempt against ln y. It starts at
     3 * capacity / sigma(x/2) (capacity: the cleanup primes of the tighter
-    window; sigma: RootTable.density_product), capped at the formula y, and
-    never tries a length above the formula y or below 8. It stops once a
-    feasible and an infeasible length lie within 0.5 % of each other, or
-    after 6 attempts with a feasible length in hand, and keeps the largest
-    feasible length tried. Each length draws its own random stream, so
-    feasibility is not monotone in y and the length found need not be the
-    largest feasible one. Each length tried leaves one record in
-    stats.extras["attempts"]: y, outcome (ok, small_retry_budget or
-    residual_over_capacity) and the residual per window, None for a window
-    not reached or absent; the stats rows come from the chosen attempt.
-    Raises ConstructionError, counting the outcomes in its diagnostics, when
-    nothing down to y = 8 is feasible, and when the target N is too small
-    for the prime modulus. Only a two-sided construction has a target N: a
-    one-sided one ignores n_target, its stats.extras carry no n_digits,
-    m_formula or m_larger, and its residual_bwd is None.
+    window; sigma: RootTable.density_product) times a * (x / 300)^b, a and
+    b fitted per mode and sidedness (SEARCH_START), capped at the formula y;
+    stats.extras["y_start"] is that start before the cap. It never tries a
+    length above the formula y or below 8. Until a feasible and a larger
+    infeasible length bracket the root, each step moves y by at least 1 %
+    (SEARCH_MIN_STEP), so a run of feasible attempts climbs, and the slope
+    it assumes until two attempts measure one is the steeper the fewer
+    cleanup primes there are (SEARCH_NOISE), since one attempt's excess is
+    then the noisier. It stops once a feasible and an infeasible length lie
+    within 0.5 % of each other, or after 6 attempts with a feasible length
+    in hand, and keeps the largest feasible length tried. Each length draws
+    its own random stream, so feasibility is not monotone in y and the
+    length found need not be the largest feasible one. Each length tried
+    leaves one record in stats.extras["attempts"]: y, outcome (ok,
+    small_retry_budget or residual_over_capacity) and the residual per
+    window, None for a window not reached or absent; the stats rows come
+    from the chosen attempt. Raises ConstructionError, counting the outcomes
+    in its diagnostics, when nothing down to y = 8 is feasible, and when the
+    target N is too small for the prime modulus. Only a two-sided
+    construction has a target N: a one-sided one ignores n_target, its
+    stats.extras carry no n_digits, m_formula or m_larger, and its
+    residual_bwd is None.
     """
     if mode not in ("greedy", "random"):
         raise ValueError("mode must be greedy or random")
@@ -705,13 +758,12 @@ def construct_certificate(
             feasible[y] = (p, small, medium, pairs, rejections, counts)
         return good, excess
 
-    # y * sigma(x/2) / capacity at the greedy two-sided lengths found (x, x^2+1,
-    # x^3+2; x <= 3000; seeds 7 to 14) lies in [2.8, 4.4], 64 of 72 at 3 or
-    # more: a start at 3 is mostly feasible, so the attempt cap holds from it
-    # (3.5 found the same mean y, but moves random-mode certificates)
     capacity = min(cap_f, cap_b) if two_sided else cap_f
-    guess = 3 * capacity / max(table.density_product(x / 2), 1e-300)
-    achieved_y = search_window_length(try_length, params.y, int(guess))
+    c0, c1 = SEARCH_START[mode, two_sided]
+    y_start = int(3 * capacity / max(table.density_product(x / 2), 1e-300)
+                  * c0 * (x / 300) ** c1)
+    slope = SEARCH_SLOPE * (1 + SEARCH_NOISE / (capacity + 1))
+    achieved_y = search_window_length(try_length, params.y, y_start, slope)
     if achieved_y is None:
         outcomes = Counter(a["outcome"] for a in attempts)
         # only an attempt that got past the small stage says anything about x
@@ -782,6 +834,7 @@ def construct_certificate(
             "modulus_bits": p_x.bit_length(),
             "fills": len(fills),
             "mode": mode,
+            "y_start": y_start,
             "attempts": attempts,
         }
     )

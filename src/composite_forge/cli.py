@@ -194,9 +194,11 @@ def cmd_construct(args) -> int:
         for row in stats.rows:
             w.writerow(row.row())
     e = stats.extras
+    feasible = sum(a["outcome"] == "ok" for a in e["attempts"])
     summary = (
         f"certificate written to {args.out}: y = {e['achieved_y']}"
-        f" (formula {e['formula_y']}),"
+        f" (formula {e['formula_y']}), {len(e['attempts'])} attempts"
+        f" ({feasible} feasible),"
     )
     if not args.two_sided:
         # no placement, so no N and no centers to report

@@ -18,6 +18,7 @@ needs every row prime below ROW_PRIME_BOUND.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -109,16 +110,16 @@ def residues_mod(v: int, moduli: Sequence[int]) -> list[int]:
     block, which gives v % q as q divides the product. A modulus longer than
     the budget is a block of its own, reduced as v % q, so long moduli cost
     one division of v each, as they would without blocks, and no product
-    grows beyond the budget or one modulus. A zero modulus raises
-    ZeroDivisionError, as % does.
+    grows beyond the budget or one modulus. Each bit length is taken once,
+    into a running sum on which one bisection per block finds its end. A
+    zero modulus raises ZeroDivisionError, as % does.
     """
+    ends = [0, *itertools.accumulate(map(int.bit_length, moduli))]
     out: list[int] = []
     i, n = 0, len(moduli)
     while i < n:
-        j, bits = i + 1, moduli[i].bit_length()
-        while j < n and bits + moduli[j].bit_length() <= RESIDUE_BLOCK_BITS:
-            bits += moduli[j].bit_length()
-            j += 1
+        # the last j whose running sum is within the budget of i's, at least i + 1
+        j = max(i + 1, bisect.bisect_right(ends, ends[i] + RESIDUE_BLOCK_BITS) - 1)
         block = moduli[i:j]
         rest = v % math.prod(block)
         out += [rest % q for q in block]

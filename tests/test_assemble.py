@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from composite_forge.assemble import (
     SEARCH_ATTEMPTS,
+    SEARCH_MIN_STEP,
     SEARCH_TOLERANCE,
     ConstructionError,
     Placement,
@@ -529,13 +530,13 @@ class TestConstructCertificate:
         seen = []
         search = assemble.search_window_length
 
-        def recording_search(try_length, y_max, y_start):
+        def recording_search(try_length, *args):
             def wrapped(y):
                 got = try_length(y)
                 seen.append(got[1])
                 return got
 
-            return search(wrapped, y_max, y_start)
+            return search(wrapped, *args)
 
         monkeypatch.setattr(assemble, "search_window_length", recording_search)
         _, stats = construct_certificate(
@@ -845,6 +846,29 @@ class TestWindowLengthSearch:
         assert len(tried) <= SEARCH_ATTEMPTS
         assert y >= 0.97 * root
 
+    @pytest.mark.parametrize("start", [5000, 9990, 10010, 20000])
+    def test_steps_before_the_bracket_are_at_least_the_minimum(self, start):
+        # an excess of nearly 0 asks for steps far below SEARCH_MIN_STEP;
+        # while every attempt so far falls on the start's side of the root,
+        # each step still moves y by at least that fraction (int truncates)
+        root = 10**4
+
+        def try_length(y):
+            good = y <= root
+            return good, -1e-3 if good else 1e-3
+
+        wrapped, tried = recording(try_length)
+        search_window_length(wrapped, 10**6, start)
+        below = start <= root
+        # the first attempt on the other side of the root, or the end
+        k = next((i for i, t in enumerate(tried) if (t <= root) != below), len(tried))
+        assert len(tried) >= 2
+        for t, nxt in zip(tried[:k], tried[1:k + 1]):
+            if below:
+                assert nxt > t * (1 + SEARCH_MIN_STEP) - 1
+            else:
+                assert nxt <= t / (1 + SEARCH_MIN_STEP)
+
     def test_stops_at_the_tolerance(self):
         try_length, tried = recording(log_excess(1000))
         y = search_window_length(try_length, 10**5, 990)
@@ -900,19 +924,30 @@ class TestWindowLengthSearch:
         tried = []
         search = assemble.search_window_length
 
-        def recording_search(try_length, y_max, y_start):
+        def recording_search(try_length, *args):
             def wrapped(y):
                 tried.append(y)
                 return try_length(y)
 
-            return search(wrapped, y_max, y_start)
+            return search(wrapped, *args)
 
         monkeypatch.setattr(assemble, "search_window_length", recording_search)
         with pytest.raises(ConstructionError, match="no feasible window length"):
             construct_certificate(f_x2p1, SieveParams(x=10), seed=1, cache_dir=cache_dir)
         assert tried and tried[-1] == 8 and min(tried) == 8
 
-    @pytest.mark.parametrize("x", [300, 1000])
+    @pytest.mark.parametrize("x", [300, 1000, 3000])
+    @pytest.mark.parametrize("seed", [7, 8])
+    @pytest.mark.parametrize("name", sorted(POLYS))
+    def test_start_is_near_the_length_found(self, cache_dir, name, x, seed):
+        # the fitted start (SEARCH_START) lies within a factor 1.25 of the
+        # greedy two-sided length found, on seeds the fit did not see
+        f = IntPolynomial.from_monomial(POLYS[name])
+        _, stats = construct_certificate(f, SieveParams(x=x), seed=seed, cache_dir=cache_dir)
+        e = stats.extras
+        assert 1 / 1.25 <= e["achieved_y"] / e["y_start"] <= 1.25
+
+    @pytest.mark.parametrize("x", [300, 1000, 3000])
     @pytest.mark.parametrize("seed", [7, 8])
     @pytest.mark.parametrize("name", sorted(POLYS))
     def test_few_attempts_and_largest_ok_achieved(self, cache_dir, name, x, seed):

@@ -60,6 +60,21 @@ class TestConstruct:
         assert r.returncode == OK
         assert "again.json" in r.stdout and "y =" in r.stdout
 
+    @pytest.mark.parametrize("sided", [(), ("--no-two-sided",)], ids=["two-sided", "one-sided"])
+    def test_summary_counts_the_attempts(self, tmp_path, f_x2p1, sided):
+        from composite_forge.assemble import construct_certificate
+        from composite_forge.cover import SieveParams
+
+        r = run_cli(
+            "construct", "--poly", "poly:[1,0,1]", "--x", "300", "--seed", "7", *sided,
+            "--out", "c.json", cwd=tmp_path,
+        )
+        assert r.returncode == OK, r.stderr
+        _, stats = construct_certificate(f_x2p1, SieveParams(x=300), 7, two_sided=not sided)
+        attempts = stats.extras["attempts"]
+        feasible = sum(a["outcome"] == "ok" for a in attempts)
+        assert f", {len(attempts)} attempts ({feasible} feasible)," in r.stdout
+
     def test_deterministic_bytes(self, workdir):
         assert (workdir / "again.json").read_bytes() == (workdir / "cert.json").read_bytes()
 
