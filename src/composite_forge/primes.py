@@ -13,12 +13,16 @@ quadratic root finder solves a whole block of primes in a fixed number of
 numpy calls instead of one Tonelli-Shanks per prime. Like the polynomial row
 kernels of `gfpoly` they keep every value in [0, p) and only multiply two
 reduced values, so each product stays below p^2 < 2^62; that exactness
-needs every row prime below ROW_PRIME_BOUND.
+needs every row prime below ROW_PRIME_BOUND. Before it, `jacobi_table`
+gives the Jacobi symbol (d | m) of every odd m as one table over its
+period, so the root finder drops the primes where a quadratic's
+discriminant is a non-residue with one lookup each.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import random
@@ -183,6 +187,61 @@ def _nonresidues(p: np.ndarray) -> np.ndarray:
         z[todo[hit]] = cand
         todo = todo[~hit]
     return z
+
+
+def _factor(u: int) -> list[tuple[int, int]]:
+    """The prime factors p of u >= 1 with their exponents k, by trial
+    division: [(p, k), ...], ascending."""
+    out = []
+    for p in sieve_primes(math.isqrt(u)).tolist():
+        if p * p > u:
+            break
+        k = 0
+        while u % p == 0:
+            u //= p
+            k += 1
+        if k:
+            out.append((p, k))
+    if u > 1:
+        out.append((u, 1))
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def jacobi_table(d: int) -> np.ndarray:
+    """The Jacobi symbol (d | m) of every odd m > 0, as an int8 table chi
+    with chi[m % len(chi)] = (d | m); d != 0.
+
+    The length is the period of m -> (d | m) on odd m: |d| when d = 0 or 1
+    mod 4, as every discriminant b^2 - 4ac is, else 4|d|. The table is read
+    off by reciprocity, not taken one symbol at a time: with d = +-2^e u
+    and u odd, (d | m) = (+-1 | m) (2 | m)^e (-1)^((u-1)/2 (m-1)/2) (m | u),
+    and (m | u) is the product over the prime powers p^k of u of (m | p)^k,
+    a lookup in the squares mod p. An odd length means d = 1 mod 4, where
+    the sign factors cancel, so chi[i] = (i | u) holds for even i too; at an
+    even length no odd m has an even index, and those entries are 0.
+    """
+    e = (abs(d) & -abs(d)).bit_length() - 1
+    u = abs(d) >> e
+    period = abs(d) if d % 4 < 2 else 4 * abs(d)
+    m = np.arange(period, dtype=np.int64)
+    # (-1 | m) = -1 exactly for m = 3 mod 4, and (2 | m) for m = 3, 5 mod 8
+    chi = np.ones(period, dtype=np.int8)
+    if (d < 0) != (u % 4 == 3):
+        chi[(m & 2) != 0] = -1
+    if e % 2:
+        chi[((m + 2) & 4) != 0] *= -1
+    for p, k in _factor(u):
+        # (m | p)^k: 0 where p | m, else the Legendre symbol for odd k
+        symbol = np.full(p, -1 if k % 2 else 1, dtype=np.int8)
+        if k % 2:
+            symbol[np.arange(p) ** 2 % p] = 1
+        symbol[0] = 0
+        chi *= symbol[m % p]
+    if period % 2 == 0:
+        chi[::2] = 0
+    chi.flags.writeable = False  # shared by every caller of the cache
+    return chi
 
 
 def sqrt_mod_rows(a: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -71,14 +71,12 @@ class VerifyReport:
 
 # A row (q, root, s) of find_witness with q * SPARSE_HITS > n hits [0, n)
 # at most SPARSE_HITS times, and all such rows are struck together by one
-# gather of SPARSE_HITS positions each; a row of smaller q takes a strided
-# slice, about 1 us each. Doubling the constant doubles every sparse row's
-# gather to spare the slices of the rows with q in (n/2H, n/H]. Timed for
-# H = 4 to 128 on deep windows (2-vCPU x86 host, numpy 2.4), 16 was the
-# fastest or within 5 % of it for f = x at x = 3000, 10^4 and 10^5 and for
-# x^2 + 1 at 3000; x^2 + 1 at 10^5, whose window is short for its primes,
-# took 1.5 ms at 8 against 2.2 ms at 16
-SPARSE_HITS = 16
+# gather of exactly their hits; a row of smaller q takes a strided slice,
+# about 1 us each. Timed from 16 to 256 on the deep windows of x, x^2 + 1
+# and x^3 + 2 at x = 300, 1000, 3000 and 10^4, and of x and x^2 + 1 at 10^5
+# (2-vCPU x86 host, numpy 2.4), 64 was the fastest or within 4 % of it in
+# every case
+SPARSE_HITS = 64
 # what find_witness's uint32 array holds where no row hits: above every
 # row prime, so np.minimum.at never keeps it over a hit
 NO_HIT = 2**32 - 1
@@ -119,12 +117,16 @@ def find_witness(
     n = int(offsets.max(initial=-1)) + 1
     w = np.full(n, NO_HIT, dtype=np.uint32)
     first = (root - s) % q
-    # rows [0, dense) have q * SPARSE_HITS <= n
+    # rows [0, dense) have q * SPARSE_HITS <= n; a later row hits [0, n) at
+    # first + j q for j < ceil((n - first) / q), none for first >= n
     dense = int(np.searchsorted(q, n // SPARSE_HITS, side="right"))
-    hits = first[dense:, None] + q[dense:, None] * np.arange(SPARSE_HITS)
-    inside = hits < n
-    hit_q = np.broadcast_to(q[dense:, None], hits.shape)[inside].astype(np.uint32)
-    np.minimum.at(w, hits[inside], hit_q)
+    count = -((first[dense:] - n) // q[dense:])
+    hit_q = np.repeat(q[dense:], count)
+    # hit i of the flat list, in a row whose hits start at its index b, is
+    # first + q (i - b); q < 2^31 times i keeps int64 exact
+    start = np.cumsum(count) - count
+    hits = np.repeat(first[dense:] - q[dense:] * start, count) + hit_q * np.arange(len(hit_q))
+    np.minimum.at(w, hits, hit_q.astype(np.uint32))
     for qi, k in zip(q[:dense][::-1].tolist(), first[:dense][::-1].tolist()):
         w[k::qi] = qi
     got = w[offsets]

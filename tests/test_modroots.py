@@ -2,7 +2,8 @@
 batched Frobenius, gcd and division kernels, the root finder, the row
 square-root kernel and the windowed row power against the scalar and
 per-prime routes they replaced, and which powers a table takes; the
-prime-indexed accessors, the binary cache (its bytes pinned), density
+character table that keeps quadratic non-residue rows from the square root;
+the prime-indexed accessors, the binary cache (its bytes pinned), density
 statistics, and residue collision counts."""
 
 import bisect
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import composite_forge.gfpoly as gfpoly_mod
@@ -47,6 +48,7 @@ from composite_forge.poly import IntPolynomial, parse_poly_literal
 from composite_forge.primes import (
     PRODUCT_LEAF,
     RESIDUE_BLOCK_BITS,
+    jacobi_table,
     mod_rows,
     pow_mod_rows,
     product,
@@ -78,7 +80,11 @@ def oracle_roots(f, p):
 # were recorded before the root finder moved to monic rows: the largest
 # tables of the bench's roots grid, and the non-monic inverse paths (3x + 1;
 # 3x^2 + 5x + 7, whose companion has content 2; 5x^3 + 3x^2 - x + 1).
-# `python tests/test_modroots.py` prints every digest as the code gives it
+# The last three were recorded before quadratic tables came to skip the
+# primes where the discriminant D is a non-residue: x^2 - 2 (D = 8, so the
+# character's period is even), x^2 + x + 41 (D = -163) and (x + 1)^2
+# (D = 0, no character). `PYTHONPATH=src python tests/test_modroots.py`
+# prints every digest as the code gives it next to the pinned one
 CACHE_PINS = {
     "x^2+1-1e4": ("poly:[1,0,1]", "b722c907e6afc0c1ea57f930b430702bba31ebdd0cd1d3dd8e742ae4e648a854", 10**4),
     "x^3+2-1e4": ("poly:[2,0,0,1]", "8b0051cab7ae1c27ba33a8391190fc370be0eda5f552807d1bfeacc0d84902ef", 10**4),
@@ -90,6 +96,9 @@ CACHE_PINS = {
     "3x+1-3e4": ("poly:[1,3]", "b7aa5254bec8645f5188e72c3e18d2cdf6b2a849209394f18cb57fae4ad4c202", 3 * 10**4),
     "3x^2+5x+7-3e4": ("poly:[7,5,3]", "500283cbd8594c24bfe69f8dab243a64ed5def1eca66de9af06eaea730b0ae4e", 3 * 10**4),
     "5x^3+3x^2-x+1-3e4": ("poly:[1,-1,3,5]", "efff985f15f5735cdb1c9ea5e32f080be74c0e422e3622dc94e2d98ee84ae192", 3 * 10**4),
+    "x^2-2-3e4": ("poly:[-2,0,1]", "772e89246a152b75fcde9fb595c596fa720a78bd9615698fdea0e0afd3121a2e", 3 * 10**4),
+    "x^2+x+41-3e4": ("poly:[41,1,1]", "b0b0a70c0ada48b41f388b2d0454b6fc16a02374eb4868fe898fd722e25e3fa6", 3 * 10**4),
+    "(x+1)^2-3e4": ("poly:[1,2,1]", "4bf1f49be6a30acc9270163c73f59c21b7a18c920bbd7f0e65665bb33034447d", 3 * 10**4),
 }
 
 
@@ -680,7 +689,14 @@ class TestBatchedRoute:
                 want = legacy_roots_algebraic(comp, p)
             assert table.roots[p] == want, p
 
-    def test_big_quadratic_has_double_roots(self):
+    def test_big_quadratic_has_double_roots(self, monkeypatch):
+        # its discriminant is far longer than any table, so every row goes
+        # to the square root, the path test_table_equals_per_prime_route
+        # checks it on
+        def no_character(d):
+            raise AssertionError("a character table was built")
+
+        monkeypatch.setattr(modroots_mod, "jacobi_table", no_character)
         f = parse_poly_literal(BIG_QUADRATIC)
         assert max(map(abs, f.companion())) > 2**64
         table = build_root_table(f, 3000)
@@ -742,6 +758,87 @@ class TestBatchedRoute:
         for limit in (ROW_PRIME_BOUND, 2**40):
             with pytest.raises(ValueError, match="below"):
                 build_root_table(f_x, limit)
+
+
+def jacobi(a: int, m: int) -> int:
+    """(a | m) for odd m > 0, by the textbook loop of reciprocity steps."""
+    a, t = a % m, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if m % 8 in (3, 5):
+                t = -t
+        a, m = m, a
+        if a % 4 == 3 and m % 4 == 3:
+            t = -t
+        a %= m
+    return t if m == 1 else 0
+
+
+@st.composite
+def quadratics(draw):
+    """Monomial coefficients of c2 x^2 + c1 x + c0, all in [-50, 50]: drawn
+    freely, or as c2 (x - r)(x - t), whose discriminant is a square (0 for
+    r = t); then times a content, and negated when c2 < 0, since a leading
+    coefficient is positive and -f has the roots of f."""
+    if draw(st.booleans()):
+        c2 = draw(st.integers(-50, 50).filter(bool))
+        c1, c0 = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+    else:
+        c2, r, t = draw(st.integers(-3, 3).filter(bool)), draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+        c1, c0 = -c2 * (r + t), c2 * r * t
+    k = draw(st.integers(1, 50 // max(map(abs, (c0, c1, c2)))))
+    sign = 1 if c2 > 0 else -1
+    return [sign * k * c for c in (c0, c1, c2)]
+
+
+class TestCharacterFilter:
+    """Quadratic tables skip the primes where the discriminant D is a
+    non-residue, read off `primes.jacobi_table`; a discriminant is 0 or 1
+    mod 4, so the helper is also checked at every other d."""
+
+    def test_character_is_eulers_criterion(self):
+        primes = sieve_primes(10**4)[1:]
+        for d in range(-60, 61):
+            if d:
+                chi = jacobi_table(d)
+                assert chi.dtype == np.int8
+                assert len(chi) == (abs(d) if d % 4 < 2 else 4 * abs(d))
+                # Euler's criterion, with p - 1 read as -1
+                want = [(pow(d, (p - 1) // 2, p) + 1) % p - 1 for p in primes.tolist()]
+                assert chi[primes % len(chi)].tolist() == want, d
+
+    def test_every_odd_m_against_the_reciprocity_loop(self):
+        for d in [*range(-60, 0), *range(1, 61), -163, -252, 72, 1000, 2**7 * 3, -(3**4) * 5]:
+            chi = jacobi_table(d)
+            for m in range(1, 3 * len(chi), 2):
+                assert chi[m % len(chi)] == jacobi(d, m), (d, m)
+
+    @given(quadratics())
+    @example([-2, 0, 1])  # D = 8
+    @example([41, 1, 1])  # D = -163
+    @example([1, 2, 1])  # D = 0
+    @example([-3, 2, 1])  # (x - 1)(x + 3), D = 16
+    @example([7, 5, 3])  # D = -59
+    @example([10, 0, 5])  # content 5, x^2 + 2: D = -8
+    @settings(max_examples=100, deadline=None)
+    def test_table_matches_the_oracle(self, mono):
+        f = IntPolynomial.from_monomial(mono)
+        table = build_root_table(f, 2000)
+        for p in table.primes.tolist():
+            assert table.roots[p] == oracle_roots(f, p), (mono, p)
+
+    def test_only_residue_rows_reach_the_square_root(self, f_x2p1, monkeypatch):
+        seen = []
+
+        def recording(a, p):
+            seen.append(p.copy())
+            return sqrt_mod_rows(a, p)
+
+        monkeypatch.setattr(modroots_mod, "sqrt_mod_rows", recording)
+        table = build_root_table(f_x2p1, 10**4)
+        # -1 is a square mod p exactly when p = 1 mod 4
+        assert np.concatenate(seen).tolist() == [p for p in table.primes.tolist() if p % 4 == 1]
 
 
 class TestRootTable:
@@ -983,6 +1080,13 @@ class TestResidueCollisions:
 if __name__ == "__main__":
     import tempfile
 
-    for name, (literal, _, limit) in CACHE_PINS.items():
+    moved = []
+    for name, (literal, pinned, limit) in CACHE_PINS.items():
         with tempfile.TemporaryDirectory() as d:
-            print(f"    {name!r}: ({literal!r}, {cache_digest(parse_poly_literal(literal), limit, d)!r}, {limit}),")
+            digest = cache_digest(parse_poly_literal(literal), limit, d)
+        print(f"    {name!r}: ({literal!r}, {digest!r}, {limit}),  # pinned {pinned or 'none'}")
+        if digest != pinned:
+            moved.append(f"{name}: {pinned or 'none'} -> {digest}")
+    print(f"{len(moved)} moved, pinned -> now:" if moved else "nothing moved")
+    for line in moved:
+        print(f"  {line}")
