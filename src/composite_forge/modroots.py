@@ -5,8 +5,17 @@ vanishes mod p, with I_p = () whenever p <= B or p divides the leading
 coefficient (those primes are never used by the sieve). It holds them as
 the two arrays of its cache file, the root counts and the roots in prime
 order, and builds the map from a prime to I_p on first lookup only. The
-primes not excluded go through one algebraic route, one batch per table,
-on monic rows: the companion is divided by its content, and only a leading
+primes not excluded go in one batch per table, down one of two routes.
+
+A small table of degree 3 or more, its primes summing to at most SCAN_SPAN,
+takes the exhaustive scan (`_roots_scan`) when the companion's values below
+its largest prime fit int64: the primitive part of the companion is
+evaluated once at every residue, and each prime keeps the residues where
+that value vanishes mod p. Below that size the algebraic route's cost is
+mostly its count of numpy calls, which the scan does not pay.
+
+Every other batch takes the algebraic route, on monic rows: the
+companion is divided by its content, and only a leading
 coefficient other than 1 is inverted, by one batched power. Degree 1 reads
 its root off, and degree 2 takes (-c_1 +- s)(p + 1)/2 with the square root
 s of the discriminant from the row kernel `primes.sqrt_mod_rows`, for a
@@ -24,8 +33,9 @@ row gcd and one exact division (`gf_div_rows`); the powers come from one
 first round that tries one shift per factor runs no kernel. Linear factors
 give their roots directly; the quadratic ones are solved together by the
 quadratic route at the end.
-`roots_mod_p` runs the same route on a one-prime batch; the test suite
-cross-checks it against an exhaustive scan of every residue.
+`roots_mod_p` runs the algebraic route on a one-prime batch, whatever the
+prime; the test suite cross-checks it against an exhaustive scan of every
+residue, and the two routes against each other on the same primes.
 
 A quadratic first drops the primes where the discriminant D of its
 primitive part is a non-residue: when D != 0 and |D| is at most
@@ -74,6 +84,18 @@ ROW_BLOCK = 4096
 # batch at n = 1229 rows and 29 % at 9592; it still paid at 8n and cost
 # 2-5 % at 16n
 CHARACTER_SPAN = 4
+
+# a batch of degree 3 or more whose primes sum to at most SCAN_SPAN takes the
+# residue scan, when the values it scans fit int64. The algebraic route's
+# cost below x = 3000 is mostly its count of numpy calls; timed against it
+# on the same rows (2-vCPU x86 host, numpy 2.4), the scan took, for x^3 + 2,
+# 0.16 against 2.64 ms at x = 300, 5.23 against 5.54 at 2500 and 7.17
+# against 5.17 at 3000 (the README has the table); x^3 - 3x + 1,
+# x^4 + x + 1 and 3x^5 + x^2 + 7 cross over at the same place. 2^18 is
+# about x = 1950
+SCAN_SPAN = 2**18
+# values per block of the scan: its temporaries stay this long
+SCAN_BLOCK = 2**15
 
 # kernel work of a splitting round with few pending factors, in rows times
 # d^2 (the products per coefficient step of a degree-d row): such a round
@@ -211,13 +233,53 @@ def _roots_algebraic(comp: tuple[int, ...], ps: np.ndarray) -> tuple[np.ndarray,
     return np.bincount(rows, minlength=n), roots[np.lexsort((roots, rows))]
 
 
+def _scans(comp: tuple[int, ...], ps: np.ndarray) -> bool:
+    """Whether a batch takes the residue scan: a degree of 3 or more, row
+    primes summing to at most SCAN_SPAN, and sum |c_i| P^i below 2^63 for
+    the primitive part c of the companion and the largest row prime P, which
+    bounds every Horner step of the scan's int64 values."""
+    if len(comp) < 4 or not len(ps) or int(ps.sum()) > SCAN_SPAN:
+        return False
+    content, top = math.gcd(*comp), int(ps.max())
+    return sum(abs(c // content) * top**i for i, c in enumerate(comp)) < 2**63
+
+
+def _roots_scan(comp: tuple[int, ...], ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What `_roots_algebraic` returns, by an exhaustive scan of the
+    residues: the primitive part of the companion is evaluated once, exactly
+    in int64, at every t below the largest row prime; then each prime p
+    gathers its p values and keeps the t that vanish mod p, so its roots
+    come out ascending. The rows go at most SCAN_BLOCK values at a time (a
+    longer prime alone). `_scans` tells when the values fit int64."""
+    content = math.gcd(*comp)
+    t = np.arange(int(ps.max(initial=0)), dtype=np.int64)
+    values = np.zeros_like(t)
+    for c in reversed(comp):
+        values = values * t + c // content
+    ends = np.cumsum(ps)
+    cuts = [0]
+    while cuts[-1] < len(ps):
+        i = cuts[-1]
+        cuts.append(max(i + 1, int(np.searchsorted(ends, ends[i] - ps[i] + SCAN_BLOCK, side="right"))))
+    counts, flat = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for i, j in itertools.pairwise(cuts):
+        q = ps[i:j]
+        starts = np.cumsum(q) - q
+        at = np.arange(starts[-1] + q[-1]) - np.repeat(starts, q)
+        zero = values[at] % np.repeat(q, q) == 0
+        counts.append(np.add.reduceat(zero, starts, dtype=np.int64))
+        flat.append(at[zero])
+    return np.concatenate(counts), np.concatenate(flat)
+
+
 def roots_mod_p(f: IntPolynomial, p: int) -> tuple[int, ...]:
     """Sorted residues r with (B! * f)(r) = 0 mod p.
 
     Empty for p <= degree or p dividing the leading coefficient: those
-    primes carry no usable congruence information for the sieve. The
-    route is the table builder's, run on a one-prime batch, so p must stay
-    below ROW_PRIME_BOUND (2^31) like every prime of a table.
+    primes carry no usable congruence information for the sieve. It is
+    the per-prime hook of the table builder's algebraic route, run on a
+    one-prime batch, never the scan, so p must stay below ROW_PRIME_BOUND
+    (2^31) like every prime of a table.
     """
     if p >= ROW_PRIME_BOUND:
         raise ValueError(f"roots_mod_p needs p below {ROW_PRIME_BOUND}")
@@ -333,11 +395,14 @@ def build_root_table(f: IntPolynomial, limit: int, cache_dir: str | None = None)
         if cached is not None:
             return RootTable(f, limit, primes, *cached)
     # p <= degree and p dividing the leading coefficient keep I_p = ();
-    # the others go in one algebraic batch. A prime divides B! exactly when
-    # it is at most B, so the two kinds are the primes dividing B! * leading
+    # the others go in one batch, scanned or algebraic. A prime divides B!
+    # exactly when it is at most B, so the two kinds are the primes dividing
+    # B! * leading
     batch = mod_rows(math.factorial(f.degree) * f.leading, primes) != 0
+    comp, rows = f.companion(), primes[batch]
+    route = _roots_scan if _scans(comp, rows) else _roots_algebraic
     counts = np.zeros(len(primes), dtype=np.int64)
-    counts[batch], flat = _roots_algebraic(f.companion(), primes[batch])
+    counts[batch], flat = route(comp, rows)
     if path:
         os.makedirs(cache_dir, exist_ok=True)
         _write_cache(path, f, limit, counts, flat)

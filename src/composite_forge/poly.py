@@ -239,6 +239,18 @@ def _numeric_factor_screen(g: tuple[int, ...]) -> tuple[int, ...] | None:
     return None
 
 
+def _has_root_mod(g: tuple[int, ...], p: int) -> bool:
+    """Whether g has a root mod p, by evaluation at every residue."""
+    gp = [c % p for c in reversed(g)]
+    for t in range(p):
+        acc = 0
+        for c in gp:
+            acc = (acc * t + c) % p
+        if not acc:
+            return True
+    return False
+
+
 def irreducibility_check(f: IntPolynomial, assert_irreducible: bool = False) -> str:
     """Classify f's irreducibility over the rationals.
 
@@ -262,10 +274,12 @@ def irreducibility_check(f: IntPolynomial, assert_irreducible: bool = False) -> 
             return "fail"
         return "proved"
     # reduction criterion: irreducible mod p with degree preserved is a
-    # proof; tried for the first 25 primes below 200 keeping the degree
+    # proof; tried for the first 25 primes below 200 keeping the degree. A
+    # reduction with a root mod p has a linear factor, so it is passed over
+    # without the irreducibility test
     kept = (p for p in map(int, sieve_primes(199)) if g[-1] % p)
     for p in itertools.islice(kept, 25):
-        if gf_is_irreducible(gf_normalize(g, p), p):
+        if not _has_root_mod(g, p) and gf_is_irreducible(gf_normalize(g, p), p):
             return "proved"
     try:
         factor = _numeric_factor_screen(g)

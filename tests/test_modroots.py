@@ -3,6 +3,7 @@ batched Frobenius, gcd and division kernels, the root finder, the row
 square-root kernel and the windowed row power against the scalar and
 per-prime routes they replaced, and which powers a table takes; the
 character table that keeps quadratic non-residue rows from the square root;
+the residue scan of small tables against the algebraic route and the oracle;
 the prime-indexed accessors, the binary cache (its bytes pinned), density
 statistics, and residue collision counts."""
 
@@ -83,7 +84,9 @@ def oracle_roots(f, p):
 # The last three were recorded before quadratic tables came to skip the
 # primes where the discriminant D is a non-residue: x^2 - 2 (D = 8, so the
 # character's period is even), x^2 + x + 41 (D = -163) and (x + 1)^2
-# (D = 0, no character). `PYTHONPATH=src python tests/test_modroots.py`
+# (D = 0, no character). The last five were recorded before tables of
+# degree 3 or more whose primes sum to at most SCAN_SPAN came to be scanned,
+# and fall inside that span. `PYTHONPATH=src python tests/test_modroots.py`
 # prints every digest as the code gives it next to the pinned one
 CACHE_PINS = {
     "x^2+1-1e4": ("poly:[1,0,1]", "b722c907e6afc0c1ea57f930b430702bba31ebdd0cd1d3dd8e742ae4e648a854", 10**4),
@@ -99,6 +102,11 @@ CACHE_PINS = {
     "x^2-2-3e4": ("poly:[-2,0,1]", "772e89246a152b75fcde9fb595c596fa720a78bd9615698fdea0e0afd3121a2e", 3 * 10**4),
     "x^2+x+41-3e4": ("poly:[41,1,1]", "b0b0a70c0ada48b41f388b2d0454b6fc16a02374eb4868fe898fd722e25e3fa6", 3 * 10**4),
     "(x+1)^2-3e4": ("poly:[1,2,1]", "4bf1f49be6a30acc9270163c73f59c21b7a18c920bbd7f0e65665bb33034447d", 3 * 10**4),
+    "x^3+2-300": ("poly:[2,0,0,1]", "4e2c66f3a0035ebe9956349de8fdb0f6a27bb05d1d919134850a36dd7aa95f16", 300),
+    "x^3+2-1000": ("poly:[2,0,0,1]", "016e8402a4b62296d05692cec32dfdb77a3ff0340258e69bf022bd8098b60a80", 1000),
+    "5x^3+3x^2-x+1-1000": ("poly:[1,-1,3,5]", "ae7afb3d353d446f9fdb84a202899c5d8b1ffc4817e448bfffbb479e0b288a37", 1000),
+    "x^3-3x+1-1900": ("poly:[1,-3,0,1]", "05ca51e63a275fc96eb8d1c665c96483aba4cddbc12ac0e03f554ef32446545c", 1900),
+    "x^4+1-1000": ("poly:[1,0,0,0,1]", "c50bfba7272c05c54c01caad466ff0588f9e3902ff3c978d875805d6d6029531", 1000),
 }
 
 
@@ -883,6 +891,131 @@ class TestRootTable:
             assert companion_eval_mod(comp, big, p) == expect
 
 
+# degree 3 to 5: negative coefficients, a companion of content 12
+# (2x^3 + 4x - 6), non-monic ones, and (x - 1)(x - 2)...(x - 5), which has
+# five roots mod every prime above 5
+SCAN_CASES = [
+    "poly:[2,0,0,1]",
+    "poly:[1,-3,0,1]",
+    "poly:[-6,4,0,2]",
+    "poly:[1,-1,3,5]",
+    "poly:[1,1,0,0,1]",
+    "poly:[1,0,0,0,1]",
+    "poly:[7,0,1,0,0,3]",
+    "poly:[-120,274,-225,85,-15,1]",
+]
+
+# the primes up to this limit sum to about twice SCAN_SPAN
+TWICE_THE_SPAN = 2780
+
+
+@st.composite
+def scan_polys(draw):
+    """f of degree 3-5 from random monomial coefficients."""
+    d = draw(st.integers(3, 5))
+    mono = draw(st.lists(st.integers(-40, 40), min_size=d, max_size=d))
+    return IntPolynomial.from_monomial(mono + [draw(st.integers(1, 40))])
+
+
+class TestScanRoute:
+    @staticmethod
+    def spy_routes(mp):
+        """Record, in the list returned, the name of each root route that
+        the table builder runs."""
+        taken = []
+        for name in ("_roots_algebraic", "_roots_scan"):
+
+            def spy(comp, ps, name=name, route=getattr(modroots_mod, name)):
+                taken.append(name)
+                return route(comp, ps)
+
+            mp.setattr(modroots_mod, name, spy)
+        return taken
+
+    def forced_tables(self, mp, f, limit):
+        """f's tables up to limit with SCAN_SPAN at 0 and at 2^62, and the
+        routes that built them."""
+        taken = self.spy_routes(mp)
+        tables = []
+        for span in (0, 2**62):
+            mp.setattr(modroots_mod, "SCAN_SPAN", span)
+            tables.append(build_root_table(f, limit))
+        return tables, taken
+
+    @staticmethod
+    def assert_same_table(a, b):
+        assert a.primes.tolist() == b.primes.tolist()
+        assert a.counts.tolist() == b.counts.tolist()
+        assert a.flat.tolist() == b.flat.tolist()
+
+    @pytest.mark.parametrize("block", [modroots_mod.SCAN_BLOCK, 7])
+    @pytest.mark.parametrize("literal", SCAN_CASES)
+    def test_scan_equals_algebraic_and_oracle(self, literal, block, monkeypatch):
+        # at a block of 7 values every prime above 7 is a block of its own
+        monkeypatch.setattr(modroots_mod, "SCAN_BLOCK", block)
+        f = parse_poly_literal(literal)
+        (alg, scan), taken = self.forced_tables(monkeypatch, f, 1000)
+        assert taken == ["_roots_algebraic", "_roots_scan"]
+        self.assert_same_table(alg, scan)
+        for p in map(int, scan.primes):
+            assert scan.roots[p] == oracle_roots(f, p), p
+
+    @given(f=scan_polys(), limit=st.integers(2, TWICE_THE_SPAN))
+    @settings(max_examples=30, deadline=None)
+    def test_routes_agree_on_random_polynomials(self, f, limit):
+        comp = f.companion()
+        content = math.gcd(*comp)
+        rows = [int(p) for p in sieve_primes(limit) if p > f.degree and comp[-1] % p]
+        fits = bool(rows) and sum(abs(c // content) * rows[-1] ** i for i, c in enumerate(comp)) < 2**63
+        with pytest.MonkeyPatch.context() as mp:
+            (alg, scan), taken = self.forced_tables(mp, f, limit)
+        assert taken == ["_roots_algebraic", "_roots_scan" if fits else "_roots_algebraic"]
+        self.assert_same_table(alg, scan)
+        natural = build_root_table(f, limit)
+        self.assert_same_table(alg, natural)
+        for p in map(int, natural.primes):
+            assert natural.roots[p] == oracle_roots(f, p), p
+
+    def test_values_at_the_int64_edge(self, monkeypatch):
+        # c x^3 + 1 with c * 997^3 + 1 just below 2^63 (997, the largest
+        # prime below 1000, does not divide c): scanned, and exact there;
+        # one more in c takes the algebraic route
+        c = (2**63 - 2) // 997**3
+        assert c % 997
+        taken = self.spy_routes(monkeypatch)
+        for lead, route in ((c, "_roots_scan"), (c + 1, "_roots_algebraic")):
+            f = IntPolynomial.from_monomial([1, 0, 0, lead])
+            table = build_root_table(f, 1000)
+            assert taken[-1] == route
+            for p in map(int, table.primes):
+                assert table.roots[p] == oracle_roots(f, p), (lead, p)
+
+    def test_overflowing_values_take_the_algebraic_route(self, monkeypatch):
+        # x^5 + 2^40 x^3 + 3 reaches about 2^70 below 1000, so even a span
+        # without bound leaves it to the algebraic route
+        f = IntPolynomial.from_monomial([3, 0, 0, 2**40, 0, 1])
+        taken = self.spy_routes(monkeypatch)
+        monkeypatch.setattr(modroots_mod, "SCAN_SPAN", 2**62)
+        table = build_root_table(f, 1000)
+        assert taken == ["_roots_algebraic"]
+        for p in map(int, table.primes):
+            assert table.roots[p] == oracle_roots(f, p), p
+
+    def test_route_by_span_and_degree(self, monkeypatch):
+        # below the span a cubic is scanned and a quadratic is not; the
+        # cubic's table is scanned up to the last prime that keeps its rows'
+        # sum within the span, and not from the next prime on
+        cubic = IntPolynomial.from_monomial([2, 0, 0, 1])
+        taken = self.spy_routes(monkeypatch)
+        build_root_table(IntPolynomial.from_monomial([1, 0, 1]), 1000)
+        assert taken == ["_roots_algebraic"]
+        rows = sieve_primes(3000)[2:]  # the rows of x^3 + 2, all but 2 and 3
+        last = int(np.searchsorted(np.cumsum(rows), modroots_mod.SCAN_SPAN, side="right")) - 1
+        for limit, route in ((1000, "_roots_scan"), (int(rows[last]), "_roots_scan"), (int(rows[last + 1]), "_roots_algebraic")):
+            build_root_table(cubic, limit)
+            assert taken[-1] == route, limit
+
+
 class TestCache:
     def test_round_trip(self, f_x2p1, tmp_path):
         d = str(tmp_path)
@@ -960,7 +1093,8 @@ class TestCache:
         def no_roots(*args):
             raise AssertionError("a cached table was recomputed")
 
-        monkeypatch.setattr(modroots_mod, "_roots_algebraic", no_roots)
+        for route in ("_roots_algebraic", "_roots_scan"):
+            monkeypatch.setattr(modroots_mod, route, no_roots)
         for f, c in zip(polys, cold):
             warm = build_root_table(f, 2000, cache_dir=str(tmp_path))
             assert warm.roots == c.roots

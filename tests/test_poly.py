@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import composite_forge.poly as poly_mod
 from composite_forge.poly import (
     MAX_DEGREE,
     IntPolynomial,
@@ -178,6 +179,31 @@ class TestIrreducibility:
         # a factorable polynomial stays failed even when asserted
         f = IntPolynomial.from_monomial([-1, 0, 1])
         assert irreducibility_check(f, assert_irreducible=True) == "fail"
+
+    def test_primes_with_a_root_skip_the_irreducibility_test(self, monkeypatch):
+        # x^3 + 2 has a root mod 2, 3 and 5, so only 7 reaches the test;
+        # the verdicts are those of testing every prime
+        calls, test = [], poly_mod.gf_is_irreducible
+
+        def counting(f, p):
+            calls.append(p)
+            return test(f, p)
+
+        monkeypatch.setattr(poly_mod, "gf_is_irreducible", counting)
+        assert irreducibility_check(IntPolynomial.from_monomial([2, 0, 0, 1])) == "proved"
+        assert calls == [7]
+        cases = [
+            ([0, 1], False, "proved"),
+            ([1, 0, 1], False, "proved"),
+            ([2, 0, 0, 1], False, "proved"),
+            ([1, 0, 0, 0, 1], False, "heuristic-pass"),
+            ([1, 0, 0, 0, 1], True, "asserted-by-user"),
+            # (x - 1)(x^2 + x + 2), reducible with a rational root
+            ([-2, 1, 0, 1], False, "fail"),
+        ]
+        for mono, vouched, verdict in cases:
+            f = IntPolynomial.from_monomial(mono)
+            assert irreducibility_check(f, assert_irreducible=vouched) == verdict, mono
 
     @given(st.integers(-20, 20), st.integers(1, 20))
     @settings(max_examples=40)
