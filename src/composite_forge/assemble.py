@@ -743,8 +743,7 @@ def construct_certificate(
             medium = select_shifts_greedy(state, med)
         else:
             medium = select_shifts_random(p, table, stage_rng(seed, STREAM_MEDIUM, y), n_mod)
-            for q, r in medium.items():
-                state.add(q, r)
+            state.assign(list(medium), medium)
         res_f, res_b = state.fwd, state.bwd
         counts = [(fwd0.count(), len(res_f))]
         if two_sided:

@@ -14,15 +14,20 @@ weights a shift by sigma2^(-count) over its progression, and sigma2 = 1 at
 every supported scale (the small-stage boundary z sits below H^M for every
 scale), so each weight is 1. Each window-length attempt builds one
 CoverState from its small-stage survivors: the sorted offsets of both
-windows that no class assigned so far kills. The greedy pass and the
-random-mode residues assign their classes on it, its arrays are the
+windows that no class assigned so far kills. Both modes assign their
+medium primes on it through CoverState.assign, its arrays are the
 post-medium residuals, and the medium stage hands back plain q -> residue
-maps. Assigning a prime computes its class keys over the survivors of both
-windows once; greedy mode picks the residue by one bincount of those keys.
+maps. assign walks the primes in blocks of consecutive primes: a block
+computes the class keys of all its primes over the survivors of both
+windows at once, greedy mode scores each prime by one weighted bincount of
+its keys, given residues kill with one compare, and the survivors are
+compacted once per block.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
@@ -176,7 +181,8 @@ def sample_small_residue(
     bound = 2.0 * table.density_product(z) * y
     rejections = 0
     for _ in range(params.retry_budget):
-        residues = {q: int(rng.integers(q)) for q in small}
+        # one draw per prime, uniform below it, in one call
+        residues = dict(zip(small, rng.integers(np.array(small, dtype=np.int64)).tolist()))
         fwd = sieve_survivors(table, residues, (1, y), (0, z))
         if fwd.count() > bound:
             rejections += 1
@@ -210,13 +216,34 @@ def target_residues(n_target: int, table: RootTable) -> dict[int, int]:
 # this bound. Halving the element width roughly halves the key arithmetic.
 NARROW_KEY_BOUND = 2**31
 
-# Key-array size from which CoverState.add reduces its keys mod q as
-# k - (k // q) * q rather than k % q: numpy divides by a scalar with a
-# multiply and a shift but takes % element by element, so the three-call
-# form wins on large arrays and loses on small ones by its extra fixed
-# cost. Measured on numpy 2.4 (2-vCPU x86 host, in-place, int32 and int64)
-# the two cross near 1,000-1,200 keys; at 30,000 int32 keys the floor form
-# takes 33 us against 106 us.
+# The block pass of CoverState.assign: a block takes consecutive primes
+# while their root rows times the survivors left stay within BLOCK_KEYS,
+# and holds at least BLOCK_MIN_PRIMES of them (or every prime left); a
+# prime with fewer fitting is assigned alone. A block saves the fixed cost
+# of the numpy calls that a lone prime pays for its keys and its
+# compaction, but weighs, up to its last prime, every survivor it started
+# with, and a root count above 1 makes its kill mask a reduction over rows
+# and its live mask that many rows deep. Timed on numpy 2.4 (2-vCPU x86
+# host), in-process, alternating with a pass that assigns one prime at a
+# time, on the cover states of every attempt of seed-7 constructions of
+# f = x, x^2+1 and x^3+2: 65,536 keys and 12 primes took 0.63-0.80 of the
+# one-prime pass's time at x = 300 to 3000, 0.73-0.91 at 10^4 and 0.86-0.89 (f = x) and
+# 0.98-1.01 (x^2+1, x^3+2) at 3 * 10^4, where most primes go alone; 16,384
+# keys and 6 primes took 0.84-0.94 at 10^4 and 0.98-1.15 at 3 * 10^4.
+# Timed per prime on synthetic states, a block of 6 or more f = x primes
+# was the cheaper at 1,000 to 8,000 survivors, while x^2+1 and x^3+2
+# blocks were cheaper only to about 2,000 survivors.
+BLOCK_KEYS = 65536
+BLOCK_MIN_PRIMES = 12
+
+# Key-row length from which keys are reduced mod q as k - (k // q) * q
+# rather than k % q: numpy divides by a scalar with a multiply and a shift
+# but takes % element by element, so the three-call form wins on long rows
+# and loses on short ones by its extra fixed cost. Measured on numpy 2.4
+# (2-vCPU x86 host, in-place, int32 and int64) the two cross near
+# 1,000-1,200 keys; at 30,000 int32 keys the floor form takes 33 us against
+# 106 us. A block takes % by its column of primes for rows shorter than
+# this and the floor form row by row from there on.
 FLOOR_DIV_KEYS = 1024
 
 
@@ -233,14 +260,20 @@ class CoverState:
     below NARROW_KEY_BOUND = 2^31, so that every class key fits, and int64
     otherwise.
 
-    Assigning a prime computes its class keys once over every survivor and
-    root alpha, in a few numpy calls on one array with a row per root:
-    residue r kills forward survivor o when r = o - alpha and backward
-    survivor o when r = alpha - N - o (mod q). The keys are reduced mod q by
-    % below FLOOR_DIV_KEYS keys and as k - (k // q) * q from there on. One
-    bincount of the keys scores every residue on both sides jointly, and the
-    survivors none of whose keys is the chosen residue are kept: a row
-    compare for one root, np.logical_and.reduce over the rows for more.
+    Residue r of q kills forward survivor o when r = o - alpha and backward
+    survivor o when r = alpha - N - o (mod q), for a root alpha: these are
+    the survivor's class keys, one per root. assign walks its primes in
+    blocks (see BLOCK_KEYS). A block computes the keys of all its primes at
+    once, one row per root, by one broadcast subtract per window and a
+    reduction mod the column of primes. Each prime then takes four numpy
+    calls: one bincount of its rows weighted by a live mask (a survivor
+    killed earlier in the block weighs 0), argmax, a compare of its rows
+    with the chosen residue (and a reduction over them when there are
+    several), and a copyto that clears the survivors it kills in the mask. The counts are exact integers, so ties go to the
+    smallest residue. Given residues kill the whole block with one compare.
+    The arrays are compacted once per block. A prime assigned alone keeps
+    scalar q and roots: one key row per root, reduced by % or the floor
+    form at FLOOR_DIV_KEYS keys, one unweighted bincount, and a compaction.
     """
 
     def __init__(self, table: RootTable, fwd: SurvivorSet, bwd: SurvivorSet | None,
@@ -254,13 +287,105 @@ class CoverState:
         self.fwd = fwd.survivors().astype(dtype)
         self.bwd = np.zeros(0, dtype) if bwd is None else bwd.survivors().astype(dtype)
 
-    def add(self, q: int, r: int | None = None) -> int:
-        """Assign q the residue r, or, when r is None, the residue killing
-        the most survivors on both sides jointly (ties to the smallest);
-        drop the survivors it kills and return it. With no survivor left
-        that residue is 0, so the call returns at once."""
-        if not (self.fwd.size or self.bwd.size):
-            return 0 if r is None else r
+    def assign(self, primes: list[int], given: Mapping[int, int] | None = None) -> dict[int, int]:
+        """Assign each of primes, in order, the residue given[q], or, with no
+        given map, the residue killing the most survivors left on both sides
+        jointly (ties to the smallest), and drop the survivors it kills.
+        Returns q -> residue. Once no survivor is left every scored residue
+        is 0, what a bincount of no keys gives."""
+        roots = self.table.roots
+        nus = [len(roots[q]) for q in primes]
+        ends = list(itertools.accumulate(nus))  # one past each prime's last row
+        out: dict[int, int] = {}
+        cols = None  # the row columns from the first block's primes on, from row base
+        i, n = 0, len(primes)
+        while i < n and (self.fwd.size or self.bwd.size):
+            j = self._block_end(ends, i)
+            if j == i + 1:
+                q = primes[i]
+                out[q] = self._one(q, None if given is None else given[q])
+            else:
+                if cols is None:
+                    base, cols = ends[i] - nus[i], self._columns(primes[i:], nus[i:], given)
+                block = cols[:, ends[i] - nus[i] - base:ends[j - 1] - base]
+                out.update(zip(primes[i:j], self._block(primes[i:j], nus[i:j], block, given is None)))
+            i = j
+        if given is not None:
+            return {q: given[q] for q in primes}
+        out.update(dict.fromkeys(primes[i:], 0))
+        return out
+
+    def _columns(self, primes: list[int], nus: list[int], given: Mapping[int, int] | None) -> np.ndarray:
+        """One row per (prime, root) of primes, in order, and four columns:
+        the root alpha, the prime, the backward key's constant alpha - N
+        (N mod q read only while backward survivors remain) and the given
+        residue (0 when scored); shape (4, rows, 1)."""
+        roots, dtype = self.table.roots, self.fwd.dtype
+        zeros = [0] * len(primes)
+        n_mod = [self.n_mod[q] for q in primes] if self.bwd.size else zeros
+        cols = np.empty((4, sum(nus), 1), dtype)
+        cols[0, :, 0] = np.fromiter(itertools.chain.from_iterable(map(roots.__getitem__, primes)),
+                                    dtype, cols.shape[1])
+        per_prime = [primes, n_mod, zeros if given is None else [given[q] for q in primes]]
+        cols[1:, :, 0] = np.repeat(np.array(per_prime, dtype), nus, axis=1)
+        cols[2] = cols[0] - cols[2]
+        return cols
+
+    def _block_end(self, ends: list[int], i: int) -> int:
+        """One past the last prime of the block that starts at prime i (ends:
+        one past each prime's last row): the primes whose rows, times the
+        survivors left, fit BLOCK_KEYS, or prime i alone when fewer than
+        BLOCK_MIN_PRIMES of them fit, unless they are all the primes left."""
+        row0 = ends[i - 1] if i else 0
+        j = bisect.bisect_right(ends, row0 + BLOCK_KEYS // (self.fwd.size + self.bwd.size), i)
+        return j if j - i >= min(BLOCK_MIN_PRIMES, len(ends) - i) else i + 1
+
+    def _block(self, primes: list[int], nus: list[int], cols: np.ndarray, score: bool) -> list[int]:
+        """Assign a block of primes (see the class docstring) from its row
+        columns (see _columns), scoring their residues or taking the given
+        ones, and compact the survivor arrays once; returns the scored
+        residues in order (none when they are given)."""
+        alphas, q_rows, c_rows, r_rows = cols
+        fwd, bwd = self.fwd, self.bwd
+        nf = fwd.size
+        keys = np.empty((len(alphas), nf + bwd.size), dtype=fwd.dtype)
+        np.subtract(fwd, alphas, out=keys[:, :nf])
+        np.subtract(c_rows, bwd, out=keys[:, nf:])
+        if keys.shape[1] < FLOOR_DIV_KEYS:
+            np.remainder(keys, q_rows, out=keys)
+        else:
+            for k, q in zip(keys, q_rows[:, 0].tolist()):
+                k -= k // q * q
+        residues: list[int] = []
+        if not score:
+            # a survivor stays when none of its keys is its row's residue
+            keep = np.logical_and.reduce(keys != r_rows)
+        else:
+            # 1 for a survivor no prime of the block has killed yet, in
+            # identical rows, so that the first nu of them weigh nu key rows
+            live = np.ones((max(1, *nus), keys.shape[1]))
+            row = 0
+            for q, nu in zip(primes, nus):
+                if nu == 1:
+                    k = keys[row]
+                    r = int(np.bincount(k, live[0], q).argmax())
+                    hit = k == r
+                else:
+                    k = keys[row:row + nu]
+                    r = int(np.bincount(k.ravel(), live[:nu].ravel(), q).argmax())
+                    hit = np.logical_or.reduce(k == r)
+                np.copyto(live, 0, where=hit)
+                row += nu
+                residues.append(r)
+            keep = live[0] > 0
+        self.fwd = fwd[keep[:nf]]
+        self.bwd = bwd[keep[nf:]]
+        return residues
+
+    def _one(self, q: int, r: int | None) -> int:
+        """Assign q alone the residue r, or, when r is None, the residue
+        killing the most survivors left (ties to the smallest); drop the
+        survivors it kills and return it."""
         alphas = self.table.roots[q]
         fwd, bwd = self.fwd, self.bwd
         nf = fwd.size
@@ -292,7 +417,7 @@ def select_shifts_greedy(state: CoverState, primes: Iterable[int]) -> dict[int, 
     against both windows jointly, since it kills on both sides; a one-sided
     state has an empty backward window, so only forward survivors count.
     Returns q -> residue."""
-    return {q: state.add(q) for q in sorted(set(primes))}
+    return state.assign(sorted(set(primes)))
 
 
 def select_shifts_random(
@@ -330,8 +455,8 @@ def select_shifts_random(
             if j % 2 != side or not 2 * y / x - 1e-12 <= h <= y / (xi * z) + 1e-12:
                 continue
             primes = table.usable_between(y / (xi * h), y / h)
-            for q in sorted(primes, key=lambda q: len(table.roots[q])):
-                n = int(rng.integers(lo, hi + 1))
+            primes.sort(key=lambda q: len(table.roots[q]))
+            for q, n in zip(primes, rng.integers(lo, hi + 1, size=len(primes)).tolist()):
                 out[q] = (-n_mod[q] - n) % q if side else n % q
     return out
 

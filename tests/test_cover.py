@@ -1,8 +1,15 @@
 """Parameter formulas, small-prime residue sampling, shift selection (greedy,
 and randomized against the scale-ladder walk it replaced), and the cover
-state."""
+state.
 
+Run as a script (PYTHONPATH=src python tests/test_cover.py) it prints the
+greedy pass's cost per prime by key bin instead; see greedy_cost_table.
+"""
+
+import bisect
 import math
+import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -10,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composite_forge import cover
-from composite_forge.assemble import pairing_stage, stage_rng
+from composite_forge.assemble import construct_certificate, pairing_stage, stage_rng
 from composite_forge.cover import (
     CoverState,
     RetryBudgetError,
@@ -305,6 +312,22 @@ def one_sided(table, fwd):
     return CoverState(table, fwd, None, None)
 
 
+# Block sizes the greedy oracle tests run at: None keeps the measured bound,
+# 1 assigns each prime alone, 2 and 7 cut the pass into blocks of that many
+# primes whatever the survivor count.
+BLOCK_SIZES = [None, 1, 2, 7]
+
+
+@contextmanager
+def blocks_of(k):
+    """Make every block of CoverState.assign hold k primes (k = 1: each prime
+    alone); k None leaves the bound as it is."""
+    with pytest.MonkeyPatch.context() as mp:
+        if k is not None:
+            mp.setattr(CoverState, "_block_end", lambda self, ends, i: min(i + k, len(ends)))
+        yield
+
+
 class TestGreedySelection:
     def test_single_prime_hand_case(self, table_x_100):
         state = one_sided(table_x_100, full_window(1, 30))
@@ -316,14 +339,16 @@ class TestGreedySelection:
         state = one_sided(table_x_100, full_window(1, 40))
         assert list(select_shifts_greedy(state, [13, 7, 11, 7])) == [7, 11, 13]
 
-    def test_coverage_bookkeeping_is_exact(self, table_x2p1_2000):
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_coverage_bookkeeping_is_exact(self, table_x2p1_2000, block):
         params = SieveParams(x=2000)
         residues, fwd, _, _ = sample_small_residue(
             params, table_x2p1_2000, stage_rng(3, 1, 0), two_sided=False
         )
         med = table_x2p1_2000.usable_between(params.z, 300)
         state = one_sided(table_x2p1_2000, fwd)
-        chosen = select_shifts_greedy(state, med)
+        with blocks_of(block):
+            chosen = select_shifts_greedy(state, med)
         # the state's residual must equal an actual re-sieve with the chosen residues
         merged = dict(residues)
         merged.update(chosen)
@@ -332,7 +357,8 @@ class TestGreedySelection:
         )
         assert list(resieved.survivors()) == list(state.fwd)
 
-    def test_joint_two_sided_consistency(self, table_x2p1_2000):
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_joint_two_sided_consistency(self, table_x2p1_2000, block):
         params = SieveParams(x=2000)
         n_mod = target_residues(N60, table_x2p1_2000)
         residues, fwd, bwd, _ = sample_small_residue(
@@ -341,7 +367,8 @@ class TestGreedySelection:
         med = table_x2p1_2000.usable_between(params.z, 400)
         state = CoverState(table_x2p1_2000, fwd, bwd, n_mod)
         merged = dict(residues)
-        merged.update(select_shifts_greedy(state, med))
+        with blocks_of(block):
+            merged.update(select_shifts_greedy(state, med))
         f2 = sieve_survivors(table_x2p1_2000, merged, (1, params.y), (0, 400))
         b2 = sieve_survivors(
             table_x2p1_2000,
@@ -364,8 +391,7 @@ class TestGreedySelection:
         # unassigned; its residual is the small stage's less the sampled classes
         rnd = one_sided(table_x2p1_2000, fwd)
         drawn = select_shifts_random(params, table_x2p1_2000, stage_rng(5, 2, 0), None)
-        for q, r in drawn.items():
-            rnd.add(q, r)
+        rnd.assign(list(drawn), drawn)
         assert len(greedy.fwd) <= len(rnd.fwd)
 
 
@@ -560,7 +586,10 @@ class TestCoverState:
         paired=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_resieve_oracles(self, tables_2000, poly, x, draw_seed, n_target, paired):
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_matches_resieve_oracles(
+        self, tables_2000, block, poly, x, draw_seed, n_target, paired
+    ):
         table = tables_2000[poly]
         params = SieveParams(x=x)
         n_mod = target_residues(n_target, table)
@@ -573,14 +602,16 @@ class TestCoverState:
 
         if paired:
             state = CoverState(table, fwd0, bwd0, n_mod)
-            chosen = select_shifts_greedy(state, med)
+            with blocks_of(block):
+                chosen = select_shifts_greedy(state, med)
             ref, ref_fwd, ref_bwd = oracle_greedy_both(med, fwd0, bwd0, table, n_target)
             assert np.array_equal(state.bwd, ref_bwd)
         else:
             # one-sided: the backward window is empty and only forward
             # survivors are scored
             state = CoverState(table, fwd0, None, n_mod)
-            chosen = select_shifts_greedy(state, med)
+            with blocks_of(block):
+                chosen = select_shifts_greedy(state, med)
             ref, ref_fwd = oracle_greedy_fwd(med, fwd0, table)
             assert state.bwd.size == 0
         assert list(chosen.items()) == list(ref.items())
@@ -624,25 +655,27 @@ class TestCoverState:
         got = select_shifts_random(params, table, stage_rng(draw_seed, 2), n_mod)
         assert got == select_shifts_random_int(params, table, stage_rng(draw_seed, 2), n_target)
 
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
     @pytest.mark.parametrize("poly", ["x", "x^2+1", "x^3+2"])
-    def test_given_residues_match_sieve(self, tables_2000, poly):
+    def test_given_residues_match_sieve(self, tables_2000, poly, block):
         # random mode's path: each prime's residue is given, not scored, and
-        # add returns it
+        # assign returns them
         table = tables_2000[poly]
         n_target = 10**80 + 3
         n_mod = target_residues(n_target, table)
         rng = np.random.default_rng(11)
         residues = {q: int(rng.integers(q)) for q in table.usable_between(0, 200)}
         state = CoverState(table, full_window(1, 900), full_window(-900, -1), n_mod)
-        for q, r in residues.items():
-            assert state.add(q, r) == r
+        with blocks_of(block):
+            assert state.assign(list(residues), residues) == residues
         assert np.array_equal(state.fwd, sieve_only(table, residues, (1, 900)))
         back = sieve_only(table, backward_residues_int(residues, n_target), (-900, -1))
         assert np.array_equal(state.bwd, back)
 
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
     @pytest.mark.parametrize("reach", [2**31 - 1, 2**31])
     @pytest.mark.parametrize("poly", ["x", "x^2+1", "x^3+2"])
-    def test_narrow_and_wide_at_the_key_bound(self, tables_2000, poly, reach):
+    def test_narrow_and_wide_at_the_key_bound(self, tables_2000, poly, reach, block):
         # windows at the far end of the int32 range: their largest |offset|
         # plus the table limit is the bound's last narrow value, then its
         # first wide one; the greedy pass must match the oracle either way
@@ -658,7 +691,8 @@ class TestCoverState:
         assert state.fwd.dtype == state.bwd.dtype == narrow_dtype(table, fwd0, bwd0)
         assert state.fwd.dtype == (np.int32 if reach < 2**31 else np.int64)
         assert (state.fwd[-1], state.bwd[0]) == (top, -top)
-        chosen = select_shifts_greedy(state, med)
+        with blocks_of(block):
+            chosen = select_shifts_greedy(state, med)
         ref, ref_fwd, ref_bwd = oracle_greedy_both(med, fwd0, bwd0, table, n_target)
         assert list(chosen.items()) == list(ref.items())
         assert np.array_equal(state.fwd, ref_fwd)
@@ -671,9 +705,12 @@ class TestCoverState:
         table = tables_2000[poly]
         dead = SurvivorSet(1, 50, np.zeros(50, dtype=bool))
         state = CoverState(table, dead, SurvivorSet(-50, -1, np.zeros(50, dtype=bool)), None)
-        for q in table.usable_between(0, 200):
-            assert state.add(q) == int(np.bincount(np.zeros(0, np.int64), minlength=q).argmax()) == 0
-            assert state.add(q, q - 1) == q - 1
+        primes = table.usable_between(0, 200)
+        for q in primes:
+            assert int(np.bincount(np.zeros(0, np.int64), minlength=q).argmax()) == 0
+        assert state.assign(primes) == dict.fromkeys(primes, 0)
+        given = {q: q - 1 for q in primes}
+        assert state.assign(primes, given) == given
         assert state.fwd.size == state.bwd.size == 0
 
     def test_engine_paths_do_not_resieve(self, table_x2p1_2000, monkeypatch):
@@ -707,8 +744,9 @@ def oracle_best_residue(q, alphas, fpos, bpos, n_target):
 
 
 class TestFusedScorer:
-    """CoverState.add's choice on a fresh state (one bincount over both
-    windows' class keys) against the per-window class scores it replaced."""
+    """CoverState.assign's choice for one prime on a fresh state (one
+    bincount over both windows' class keys) against the per-window class
+    scores it replaced."""
 
     @given(
         case=st.sampled_from([("x", 1), ("x^2+1", 2), ("x^3+2", 1), ("x^3+2", 3)]),
@@ -735,7 +773,7 @@ class TestFusedScorer:
         bwd = random_window(rng, bwd_lo, bwd_len, p_survive)
         state = CoverState(table, fwd, bwd, target_residues(n_target, table))
         expect = oracle_best_residue(q, table.roots[q], fwd.survivors(), bwd.survivors(), n_target)
-        assert state.add(q) == expect
+        assert state.assign([q]) == {q: expect}
 
     @pytest.mark.parametrize("poly", ["x", "x^2+1", "x^3+2"])
     def test_full_windows_tie_to_zero(self, tables_2000, poly):
@@ -745,7 +783,7 @@ class TestFusedScorer:
             k = 3
             fwd, bwd = full_window(-q, (k - 1) * q - 1), full_window(-5 * q, (k - 5) * q - 1)
             state = CoverState(table, fwd, bwd, target_residues(10**1500 + 11, table))
-            assert state.add(q) == 0
+            assert state.assign([q]) == {q: 0}
 
     @pytest.mark.parametrize("o_fwd,o_bwd", [(30, -7), (5, -40), (-3, -1)])
     def test_two_single_survivors_tie_to_smaller_residue(self, table_x_100, o_fwd, o_bwd):
@@ -756,7 +794,7 @@ class TestFusedScorer:
         bwd = SurvivorSet(-100, -1, np.arange(-100, 0) == o_bwd)
         k_f, k_b = o_fwd % q, (-n_target - o_bwd) % q
         state = CoverState(table_x_100, fwd, bwd, target_residues(n_target, table_x_100))
-        assert state.add(q) == min(k_f, k_b)
+        assert state.assign([q]) == {q: min(k_f, k_b)}
 
     def test_one_sided_state_ignores_target(self, table_x2p1_2000):
         # a one-sided state has no target residues at all: scoring and
@@ -770,7 +808,189 @@ class TestFusedScorer:
             expect = oracle_best_residue(
                 q, table_x2p1_2000.roots[q], state.fwd, np.zeros(0, dtype=np.int64), 0
             )
-            chosen[q] = state.add(q)
+            chosen.update(state.assign([q]))
             assert chosen[q] == expect
         kept = sieve_only(table_x2p1_2000, chosen, (-20, 700))
         assert np.array_equal(state.fwd, np.intersect1d(kept, fwd.survivors()))
+        # one pass over all of them, in blocks, makes the same choices
+        again = one_sided(table_x2p1_2000, fwd)
+        assert again.assign(list(chosen)) == chosen
+        assert np.array_equal(again.fwd, state.fwd)
+
+
+def counting_blocks(monkeypatch):
+    """The root counts of each block CoverState._block assigns, in order."""
+    seen = []
+    inner = CoverState._block
+
+    def spy(self, primes, nus, *rows):
+        seen.append(list(nus))
+        return inner(self, primes, nus, *rows)
+
+    monkeypatch.setattr(CoverState, "_block", spy)
+    return seen
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_survivors_run_out_mid_block(self, table_x_100, monkeypatch, paired):
+        # f = x, one root 0: the forward survivors 1..5 fall one per prime
+        # (each prime's best class is the smallest survivor's), so the one
+        # block of every prime empties after its fifth and gives the rest 0
+        n_target = 10**70 + 1
+        fwd0 = full_window(1, 5)
+        bwd0 = SurvivorSet(-5, -1, np.zeros(5, dtype=bool)) if paired else None
+        n_mod = target_residues(n_target, table_x_100)
+        state = CoverState(table_x_100, fwd0, bwd0, n_mod if paired else None)
+        med = table_x_100.usable_between(6, 60)
+        blocks = counting_blocks(monkeypatch)
+        chosen = select_shifts_greedy(state, med)
+        assert blocks == [[1] * len(med)]
+        assert list(chosen.items()) == [(7, 1), (11, 2), (13, 3), (17, 4), (19, 5)] + [
+            (q, 0) for q in med[5:]
+        ]
+        assert list(chosen.items()) == list(oracle_greedy_fwd(med, fwd0, table_x_100)[0].items())
+        assert state.fwd.size == state.bwd.size == 0
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_two_sided_run_out_mid_block_matches_oracle(self, tables_2000, block):
+        table = tables_2000["x^2+1"]
+        rng = np.random.default_rng(3)
+        fwd0, bwd0 = random_window(rng, 1, 400, 0.02), random_window(rng, -400, 400, 0.02)
+        n_target = 10**90 + 17
+        med = table.usable_between(50, 900)
+        state = CoverState(table, fwd0, bwd0, target_residues(n_target, table))
+        with blocks_of(block):
+            chosen = select_shifts_greedy(state, med)
+        ref, ref_fwd, ref_bwd = oracle_greedy_both(med, fwd0, bwd0, table, n_target)
+        assert list(chosen.items()) == list(ref.items())
+        assert ref_fwd.size == ref_bwd.size == 0 and list(chosen.values())[-1] == 0
+        assert state.fwd.size == state.bwd.size == 0
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_cubic_block_mixes_one_and_three_roots(self, tables_2000, monkeypatch, block):
+        # x^3 + 2 has one root mod q = 2 (mod 3) and three or none mod
+        # q = 1 (mod 3); a block over consecutive primes holds both counts
+        table = tables_2000["x^3+2"]
+        rng = np.random.default_rng(5)
+        fwd0, bwd0 = random_window(rng, 1, 3000, 0.1), random_window(rng, -3000, 3000, 0.1)
+        n_target = 10**400 + 9
+        med = table.usable_between(100, 400)
+        state = CoverState(table, fwd0, bwd0, target_residues(n_target, table))
+        blocks = counting_blocks(monkeypatch)
+        with blocks_of(block):
+            chosen = select_shifts_greedy(state, med)
+        assert any({1, 3} <= set(nus) for nus in blocks)
+        ref, ref_fwd, ref_bwd = oracle_greedy_both(med, fwd0, bwd0, table, n_target)
+        assert list(chosen.items()) == list(ref.items())
+        assert np.array_equal(state.fwd, ref_fwd)
+        assert np.array_equal(state.bwd, ref_bwd)
+
+
+class TestDrawStreams:
+    """The stage draws take one numpy call per small-stage draw and per
+    scale; they must consume the generator exactly as one scalar draw per
+    prime did, so that every certificate stays the same."""
+
+    def test_small_stage_draw_matches_scalar_loop(self, table_x2p1_2000, monkeypatch):
+        # the survivors of a draw at x = 2000 fill 0.497-0.504 of the bound,
+        # so a bound of 0.502 of it rejects some draws and the stream is
+        # pinned past a rejection too
+        density = table_x2p1_2000.density_product
+        monkeypatch.setattr(table_x2p1_2000, "density_product", lambda z: 0.502 * density(z))
+        params = SieveParams(x=2000)
+        n_mod = target_residues(N60, table_x2p1_2000)
+        small = table_x2p1_2000.usable_between(0, params.z)
+        rejected = 0
+        for seed in range(40):
+            rng = stage_rng(seed, 1, 0)
+            residues, _, _, rej = sample_small_residue(params, table_x2p1_2000, rng, n_mod)
+            scalar = stage_rng(seed, 1, 0)
+            for _ in range(rej + 1):
+                draw = {q: int(scalar.integers(q)) for q in small}
+            assert residues == draw
+            assert rng.integers(2**62) == scalar.integers(2**62)
+            rejected += rej > 0
+        assert rejected
+
+    @pytest.mark.parametrize("K", [8.0, 3.5e9, 1e16])
+    def test_random_scales_match_scalar_loop(self, f_x, f_x2p1, cache_dir, K):
+        from composite_forge.modroots import build_root_table
+
+        # shift ranges of about 6.4e3, 2.5e12 and 7.2e18 values at x = 300
+        params = SieveParams(x=300, K=K)
+        for f in (f_x, f_x2p1):
+            table = build_root_table(f, 300, cache_dir=cache_dir)
+            n_target = 10**200 + 7
+            n_mod = target_residues(n_target, table)
+            rng = stage_rng(2, 2, 0)
+            got = select_shifts_random(params, table, rng, n_mod)
+            scalar = stage_rng(2, 2, 0)
+            assert list(got.items()) == list(
+                select_shifts_random_int(params, table, scalar, n_target).items()
+            )
+            assert rng.integers(2**62) == scalar.integers(2**62)
+
+
+# Edges of the key bins of greedy_cost_table: a prime's keys are its root
+# count times the survivors of both windows when it is assigned (for a block,
+# at the block's start).
+KEY_BINS = (100, 1000, 10_000)
+
+
+def greedy_cost_by_key_bin(f, x, seed=7):
+    """[primes, seconds] per key bin over every greedy pass of one two-sided
+    construction at x, and the seconds of the whole passes. A block's time is
+    spread evenly over its primes; the passes' time also holds their
+    per-attempt setup."""
+    bins = [[0, 0.0] for _ in range(len(KEY_BINS) + 1)]
+    passes = [0.0]
+    block, one, greedy = CoverState._block, CoverState._one, cover.select_shifts_greedy
+
+    def tally(nus, survivors, seconds):
+        for nu in nus:
+            b = bins[bisect.bisect_right(KEY_BINS, nu * survivors)]
+            b[0] += 1
+            b[1] += seconds / len(nus)
+
+    def timed(fn, nus_of):
+        def wrapper(self, *args):
+            survivors = self.fwd.size + self.bwd.size
+            t = time.perf_counter()
+            out = fn(self, *args)
+            tally(nus_of(self, *args), survivors, time.perf_counter() - t)
+            return out
+        return wrapper
+
+    def timed_pass(state, primes):
+        t = time.perf_counter()
+        out = greedy(state, primes)
+        passes[0] += time.perf_counter() - t
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CoverState, "_block", timed(block, lambda self, primes, nus, *rows: nus))
+        mp.setattr(CoverState, "_one", timed(one, lambda self, q, r: [len(self.table.roots[q])]))
+        mp.setattr("composite_forge.assemble.select_shifts_greedy", timed_pass)
+        construct_certificate(f, SieveParams(x=x), seed)
+    return bins, passes[0]
+
+
+def greedy_cost_table(xs=(300, 1000, 3000, 10**4), seed=7):
+    """Print, for each f and x, the primes and mean microseconds per prime
+    in each key bin of the greedy pass, and the passes' total milliseconds.
+    Each construction runs twice and the second, warm run is reported."""
+    polys = {"x": [0, 1], "x^2+1": [1, 0, 1], "x^3+2": [2, 0, 0, 1]}
+    edges = ["<100", "<1k", "<10k", ">=10k"]
+    print(f"{'f':6} {'x':>6} " + " ".join(f"{e:>17}" for e in edges) + f" {'pass ms':>8}")
+    for x in xs:
+        for name, coeffs in polys.items():
+            f = IntPolynomial.from_monomial(coeffs)
+            greedy_cost_by_key_bin(f, x, seed)
+            bins, total = greedy_cost_by_key_bin(f, x, seed)
+            cells = [f"{n:6d} x {t / n * 1e6:6.1f} us" if n else f"{'-':>17}" for n, t in bins]
+            print(f"{name:6} {x:>6} " + " ".join(cells) + f" {total * 1e3:8.2f}")
+
+
+if __name__ == "__main__":
+    greedy_cost_table()
