@@ -15,15 +15,24 @@ degree (`gf_degree_rows`).
 - `gf_gcd_rows`: the monic gcd, by division-free Euclid steps, with an
   inverse taken only for a gcd of positive degree;
 - `gf_div_rows`: the quotient by a monic divisor.
-They keep every coefficient they return in [0, p) and only ever multiply
-two reduced coefficients, so each product stays below p^2 < 2^62. The other
-kernels reduce every sum, of two products or of a few reduced terms, which
-stays below 2^63 in int64. The power ladder works in uint64 and reduces once
-per sum instead: a sum of up to four products plus one reduced term stays
-below 4 p^2 + p < 2^64, and a longer sum, of a square's or a fold's terms at
-degree 5 or more, is reduced after every four products. That exactness
-needs every row prime below ROW_PRIME_BOUND = 2^31, and the polynomial
-kernels refuse any other prime.
+The polynomial kernels work coefficient-major, (w, n), in buffers allocated
+once per call, so every numpy call runs over all n rows and no step
+allocates. They keep every coefficient they return in [0, p) and only ever
+multiply two reduced coefficients, so each product stays below
+p^2 < 2^62. The gcd and the division reduce every sum, of two products or
+of a product and a reduced term, which stays below 2^63 in int64. The power
+ladder works in uint64 and reduces as seldom as the largest prime P of its
+batch allows. When d^2 P^3 < 2^64 it folds a square's terms back unreduced
+and reduces once after the fold: a term of the square sums at most d
+products, below d p^2, and a fold sum adds d - 1 such terms times reduced
+coefficients of X^(d+k) mod m to one of them, below d^2 p^3. That holds for
+every cubic table up to x = 1.27e6 and every quartic one up to 1.05e6, and
+a cubic then reduces 6 rows per exponent bit, 3 after the fold and 3 after
+the step by X + a. Above the bound it reduces each sum of up to four
+products plus one reduced term, below 4 p^2 + p < 2^64: the square's terms
+after every four rows of products, then the fold after every four products,
+11 rows per bit for a cubic. That exactness needs every row prime below
+ROW_PRIME_BOUND = 2^31, and the polynomial kernels refuse any other prime.
 """
 
 from __future__ import annotations
@@ -142,10 +151,10 @@ def pow_mod_rows(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
             r = pick
             continue
         for _ in range(POW_WINDOW_BITS):
-            np.multiply(r, r, out=r)
-            np.remainder(r, p, out=r)
-        np.multiply(r, pick, out=r)
-        np.remainder(r, p, out=r)
+            r *= r
+            r %= p
+        r *= pick
+        r %= p
     return np.ones_like(p) if r is None else r
 
 
@@ -162,18 +171,28 @@ def gf_powmod_half_rows(
     Returns the two (n, d) residues, ascending, coefficients in [0, p_i).
 
     Left-to-right square and multiply over the bits of the largest
-    exponent; a row whose exponent is shorter squares 1 until its top bit.
+    exponent; a row whose exponent is shorter squares 1 until its top bit,
+    and the top bit itself only steps from 1.
     The work is coefficient-major, (d, n), so each numpy call runs over all
-    rows, in uint64 (see the module docstring). A square sums the d^2
-    products of coefficients into its 2d - 1 terms, reduces them and folds
-    the terms of degree d..2d-2 back with the precomputed X^(d+k) mod m_i;
-    multiplying by X + a shifts, folds the coefficient pushed to X^d back
-    with X^d mod m_i and adds a times the residue.
+    rows, in uint64, and writes into buffers allocated once per call; the
+    exponent bits are read off once, as a (bits, n) mask. A square adds
+    each coefficient r_i times the residue into its 2d - 1 terms at X^i and
+    folds the terms of degree d..2d-2 back with the precomputed
+    X^(d+k) mod m_i. Multiplying by X + a shifts, folds the coefficient
+    pushed to X^d back with X^d mod m_i and adds a times the residue; it is
+    kept on the rows whose exponent has the bit, and skipped when no row's
+    has. The batch's largest prime P sets the cadence of reductions (see
+    the module docstring): when d^2 P^3 < 2^64 the square is folded
+    unreduced and reduced once after the fold; above that bound the
+    square's terms are reduced after every four rows of products and the
+    fold after every four products.
     """
     n, d = m.shape[0], m.shape[1] - 1
     if d < 2:
         raise ValueError("gf_powmod_half_rows needs moduli of degree at least 2")
     _check_row_primes(p, "gf_powmod_half_rows")
+    # a fold sum of an unreduced square is below d^2 P^3
+    lazy = d * d * int(p.max(initial=0)) ** 3 < 1 << 64
     # uint64 throughout: numpy turns uint64 mixed with int64 into float64
     a, p = a.astype(np.uint64), p.astype(np.uint64)
     # fold[k] = X^(d+k) mod m, k = 0 .. d-2, each X times the one before
@@ -183,32 +202,53 @@ def gf_powmod_half_rows(
         fold[k] = fold[0] * fold[k - 1, -1]
         fold[k, 1:] += fold[k - 1, :-1]
         fold[k] %= p
-    # the d^2 products of a square and the (d - 1) d of its fold, written
-    # in place bit after bit
-    outer = np.empty((d, d, n), dtype=np.uint64)
-    prod = np.empty((d - 1, d, n), dtype=np.uint64)
-    half = r = np.zeros((d, n), dtype=np.uint64)
+    # a square's 2d - 1 terms, one row of its products and the X + a step,
+    # written in place bit after bit
+    sq = np.empty((2 * d - 1, n), dtype=np.uint64)
+    prod = np.empty((d, n), dtype=np.uint64)
+    times = np.empty((d, n), dtype=np.uint64)
+    bits = int(e.max(initial=0)).bit_length()
+    # steps[bit]: the rows whose exponent has that bit, unpacked from the
+    # bytes of e, with no (bits, n) array of int64 on the way
+    octets = e.astype("<u8").view(np.uint8).reshape(n, 8)
+    steps = np.ascontiguousarray(np.unpackbits(octets, axis=1, count=bits, bitorder="little").T, dtype=bool)
+    stepped = steps.any(axis=1).tolist()
+    r = np.zeros((d, n), dtype=np.uint64)
     r[0] = 1
-    for bit in reversed(range(int(e.max(initial=0)).bit_length())):
-        half = r  # each step makes r anew, so half keeps the power before it
-        np.multiply(r[:, None], r, out=outer)
-        # each term gathers one product per row; reduced every four rows
-        sq = np.zeros((2 * d - 1, n), dtype=np.uint64)
-        for i in range(d):
-            sq[i : i + d] += outer[i]
-            if i % 4 == 3 and i + 1 < d:
+    half = r.copy()
+    if bits:  # the top bit takes 1 to X + a with no square before it
+        np.copyto(r[0], a, where=steps[-1])
+        r[1] = steps[-1]
+    for bit in reversed(range(bits - 1)):
+        if bit == 0:
+            half = r.copy()
+        # the square, r_i times r added in at X^i
+        np.multiply(r, r[0], out=sq[:d])
+        sq[d:] = 0
+        for i in range(1, d):
+            np.multiply(r, r[i], out=prod)
+            sq[i : i + d] += prod
+            if not lazy and i % 4 == 3 and i + 1 < d:
                 sq %= p
-        sq %= p
-        np.multiply(fold, sq[d:, None], out=prod)
-        r = sq[:d]
-        for k in range(0, d - 1, 4):  # four fold products per reduction
-            r = r + prod[k : k + 4].sum(axis=0)
-            r %= p
-        times = fold[0] * r[-1]
-        times += a * r
+        if not lazy:
+            sq %= p
+        # the fold: r = sq[:d] + sum over k of sq[d + k] X^(d+k) mod m
+        np.multiply(fold[0], sq[d], out=r)
+        r += sq[:d]
+        for k in range(1, d - 1):
+            if not lazy and k % 4 == 0:
+                r %= p
+            np.multiply(fold[k], sq[d + k], out=prod)
+            r += prod
+        r %= p
+        if not stepped[bit]:
+            continue
+        np.multiply(fold[0], r[-1], out=times)
+        np.multiply(a, r, out=prod)
+        times += prod
         times[1:] += r[:-1]
         times %= p
-        np.copyto(r, times, where=((e >> bit) & 1).astype(bool))
+        np.copyto(r, times, where=steps[bit])
     return half.T.astype(np.int64), r.T.astype(np.int64)
 
 
@@ -221,14 +261,33 @@ def gf_degree_rows(a: np.ndarray) -> np.ndarray:
     return (nonzero * np.arange(1, a.shape[1] + 1)[:, None]).max(axis=0, initial=0) - 1
 
 
+def _shifted_cols(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """X^s_i * a_i for every row of the (n, w) array a, in its width w, for
+    |s_i| <= w, as a coefficient-major (w, n) array: terms pushed above the
+    width or below X^0 (s_i < 0) are dropped. One gather from a's memory,
+    whether a is row- or coefficient-major; the columns that come from
+    outside the width read a's first element and are then cleared. The
+    indices are built coefficient-major, so every numpy call runs over n."""
+    n, w = a.shape
+    if a.flags.c_contiguous:
+        flat, row, col = a.ravel(), w, 1
+    else:  # no copy when a is the transpose of a (w, n) array
+        flat, row, col = a.T.ravel(), 1, n
+    src = np.arange(w)[:, None] - s  # the column each term comes from
+    inside = src.view(np.uint64) < w  # a negative column is huge as uint64
+    src *= inside
+    if col != 1:
+        src *= col
+    src += np.arange(0, n * row, row)
+    out = flat[src]
+    out *= inside
+    return out
+
+
 def gf_shift_rows(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     """X^s_i * a_i for every row, in a's width w, for |s_i| <= w: terms
-    pushed above it or below X^0 (s_i < 0) are dropped. One gather from a
-    copy of a with w zero columns on either side."""
-    n, w = a.shape
-    padded = np.zeros((n, 3 * w), dtype=a.dtype)
-    padded[:, w : 2 * w] = a
-    return padded.ravel()[np.arange(w) + (w - s + 3 * w * np.arange(n))[:, None]]
+    pushed above it or below X^0 (s_i < 0) are dropped."""
+    return np.ascontiguousarray(_shifted_cols(a, s).T)
 
 
 def gf_gcd_rows(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -251,32 +310,52 @@ def gf_gcd_rows(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     df + dg by one. A row is done when dg reaches -1, since G is then zero,
     so no row takes more than 2w - 1 steps; a done row that steps on keeps
     F as it is, and F is the gcd, of degree df. Each sum is of two products
-    of reduced values, below 2 p^2 < 2^63. A gcd of positive degree is
-    then made monic by one batched Fermat inverse of its leading
+    of reduced values, below 2 p^2 < 2^63. The steps run coefficient-major
+    in (w, n) buffers allocated once: H is written into the buffer G does
+    not hold, and F takes G's rows by one masked copy. A gcd of positive
+    degree is then made monic by one batched Fermat inverse of its leading
     coefficient; a constant gcd is 1 with no power taken.
     """
     _check_row_primes(p, "gf_gcd_rows")
-    w = a.shape[1]
+    n, w = a.shape
     da, db = gf_degree_rows(a), gf_degree_rows(b)
-    high = (da > db)[:, None]
-    f, g = np.where(high, a, b), np.where(high, b, a)
+    high = da > db
+    # F is the operand of higher degree; the buffer of the other aligned
+    # operand takes the next G, its bottom row 0
+    f, h = _shifted_cols(a, w - 1 - da), _shifted_cols(b, w - 1 - db)
+    g = np.where(high, h, f)
+    np.copyto(f, h, where=~high)
+    h[0] = 0
     df, dg = np.maximum(da, db), np.minimum(da, db)
-    # coefficient-major, each row moved up to its top column
-    f, g = gf_shift_rows(f, w - 1 - df).T, gf_shift_rows(g, w - 1 - dg).T
+    prod, lead = np.empty((w - 1, n), dtype=np.int64), np.empty(n, dtype=np.int64)
+    swap, live = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    total = df + dg
     while dg.max(initial=-1) >= 0:
-        swap = (df > dg) & (g[-1] != 0)
-        h = (f[-1] * g + (p - g[-1]) * f) % p
-        f = np.where(swap, g, f)
-        g = np.empty_like(h)
-        g[0], g[1:] = 0, h[:-1]
-        df, dg = np.where(swap, dg, df), np.where(swap, df, dg) - 1
+        np.greater(df, dg, out=swap)
+        np.not_equal(g[-1], 0, out=live)
+        swap &= live
+        np.subtract(p, g[-1], out=lead)
+        np.multiply(f[-1], g[:-1], out=h[1:])
+        np.multiply(lead, f[:-1], out=prod)
+        h[1:] += prod
+        h[1:] %= p
+        np.copyto(f, g, where=swap)
+        g, h = h, g
+        h[0] = 0
+        # a swap trades df for dg; df + dg falls by one either way
+        np.copyto(df, dg, where=swap)
+        total -= 1
+        np.subtract(total, df, out=dg)
     # a gcd of positive degree is made monic by its lead's inverse, a
     # constant one is 1, and a zero one stays zero
-    out = gf_shift_rows(f.T, df - (w - 1))
+    out = _shifted_cols(f.T, df - (w - 1))
     pos = np.flatnonzero(df > 0)
-    out[pos] = out[pos] * pow_mod_rows(f[-1, pos], p[pos] - 2, p[pos])[:, None] % p[pos, None]
-    out[df == 0, 0] = 1
-    return out
+    scale = np.ones(n, dtype=np.int64)
+    scale[pos] = pow_mod_rows(f[-1, pos], p[pos] - 2, p[pos])
+    out *= scale
+    out %= p
+    out[0, df == 0] = 1
+    return np.ascontiguousarray(out.T)
 
 
 def gf_div_rows(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -284,26 +363,31 @@ def gf_div_rows(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
 
     a and b are (n, w) int64 arrays, ascending, coefficients in [0, p_i),
     and 2 <= p_i < ROW_PRIME_BOUND. Returns the (n, w) quotients, the
-    remainders dropped. Long division on rows aligned at the top: step t
-    reads the coefficient c_t of degree deg a_i - t and subtracts
-    c_t X^(deg a_i - deg b_i - t) b_i. Every row takes as many steps as
-    the longest quotient; the steps past its own quotient only change a
-    remainder that is not kept.
+    remainders dropped. Long division in place on rows aligned at the top,
+    coefficient-major: step t reads the coefficient c_t of degree
+    deg a_i - t and subtracts c_t X^(deg a_i - deg b_i - t) b_i from the
+    terms below it, so c_t stays where it was read and the top columns end
+    holding the quotient. Every row takes as many steps as the longest
+    quotient; the steps past its own quotient only change a remainder that
+    is not kept.
     """
     _check_row_primes(p, "gf_div_rows")
-    w = a.shape[1]
+    n, w = a.shape
     da, db = gf_degree_rows(a), gf_degree_rows(b)
     if (db < 0).any():
         raise ZeroDivisionError("polynomial division by zero")
-    a, b = gf_shift_rows(a, w - 1 - da).T, gf_shift_rows(b, w - 1 - db).T
-    steps = int((da - db).max(initial=-1)) + 1
-    coef = np.zeros((len(p), w), dtype=np.int64)
-    for t in range(steps):
-        coef[:, t] = a[w - 1 - t]
-        a[: w - t] = (a[: w - t] - coef[:, t] * b[t:] % p) % p
-    # coef[:, t] is the quotient's coefficient of degree deg a - deg b - t;
-    # a row with deg a < deg b has quotient 0, which a shift of -w gives
-    return gf_shift_rows(coef[:, ::-1], np.maximum(da - db, -1) - (w - 1))
+    a, b = _shifted_cols(a, w - 1 - da), _shifted_cols(b, w - 1 - db)
+    prod, lead = np.empty((w - 1, n), dtype=np.int64), np.empty(n, dtype=np.int64)
+    for t in range(int((da - db).max(initial=-1)) + 1):
+        top = w - 1 - t
+        np.subtract(p, a[top], out=lead)  # -c_t
+        np.multiply(lead, b[t:-1], out=prod[:top])
+        a[:top] += prod[:top]
+        a[:top] %= p
+    # column w - 1 - t holds the quotient's coefficient of degree
+    # deg a - deg b - t; a row with deg a < deg b has quotient 0, which a
+    # shift of -w gives
+    return gf_shift_rows(a.T, np.maximum(da - db, -1) - (w - 1))
 
 
 def gf_gcd(a: Poly, b: Poly, p: int) -> Poly:

@@ -88,11 +88,10 @@ CHARACTER_SPAN = 4
 # a batch of degree 3 or more whose primes sum to at most SCAN_SPAN takes the
 # residue scan, when the values it scans fit int64. The algebraic route's
 # cost below x = 3000 is mostly its count of numpy calls; timed against it
-# on the same rows (2-vCPU x86 host, numpy 2.4), the scan took, for x^3 + 2,
-# 0.16 against 2.64 ms at x = 300, 5.23 against 5.54 at 2500 and 7.17
-# against 5.17 at 3000 (the README has the table); x^3 - 3x + 1,
-# x^4 + x + 1 and 3x^5 + x^2 + 7 cross over at the same place. 2^18 is
-# about x = 1950
+# on the same rows (2-vCPU x86 host, numpy 2.4, interleaved), the scan took
+# 0.07-0.08 of its time at x = 300 for x^3 + 2, x^3 - 3x + 1 and
+# x^4 + x + 1, 0.78-1.08 at 1900 and 1.11-1.67 at 2500 (the README has the
+# table). 2^18 is about x = 1950
 SCAN_SPAN = 2**18
 # values per block of the scan: its temporaries stay this long
 SCAN_BLOCK = 2**15
@@ -184,9 +183,10 @@ def _roots_algebraic(comp: tuple[int, ...], ps: np.ndarray) -> tuple[np.ndarray,
     quads: list[tuple[np.ndarray, np.ndarray]] = []  # (rows, quadratic factors)
     while True:
         k = gf_degree_rows(hs)
-        found.append((rows[k == 1], -hs[k == 1, 0] % ps[rows[k == 1]]))
-        quads.append((rows[k == 2], hs[k == 2]))
-        big = k >= 3
+        linear, quad, big = k == 1, k == 2, k >= 3
+        at = rows[linear]
+        found.append((at, -hs[linear, 0] % ps[at]))
+        quads.append((rows[quad], hs[quad]))
         rows, hs, shift, k = rows[big], hs[big], shift[big], k[big]
         if not len(rows):
             break
@@ -230,7 +230,9 @@ def _roots_algebraic(comp: tuple[int, ...], ps: np.ndarray) -> tuple[np.ndarray,
     k, roots = _quad_roots(qhs[:, 0], qhs[:, 1], ps[qrows])
     found.append((np.repeat(qrows, k), roots))
     rows, roots = (np.concatenate(v) for v in zip(*found))
-    return np.bincount(rows, minlength=n), roots[np.lexsort((roots, rows))]
+    # every root in row order, ascending within its row: one sort of the
+    # keys row * 2^32 + root, since roots and rows stay below 2^31
+    return np.bincount(rows, minlength=n), np.sort(rows << 32 | roots) & 0xFFFFFFFF
 
 
 def _scans(comp: tuple[int, ...], ps: np.ndarray) -> bool:

@@ -267,7 +267,8 @@ def sqrt_mod_rows(a: np.ndarray, p: np.ndarray) -> np.ndarray:
         raise ValueError(f"sqrt_mod_rows needs odd primes in [3, {ROW_PRIME_BOUND})")
     low = (p - 1) & (1 - p)  # lowest set bit of p - 1
     s = np.frexp(low.astype(np.float64))[1] - 1
-    order = np.argsort(-s, kind="stable")
+    # s < 31 fits an int8 key, on which the stable sort is a radix sort
+    order = np.argsort(-s.astype(np.int8), kind="stable")
     p, s, a = p[order], s[order], a[order]
     n1, n2 = np.count_nonzero(s >= 3), np.count_nonzero(s >= 2)
     q = (p - 1) >> s

@@ -5,11 +5,14 @@ per-prime routes they replaced, and which powers a table takes; the
 character table that keeps quadratic non-residue rows from the square root;
 the residue scan of small tables against the algebraic route and the oracle;
 the prime-indexed accessors, the binary cache (its bytes pinned), density
-statistics, and residue collision counts."""
+statistics, and residue collision counts. Run as a script it prints the
+cache digests beside the pinned ones, or with `costs` the cost of each
+kernel run of a table build; see kernel_cost_table."""
 
 import bisect
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -319,6 +322,11 @@ class TestGfDivmod:
         assert gf_mod(a, b, p) == r
 
 
+# for d = 3, 4 and 8, the consecutive primes on either side of the bound
+# d^2 P^3 < 2^64 below which the ladder reduces once per square and fold
+CADENCE_PRIMES = {3: (1270249, 1270271), 4: (1048573, 1048583), 8: (660559, 660563)}
+
+
 class TestRowKernel:
     @given(
         st.integers(2, 8),
@@ -365,6 +373,32 @@ class TestRowKernel:
             np.array(rows, dtype=np.int64), np.array(primes, dtype=np.int64),
         )
         for p, m, a, e, h, g in zip(primes, rows, shifts, exps, half.tolist(), full.tolist()):
+            for got, k in ((h, e >> 1), (g, e)):
+                want = gf_powmod((a, 1), k, tuple(m), p)
+                assert tuple(got) == want + (0,) * (d - len(want)), (p, m, a, k)
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["lazy", "wide"])
+    @pytest.mark.parametrize("d", sorted(CADENCE_PRIMES))
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_both_cadences_match_gf_powmod(self, d, side, data):
+        # the batch's largest prime sits just below (lazy) or just above
+        # (wide) the bound d^2 P^3 < 2^64 that picks the ladder's cadence
+        top = CADENCE_PRIMES[d][side]
+        assert (d * d * top**3 < 1 << 64) == (side == 0)
+        primes = [top] + data.draw(st.lists(st.sampled_from(BATCH_PRIMES + [top]), max_size=5))
+        rows, shifts, exps = [], [], []
+        for p in primes:
+            full = data.draw(st.booleans())  # every coefficient at p - 1
+            rows.append([p - 1] * d + [1] if full else
+                        data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) + [1])
+            shifts.append(p - 1 if full else data.draw(st.integers(0, p - 1)))
+            exps.append(data.draw(st.one_of(st.just(p), st.integers(0, 2 * p))))
+        half, whole = gf_powmod_half_rows(
+            np.array(shifts, dtype=np.int64), np.array(exps, dtype=np.int64),
+            np.array(rows, dtype=np.int64), np.array(primes, dtype=np.int64),
+        )
+        for p, m, a, e, h, g in zip(primes, rows, shifts, exps, half.tolist(), whole.tolist()):
             for got, k in ((h, e >> 1), (g, e)):
                 want = gf_powmod((a, 1), k, tuple(m), p)
                 assert tuple(got) == want + (0,) * (d - len(want)), (p, m, a, k)
@@ -418,6 +452,32 @@ def euclid_rows(draw, monic_b=False):
     return w, rows
 
 
+@st.composite
+def mixed_euclid_rows(draw):
+    """(w, rows) as euclid_rows gives, in one batch that always holds a
+    row of two zeros, a zero b, a zero a, an a and b of one degree, and a
+    full-width a beside a constant b, so the rows end their Euclid steps,
+    and their divisions, after different numbers of steps; then up to four
+    drawn rows, all in a drawn order."""
+    w = draw(st.integers(2, 7))
+
+    def poly(p, k):  # degree k, -1 for zero
+        return tuple([draw(st.integers(0, p - 1)) for _ in range(k)] + [draw(st.integers(1, p - 1))] * (k >= 0))
+
+    def prime():
+        return draw(st.sampled_from(ROW_PRIMES))
+
+    k = draw(st.integers(0, w - 1))
+    rows = [
+        (p, poly(p, da), poly(p, db))
+        for p, da, db in ((prime(), -1, -1), (prime(), w - 1, -1), (prime(), -1, w - 2),
+                          (prime(), k, k), (prime(), w - 1, 0))
+    ]
+    for p in draw(st.lists(st.sampled_from(ROW_PRIMES), max_size=4)):
+        rows.append((p, poly(p, draw(st.integers(-1, w - 1))), poly(p, draw(st.integers(-1, w - 1)))))
+    return w, draw(st.permutations(rows))
+
+
 class TestRowEuclid:
     @given(euclid_rows())
     @settings(max_examples=100, deadline=None)
@@ -431,6 +491,19 @@ class TestRowEuclid:
     @settings(max_examples=100, deadline=None)
     def test_quotient_matches_gf_divmod(self, case):
         w, rows = case
+        got = gf_div_rows(*row_batch(rows, w))
+        for (p, a, b), q in zip(rows, got.tolist()):
+            assert tuple(q) == padded(gf_divmod(a, b, p)[0], w), (p, a, b)
+
+    @given(mixed_euclid_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_batches_match_the_scalar_route(self, case):
+        w, rows = case
+        got = gf_gcd_rows(*row_batch(rows, w))
+        for (p, a, b), g in zip(rows, got.tolist()):
+            assert tuple(g) == padded(gf_gcd(a, b, p), w), (p, a, b)
+        # the division takes each b made monic, a zero one as 1
+        rows = [(p, a, gf_monic(b, p) or (1,)) for p, a, b in rows]
         got = gf_div_rows(*row_batch(rows, w))
         for (p, a, b), q in zip(rows, got.tolist()):
             assert tuple(q) == padded(gf_divmod(a, b, p)[0], w), (p, a, b)
@@ -1211,9 +1284,80 @@ class TestResidueCollisions:
         assert residue_collision_count(table_x2p1_100, m, 2, 20) == 3
 
 
+# The polynomials and limits of kernel_cost_table: two cubics and a quartic
+# at the sizes where the algebraic route builds the table
+COST_POLYS = {"x^3+2": [2, 0, 0, 1], "x^3-3x+1": [1, -3, 0, 1], "x^4+x+1": [1, 1, 0, 0, 1]}
+COST_LIMITS = (3000, 10**4, 3 * 10**4, 10**5)
+
+
+def kernel_costs(f, limit, repeats=5):
+    """[(kernel run, rows, seconds)] in call order over a warm
+    build_root_table(f, limit), and the seconds of the whole build, each the
+    median over `repeats` builds after a first one. The runs are the
+    Frobenius ladder, the first gcd, each splitting round's ladder, gcd and
+    division (round r), and the quadratic factors."""
+    runs = []
+
+    def timed(fn):
+        def wrapper(*args):
+            t = time.perf_counter()
+            out = fn(*args)
+            runs.append((fn.__name__, len(args[-1]), time.perf_counter() - t))
+            return out
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("gf_powmod_half_rows", "gf_gcd_rows", "gf_div_rows", "_quad_roots"):
+            mp.setattr(modroots_mod, name, timed(getattr(modroots_mod, name)))
+        build_root_table(f, limit)
+        builds, totals = [], []
+        for _ in range(repeats):
+            runs.clear()
+            t = time.perf_counter()
+            build_root_table(f, limit)
+            totals.append(time.perf_counter() - t)
+            builds.append(list(runs))
+    # every build makes the same runs; a round's ladder and division carry
+    # the number of the gcd they go with
+    labelled, gcds = [], 0
+    for same in zip(*builds):
+        name, rows, _ = same[0]
+        seconds = float(np.median([s for *_, s in same]))
+        if name == "gf_gcd_rows":
+            gcds += 1
+        label = {
+            "gf_powmod_half_rows": f"round {gcds} ladder" if gcds else "Frobenius ladder",
+            "gf_gcd_rows": f"round {gcds - 1} gcd" if gcds > 1 else "first gcd",
+            "gf_div_rows": f"round {gcds - 1} division",
+            "_quad_roots": "quadratic factors",
+        }[name]
+        labelled.append((label, rows, seconds))
+    return labelled, float(np.median(totals))
+
+
+def kernel_cost_table(polys=COST_POLYS, limits=COST_LIMITS):
+    """Print, for each f and limit, the rows and milliseconds of every
+    kernel run of one warm table build, then the build's total and the
+    part outside the kernels."""
+    print(f"{'f':9} {'x':>6}  {'kernel run':18} {'rows':>6} {'ms':>8}")
+    for name, coeffs in polys.items():
+        f = IntPolynomial.from_monomial(coeffs)
+        for limit in limits:
+            runs, total = kernel_costs(f, limit)
+            for label, rows, seconds in runs:
+                print(f"{name:9} {limit:>6}  {label:18} {rows:>6} {seconds * 1e3:8.2f}")
+            rest = total - sum(s for *_, s in runs)
+            print(f"{name:9} {limit:>6}  {'other':18} {'':>6} {rest * 1e3:8.2f}")
+            print(f"{name:9} {limit:>6}  {'table':18} {'':>6} {total * 1e3:8.2f}")
+
+
 if __name__ == "__main__":
+    import sys
     import tempfile
 
+    if sys.argv[1:] == ["costs"]:
+        kernel_cost_table()
+        sys.exit()
     moved = []
     for name, (literal, pinned, limit) in CACHE_PINS.items():
         with tempfile.TemporaryDirectory() as d:
