@@ -69,7 +69,8 @@ def crt_combine(assignments: Mapping[int, int]) -> tuple[int, int]:
 def refine_residues(*args, **kwargs):
     """A stub that raises: nothing refines the greedy pass any more, but the
     benchmark harness (bench/harness.py) wraps this name and its smoke test
-    reads it. ROADMAP item 2 deletes it along with that wrapper."""
+    reads it. Step 2 of ROADMAP item 1, which rebuilds the benchmark on
+    traces, deletes it along with that wrapper."""
     raise NotImplementedError("residue refinement was removed")
 
 

@@ -111,9 +111,6 @@ def build_parser() -> _Parser:
 
     v = sub.add_parser("verify", help="verify a certificate file")
     v.add_argument("cert", help="certificate JSON path")
-    v.add_argument("--deep", action="store_true", help="check every window element")
-    v.add_argument("--sample", type=float, default=0.01, help="fast-mode sample rate, in (0, 1]")
-    v.add_argument("--seed", type=nonnegative_int, default=0)
     v.add_argument("--out", default=None, help="write the report JSON here (default stdout)")
     v.set_defaults(func=cmd_verify)
 
@@ -216,15 +213,12 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not (0 < args.sample <= 1):
-        print(f"composite-forge: --sample {args.sample} is not a rate in (0, 1]", file=sys.stderr)
-        return EXIT_USAGE
     try:
         cert = ResidueCertificate.load(args.cert)
     except (ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"composite-forge: unreadable certificate: {e}", file=sys.stderr)
         return EXIT_USAGE
-    report = verify_certificate(cert, deep=args.deep, sample_rate=args.sample, seed=args.seed)
+    report = verify_certificate(cert)
     payload = json.dumps(report.to_json_dict(), indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

@@ -444,13 +444,13 @@ class TestConstructCertificate:
         assert pl.n1 + pl.n2 == pl.N
         assert pl.N == auto_target(math.prod(cert.residues()))
         assert cert.irreducibility == "proved"
-        report = verify_certificate(cert, deep=True)
+        report = verify_certificate(cert)
         assert report.valid, report.messages
 
     def test_beyond_the_default_limit_under_the_lowest_one(self, f_x, cache_dir, tmp_path):
         # at x = 4000 N has 5097 digits, past the interpreter's default
         # 4300-digit limit; construction, the certificate file, loading it
-        # and the deep verifier's report all convert under a 640 limit
+        # and the verifier's report all convert under a 640 limit
         path = str(tmp_path / "cert.json")
         with str_digit_limit(640):
             cert, stats = construct_certificate(f_x, SieveParams(x=4000), seed=0,
@@ -458,7 +458,7 @@ class TestConstructCertificate:
             assert stats.extras["n_digits"] == decimal_digits(cert.placement.N) == 5097
             cert.save(path)
             again = ResidueCertificate.load(path)
-            report = verify_certificate(again, deep=True)
+            report = verify_certificate(again)
             json.dumps(report.to_json_dict())
         assert again.to_json_bytes() == cert.to_json_bytes()
         assert again.placement == cert.placement
@@ -678,7 +678,7 @@ class TestConstructCertificate:
         cert, _ = construct_certificate(
             f_x2p1, SieveParams(x=300), seed=7, two_sided=two_sided, cache_dir=cache_dir
         )
-        assert verify_certificate(cert, deep=True).valid
+        assert verify_certificate(cert).valid
 
     @pytest.mark.parametrize("coeffs", [[0, 1], [1, 0, 1], [2, 0, 0, 1]])
     def test_one_sided_bytes_ignore_target(self, cache_dir, coeffs):
@@ -745,7 +745,7 @@ class TestConstructCertificate:
         )
         assert cert.placement is None
         assert not {"n_digits", "m_formula", "m_larger"} & set(stats.extras)
-        report = verify_certificate(cert, deep=True)
+        report = verify_certificate(cert)
         assert report.valid
         assert report.checked == cert.params.y
 
@@ -754,7 +754,7 @@ class TestConstructCertificate:
             f_x, SieveParams(x=300), seed=3, mode="random", cache_dir=cache_dir
         )
         assert stats.extras["mode"] == "random"
-        assert verify_certificate(cert, deep=True).valid
+        assert verify_certificate(cert).valid
 
     def test_bad_mode_rejected(self, f_x):
         with pytest.raises(ValueError):
@@ -969,4 +969,4 @@ class TestWindowLengthSearch:
         )
         e = stats.extras
         assert e["achieved_y"] == max(a["y"] for a in e["attempts"] if a["outcome"] == "ok")
-        assert verify_certificate(cert, deep=True).valid
+        assert verify_certificate(cert).valid

@@ -109,17 +109,6 @@ class TestConstruct:
         assert r.returncode == USAGE
         assert "bad parameters" in r.stderr
 
-    @pytest.mark.parametrize("flag,value", [("--sweeps", "2"), ("--M", "6.5"), ("--eps", "0.05")])
-    def test_removed_flag_exits_64(self, tmp_path, flag, value):
-        # no stage reads these, so construct no longer takes them
-        r = run_cli(
-            "construct", "--poly", "poly:[0,1]", "--x", "300", flag, value,
-            "--out", "no.json", cwd=tmp_path,
-        )
-        assert r.returncode == USAGE
-        assert "unrecognized arguments" in r.stderr and flag in r.stderr
-        assert not (tmp_path / "no.json").exists()
-
     def test_exhausted_retry_budget_exits_2_without_blaming_x(self, tmp_path):
         # with no small-stage draw allowed, every attempt ends at the retry
         # budget, which says nothing about x; the diagnostics count outcomes
@@ -210,7 +199,7 @@ class TestBeyondDecimalLimit:
     """From x of about 3400 on, N has more than the interpreter's default
     4300 decimal digits (5097 at x = 4000)."""
 
-    def test_construct_then_deep_verify(self, tmp_path):
+    def test_construct_then_verify(self, tmp_path):
         r = run_cli(
             "construct", "--poly", "poly:[0,1]", "--x", "4000", "--seed", "7",
             "--out", "cert.json", cwd=tmp_path,
@@ -219,7 +208,7 @@ class TestBeyondDecimalLimit:
         assert "N has 5097 digits" in r.stdout
         with open(tmp_path / "cert.json") as fh:
             assert len(json.load(fh)["placement"]["N"]) == 5097
-        r = run_cli("verify", "cert.json", "--deep", cwd=tmp_path)
+        r = run_cli("verify", "cert.json", cwd=tmp_path)
         assert r.returncode == OK, r.stderr
         report = json.loads(r.stdout)
         assert report["valid"] is True and report["failures"] == []
@@ -238,21 +227,19 @@ class TestBeyondDecimalLimit:
 
 
 class TestVerify:
-    def test_valid_deep(self, workdir):
-        r = run_cli("verify", "cert.json", "--deep", cwd=workdir)
+    def test_valid(self, workdir):
+        r = run_cli("verify", "cert.json", cwd=workdir)
         assert r.returncode == OK
         report = json.loads(r.stdout)
         assert report["valid"] is True
+        # every offset of both windows; the mode key is a constant
+        with open(workdir / "cert.json") as fh:
+            assert report["checked"] == 2 * json.load(fh)["params"]["y"]
         assert report["mode"] == "deep"
         assert report["failures"] == []
 
-    def test_fast_default(self, workdir):
-        r = run_cli("verify", "cert.json", cwd=workdir)
-        assert r.returncode == OK
-        assert json.loads(r.stdout)["mode"] == "fast"
-
     def test_report_to_file(self, workdir):
-        r = run_cli("verify", "cert.json", "--deep", "--out", "report.json", cwd=workdir)
+        r = run_cli("verify", "cert.json", "--out", "report.json", cwd=workdir)
         assert r.returncode == OK
         with open(workdir / "report.json") as fh:
             assert json.load(fh)["valid"] is True
@@ -267,7 +254,7 @@ class TestVerify:
                 break
         with open(workdir / "bad.json", "w") as fh:
             json.dump(obj, fh, indent=2)
-        r = run_cli("verify", "bad.json", "--deep", cwd=workdir)
+        r = run_cli("verify", "bad.json", cwd=workdir)
         assert r.returncode == VERIFY_FAILED
         report = json.loads(r.stdout)
         assert report["valid"] is False
@@ -291,19 +278,12 @@ class TestVerify:
         obj["params"]["x"] = 2**31 - 1
         with open(workdir / "huge_x.json", "w") as fh:
             json.dump(obj, fh)
-        r = run_cli("verify", "huge_x.json", "--deep", cwd=workdir)
+        r = run_cli("verify", "huge_x.json", cwd=workdir)
         assert r.returncode == VERIFY_FAILED
         assert "Traceback" not in r.stderr
         report = json.loads(r.stdout)
         assert report["checked"] == 0
         assert any("can support" in m for m in report["messages"])
-
-    @pytest.mark.parametrize("rate", ["nan", "inf", "1e30", "0", "-0.5"])
-    def test_sample_rate_outside_unit_interval_exits_64(self, workdir, rate):
-        r = run_cli("verify", "cert.json", "--sample", rate, cwd=workdir)
-        assert r.returncode == USAGE
-        assert "Traceback" not in r.stderr and "(0, 1]" in r.stderr
-        assert r.stdout == ""
 
     def test_non_finite_parameter_exits_64(self, workdir):
         with open(workdir / "cert.json") as fh:
@@ -400,7 +380,6 @@ class TestVerify:
         (["oracle", "--poly", "poly:[0,1]", "--n", "0"], "n_max must be positive"),
         (["simulate", "--candidates", "0"], "at least one candidate"),
         (["construct", "--poly", "poly:[0,1]", "--x", "300", "--seed", "-1"], "negative"),
-        (["verify", "cert.json", "--seed", "-1"], "negative"),
         (["simulate", "--seed", "-1"], "negative"),
         # the shift range (K + 2) * y must fit int64
         (["construct", "--poly", "poly:[0,1]", "--x", "300", "--mode", "random", "--K", "1e30"],
@@ -428,7 +407,7 @@ class TestVerify:
     ],
     ids=[
         "stats-x-overflow", "stats-x-one", "stats-x-zero", "oracle-n-zero",
-        "simulate-no-candidates", "construct-seed-negative", "verify-seed-negative",
+        "simulate-no-candidates", "construct-seed-negative",
         "simulate-seed-negative", "random-K-overflow", "random-xi-near-one",
         "simulate-k0-nan", "simulate-k0-inf", "simulate-c1-nan", "simulate-c1-inf",
         "simulate-c1-negative", "simulate-eta-nan", "simulate-trials-negative",
@@ -441,6 +420,35 @@ def test_bad_argument_exits_64(tmp_path, args, message):
     r = run_cli(*args, cwd=tmp_path)
     assert r.returncode == USAGE
     assert "Traceback" not in r.stderr and message in r.stderr
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        # no construction stage reads these
+        ("construct", ["--sweeps", "2"]),
+        ("construct", ["--M", "6.5"]),
+        ("construct", ["--eps", "0.05"]),
+        # verify checks every offset of both windows: no mode, sample or seed
+        ("verify", ["--deep"]),
+        ("verify", ["--sample", "0.5"]),
+        ("verify", ["--seed", "3"]),
+        # values once refused as rates or seeds are now refused as flags
+        *(("verify", ["--sample", rate]) for rate in ("nan", "inf", "1e30", "0", "-0.5")),
+        ("verify", ["--seed", "-1"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "=".join(v).lstrip("-"),
+)
+def test_removed_flag_exits_64(tmp_path, workdir, command, flag):
+    head = {
+        "construct": ["construct", "--poly", "poly:[0,1]", "--x", "300"],
+        "verify": ["verify", str(workdir / "cert.json")],
+    }[command]
+    r = run_cli(*head, *flag, "--out", "no.json", cwd=tmp_path)
+    assert r.returncode == USAGE
+    assert "unrecognized arguments" in r.stderr and flag[0] in r.stderr
+    assert "Traceback" not in r.stderr and r.stdout == ""
+    assert not (tmp_path / "no.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,10 @@ construction, and must say so.
 
 Two stats CSVs, of one two-sided and one one-sided case, are pinned the
 same way (STATS_GOLDEN), and so are the verify reports of the x = 1000 and
-x = 10^4 certificates in fast and deep mode (VERIFY_GOLDEN).
+x = 10^4 certificates and of the x = 300 one-sided and random ones
+(VERIFY_GOLDEN), each of which checks every offset of both windows, or of
+the one window of a one-sided certificate. They were recorded in the
+verifier's deep mode, and kept their bytes when it became the only one.
 
 Run as a script (`PYTHONPATH=src python tests/test_golden.py`) to print the
 current digest of every case in GOLDEN, STATS_GOLDEN and VERIFY_GOLDEN with
@@ -101,22 +104,21 @@ STATS_GOLDEN = {
 
 
 # sha256 of the verify report JSON (keys sorted) of the seed 7 certificate
-# of each polynomial, at x = 1000 (no variant named) or at the named
-# variant's x, in fast mode at seed 7 and in deep mode; a report moves only
-# when the verifier's checks or sampling move
+# of each polynomial at the variant's x; a report moves only when the
+# verifier's checks move
 VERIFY_GOLDEN = {
-    ("x", "fast"): "c353554af1d8346004f28d623201db4bc78346da172c8210cbda57dcf11c435c",
-    ("x", "deep"): "5efcdcca0676c3c075602dc3b4099819d10cf1696937313fde786436e2df4aa2",
-    ("x^2+1", "fast"): "56d1f4081bb883af059caebfb75eb14a6c37c5cb660d8ecca968bd1e3de326da",
-    ("x^2+1", "deep"): "99453d6ea498c3f71f50b333cae53c3fcd10a7386f4082b0a4c4481738b7a72e",
-    ("x^3+2", "fast"): "aee4d872eeaf8de3a99878b939d9a7de90feebdecfe3d16b556456a54cdb6925",
-    ("x^3+2", "deep"): "9f79f7347d96a7fd327db07e221f594d888ae3f0f8cd10c24c9a94ee828c586d",
-    ("x", "fast", "x=10000"): "af5475c1e154518a6363893626fc693f8fc6544ceb1f8e497e621d188a25c3c7",
-    ("x", "deep", "x=10000"): "c6884bc335ebea18635aebc5864003707edc99d5c87d17a0828e2690973f04df",
-    ("x^2+1", "fast", "x=10000"): "5d48058293e720936e75956444a2f86c0591da3a43d0e5f581930c7a38a9ff0e",
-    ("x^2+1", "deep", "x=10000"): "a3a733fca7fdeefa3f934cf8cbd26bec9225b5f3ccb4c3f45ff867a86dd1ac23",
-    ("x^3+2", "fast", "x=10000"): "39fd5a121e554859bb318fd659e1e5ef83f06945c3b3105ba4ee292bead76449",
-    ("x^3+2", "deep", "x=10000"): "e4bbbe6f72e9d4bb98fb0c07f138aa7a7e91b7f0b3a62a4e063bb99d00769673",
+    ("x", "x=1000"): "5efcdcca0676c3c075602dc3b4099819d10cf1696937313fde786436e2df4aa2",
+    ("x^2+1", "x=1000"): "99453d6ea498c3f71f50b333cae53c3fcd10a7386f4082b0a4c4481738b7a72e",
+    ("x^3+2", "x=1000"): "9f79f7347d96a7fd327db07e221f594d888ae3f0f8cd10c24c9a94ee828c586d",
+    ("x", "x=10000"): "c6884bc335ebea18635aebc5864003707edc99d5c87d17a0828e2690973f04df",
+    ("x^2+1", "x=10000"): "a3a733fca7fdeefa3f934cf8cbd26bec9225b5f3ccb4c3f45ff867a86dd1ac23",
+    ("x^3+2", "x=10000"): "e4bbbe6f72e9d4bb98fb0c07f138aa7a7e91b7f0b3a62a4e063bb99d00769673",
+    ("x", "one-sided"): "b816458d7e3fdd183baa95418561776b9a8341867c2599ac5bdefe940bc70eae",
+    ("x^2+1", "one-sided"): "f3c9b2a404d5b6e454949e40fe664ec96a91122f4d6702c4fb861db9d727f7fd",
+    ("x^3+2", "one-sided"): "bc6fc3dadf36a9ebe297b8cfba8667c7d44713c1a4396db47e1aae73559a4db6",
+    ("x", "random"): "e95008821d9b9004335b9af30bf34cffb1c850c77de8a4e2555ca7fc128a609a",
+    ("x^2+1", "random"): "e2a5f9f81a8740d8abfd3df380460740014423d612b6704ca428468b8e8d91f0",
+    ("x^3+2", "random"): "415d686a66144da6f7234bea7a1247de1954588963f10b15f7c6de92a37b94e5",
 }
 
 
@@ -146,13 +148,12 @@ def stats_csv_digest(case) -> tuple[str, int]:
 
 
 def verify_report_digest(case) -> tuple[str, int]:
-    """The sha256 of the verify report of the case's certificate (x = 1000
-    unless the case names a variant), read back from its bytes as the CLI
-    reads it, and that certificate's achieved y."""
-    name, mode, *variant = case
-    cert, stats = construct((name, 7, *(variant or ["x=1000"])))
+    """The sha256 of the verify report of the case's certificate, read back
+    from its bytes as the CLI reads it, and that certificate's achieved y."""
+    name, variant = case
+    cert, stats = construct((name, 7, variant))
     loaded = ResidueCertificate.from_json_dict(json.loads(cert.to_json_bytes()))
-    report = verify_certificate(loaded, deep=mode == "deep", seed=7)
+    report = verify_certificate(loaded)
     digest = hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode()).hexdigest()
     return digest, stats.extras["achieved_y"]
 

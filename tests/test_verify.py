@@ -25,7 +25,6 @@ from composite_forge.modroots import build_root_table, companion_eval_mod
 from composite_forge.poly import IntPolynomial
 from composite_forge.verify import (
     ORACLE_N_MAX,
-    VERIFY_SAMPLE_STREAM,
     X_BOUND_FLOOR,
     CoveringConfigError,
     CoveringSimConfig,
@@ -48,8 +47,8 @@ def reload(cert):
 
 
 class TestVerifyToyCertificate:
-    def test_valid_deep(self):
-        report = verify_certificate(toy_certificate(), deep=True)
+    def test_valid(self):
+        report = verify_certificate(toy_certificate())
         assert report.valid
         assert report.checked == 8  # both windows of length 4
         assert report.failures == [] and report.messages == []
@@ -60,13 +59,13 @@ class TestVerifyToyCertificate:
         witnessed: list[tuple[int, int]] = []
         inner = verify_mod.find_witness
 
-        def recording(base, offsets, *args):
-            qs = inner(base, offsets, *args)
-            witnessed.extend((base + k, q) for k, q in zip(offsets.tolist(), qs.tolist()))
+        def recording(base, length, *args):
+            qs = inner(base, length, *args)
+            witnessed.extend((base + k, q) for k, q in enumerate(qs.tolist()))
             return qs
 
         monkeypatch.setattr(verify_mod, "find_witness", recording)
-        report = verify_certificate(toy_certificate(), deep=True)
+        report = verify_certificate(toy_certificate())
         f = IntPolynomial.from_monomial([0, 1])
         assert report.valid and len(witnessed) == 8
         for n, q in witnessed:
@@ -74,19 +73,29 @@ class TestVerifyToyCertificate:
             assert v % q == 0
             assert 1 < q < abs(v)
 
-    def test_fast_mode_subset(self):
-        report = verify_certificate(toy_certificate(), deep=False)
-        assert report.valid
-        assert report.mode == "fast"
-        assert 0 < report.checked <= 8
+    @pytest.mark.parametrize(
+        "kwargs", [{"deep": False}, {"deep": True}, {"seed": 5}, {"deep": False, "seed": 0}],
+        ids=["deep-false", "deep-true", "seed-5", "deep-false-seed-0"],
+    )
+    def test_deep_and_seed_are_ignored(self, kwargs):
+        # accepted for callers that still pass them; every call checks
+        # every offset of both windows
+        want = verify_certificate(toy_certificate()).to_json_dict()
+        assert want["checked"] == 8 and want["mode"] == "deep"
+        assert verify_certificate(toy_certificate(), **kwargs).to_json_dict() == want
 
-    def test_fast_mode_seed_deterministic(self):
-        a = verify_certificate(toy_certificate(), seed=5)
-        b = verify_certificate(toy_certificate(), seed=5)
-        assert a.to_json_dict() == b.to_json_dict()
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0, -1, 1.5, 1.0])
+    def test_sample_rate_keyword_is_refused(self, rate, monkeypatch):
+        # no rate, in (0, 1] or not, selects a subset of the offsets any more
+        def no_table(*args, **kwargs):
+            raise AssertionError("checked before the keyword was refused")
+
+        monkeypatch.setattr(verify_mod, "build_root_table", no_table)
+        with pytest.raises(TypeError, match="sample_rate"):
+            verify_certificate(toy_certificate(), sample_rate=rate)
 
     def test_witness_primes_count_checked_values(self):
-        report = verify_certificate(toy_certificate(), deep=True)
+        report = verify_certificate(toy_certificate())
         assert sum(report.witness_primes.values()) == report.checked - len(report.failures)
         # smallest prime factors: 2000042..2000045 -> 2, 3, 2, 5 and
         # 7999955..7999958 -> 5, 2, 7, 2
@@ -97,27 +106,13 @@ class TestVerifyToyCertificate:
     def test_failures_beyond_decimal_limit_serialized(self):
         # window elements have as many digits as N: 5097 at x = 4000
         n = 10**5000 + 1
-        report = VerifyReport(valid=False, mode="deep", checked=1, failures=[n])
+        report = VerifyReport(valid=False, checked=1, failures=[n])
         assert report.to_json_dict()["failures"] == ["1" + "0" * 4999 + "1"]
-
-    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0, -1, 1.5])
-    @pytest.mark.parametrize("deep", [False, True])
-    def test_sample_rate_outside_unit_interval_raises(self, rate, deep, monkeypatch):
-        def no_table(*args, **kwargs):
-            raise AssertionError("checked before the rate was refused")
-
-        monkeypatch.setattr(verify_mod, "build_root_table", no_table)
-        with pytest.raises(ValueError, match="not a rate"):
-            verify_certificate(toy_certificate(), deep=deep, sample_rate=rate)
-
-    def test_sample_rate_one_is_accepted(self):
-        report = verify_certificate(toy_certificate(), sample_rate=1.0)
-        assert report.valid and report.checked == 8
 
     def test_witness_primes_skip_failures(self):
         cert = reload(toy_certificate())
         cert.stages[0].assignments = [(2, 1), (3, 2), (5, 3), (7, 6)]
-        report = verify_certificate(cert, deep=True)
+        report = verify_certificate(cert)
         assert 5 not in report.witness_primes
         assert sum(report.witness_primes.values()) == report.checked - len(report.failures)
 
@@ -127,24 +122,16 @@ class TestFaultInjection:
         cert = reload(toy_certificate())
         # 5: 4 -> 5: 3 silently drops prime 5 from the witness pool
         cert.stages[0].assignments = [(2, 1), (3, 2), (5, 3), (7, 6)]
-        report = verify_certificate(cert, deep=True)
+        report = verify_certificate(cert)
         assert not report.valid
         assert report.failures == [2000045, 7999955]
         assert any("prime 5" in m for m in report.messages)
-
-    def test_fast_mode_catches_endpoint_fault(self):
-        cert = reload(toy_certificate())
-        cert.stages[0].assignments = [(2, 1), (3, 2), (5, 3), (7, 6)]
-        # 2000045 is the I1 right endpoint, always among the fast targets
-        report = verify_certificate(cert, deep=False)
-        assert not report.valid
-        assert 2000045 in report.failures
 
     def test_shifted_center(self):
         cert = reload(toy_certificate())
         pl = cert.placement
         cert.placement = dataclasses.replace(pl, n1=pl.n1 + 1, n2=pl.n2 - 1)
-        report = verify_certificate(cert, deep=True)
+        report = verify_certificate(cert)
         assert not report.valid
         assert any("centers" in m for m in report.messages)
 
@@ -152,14 +139,14 @@ class TestFaultInjection:
         cert = reload(toy_certificate())
         pl = cert.placement
         cert.placement = dataclasses.replace(pl, n2=pl.n2 + 2)
-        report = verify_certificate(cert, deep=True)
+        report = verify_certificate(cert)
         assert not report.valid
 
     def test_window_bounds_tampered(self):
         cert = reload(toy_certificate())
         pl = cert.placement
         cert.placement = dataclasses.replace(pl, I2=(pl.I2[0] - 1, pl.I2[1] - 1))
-        report = verify_certificate(cert, deep=True)
+        report = verify_certificate(cert)
         assert not report.valid
         assert any("window bounds" in m for m in report.messages)
 
@@ -168,27 +155,27 @@ class TestFaultInjection:
         pl = cert.placement
         shift = 210 * ((pl.N // 2) // 210)
         cert.placement = dataclasses.replace(pl, b1=pl.b1 + shift)
-        report = verify_certificate(cert, deep=True)
+        report = verify_certificate(cert)
         assert not report.valid
         assert any("b1" in m for m in report.messages)
 
     def test_unknown_stage_tag(self):
         cert = reload(toy_certificate())
         cert.stages[0].stage = "huge"
-        report = verify_certificate(cert, deep=True)
+        report = verify_certificate(cert)
         assert not report.valid
         assert any("stage tag" in m for m in report.messages)
 
     def test_bad_version(self):
         cert = reload(toy_certificate())
         cert.version = 2
-        report = verify_certificate(cert, deep=True)
+        report = verify_certificate(cert)
         assert not report.valid
 
     def test_foreign_prime_flagged(self):
         cert = reload(toy_certificate())
         cert.stages.append(StageRecord("cleanup", "fwd", [(11, 0)]))
-        report = verify_certificate(cert, deep=True)
+        report = verify_certificate(cert)
         assert not report.valid
         assert any("prime 11" in m for m in report.messages)
 
@@ -196,27 +183,27 @@ class TestFaultInjection:
         # 4 lies between the table primes 3 and 5, and has no roots of its own
         cert = reload(toy_certificate())
         cert.stages.append(StageRecord("cleanup", "fwd", [(4, cert.placement.b1 % 4)]))
-        report = verify_certificate(cert, deep=True)
+        report = verify_certificate(cert)
         assert "prime 4 is not a usable sieve prime below x" in report.messages
 
     def test_foreign_prime_with_consistent_residue_does_not_crash(self):
         cert = reload(toy_certificate())
         r11 = cert.placement.b1 % 11
         cert.stages.append(StageRecord("cleanup", "fwd", [(11, r11)]))
-        report = verify_certificate(cert, deep=True)
+        report = verify_certificate(cert)
         assert not report.valid
         assert report.failures == []
 
     def test_residue_out_of_range(self):
         cert = reload(toy_certificate())
         cert.stages[0].assignments = [(2, 1), (3, 5), (5, 4), (7, 6)]
-        report = verify_certificate(cert, deep=True)
+        report = verify_certificate(cert)
         assert not report.valid
 
     def test_placement_stripped_falls_back_to_offsets(self):
         cert = reload(toy_certificate())
         cert.placement = None
-        report = verify_certificate(cert, deep=True)
+        report = verify_certificate(cert)
         assert report.valid
         assert report.checked == 4
 
@@ -224,15 +211,15 @@ class TestFaultInjection:
         cert = reload(toy_certificate())
         cert.placement = None
         cert.stages[0].assignments = [(2, 1), (3, 2), (5, 3), (7, 6)]
-        report = verify_certificate(cert, deep=True)
+        report = verify_certificate(cert)
         assert not report.valid
         assert report.failures == [4]  # only offset 4 relied on prime 5
 
-    @pytest.mark.parametrize("y", [10**12, 0])
+    @pytest.mark.parametrize("y", [0, 12, 10**12, 2**70])
     @pytest.mark.parametrize("placed", [True, False])
-    @pytest.mark.parametrize("deep", [True, False])
-    def test_y_outside_formula_range_refused_before_allocating(self, y, placed, deep):
-        # the formula length at x = 8 is 11; the stored z is made consistent
+    def test_y_outside_formula_range_refused_before_allocating(self, y, placed):
+        # the formula length at x = 8 is 11, so 12 is the least y refused
+        # above it; the stored z is made consistent
         # with the stored y, so the certificate loads
         obj = toy_certificate().to_json_dict()
         obj["params"]["y"] = y
@@ -240,37 +227,37 @@ class TestFaultInjection:
         if not placed:
             obj["placement"] = None
         cert = ResidueCertificate.from_json_dict(obj)
-        report = verify_certificate(cert, deep=deep)
+        report = verify_certificate(cert)
         assert not report.valid
         assert report.checked == 0 and report.failures == []
         assert any("formula length 11" in m for m in report.messages)
 
-    @pytest.mark.parametrize("q", [0, 1, -5])
-    @pytest.mark.parametrize("deep", [True, False])
-    def test_modulus_below_two_reported(self, q, deep):
+    @pytest.mark.parametrize("q", [0, 1, -1, -5, -(2**70)])
+    def test_modulus_below_two_reported(self, q):
         cert = reload(toy_certificate())
         cert.stages.append(StageRecord("cleanup", "fwd", [(q, 0)]))
-        report = verify_certificate(cert, deep=deep)
+        report = verify_certificate(cert)
         assert not report.valid
         assert f"modulus {q} is not a prime" in report.messages
         # the toy residues still vouch for every checked value
         assert report.failures == [] and report.checked > 0
 
+    @pytest.mark.parametrize("x", [2**31, 2**40])
     @pytest.mark.parametrize("placed", [True, False])
-    @pytest.mark.parametrize("deep", [True, False])
-    def test_x_beyond_root_table_bound_refused_before_sieving(self, placed, deep, monkeypatch):
+    def test_x_beyond_root_table_bound_refused_before_sieving(self, placed, x, monkeypatch):
+        # 2^31 is the least x the root table refuses
         def no_sieve(limit):
             raise AssertionError("primes sieved")
 
         obj = toy_certificate().to_json_dict()
-        obj["params"]["x"] = 2**40  # the stored z = 2 still fits y = 4
+        obj["params"]["x"] = x  # the stored z = 2 still fits y = 4
         if not placed:
             obj["placement"] = None
         cert = ResidueCertificate.from_json_dict(obj)
         monkeypatch.setattr(modroots_mod, "sieve_primes", no_sieve)
         tracemalloc.start()
         try:
-            report = verify_certificate(cert, deep=deep)
+            report = verify_certificate(cert)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -279,29 +266,28 @@ class TestFaultInjection:
         assert any("must stay below 2147483648" in m for m in report.messages)
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("x", [X_BOUND_FLOOR + 1, 2**31 - 1])
     @pytest.mark.parametrize("placed", [True, False])
-    @pytest.mark.parametrize("deep", [True, False])
-    def test_x_beyond_certificate_support_refused_in_milliseconds(
-        self, placed, deep, monkeypatch
-    ):
-        # 2^31 - 1 fits the root table, but neither the toy's N = 10^7 nor
-        # its four listed primes can come from a construction at that x
+    def test_x_beyond_certificate_support_refused_in_milliseconds(self, placed, x, monkeypatch):
+        # both fit the root table, but neither the toy's N = 10^7 nor its
+        # four listed primes can come from a construction at such an x;
+        # X_BOUND_FLOOR + 1 is the least x refused
         def no_sieve(limit):
             raise AssertionError("primes sieved")
 
         obj = toy_certificate().to_json_dict()
-        obj["params"]["x"] = 2**31 - 1  # the stored z = 2 still fits y = 4
+        obj["params"]["x"] = x  # the stored z = 2 still fits y = 4
         if not placed:
             obj["placement"] = None
         cert = ResidueCertificate.from_json_dict(obj)
         monkeypatch.setattr(modroots_mod, "sieve_primes", no_sieve)
         t0 = time.perf_counter()
-        report = verify_certificate(cert, deep=deep)
+        report = verify_certificate(cert)
         assert time.perf_counter() - t0 < 0.05
         assert not report.valid
         assert report.checked == 0
         assert report.messages == [
-            f"x = {2**31 - 1} exceeds {X_BOUND_FLOOR}, the most this certificate's"
+            f"x = {x} exceeds {X_BOUND_FLOOR}, the most this certificate's"
             f" {'N' if placed else 'listed primes'} can support"
         ]
 
@@ -332,24 +318,20 @@ class TestFaultInjection:
         assert verify_mod.stored_x_bound(2, 1 << 100_000, 1) == int(8 * 100_001 * math.log(2))
         assert verify_mod.stored_x_bound(3, None, 9999) == int(120_000 * math.log(30_002))
 
-    @pytest.mark.parametrize("deep", [True, False])
-    def test_huge_stored_window_not_walked(self, deep, monkeypatch):
+    def test_huge_stored_window_not_walked(self, monkeypatch):
         # the stored I1 is only compared; the walk covers the two windows
         # of length y that N, b1 and y give
         cert = reload(toy_certificate())
         pl = cert.placement
         cert.placement = dataclasses.replace(pl, I1=(pl.I1[0], pl.I1[0] + 10**12 - 1))
         walked = record_walk(monkeypatch)
-        report = verify_certificate(cert, deep=deep)
+        report = verify_certificate(cert)
         assert not report.valid
         assert any("window bounds" in m for m in report.messages)
         assert walked and all(in_derived_windows(cert, n) for n in walked)
-        assert report.checked == len(walked) and report.failures == []
-        if deep:
-            assert report.checked == 8
+        assert report.checked == len(walked) == 8 and report.failures == []
 
-    @pytest.mark.parametrize("deep", [True, False])
-    def test_padded_moduli_refused_without_their_product(self, deep):
+    def test_padded_moduli_refused_without_their_product(self):
         # 300 listed 4000-digit moduli, b1 in each class: their product has
         # 1.2 million digits, and forming and cubing it took seconds
         obj = json.loads(built_certificate("x^2+1", 300))
@@ -360,7 +342,7 @@ class TestFaultInjection:
         )
         cert = ResidueCertificate.from_json_dict(obj)
         t0 = time.perf_counter()
-        report = verify_certificate(cert, deep=deep)
+        report = verify_certificate(cert)
         assert time.perf_counter() - t0 < 1
         assert not report.valid and "modulus exceeds N^(1/3)" in report.messages
         assert report.failures == [] and report.checked > 0
@@ -381,9 +363,9 @@ def record_walk(monkeypatch) -> list[int]:
     walked: list[int] = []
     inner = verify_mod.find_witness
 
-    def recording(base, offsets, *args):
-        walked.extend(base + k for k in offsets.tolist())
-        return inner(base, offsets, *args)
+    def recording(base, length, *args):
+        walked.extend(range(base, base + length))
+        return inner(base, length, *args)
 
     monkeypatch.setattr(verify_mod, "find_witness", recording)
     return walked
@@ -433,13 +415,14 @@ def poly_table(name: str, x: int):
 
 
 @functools.lru_cache(maxsize=None)
-def built_certificate(name: str, x: int) -> bytes:
-    cert, _ = construct_certificate(IntPolynomial.from_monomial(POLYS[name]), SieveParams(x=x), 7)
+def built_certificate(name: str, x: int, seed: int = 7) -> bytes:
+    f = IntPolynomial.from_monomial(POLYS[name])
+    cert, _ = construct_certificate(f, SieveParams(x=x), seed)
     return cert.to_json_bytes()
 
 
-def certificate(name: str, x: int) -> ResidueCertificate:
-    return ResidueCertificate.from_json_dict(json.loads(built_certificate(name, x)))
+def certificate(name: str, x: int, seed: int = 7) -> ResidueCertificate:
+    return ResidueCertificate.from_json_dict(json.loads(built_certificate(name, x, seed)))
 
 
 def corrupt_residue(cert):
@@ -504,25 +487,18 @@ TAMPERS = {
 }
 
 
-def per_n_targets(cert, deep: bool, seed: int) -> list[int]:
+def per_n_targets(cert) -> list[int]:
     """The values the per-n verifier walks, in its order: each window that
-    N, b1 and y give, whole (deep) or at its ends, its center and the seeded
-    sample's offsets (fast)."""
-    y = cert.params.y
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, VERIFY_SAMPLE_STREAM])))
-    sample = {int(k) for k in rng.integers(0, y, size=max(1, int(0.01 * 2 * y)))}
-    out = []
-    for (lo, _), center in zip(derived_windows(cert), (y // 2 - 1, y - y // 2)):
-        out += [lo + k for k in (range(y) if deep else sorted(sample | {0, y - 1, center}))]
-    return out
+    N, b1 and y give, whole."""
+    return [n for lo, hi in derived_windows(cert) for n in range(lo, hi + 1)]
 
 
 @st.composite
 def witness_cases(draw):
     """A polynomial, a random choice of vouching primes <= 60 (some foreign,
     i.e. with no roots, some with only part of their roots), a base small
-    enough to need the per-n size check or up to 10^1500, and a sparse
-    offset set or a whole window."""
+    enough to need the per-n size check or up to 10^1500, and a window
+    length."""
     name = draw(st.sampled_from(sorted(POLYS)))
     f, table = poly_table(name, 60)
     primes_with_roots = []
@@ -532,13 +508,7 @@ def witness_cases(draw):
         if kind != "skip":
             primes_with_roots.append((q, roots[kind]))
     base = draw(st.one_of(st.integers(-100, 500), st.integers(1, 10**1500)))
-    offsets = draw(
-        st.one_of(
-            st.lists(st.integers(0, 400), max_size=60, unique=True),
-            st.integers(0, 300).map(range),  # a whole window, as deep mode passes it
-        )
-    )
-    return f, primes_with_roots, base, offsets
+    return f, primes_with_roots, base, draw(st.integers(0, 400))
 
 
 def json_paths(obj, prefix=()):
@@ -593,7 +563,7 @@ def mutated_certificates(draw):
             parent[path[-1]] = _perturbed(parent[path[-1]], draw(st.integers(-3, 3)))
         else:
             parent[0] = draw(st.sampled_from([0, 1, -5, 2, 4, 9, 997, 1009]))
-    return obj, draw(st.booleans())
+    return obj
 
 
 class TestMutatedCertificates:
@@ -601,19 +571,18 @@ class TestMutatedCertificates:
 
     def test_unmutated_certificates_verify(self):
         for name in ("x^2+1", "x^3+2"):
-            assert verify_certificate(certificate(name, 300), deep=True).valid
+            assert verify_certificate(certificate(name, 300)).valid
 
     @given(mutated_certificates())
     @settings(max_examples=150, deadline=None)
-    def test_load_and_verify_never_crash(self, case):
-        obj, deep = case
+    def test_load_and_verify_never_crash(self, obj):
         x = obj.get("params", {}).get("x") if isinstance(obj.get("params"), dict) else None
         assert not isinstance(x, int) or x <= 1000
         try:
             cert = ResidueCertificate.from_json_dict(obj)
         except ValueError:
             return
-        report = verify_certificate(cert, deep=deep)
+        report = verify_certificate(cert)
         assert isinstance(report, verify_mod.VerifyReport)
 
 
@@ -624,10 +593,10 @@ def rows_for(base: int, primes_with_roots, degree: int):
     return tuple(np.array([row[i] for row in rows], dtype=np.int64) for i in range(3))
 
 
-def oracle_witnesses(base: int, offsets, pwr, f: IntPolynomial) -> np.ndarray:
+def oracle_witnesses(base: int, length: int, pwr, f: IntPolynomial) -> np.ndarray:
     """find_witness's answer from the per-n search: an int32 array, 0 where
     no prime works."""
-    got = [find_witness_per_n(base + k, pwr, f.companion(), f, f.degree) for k in offsets]
+    got = [find_witness_per_n(base + k, pwr, f.companion(), f, f.degree) for k in range(length)]
     return np.array([q or 0 for q in got], dtype=np.int32)
 
 
@@ -637,11 +606,11 @@ class TestWindowWitnessSearch:
     @given(witness_cases())
     @settings(max_examples=300, deadline=None)
     def test_matches_per_n_oracle(self, case):
-        f, pwr, base, offsets = case
+        f, pwr, base, length = case
         rows = rows_for(base, pwr, f.degree)
-        got = find_witness(base, np.array(offsets, dtype=np.int64), rows, f)
+        got = find_witness(base, length, rows, f)
         assert got.dtype == np.int32
-        assert got.tolist() == oracle_witnesses(base, offsets, pwr, f).tolist()
+        assert got.tolist() == oracle_witnesses(base, length, pwr, f).tolist()
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -663,24 +632,23 @@ class TestWindowWitnessSearch:
             cert.poly, 300, true_table.primes, np.array([len(r) for r in roots]),
             np.array([r for rs in roots for r in rs], dtype=np.int64),
         )
-        deep = data.draw(st.booleans())
         pwr = consistent_primes(cert, table)
         f = cert.poly
 
-        def oracle(base, offsets, rows, f_):
-            return oracle_witnesses(base, offsets.tolist(), pwr, f)
+        def oracle(base, length, rows, f_):
+            return oracle_witnesses(base, length, pwr, f)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify_mod, "build_root_table", lambda f, x: table)
-            got = verify_certificate(cert, deep=deep, seed=7)
+            got = verify_certificate(cert)
             mp.setattr(verify_mod, "find_witness", oracle)
-            want = verify_certificate(cert, deep=deep, seed=7)
+            want = verify_certificate(cert)
         assert got.to_json_dict() == want.to_json_dict()
 
     def test_small_prime_values_get_no_witness(self):
         f, table = poly_table("x", 60)
         pwr = [(int(q), table.roots[int(q)]) for q in table.primes]
-        got = find_witness(1, np.arange(60), rows_for(1, pwr, 1), f)
+        got = find_witness(1, 60, rows_for(1, pwr, 1), f)
         for k, w in enumerate(got.tolist()):
             n = 1 + k
             if n == 1 or all(n % q for q in range(2, n)):
@@ -688,55 +656,53 @@ class TestWindowWitnessSearch:
             else:
                 assert w == min(q for q in range(2, n) if n % q == 0)
 
-    @pytest.mark.parametrize("deep", [True, False])
+    @pytest.mark.parametrize("x", [300, 1000])
     @pytest.mark.parametrize("tamper", sorted(TAMPERS))
     @pytest.mark.parametrize("name", sorted(POLYS))
-    def test_report_matches_per_n_oracle(self, name, tamper, deep, monkeypatch):
-        cert = TAMPERS[tamper](certificate(name, 300))
-        got = verify_certificate(cert, deep=deep, seed=7)
+    def test_report_matches_per_n_oracle(self, name, tamper, x, monkeypatch):
+        cert = TAMPERS[tamper](certificate(name, x))
+        got = verify_certificate(cert)
         # the table of the polynomial the certificate now names
-        pwr = consistent_primes(cert, build_root_table(cert.poly, 300))
+        pwr = consistent_primes(cert, build_root_table(cert.poly, x))
         f = cert.poly
         seen: list[int] = []
 
-        def oracle(base, offsets, rows, f_):
-            seen.extend(base + k for k in offsets.tolist())
-            return oracle_witnesses(base, offsets.tolist(), pwr, f)
+        def oracle(base, length, rows, f_):
+            seen.extend(range(base, base + length))
+            return oracle_witnesses(base, length, pwr, f)
 
         monkeypatch.setattr(verify_mod, "find_witness", oracle)
-        want = verify_certificate(cert, deep=deep, seed=7)
-        assert seen == per_n_targets(cert, deep, 7)
+        want = verify_certificate(cert)
+        assert seen == per_n_targets(cert)
         assert got.to_json_dict() == want.to_json_dict()
         assert got.witness_primes == want.witness_primes
-        # f + 2^64 only leaves offsets uncovered, which a fast sample may miss
-        if deep or tamper != "constant-beyond-int64":
-            assert got.valid == (tamper == "none")
+        assert got.valid == (tamper == "none")
 
-    @pytest.mark.parametrize("deep", [True, False])
-    def test_stored_center_outside_the_windows_is_not_walked(self, deep, monkeypatch):
+    @pytest.mark.parametrize("name", sorted(POLYS))
+    def test_stored_center_outside_the_windows_is_not_walked(self, name, monkeypatch):
         # a stored n1 far below I1 (and n2 = N - n1 far above I2) is
         # reported, but no witness search starts anywhere outside the
         # stored windows
-        cert = certificate("x^2+1", 300)
+        cert = certificate(name, 300)
         pl = cert.placement
         n1 = pl.I1[0] - 10**6
         cert.placement = dataclasses.replace(pl, n1=n1, n2=pl.N - n1)
         walked = record_walk(monkeypatch)
-        report = verify_certificate(cert, deep=deep, seed=7)
+        report = verify_certificate(cert)
         assert not report.valid
         assert any("centers" in m for m in report.messages)
         assert walked and all(any(lo <= n <= hi for lo, hi in (pl.I1, pl.I2)) for n in walked)
         assert report.checked == len(walked) and not report.failures
 
-    @pytest.mark.parametrize("deep", [True, False])
-    def test_moved_stored_window_is_reported_not_walked(self, deep, monkeypatch):
+    @pytest.mark.parametrize("name", sorted(POLYS))
+    def test_moved_stored_window_is_reported_not_walked(self, name, monkeypatch):
         # an I1 of the right length moved 10^6 away is compared and
         # reported; the walk stays in the windows N, b1 and y give
-        cert = certificate("x^2+1", 300)
+        cert = certificate(name, 300)
         pl = cert.placement
         cert.placement = dataclasses.replace(pl, I1=(pl.I1[0] + 10**6, pl.I1[1] + 10**6))
         walked = record_walk(monkeypatch)
-        report = verify_certificate(cert, deep=deep, seed=7)
+        report = verify_certificate(cert)
         assert not report.valid
         assert report.messages == ["window bounds disagree with b2 and y"]
         assert walked and all(in_derived_windows(cert, n) for n in walked)
@@ -744,25 +710,33 @@ class TestWindowWitnessSearch:
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("name", sorted(POLYS))
-    def test_fast_offsets_are_a_subset_of_deep_offsets(self, name, seed, monkeypatch):
-        cert = certificate(name, 300)
-        groups: dict[bool, list] = {}
+    def test_every_offset_of_both_windows_is_walked(self, name, seed, monkeypatch):
+        # one search per window, from its left end over all y offsets
+        cert = certificate(name, 300, seed)
+        calls: list[tuple[int, int]] = []
         inner = verify_mod.find_witness
-        for deep in (True, False):
-            seen = groups[deep] = []
 
-            def recording(base, offsets, *args, seen=seen):
-                seen.append((base, offsets.tolist()))
-                return inner(base, offsets, *args)
+        def recording(base, length, *args):
+            calls.append((base, length))
+            return inner(base, length, *args)
 
-            monkeypatch.setattr(verify_mod, "find_witness", recording)
-            assert verify_certificate(cert, deep=deep, seed=seed).valid
+        monkeypatch.setattr(verify_mod, "find_witness", recording)
+        report = verify_certificate(cert)
         y, pl = cert.params.y, cert.placement
-        assert [base for base, _ in groups[True]] == [base for base, _ in groups[False]]
-        assert [base for base, _ in groups[True]] == [pl.I1[0], pl.I2[0]]
-        for (_, whole), (_, part) in zip(groups[True], groups[False]):
-            assert whole == list(range(y))
-            assert part and set(part) <= set(whole) and {0, y - 1} <= set(part)
+        assert report.valid and report.checked == 2 * y
+        assert calls == [(pl.I1[0], y), (pl.I2[0], y)]
+
+    @pytest.mark.parametrize("length", [0, 1])
+    @pytest.mark.parametrize("name", sorted(POLYS))
+    def test_shortest_windows(self, name, length):
+        # an empty window gives an empty int32 array, a window of one value
+        # that value's witness
+        f, table = poly_table(name, 60)
+        pwr = [(int(q), table.roots[int(q)]) for q in table.primes]
+        base = 10**40 + 1
+        got = find_witness(base, length, rows_for(base, pwr, f.degree), f)
+        assert got.dtype == np.int32 and got.shape == (length,)
+        assert got.tolist() == oracle_witnesses(base, length, pwr, f).tolist()
 
     def test_companion_only_sees_reduced_residues(self, monkeypatch):
         # one row Horner over every candidate root, each reduced mod its
@@ -776,7 +750,7 @@ class TestWindowWitnessSearch:
             return inner(comp, n, p)
 
         monkeypatch.setattr(verify_mod, "companion_eval_mod", guarded)
-        report = verify_certificate(cert, deep=True)
+        report = verify_certificate(cert)
         assert report.valid and report.checked == 2 * cert.params.y
         assert len(calls) == 1
         n, p = calls[0]
@@ -801,7 +775,7 @@ def test_construction_and_verification_never_import_numpy_ma():
         "for mono in ([0, 1], [1, 0, 1], [2, 0, 0, 1]):\n"
         "    f = IntPolynomial.from_monomial(mono)\n"
         "    cert, _ = construct_certificate(f, SieveParams(x=300), 7)\n"
-        "    assert verify_certificate(cert).valid and verify_certificate(cert, deep=True).valid\n"
+        "    assert verify_certificate(cert).valid\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     env = dict(os.environ)
