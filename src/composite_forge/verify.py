@@ -19,16 +19,16 @@ integers and reported failures go to and from decimal through
 assemble.int_to_decimal and decimal_to_int: sub-quadratic above 640
 digits, and never reading or setting the interpreter's int-string digit
 limit. The witness search is one least-prime-factor sieve per window on
-int64 rows (q, root, s), one per root (find_witness): a uint32 array over
-the window takes the rows of large q in one gather and the others in one
-strided slice each, so each offset keeps its smallest witnessing prime.
-Every offset of both windows is checked, as the theorem claims f(n)
-composite for every n in I1 and I2; failures and witness counts are read
-off the result with numpy. |f(n)| > q is proved once per window. Stored
-bounds and centers are only compared. The stored y is bounded by the
-formula length, and the stored x by what the certificate's N or listed
-primes can support (stored_x_bound) and by the root table's bound, before
-anything is sized by them.
+int64 rows (q, root, s), one per root (find_witness), struck by
+sievecore.smallest_hit, the kernel construction's survivor sieve uses
+too, so each offset keeps its smallest witnessing prime. Every offset of
+both windows is checked, as the theorem claims f(n) composite for every
+n in I1 and I2; failures and witness counts are read off the result with
+numpy. |f(n)| > q is proved once per window. Stored bounds and centers
+are only compared. The stored y is bounded by the formula length, and the
+stored x by what the certificate's N or listed primes can support
+(stored_x_bound) and by the root table's bound, before anything is sized
+by them.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .assemble import ResidueCertificate, int_to_decimal
 from .modroots import ROW_PRIME_BOUND, build_root_table, companion_eval_mod
 from .poly import IntPolynomial, irreducibility_check
 from .primes import is_prime, product, residues_mod, sieve_primes
-from .sievecore import MissingResidueError, sieve_survivors
+from .sievecore import MissingResidueError, sieve_survivors, smallest_hit
 
 
 @dataclass
@@ -69,19 +69,6 @@ class VerifyReport:
         }
 
 
-# A row (q, root, s) of find_witness with q * SPARSE_HITS > n hits [0, n)
-# at most SPARSE_HITS times, and all such rows are struck together by one
-# gather of exactly their hits; a row of smaller q takes a strided slice,
-# about 1 us each. Timed from 16 to 256 on the whole windows of x, x^2 + 1
-# and x^3 + 2 at x = 300, 1000, 3000 and 10^4, and of x and x^2 + 1 at 10^5
-# (2-vCPU x86 host, numpy 2.4), 64 was the fastest or within 4 % of it in
-# every case
-SPARSE_HITS = 64
-# what find_witness's uint32 array holds where no row hits: above every
-# row prime, so np.minimum.at never keeps it over a hit
-NO_HIT = 2**32 - 1
-
-
 def find_witness(
     base: int,
     length: int,
@@ -96,14 +83,11 @@ def find_witness(
     > deg f, below 2^31 (ROW_PRIME_BOUND, as for every root table prime),
     in ascending order; root a root of the companion B!*f mod q, checked
     by the caller; s = base mod q. An offset k is a hit of the row when
-    (s + k) mod q is its root, which is every k = (root - s) mod q + j q.
-    One uint32 array over [0, length) holds the smallest hit found so far
-    (NO_HIT for none). Rows with q * SPARSE_HITS greater than the length
-    are struck by one gather and np.minimum.at; the others, whose primes
-    are all smaller, then write their slices in descending q, so each
-    offset ends up with its smallest hit. The size condition is proved
-    once for the whole group when the companion g = sum c_i n^i gives
-    c_d*base - sum_{i<d} |c_i| > B!*q_max with base >= 1, since then
+    (s + k) mod q is its root, which is every k = (root - s) mod q + j q,
+    and sievecore.smallest_hit gives each offset its smallest hit. The
+    size condition is proved once for the whole group when the companion
+    g = sum c_i n^i gives c_d*base - sum_{i<d} |c_i| > B!*q_max with
+    base >= 1, since then
     |g(n)| >= n^(d-1) (c_d n - sum |c_i|) > B!*q_max for every n >= base;
     otherwise |f(n)| > q is checked exactly on each hit. A hit failing it
     has no witness at all, as every larger prime is larger still.
@@ -113,24 +97,7 @@ def find_witness(
     size_ok = base >= 1 and comp[-1] * base - sum(map(abs, comp[:-1])) > (
         math.factorial(f.degree) * int(q.max(initial=0))
     )
-    w = np.full(length, NO_HIT, dtype=np.uint32)
-    first = (root - s) % q
-    # rows [0, dense) have q * SPARSE_HITS <= length; a later row hits the
-    # window at first + j q for j < ceil((length - first) / q), none for
-    # first >= length
-    dense = int(np.searchsorted(q, length // SPARSE_HITS, side="right"))
-    count = -((first[dense:] - length) // q[dense:])
-    hit_q = np.repeat(q[dense:], count)
-    # hit i of the flat list, in a row whose hits start at its index b, is
-    # first + q (i - b); q < 2^31 times i keeps int64 exact
-    start = np.cumsum(count) - count
-    hits = np.repeat(first[dense:] - q[dense:] * start, count) + hit_q * np.arange(len(hit_q))
-    np.minimum.at(w, hits, hit_q.astype(np.uint32))
-    for qi, k in zip(q[:dense][::-1].tolist(), first[:dense][::-1].tolist()):
-        w[k::qi] = qi
-    w[w == NO_HIT] = 0
-    # every row prime is below 2^31, so the int32 view reads the same values
-    got = w.view(np.int32)
+    got = smallest_hit(q, (root - s) % q, length)
     if not size_ok:
         for k in np.flatnonzero(got).tolist():
             if abs(f.eval(base + k)) <= int(got[k]):

@@ -323,8 +323,14 @@ class TestGfDivmod:
 
 
 # for d = 3, 4 and 8, the consecutive primes on either side of the bound
-# d^2 P^3 < 2^64 below which the ladder reduces once per square and fold
-CADENCE_PRIMES = {3: (1270249, 1270271), 4: (1048573, 1048583), 8: (660559, 660563)}
+# d^2 P^3 < 2^64 below which the ladder reduces once per square and fold,
+# then a far prime with 2^64 <= d^2 P^3 < 2^70: a lazy ladder there gets
+# most random rows wrong, so a bound raised as far as 2^70 fails
+CADENCE_PRIMES = {
+    3: (1270249, 1270271, 4999999),
+    4: (1048573, 1048583, 1999993),
+    8: (660559, 660563, 1999993),
+}
 
 
 class TestRowKernel:
@@ -377,15 +383,17 @@ class TestRowKernel:
                 want = gf_powmod((a, 1), k, tuple(m), p)
                 assert tuple(got) == want + (0,) * (d - len(want)), (p, m, a, k)
 
-    @pytest.mark.parametrize("side", [0, 1], ids=["lazy", "wide"])
+    @pytest.mark.parametrize("side", [0, 1, 2], ids=["lazy", "wide", "far"])
     @pytest.mark.parametrize("d", sorted(CADENCE_PRIMES))
     @given(data=st.data())
     @settings(max_examples=8, deadline=None)
     def test_both_cadences_match_gf_powmod(self, d, side, data):
         # the batch's largest prime sits just below (lazy) or just above
-        # (wide) the bound d^2 P^3 < 2^64 that picks the ladder's cadence
+        # (wide) the bound d^2 P^3 < 2^64 that picks the ladder's cadence,
+        # or far above it (below 2^70)
         top = CADENCE_PRIMES[d][side]
         assert (d * d * top**3 < 1 << 64) == (side == 0)
+        assert d * d * top**3 < 1 << (70 if side == 2 else 65)
         primes = [top] + data.draw(st.lists(st.sampled_from(BATCH_PRIMES + [top]), max_size=5))
         rows, shifts, exps = [], [], []
         for p in primes:

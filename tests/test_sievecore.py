@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composite_forge.sievecore import (
+    SPARSE_HITS,
     MissingResidueError,
     SurvivorSet,
     sieve_survivors,
@@ -46,20 +47,31 @@ class TestSurvivorSet:
         assert list(s.survivors()) == [-4, -3, -1]
 
 
-class TestSieveSurvivors:
-    def test_matches_brute_force(self, table_x2p1_100):
-        residues = fixed_residues(table_x2p1_100, (0, 50))
-        got = sieve_survivors(table_x2p1_100, residues, (1, 200), (0, 50))
-        assert list(got.survivors()) == brute_survivors(
-            table_x2p1_100, residues, (1, 200), (0, 50)
-        )
+# a usable prime of x^2 + 1 with usable primes on both sides of it below
+# 50: its rows are struck by the gather below length 64 * 13 and by a
+# strided slice from there on (sievecore.SPARSE_HITS)
+ROUTE_PRIME = 13
+ROUTE_LENGTHS = [SPARSE_HITS * ROUTE_PRIME + d for d in (-1, 0, 1)]
+# (interval, prime range, residue salt)
+BRUTE_CASES = {
+    "positive-200": ((1, 200), (0, 50), 0),
+    "negative-200": ((-200, -1), (0, 50), 2),
+    **{f"positive-{n}": ((1, n), (0, 50), 0) for n in ROUTE_LENGTHS},
+    **{f"negative-{n}": ((-n, -1), (0, 50), 2) for n in ROUTE_LENGTHS},
+    # 7 and 11 have no root mod x^2 + 1, so nothing is struck
+    "no-usable-prime": ((-100, 100), (5, 12), 0),
+}
 
-    def test_negative_window(self, table_x2p1_100):
-        residues = fixed_residues(table_x2p1_100, (0, 50), salt=2)
-        got = sieve_survivors(table_x2p1_100, residues, (-200, -1), (0, 50))
-        assert list(got.survivors()) == brute_survivors(
-            table_x2p1_100, residues, (-200, -1), (0, 50)
-        )
+
+class TestSieveSurvivors:
+    @pytest.mark.parametrize("interval, prime_range, salt", BRUTE_CASES.values(), ids=BRUTE_CASES)
+    def test_matches_brute_force(self, interval, prime_range, salt, table_x2p1_100):
+        residues = fixed_residues(table_x2p1_100, prime_range, salt)
+        got = sieve_survivors(table_x2p1_100, residues, interval, prime_range)
+        want = brute_survivors(table_x2p1_100, residues, interval, prime_range)
+        assert list(got.survivors()) == want
+        if not table_x2p1_100.usable_between(*prime_range):
+            assert want == list(range(interval[0], interval[1] + 1))
 
     def test_missing_residue_raises(self, table_x2p1_100):
         with pytest.raises(MissingResidueError):

@@ -194,11 +194,18 @@ class TestFaultInjection:
         assert not report.valid
         assert report.failures == []
 
-    def test_residue_out_of_range(self):
+    @pytest.mark.parametrize("r", [5, -1, 2**70, -(2**70)])
+    @pytest.mark.parametrize("placed", [True, False])
+    def test_residue_out_of_range(self, placed, r):
+        # a placement-free certificate takes the residue into sieve_survivors,
+        # whose rows are int64
         cert = reload(toy_certificate())
-        cert.stages[0].assignments = [(2, 1), (3, 5), (5, 4), (7, 6)]
+        cert.stages[0].assignments = [(2, 1), (3, r), (5, 4), (7, 6)]
+        if not placed:
+            cert.placement = None
         report = verify_certificate(cert)
         assert not report.valid
+        assert f"residue {r} out of range for prime 3" in report.messages
 
     def test_placement_stripped_falls_back_to_offsets(self):
         cert = reload(toy_certificate())
