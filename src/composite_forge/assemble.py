@@ -33,7 +33,7 @@ from .cover import (
 )
 from .modroots import RootTable, build_root_table
 from .poly import IntPolynomial, decimal_text, irreducibility_check
-from .primes import product
+from .primes import ProductTree, divmod_newton
 from .sievecore import sieve_survivors
 
 CERT_VERSION = 1
@@ -55,15 +55,20 @@ class ConstructionError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-def crt_combine(assignments: Mapping[int, int]) -> tuple[int, int]:
+def crt_combine(
+    assignments: Mapping[int, int], tree: ProductTree | None = None
+) -> tuple[int, int]:
     """Combine per-prime residues q -> r into (b, modulus) with
-    0 <= b < modulus; the primes must be distinct (a map's keys are)."""
-    b, modulus = 0, 1
-    for q, r in sorted(assignments.items()):
-        t = ((r - b) * pow(modulus, -1, q)) % q
-        b += modulus * t
-        modulus *= q
-    return b, modulus
+    0 <= b < modulus, up the product tree of the primes (ProductTree.crt);
+    the primes must be distinct (a map's keys are). tree, when given, is
+    the tree over the sorted primes, which a construction already holds
+    (RootTable.usable_tree); ValueError if its moduli are not those."""
+    primes = sorted(assignments)
+    if tree is None:
+        tree = ProductTree(primes)
+    elif tree.moduli != primes:
+        raise ValueError("the product tree is not over the assigned primes")
+    return tree.crt([assignments[q] for q in primes]), tree.root
 
 
 def refine_residues(*args, **kwargs):
@@ -445,7 +450,8 @@ class Placement:
 def place(b: int, modulus: int, n_target: int, y: int) -> Placement:
     """Pick the representative of b mod modulus inside [-0.3N, -0.2N]
     (smallest absolute value, i.e. the largest such integer) and derive the
-    two windows and centers. The caller has checked modulus^3 <= N."""
+    two windows and centers. The caller has checked modulus^3 <= N. The
+    one N-sized reduction goes by divmod_newton."""
     hi = -((n_target + 4) // 5)  # largest integer <= -N/5
     lo = -((3 * n_target) // 10)  # smallest integer >= -3N/10
     if hi - lo + 1 < modulus:
@@ -453,7 +459,7 @@ def place(b: int, modulus: int, n_target: int, y: int) -> Placement:
             "placement window narrower than the modulus; increase N",
             {"window": hi - lo + 1, "modulus_bits": modulus.bit_length()},
         )
-    b1 = hi - ((hi - b) % modulus)
+    b1 = hi - divmod_newton(hi - b, modulus)[1]
     assert b1 >= lo
     b2 = -b1
     half = y // 2
@@ -697,7 +703,7 @@ def construct_certificate(
     target = n_mod = None
     if two_sided:
         # a one-sided certificate has no placement, so it has no N at all
-        modulus = product(usable)
+        modulus = table.usable_tree.root
         if n_target is None:
             target = auto_target(modulus)
         else:
@@ -803,7 +809,7 @@ def construct_certificate(
     if fills:
         stages.append(StageRecord("cleanup", "both", sorted(fills.items())))
 
-    b, p_x = crt_combine(full)
+    b, p_x = crt_combine(full, table.usable_tree)
     placement = place(b, p_x, target, achieved_y) if two_sided else None
     cert = ResidueCertificate(
         poly=f,

@@ -35,7 +35,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .modroots import RootTable
-from .primes import residues_mod
 from .sievecore import SurvivorSet, sieve_survivors
 
 
@@ -205,10 +204,11 @@ def sample_small_residue(
 def target_residues(n_target: int, table: RootTable) -> dict[int, int]:
     """q -> N mod q for every usable prime of the table: the only form of N
     the sieve stages take. A construction reduces its N (thousands of
-    digits) once per block of primes (residues_mod), and every stage of
-    every attempt reads the map."""
-    usable = table.usable_primes()
-    return dict(zip(usable, residues_mod(n_target, usable)))
+    digits) once, down the table's product tree of its usable primes
+    (RootTable.usable_tree, which also gives the construction its modulus
+    and its CRT), and every stage of every attempt reads the map."""
+    tree = table.usable_tree
+    return dict(zip(tree.moduli, tree.remainders(n_target)))
 
 
 # CoverState keeps its survivors as int32 while every class key fits: the

@@ -69,7 +69,7 @@ from .gfpoly import (
 )
 from .gfpoly import gf_powmod  # noqa: F401  (bench/harness.py traces modroots.gf_powmod)
 from .poly import IntPolynomial
-from .primes import jacobi_table, mod_rows, sieve_primes, sqrt_mod_rows
+from .primes import ProductTree, jacobi_table, mod_rows, sieve_primes, sqrt_mod_rows
 
 _CACHE_MAGIC = b"CFROOTS2"
 
@@ -318,6 +318,13 @@ class RootTable:
     def usable_primes(self) -> list[int]:
         """Primes with a nonempty root set, ascending."""
         return self.primes[self.counts > 0].tolist()
+
+    @functools.cached_property
+    def usable_tree(self) -> ProductTree:
+        """The product tree over usable_primes(), built on first use: a
+        construction's modulus, its N mod every usable prime and its CRT
+        all go through it."""
+        return ProductTree(self.usable_primes())
 
     def usable_between(self, lo: int | float, hi: int | float) -> list[int]:
         """Primes q with lo < q <= hi and a nonempty root set, ascending."""

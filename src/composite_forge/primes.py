@@ -3,9 +3,12 @@
 Everything here is deterministic for a fixed input so that sieve output and
 certificates are reproducible byte for byte.
 
-`residues_mod` reduces one big integer by many moduli in blocks, for the
-certificate's N and b1 (thousands of digits) modulo every sieve prime, and
-`product` multiplies many primes by halves.
+`ProductTree` holds one product tree over a list of primes, behind every
+big-integer job: its root is the construction's modulus, its remainder walk
+gives N and b1 (thousands to millions of digits) modulo every prime, and
+its CRT walk gives b1's class. CPython divides in quadratic time, so nodes
+of NEWTON_BITS or more are divided by `divmod_newton`, a Barrett reduction
+by a Newton reciprocal, which takes a few multiplications.
 
 The row kernels (`mod_rows`, `sqrt_mod_rows`, with the windowed
 `gfpoly.pow_mod_rows`) work on int64 arrays with one prime per row, so the
@@ -21,10 +24,10 @@ discriminant is a non-residue with one lookup each.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
+import operator
 import random
 from collections.abc import Sequence
 
@@ -95,57 +98,185 @@ def is_prime(n: int) -> bool:
     return all(_mr_witness(n, a, d, s) for a in bases)
 
 
-# Bit budget of a block of moduli in residues_mod. v mod q for every
-# modulus costs one division of v per block plus one of a remainder of at
-# most this size per modulus, so the best budget grows with v. Measured for
-# N mod every prime up to x (f = x, N of 360 to 130k digits), this one is
-# within 3 % of the best power of two at x = 10^4 and 10^5 and 0.08 ms
-# behind it at x = 3000
-RESIDUE_BLOCK_BITS = 2048
+# Bit length from which a division goes by a Newton reciprocal and Barrett
+# reduction (divmod_newton) instead of Python's divmod, whose schoolbook time
+# grows as the product of the divisor's and the quotient's lengths: both must
+# reach it. Timed as a 2n-by-n division against divmod (Python 3.11, 2-vCPU
+# x86 host, best of 7 runs), with the reciprocal taken anew / reused:
+# n = 8192: 1.86 / 1.02 of divmod's time, 16384: 0.98 / 0.56, 32768:
+# 0.83 / 0.46, 65536: 0.57 / 0.32. In the product trees of the primes up
+# to 10^5 and 10^6, crossovers from 16384 to 65536 bits timed alike
+NEWTON_BITS = 16384
+# Bit length up to which reciprocal() divides outright instead of recursing
+RECIPROCAL_BASE = 2048
 
 
-def residues_mod(v: int, moduli: Sequence[int]) -> list[int]:
-    """[v % q for q in moduli], with v reduced once per block instead of
-    once per modulus.
+def reciprocal(m: int) -> int:
+    """About 4^n / m for m > 0 of n bits: within a few units of the floor.
 
-    Consecutive moduli form a block while their bit lengths sum to at most
-    RESIDUE_BLOCK_BITS, so their product stays below 2^RESIDUE_BLOCK_BITS;
-    v is reduced by that product, and the remainder by each modulus of the
-    block, which gives v % q as q divides the product. A modulus longer than
-    the budget is a block of its own, reduced as v % q, so long moduli cost
-    one division of v each, as they would without blocks, and no product
-    grows beyond the budget or one modulus. Each bit length is taken once,
-    into a running sum on which one bisection per block finds its end. A
+    Newton's iteration x -> x + x (4^n - m x) / 4^n from the reciprocal of
+    m's top h = n/2 + 8 bits, which gives about h correct bits, so one step
+    gives n. The step multiplies m by that h-bit reciprocal and the
+    reciprocal by the top bits of the error, so it costs about one n-by-n
+    product, and the whole recursion about two."""
+    n = m.bit_length()
+    if n <= RECIPROCAL_BASE:
+        return (1 << (2 * n)) // m
+    h = (n >> 1) + 8
+    k = n - h
+    xh = reciprocal(m >> k)  # about 4^h / (m >> k), so xh << k is about 4^n / m
+    # the error 4^n - m (xh << k), divided by 2^k, and its top h + 8 bits
+    e = (1 << (n + h)) - m * xh
+    t = max(e.bit_length() - h - 8, 0)
+    return (xh << k) + ((xh * (e >> t)) >> (2 * h - t))
+
+
+def _barrett(a: int, m: int, recip: int, n: int) -> tuple[int, int]:
+    """divmod(a, m) for 0 <= a < 4^n, m of n bits and recip near 4^n / m:
+    the quotient estimate ((a >> (n - 1)) recip) >> (n + 1) is off by a
+    few units at most (Barrett 1986), and the loops correct it."""
+    q = ((a >> (n - 1)) * recip) >> (n + 1)
+    r = a - q * m
+    while r < 0:
+        q -= 1
+        r += m
+    while r >= m:
+        q += 1
+        r -= m
+    return q, r
+
+
+def _newton_pays(v: int, m: int) -> bool:
+    """Whether divmod_newton takes v / m by Barrett reduction: m > 0 and
+    both m and the quotient of at least NEWTON_BITS bits."""
+    n = m.bit_length()
+    return m > 0 and n >= NEWTON_BITS and v.bit_length() - n >= NEWTON_BITS
+
+
+def divmod_newton(v: int, m: int, recip: int | None = None) -> tuple[int, int]:
+    """divmod(v, m), taken by Barrett reduction with a Newton reciprocal of
+    m (recip, when given, is reciprocal(m)) once m and the quotient both
+    have NEWTON_BITS bits or more, else by Python's divmod. A v of more
+    than twice m's n bits is reduced from the top, n bits at a time."""
+    if not _newton_pays(v, m):
+        return divmod(v, m)
+    if v < 0:
+        q, r = divmod_newton(-v, m, recip)
+        return (-q, 0) if r == 0 else (-q - 1, m - r)
+    n = m.bit_length()
+    recip = reciprocal(m) if recip is None else recip
+    # a shift that is a multiple of n and leaves at most 2n bits on top
+    shift = max(v.bit_length() - 2 * n, 0)
+    shift += -shift % n
+    q, r = _barrett(v >> shift, m, recip, n)
+    mask = (1 << n) - 1
+    while shift:
+        shift -= n
+        qi, r = _barrett((r << n) | ((v >> shift) & mask), m, recip, n)
+        q = (q << n) | qi
+    return q, r
+
+
+# Moduli per leaf of a ProductTree. Leaves of 8, 16, 32 and 64 primes timed
+# alike within noise (Python 3.11, 2-vCPU x86 host, medians of alternated
+# runs): a tree and the two remainder walks of a verification over the
+# primes up to 10^5, 165 / 164 / 164 / 168 ms, its CRT 156 / 156 / 159 /
+# 162 ms, and over the primes up to 3000, 0.4-0.5 ms and 0.8-0.9 ms at
+# every width
+TREE_LEAF = 16
+
+
+class ProductTree:
+    """A product tree over a list of moduli (Moenck and Borodin 1972).
+
+    Its leaves are the products of TREE_LEAF consecutive moduli (the last
+    leaf may hold fewer), and each level above holds the pairwise products
+    of the one below, an odd node out carried up as it is, up to the root,
+    the product of all. Python's multiplication is sub-quadratic
+    (Karatsuba), and a tree multiplies numbers of about equal size. Two
+    walks use it:
+      remainders(v), v mod every modulus, goes down: each node's remainder
+        is its parent's reduced by the node, and each leaf's remainder is
+        reduced by its moduli;
+      crt(residues) goes up: see there.
+    A node of NEWTON_BITS or more is divided by divmod_newton with its
+    reciprocal taken once per tree, so a second walk (the verifier reduces
+    b1 and N) reuses it. Moduli of any sign give v % q as % gives it; a
     zero modulus raises ZeroDivisionError, as % does.
     """
-    ends = [0, *itertools.accumulate(map(int.bit_length, moduli))]
-    out: list[int] = []
-    i, n = 0, len(moduli)
-    while i < n:
-        # the last j whose running sum is within the budget of i's, at least i + 1
-        j = max(i + 1, bisect.bisect_right(ends, ends[i] + RESIDUE_BLOCK_BITS) - 1)
-        block = moduli[i:j]
-        rest = v % math.prod(block)
-        out += [rest % q for q in block]
-        i = j
-    return out
 
+    def __init__(self, moduli: Sequence[int]):
+        moduli = list(moduli)
+        level = [math.prod(moduli[i : i + TREE_LEAF]) for i in range(0, len(moduli), TREE_LEAF)]
+        levels = [level]
+        while len(level) > 1:
+            level = [a * b for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1 :]
+            levels.append(level)
+        self._adopt(moduli, levels)
 
-# Length up to which product() multiplies in sequence. Timed against
-# math.prod over the primes up to x (Python 3.11, 2-vCPU x86 host): equal
-# within noise at 62 and 168 primes, and 33.6 -> 9.2 ms at 9,592
-PRODUCT_LEAF = 64
+    def _adopt(self, moduli: list[int], levels: list[list[int]]) -> None:
+        self.moduli = moduli
+        self.levels = levels
+        # the levels that hold a node long enough for divmod_newton
+        self._wide = [max(map(int.bit_length, level), default=0) >= NEWTON_BITS for level in levels]
+        self._recips: dict[tuple[int, int], int] = {}
 
+    @property
+    def root(self) -> int:
+        """The product of the moduli, 1 for none."""
+        top = self.levels[-1]
+        return top[0] if top else 1
 
-def product(values: Sequence[int]) -> int:
-    """math.prod(values), taken by halves: the two halves' products are of
-    about equal size, where Python's multiplication is sub-quadratic
-    (Karatsuba), while a running product multiplies a long number by a short
-    one each step. Lists of at most PRODUCT_LEAF values go to math.prod."""
-    n = len(values)
-    if n <= PRODUCT_LEAF:
-        return math.prod(values)
-    return product(values[: n // 2]) * product(values[n // 2 :])
+    def _rem(self, v: int, depth: int, i: int) -> int:
+        m = self.levels[depth][i]
+        if not _newton_pays(v, m):
+            return v % m
+        recip = self._recips.get((depth, i))
+        if recip is None:
+            recip = self._recips[depth, i] = reciprocal(m)
+        return divmod_newton(v, m, recip)[1]
+
+    def remainders(self, v: int) -> list[int]:
+        """[v % q for q in moduli], for v of any sign or size."""
+        rems = [v]
+        for depth in reversed(range(len(self.levels))):
+            level = self.levels[depth]
+            # node i's parent is node i >> 1 of the level above
+            parents = itertools.chain.from_iterable(zip(rems, rems))
+            if self._wide[depth]:
+                rems = [self._rem(r, depth, i) for i, r in zip(range(len(level)), parents)]
+            else:
+                rems = list(map(operator.mod, parents, level))
+        # leaf j's remainder, once for each of its moduli
+        leaves = itertools.chain.from_iterable(map(itertools.repeat, rems, itertools.repeat(TREE_LEAF)))
+        return list(map(operator.mod, leaves, self.moduli))
+
+    def _squared(self) -> ProductTree:
+        """The tree of the squares of the moduli, every node squared."""
+        sq = ProductTree.__new__(ProductTree)
+        sq._adopt([q * q for q in self.moduli], [[m * m for m in level] for level in self.levels])
+        return sq
+
+    def crt(self, residues: Sequence[int]) -> int:
+        """The s in [0, root) with s = residues[i] mod moduli[i] for every
+        i; the moduli must be pairwise coprime (pow raises ValueError
+        otherwise).
+
+        With M the root, s = sum over q of c_q M/q mod M, where
+        c_q = r_q ((M/q) mod q)^-1 mod q, and (M/q) mod q = (M mod q^2)/q
+        comes from one walk of M down the tree of squares. The sum is built
+        up the tree: a leaf of product P holds the sum of c_q P/q over its
+        moduli, and a node over children (L, R) with sums (s_L, s_R) holds
+        s_L R + s_R L, the sum over its moduli of c_q node/q."""
+        m = self.root
+        c = [r * pow(t // q, -1, q) % q
+             for r, t, q in zip(residues, self._squared().remainders(m), self.moduli)]
+        s = [sum(cq * (p // q) for cq, q in zip(c[j : j + TREE_LEAF], self.moduli[j : j + TREE_LEAF]))
+             for j, p in zip(range(0, len(c), TREE_LEAF), self.levels[0])]
+        for below in self.levels[:-1]:
+            pairs = zip(s[::2], s[1::2], below[::2], below[1::2])
+            s = [sl * pr + sr * pl for sl, sr, pl, pr in pairs] + s[len(s) & ~1 :]
+        return s[0] % m if s else 0
 
 
 _LIMB_BITS = 31

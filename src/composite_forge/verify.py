@@ -13,8 +13,11 @@ the root table gives each its roots' place and count. b1 is reduced by
 every listed modulus and N by each prime that vouches: b1 lies in its
 class, it exceeds the degree, and the companion, evaluated by one row
 Horner over every candidate root, confirms a root. That gives each window
-start mod q. Both reductions go through primes.residues_mod, which divides
-the big number once per block of moduli, not once per modulus. Certificate
+start mod q. Both reductions walk down one primes.ProductTree over the
+listed moduli up to the root table's limit, whose root also gives the
+N^(1/3) check its product; a modulus beyond the limit (no prime of the
+table, so it vouches for nothing) takes one b1 % q and is never multiplied
+into anything. Certificate
 integers and reported failures go to and from decimal through
 assemble.int_to_decimal and decimal_to_int: sub-quadratic above 640
 digits, and never reading or setting the interpreter's int-string digit
@@ -43,7 +46,7 @@ import numpy as np
 from .assemble import ResidueCertificate, int_to_decimal
 from .modroots import ROW_PRIME_BOUND, build_root_table, companion_eval_mod
 from .poly import IntPolynomial, irreducibility_check
-from .primes import is_prime, product, residues_mod, sieve_primes
+from .primes import ProductTree, is_prime, sieve_primes
 from .sievecore import MissingResidueError, sieve_survivors, smallest_hit
 
 
@@ -157,13 +160,16 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
 
     Placed certificates: every n in I1 = [1 - b1, y - b1] and
     I2 = [N + b1 - y, N + b1 - 1] must have a witness among the certificate
-    primes whose residues are consistent with b1; b1 and N are reduced in
-    blocks of moduli (residues_mod). The stored I1, I2, n1, n2 and m are
-    compared with these, never walked. A placement-free certificate is
-    checked at offset level instead: the forward window [1, y] must be
-    fully covered by the residue classes. Neither check runs when y lies
-    outside [1, formula y], which is reported. Moduli whose bit lengths put
-    their product's cube above N are reported without forming it. An x
+    primes whose residues are consistent with b1; b1 and N are reduced
+    down one product tree over the listed moduli up to the root table's
+    limit (primes.ProductTree), and b1 by each modulus beyond it on its
+    own. The stored I1, I2, n1, n2 and m are compared with these, never
+    walked. A placement-free certificate is checked at offset level
+    instead: the forward window [1, y] must be fully covered by the
+    residue classes. Neither check runs when y lies outside [1, formula
+    y], which is reported. Moduli whose bit lengths put their product's
+    cube above N are reported without forming it; otherwise the tree's
+    root is cubed, and no modulus beyond the limit enters a product. An x
     beyond what the certificate can support (stored_x_bound) or the root
     table refuses (2^31 or more) is reported before anything is sized by
     it, and a listed modulus below 2 is reported and takes no further part.
@@ -261,10 +267,21 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
         return report
 
     n_target, b1, b2 = pl.N, pl.b1, pl.b2
-    # q >= 2^(q.bit_length() - 1), so enough bits decide it without the
-    # product, which is otherwise taken by halves
-    bits = 3 * sum(q.bit_length() - 1 for q in residues)
-    if bits >= n_target.bit_length() or product(list(residues)) ** 3 > n_target:
+    # q >= 2^(q.bit_length() - 1), so enough bits decide it before any
+    # product is formed
+    bits = 3 * (sum(map(int.bit_length, listed)) - len(listed))
+    exceeds = bits >= n_target.bit_length()
+    # one product tree over the listed moduli the table reaches; a modulus
+    # beyond it is reduced on its own and never multiplied into anything
+    tree = ProductTree(listed[:beyond])
+    if not exceeds:
+        # M^3 > N exactly when N // M^3 <= 0, and N // M^3 is N // root^3
+        # floor-divided by each q^3 beyond the table in turn
+        quotient = n_target // tree.root**3
+        for q in listed[beyond:]:
+            quotient //= q**3
+        exceeds = quotient <= 0
+    if exceeds:
         report.messages.append("modulus exceeds N^(1/3)")
     if not (-((3 * n_target) // 10) <= b1 <= -((n_target + 4) // 5)):
         report.messages.append("b1 outside [-0.3N, -0.2N]")
@@ -278,9 +295,9 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
 
     # a prime vouches for nothing unless b1 satisfies its congruence, it
     # exceeds the degree and it has companion roots (a foreign prime has
-    # none); b1 is reduced by every listed modulus and N by every prime that
-    # vouches, each in blocks (residues_mod)
-    b1_mod = residues_mod(b1, listed)
+    # none); b1 is reduced by every listed modulus, down the tree up to the
+    # table's limit
+    b1_mod = tree.remainders(b1) + [b1 % q for q in listed[beyond:]]
     consistent = np.array(
         [(b1_q - residues[q]) % q == 0 for q, b1_q in zip(listed, b1_mod)], dtype=bool
     )
@@ -290,23 +307,23 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
     # re-checked against the companion in one row Horner
     cand = np.flatnonzero(consistent & (count > 0) & (clamped > degree))
     n_roots = count[cand]
-    q = np.repeat(clamped[cand], n_roots)
-    b1_q = np.repeat(np.array([b1_mod[i] for i in cand.tolist()], dtype=np.int64), n_roots)
+    # each root's place in listed; every candidate is a prime of the table
+    row = np.repeat(cand, n_roots)
+    q = clamped[row]
     # the roots of candidate i are its n_roots_i entries of flat from start_i
     ends = np.cumsum(n_roots)
     at_root = np.repeat(start[cand] - ends + n_roots, n_roots) + np.arange(len(q))
     roots = table.flat[at_root].astype(np.int64)
     keep = companion_eval_mod(comp, roots, q) == 0
-    q, roots, b1_q = q[keep], roots[keep], b1_q[keep]
-    # the primes that vouch are the distinct q, read off the sorted q
-    new_prime = np.ones(len(q), dtype=bool)
-    new_prime[1:] = q[1:] != q[:-1]
+    q, roots, row = q[keep], roots[keep], row[keep]
 
     # each window is sieved and read whole
     if y_bounded:
-        n_mod = np.array(residues_mod(n_target, q[new_prime].tolist()), dtype=np.int64)
+        # b1 and N (down the same tree) mod each row's prime
+        b1_q = np.array(b1_mod[:beyond], dtype=np.int64)[row]
+        n_q = np.array(tree.remainders(n_target), dtype=np.int64)[row]
         # one row set per window, each with the window start mod q
-        window_starts = ((1 - b1_q) % q, (n_mod[np.cumsum(new_prime) - 1] + b1_q - y) % q)
+        window_starts = ((1 - b1_q) % q, (n_q + b1_q - y) % q)
         for base, s in zip(starts, window_starts):
             got = find_witness(base, y, (q, roots, s), f)
             report.checked += y

@@ -37,10 +37,22 @@ from composite_forge.assemble import (
 )
 from composite_forge.cover import SieveParams, target_residues
 from composite_forge.poly import IntPolynomial
-from composite_forge.primes import sieve_primes
+from composite_forge.primes import ProductTree, sieve_primes
 from composite_forge.verify import verify_certificate
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+PRIMES_3000 = sieve_primes(3000).tolist()
+
+
+def sequential_crt(assignments) -> tuple[int, int]:
+    """The CRT as one running fold over the primes in ascending order, the
+    route crt_combine took before the product tree: the reference."""
+    b, modulus = 0, 1
+    for q, r in sorted(assignments.items()):
+        t = ((r - b) * pow(modulus, -1, q)) % q
+        b += modulus * t
+        modulus *= q
+    return b, modulus
 
 
 def toy_certificate():
@@ -75,6 +87,28 @@ class TestCrtCombine:
 
     def test_empty(self):
         assert crt_combine({}) == (0, 1)
+
+    @given(
+        st.one_of(
+            st.dictionaries(st.sampled_from(PRIMES_3000), st.integers(-(10**4), 10**4), max_size=2),
+            st.dictionaries(st.sampled_from(PRIMES_3000), st.integers(0, 3000), max_size=200),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_sequential_fold(self, residues):
+        # {} gives (0, 1), and a single prime q gives (r mod q, q)
+        assert crt_combine(residues) == sequential_crt(residues)
+        tree = ProductTree(sorted(residues))
+        assert crt_combine(residues, tree) == sequential_crt(residues)
+
+    def test_every_prime_up_to_3000(self):
+        rng = random.Random(3000)
+        residues = {q: rng.randrange(q) for q in PRIMES_3000}
+        assert crt_combine(residues) == sequential_crt(residues)
+
+    def test_tree_over_other_primes_refused(self):
+        with pytest.raises(ValueError):
+            crt_combine({3: 1, 5: 2}, ProductTree([3, 7]))
 
     @given(
         subset=st.sets(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=8),

@@ -12,6 +12,7 @@ kernel run of a table build; see kernel_cost_table."""
 import bisect
 import hashlib
 import math
+import random
 import time
 
 import numpy as np
@@ -50,13 +51,14 @@ from composite_forge.modroots import (
 )
 from composite_forge.poly import IntPolynomial, parse_poly_literal
 from composite_forge.primes import (
-    PRODUCT_LEAF,
-    RESIDUE_BLOCK_BITS,
+    NEWTON_BITS,
+    TREE_LEAF,
+    ProductTree,
+    divmod_newton,
     jacobi_table,
     mod_rows,
     pow_mod_rows,
-    product,
-    residues_mod,
+    reciprocal,
     sieve_primes,
     sqrt_mod_rows,
 )
@@ -665,38 +667,97 @@ class TestPrimeHelpers:
             st.just(0),
             st.integers(-(2**80), 2**80),
             st.integers(-(10**4000), 10**4000),
+            st.integers(-(2**100_000), 2**100_000),
             st.builds(lambda k, s: s * 7**k, st.integers(20_000, 60_000), st.sampled_from((1, -1))),
         ),
-        st.lists(
-            st.one_of(
-                st.sampled_from(SQRT_PRIMES),
-                st.integers(1, 10**6),  # composite ones and 1 among them
-                st.integers(2 ** (RESIDUE_BLOCK_BITS - 40), 2 ** (RESIDUE_BLOCK_BITS + 40)),
-                st.integers(-(10**5), -1),
+        st.one_of(
+            # empty and one-element lists, and lengths at the leaf width's edges
+            st.lists(st.sampled_from(SQRT_PRIMES), max_size=1),
+            st.integers(1, 3).flatmap(
+                lambda k: st.lists(
+                    st.sampled_from(SQRT_PRIMES),
+                    min_size=k * TREE_LEAF - 1,
+                    max_size=k * TREE_LEAF + 1,
+                )
             ),
-            max_size=60,
+            st.lists(
+                st.one_of(
+                    st.sampled_from(SQRT_PRIMES),
+                    st.integers(1, 10**6),  # composite ones and 1 among them
+                    st.integers(-(10**5), -1),
+                ),
+                max_size=60,
+            ),
+            # one modulus far longer than the rest, past the Newton crossover
+            st.builds(
+                lambda rest, long, at: rest[:at] + [long] + rest[at:],
+                st.lists(st.sampled_from(SQRT_PRIMES), max_size=3 * TREE_LEAF),
+                st.integers(2 ** (NEWTON_BITS - 40), 2 ** (NEWTON_BITS + 400)),
+                st.integers(0, 3 * TREE_LEAF),
+            ),
         ),
     )
-    @settings(max_examples=100, deadline=None)
-    def test_residues_mod_matches_per_modulus(self, v, moduli):
-        assert residues_mod(v, moduli) == [v % q for q in moduli]
+    @settings(max_examples=150, deadline=None)
+    def test_tree_remainders_match_per_modulus(self, v, moduli):
+        assert ProductTree(moduli).remainders(v) == [v % q for q in moduli]
 
-    def test_residues_mod_of_the_empty_list(self):
-        assert residues_mod(10**100, []) == []
+    @pytest.mark.parametrize("limit", [3 * 10**4, 5 * 10**4])
+    def test_tree_remainders_through_newton_nodes(self, limit):
+        # the root and the nodes below it down to NEWTON_BITS are divided by
+        # divmod_newton; v of three times the root's length, as b1 and N
+        primes = sieve_primes(limit).tolist()
+        tree = ProductTree(primes)
+        assert tree.root.bit_length() >= 2 * NEWTON_BITS
+        v = random.Random(limit).getrandbits(3 * tree.root.bit_length())
+        for w in (v, -v):
+            assert tree.remainders(w) == [w % q for q in primes]
+        assert tree.remainders(v) == [v % q for q in primes]  # reciprocals reused
 
-    def test_residues_mod_zero_modulus_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            residues_mod(5, [3, 0, 7])
+    def test_tree_of_no_moduli(self):
+        tree = ProductTree([])
+        assert tree.remainders(10**100) == [] and tree.root == 1 and tree.crt([]) == 0
 
-    @given(st.lists(st.integers(-(2**70), 2**70), max_size=4 * PRODUCT_LEAF + 3))
+    @pytest.mark.parametrize("at", [0, 1, TREE_LEAF, 3 * TREE_LEAF])
+    def test_tree_zero_modulus_raises(self, at):
+        moduli = SQRT_PRIMES[: 3 * TREE_LEAF]
+        moduli.insert(at, 0)
+        for v in (5, 3**40_000):
+            with pytest.raises(ZeroDivisionError):
+                ProductTree(moduli).remainders(v)
+
+    @given(st.lists(st.integers(-(2**70), 2**70), max_size=4 * TREE_LEAF + 3))
     @settings(max_examples=100, deadline=None)
     def test_product_matches_math_prod(self, values):
-        assert product(values) == math.prod(values)
+        assert ProductTree(values).root == math.prod(values)
 
-    @pytest.mark.parametrize("n", [0, 1, PRODUCT_LEAF, PRODUCT_LEAF + 1, 9592])
+    @pytest.mark.parametrize(
+        "n", [0, 1, TREE_LEAF, TREE_LEAF + 1, 4 * TREE_LEAF, 4 * TREE_LEAF + 1, 9592]
+    )
     def test_product_of_the_first_primes(self, n):
         primes = sieve_primes(10**5).tolist()[:n]
-        assert product(primes) == math.prod(primes)
+        tree = ProductTree(primes)
+        assert tree.root == math.prod(primes)
+        # leaves of TREE_LEAF moduli, and every level multiplies out to the root
+        assert len(tree.levels[0]) == -(-n // TREE_LEAF)
+        assert all(math.prod(level) == tree.root for level in tree.levels)
+
+    @pytest.mark.parametrize("bits", [NEWTON_BITS - 1, NEWTON_BITS, NEWTON_BITS + 1, 3 * NEWTON_BITS])
+    def test_newton_division_matches_divmod(self, bits):
+        rng = random.Random(bits)
+        for m in (rng.getrandbits(bits) | 1 << (bits - 1), 1 << (bits - 1), (1 << bits) - 1):
+            recip = reciprocal(m)
+            assert abs(recip - 4 ** m.bit_length() // m) <= 4
+            values = [
+                0, 1, m - 1, m, 2 * m + 1, -m,  # v < m, v = 0, short quotients
+                rng.getrandbits(2 * bits + NEWTON_BITS - 1),  # quotient just below
+                rng.getrandbits(2 * bits + NEWTON_BITS) | 1 << (2 * bits + NEWTON_BITS - 1),
+                rng.getrandbits(7 * bits),  # reduced from the top, n bits a step
+                -rng.getrandbits(3 * bits + 5),
+                m << (2 * bits),  # remainder 0
+            ]
+            for v in values:
+                assert divmod_newton(v, m) == divmod(v, m)
+                assert divmod_newton(v, m, recip) == divmod(v, m)
 
 
 # a quadratic whose companion is above 2^64 and whose discriminant,

@@ -338,7 +338,7 @@ class TestFaultInjection:
         assert walked and all(in_derived_windows(cert, n) for n in walked)
         assert report.checked == len(walked) == 8 and report.failures == []
 
-    def test_padded_moduli_refused_without_their_product(self):
+    def test_padded_moduli_refused_without_their_product(self, monkeypatch):
         # 300 listed 4000-digit moduli, b1 in each class: their product has
         # 1.2 million digits, and forming and cubing it took seconds
         obj = json.loads(built_certificate("x^2+1", 300))
@@ -348,11 +348,27 @@ class TestFaultInjection:
             {"stage": "cleanup", "side": "fwd", "assignments": [[q, b1 % q] for q in moduli]}
         )
         cert = ResidueCertificate.from_json_dict(obj)
+        # every list a product tree is built over, and every math.prod input
+        multiplied: list[list[int]] = []
+        tree, prod = verify_mod.ProductTree, math.prod
+
+        def recording_tree(values):
+            multiplied.append(list(values))
+            return tree(values)
+
+        def recording_prod(values, **kwargs):
+            multiplied.append(list(values))
+            return prod(values, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "ProductTree", recording_tree)
+        monkeypatch.setattr(math, "prod", recording_prod)
         t0 = time.perf_counter()
         report = verify_certificate(cert)
         assert time.perf_counter() - t0 < 1
         assert not report.valid and "modulus exceeds N^(1/3)" in report.messages
         assert report.failures == [] and report.checked > 0
+        padded = set(moduli)
+        assert multiplied and not any(padded.intersection(values) for values in multiplied)
 
 
 def derived_windows(cert) -> tuple[tuple[int, int], tuple[int, int]]:
