@@ -7,6 +7,12 @@ picks the representative b1 of b in [-0.3N, -0.2N]; with b2 = -b1 the
 windows I1 = [b2+1, b2+y] and I2 = [N-b2-y, N-b2-1] contain only integers n
 where some certificate prime divides the polynomial value, so every value
 is composite, and the centers satisfy n1 + n2 = N.
+
+A certificate (version 2) stores what cannot be derived: the polynomial,
+the parameters, the seed, the stages with their [q, r] pairs, N and b1 as
+decimal strings, the verdict and the version. The windows, centers and
+radius follow from N, b1 and y (Placement). It is written as one line of
+JSON by one json.dumps call and read by one json.loads.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .poly import IntPolynomial, decimal_text, irreducibility_check
 from .primes import ProductTree, divmod_newton
 from .sievecore import sieve_survivors
 
-CERT_VERSION = 1
+CERT_VERSION = 2
 
 # fixed stream labels so adding a stage never reshuffles another stage's draws
 STREAM_SMALL = 1
@@ -257,9 +263,9 @@ def search_window_length(
 
 
 def decimal_digit_bound(x: int) -> int:
-    """Most decimal digits N, and so any placement field, has at prime bound
-    x. An auto N is the least power of ten >= P(x)^3, where P(x) <= e^theta(x)
-    and theta(x) < 1.0163 x (Rosser and Schoenfeld), so N < 10 P(x)^3 has at
+    """Most decimal digits N, and so b1, has at prime bound x. An auto N is
+    the least power of ten >= P(x)^3, where P(x) <= e^theta(x) and
+    theta(x) < 1.0163 x (Rosser and Schoenfeld), so N < 10 P(x)^3 has at
     most 2 + 3 * 1.0163 x / ln 10 digits; an explicit N is held to the same
     bound."""
     return 2 + int(3 * 1.0163 * x / math.log(10))
@@ -274,14 +280,6 @@ DECIMAL_PIECE_DIGITS = 640
 _PIECE_BITS = int(DECIMAL_PIECE_DIGITS * math.log2(10))
 
 
-def exact_decimal_context() -> decimal.Context:
-    """A decimal context in which integer arithmetic is exact: the module's
-    largest precision and exponent, and Inexact trapped. A Decimal's own
-    operators, unary minus included, round to the default context's 28
-    digits instead, so exact code calls this context's methods."""
-    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
-
-
 def int_to_decimal(n: int) -> str:
     """str(n), for an int of any size. A longer n is split at powers of two
     into pieces, which become Decimals and are recombined in the decimal
@@ -290,7 +288,10 @@ def int_to_decimal(n: int) -> str:
     nor str() of a Decimal is subject to the int-string limit."""
     if n.bit_length() <= _PIECE_BITS:
         return str(n)
-    ctx = exact_decimal_context()
+    # exact integer arithmetic: the largest precision and exponent, and
+    # Inexact trapped. A Decimal's own operators round to the default
+    # context's 28 digits, so this context's methods are called instead
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
     powers: dict[int, decimal.Decimal] = {}  # w -> 2^w
 
     def convert(m: int, w: int) -> decimal.Decimal:
@@ -370,88 +371,55 @@ def auto_target(modulus: int) -> int:
 
 @dataclass(frozen=True)
 class Placement:
-    """A two-sided certificate's placement: N, the representative b1 and
-    the windows and centers it gives; b2 = -b1 is derived, never stored."""
+    """A two-sided certificate's placement: N and the representative b1,
+    read with the window length y. Everything else follows from them:
+    b2 = -b1, the windows I1 = [1 - b1, y - b1] and
+    I2 = [N + b1 - y, N + b1 - 1], and the centers n1 = floor(y/2) - b1 and
+    n2 = N - n1, with radius floor(y/2) - 1."""
 
     N: int
     b1: int
-    I1: tuple[int, int]
-    I2: tuple[int, int]
-    n1: int
-    n2: int
-    m: int
+    y: int
 
     @property
     def b2(self) -> int:
         return -self.b1
 
+    @property
+    def I1(self) -> tuple[int, int]:
+        return 1 - self.b1, self.y - self.b1
+
+    @property
+    def I2(self) -> tuple[int, int]:
+        return self.N + self.b1 - self.y, self.N + self.b1 - 1
+
+    @property
+    def n1(self) -> int:
+        return self.y // 2 - self.b1
+
+    @property
+    def n2(self) -> int:
+        return self.N - self.n1
+
     def to_json(self) -> dict:
-        """The fields as decimal strings. Only N and b1 are converted
-        (int_to_decimal): I1, I2, n1 and n2 are b2 or N - b2 plus an offset,
-        short for a placement place() made, so each is taken as that decimal
-        plus its offset, added exactly (exact_decimal_context), which costs
-        time linear in the digits where a conversion does not. The offsets
-        come from the stored fields, so any placement is written as it is."""
-        n_text, b1_text = int_to_decimal(self.N), int_to_decimal(self.b1)
-        ctx = exact_decimal_context()
-        b2 = ctx.minus(decimal.Decimal(b1_text))
-        far = ctx.subtract(decimal.Decimal(n_text), b2)  # N - b2
-
-        def near(value: int, base: decimal.Decimal, base_int: int) -> str:
-            return str(ctx.add(base, decimal.Decimal(value - base_int)))
-
-        b2_int, far_int = self.b2, self.N - self.b2
-        return {
-            "N": n_text,
-            "b1": b1_text,
-            "I1": [near(self.I1[0], b2, b2_int), near(self.I1[1], b2, b2_int)],
-            "I2": [near(self.I2[0], far, far_int), near(self.I2[1], far, far_int)],
-            "n1": near(self.n1, b2, b2_int),
-            "n2": near(self.n2, far, far_int),
-            "m": int_to_decimal(self.m),
-        }
+        """N and b1 as decimal strings (int_to_decimal); y is the
+        certificate's own."""
+        return {"N": int_to_decimal(self.N), "b1": int_to_decimal(self.b1)}
 
     @classmethod
-    def from_json(cls, obj: dict, max_digits: int) -> "Placement":
-        """Parse the decimal fields, every one checked and refused beyond
-        max_digits digits (see decimal_digit_bound, decimal_field) before
-        any is converted. Only N, b1 and m are converted (decimal_to_int):
-        as to_json writes them, I1 and n1 are taken as b2, and I2 and n2 as
-        N - b2, plus the field's difference from it, found exactly
-        (exact_decimal_context) in time linear in the digits. The values
-        are those of parse_decimal, whatever the fields hold."""
-
-        def field(value) -> str:
-            return decimal_field(value, max_digits)
-
-        n_text, b1_text = field(obj["N"]), field(obj["b1"])
-        i1 = (field(obj["I1"][0]), field(obj["I1"][1]))
-        i2 = (field(obj["I2"][0]), field(obj["I2"][1]))
-        n1_text, n2_text, m_text = field(obj["n1"]), field(obj["n2"]), field(obj["m"])
-        N, b1 = decimal_to_int(n_text), decimal_to_int(b1_text)
-        ctx = exact_decimal_context()
-        b2 = ctx.minus(decimal.Decimal(b1_text))
-        far = ctx.subtract(decimal.Decimal(n_text), b2)  # N - b2
-
-        def near(text: str, base: decimal.Decimal, base_int: int) -> int:
-            return base_int + int(ctx.subtract(decimal.Decimal(text), base))
-
-        return cls(
-            N=N,
-            b1=b1,
-            I1=(near(i1[0], b2, -b1), near(i1[1], b2, -b1)),
-            I2=(near(i2[0], far, N + b1), near(i2[1], far, N + b1)),
-            n1=near(n1_text, b2, -b1),
-            n2=near(n2_text, far, N + b1),
-            m=decimal_to_int(m_text),
-        )
+    def from_json(cls, obj: dict, max_digits: int, y: int) -> "Placement":
+        """N and b1 from their decimal strings, both checked and refused
+        beyond max_digits digits (see decimal_digit_bound, decimal_field)
+        before either is converted; any other key is ignored."""
+        n_text, b1_text = decimal_field(obj["N"], max_digits), decimal_field(obj["b1"], max_digits)
+        return cls(N=decimal_to_int(n_text), b1=decimal_to_int(b1_text), y=y)
 
 
 def place(b: int, modulus: int, n_target: int, y: int) -> Placement:
     """Pick the representative of b mod modulus inside [-0.3N, -0.2N]
-    (smallest absolute value, i.e. the largest such integer) and derive the
-    two windows and centers. The caller has checked modulus^3 <= N. The
-    one N-sized reduction goes by divmod_newton."""
+    (smallest absolute value, i.e. the largest such integer); the placement
+    derives the two windows and centers from it. The caller has checked
+    modulus^3 <= N. The one N-sized reduction goes by divmod_newton."""
     hi = -((n_target + 4) // 5)  # largest integer <= -N/5
     lo = -((3 * n_target) // 10)  # smallest integer >= -3N/10
     if hi - lo + 1 < modulus:
@@ -461,17 +429,7 @@ def place(b: int, modulus: int, n_target: int, y: int) -> Placement:
         )
     b1 = hi - divmod_newton(hi - b, modulus)[1]
     assert b1 >= lo
-    b2 = -b1
-    half = y // 2
-    return Placement(
-        N=n_target,
-        b1=b1,
-        I1=(b2 + 1, b2 + y),
-        I2=(n_target - b2 - y, n_target - b2 - 1),
-        n1=b2 + half,
-        n2=n_target - b2 - half,
-        m=half - 1,
-    )
+    return Placement(N=n_target, b1=b1, y=y)
 
 
 @dataclass
@@ -486,22 +444,6 @@ class StageRecord:
             "side": self.side,
             "assignments": [[q, r] for q, r in self.assignments],
         }
-
-    def to_json_text(self) -> str:
-        """to_json() as json.dumps(..., indent=2) writes it as an item of a
-        certificate's stage list, two levels deep, each [q, r] pair on five
-        lines (see ResidueCertificate.to_json_bytes)."""
-        pairs = ",\n".join(
-            f"        [\n          {q:d},\n          {r:d}\n        ]" for q, r in self.assignments
-        )
-        assignments = f"[\n{pairs}\n      ]" if pairs else "[]"
-        return (
-            "    {\n"
-            f'      "stage": {json.dumps(self.stage)},\n'
-            f'      "side": {json.dumps(self.side)},\n'
-            f'      "assignments": {assignments}\n'
-            "    }"
-        )
 
 
 def _text(value) -> str:
@@ -529,55 +471,37 @@ class ResidueCertificate:
                 out[q] = r
         return out
 
-    def _json_fields(self, stages) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "poly": self.poly.to_json(),
             "params": self.params.to_json(),
             "seed": self.seed,
-            "stages": stages,
+            "stages": [st.to_json() for st in self.stages],
             "placement": self.placement.to_json() if self.placement else None,
             "irreducibility": self.irreducibility,
             "version": self.version,
         }
 
-    def to_json_dict(self) -> dict:
-        return self._json_fields([st.to_json() for st in self.stages])
-
     def to_json_bytes(self) -> bytes:
-        """(json.dumps(self.to_json_dict(), indent=2) + "\n").encode(), byte
-        for byte, without that call. CPython's C encoder does not indent, so
-        json.dumps with an indent runs the pure-Python encoder, one generator
-        step per token: most of a certificate's tokens are its [q, r] pairs,
-        and they cost 2-5 ms per certificate at x = 3000. The stage lists are
-        written directly in the same layout (StageRecord.to_json_text), and
-        only the short fields around them go through json.dumps, each
-        indented to its depth."""
-        items = []
-        for key, value in self._json_fields(None).items():
-            if key != "stages":
-                text = json.dumps(value, indent=2).replace("\n", "\n  ")
-            elif self.stages:
-                text = "[\n" + ",\n".join(st.to_json_text() for st in self.stages) + "\n  ]"
-            else:
-                text = "[]"
-            items.append(f"  {json.dumps(key)}: {text}")
-        return ("{\n" + ",\n".join(items) + "\n}\n").encode()
+        """to_json_dict() on one line with no spaces, plus a newline. With
+        no indent json.dumps runs CPython's C encoder."""
+        return (json.dumps(self.to_json_dict(), separators=(",", ":")) + "\n").encode()
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ResidueCertificate":
-        """Rebuild a certificate from parsed JSON. Input of the wrong shape
-        (a list where an object belongs, a number where a list does, a
-        missing field) raises ValueError, and so does a field in any form
-        but the one construct writes (decimal strings for coefficients and
-        placement fields, json_int and json_number for the rest) or a
-        placement field with more digits than the stored x allows (see
+        """Rebuild a certificate from parsed JSON; keys it does not name are
+        ignored. Input of the wrong shape (a list where an object belongs, a
+        number where a list does, a missing field) raises ValueError, and so
+        does a field in any form but the one construct writes (decimal
+        strings for coefficients, N and b1, json_int and json_number for the
+        rest) or an N or b1 with more digits than the stored x allows (see
         decimal_digit_bound)."""
         try:
             params = SieveParams.from_json(obj["params"])
             raw = obj.get("placement")
             placement = None
             if raw:
-                placement = Placement.from_json(raw, decimal_digit_bound(params.x))
+                placement = Placement.from_json(raw, decimal_digit_bound(params.x), params.y)
             return cls(
                 poly=IntPolynomial.from_json(obj["poly"]),
                 params=params,
@@ -606,9 +530,9 @@ class ResidueCertificate:
         """Read a certificate file; input that is not one raises ValueError,
         JSON nested past the interpreter's recursion limit included."""
         with open(path, "rb") as fh:
-            text = fh.read().decode()
+            data = fh.read()
         try:
-            return cls.from_json_dict(json.loads(text))
+            return cls.from_json_dict(json.loads(data))
         except RecursionError:
             raise ValueError("certificate JSON nested too deeply") from None
 

@@ -79,9 +79,7 @@ class SieveParams:
     x: int
     delta: float = 0.5
     xi: float = 2.0
-    M: float = 6.5
     K: float = 8.0
-    eps: float = 0.05
     retry_budget: int = 64
     y_override: int | None = None
 
@@ -92,16 +90,12 @@ class SieveParams:
             raise ValueError("delta must lie in (1e-6, 0.5]")
         if not (1 < self.xi < math.inf):
             raise ValueError("xi must be finite and exceed 1")
-        if not (6 < self.M < 7):
-            raise ValueError("M must lie in (6, 7)")
         if not (0 < self.K < math.inf):
             raise ValueError("K must be finite and positive")
         if (self.K + 2) * self.y_formula >= 2**63:
             raise ValueError("(K + 2) * y must stay below 2^63 at the formula length")
         if math.log(self.x / 2) > MAX_SCALES * math.log(self.xi):
             raise ValueError(f"xi must be at least (x/2)^(1/{MAX_SCALES}): too many scales")
-        if not (0 < self.eps < (self.M - 6) / 7):
-            raise ValueError("eps must lie in (0, (M - 6) / 7)")
         if self.retry_budget < 0:
             raise ValueError("retry budget must be nonnegative")
 
@@ -125,31 +119,17 @@ class SieveParams:
         return replace(self, y_override=int(y))
 
     def to_json(self) -> dict:
-        return {
-            "x": self.x,
-            "delta": self.delta,
-            "xi": self.xi,
-            "M": self.M,
-            "K": self.K,
-            "eps": self.eps,
-            "y": self.y,
-            "z": self.z,
-        }
+        return {"x": self.x, "delta": self.delta, "xi": self.xi, "K": self.K, "y": self.y}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SieveParams":
-        p = cls(
+        return cls(
             x=json_int(obj["x"]),
             delta=json_number(obj["delta"]),
             xi=json_number(obj["xi"]),
-            M=json_number(obj["M"]),
             K=json_number(obj["K"]),
-            eps=json_number(obj["eps"]),
             y_override=json_int(obj["y"]),
         )
-        if p.z != json_int(obj["z"]):
-            raise ValueError("stored staging boundary disagrees with parameters")
-        return p
 
 
 def backward_residues(residues: Mapping[int, int], n_mod: Mapping[int, int]) -> dict[int, int]:

@@ -335,8 +335,12 @@ class RootTable:
         """prod over primes q <= hi of (1 - nu_q / q), multiplied in prime
         order: a running product keeps a loop's rounding."""
         span = self._span(0, hi)
-        factors = 1.0 - self.counts[span] / self.primes[span]
-        return float(np.cumprod(factors)[-1]) if len(factors) else 1.0
+        if span.stop == 0:
+            return 1.0
+        # nu_q / q, then 1 - nu_q / q, then the running product, in one buffer
+        f = np.divide(self.counts[span], self.primes[span])
+        np.subtract(1.0, f, out=f)
+        return float(np.cumprod(f, out=f)[-1])
 
 
 def _poly_digest(f: IntPolynomial) -> int:
@@ -442,8 +446,11 @@ def density_stats(table: RootTable, limit: int | None = None) -> DensityStats:
     counts = table.counts[span]
     n_primes = len(counts)
     # a running sum keeps a loop's order, so the float is the one a walk
-    # over the primes gives
-    mert = float(np.cumsum(counts / table.primes[span])[-1]) if n_primes else 0.0
+    # over the primes gives; it is taken in the buffer of the quotients
+    mert = 0.0
+    if n_primes:
+        r = np.divide(counts, table.primes[span])
+        mert = float(np.cumsum(r, out=r)[-1])
     freq = np.bincount(counts).tolist()
     n_usable = sum(freq[1:])
     rho_nu = {k: c / n_primes for k, c in enumerate(freq) if k and c}

@@ -27,11 +27,11 @@ sievecore.smallest_hit, the kernel construction's survivor sieve uses
 too, so each offset keeps its smallest witnessing prime. Every offset of
 both windows is checked, as the theorem claims f(n) composite for every
 n in I1 and I2; failures and witness counts are read off the result with
-numpy. |f(n)| > q is proved once per window. Stored bounds and centers
-are only compared. The stored y is bounded by the formula length, and the
-stored x by what the certificate's N or listed primes can support
-(stored_x_bound) and by the root table's bound, before anything is sized
-by them.
+numpy. |f(n)| > q is proved once per window. A certificate stores no
+bounds or centers: they follow from N, b1 and y. The stored y is bounded
+by the formula length, and the stored x by what the certificate's N or
+listed primes can support (stored_x_bound) and by the root table's bound,
+before anything is sized by them.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assemble import ResidueCertificate, int_to_decimal
+from .assemble import CERT_VERSION, ResidueCertificate, int_to_decimal
 from .modroots import ROW_PRIME_BOUND, build_root_table, companion_eval_mod
 from .poly import IntPolynomial, irreducibility_check
 from .primes import ProductTree, is_prime, sieve_primes
@@ -143,7 +143,7 @@ def stored_x_bound(degree: int, n_target: int | None, n_listed: int) -> int:
 
 def _structural_failures(cert: ResidueCertificate) -> list[str]:
     msgs: list[str] = []
-    if cert.version != 1:
+    if cert.version != CERT_VERSION:
         msgs.append(f"unsupported certificate version {cert.version}")
     allowed_stages = {"small", "medium", "cleanup"}
     allowed_sides = {"fwd", "bwd", "both"}
@@ -163,16 +163,18 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
     primes whose residues are consistent with b1; b1 and N are reduced
     down one product tree over the listed moduli up to the root table's
     limit (primes.ProductTree), and b1 by each modulus beyond it on its
-    own. The stored I1, I2, n1, n2 and m are compared with these, never
-    walked. A placement-free certificate is checked at offset level
-    instead: the forward window [1, y] must be fully covered by the
-    residue classes. Neither check runs when y lies outside [1, formula
-    y], which is reported. Moduli whose bit lengths put their product's
-    cube above N are reported without forming it; otherwise the tree's
-    root is cubed, and no modulus beyond the limit enters a product. An x
-    beyond what the certificate can support (stored_x_bound) or the root
-    table refuses (2^31 or more) is reported before anything is sized by
-    it, and a listed modulus below 2 is reported and takes no further part.
+    own. A certificate stores N and b1 only, so there are no stored
+    bounds or centers to compare: the centers n1 = floor(y/2) - b1 and
+    n2 = N - n1 split N by their definition. A placement-free certificate
+    is checked at offset level instead: the forward window [1, y] must be
+    fully covered by the residue classes. Neither check runs when y lies
+    outside [1, formula y], which is reported. Moduli whose bit lengths put
+    their product's cube above N are reported without forming it;
+    otherwise the tree's root is cubed, and no modulus beyond the limit
+    enters a product. An x beyond what the certificate can support
+    (stored_x_bound) or the root table refuses (2^31 or more) is reported
+    before anything is sized by it, and a listed modulus below 2 is
+    reported and takes no further part.
     Invalid certificates produce a negative report, not an exception.
 
     deep and seed are accepted and ignored: every call checks every
@@ -286,12 +288,6 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
     if not (-((3 * n_target) // 10) <= b1 <= -((n_target + 4) // 5)):
         report.messages.append("b1 outside [-0.3N, -0.2N]")
     starts = (b2 + 1, n_target - b2 - y)
-    if pl.I1 != (starts[0], b2 + y) or pl.I2 != (starts[1], n_target - b2 - 1):
-        report.messages.append("window bounds disagree with b2 and y")
-    if pl.n1 != b2 + y // 2 or pl.n2 != n_target - pl.n1:
-        report.messages.append("centers do not split N")
-    if pl.m != y // 2 - 1:
-        report.messages.append("center radius m is not floor(y/2) - 1")
 
     # a prime vouches for nothing unless b1 satisfies its congruence, it
     # exceeds the degree and it has companion roots (a foreign prime has

@@ -213,7 +213,7 @@ class TestBeyondDecimalLimit:
         report = json.loads(r.stdout)
         assert report["valid"] is True and report["failures"] == []
 
-    @pytest.mark.parametrize("field", ["N", "b1", "n2"])
+    @pytest.mark.parametrize("field", ["N", "b1"])
     def test_field_beyond_digit_bound_exits_64(self, workdir, field):
         # x = 300 allows 399 digits; a longer field is refused before int()
         with open(workdir / "cert.json") as fh:
@@ -224,6 +224,25 @@ class TestBeyondDecimalLimit:
         r = run_cli("verify", "long.json", cwd=workdir)
         assert r.returncode == USAGE
         assert "Traceback" not in r.stderr and "399-digit bound" in r.stderr
+
+    @pytest.mark.parametrize("form", ["missing", "number", "list", "million-digits"])
+    @pytest.mark.parametrize("field", ["N", "b1"])
+    def test_hostile_placement_field_exits_64(self, workdir, field, form):
+        # N and b1 are the placement's only fields: each must be there, a
+        # decimal string, and within the digit bound, which refuses a
+        # million digits before converting any
+        with open(workdir / "cert.json") as fh:
+            obj = json.load(fh)
+        pl = obj["placement"]
+        if form == "missing":
+            del pl[field]
+        else:
+            pl[field] = {"number": 10**7, "list": [pl[field]], "million-digits": "7" * 10**6}[form]
+        with open(workdir / "hostile.json", "w") as fh:
+            json.dump(obj, fh)
+        r = run_cli("verify", "hostile.json", cwd=workdir)
+        assert r.returncode == USAGE
+        assert "Traceback" not in r.stderr and r.stdout == ""
 
 
 class TestVerify:
@@ -258,6 +277,21 @@ class TestVerify:
         assert r.returncode == VERIFY_FAILED
         report = json.loads(r.stdout)
         assert report["valid"] is False
+
+    def test_version_1_exits_1(self, workdir):
+        # a certificate as version 1 wrote it: its extra fields are not
+        # read, so it loads, and its version is refused
+        with open(workdir / "cert.json") as fh:
+            obj = json.load(fh)
+        obj["params"].update(M=6.5, eps=0.05, z=18)
+        obj["placement"].update(I1=["1", "2"], I2=["3", "4"], n1="1", n2="3", m="0")
+        obj["version"] = 1
+        with open(workdir / "v1.json", "w") as fh:
+            json.dump(obj, fh, indent=2)
+        r = run_cli("verify", "v1.json", cwd=workdir)
+        assert r.returncode == VERIFY_FAILED
+        assert "Traceback" not in r.stderr
+        assert json.loads(r.stdout)["messages"] == ["unsupported certificate version 1"]
 
     def test_prime_zero_exits_1_without_traceback(self, workdir):
         with open(workdir / "cert.json") as fh:
@@ -356,7 +390,8 @@ class TestVerify:
             lambda obj: [obj],
             lambda obj: {**obj, "stages": 5},
             lambda obj: {**obj, "params": "x"},
-            lambda obj: {**obj, "placement": {**obj["placement"], "I1": 7}},
+            # the placement, which fixes both windows, as a number
+            lambda obj: {**obj, "placement": 7},
         ],
         ids=["top-level-list", "stages-number", "params-string", "window-number"],
     )

@@ -92,10 +92,10 @@ class TestSieveParams:
             {"x": 300, "delta": 0.51},
             {"x": 300, "delta": -0.1},
             {"x": 300, "xi": 1.0},
-            {"x": 300, "M": 6.0},
-            {"x": 300, "M": 7.0},
-            {"x": 300, "eps": 0.0},
-            {"x": 300, "eps": 0.072},
+            {"x": 300, "delta": math.nan},
+            {"x": 300, "xi": 0.5},
+            {"x": 300, "K": 0.0},
+            {"x": 300, "K": -1.0},
             {"x": 300, "retry_budget": -1},
             {"x": 300, "K": 1e30},
             {"x": 300, "xi": 1.000001},
@@ -131,15 +131,10 @@ class TestSieveParams:
         assert SieveParams(x=2000, delta=0.25).y < SieveParams(x=2000, delta=0.5).y
 
     def test_json_round_trip(self):
-        p = SieveParams(x=500, delta=0.4, eps=0.03).with_y(700)
+        p = SieveParams(x=500, delta=0.4, K=5.0).with_y(700)
+        assert p.to_json() == {"x": 500, "delta": 0.4, "xi": 2.0, "K": 5.0, "y": 700}
         q = SieveParams.from_json(p.to_json())
         assert q == p
-
-    def test_json_rejects_inconsistent_z(self):
-        obj = SieveParams(x=500).to_json()
-        obj["z"] = obj["z"] + 1
-        with pytest.raises(ValueError):
-            SieveParams.from_json(obj)
 
 
 # Reference oracle: the scale ladder that the randomized medium stage used

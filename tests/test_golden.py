@@ -19,7 +19,10 @@ grows with x, stepping by at least 1 % before it brackets the root, and
 damping its first step where the cleanup primes are few (the cases whose y
 it moved), the secant search over y (the cases whose y it moved), and the
 one-sided refinement sweeps coming to score the forward window only (the
-one-sided cases).
+one-sided cases). All 30 moved once more, with every y unchanged, when
+the certificate format became version 2: one line of compact JSON, with
+the placement reduced to N and b1 and the parameters to x, delta, xi, K
+and y.
 A change that moves one of them changes the certificate format or the
 construction, and must say so.
 
@@ -53,36 +56,36 @@ POLYS = {"x": [0, 1], "x^2+1": [1, 0, 1], "x^3+2": [2, 0, 0, 1]}
 
 # (poly, seed) for the default construction, (poly, seed, variant) otherwise
 GOLDEN = {
-    ("x", 7): "b4d9f3abf0e2ee05e1dbbeafee3604dc808200dc3549f583c58c2a68b00771b7",
-    ("x^2+1", 7): "b45e1066ace4bac10e331f0c9a4e4c4973b65c684b5990f29f13e0e006f4f174",
-    ("x^3+2", 7): "d21da84fe69948d860e0ddd7b4dac921de50b1fd9af17437409e088d2af50538",
-    ("x", 8): "a686c9af201873379db4ad8bf9ded1cdeca1ed3882adc083d2316bfa8545ebca",
-    ("x^2+1", 8): "2d8306f35180939513387984a2daae9c35951c0db7d1dbe0b04bff3e65692a2d",
-    ("x^3+2", 8): "955dc640a1a780a76a13349e864110b28c15f2f4b23f838a71571fb428fed1ff",
-    ("x", 7, "one-sided"): "874693e9debd2e36a6a4c7665b0a07210c9b2bc66fda374c2a9d3d8f6ec29bfd",
-    ("x^2+1", 7, "one-sided"): "055125d5ecced866c4a192831f6722c464d7f1c5968d64904817fc6b3b057087",
-    ("x^3+2", 7, "one-sided"): "02c994b86c64791395472287f0c971d18f795c53205a4c97f311b45fa5170b24",
-    ("x", 8, "one-sided"): "9bcffb3775e66848f3e5f519fe645b5d40c610f7dcd0e465e4c3d0bb853c2d02",
-    ("x^2+1", 8, "one-sided"): "94e3886d4d6c795112c709f609f854baea9ca0f063bfd71a2ecedcf82d97c8c6",
-    ("x^3+2", 8, "one-sided"): "4f5797edd61fb3487ddd5b3210141571fb2027b78a13a22975b8c2d126247637",
-    ("x", 7, "random"): "a54badaf3611ae05e758ab791b56d153dc81839324ede1c09296ccf47e3b5418",
-    ("x^2+1", 7, "random"): "cae6cb58d690e54ff39680038752e37a506b4d5ecede701cac5a5a4b8851b38a",
-    ("x^3+2", 7, "random"): "1209feac1672d272cc4bf75a1d1eae57b8b3ae4511c2b1179b2013ae85d95d04",
-    ("x", 8, "random"): "bd4861aa61bd339fb2593b017f35703a0ef65130a9d6880fd339178b98674587",
-    ("x^2+1", 8, "random"): "e1416236a1fdebf11d5cac7312c3b594582f9b00da47115bd17ad1417075fdfb",
-    ("x^3+2", 8, "random"): "af147d0a2596fcd94d1981b504b6b1f9ff06e460442e5e0df24b388d44ddc562",
-    ("x", 7, "random-one-sided"): "05426c7e0b164088196da33c381540b40184fcf243f99dfaea07617464ed853b",
-    ("x^2+1", 7, "random-one-sided"): "df0505a068016c81be15bd25987296a68061d7dcab2d13f0cacafc890e331ac0",
-    ("x^3+2", 7, "random-one-sided"): "ac5bb35661bfb9594bb1468e181beab0b3f89dcfe0de89dd6000b570088bb238",
-    ("x", 8, "random-one-sided"): "f874e4d377e492b5f19cbe2ad3fff514d2a96708fc6ac67bc2819ecb44c35a7b",
-    ("x^2+1", 8, "random-one-sided"): "78694a2637dea7f3b2246c2e0724c21fba551c242baf6f38d186236ce3d7b335",
-    ("x^3+2", 8, "random-one-sided"): "3d741cf7093ccfc3ce42c4a2f9dacef0f983af6e690caff65601639f9530acee",
-    ("x", 7, "x=1000"): "f899fa828a8ed4fd2f786ee1b24b41a57f6c0356eb9f00fd68a43f23eb148828",
-    ("x^2+1", 7, "x=1000"): "5e11abb760783ea23f875060f4b872d8f443b044920f2792649d59947e573eb3",
-    ("x^3+2", 7, "x=1000"): "779f3fe04877a0c50e646ac99cec3cef7cb9bf676391cec230880d6a750235e4",
-    ("x", 7, "x=10000"): "094f6bf0da2b027039eb446fc384928a2608da2c049f398e4e67f9d72b2db4e4",
-    ("x^2+1", 7, "x=10000"): "03c2d25f36a97ed14243a4275c43736eba2d5528158e751befc3d1e304fe5908",
-    ("x^3+2", 7, "x=10000"): "67483c982bb719d727f5d2b220162572892335c5c23b8ea0c9b05b833c12be18",
+    ("x", 7): "69fea40e3c2137164f2d0d41a68dd91110a71aa52fef994dd096a0f498c3735b",
+    ("x^2+1", 7): "9a026f786345d815599ba986123813c736c54ed6a92138de4df9f3965b0c174b",
+    ("x^3+2", 7): "60f8afaea9e6a8b3a4f860d263fa5b215e5bd0901effa5dbc8c54cf20d47724f",
+    ("x", 8): "8471a1495073794ab130d5ec2a1c5d93361d0424f8b90e778c13a5c5e4e72c39",
+    ("x^2+1", 8): "4a0684f18dab076919f0b8d910710a99bfe3bb5cb3a204fd075365450ea7f062",
+    ("x^3+2", 8): "e0bce219421b55fc07525fa900eca492e9f98922b8418a9ca1a3f271d6830125",
+    ("x", 7, "one-sided"): "63e53da57a2af839236bd2feacadfbd426ae0e07aa043df8b01842f652380609",
+    ("x^2+1", 7, "one-sided"): "54cbdc0400ac4196f57de03d495315ad286c8742e26c19e4d66913fb775fc35f",
+    ("x^3+2", 7, "one-sided"): "fc910bef817cad5ab7bebc543dbb823cbcb31837c0f5ca8491b5f1b5ded105af",
+    ("x", 8, "one-sided"): "dbc9c445bd57f4ee2c5ff78b84b074ad9bd1b76d9a6ac060df58efd8baf7a112",
+    ("x^2+1", 8, "one-sided"): "0b40eb9f1d2c6ebf47839b5ceff76c2d4fa3b57409ffb9b9fe587200b3510403",
+    ("x^3+2", 8, "one-sided"): "05f3819e04bc50329deadd8848f67c1d5cfd699dd30aa370e1de032003343758",
+    ("x", 7, "random"): "5bbe02e8705f9bca2a7d18f8c4bdc76ad7e7c2f7ef255b270cc28d03d8b0eb13",
+    ("x^2+1", 7, "random"): "971ed5289eada2044ae4f77283f952af160f8664a78d21ec110b5fa679449ec3",
+    ("x^3+2", 7, "random"): "360b50c01c5a47d356b1ce62261dcc321f02572f5df1d01560a0f7ec5c852b46",
+    ("x", 8, "random"): "5e3c44290ed31726395e577ebc2904fd127e5901591fea5d51e30f39a8af26b9",
+    ("x^2+1", 8, "random"): "3e1cd889de00193912e582be7bba1d34a0d80369c8df49427014ae47290bafd3",
+    ("x^3+2", 8, "random"): "b64501dfdc296ef85014b5d5609ada42e55efce114468923beaa6129386978f7",
+    ("x", 7, "random-one-sided"): "bab2fa42c5eab2feacfa67dd2dccf9ade58c894cf0bc3dde6161349a4b86be58",
+    ("x^2+1", 7, "random-one-sided"): "7839ee3293c6de698c0febf4727cb85979f722537401ef8187e59e019c2c8e0e",
+    ("x^3+2", 7, "random-one-sided"): "42ac43826b5831a4dcd5e8ff429e6098d42e70110cd5720647e086f41d4ae96c",
+    ("x", 8, "random-one-sided"): "f5da387dd3ace246cd771d851a63daf8c743221797e31d953083aafe267b8c90",
+    ("x^2+1", 8, "random-one-sided"): "f74eea80b4fac8cfd0b6fff323ca02c537d42884632942185c55d304aac9abe9",
+    ("x^3+2", 8, "random-one-sided"): "bf6e51c10930e7257f3eed81822ff2b7f1e9872ccfecbaf591baef6a1bfa002f",
+    ("x", 7, "x=1000"): "f38034a14bcdfbcd6f417737f7b4afa42066755d4d44f595525da6e7cf29a9a8",
+    ("x^2+1", 7, "x=1000"): "5614ba38720eb7778973e0ede7f987136ae1cf6f9fefcb3b6c30a053520e34c5",
+    ("x^3+2", 7, "x=1000"): "01d902ff05f126b54a361d3d2c658b161f8bcd89bb5557f4726b16a51b57c9de",
+    ("x", 7, "x=10000"): "36b3843268d72e0f230ae0d21b96a46a551867d7935e68d037750a14bb7089d8",
+    ("x^2+1", 7, "x=10000"): "dfcfaf777411eed6b0ade409ed650f8ac7f46bc8f454e85387f46c9cee840a46",
+    ("x^3+2", 7, "x=10000"): "87385d6b9f5961eb25850208d65a13eea7f3fd38a8426717b9b683dc36bf85de",
 }
 # (x, keyword arguments of construct_certificate) for each variant
 VARIANTS = {

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -128,27 +129,38 @@ class TestFaultInjection:
         assert any("prime 5" in m for m in report.messages)
 
     def test_shifted_center(self):
-        cert = reload(toy_certificate())
-        pl = cert.placement
-        cert.placement = dataclasses.replace(pl, n1=pl.n1 + 1, n2=pl.n2 - 1)
+        # the centers move only with b1: n1 one higher is b1 one lower,
+        # which leaves the class of every listed prime
+        obj = toy_certificate().to_json_dict()
+        obj["placement"]["b1"] = str(int(obj["placement"]["b1"]) - 1)
+        cert = ResidueCertificate.from_json_dict(obj)
+        assert cert.placement.n1 == toy_certificate().placement.n1 + 1
         report = verify_certificate(cert)
         assert not report.valid
-        assert any("centers" in m for m in report.messages)
+        assert [m for m in report.messages if "b1 does not satisfy" in m] == [
+            f"b1 does not satisfy the residue for prime {q}" for q in (2, 3, 5, 7)
+        ]
 
     def test_center_sum_mismatch(self):
-        cert = reload(toy_certificate())
+        # n2 is N - n1 by definition; a stored n2 that does not split N,
+        # as the format before version 2 wrote one, is not read
+        obj = toy_certificate().to_json_dict()
+        obj["placement"]["n2"] = "7999959"
+        cert = ResidueCertificate.from_json_dict(obj)
         pl = cert.placement
-        cert.placement = dataclasses.replace(pl, n2=pl.n2 + 2)
-        report = verify_certificate(cert)
-        assert not report.valid
+        assert pl.n1 + pl.n2 == pl.N == 10**7
+        assert verify_certificate(cert).valid
 
     def test_window_bounds_tampered(self):
-        cert = reload(toy_certificate())
-        pl = cert.placement
-        cert.placement = dataclasses.replace(pl, I2=(pl.I2[0] - 1, pl.I2[1] - 1))
+        # I2 moves only with N: N + y puts it on the next y values,
+        # 7999959 to 7999962, and 7999961 has no factor 2, 3, 5 or 7
+        obj = toy_certificate().to_json_dict()
+        obj["placement"]["N"] = str(10**7 + 4)
+        cert = ResidueCertificate.from_json_dict(obj)
+        assert cert.placement.I2 == (7999959, 7999962)
         report = verify_certificate(cert)
         assert not report.valid
-        assert any("window bounds" in m for m in report.messages)
+        assert report.failures == [7999961] and report.messages == []
 
     def test_b1_outside_band(self):
         cert = reload(toy_certificate())
@@ -168,9 +180,22 @@ class TestFaultInjection:
 
     def test_bad_version(self):
         cert = reload(toy_certificate())
-        cert.version = 2
+        cert.version = 1
         report = verify_certificate(cert)
         assert not report.valid
+        assert report.messages == ["unsupported certificate version 1"]
+
+    def test_version_1_file_loads_and_is_refused(self):
+        # the fields version 1 stored beside N and b1 are not read, so a
+        # version 1 certificate loads, and only its version fails
+        obj = toy_certificate().to_json_dict()
+        obj["params"].update(M=6.5, eps=0.05, z=2)
+        obj["placement"].update(I1=["2000042", "2000045"], I2=["7999955", "7999958"],
+                                n1="2000043", n2="7999957", m="1")
+        obj["version"] = 1
+        report = verify_certificate(ResidueCertificate.from_json_dict(obj))
+        assert not report.valid and report.failures == []
+        assert report.messages == ["unsupported certificate version 1"]
 
     def test_foreign_prime_flagged(self):
         cert = reload(toy_certificate())
@@ -226,11 +251,9 @@ class TestFaultInjection:
     @pytest.mark.parametrize("placed", [True, False])
     def test_y_outside_formula_range_refused_before_allocating(self, y, placed):
         # the formula length at x = 8 is 11, so 12 is the least y refused
-        # above it; the stored z is made consistent
-        # with the stored y, so the certificate loads
+        # above it
         obj = toy_certificate().to_json_dict()
         obj["params"]["y"] = y
-        obj["params"]["z"] = SieveParams(x=8).with_y(y).z
         if not placed:
             obj["placement"] = None
         cert = ResidueCertificate.from_json_dict(obj)
@@ -257,7 +280,7 @@ class TestFaultInjection:
             raise AssertionError("primes sieved")
 
         obj = toy_certificate().to_json_dict()
-        obj["params"]["x"] = x  # the stored z = 2 still fits y = 4
+        obj["params"]["x"] = x
         if not placed:
             obj["placement"] = None
         cert = ResidueCertificate.from_json_dict(obj)
@@ -283,7 +306,7 @@ class TestFaultInjection:
             raise AssertionError("primes sieved")
 
         obj = toy_certificate().to_json_dict()
-        obj["params"]["x"] = x  # the stored z = 2 still fits y = 4
+        obj["params"]["x"] = x
         if not placed:
             obj["placement"] = None
         cert = ResidueCertificate.from_json_dict(obj)
@@ -326,15 +349,15 @@ class TestFaultInjection:
         assert verify_mod.stored_x_bound(3, None, 9999) == int(120_000 * math.log(30_002))
 
     def test_huge_stored_window_not_walked(self, monkeypatch):
-        # the stored I1 is only compared; the walk covers the two windows
-        # of length y that N, b1 and y give
-        cert = reload(toy_certificate())
-        pl = cert.placement
-        cert.placement = dataclasses.replace(pl, I1=(pl.I1[0], pl.I1[0] + 10**12 - 1))
+        # a stored I1 of 10^12 values, as the format before version 2 kept
+        # one, is not read; the walk covers the two windows of length y
+        # that N, b1 and y give
+        obj = toy_certificate().to_json_dict()
+        obj["placement"]["I1"] = ["2000042", str(2000042 + 10**12 - 1)]
+        cert = ResidueCertificate.from_json_dict(obj)
         walked = record_walk(monkeypatch)
         report = verify_certificate(cert)
-        assert not report.valid
-        assert any("window bounds" in m for m in report.messages)
+        assert report.valid
         assert walked and all(in_derived_windows(cert, n) for n in walked)
         assert report.checked == len(walked) == 8 and report.failures == []
 
@@ -458,15 +481,18 @@ def corrupt_residue(cert):
 
 
 def centers_outside(cert):
+    """b1 raised by the modulus: every class still holds b1, but b1, and
+    with it both centers and windows, leaves the placement band."""
     pl = cert.placement
-    n1 = pl.I1[0] - 7
-    cert.placement = dataclasses.replace(pl, n1=n1, n2=pl.N - n1)
+    cert.placement = dataclasses.replace(pl, b1=pl.b1 + math.prod(cert.residues()))
     return cert
 
 
 def i2_shifted(cert):
+    """N raised by y, which moves I2 by its length onto values the
+    residues were not chosen for."""
     pl = cert.placement
-    cert.placement = dataclasses.replace(pl, I2=(pl.I2[0] + 1, pl.I2[1] + 1))
+    cert.placement = dataclasses.replace(pl, N=pl.N + pl.y)
     return cert
 
 
@@ -561,11 +587,27 @@ def _perturbed(value, delta: int):
     return value
 
 
+def stored_x(data: bytes) -> int | None:
+    """params.x of certificate bytes, or None when they hold none."""
+    try:
+        obj = json.loads(data)
+        return obj["params"]["x"] if type(obj["params"]["x"]) is int else None
+    except (ValueError, TypeError, KeyError, IndexError):
+        return None
+
+
+# what a byte of a certificate line may become: nothing, or a digit, a
+# sign, a separator, a bracket, a quote or a byte that is no UTF-8
+BYTE_EDITS = [b"", b"0", b"7", b"-", b",", b":", b"[", b"}", b'"', b"\xff"]
+
+
 @st.composite
 def mutated_certificates(draw):
-    """A valid x = 300 certificate with one to three fields dropped,
-    retyped or perturbed, or a prime replaced by 0, 1, -5 or another
-    integer. No mutation takes x above 1000."""
+    """The bytes of a valid x = 300 certificate with one to three fields
+    dropped, retyped or perturbed, or a prime replaced by 0, 1, -5 or
+    another integer, written back in the certificate's one-line form, and
+    then maybe one byte edited (BYTE_EDITS). No mutation takes x above
+    1000."""
     obj = json.loads(built_certificate(draw(st.sampled_from(["x^2+1", "x^3+2"])), 300))
     for _ in range(draw(st.integers(1, 3))):
         paths = json_paths(obj)
@@ -586,7 +628,13 @@ def mutated_certificates(draw):
             parent[path[-1]] = _perturbed(parent[path[-1]], draw(st.integers(-3, 3)))
         else:
             parent[0] = draw(st.sampled_from([0, 1, -5, 2, 4, 9, 997, 1009]))
-    return obj
+    data = json.dumps(obj, separators=(",", ":")).encode() + b"\n"
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(data) - 1))
+        edited = data[:i] + draw(st.sampled_from(BYTE_EDITS)) + data[i + 1 :]
+        if (stored_x(edited) or 0) <= 1000:
+            data = edited
+    return data
 
 
 class TestMutatedCertificates:
@@ -598,13 +646,16 @@ class TestMutatedCertificates:
 
     @given(mutated_certificates())
     @settings(max_examples=150, deadline=None)
-    def test_load_and_verify_never_crash(self, obj):
-        x = obj.get("params", {}).get("x") if isinstance(obj.get("params"), dict) else None
-        assert not isinstance(x, int) or x <= 1000
-        try:
-            cert = ResidueCertificate.from_json_dict(obj)
-        except ValueError:
-            return
+    def test_load_and_verify_never_crash(self, data):
+        assert (stored_x(data) or 0) <= 1000
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cert.json")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                cert = ResidueCertificate.load(path)
+            except ValueError:
+                return
         report = verify_certificate(cert)
         assert isinstance(report, verify_mod.VerifyReport)
 
@@ -703,31 +754,32 @@ class TestWindowWitnessSearch:
 
     @pytest.mark.parametrize("name", sorted(POLYS))
     def test_stored_center_outside_the_windows_is_not_walked(self, name, monkeypatch):
-        # a stored n1 far below I1 (and n2 = N - n1 far above I2) is
-        # reported, but no witness search starts anywhere outside the
-        # stored windows
-        cert = certificate(name, 300)
+        # a stored n1 far below I1 (and n2 = N - n1 far above I2), as the
+        # format before version 2 kept them, is not read: no witness search
+        # starts anywhere outside the windows
+        obj = json.loads(built_certificate(name, 300))
+        n1 = certificate(name, 300).placement.I1[0] - 10**6
+        obj["placement"].update(n1=str(n1), n2=str(int(obj["placement"]["N"]) - n1))
+        cert = ResidueCertificate.from_json_dict(obj)
         pl = cert.placement
-        n1 = pl.I1[0] - 10**6
-        cert.placement = dataclasses.replace(pl, n1=n1, n2=pl.N - n1)
         walked = record_walk(monkeypatch)
         report = verify_certificate(cert)
-        assert not report.valid
-        assert any("centers" in m for m in report.messages)
+        assert report.valid and pl.n1 != n1
         assert walked and all(any(lo <= n <= hi for lo, hi in (pl.I1, pl.I2)) for n in walked)
         assert report.checked == len(walked) and not report.failures
 
     @pytest.mark.parametrize("name", sorted(POLYS))
-    def test_moved_stored_window_is_reported_not_walked(self, name, monkeypatch):
-        # an I1 of the right length moved 10^6 away is compared and
-        # reported; the walk stays in the windows N, b1 and y give
-        cert = certificate(name, 300)
-        pl = cert.placement
-        cert.placement = dataclasses.replace(pl, I1=(pl.I1[0] + 10**6, pl.I1[1] + 10**6))
+    def test_moved_stored_window_is_ignored_not_walked(self, name, monkeypatch):
+        # a stored I1 of the right length moved 10^6 away, as the format
+        # before version 2 kept one, is not read; the walk stays in the
+        # windows N, b1 and y give
+        obj = json.loads(built_certificate(name, 300))
+        lo, hi = certificate(name, 300).placement.I1
+        obj["placement"]["I1"] = [str(lo + 10**6), str(hi + 10**6)]
+        cert = ResidueCertificate.from_json_dict(obj)
         walked = record_walk(monkeypatch)
         report = verify_certificate(cert)
-        assert not report.valid
-        assert report.messages == ["window bounds disagree with b2 and y"]
+        assert report.valid and report.messages == []
         assert walked and all(in_derived_windows(cert, n) for n in walked)
         assert report.checked == len(walked) and not report.failures
 
@@ -831,7 +883,7 @@ LENIENT_FORMS = {
     "residue-string": (("stages", 0, "assignments", 0, 1), str),
     "N-int": (("placement", "N"), int),
     "N-padded": (("placement", "N"), lambda v: v + " "),
-    "n1-plus": (("placement", "n1"), lambda v: "+" + v),
+    "N-plus": (("placement", "N"), lambda v: "+" + v),
     "b1-underscored": (("placement", "b1"), lambda v: v[:3] + "_" + v[3:]),
 }
 
