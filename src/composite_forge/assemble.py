@@ -372,18 +372,14 @@ def auto_target(modulus: int) -> int:
 @dataclass(frozen=True)
 class Placement:
     """A two-sided certificate's placement: N and the representative b1,
-    read with the window length y. Everything else follows from them:
-    b2 = -b1, the windows I1 = [1 - b1, y - b1] and
-    I2 = [N + b1 - y, N + b1 - 1], and the centers n1 = floor(y/2) - b1 and
-    n2 = N - n1, with radius floor(y/2) - 1."""
+    read with the window length y. Everything else follows from them: the
+    windows I1 = [1 - b1, y - b1] and I2 = [N + b1 - y, N + b1 - 1], and
+    the centers n1 = floor(y/2) - b1 and n2 = N - n1, with radius
+    floor(y/2) - 1."""
 
     N: int
     b1: int
     y: int
-
-    @property
-    def b2(self) -> int:
-        return -self.b1
 
     @property
     def I1(self) -> tuple[int, int]:
@@ -415,13 +411,18 @@ class Placement:
         return cls(N=decimal_to_int(n_text), b1=decimal_to_int(b1_text), y=y)
 
 
+def b1_range(n_target: int) -> tuple[int, int]:
+    """The least and the greatest integer of [-0.3N, -0.2N], where b1 lies."""
+    return -((3 * n_target) // 10), -((n_target + 4) // 5)
+
+
 def place(b: int, modulus: int, n_target: int, y: int) -> Placement:
     """Pick the representative of b mod modulus inside [-0.3N, -0.2N]
-    (smallest absolute value, i.e. the largest such integer); the placement
-    derives the two windows and centers from it. The caller has checked
-    modulus^3 <= N. The one N-sized reduction goes by divmod_newton."""
-    hi = -((n_target + 4) // 5)  # largest integer <= -N/5
-    lo = -((3 * n_target) // 10)  # smallest integer >= -3N/10
+    (b1_range; smallest absolute value, i.e. the largest such integer); the
+    placement derives the two windows and centers from it. The caller has
+    checked modulus^3 <= N. The one N-sized reduction goes by
+    divmod_newton."""
+    lo, hi = b1_range(n_target)
     if hi - lo + 1 < modulus:
         raise ConstructionError(
             "placement window narrower than the modulus; increase N",

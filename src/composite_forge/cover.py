@@ -17,11 +17,12 @@ CoverState from its small-stage survivors: the sorted offsets of both
 windows that no class assigned so far kills. Both modes assign their
 medium primes on it through CoverState.assign, its arrays are the
 post-medium residuals, and the medium stage hands back plain q -> residue
-maps. assign walks the primes in blocks of consecutive primes: a block
-computes the class keys of all its primes over the survivors of both
-windows at once, greedy mode scores each prime by one weighted bincount of
-its keys, given residues kill with one compare, and the survivors are
-compacted once per block.
+maps. assign walks the primes in blocks of consecutive primes, and a prime
+that fits no larger block is a block of one: a block computes the class
+keys of all its primes over the survivors of both windows at once, greedy
+mode scores its first prime by one bincount of its keys and each later one
+by a bincount weighted by the survivors still live, given residues kill
+with one compare, and the survivors are compacted once per block.
 """
 
 from __future__ import annotations
@@ -199,16 +200,17 @@ NARROW_KEY_BOUND = 2**31
 # The block pass of CoverState.assign: a block takes consecutive primes
 # while their root rows times the survivors left stay within BLOCK_KEYS,
 # and holds at least BLOCK_MIN_PRIMES of them (or every prime left); a
-# prime with fewer fitting is assigned alone. A block saves the fixed cost
-# of the numpy calls that a lone prime pays for its keys and its
+# prime with fewer fitting is a block of one. A longer block saves the
+# fixed cost of the numpy calls that each block pays for its keys and its
 # compaction, but weighs, up to its last prime, every survivor it started
 # with, and a root count above 1 makes its kill mask a reduction over rows
-# and its live mask that many rows deep. Timed on numpy 2.4 (2-vCPU x86
-# host), in-process, alternating with a pass that assigns one prime at a
-# time, on the cover states of every attempt of seed-7 constructions of
-# f = x, x^2+1 and x^3+2: 65,536 keys and 12 primes took 0.63-0.80 of the
-# one-prime pass's time at x = 300 to 3000, 0.73-0.91 at 10^4 and 0.86-0.89 (f = x) and
-# 0.98-1.01 (x^2+1, x^3+2) at 3 * 10^4, where most primes go alone; 16,384
+# and its live mask that many rows deep. A block of one makes no live mask
+# at all. Timed on numpy 2.4 (2-vCPU x86 host), in-process, alternating
+# with a pass that assigns one prime at a time, on the cover states of
+# every attempt of seed-7 constructions of f = x, x^2+1 and x^3+2: 65,536
+# keys and 12 primes took 0.63-0.80 of the one-prime pass's time at
+# x = 300 to 3000, 0.73-0.91 at 10^4 and 0.86-0.89 (f = x) and 0.98-1.01
+# (x^2+1, x^3+2) at 3 * 10^4, where most primes are blocks of one; 16,384
 # keys and 6 primes took 0.84-0.94 at 10^4 and 0.98-1.15 at 3 * 10^4.
 # Timed per prime on synthetic states, a block of 6 or more f = x primes
 # was the cheaper at 1,000 to 8,000 survivors, while x^2+1 and x^3+2
@@ -223,7 +225,8 @@ BLOCK_MIN_PRIMES = 12
 # (2-vCPU x86 host, in-place, int32 and int64) the two cross near
 # 1,000-1,200 keys; at 30,000 int32 keys the floor form takes 33 us against
 # 106 us. A block takes % by its column of primes for rows shorter than
-# this and the floor form row by row from there on.
+# this and the floor form prime by prime, with the scalar q over that
+# prime's rows, from there on.
 FLOOR_DIV_KEYS = 1024
 
 
@@ -243,17 +246,20 @@ class CoverState:
     Residue r of q kills forward survivor o when r = o - alpha and backward
     survivor o when r = alpha - N - o (mod q), for a root alpha: these are
     the survivor's class keys, one per root. assign walks its primes in
-    blocks (see BLOCK_KEYS). A block computes the keys of all its primes at
-    once, one row per root, by one broadcast subtract per window and a
-    reduction mod the column of primes. Each prime then takes four numpy
-    calls: one bincount of its rows weighted by a live mask (a survivor
-    killed earlier in the block weighs 0), argmax, a compare of its rows
-    with the chosen residue (and a reduction over them when there are
-    several), and a copyto that clears the survivors it kills in the mask. The counts are exact integers, so ties go to the
+    blocks of consecutive primes (see BLOCK_KEYS); a prime that fits no
+    larger block is a block of one. A block computes the keys of all its
+    primes at once, one row per root, by one broadcast subtract per window
+    and a reduction mod q: by the column of primes on short rows, prime by
+    prime with the scalar q from FLOOR_DIV_KEYS keys on. The block's first
+    prime scores by one unweighted bincount of its rows, since every
+    survivor is still live, and argmax; a compare of its rows with the
+    chosen residue (and a reduction over them when there are several) marks
+    the survivors it keeps. Each later prime takes four numpy calls: a
+    bincount weighted by a live mask (a survivor killed earlier in the block
+    weighs 0), argmax, the compare, and a copyto that clears the survivors
+    it kills in the mask. The counts are exact integers, so ties go to the
     smallest residue. Given residues kill the whole block with one compare.
-    The arrays are compacted once per block. A prime assigned alone keeps
-    scalar q and roots: one key row per root, reduced by % or the floor
-    form at FLOOR_DIV_KEYS keys, one unweighted bincount, and a compaction.
+    The arrays are compacted once per block.
     """
 
     def __init__(self, table: RootTable, fwd: SurvivorSet, bwd: SurvivorSet | None,
@@ -276,29 +282,22 @@ class CoverState:
         roots = self.table.roots
         nus = [len(roots[q]) for q in primes]
         ends = list(itertools.accumulate(nus))  # one past each prime's last row
-        out: dict[int, int] = {}
-        cols = None  # the row columns from the first block's primes on, from row base
+        cols = self._columns(primes, nus, given)
+        score = given is None
+        residues: list[int] = []
         i, n = 0, len(primes)
         while i < n and (self.fwd.size or self.bwd.size):
             j = self._block_end(ends, i)
-            if j == i + 1:
-                q = primes[i]
-                out[q] = self._one(q, None if given is None else given[q])
-            else:
-                if cols is None:
-                    base, cols = ends[i] - nus[i], self._columns(primes[i:], nus[i:], given)
-                block = cols[:, ends[i] - nus[i] - base:ends[j - 1] - base]
-                out.update(zip(primes[i:j], self._block(primes[i:j], nus[i:j], block, given is None)))
+            residues += self._block(primes[i:j], nus[i:j], cols[:, ends[i] - nus[i]:ends[j - 1]], score)
             i = j
-        if given is not None:
+        if not score:
             return {q: given[q] for q in primes}
-        out.update(dict.fromkeys(primes[i:], 0))
-        return out
+        return dict(zip(primes, residues + [0] * (n - i)))
 
     def _columns(self, primes: list[int], nus: list[int], given: Mapping[int, int] | None) -> np.ndarray:
         """One row per (prime, root) of primes, in order, and four columns:
         the root alpha, the prime, the backward key's constant alpha - N
-        (N mod q read only while backward survivors remain) and the given
+        (N mod q read only when backward survivors remain) and the given
         residue (0 when scored); shape (4, rows, 1)."""
         roots, dtype = self.table.roots, self.fwd.dtype
         zeros = [0] * len(primes)
@@ -314,8 +313,9 @@ class CoverState:
     def _block_end(self, ends: list[int], i: int) -> int:
         """One past the last prime of the block that starts at prime i (ends:
         one past each prime's last row): the primes whose rows, times the
-        survivors left, fit BLOCK_KEYS, or prime i alone when fewer than
-        BLOCK_MIN_PRIMES of them fit, unless they are all the primes left."""
+        survivors left, fit BLOCK_KEYS, or prime i alone, a block of one,
+        when fewer than BLOCK_MIN_PRIMES of them fit, unless they are all
+        the primes left."""
         row0 = ends[i - 1] if i else 0
         j = bisect.bisect_right(ends, row0 + BLOCK_KEYS // (self.fwd.size + self.bwd.size), i)
         return j if j - i >= min(BLOCK_MIN_PRIMES, len(ends) - i) else i + 1
@@ -325,67 +325,57 @@ class CoverState:
         columns (see _columns), scoring their residues or taking the given
         ones, and compact the survivor arrays once; returns the scored
         residues in order (none when they are given)."""
-        alphas, q_rows, c_rows, r_rows = cols
         fwd, bwd = self.fwd, self.bwd
         nf = fwd.size
-        keys = np.empty((len(alphas), nf + bwd.size), dtype=fwd.dtype)
-        np.subtract(fwd, alphas, out=keys[:, :nf])
-        np.subtract(c_rows, bwd, out=keys[:, nf:])
+        keys = np.empty((cols.shape[1], nf + bwd.size), dtype=fwd.dtype)
+        np.subtract(fwd, cols[0], out=keys[:, :nf])
+        np.subtract(cols[2], bwd, out=keys[:, nf:])
         if keys.shape[1] < FLOOR_DIV_KEYS:
-            np.remainder(keys, q_rows, out=keys)
+            np.remainder(keys, cols[1], out=keys)
         else:
-            for k, q in zip(keys, q_rows[:, 0].tolist()):
-                k -= k // q * q
-        residues: list[int] = []
-        if not score:
-            # a survivor stays when none of its keys is its row's residue
-            keep = np.logical_and.reduce(keys != r_rows)
-        else:
-            # 1 for a survivor no prime of the block has killed yet, in
-            # identical rows, so that the first nu of them weigh nu key rows
-            live = np.ones((max(1, *nus), keys.shape[1]))
             row = 0
             for q, nu in zip(primes, nus):
-                if nu == 1:
-                    k = keys[row]
-                    r = int(np.bincount(k, live[0], q).argmax())
-                    hit = k == r
-                else:
-                    k = keys[row:row + nu]
-                    r = int(np.bincount(k.ravel(), live[:nu].ravel(), q).argmax())
-                    hit = np.logical_or.reduce(k == r)
-                np.copyto(live, 0, where=hit)
+                k = keys[row:row + nu]
+                k -= k // q * q
                 row += nu
-                residues.append(r)
-            keep = live[0] > 0
+        if not score:
+            # a survivor stays when none of its keys is its row's residue
+            keep = np.logical_and.reduce(keys != cols[3])
+            residues = []
+        else:
+            # the first prime finds every survivor live and counts its keys
+            # unweighted; a survivor stays when none of its keys is the residue
+            q, row = primes[0], nus[0]
+            if row == 1:
+                k = keys[0]
+                r = int(np.bincount(k, minlength=q).argmax())
+                keep = k != r
+            else:
+                k = keys[:row]
+                r = int(np.bincount(k.ravel(), minlength=q).argmax())
+                keep = np.logical_and.reduce(k != r)
+            residues = [r]
+            if len(primes) > 1:
+                # 1 for a survivor no prime of the block has killed yet, in
+                # identical rows, so that the first nu of them weigh nu key rows
+                live = np.empty((max(1, *nus[1:]), keys.shape[1]))
+                live[:] = keep
+                for q, nu in zip(primes[1:], nus[1:]):
+                    if nu == 1:
+                        k = keys[row]
+                        r = int(np.bincount(k, live[0], q).argmax())
+                        hit = k == r
+                    else:
+                        k = keys[row:row + nu]
+                        r = int(np.bincount(k.ravel(), live[:nu].ravel(), q).argmax())
+                        hit = np.logical_or.reduce(k == r)
+                    np.copyto(live, 0, where=hit)
+                    row += nu
+                    residues.append(r)
+                keep = live[0] > 0
         self.fwd = fwd[keep[:nf]]
         self.bwd = bwd[keep[nf:]]
         return residues
-
-    def _one(self, q: int, r: int | None) -> int:
-        """Assign q alone the residue r, or, when r is None, the residue
-        killing the most survivors left (ties to the smallest); drop the
-        survivors it kills and return it."""
-        alphas = self.table.roots[q]
-        fwd, bwd = self.fwd, self.bwd
-        nf = fwd.size
-        c_bwd = -self.n_mod[q] if bwd.size else 0
-        # one row of keys per root: the forward survivors', then the backward ones'
-        keys = np.empty((len(alphas), nf + bwd.size), dtype=fwd.dtype)
-        for row, a in zip(keys, alphas):
-            np.subtract(fwd, a, out=row[:nf])
-            np.subtract(c_bwd + a, bwd, out=row[nf:])
-        if keys.size < FLOOR_DIV_KEYS:
-            keys %= q
-        else:
-            keys -= keys // q * q
-        if r is None:
-            r = int(np.bincount(keys.ravel(), minlength=q).argmax())
-        # a survivor stays when none of its keys (one per root) is r
-        live = keys[0] != r if len(alphas) == 1 else np.logical_and.reduce(keys != r)
-        self.fwd = fwd[live[:nf]]
-        self.bwd = bwd[live[nf:]]
-        return r
 
 
 def select_shifts_greedy(state: CoverState, primes: Iterable[int]) -> dict[int, int]:

@@ -63,10 +63,6 @@ def smallest_hit(q: np.ndarray, first: np.ndarray, length: int) -> np.ndarray:
     return w.view(np.int32)
 
 
-class MissingResidueError(KeyError):
-    """A usable prime in the active range has no assigned residue."""
-
-
 @dataclass
 class SurvivorSet:
     """Survivor bitmap over the inclusive interval [lo, hi]."""
@@ -99,12 +95,8 @@ def sieve_survivors(
     counts = table.counts[span]
     usable = counts > 0
     # (r_q - lo) mod q for each usable prime, reduced as a Python int, since
-    # a residue can be any size
-    shift = []
-    for p in table.primes[span][usable].tolist():
-        if p not in residues:
-            raise MissingResidueError(p)
-        shift.append((residues[p] - lo) % p)
+    # a residue can be any size; a usable prime with no residue raises KeyError
+    shift = [(residues[p] - lo) % p for p in table.primes[span][usable].tolist()]
     # one row per (prime, root): offset k is hit when k = r_q + a - lo mod q
     at = int(table.counts[: span.start].sum())
     roots = table.flat[at : at + int(counts.sum())]

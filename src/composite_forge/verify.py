@@ -43,11 +43,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assemble import CERT_VERSION, ResidueCertificate, int_to_decimal
+from .assemble import CERT_VERSION, ResidueCertificate, b1_range, int_to_decimal
 from .modroots import ROW_PRIME_BOUND, build_root_table, companion_eval_mod
 from .poly import IntPolynomial, irreducibility_check
 from .primes import ProductTree, is_prime, sieve_primes
-from .sievecore import MissingResidueError, sieve_survivors, smallest_hit
+from .sievecore import sieve_survivors, smallest_hit
 
 
 @dataclass
@@ -159,15 +159,18 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
     """Check a certificate from its serialized content alone.
 
     Placed certificates: every n in I1 = [1 - b1, y - b1] and
-    I2 = [N + b1 - y, N + b1 - 1] must have a witness among the certificate
+    I2 = [N + b1 - y, N + b1 - 1] (Placement.I1 and I2; b1 in b1_range)
+    must have a witness among the certificate
     primes whose residues are consistent with b1; b1 and N are reduced
     down one product tree over the listed moduli up to the root table's
     limit (primes.ProductTree), and b1 by each modulus beyond it on its
     own. A certificate stores N and b1 only, so there are no stored
     bounds or centers to compare: the centers n1 = floor(y/2) - b1 and
     n2 = N - n1 split N by their definition. A placement-free certificate
-    is checked at offset level instead: the forward window [1, y] must be
-    fully covered by the residue classes. Neither check runs when y lies
+    is checked at offset level instead: every usable prime up to x must
+    have a residue (the first without one is named, and no offset is
+    checked), and the forward window [1, y] must be fully covered by the
+    residue classes. Neither check runs when y lies
     outside [1, formula y], which is reported. Moduli whose bit lengths put
     their product's cube above N are reported without forming it;
     otherwise the tree's root is cubed, and no modulus beyond the limit
@@ -256,19 +259,20 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
         report.messages.append(f"bad irreducibility verdict {cert.irreducibility!r}")
 
     if cert.placement is None:
-        # offset-level check: the residue classes must blanket [1, y]
+        # offset-level check: every usable prime up to x has a residue, and
+        # the residue classes blanket [1, y]
         if y_bounded:
-            try:
-                leftover = sieve_survivors(table, residues, (1, y), (0, x))
-            except MissingResidueError as e:
-                report.messages.append(f"usable prime {e.args[0]} has no residue")
+            missing = next((q for q in table.usable_primes() if q not in residues), None)
+            if missing is not None:
+                report.messages.append(f"usable prime {missing} has no residue")
             else:
+                leftover = sieve_survivors(table, residues, (1, y), (0, x))
                 report.checked = y
                 report.failures = [int(v) for v in leftover.survivors()]
         report.valid = not report.failures and not report.messages
         return report
 
-    n_target, b1, b2 = pl.N, pl.b1, pl.b2
+    n_target, b1 = pl.N, pl.b1
     # q >= 2^(q.bit_length() - 1), so enough bits decide it before any
     # product is formed
     bits = 3 * (sum(map(int.bit_length, listed)) - len(listed))
@@ -285,9 +289,10 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
         exceeds = quotient <= 0
     if exceeds:
         report.messages.append("modulus exceeds N^(1/3)")
-    if not (-((3 * n_target) // 10) <= b1 <= -((n_target + 4) // 5)):
+    lo, hi = b1_range(n_target)
+    if not lo <= b1 <= hi:
         report.messages.append("b1 outside [-0.3N, -0.2N]")
-    starts = (b2 + 1, n_target - b2 - y)
+    starts = (pl.I1[0], pl.I2[0])
 
     # a prime vouches for nothing unless b1 satisfies its congruence, it
     # exceeds the degree and it has companion roots (a foreign prime has

@@ -281,7 +281,7 @@ class TestPlacement:
         pl = place(7, 15, 10**6, 30)
         assert pl.b1 == -200003
         assert pl.b1 % 15 == 7 % 15
-        assert pl.b2 == 200003
+        assert pl.I1[0] == 1 - pl.b1
         assert pl.I1 == (200004, 200033)
         assert pl.I2 == (10**6 - 200033, 10**6 - 200004)
         assert pl.n1 == 200018 and pl.n2 == 10**6 - 200018

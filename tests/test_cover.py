@@ -308,15 +308,15 @@ def one_sided(table, fwd):
 
 
 # Block sizes the greedy oracle tests run at: None keeps the measured bound,
-# 1 assigns each prime alone, 2 and 7 cut the pass into blocks of that many
-# primes whatever the survivor count.
+# 1 makes every prime a block of one, 2 and 7 cut the pass into blocks of
+# that many primes whatever the survivor count.
 BLOCK_SIZES = [None, 1, 2, 7]
 
 
 @contextmanager
 def blocks_of(k):
-    """Make every block of CoverState.assign hold k primes (k = 1: each prime
-    alone); k None leaves the bound as it is."""
+    """Make every block of CoverState.assign hold k primes (k = 1: blocks of
+    one); k None leaves the bound as it is."""
     with pytest.MonkeyPatch.context() as mp:
         if k is not None:
             mp.setattr(CoverState, "_block_end", lambda self, ends, i: min(i + k, len(ends)))
@@ -928,8 +928,7 @@ class TestDrawStreams:
 
 
 # Edges of the key bins of greedy_cost_table: a prime's keys are its root
-# count times the survivors of both windows when it is assigned (for a block,
-# at the block's start).
+# count times the survivors of both windows when its block starts.
 KEY_BINS = (100, 1000, 10_000)
 
 
@@ -940,22 +939,18 @@ def greedy_cost_by_key_bin(f, x, seed=7):
     per-attempt setup."""
     bins = [[0, 0.0] for _ in range(len(KEY_BINS) + 1)]
     passes = [0.0]
-    block, one, greedy = CoverState._block, CoverState._one, cover.select_shifts_greedy
+    block, greedy = CoverState._block, cover.select_shifts_greedy
 
-    def tally(nus, survivors, seconds):
+    def timed_block(self, primes, nus, *rows):
+        survivors = self.fwd.size + self.bwd.size
+        t = time.perf_counter()
+        out = block(self, primes, nus, *rows)
+        seconds = time.perf_counter() - t
         for nu in nus:
             b = bins[bisect.bisect_right(KEY_BINS, nu * survivors)]
             b[0] += 1
             b[1] += seconds / len(nus)
-
-    def timed(fn, nus_of):
-        def wrapper(self, *args):
-            survivors = self.fwd.size + self.bwd.size
-            t = time.perf_counter()
-            out = fn(self, *args)
-            tally(nus_of(self, *args), survivors, time.perf_counter() - t)
-            return out
-        return wrapper
+        return out
 
     def timed_pass(state, primes):
         t = time.perf_counter()
@@ -964,14 +959,24 @@ def greedy_cost_by_key_bin(f, x, seed=7):
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(CoverState, "_block", timed(block, lambda self, primes, nus, *rows: nus))
-        mp.setattr(CoverState, "_one", timed(one, lambda self, q, r: [len(self.table.roots[q])]))
+        mp.setattr(CoverState, "_block", timed_block)
         mp.setattr("composite_forge.assemble.select_shifts_greedy", timed_pass)
         construct_certificate(f, SieveParams(x=x), seed)
     return bins, passes[0]
 
 
-def greedy_cost_table(xs=(300, 1000, 3000, 10**4), seed=7):
+@pytest.mark.parametrize("x", [300, 3 * 10**4])
+def test_cost_by_key_bin_counts_every_block_prime(monkeypatch, x):
+    # at 3 * 10^4 most primes are blocks of one; at 300 none are
+    f = IntPolynomial.from_monomial([2, 0, 0, 1])
+    blocks = counting_blocks(monkeypatch)
+    bins, total = greedy_cost_by_key_bin(f, x)
+    assert sum(n for n, _ in bins) == sum(map(len, blocks)) > 0
+    assert all(t > 0 for n, t in bins if n) and sum(t for _, t in bins) <= total
+    assert (x > 300) == any(len(nus) == 1 for nus in blocks)
+
+
+def greedy_cost_table(xs=(300, 1000, 3000, 10**4, 3 * 10**4), seed=7):
     """Print, for each f and x, the primes and mean microseconds per prime
     in each key bin of the greedy pass, and the passes' total milliseconds.
     Each construction runs twice and the second, warm run is reported."""

@@ -1,11 +1,16 @@
 """Golden certificates: equal inputs and seeds give the same bytes across
 versions of the constructor, not only within one run.
 
-The cases are x = 300 with seeds 7 and 8, and x = 1000 and x = 10^4 with
-seed 7, under default parameters (greedy mode, auto N), and at x = 300 also
-one-sided, random and random one-sided. At x = 10^4 the survivors are
-sparse against the windows, which pins the cover state where it differs
-most from a bitmap. Each digest pins the certificate of the window length
+The cases are x = 300 with seeds 7 and 8, and x = 1000, 10^4 and
+3 * 10^4 with seed 7, under default parameters (greedy mode, auto N), at
+x = 300 also one-sided, random and random one-sided, and at 3 * 10^4 also
+random x^3+2 and one-sided x^2+1. At x = 10^4 the survivors are sparse
+against the windows, which pins the cover state where it differs most from
+a bitmap. At 3 * 10^4 the survivors are too many for most medium primes to
+share a block, so those five cases pin the cover state's blocks of one
+prime: greedy scoring on both sides and on one, and given residues. They
+were recorded before a block of one replaced the separate one-prime step,
+and kept their bytes. Each digest pins the certificate of the window length
 the constructor settles on, so a change to the search over y moves every
 digest whose y it moves. The 15 greedy digests at x <= 1000 were last
 re-recorded when the greedy medium stage became one ascending pass, in
@@ -86,6 +91,11 @@ GOLDEN = {
     ("x", 7, "x=10000"): "36b3843268d72e0f230ae0d21b96a46a551867d7935e68d037750a14bb7089d8",
     ("x^2+1", 7, "x=10000"): "dfcfaf777411eed6b0ade409ed650f8ac7f46bc8f454e85387f46c9cee840a46",
     ("x^3+2", 7, "x=10000"): "87385d6b9f5961eb25850208d65a13eea7f3fd38a8426717b9b683dc36bf85de",
+    ("x", 7, "x=30000"): "922164b33902e5e3669d8318ecb5fc792d516783ab6ed1e968c1eb2ecff38a37",
+    ("x^2+1", 7, "x=30000"): "afac2e46469ef9000abb50e1db561c27fa9c2a2b821f204fadfae210c831b598",
+    ("x^3+2", 7, "x=30000"): "2999662231ec604d618950f613176978d3ae0c3de349149da564d15e1a09606c",
+    ("x^3+2", 7, "random-x=30000"): "4328cfd1782bb777c0e698fc0d5646a8fa53521f48a95ebfd8febfb08a5f0c75",
+    ("x^2+1", 7, "one-sided-x=30000"): "9d59a4a72fc135085559aaca0c8fbe808395356d8645bf5efc2bff7ad6ddfa21",
 }
 # (x, keyword arguments of construct_certificate) for each variant
 VARIANTS = {
@@ -94,6 +104,9 @@ VARIANTS = {
     "random-one-sided": (300, {"mode": "random", "two_sided": False}),
     "x=1000": (1000, {}),
     "x=10000": (10**4, {}),
+    "x=30000": (3 * 10**4, {}),
+    "random-x=30000": (3 * 10**4, {"mode": "random"}),
+    "one-sided-x=30000": (3 * 10**4, {"two_sided": False}),
 }
 
 

@@ -171,6 +171,19 @@ class TestFaultInjection:
         assert not report.valid
         assert any("b1" in m for m in report.messages)
 
+    def test_missing_residue_named(self):
+        # a one-sided certificate is checked at offset level, which needs a
+        # residue for every usable prime up to x: the first one without is
+        # named, and no offset is checked
+        f = IntPolynomial.from_monomial([1, 0, 1])
+        cert = reload(construct_certificate(f, SieveParams(x=300), 7, two_sided=False)[0])
+        assert cert.placement is None
+        for st_rec in cert.stages:
+            st_rec.assignments = [(q, r) for q, r in st_rec.assignments if q != 13]
+        report = verify_certificate(cert)
+        assert (report.valid, report.checked, report.failures) == (False, 0, [])
+        assert report.messages == ["usable prime 13 has no residue"]
+
     def test_unknown_stage_tag(self):
         cert = reload(toy_certificate())
         cert.stages[0].stage = "huge"
