@@ -10,9 +10,11 @@ primes not excluded go in one batch per table, down one of two routes.
 A small table of degree 3 or more, its primes summing to at most SCAN_SPAN,
 takes the exhaustive scan (`_roots_scan`) when the companion's values below
 its largest prime fit int64: the primitive part of the companion is
-evaluated once at every residue, and each prime keeps the residues where
-that value vanishes mod p. Below that size the algebraic route's cost is
-mostly its count of numpy calls, which the scan does not pay.
+evaluated once at every residue, and each block of consecutive primes reads
+that one row of values and marks where p divides a value by one wrapping
+multiply and one compare (`_divisor_test`). Below that size the algebraic
+route's cost is mostly its count of numpy calls, which the scan does not
+pay.
 
 Every other batch takes the algebraic route, on monic rows: the
 companion is divided by its content, and only a leading
@@ -86,15 +88,20 @@ ROW_BLOCK = 4096
 CHARACTER_SPAN = 4
 
 # a batch of degree 3 or more whose primes sum to at most SCAN_SPAN takes the
-# residue scan, when the values it scans fit int64. The algebraic route's
-# cost below x = 3000 is mostly its count of numpy calls; timed against it
-# on the same rows (2-vCPU x86 host, numpy 2.4, interleaved), the scan took
-# 0.07-0.08 of its time at x = 300 for x^3 + 2, x^3 - 3x + 1 and
-# x^4 + x + 1, 0.78-1.08 at 1900 and 1.11-1.67 at 2500 (the README has the
-# table). 2^18 is about x = 1950
-SCAN_SPAN = 2**18
-# values per block of the scan: its temporaries stay this long
-SCAN_BLOCK = 2**15
+# residue scan, when the values it scans fit int64. Timed against the
+# algebraic route on the same rows (2-vCPU x86 host, numpy 2.4, interleaved,
+# medians of 41; `python tests/test_modroots.py crossover`), the scan took
+# 0.16-0.29 of its time at x = 1500 for x^3 + 2, x^3 - 3x + 1 and
+# x^4 + x + 1, 0.47-0.56 at 3000, 0.58-0.76 at 4000 and 0.88-1.15 at 6000
+# (the README has the table); x^3 + 2 breaks even near x = 5500. 2^20 is
+# about x = 4050
+SCAN_SPAN = 2**20
+# cells per block of the scan, primes times the largest of them: its
+# temporaries stay this long. Timed the same way for those three tables,
+# 2^16 took 0.97-1.02 of the time of 2^15 at x = 1000 and 0.92-0.96 at 3000
+# and 4000; 2^17 took 1.10-1.18 at 1000, 2^14 took 1.05-1.20 everywhere,
+# and 2^18 tied at 300 and took 1.04-1.25 from 1000 on
+SCAN_BLOCK = 2**16
 
 # kernel work of a splitting round with few pending factors, in rows times
 # d^2 (the products per coefficient step of a degree-d row): such a round
@@ -239,38 +246,65 @@ def _scans(comp: tuple[int, ...], ps: np.ndarray) -> bool:
     """Whether a batch takes the residue scan: a degree of 3 or more, row
     primes summing to at most SCAN_SPAN, and sum |c_i| P^i below 2^63 for
     the primitive part c of the companion and the largest row prime P, which
-    bounds every Horner step of the scan's int64 values."""
+    bounds every Horner step of the scan's int64 values, and so keeps every
+    |value| below 2^63, within the scan's 64-bit words."""
     if len(comp) < 4 or not len(ps) or int(ps.sum()) > SCAN_SPAN:
         return False
     content, top = math.gcd(*comp), int(ps.max())
     return sum(abs(c // content) * top**i for i, c in enumerate(comp)) < 2**63
 
 
+def _divisor_test(q: np.ndarray, width: type) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of each odd q mod 2^k and the threshold floor((2^k - 1)/q),
+    as k-bit words of the unsigned integer type `width`: a v in [0, 2^k) is a
+    multiple of q exactly when v * inverse mod 2^k <= threshold, since
+    multiplying by the inverse permutes the k-bit words and sends j * q to j
+    (Granlund and Montgomery, "Division by invariant integers using
+    multiplication", 1994, section 9). Newton's step x -> x (2 - q x) doubles
+    the low bits that are right, from x = q, right to three bits since
+    q^2 = 1 mod 8."""
+    q = q.astype(width)
+    inverse, bits = q.copy(), 3
+    while bits < np.iinfo(width).bits:
+        inverse *= 2 - q * inverse
+        bits *= 2
+    return inverse, width(np.iinfo(width).max) // q
+
+
 def _roots_scan(comp: tuple[int, ...], ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """What `_roots_algebraic` returns, by an exhaustive scan of the
-    residues: the primitive part of the companion is evaluated once, exactly
-    in int64, at every t below the largest row prime; then each prime p
-    gathers its p values and keeps the t that vanish mod p, so its roots
-    come out ascending. The rows go at most SCAN_BLOCK values at a time (a
-    longer prime alone). `_scans` tells when the values fit int64."""
+    residues: |v(t)|, for the primitive part v of the companion, is taken
+    once, exactly in int64, at every t below the largest row prime, and held
+    in k-bit words, k = 32 when every value is below 2^32 and 64 otherwise.
+    The primes go in blocks of consecutive primes, each at most SCAN_BLOCK
+    cells of primes times its largest prime w (a longer prime alone). A
+    block reads the one row |v(t)|, t < w, marks p | v(t) by one multiply
+    and compare (`_divisor_test`; every row prime is odd, since 2 <= deg f
+    is never a row), and takes its hits off one flatnonzero, in prime order
+    and ascending within a prime; a hit at t >= p pads the row and is
+    dropped. `_scans` tells when the values fit int64."""
     content = math.gcd(*comp)
     t = np.arange(int(ps.max(initial=0)), dtype=np.int64)
     values = np.zeros_like(t)
     for c in reversed(comp):
         values = values * t + c // content
-    ends = np.cumsum(ps)
-    cuts = [0]
-    while cuts[-1] < len(ps):
-        i = cuts[-1]
-        cuts.append(max(i + 1, int(np.searchsorted(ends, ends[i] - ps[i] + SCAN_BLOCK, side="right"))))
+    row = np.abs(values).astype(np.uint64)
+    if row.max(initial=0) < 2**32:
+        row = row.astype(np.uint32)
+    inverse, threshold = _divisor_test(ps, row.dtype.type)
     counts, flat = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for i, j in itertools.pairwise(cuts):
-        q = ps[i:j]
-        starts = np.cumsum(q) - q
-        at = np.arange(starts[-1] + q[-1]) - np.repeat(starts, q)
-        zero = values[at] % np.repeat(q, q) == 0
-        counts.append(np.add.reduceat(zero, starts, dtype=np.int64))
-        flat.append(at[zero])
+    i, n = 0, len(ps)
+    while i < n:
+        # the most primes from i on whose count times the largest of them
+        # stays within SCAN_BLOCK, and at least one
+        j = i + max(1, int(np.searchsorted(np.arange(1, n - i + 1) * ps[i:], SCAN_BLOCK, side="right")))
+        w = int(ps[j - 1])
+        hit = np.flatnonzero(row[:w] * inverse[i:j, None] <= threshold[i:j, None])
+        k, at = np.divmod(hit, w)
+        keep = at < ps[i:j][k]
+        counts.append(np.bincount(k[keep], minlength=j - i))
+        flat.append(at[keep])
+        i = j
     return np.concatenate(counts), np.concatenate(flat)
 
 

@@ -3,11 +3,14 @@ batched Frobenius, gcd and division kernels, the root finder, the row
 square-root kernel and the windowed row power against the scalar and
 per-prime routes they replaced, and which powers a table takes; the
 character table that keeps quadratic non-residue rows from the square root;
-the residue scan of small tables against the algebraic route and the oracle;
-the prime-indexed accessors, the binary cache (its bytes pinned), density
-statistics, and residue collision counts. Run as a script it prints the
-cache digests beside the pinned ones, or with `costs` the cost of each
-kernel run of a table build; see kernel_cost_table."""
+the residue scan of small tables, and its multiply-and-compare divisibility
+test, against the algebraic route, `%` and the oracle; the prime-indexed
+accessors, the binary cache (its bytes pinned), density statistics, and
+residue collision counts. Run as a script it prints the cache digests beside
+the pinned ones; with `costs`, the cost of the scan or of each kernel run of
+a table build (see kernel_cost_table); with `crossover`, the scan's time over
+the algebraic route's on the same rows, behind SCAN_SPAN (see
+crossover_table)."""
 
 import bisect
 import hashlib
@@ -41,6 +44,7 @@ from composite_forge.gfpoly import (
 from composite_forge.modroots import (
     RootTable,
     _cache_path,
+    _divisor_test,
     _read_cache,
     _roots_algebraic,
     build_root_table,
@@ -89,9 +93,11 @@ def oracle_roots(f, p):
 # The last three were recorded before quadratic tables came to skip the
 # primes where the discriminant D is a non-residue: x^2 - 2 (D = 8, so the
 # character's period is even), x^2 + x + 41 (D = -163) and (x + 1)^2
-# (D = 0, no character). The last five were recorded before tables of
-# degree 3 or more whose primes sum to at most SCAN_SPAN came to be scanned,
-# and fall inside that span. `PYTHONPATH=src python tests/test_modroots.py`
+# (D = 0, no character). The five after those were recorded before tables
+# of degree 3 or more whose primes sum to at most SCAN_SPAN (then 2^18) came
+# to be scanned, and fall inside that span. The last three were recorded, by the
+# algebraic route, before SCAN_SPAN went from 2^18 to 2^20, and fall inside
+# the new span. `PYTHONPATH=src python tests/test_modroots.py`
 # prints every digest as the code gives it next to the pinned one
 CACHE_PINS = {
     "x^2+1-1e4": ("poly:[1,0,1]", "b722c907e6afc0c1ea57f930b430702bba31ebdd0cd1d3dd8e742ae4e648a854", 10**4),
@@ -112,6 +118,9 @@ CACHE_PINS = {
     "5x^3+3x^2-x+1-1000": ("poly:[1,-1,3,5]", "ae7afb3d353d446f9fdb84a202899c5d8b1ffc4817e448bfffbb479e0b288a37", 1000),
     "x^3-3x+1-1900": ("poly:[1,-3,0,1]", "05ca51e63a275fc96eb8d1c665c96483aba4cddbc12ac0e03f554ef32446545c", 1900),
     "x^4+1-1000": ("poly:[1,0,0,0,1]", "c50bfba7272c05c54c01caad466ff0588f9e3902ff3c978d875805d6d6029531", 1000),
+    "x^3+2-3000": ("poly:[2,0,0,1]", "bbe0f0a2ab258a96a4738b6d80789920782856ec50a447ab622fbf2ce955689c", 3000),
+    "x^4+x+1-4000": ("poly:[1,1,0,0,1]", "e81e0b3c2bbd91b3e5618688c75de9f604aaed66b5cb4f2fcf4abe06df88a40e", 4000),
+    "x^3-3x+1-4000": ("poly:[1,-3,0,1]", "cb1d254a0ad3139603d5539354fdf568ca0b9f1586e1ba6787847fd495e88725", 4000),
 }
 
 
@@ -1048,7 +1057,32 @@ SCAN_CASES = [
 ]
 
 # the primes up to this limit sum to about twice SCAN_SPAN
-TWICE_THE_SPAN = 2780
+TWICE_THE_SPAN = 5860
+
+
+class TestDivisorTest:
+    @pytest.mark.parametrize("width", [np.uint32, np.uint64])
+    @given(
+        p=st.integers(2, 2**30 - 1).map(lambda h: 2 * h + 1),
+        k=st.integers(1, 2**64),
+        v=st.integers(0, 2**64 - 1),
+    )
+    @example(p=5, k=1, v=0)
+    @example(p=2**31 - 1, k=2**64, v=2**64 - 1)
+    @settings(max_examples=200, deadline=None)
+    def test_multiply_and_compare_is_divisibility(self, width, p, k, v):
+        # odd p from 5 to 2^31 - 1 against 0, p, k p and k p +- 1, the
+        # largest multiple of p below 2^bits, 2^bits - 1 and any v, the drawn
+        # k and v brought into range
+        top = np.iinfo(width).max
+        k = 1 + k % (top // p)
+        vs = [0, p, k * p, k * p - 1, k * p + 1, top // p * p, top, v & top]
+        vs = [u for u in vs if u <= top]
+        inverse, threshold = _divisor_test(np.array([p], dtype=np.int64), width)
+        assert inverse.dtype == threshold.dtype == width
+        assert int(inverse[0]) * p % (top + 1) == 1
+        marked = np.array(vs, dtype=width) * inverse <= threshold
+        assert marked.tolist() == [u % p == 0 for u in vs], (p, vs)
 
 
 @st.composite
@@ -1090,10 +1124,12 @@ class TestScanRoute:
         assert a.counts.tolist() == b.counts.tolist()
         assert a.flat.tolist() == b.flat.tolist()
 
-    @pytest.mark.parametrize("block", [modroots_mod.SCAN_BLOCK, 7])
+    @pytest.mark.parametrize("block", [modroots_mod.SCAN_BLOCK, 2**15, 60, 7])
     @pytest.mark.parametrize("literal", SCAN_CASES)
     def test_scan_equals_algebraic_and_oracle(self, literal, block, monkeypatch):
-        # at a block of 7 values every prime above 7 is a block of its own
+        # 2^15 cells, half the default, is the block the scan had before it
+        # read one row per block; at 60 cells the first block holds 5, 7, 11
+        # and 13, in rows of 13 values; at 7 every prime is a block of its own
         monkeypatch.setattr(modroots_mod, "SCAN_BLOCK", block)
         f = parse_poly_literal(literal)
         (alg, scan), taken = self.forced_tables(monkeypatch, f, 1000)
@@ -1117,6 +1153,39 @@ class TestScanRoute:
         self.assert_same_table(alg, natural)
         for p in map(int, natural.primes):
             assert natural.roots[p] == oracle_roots(f, p), p
+
+    @pytest.mark.parametrize(
+        "literal, limit, width",
+        [
+            # 1620^3 + 2 is below 2^32 and 1626^3 + 2 above; 1621 and 1627
+            # are consecutive primes
+            ("poly:[2,0,0,1]", 1621, np.uint32),
+            ("poly:[2,0,0,1]", 1627, np.uint64),
+            # 250^4 + 251 is below 2^32 and 256^4 is 2^32
+            ("poly:[1,1,0,0,1]", 251, np.uint32),
+            ("poly:[1,1,0,0,1]", 257, np.uint64),
+            # x^3 - 3x + 1 is -1 at 1 and crosses 2^32 between 1625 and 1626;
+            # x^3 - 90x^2 - 7 is negative at every t below 91
+            ("poly:[1,-3,0,1]", 1621, np.uint32),
+            ("poly:[1,-3,0,1]", 1627, np.uint64),
+            ("poly:[-7,0,-90,1]", 1000, np.uint32),
+        ],
+    )
+    def test_word_width_by_the_largest_value(self, literal, limit, width, monkeypatch):
+        widths = []
+
+        def spy(q, w):
+            widths.append(w)
+            return _divisor_test(q, w)
+
+        monkeypatch.setattr(modroots_mod, "_divisor_test", spy)
+        f = parse_poly_literal(literal)
+        (alg, scan), taken = self.forced_tables(monkeypatch, f, limit)
+        assert taken == ["_roots_algebraic", "_roots_scan"]
+        assert widths == [width]
+        self.assert_same_table(alg, scan)
+        for p in map(int, scan.primes):
+            assert scan.roots[p] == oracle_roots(f, p), p
 
     def test_values_at_the_int64_edge(self, monkeypatch):
         # c x^3 + 1 with c * 997^3 + 1 just below 2^63 (997, the largest
@@ -1151,7 +1220,7 @@ class TestScanRoute:
         taken = self.spy_routes(monkeypatch)
         build_root_table(IntPolynomial.from_monomial([1, 0, 1]), 1000)
         assert taken == ["_roots_algebraic"]
-        rows = sieve_primes(3000)[2:]  # the rows of x^3 + 2, all but 2 and 3
+        rows = sieve_primes(6000)[2:]  # the rows of x^3 + 2, all but 2 and 3
         last = int(np.searchsorted(np.cumsum(rows), modroots_mod.SCAN_SPAN, side="right")) - 1
         for limit, route in ((1000, "_roots_scan"), (int(rows[last]), "_roots_scan"), (int(rows[last + 1]), "_roots_algebraic")):
             build_root_table(cubic, limit)
@@ -1353,30 +1422,40 @@ class TestResidueCollisions:
         assert residue_collision_count(table_x2p1_100, m, 2, 20) == 3
 
 
-# The polynomials and limits of kernel_cost_table: two cubics and a quartic
-# at the sizes where the algebraic route builds the table
+def batch_rows(f, limit):
+    """f's companion and the primes up to limit that a table build sends
+    down a route: all but those dividing B! times the leading coefficient."""
+    primes = sieve_primes(limit)
+    return f.companion(), primes[mod_rows(math.factorial(f.degree) * f.leading, primes) != 0]
+
+
+# The polynomials and limits of kernel_cost_table: two cubics and a quartic,
+# at x = 3000, which the scan builds, and at the sizes where the algebraic
+# route builds the table
 COST_POLYS = {"x^3+2": [2, 0, 0, 1], "x^3-3x+1": [1, -3, 0, 1], "x^4+x+1": [1, 1, 0, 0, 1]}
 COST_LIMITS = (3000, 10**4, 3 * 10**4, 10**5)
+COST_KERNELS = ("_roots_scan", "gf_powmod_half_rows", "gf_gcd_rows", "gf_div_rows", "_quad_roots")
 
 
 def kernel_costs(f, limit, repeats=5):
-    """[(kernel run, rows, seconds)] in call order over a warm
-    build_root_table(f, limit), and the seconds of the whole build, each the
-    median over `repeats` builds after a first one. The runs are the
-    Frobenius ladder, the first gcd, each splitting round's ladder, gcd and
-    division (round r), and the quadratic factors."""
+    """[(run, rows, sum of the row primes, seconds)] in call order over a
+    warm build_root_table(f, limit), and the seconds of the whole build, each
+    the median over `repeats` builds after a first one. The runs are the scan,
+    or else the Frobenius ladder, the first gcd, each splitting round's
+    ladder, gcd and division (round r), and the quadratic factors."""
     runs = []
 
     def timed(fn):
         def wrapper(*args):
             t = time.perf_counter()
             out = fn(*args)
-            runs.append((fn.__name__, len(args[-1]), time.perf_counter() - t))
+            seconds = time.perf_counter() - t
+            runs.append((fn.__name__, len(args[-1]), int(args[-1].sum()), seconds))
             return out
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("gf_powmod_half_rows", "gf_gcd_rows", "gf_div_rows", "_quad_roots"):
+        for name in COST_KERNELS:
             mp.setattr(modroots_mod, name, timed(getattr(modroots_mod, name)))
         build_root_table(f, limit)
         builds, totals = [], []
@@ -1390,34 +1469,67 @@ def kernel_costs(f, limit, repeats=5):
     # the number of the gcd they go with
     labelled, gcds = [], 0
     for same in zip(*builds):
-        name, rows, _ = same[0]
+        name, rows, span, _ = same[0]
         seconds = float(np.median([s for *_, s in same]))
         if name == "gf_gcd_rows":
             gcds += 1
         label = {
+            "_roots_scan": "scan",
             "gf_powmod_half_rows": f"round {gcds} ladder" if gcds else "Frobenius ladder",
             "gf_gcd_rows": f"round {gcds - 1} gcd" if gcds > 1 else "first gcd",
             "gf_div_rows": f"round {gcds - 1} division",
             "_quad_roots": "quadratic factors",
         }[name]
-        labelled.append((label, rows, seconds))
+        labelled.append((label, rows, span, seconds))
     return labelled, float(np.median(totals))
 
 
 def kernel_cost_table(polys=COST_POLYS, limits=COST_LIMITS):
-    """Print, for each f and limit, the rows and milliseconds of every
-    kernel run of one warm table build, then the build's total and the
-    part outside the kernels."""
-    print(f"{'f':9} {'x':>6}  {'kernel run':18} {'rows':>6} {'ms':>8}")
+    """Print, for each f and limit, the rows, the sum of their primes and
+    the milliseconds of every kernel run of one warm table build, then the
+    build's total and the part outside the kernels."""
+    print(f"{'f':9} {'x':>6}  {'kernel run':18} {'rows':>6} {'sum p':>10} {'ms':>8}")
     for name, coeffs in polys.items():
         f = IntPolynomial.from_monomial(coeffs)
         for limit in limits:
             runs, total = kernel_costs(f, limit)
-            for label, rows, seconds in runs:
-                print(f"{name:9} {limit:>6}  {label:18} {rows:>6} {seconds * 1e3:8.2f}")
+            for label, rows, span, seconds in runs:
+                print(f"{name:9} {limit:>6}  {label:18} {rows:>6} {span:>10} {seconds * 1e3:8.2f}")
             rest = total - sum(s for *_, s in runs)
-            print(f"{name:9} {limit:>6}  {'other':18} {'':>6} {rest * 1e3:8.2f}")
-            print(f"{name:9} {limit:>6}  {'table':18} {'':>6} {total * 1e3:8.2f}")
+            print(f"{name:9} {limit:>6}  {'other':18} {'':>6} {'':>10} {rest * 1e3:8.2f}")
+            print(f"{name:9} {limit:>6}  {'table':18} {'':>6} {'':>10} {total * 1e3:8.2f}")
+
+
+# The polynomials and limits of crossover_table: the cubics and the quartic
+# of kernel_cost_table around SCAN_SPAN, and two quadratics, which keep the
+# algebraic route at every size
+CROSSOVER_CASES = {
+    "x^3+2": ([2, 0, 0, 1], (1500, 2000, 2500, 3000, 3500, 4000, 4500, 5000, 6000)),
+    "x^3-3x+1": ([1, -3, 0, 1], (1500, 2000, 2500, 3000, 3500, 4000, 4500, 5000, 6000)),
+    "x^4+x+1": ([1, 1, 0, 0, 1], (1500, 2000, 2500, 3000, 3500, 4000, 4500, 5000, 6000)),
+    "x^2+1": ([1, 0, 1], (300, 500, 1000, 1500, 2000)),
+    "x^2+x+41": ([41, 1, 1], (300, 500, 1000, 1500, 2000)),
+}
+
+
+def crossover_table(cases=CROSSOVER_CASES, repeats=41):
+    """Print, for each f and limit, the rows' prime sum, the median
+    milliseconds of the scan and of the algebraic route on the same rows,
+    the two run interleaved `repeats` times, and their ratio, scan over
+    algebraic: the measurements behind SCAN_SPAN."""
+    print(f"{'f':9} {'x':>6} {'sum p':>9} {'scan ms':>8} {'alg ms':>8} {'ratio':>6}")
+    routes = (modroots_mod._roots_scan, _roots_algebraic)
+    for name, (coeffs, limits) in cases.items():
+        for limit in limits:
+            comp, ps = batch_rows(IntPolynomial.from_monomial(coeffs), limit)
+            times = [[], []]
+            for _ in range(repeats):
+                for route, ts in zip(routes, times):
+                    t = time.perf_counter()
+                    route(comp, ps)
+                    ts.append(time.perf_counter() - t)
+            scan, alg = (float(np.median(ts)) for ts in times)
+            print(f"{name:9} {limit:>6} {int(ps.sum()):>9} {scan * 1e3:8.3f} {alg * 1e3:8.3f} {scan / alg:6.2f}", flush=True)
 
 
 if __name__ == "__main__":
@@ -1426,6 +1538,9 @@ if __name__ == "__main__":
 
     if sys.argv[1:] == ["costs"]:
         kernel_cost_table()
+        sys.exit()
+    if sys.argv[1:] == ["crossover"]:
+        crossover_table()
         sys.exit()
     moved = []
     for name, (literal, pinned, limit) in CACHE_PINS.items():
