@@ -85,30 +85,39 @@ def refine_residues(*args, **kwargs):
     raise NotImplementedError("residue refinement was removed")
 
 
+def cleanup_pools(table: RootTable, x: int) -> tuple[list[tuple[int, int]], ...]:
+    """The cleanup primes, one per survivor left: the usable primes in
+    (x/2, 3x/4] for the forward window and in (3x/4, x] for the backward
+    one, ascending, each as (q, alpha_1) with alpha_1 its least root. A
+    construction takes them once, for every attempt."""
+    rows = table.rows(x / 2, 3 * x / 4), table.rows(3 * x / 4, x)
+    return tuple(list(zip(q.tolist(), roots[np.cumsum(k) - k].tolist())) for q, k, roots in rows)
+
+
 def pairing_stage(
     residual_fwd: Iterable[int],
     residual_bwd: Iterable[int],
-    table: RootTable,
-    pool_f: Sequence[int],
-    pool_b: Sequence[int],
+    pool_f: Sequence[tuple[int, int]],
+    pool_b: Sequence[tuple[int, int]],
     n_mod: Mapping[int, int] | None,
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Assign each leftover survivor its own large prime.
 
     Sorted forward survivors a (offsets in [1, y]) pair in order with
-    pool_f, the usable primes in (x/2, 3x/4], via r_q = a - alpha_1; sorted
-    backward survivors (offsets in [-y, -1]) pair with pool_b, those in
-    (3x/4, x], via that class in the backward frame (backward_residues; a
-    one-sided run has no backward survivors and may give n_mod None). A
-    survivor beyond its pool stays unpaired: construction pairs only
-    attempts whose survivors fit (residual_excess <= 0). Each congruence
-    kills its survivor, and other offsets too when y exceeds the prime (e.g.
-    y = 4577 at x = 3000 for f = x), which does no harm. Full cover is not
-    argued here: the construction asserts it with a final sieve.
+    pool_f, the usable primes q in (x/2, 3x/4] with their least roots
+    alpha_1 (cleanup_pools), via r_q = a - alpha_1; sorted backward
+    survivors (offsets in [-y, -1]) pair with pool_b, those in (3x/4, x],
+    via that class in the backward frame (backward_residues; a one-sided
+    run has no backward survivors and may give n_mod None). A survivor
+    beyond its pool stays unpaired: construction pairs only attempts whose
+    survivors fit (residual_excess <= 0). Each congruence kills its
+    survivor, and other offsets too when y exceeds the prime (e.g. y = 4577
+    at x = 3000 for f = x), which does no harm. Full cover is not argued
+    here: the construction asserts it with a final sieve.
     """
 
-    def pair(survivors: Iterable[int], pool: Sequence[int]) -> dict[int, int]:
-        return {q: (a - table.roots[q][0]) % q for a, q in zip(sorted(map(int, survivors)), pool)}
+    def pair(survivors: Iterable[int], pool: Sequence[tuple[int, int]]) -> dict[int, int]:
+        return {q: (a - alpha) % q for a, (q, alpha) in zip(sorted(map(int, survivors)), pool)}
 
     return pair(residual_fwd, pool_f), backward_residues(pair(residual_bwd, pool_b), n_mod)
 
@@ -499,9 +508,11 @@ class ResidueCertificate:
         decimal_digit_bound)."""
         try:
             params = SieveParams.from_json(obj["params"])
+            # only null (or no key) means no placement: any other value,
+            # a falsy one too, is read as one and refused if malformed
             raw = obj.get("placement")
             placement = None
-            if raw:
+            if raw is not None:
                 placement = Placement.from_json(raw, decimal_digit_bound(params.x), params.y)
             return cls(
                 poly=IntPolynomial.from_json(obj["poly"]),
@@ -622,7 +633,7 @@ def construct_certificate(
         )
     x = params.x
     table = build_root_table(f, x, cache_dir=cache_dir)
-    usable = table.usable_primes()
+    usable = table.rows(0, x)[0].tolist()
     if not usable:
         raise ConstructionError("no usable primes below x", {"x": x})
     target = n_mod = None
@@ -650,7 +661,7 @@ def construct_certificate(
         # of any attempt takes; N itself is read again only at placement
         n_mod = target_residues(target, table)
     # the cleanup primes, one per survivor left: their counts are the capacities
-    pools = table.usable_between(x / 2, 3 * x / 4), table.usable_between(3 * x / 4, x)
+    pools = cleanup_pools(table, x)
     cap_f, cap_b = map(len, pools)
     attempts: list[dict] = []  # one outcome record per window length tried
     # y -> (params, small, medium, (cleanup fwd, cleanup bwd), rejections,
@@ -670,12 +681,14 @@ def construct_certificate(
         # the attempt's one cover state: the small-stage survivors, less
         # every class the medium stage assigns (one-sided: no backward window)
         state = CoverState(table, fwd0, bwd0, n_mod)
-        med = table.usable_between(p.z, x / 2)
         if mode == "greedy":
-            medium = select_shifts_greedy(state, med)
+            medium = select_shifts_greedy(state, table.rows(p.z, x / 2))
         else:
+            # every drawn prime lies in (z, x/2]; the draw order does not
+            # change what the given residues kill, so they go in ascending
             medium = select_shifts_random(p, table, stage_rng(seed, STREAM_MEDIUM, y), n_mod)
-            state.assign(list(medium), medium)
+            drawn = sorted(medium)
+            state.assign((np.array(drawn, dtype=np.int64), *table.lookup(drawn)), medium)
         res_f, res_b = state.fwd, state.bwd
         counts = [(fwd0.count(), len(res_f))]
         if two_sided:
@@ -685,7 +698,7 @@ def construct_certificate(
         good = excess <= 0
         rec["outcome"] = "ok" if good else "residual_over_capacity"
         if good:
-            pairs = pairing_stage(res_f, res_b, table, *pools, n_mod)
+            pairs = pairing_stage(res_f, res_b, *pools, n_mod)
             feasible[y] = (p, small, medium, pairs, rejections, counts)
         return good, excess
 

@@ -31,11 +31,11 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .modroots import RootTable
+from .modroots import RootTable, Rows
 from .sievecore import SurvivorSet, sieve_survivors
 
 
@@ -157,12 +157,12 @@ def sample_small_residue(
     y, z = params.y, params.z
     if two_sided and n_mod is None:
         raise ValueError("two-sided sampling requires the target residues")
-    small = table.usable_between(0, z)
+    small = table.rows(0, z)[0]
     bound = 2.0 * table.density_product(z) * y
     rejections = 0
     for _ in range(params.retry_budget):
         # one draw per prime, uniform below it, in one call
-        residues = dict(zip(small, rng.integers(np.array(small, dtype=np.int64)).tolist()))
+        residues = dict(zip(small.tolist(), rng.integers(small).tolist()))
         fwd = sieve_survivors(table, residues, (1, y), (0, z))
         if fwd.count() > bound:
             rejections += 1
@@ -245,12 +245,15 @@ class CoverState:
 
     Residue r of q kills forward survivor o when r = o - alpha and backward
     survivor o when r = alpha - N - o (mod q), for a root alpha: these are
-    the survivor's class keys, one per root. assign walks its primes in
-    blocks of consecutive primes (see BLOCK_KEYS); a prime that fits no
-    larger block is a block of one. A block computes the keys of all its
-    primes at once, one row per root, by one broadcast subtract per window
-    and a reduction mod q: by the column of primes on short rows, prime by
-    prime with the scalar q from FLOOR_DIV_KEYS keys on. The block's first
+    the survivor's class keys, one per root. assign takes its primes as
+    rows of the root table (RootTable.rows: the primes, their root counts
+    and their roots, so the root column of every block is a slice of the
+    table's roots) and walks them in blocks of consecutive primes (see
+    BLOCK_KEYS); a prime that fits no larger block is a block of one. A
+    block computes the keys of all its primes at once, one row per root, by
+    one broadcast subtract per window and a reduction mod q: by the column
+    of primes on short rows, prime by prime with the scalar q from
+    FLOOR_DIV_KEYS keys on. The block's first
     prime scores by one unweighted bincount of its rows, since every
     survivor is still live, and argmax; a compare of its rows with the
     chosen residue (and a reduction over them when there are several) marks
@@ -264,7 +267,6 @@ class CoverState:
 
     def __init__(self, table: RootTable, fwd: SurvivorSet, bwd: SurvivorSet | None,
                  n_mod: Mapping[int, int] | None):
-        self.table = table
         self.n_mod = n_mod
         windows = [fwd] if bwd is None else [fwd, bwd]
         reach = max(max(abs(w.lo), abs(w.hi)) for w in windows) + table.limit
@@ -273,16 +275,17 @@ class CoverState:
         self.fwd = fwd.survivors().astype(dtype)
         self.bwd = np.zeros(0, dtype) if bwd is None else bwd.survivors().astype(dtype)
 
-    def assign(self, primes: list[int], given: Mapping[int, int] | None = None) -> dict[int, int]:
-        """Assign each of primes, in order, the residue given[q], or, with no
-        given map, the residue killing the most survivors left on both sides
-        jointly (ties to the smallest), and drop the survivors it kills.
-        Returns q -> residue. Once no survivor is left every scored residue
-        is 0, what a bincount of no keys gives."""
-        roots = self.table.roots
-        nus = [len(roots[q]) for q in primes]
+    def assign(self, rows: Rows, given: Mapping[int, int] | None = None) -> dict[int, int]:
+        """Assign each prime of rows (primes, root counts and roots, as
+        RootTable.rows gives them), in order, the residue given[q], or, with
+        no given map, the residue killing the most survivors left on both
+        sides jointly (ties to the smallest), and drop the survivors it
+        kills. Returns q -> residue. Once no survivor is left every scored
+        residue is 0, what a bincount of no keys gives."""
+        q, k, roots = rows
+        primes, nus = q.tolist(), k.tolist()
         ends = list(itertools.accumulate(nus))  # one past each prime's last row
-        cols = self._columns(primes, nus, given)
+        cols = self._columns(primes, nus, roots, given)
         score = given is None
         residues: list[int] = []
         i, n = 0, len(primes)
@@ -294,19 +297,18 @@ class CoverState:
             return {q: given[q] for q in primes}
         return dict(zip(primes, residues + [0] * (n - i)))
 
-    def _columns(self, primes: list[int], nus: list[int], given: Mapping[int, int] | None) -> np.ndarray:
+    def _columns(self, primes: list[int], nus: list[int], roots: np.ndarray,
+                 given: Mapping[int, int] | None) -> np.ndarray:
         """One row per (prime, root) of primes, in order, and four columns:
         the root alpha, the prime, the backward key's constant alpha - N
         (N mod q read only when backward survivors remain) and the given
         residue (0 when scored); shape (4, rows, 1)."""
-        roots, dtype = self.table.roots, self.fwd.dtype
         zeros = [0] * len(primes)
         n_mod = [self.n_mod[q] for q in primes] if self.bwd.size else zeros
-        cols = np.empty((4, sum(nus), 1), dtype)
-        cols[0, :, 0] = np.fromiter(itertools.chain.from_iterable(map(roots.__getitem__, primes)),
-                                    dtype, cols.shape[1])
+        cols = np.empty((4, len(roots), 1), self.fwd.dtype)
+        cols[0, :, 0] = roots
         per_prime = [primes, n_mod, zeros if given is None else [given[q] for q in primes]]
-        cols[1:, :, 0] = np.repeat(np.array(per_prime, dtype), nus, axis=1)
+        cols[1:, :, 0] = np.repeat(np.array(per_prime, cols.dtype), nus, axis=1)
         cols[2] = cols[0] - cols[2]
         return cols
 
@@ -378,16 +380,16 @@ class CoverState:
         return residues
 
 
-def select_shifts_greedy(state: CoverState, primes: Iterable[int]) -> dict[int, int]:
+def select_shifts_greedy(state: CoverState, rows: Rows) -> dict[int, int]:
     """Deterministic shift selection on the attempt's cover state, in
     Rankin's order (Rankin 1938; Ford, Green, Konyagin, Maynard and Tao 2018
-    for f(n) = n): primes in ascending order, each takes the residue class
-    covering the most survivors left (ties to the smallest residue) and is
-    assigned in the state. A two-sided state scores one certificate residue
-    against both windows jointly, since it kills on both sides; a one-sided
-    state has an empty backward window, so only forward survivors count.
-    Returns q -> residue."""
-    return state.assign(sorted(set(primes)))
+    for f(n) = n): the primes of rows (RootTable.rows, ascending), each
+    takes the residue class covering the most survivors left (ties to the
+    smallest residue) and is assigned in the state. A two-sided state scores
+    one certificate residue against both windows jointly, since it kills on
+    both sides; a one-sided state has an empty backward window, so only
+    forward survivors count. Returns q -> residue."""
+    return state.assign(rows)
 
 
 def select_shifts_random(
@@ -424,8 +426,9 @@ def select_shifts_random(
             h = xi**j
             if j % 2 != side or not 2 * y / x - 1e-12 <= h <= y / (xi * z) + 1e-12:
                 continue
-            primes = table.usable_between(y / (xi * h), y / h)
-            primes.sort(key=lambda q: len(table.roots[q]))
+            # by root count, a stable sort, so by size among equal counts
+            primes, counts, _ = table.rows(y / (xi * h), y / h)
+            primes = primes[np.argsort(counts, kind="stable")].tolist()
             for q, n in zip(primes, rng.integers(lo, hi + 1, size=len(primes)).tolist()):
                 out[q] = (-n_mod[q] - n) % q if side else n % q
     return out

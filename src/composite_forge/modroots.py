@@ -4,8 +4,10 @@ For each prime p the table holds I_p, the sorted residues where B! * f
 vanishes mod p, with I_p = () whenever p <= B or p divides the leading
 coefficient (those primes are never used by the sieve). It holds them as
 the two arrays of its cache file, the root counts and the roots in prime
-order, and builds the map from a prime to I_p on first lookup only. The
-primes not excluded go in one batch per table, down one of two routes.
+order, and no other module reads them: every stage takes its rows, primes
+with their counts and roots, by prime range (`RootTable.rows`, three
+slices), or by a list of moduli (`RootTable.lookup`). The primes not
+excluded go in one batch per table, down one of two routes.
 
 A small table of degree 3 or more, its primes summing to at most SCAN_SPAN,
 takes the exhaustive scan (`_roots_scan`) when the companion's values below
@@ -49,6 +51,7 @@ square root or an inverse.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import itertools
@@ -56,7 +59,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from types import MappingProxyType
+from typing import Sequence
 
 import numpy as np
 
@@ -112,6 +115,10 @@ SPLIT_WORK = 1152
 # residue once, and consecutive j land far apart: small consecutive shifts
 # tend to fail together (a = 1, 2, 3 all leave x^3 + 2 whole mod 127)
 SHIFT_STEP = 3474701543
+
+# rows of a root table (RootTable.rows): usable primes, ascending, their
+# root counts, and their roots in prime order, ascending within each prime
+Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _quad_roots(c0: np.ndarray, c1: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,7 +335,9 @@ def roots_mod_p(f: IntPolynomial, p: int) -> tuple[int, ...]:
 class RootTable:
     """Root sets I_p for every prime p <= limit: `counts[i]` roots mod
     primes[i], and `flat`, every root in prime order, ascending within its
-    prime. `roots`, the map from p to I_p, is built on first lookup."""
+    prime. Only this module reads the two arrays: the other stages take
+    rows, usable primes with their root counts and roots, from `rows` by
+    prime range or from `lookup` by a list of moduli."""
 
     poly: IntPolynomial
     limit: int
@@ -336,34 +345,55 @@ class RootTable:
     counts: np.ndarray
     flat: np.ndarray
 
-    @functools.cached_property
-    def roots(self) -> MappingProxyType[int, tuple[int, ...]]:
-        """I_p for every prime p <= limit, () where there is none."""
-        # each prime takes the next k roots off one iterator over them all
-        it = iter(self.flat.tolist())
-        tuples = map(tuple, map(itertools.islice, itertools.repeat(it), self.counts.tolist()))
-        return MappingProxyType(dict(zip(self.primes.tolist(), tuples)))
-
     def _span(self, lo: int | float, hi: int | float) -> slice:
         """The index range of the primes q with lo < q <= hi."""
         i, j = np.searchsorted(self.primes, (math.floor(lo), math.floor(hi)), side="right")
         return slice(i, j)
 
-    def usable_primes(self) -> list[int]:
-        """Primes with a nonempty root set, ascending."""
-        return self.primes[self.counts > 0].tolist()
+    @functools.cached_property
+    def _usable(self) -> Rows:
+        """The usable primes (a nonempty root set), ascending, their root
+        counts, and where the roots of each begin in flat, with one more
+        entry, len(flat); built on first use."""
+        keep = self.counts > 0
+        counts = self.counts[keep]
+        return self.primes[keep], counts, np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+    def rows(self, lo: int | float, hi: int | float) -> Rows:
+        """The usable primes q with lo < q <= hi, ascending, their root
+        counts, and their roots in prime order, ascending within each prime:
+        three slices of the table's arrays, empty when hi <= lo."""
+        q, k, starts = self._usable
+        i, j = np.searchsorted(q, (math.floor(lo), math.floor(hi)), side="right")
+        return q[i:j], k[i:j], self.flat[starts[i] : starts[max(i, j)]]
+
+    def lookup(self, moduli: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The root count of each of moduli, ascending ints of any size (or
+        an int64 array), and their roots, in that order and ascending within
+        each; a modulus that is no usable prime of the table (a composite, a
+        prime without roots, or one beyond the limit) has count 0. One
+        searchsorted places the moduli in [2, limit], and one gather takes
+        their roots."""
+        a, b = bisect.bisect_left(moduli, 2), bisect.bisect_right(moduli, self.limit)
+        inner = np.asarray(moduli[a:b], dtype=np.int64)
+        # every prime of the table is at most the limit, so a modulus placed
+        # past the last one is no prime of it
+        at = np.minimum(np.searchsorted(self.primes, inner), len(self.primes) - 1)
+        count = np.zeros(len(moduli), dtype=np.int64)
+        count[a:b] = np.where(self.primes[at] == inner, self.counts[at], 0)
+        n = count[a:b]
+        # the roots of the k-th modulus start at flat[start_k], and at
+        # first_k in the list returned
+        start = np.cumsum(self.counts, dtype=np.int64)[at] - n
+        first = np.cumsum(n) - n
+        return count, self.flat[np.repeat(start - first, n) + np.arange(int(n.sum()))]
 
     @functools.cached_property
     def usable_tree(self) -> ProductTree:
-        """The product tree over usable_primes(), built on first use: a
+        """The product tree over the usable primes, built on first use: a
         construction's modulus, its N mod every usable prime and its CRT
         all go through it."""
-        return ProductTree(self.usable_primes())
-
-    def usable_between(self, lo: int | float, hi: int | float) -> list[int]:
-        """Primes q with lo < q <= hi and a nonempty root set, ascending."""
-        span = self._span(lo, hi)
-        return self.primes[span][self.counts[span] > 0].tolist()
+        return ProductTree(self._usable[0].tolist())
 
     def density_product(self, hi: int | float) -> float:
         """prod over primes q <= hi of (1 - nu_q / q), multiplied in prime
@@ -505,16 +535,15 @@ def residue_collision_count(table: RootTable, m: int, qmin: int, qmax: int) -> i
     """Number of primes qmin < q <= qmax whose root set contains two roots
     differing by m mod q. Drives the heuristic independence check: the count
     should stay logarithmic in m."""
-    span = table._span(qmin, qmax)
-    q, k = table.primes[span], table.counts[span]
-    start = np.cumsum(table.counts[: span.stop], dtype=np.int64)[span.start :] - k
+    q, k, roots = table.rows(qmin, qmax)
+    start = np.cumsum(k, dtype=np.int64) - k
     shift = mod_rows(m, q)
     hit = np.zeros(len(q), dtype=bool)
     # root slots i and j of every prime with both; i = j is the
     # self-difference 0
     for i, j in itertools.product(range(int(k.max(initial=0))), repeat=2):
         at = np.flatnonzero(k > max(i, j))
-        hit[at] |= table.flat[start[at] + i] == (table.flat[start[at] + j] + shift[at]) % q[at]
+        hit[at] |= roots[start[at] + i] == (roots[start[at] + j] + shift[at]) % q[at]
     return int(hit.sum())
 
 

@@ -91,17 +91,13 @@ def sieve_survivors(
         raise ValueError("empty interval")
     if max(abs(lo), abs(hi)) >= 1 << 62:
         raise OverflowError("interval endpoints exceed the supported range")
-    span = table._span(*prime_range)
-    counts = table.counts[span]
-    usable = counts > 0
+    primes, counts, roots = table.rows(*prime_range)
     # (r_q - lo) mod q for each usable prime, reduced as a Python int, since
     # a residue can be any size; a usable prime with no residue raises KeyError
-    shift = [(residues[p] - lo) % p for p in table.primes[span][usable].tolist()]
+    shift = [(residues[p] - lo) % p for p in primes.tolist()]
     # one row per (prime, root): offset k is hit when k = r_q + a - lo mod q
-    at = int(table.counts[: span.start].sum())
-    roots = table.flat[at : at + int(counts.sum())]
-    q = np.repeat(table.primes[span], counts)
-    first = (np.repeat(np.array(shift, dtype=np.int64), counts[usable]) + roots) % q
+    q = np.repeat(primes, counts)
+    first = (np.repeat(np.array(shift, dtype=np.int64), counts) + roots) % q
     return SurvivorSet(lo, hi, smallest_hit(q, first, hi - lo + 1) == 0)
 
 

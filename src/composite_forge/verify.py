@@ -8,13 +8,13 @@ Compositeness inside the windows is always certified by a divisor witness
 testing appears only in the small-scale oracle.
 
 Both windows are the ones N, b1 and y give: I1 from 1 - b1, I2 from
-N + b1 - y. The listed moduli are held ascending, and one searchsorted in
-the root table gives each its roots' place and count. b1 is reduced by
-every listed modulus and N by each prime that vouches: b1 lies in its
-class, it exceeds the degree, and the companion, evaluated by one row
-Horner over every candidate root, confirms a root. That gives each window
-start mod q. Both reductions walk down one primes.ProductTree over the
-listed moduli up to the root table's limit, whose root also gives the
+N + b1 - y. The listed moduli are held ascending, and one lookup in the
+root table (RootTable.lookup) gives each its root count and roots. b1 is
+reduced by every listed modulus and N by each prime that vouches: b1 lies
+in its class, it exceeds the degree, and the companion, evaluated by one
+row Horner over every candidate root, confirms a root. That gives each
+window start mod q. Both reductions walk down one primes.ProductTree over
+the listed moduli up to the root table's limit, whose root also gives the
 N^(1/3) check its product; a modulus beyond the limit (no prime of the
 table, so it vouches for nothing) takes one b1 % q and is never multiplied
 into anything. Certificate
@@ -228,27 +228,18 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
         # no residue class modulo q < 2 can vouch for anything
         report.messages.append(f"modulus {q} is not a prime")
         del residues[q]
-    # the listed moduli ascending, and where the table holds each one's
-    # roots: flat[start : start + count], count 0 unless it is a usable
-    # prime <= x. One searchsorted places them all; the moduli beyond the
-    # table, a suffix, are clamped to limit + 1, which is no prime of it
+    # the listed moduli ascending, and those within the table's limit, a
+    # prefix: one lookup gives each of these its root count, 0 unless it is
+    # a usable prime, and their roots
     listed = sorted(residues)
     beyond = bisect.bisect_right(listed, table.limit)
-    clamped = np.array(
-        listed[:beyond] + [table.limit + 1] * (len(listed) - beyond), dtype=np.int64
-    )
-    at = np.searchsorted(table.primes, clamped)
-    known = at < len(table.primes)
-    known[known] = table.primes[at[known]] == clamped[known]
-    count = np.zeros(len(listed), dtype=np.int64)
-    count[known] = table.counts[at[known]]
-    start = np.zeros_like(count)
-    start[known] = np.cumsum(table.counts, dtype=np.int64)[at[known]] - count[known]
-    usable = dict(zip(listed, (count > 0).tolist()))
+    inner = np.array(listed[:beyond], dtype=np.int64)
+    count, table_roots = table.lookup(inner)
+    usable = set(inner[count > 0].tolist())
     for q, r in residues.items():
         if not (0 <= r < q):
             report.messages.append(f"residue {r} out of range for prime {q}")
-        if not usable[q]:
+        if q not in usable:
             report.messages.append(f"prime {q} is not a usable sieve prime below x")
     verdict = irreducibility_check(
         f, assert_irreducible=cert.irreducibility == "asserted-by-user"
@@ -262,7 +253,7 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
         # offset-level check: every usable prime up to x has a residue, and
         # the residue classes blanket [1, y]
         if y_bounded:
-            missing = next((q for q in table.usable_primes() if q not in residues), None)
+            missing = next((q for q in table.rows(0, x)[0].tolist() if q not in residues), None)
             if missing is not None:
                 report.messages.append(f"usable prime {missing} has no residue")
             else:
@@ -304,18 +295,12 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
     )
     for i in np.flatnonzero(~consistent).tolist():
         report.messages.append(f"b1 does not satisfy the residue for prime {listed[i]}")
-    # one entry per table root of each candidate prime, ascending in q,
+    # one entry per table root of each listed prime, ascending in q, and
+    # row, its prime's place in listed; the roots of the candidates are
     # re-checked against the companion in one row Horner
-    cand = np.flatnonzero(consistent & (count > 0) & (clamped > degree))
-    n_roots = count[cand]
-    # each root's place in listed; every candidate is a prime of the table
-    row = np.repeat(cand, n_roots)
-    q = clamped[row]
-    # the roots of candidate i are its n_roots_i entries of flat from start_i
-    ends = np.cumsum(n_roots)
-    at_root = np.repeat(start[cand] - ends + n_roots, n_roots) + np.arange(len(q))
-    roots = table.flat[at_root].astype(np.int64)
-    keep = companion_eval_mod(comp, roots, q) == 0
+    row = np.repeat(np.arange(beyond), count)
+    q, roots = inner[row], table_roots.astype(np.int64)
+    keep = consistent[row] & (q > degree) & (companion_eval_mod(comp, roots, q) == 0)
     q, roots, row = q[keep], roots[keep], row[keep]
 
     # each window is sieved and read whole

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from composite_forge.modroots import build_root_table
@@ -37,3 +38,27 @@ def table_x2p1_2000(f_x2p1, cache_dir):
 @pytest.fixture(scope="session")
 def table_x2p1_1e6(f_x2p1, cache_dir):
     return build_root_table(f_x2p1, 10**6, cache_dir=cache_dir)
+
+
+def roots_of(table, q):
+    """I_q as a tuple, () where q has none (any q beyond the limit), read
+    through the table's rows."""
+    return tuple(table.rows(q - 1, q)[2].tolist()) if q <= table.limit else ()
+
+
+def usable_between(table, lo, hi):
+    """The usable primes q with lo < q <= hi, ascending, as ints."""
+    return table.rows(lo, hi)[0].tolist()
+
+
+def all_rows(table):
+    """Every row of the table as lists: the usable primes, their root
+    counts and their roots."""
+    return [v.tolist() for v in table.rows(0, table.limit)]
+
+
+def rows_of(table, primes):
+    """The rows of the given usable primes, ascending, in the form
+    RootTable.rows gives: primes, root counts and roots."""
+    qs = sorted(primes)
+    return (np.array(qs, dtype=np.int64), *table.lookup(qs))

@@ -31,6 +31,7 @@ from composite_forge.verify import (
     oracle_longest_run,
     verify_certificate,
 )
+from conftest import usable_between
 
 
 def _report(capsys, num: int, ok: bool, detail: str) -> None:
@@ -247,7 +248,7 @@ def test_criterion_08_determinism(capsys, f_x2p1, table_x2p1_2000, cache_dir):
         ):
             crt_ok += 1
 
-    small = table_x2p1_2000.usable_between(0, 40)
+    small = usable_between(table_x2p1_2000, 0, 40)
     trans_ok = 0
     for _ in range(1000):
         residues = {q: int(rng.integers(q)) for q in small}

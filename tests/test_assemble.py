@@ -26,6 +26,7 @@ from composite_forge.assemble import (
     ResidueCertificate,
     StageRecord,
     auto_target,
+    cleanup_pools,
     construct_certificate,
     crt_combine,
     decimal_digit_bound,
@@ -42,6 +43,7 @@ from composite_forge.cover import SieveParams, target_residues
 from composite_forge.poly import IntPolynomial
 from composite_forge.primes import ProductTree, sieve_primes
 from composite_forge.verify import verify_certificate
+from conftest import roots_of, usable_between
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 PRIMES_3000 = sieve_primes(3000).tolist()
@@ -127,15 +129,10 @@ class TestCrtCombine:
             assert b % q == r
 
 
-def cleanup_pools(table, x):
-    """The usable primes in (x/2, 3x/4] and in (3x/4, x]."""
-    return table.usable_between(x / 2, 3 * x / 4), table.usable_between(3 * x / 4, x)
-
-
 class TestPairing:
     def test_forward_assignment(self, table_x_100):
         pools = cleanup_pools(table_x_100, 100)
-        out_f, out_b = pairing_stage([5, 17], [], table_x_100, *pools, {})
+        out_f, out_b = pairing_stage([5, 17], [], *pools, {})
         # survivors pair with the usable primes of (50, 75] in order
         assert list(out_f) == [53, 59]
         assert out_f[53] == 5 and out_f[59] == 17
@@ -145,7 +142,7 @@ class TestPairing:
         N = 10**6
         n_mod = target_residues(N, table_x_100)
         pools = cleanup_pools(table_x_100, 100)
-        out_f, out_b = pairing_stage([], [-3], table_x_100, *pools, n_mod)
+        out_f, out_b = pairing_stage([], [-3], *pools, n_mod)
         assert list(out_b) == [79]
         # the backward kill class of (q, r) must land on the survivor offset
         assert (-N - out_b[79]) % 79 == (-3) % 79
@@ -154,11 +151,11 @@ class TestPairing:
         N = 10**30
         n_mod = target_residues(N, table_x2p1_100)
         pools = cleanup_pools(table_x2p1_100, 100)
-        out_f, out_b = pairing_stage([7], [-9], table_x2p1_100, *pools, n_mod)
+        out_f, out_b = pairing_stage([7], [-9], *pools, n_mod)
         (qf,) = out_f
         (qb,) = out_b
-        alpha_f = table_x2p1_100.roots[qf][0]
-        alpha_b = table_x2p1_100.roots[qb][0]
+        alpha_f = roots_of(table_x2p1_100, qf)[0]
+        alpha_b = roots_of(table_x2p1_100, qb)[0]
         assert (7 - out_f[qf]) % qf == alpha_f
         assert (-N - out_b[qb] + alpha_b) % qb == (-9) % qb
         # pools are disjoint halves of (x/2, x]
@@ -167,7 +164,7 @@ class TestPairing:
     def test_each_prime_used_once(self, table_x_100):
         n_mod = target_residues(10**6, table_x_100)
         pools = cleanup_pools(table_x_100, 100)
-        out_f, out_b = pairing_stage([1, 2, 3], [-1, -2], table_x_100, *pools, n_mod)
+        out_f, out_b = pairing_stage([1, 2, 3], [-1, -2], *pools, n_mod)
         assert len(out_f) == 3 and len(out_b) == 2
         assert set(out_f).isdisjoint(out_b)
 
@@ -451,6 +448,22 @@ class TestCertificateSerialization:
         assert obj["params"] == {"x": 8, "delta": 0.5, "xi": 2.0, "K": 8.0, "y": 4}
         assert obj["placement"] == {"N": "10000000", "b1": "-2000041"}
         assert obj["stages"][0]["assignments"] == [[2, 1], [3, 2], [5, 4], [7, 6]]
+
+    @pytest.mark.parametrize("placement", [{}, [], 0, False, ""])
+    def test_falsy_placement_is_malformed(self, placement):
+        # only null means no placement
+        obj = {**toy_certificate().to_json_dict(), "placement": placement}
+        with pytest.raises(ValueError, match="malformed certificate"):
+            ResidueCertificate.from_json_dict(obj)
+
+    def test_null_placement_loads_placement_free(self):
+        obj = {**toy_certificate().to_json_dict(), "placement": None}
+        again = ResidueCertificate.from_json_dict(obj)
+        assert again.placement is None
+        assert again.residues() == {2: 1, 3: 2, 5: 4, 7: 6}
+        # as does a certificate without the key
+        del obj["placement"]
+        assert ResidueCertificate.from_json_dict(obj).placement is None
 
     def test_save_load(self, tmp_path):
         cert = toy_certificate()
@@ -782,7 +795,7 @@ class TestConstructCertificate:
         from composite_forge.modroots import build_root_table
 
         table = build_root_table(f_x, 300, cache_dir=cache_dir)
-        assert sorted(cert.residues()) == table.usable_primes()
+        assert sorted(cert.residues()) == usable_between(table, 0, table.limit)
 
     def test_deterministic_bytes(self, f_x2p1, cache_dir):
         a, _ = construct_certificate(f_x2p1, SieveParams(x=300), seed=11, cache_dir=cache_dir)

@@ -392,8 +392,17 @@ class TestVerify:
             lambda obj: {**obj, "params": "x"},
             # the placement, which fixes both windows, as a number
             lambda obj: {**obj, "placement": 7},
+            # falsy placements, each once read as no placement at all, so
+            # that the certificate verified as a one-sided one
+            lambda obj: {**obj, "placement": {}},
+            lambda obj: {**obj, "placement": []},
+            lambda obj: {**obj, "placement": 0},
+            lambda obj: {**obj, "placement": False},
+            lambda obj: {**obj, "placement": ""},
         ],
-        ids=["top-level-list", "stages-number", "params-string", "window-number"],
+        ids=["top-level-list", "stages-number", "params-string", "window-number",
+             "window-empty-object", "window-empty-list", "window-zero", "window-false",
+             "window-empty-string"],
     )
     def test_malformed_certificate_exits_64(self, workdir, mangle):
         with open(workdir / "cert.json") as fh:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composite_forge import cover
-from composite_forge.assemble import construct_certificate, pairing_stage, stage_rng
+from composite_forge.assemble import cleanup_pools, construct_certificate, pairing_stage, stage_rng
 from composite_forge.cover import (
     CoverState,
     RetryBudgetError,
@@ -30,6 +30,7 @@ from composite_forge.cover import (
 )
 from composite_forge.poly import IntPolynomial
 from composite_forge.sievecore import SurvivorSet, sieve_survivors
+from conftest import roots_of, rows_of, usable_between
 
 
 N60 = 10**60  # the target sum of the hand-sized two-sided cases
@@ -157,8 +158,8 @@ def build_ladder(params, table):
             lo, hi = y / (xi * h), y / h
             assert lo >= z - 1e-9 and hi <= x / 2 + 1e-9
             buckets = {}
-            for q in table.usable_between(lo, hi):
-                buckets.setdefault(len(table.roots[q]), []).append(q)
+            for q in usable_between(table, lo, hi):
+                buckets.setdefault(len(roots_of(table, q)), []).append(q)
             side = "fwd" if j % 2 == 0 else "bwd"
             scales.append((j, h, side, {k: tuple(v) for k, v in sorted(buckets.items())}))
     return scales
@@ -229,10 +230,10 @@ class TestLadder:
                 for q in qs:
                     assert y / (xi * h) < q <= y / h
                     assert params.z < q <= params.x / 2
-                    assert len(table_x2p1_2000.roots[q]) == nu
+                    assert len(roots_of(table_x2p1_2000, q)) == nu
                 seen.extend(qs)
         assert len(set(seen)) == len(seen)
-        assert set(seen) <= set(table_x2p1_2000.usable_between(params.z, 1000))
+        assert set(seen) <= set(usable_between(table_x2p1_2000, params.z, 1000))
         n_mod = target_residues(N60, table_x2p1_2000)
         out = select_shifts_random(params, table_x2p1_2000, stage_rng(4, 2, 0), n_mod)
         assert set(out) == set(seen)
@@ -244,7 +245,7 @@ class TestSmallStage:
         residues, fwd, bwd, rej = sample_small_residue(
             params, table_x2p1_2000, stage_rng(1, 1, 0), target_residues(N60, table_x2p1_2000)
         )
-        assert sorted(residues) == table_x2p1_2000.usable_between(0, params.z)
+        assert sorted(residues) == usable_between(table_x2p1_2000, 0, params.z)
         assert all(0 <= r < q for q, r in residues.items())
         bound = 2.0 * table_x2p1_2000.density_product(params.z) * params.y
         assert fwd.count() <= bound
@@ -297,7 +298,7 @@ class TestBackwardResidues:
         residues = {5: 2, 13: 7, 17: 11}
         back = backward_residues(residues, target_residues(N, table_x2p1_100))
         for q, r in residues.items():
-            roots = set(table_x2p1_100.roots[q])
+            roots = set(roots_of(table_x2p1_100, q))
             for j in range(-60, 0):
                 killed = (j - back[q]) % q in roots
                 assert killed == ((N + r + j) % q in roots)
@@ -327,12 +328,12 @@ class TestGreedySelection:
     def test_single_prime_hand_case(self, table_x_100):
         state = one_sided(table_x_100, full_window(1, 30))
         # classes 1 and 2 mod 7 tie at 5 hits in [1, 30]; argmax takes 1
-        assert select_shifts_greedy(state, [7]) == {7: 1}
+        assert select_shifts_greedy(state, table_x_100.rows(6, 7)) == {7: 1}
         assert len(state.fwd) == 25
 
     def test_ascending_prime_order(self, table_x_100):
         state = one_sided(table_x_100, full_window(1, 40))
-        assert list(select_shifts_greedy(state, [13, 7, 11, 7])) == [7, 11, 13]
+        assert list(select_shifts_greedy(state, table_x_100.rows(6, 13))) == [7, 11, 13]
 
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     def test_coverage_bookkeeping_is_exact(self, table_x2p1_2000, block):
@@ -340,10 +341,9 @@ class TestGreedySelection:
         residues, fwd, _, _ = sample_small_residue(
             params, table_x2p1_2000, stage_rng(3, 1, 0), two_sided=False
         )
-        med = table_x2p1_2000.usable_between(params.z, 300)
         state = one_sided(table_x2p1_2000, fwd)
         with blocks_of(block):
-            chosen = select_shifts_greedy(state, med)
+            chosen = select_shifts_greedy(state, table_x2p1_2000.rows(params.z, 300))
         # the state's residual must equal an actual re-sieve with the chosen residues
         merged = dict(residues)
         merged.update(chosen)
@@ -359,11 +359,10 @@ class TestGreedySelection:
         residues, fwd, bwd, _ = sample_small_residue(
             params, table_x2p1_2000, stage_rng(4, 1, 0), n_mod
         )
-        med = table_x2p1_2000.usable_between(params.z, 400)
         state = CoverState(table_x2p1_2000, fwd, bwd, n_mod)
         merged = dict(residues)
         with blocks_of(block):
-            merged.update(select_shifts_greedy(state, med))
+            merged.update(select_shifts_greedy(state, table_x2p1_2000.rows(params.z, 400)))
         f2 = sieve_survivors(table_x2p1_2000, merged, (1, params.y), (0, 400))
         b2 = sieve_survivors(
             table_x2p1_2000,
@@ -379,14 +378,13 @@ class TestGreedySelection:
         _, fwd, _, _ = sample_small_residue(
             params, table_x2p1_2000, stage_rng(5, 1, 0), two_sided=False
         )
-        med = table_x2p1_2000.usable_between(params.z, 1000)
         greedy = one_sided(table_x2p1_2000, fwd)
-        select_shifts_greedy(greedy, med)
+        select_shifts_greedy(greedy, table_x2p1_2000.rows(params.z, 1000))
         # random mode leaves the medium primes outside every scale window
         # unassigned; its residual is the small stage's less the sampled classes
         rnd = one_sided(table_x2p1_2000, fwd)
         drawn = select_shifts_random(params, table_x2p1_2000, stage_rng(5, 2, 0), None)
-        rnd.assign(list(drawn), drawn)
+        rnd.assign(rows_of(table_x2p1_2000, drawn), drawn)
         assert len(greedy.fwd) <= len(rnd.fwd)
 
 
@@ -444,17 +442,17 @@ class TestResidualCheck:
         # usable primes in (50, 75] absorb forward, (75, 100] backward
         # survivors; a window filled to its pool's length takes every prime
         n_mod = target_residues(10**6, table_x_100)
-        pools = table_x_100.usable_between(50, 75), table_x_100.usable_between(75, 100)
+        pools = cleanup_pools(table_x_100, 100)
         assert tuple(map(len, pools)) == (6, 4)
-        out_f, out_b = pairing_stage([1, 2, 3], [-1, -2, -3, -4], table_x_100, *pools, n_mod)
+        out_f, out_b = pairing_stage([1, 2, 3], [-1, -2, -3, -4], *pools, n_mod)
         assert (len(out_f), len(out_b)) == (3, 4)
-        assert list(out_b) == pools[1]
+        assert list(out_b) == [q for q, _ in pools[1]] == usable_between(table_x_100, 75, 100)
 
 
 class TestClassScores:
     def test_forward_scores_by_brute_force(self, table_x2p1_100):
         pos = np.array([1, 5, 9, 14, 18, 27, 31, 40])
-        alphas = table_x2p1_100.roots[13]
+        alphas = roots_of(table_x2p1_100, 13)
         scores = forward_class_scores(13, alphas, pos)
         for r in range(13):
             expect = sum(1 for t in pos if (t - r) % 13 in set(alphas))
@@ -462,7 +460,7 @@ class TestClassScores:
 
     def test_backward_scores_with_huge_target(self, table_x2p1_100):
         pos = np.array([-40, -31, -27, -18, -14, -9, -5, -1])
-        alphas = table_x2p1_100.roots[13]
+        alphas = roots_of(table_x2p1_100, 13)
         N = 10**120 + 7  # must not overflow the numpy path
         scores = backward_class_scores(13, alphas, pos, N)
         for r in range(13):
@@ -487,15 +485,15 @@ def backward_residues_int(residues, n_target):
 def pairing_stage_int(residual_fwd, residual_bwd, table, x, n_target):
     fwd = sorted(int(a) for a in residual_fwd)
     bwd = sorted(int(a) for a in residual_bwd)
-    pool_f = table.usable_between(x / 2, 3 * x / 4)
-    pool_b = table.usable_between(3 * x / 4, x)
+    pool_f = usable_between(table, x / 2, 3 * x / 4)
+    pool_b = usable_between(table, 3 * x / 4, x)
     out_f = {}
     for a, q in zip(fwd, pool_f):
-        alpha = table.roots[q][0]
+        alpha = roots_of(table, q)[0]
         out_f[q] = (a - alpha) % q
     out_b = {}
     for a, q in zip(bwd, pool_b):
-        alpha = table.roots[q][0]
+        alpha = roots_of(table, q)[0]
         out_b[q] = (-n_target - a + alpha) % q
     return out_f, out_b
 
@@ -514,7 +512,7 @@ def oracle_greedy_both(primes, survivors, paired, table, n_target):
     F, B = survivors.bits.copy(), paired.bits.copy()
     chosen = {}
     for q in sorted(set(primes)):
-        alphas = table.roots[q]
+        alphas = roots_of(table, q)
         fpos = np.flatnonzero(F).astype(np.int64) + survivors.lo
         bpos = np.flatnonzero(B).astype(np.int64) + paired.lo
         scores = forward_class_scores(q, alphas, fpos) + backward_class_scores(
@@ -535,7 +533,7 @@ def oracle_greedy_fwd(primes, survivors, table):
     F = survivors.bits.copy()
     chosen = {}
     for q in sorted(set(primes)):
-        alphas = table.roots[q]
+        alphas = roots_of(table, q)
         pos = np.flatnonzero(F).astype(np.int64) + survivors.lo
         base = chosen[q] = int(np.argmax(forward_class_scores(q, alphas, pos)))
         kill(F, survivors.lo, pos[np.isin((pos - base) % q, np.asarray(alphas) % q)])
@@ -547,7 +545,7 @@ def sieve_only(table, residues, interval):
     lo, hi = interval
     bits = np.ones(hi - lo + 1, dtype=bool)
     for q, r in residues.items():
-        for a in table.roots[q]:
+        for a in roots_of(table, q):
             bits[(r + a - lo) % q :: q] = False
     return np.flatnonzero(bits).astype(np.int64) + lo
 
@@ -590,15 +588,15 @@ class TestCoverState:
         n_mod = target_residues(n_target, table)
         y, z = params.y, params.z
         rng = np.random.default_rng(draw_seed)
-        small = {q: int(rng.integers(q)) for q in table.usable_between(0, z)}
+        small = {q: int(rng.integers(q)) for q in usable_between(table, 0, z)}
         fwd0 = sieve_survivors(table, small, (1, y), (0, z))
         bwd0 = sieve_survivors(table, backward_residues_int(small, n_target), (-y, -1), (0, z))
-        med = table.usable_between(z, x / 2)
+        med = usable_between(table, z, x / 2)
 
         if paired:
             state = CoverState(table, fwd0, bwd0, n_mod)
             with blocks_of(block):
-                chosen = select_shifts_greedy(state, med)
+                chosen = select_shifts_greedy(state, table.rows(z, x / 2))
             ref, ref_fwd, ref_bwd = oracle_greedy_both(med, fwd0, bwd0, table, n_target)
             assert np.array_equal(state.bwd, ref_bwd)
         else:
@@ -606,7 +604,7 @@ class TestCoverState:
             # survivors are scored
             state = CoverState(table, fwd0, None, n_mod)
             with blocks_of(block):
-                chosen = select_shifts_greedy(state, med)
+                chosen = select_shifts_greedy(state, table.rows(z, x / 2))
             ref, ref_fwd = oracle_greedy_fwd(med, fwd0, table)
             assert state.bwd.size == 0
         assert list(chosen.items()) == list(ref.items())
@@ -638,14 +636,13 @@ class TestCoverState:
         params = SieveParams(x=x)
         n_mod = target_residues(n_target, table)
         rng = np.random.default_rng(draw_seed)
-        residues = {q: int(rng.integers(q)) for q in table.usable_between(0, x)}
+        residues = {q: int(rng.integers(q)) for q in usable_between(table, 0, x)}
         assert backward_residues(residues, n_mod) == backward_residues_int(residues, n_target)
 
         fwd = rng.choice(np.arange(1, params.y + 1), size=min(n_fwd, params.y), replace=False)
         bwd = rng.choice(np.arange(-params.y, 0), size=min(n_bwd, params.y), replace=False)
-        pools = table.usable_between(x / 2, 3 * x / 4), table.usable_between(3 * x / 4, x)
         expect = pairing_stage_int(fwd, bwd, table, x, n_target)
-        assert pairing_stage(fwd, bwd, table, *pools, n_mod) == expect
+        assert pairing_stage(fwd, bwd, *cleanup_pools(table, x), n_mod) == expect
 
         got = select_shifts_random(params, table, stage_rng(draw_seed, 2), n_mod)
         assert got == select_shifts_random_int(params, table, stage_rng(draw_seed, 2), n_target)
@@ -659,10 +656,10 @@ class TestCoverState:
         n_target = 10**80 + 3
         n_mod = target_residues(n_target, table)
         rng = np.random.default_rng(11)
-        residues = {q: int(rng.integers(q)) for q in table.usable_between(0, 200)}
+        residues = {q: int(rng.integers(q)) for q in usable_between(table, 0, 200)}
         state = CoverState(table, full_window(1, 900), full_window(-900, -1), n_mod)
         with blocks_of(block):
-            assert state.assign(list(residues), residues) == residues
+            assert state.assign(table.rows(0, 200), residues) == residues
         assert np.array_equal(state.fwd, sieve_only(table, residues, (1, 900)))
         back = sieve_only(table, backward_residues_int(residues, n_target), (-900, -1))
         assert np.array_equal(state.bwd, back)
@@ -681,13 +678,13 @@ class TestCoverState:
         bwd0 = random_window(rng, -top, 3000, 0.3)
         fwd0.bits[-1] = bwd0.bits[0] = True  # the extreme offsets survive
         n_target = 10**300 + 11
-        med = table.usable_between(20, 1000)
+        med = usable_between(table, 20, 1000)
         state = CoverState(table, fwd0, bwd0, target_residues(n_target, table))
         assert state.fwd.dtype == state.bwd.dtype == narrow_dtype(table, fwd0, bwd0)
         assert state.fwd.dtype == (np.int32 if reach < 2**31 else np.int64)
         assert (state.fwd[-1], state.bwd[0]) == (top, -top)
         with blocks_of(block):
-            chosen = select_shifts_greedy(state, med)
+            chosen = select_shifts_greedy(state, table.rows(20, 1000))
         ref, ref_fwd, ref_bwd = oracle_greedy_both(med, fwd0, bwd0, table, n_target)
         assert list(chosen.items()) == list(ref.items())
         assert np.array_equal(state.fwd, ref_fwd)
@@ -700,12 +697,12 @@ class TestCoverState:
         table = tables_2000[poly]
         dead = SurvivorSet(1, 50, np.zeros(50, dtype=bool))
         state = CoverState(table, dead, SurvivorSet(-50, -1, np.zeros(50, dtype=bool)), None)
-        primes = table.usable_between(0, 200)
+        primes = usable_between(table, 0, 200)
         for q in primes:
             assert int(np.bincount(np.zeros(0, np.int64), minlength=q).argmax()) == 0
-        assert state.assign(primes) == dict.fromkeys(primes, 0)
+        assert state.assign(table.rows(0, 200)) == dict.fromkeys(primes, 0)
         given = {q: q - 1 for q in primes}
-        assert state.assign(primes, given) == given
+        assert state.assign(table.rows(0, 200), given) == given
         assert state.fwd.size == state.bwd.size == 0
 
     def test_engine_paths_do_not_resieve(self, table_x2p1_2000, monkeypatch):
@@ -714,8 +711,6 @@ class TestCoverState:
         residues, fwd, bwd, _ = sample_small_residue(
             params, table_x2p1_2000, stage_rng(6, 1, 0), n_mod
         )
-        med = table_x2p1_2000.usable_between(params.z, 1000)
-
         def forbidden(*args, **kwargs):
             raise AssertionError("the engine must not re-sieve")
 
@@ -723,7 +718,7 @@ class TestCoverState:
         monkeypatch.setattr(cover, "backward_residues", forbidden)
         monkeypatch.setattr(np, "isin", forbidden)
         state = CoverState(table_x2p1_2000, fwd, bwd, n_mod)
-        select_shifts_greedy(state, med)
+        select_shifts_greedy(state, table_x2p1_2000.rows(params.z, 1000))
 
 
 def random_window(rng, lo, length, p_survive):
@@ -761,24 +756,24 @@ class TestFusedScorer:
     ):
         poly, nu = case
         table = tables_2000[poly]
-        qs = [q for q in table.usable_primes() if len(table.roots[q]) == nu]
+        qs = [q for q in usable_between(table, 0, table.limit) if len(roots_of(table, q)) == nu]
         q = qs[pick % len(qs)]
         rng = np.random.default_rng(seed)
         fwd = random_window(rng, fwd_lo, fwd_len, p_survive)
         bwd = random_window(rng, bwd_lo, bwd_len, p_survive)
         state = CoverState(table, fwd, bwd, target_residues(n_target, table))
-        expect = oracle_best_residue(q, table.roots[q], fwd.survivors(), bwd.survivors(), n_target)
-        assert state.assign([q]) == {q: expect}
+        expect = oracle_best_residue(q, roots_of(table, q), fwd.survivors(), bwd.survivors(), n_target)
+        assert state.assign(table.rows(q - 1, q)) == {q: expect}
 
     @pytest.mark.parametrize("poly", ["x", "x^2+1", "x^3+2"])
     def test_full_windows_tie_to_zero(self, tables_2000, poly):
         # every residue hits k of each root's offsets on both sides
         table = tables_2000[poly]
-        for q in table.usable_between(100, 200):
+        for q in usable_between(table, 100, 200):
             k = 3
             fwd, bwd = full_window(-q, (k - 1) * q - 1), full_window(-5 * q, (k - 5) * q - 1)
             state = CoverState(table, fwd, bwd, target_residues(10**1500 + 11, table))
-            assert state.assign([q]) == {q: 0}
+            assert state.assign(table.rows(q - 1, q)) == {q: 0}
 
     @pytest.mark.parametrize("o_fwd,o_bwd", [(30, -7), (5, -40), (-3, -1)])
     def test_two_single_survivors_tie_to_smaller_residue(self, table_x_100, o_fwd, o_bwd):
@@ -789,7 +784,7 @@ class TestFusedScorer:
         bwd = SurvivorSet(-100, -1, np.arange(-100, 0) == o_bwd)
         k_f, k_b = o_fwd % q, (-n_target - o_bwd) % q
         state = CoverState(table_x_100, fwd, bwd, target_residues(n_target, table_x_100))
-        assert state.assign([q]) == {q: min(k_f, k_b)}
+        assert state.assign(table_x_100.rows(q - 1, q)) == {q: min(k_f, k_b)}
 
     def test_one_sided_state_ignores_target(self, table_x2p1_2000):
         # a one-sided state has no target residues at all: scoring and
@@ -799,17 +794,17 @@ class TestFusedScorer:
         state = one_sided(table_x2p1_2000, fwd)
         assert state.bwd.size == 0 and state.n_mod is None
         chosen = {}
-        for q in table_x2p1_2000.usable_between(100, 400):
+        for q in usable_between(table_x2p1_2000, 100, 400):
             expect = oracle_best_residue(
-                q, table_x2p1_2000.roots[q], state.fwd, np.zeros(0, dtype=np.int64), 0
+                q, roots_of(table_x2p1_2000, q), state.fwd, np.zeros(0, dtype=np.int64), 0
             )
-            chosen.update(state.assign([q]))
+            chosen.update(state.assign(table_x2p1_2000.rows(q - 1, q)))
             assert chosen[q] == expect
         kept = sieve_only(table_x2p1_2000, chosen, (-20, 700))
         assert np.array_equal(state.fwd, np.intersect1d(kept, fwd.survivors()))
         # one pass over all of them, in blocks, makes the same choices
         again = one_sided(table_x2p1_2000, fwd)
-        assert again.assign(list(chosen)) == chosen
+        assert again.assign(table_x2p1_2000.rows(100, 400)) == chosen
         assert np.array_equal(again.fwd, state.fwd)
 
 
@@ -837,9 +832,9 @@ class TestBlocks:
         bwd0 = SurvivorSet(-5, -1, np.zeros(5, dtype=bool)) if paired else None
         n_mod = target_residues(n_target, table_x_100)
         state = CoverState(table_x_100, fwd0, bwd0, n_mod if paired else None)
-        med = table_x_100.usable_between(6, 60)
+        med = usable_between(table_x_100, 6, 60)
         blocks = counting_blocks(monkeypatch)
-        chosen = select_shifts_greedy(state, med)
+        chosen = select_shifts_greedy(state, table_x_100.rows(6, 60))
         assert blocks == [[1] * len(med)]
         assert list(chosen.items()) == [(7, 1), (11, 2), (13, 3), (17, 4), (19, 5)] + [
             (q, 0) for q in med[5:]
@@ -853,10 +848,10 @@ class TestBlocks:
         rng = np.random.default_rng(3)
         fwd0, bwd0 = random_window(rng, 1, 400, 0.02), random_window(rng, -400, 400, 0.02)
         n_target = 10**90 + 17
-        med = table.usable_between(50, 900)
+        med = usable_between(table, 50, 900)
         state = CoverState(table, fwd0, bwd0, target_residues(n_target, table))
         with blocks_of(block):
-            chosen = select_shifts_greedy(state, med)
+            chosen = select_shifts_greedy(state, table.rows(50, 900))
         ref, ref_fwd, ref_bwd = oracle_greedy_both(med, fwd0, bwd0, table, n_target)
         assert list(chosen.items()) == list(ref.items())
         assert ref_fwd.size == ref_bwd.size == 0 and list(chosen.values())[-1] == 0
@@ -870,11 +865,11 @@ class TestBlocks:
         rng = np.random.default_rng(5)
         fwd0, bwd0 = random_window(rng, 1, 3000, 0.1), random_window(rng, -3000, 3000, 0.1)
         n_target = 10**400 + 9
-        med = table.usable_between(100, 400)
+        med = usable_between(table, 100, 400)
         state = CoverState(table, fwd0, bwd0, target_residues(n_target, table))
         blocks = counting_blocks(monkeypatch)
         with blocks_of(block):
-            chosen = select_shifts_greedy(state, med)
+            chosen = select_shifts_greedy(state, table.rows(100, 400))
         assert any({1, 3} <= set(nus) for nus in blocks)
         ref, ref_fwd, ref_bwd = oracle_greedy_both(med, fwd0, bwd0, table, n_target)
         assert list(chosen.items()) == list(ref.items())
@@ -895,7 +890,7 @@ class TestDrawStreams:
         monkeypatch.setattr(table_x2p1_2000, "density_product", lambda z: 0.502 * density(z))
         params = SieveParams(x=2000)
         n_mod = target_residues(N60, table_x2p1_2000)
-        small = table_x2p1_2000.usable_between(0, params.z)
+        small = usable_between(table_x2p1_2000, 0, params.z)
         rejected = 0
         for seed in range(40):
             rng = stage_rng(seed, 1, 0)
@@ -952,9 +947,9 @@ def greedy_cost_by_key_bin(f, x, seed=7):
             b[1] += seconds / len(nus)
         return out
 
-    def timed_pass(state, primes):
+    def timed_pass(state, rows):
         t = time.perf_counter()
-        out = greedy(state, primes)
+        out = greedy(state, rows)
         passes[0] += time.perf_counter() - t
         return out
 

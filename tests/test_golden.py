@@ -31,6 +31,10 @@ and y.
 A change that moves one of them changes the certificate format or the
 construction, and must say so.
 
+The x = 300 cases are built once more from a warm root cache, whose
+tables hold their root counts as u1 and their roots as u4, and must give
+the same digests.
+
 Two stats CSVs, of one two-sided and one one-sided case, are pinned the
 same way (STATS_GOLDEN), and so are the verify reports of the x = 1000 and
 x = 10^4 certificates and of the x = 300 one-sided and random ones
@@ -50,10 +54,13 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
+from composite_forge import assemble
 from composite_forge.assemble import STATS_HEADER, ResidueCertificate, construct_certificate
 from composite_forge.cover import SieveParams
+from composite_forge.modroots import build_root_table
 from composite_forge.poly import IntPolynomial
 from composite_forge.verify import verify_certificate
 
@@ -138,16 +145,16 @@ VERIFY_GOLDEN = {
 }
 
 
-def construct(case):
+def construct(case, cache_dir=None):
     name, seed, *variant = case
     f = IntPolynomial.from_monomial(POLYS[name])
     x, kwargs = VARIANTS[variant[0]] if variant else (300, {})
-    return construct_certificate(f, SieveParams(x=x), seed, **kwargs)
+    return construct_certificate(f, SieveParams(x=x), seed, cache_dir=cache_dir, **kwargs)
 
 
-def certificate_digest(case) -> tuple[str, int]:
+def certificate_digest(case, cache_dir=None) -> tuple[str, int]:
     """The sha256 of the case's certificate bytes, and its achieved y."""
-    cert, stats = construct(case)
+    cert, stats = construct(case, cache_dir)
     return hashlib.sha256(cert.to_json_bytes()).hexdigest(), stats.extras["achieved_y"]
 
 
@@ -177,6 +184,32 @@ def verify_report_digest(case) -> tuple[str, int]:
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda case: "-".join(map(str, case)))
 def test_certificate_digest(case):
     assert certificate_digest(case)[0] == GOLDEN[case]
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    """A root cache holding each polynomial's table at x = 300."""
+    cache_dir = str(tmp_path_factory.mktemp("warm-roots"))
+    for coeffs in POLYS.values():
+        build_root_table(IntPolynomial.from_monomial(coeffs), 300, cache_dir=cache_dir)
+    return cache_dir
+
+
+@pytest.mark.parametrize(
+    "case",
+    sorted(case for case in GOLDEN if len(case) == 2 or VARIANTS[case[2]][0] == 300),
+    ids=lambda case: "-".join(map(str, case)),
+)
+def test_certificate_digest_from_warm_cache(case, warm_cache, monkeypatch):
+    # a cached table holds its root counts as u1 and its roots as u4, in
+    # read-only arrays, and every stage takes its rows from them as they are
+    def warm_only(f, limit, cache_dir=None):
+        table = build_root_table(f, limit, cache_dir=cache_dir)
+        assert table.counts.dtype == np.uint8 and not table.flat.flags.writeable
+        return table
+
+    monkeypatch.setattr(assemble, "build_root_table", warm_only)
+    assert certificate_digest(case, warm_cache)[0] == GOLDEN[case]
 
 
 @pytest.mark.parametrize("case", sorted(STATS_GOLDEN), ids=lambda case: "-".join(map(str, case)))

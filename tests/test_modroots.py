@@ -4,8 +4,9 @@ square-root kernel and the windowed row power against the scalar and
 per-prime routes they replaced, and which powers a table takes; the
 character table that keeps quadratic non-residue rows from the square root;
 the residue scan of small tables, and its multiply-and-compare divisibility
-test, against the algebraic route, `%` and the oracle; the prime-indexed
-accessors, the binary cache (its bytes pinned), density statistics, and
+test, against the algebraic route, `%` and the oracle; the row accessors,
+by prime range and by a list of moduli, against roots_mod_p on fresh and
+cached tables; the binary cache (its bytes pinned), density statistics, and
 residue collision counts. Run as a script it prints the cache digests beside
 the pinned ones; with `costs`, the cost of the scan or of each kernel run of
 a table build (see kernel_cost_table); with `crossover`, the scan's time over
@@ -66,6 +67,7 @@ from composite_forge.primes import (
     sieve_primes,
     sqrt_mod_rows,
 )
+from conftest import all_rows, roots_of, usable_between
 
 
 def scan_roots(comp, p):
@@ -154,7 +156,7 @@ class TestRootsModP:
         # divides the leading coefficient, so the table has none either
         g = IntPolynomial.from_monomial([1, -1, 3, 5])
         assert scan_roots(g.companion(), 5) == (3, 4)
-        assert roots_mod_p(g, 5) == build_root_table(g, 100).roots[5] == ()
+        assert roots_mod_p(g, 5) == roots_of(build_root_table(g, 100), 5) == ()
         # p <= degree
         g = IntPolynomial.from_monomial([2, 0, 0, 1])
         assert roots_mod_p(g, 2) == ()
@@ -169,17 +171,15 @@ class TestRootsModP:
     )
     def test_both_routes_match_oracle(self, mono):
         # the per-prime route and the table, from the first prime above the
-        # degree on (the ones at or below it have no roots by definition);
-        # the table's map holds every prime up to its limit, in order
+        # degree on (the ones at or below it have no roots by definition)
         f = IntPolynomial.from_monomial(mono)
         table = build_root_table(f, 2000)
-        assert list(table.roots) == table.primes.tolist()
         primes = [int(p) for p in sieve_primes(2000) if p > f.degree]
         assert primes[0] == next(p for p in (2, 3, 5, 7) if p > f.degree)
         for p in primes:
             want = oracle_roots(f, p)
             assert roots_mod_p(f, p) == want, (mono, p)
-            assert table.roots[p] == want, (mono, p)
+            assert roots_of(table, p) == want, (mono, p)
 
     @given(
         st.lists(st.integers(-30, 30), min_size=2, max_size=5),
@@ -846,7 +846,7 @@ class TestBatchedRoute:
                 want = ()
             else:
                 want = legacy_roots_algebraic(comp, p)
-            assert table.roots[p] == want, p
+            assert roots_of(table, p) == want, p
 
     def test_big_quadratic_has_double_roots(self, monkeypatch):
         # its discriminant is far longer than any table, so every row goes
@@ -859,7 +859,7 @@ class TestBatchedRoute:
         f = parse_poly_literal(BIG_QUADRATIC)
         assert max(map(abs, f.companion())) > 2**64
         table = build_root_table(f, 3000)
-        assert table.roots[101] == table.roots[2003] == (7,)
+        assert roots_of(table, 101) == roots_of(table, 2003) == (7,)
 
     @staticmethod
     def record_powers(monkeypatch):
@@ -985,7 +985,7 @@ class TestCharacterFilter:
         f = IntPolynomial.from_monomial(mono)
         table = build_root_table(f, 2000)
         for p in table.primes.tolist():
-            assert table.roots[p] == oracle_roots(f, p), (mono, p)
+            assert roots_of(table, p) == oracle_roots(f, p), (mono, p)
 
     def test_only_residue_rows_reach_the_square_root(self, f_x2p1, monkeypatch):
         seen = []
@@ -1000,39 +1000,109 @@ class TestCharacterFilter:
         assert np.concatenate(seen).tolist() == [p for p in table.primes.tolist() if p % 4 == 1]
 
 
+# polynomials whose row accessors are checked against roots_mod_p: the
+# last has roots mod 5 without its top term, but 5 divides its leading
+# coefficient, so 5 is no row
+ROW_POLYS = {"x": [0, 1], "x^2+1": [1, 0, 1], "x^3+2": [2, 0, 0, 1], "5x^3+3x^2-x+1": [1, -1, 3, 5]}
+ROW_LIMIT = 1500
+# bounds as callers pass them: integers, and floats such as x/2, 3x/4 and
+# y / (xi H), from below 0 to beyond the limit
+ROW_BOUNDS = st.one_of(
+    st.integers(-5, ROW_LIMIT + 100),
+    st.floats(-5, ROW_LIMIT + 100, allow_nan=False),
+    st.integers(0, 2 * ROW_LIMIT).map(lambda x: x / 2),
+    st.integers(0, 2 * ROW_LIMIT).map(lambda x: 3 * x / 4),
+)
+
+
+@pytest.fixture(scope="module")
+def row_tables(tmp_path_factory):
+    """Per polynomial: roots_mod_p at every prime up to ROW_LIMIT, a fresh
+    table, and the same table read back from a cache (u1 counts and u4
+    roots, in read-only arrays)."""
+    cache_dir = str(tmp_path_factory.mktemp("rows"))
+    out = {}
+    for name, mono in ROW_POLYS.items():
+        f = IntPolynomial.from_monomial(mono)
+        oracle = {p: roots_mod_p(f, p) for p in sieve_primes(ROW_LIMIT).tolist()}
+        fresh = build_root_table(f, ROW_LIMIT, cache_dir=cache_dir)
+        warm = build_root_table(f, ROW_LIMIT, cache_dir=cache_dir)
+        assert warm.counts.dtype == np.uint8 and warm.flat.dtype == np.dtype("<u4")
+        assert not warm.counts.flags.writeable and not warm.flat.flags.writeable
+        out[name] = oracle, (fresh, warm)
+    return out
+
+
 class TestRootTable:
+    @given(name=st.sampled_from(list(ROW_POLYS)), lo=ROW_BOUNDS, hi=ROW_BOUNDS)
+    @example(name="x^2+1", lo=750.0, hi=1125.0)
+    @example(name="x^3+2", lo=1125.0, hi=1500)
+    @example(name="x", lo=700, hi=700)
+    @example(name="x", lo=800, hi=700.5)
+    @example(name="5x^3+3x^2-x+1", lo=4, hi=5)
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_roots_mod_p(self, row_tables, name, lo, hi):
+        # the usable primes q with lo < q <= hi, their counts and roots, by
+        # slices of a fresh table and of a cached one alike
+        oracle, tables = row_tables[name]
+        want = [(p, r) for p, r in oracle.items() if lo < p <= hi and r]
+        for table in tables:
+            q, k, roots = table.rows(lo, hi)
+            assert q.tolist() == [p for p, _ in want]
+            assert k.tolist() == [len(r) for _, r in want]
+            assert roots.tolist() == [a for _, r in want for a in r]
+
+    @given(
+        name=st.sampled_from(list(ROW_POLYS)),
+        moduli=st.lists(
+            st.one_of(st.integers(-10, ROW_LIMIT + 200), st.integers(2**63 - 3, 2**70)),
+            max_size=40,
+        ),
+    )
+    @example(name="x^2+1", moduli=[4, 5, 9, 13, 13, 1511, 2**63 - 1, 2**63, 2**64 + 13])
+    @example(name="5x^3+3x^2-x+1", moduli=[5])
+    # 1499 is the last prime below ROW_LIMIT, and 1500 lies past it
+    @example(name="x", moduli=[1497, 1499, 1500])
+    @settings(max_examples=300, deadline=None)
+    def test_lookup_matches_roots_mod_p(self, row_tables, name, moduli):
+        # composites, primes without roots, primes above the limit and
+        # moduli of 2^63 and more have no roots
+        oracle, tables = row_tables[name]
+        moduli = sorted(moduli)
+        want = [oracle.get(m, ()) for m in moduli]
+        for table in tables:
+            count, roots = table.lookup(moduli)
+            assert count.tolist() == [len(r) for r in want]
+            assert roots.tolist() == [a for r in want for a in r]
+
     def test_usable_primes(self, table_x2p1_100):
         # p = 1 mod 4, plus nothing else below 100
-        assert table_x2p1_100.usable_primes() == [5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97]
+        assert usable_between(table_x2p1_100, 0, table_x2p1_100.limit) == [5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97]
 
     def test_usable_between_accepts_floats(self, table_x_100):
         # every prime is usable for f = x
-        assert table_x_100.usable_between(50, 75) == [53, 59, 61, 67, 71, 73]
-        assert table_x_100.usable_between(50.0, 75.0) == [53, 59, 61, 67, 71, 73]
-        assert table_x_100.usable_between(75, 100) == [79, 83, 89, 97]
+        assert usable_between(table_x_100, 50, 75) == [53, 59, 61, 67, 71, 73]
+        assert usable_between(table_x_100, 50.0, 75.0) == [53, 59, 61, 67, 71, 73]
+        assert usable_between(table_x_100, 75, 100) == [79, 83, 89, 97]
 
     def test_bounds_are_open_closed(self, table_x_100, table_x2p1_100):
-        assert 53 in table_x_100.usable_between(53 - 1, 53)
-        assert 53 not in table_x_100.usable_between(53, 60)
+        assert 53 in usable_between(table_x_100, 53 - 1, 53)
+        assert 53 not in usable_between(table_x_100, 53, 60)
         # primes without roots are skipped: 7 and 11 have none for x^2 + 1
-        assert table_x2p1_100.usable_between(5, 17) == [13, 17]
+        assert usable_between(table_x2p1_100, 5, 17) == [13, 17]
 
     def test_root_count(self, table_x2p1_100):
         # x^2 + 1 splits mod 13 (5^2 = 25 = -1) and has no root mod 7
-        assert table_x2p1_100.roots[13] == (5, 8)
-        assert table_x2p1_100.roots[7] == ()
+        assert roots_of(table_x2p1_100, 13) == (5, 8)
+        assert roots_of(table_x2p1_100, 7) == ()
 
     def test_density_product_matches_direct(self, table_x2p1_100, table_x2p1_2000):
         # the running product keeps the loop's order, so the floats are equal
         for table, hi in ((table_x2p1_100, 50), (table_x2p1_2000, 1000.5)):
             direct = 1.0
-            for q in table.usable_between(0, hi):
-                direct *= 1.0 - len(table.roots[q]) / q
+            for q in usable_between(table, 0, hi):
+                direct *= 1.0 - len(roots_of(table, q)) / q
             assert table.density_product(hi) == direct
-
-    def test_roots_map_is_read_only(self, table_x2p1_100):
-        with pytest.raises(TypeError):
-            table_x2p1_100.roots[13] = (1,)
 
     def test_companion_eval_mod_matches_bigint(self, f_x2p1):
         comp = f_x2p1.companion()
@@ -1136,7 +1206,7 @@ class TestScanRoute:
         assert taken == ["_roots_algebraic", "_roots_scan"]
         self.assert_same_table(alg, scan)
         for p in map(int, scan.primes):
-            assert scan.roots[p] == oracle_roots(f, p), p
+            assert roots_of(scan, p) == oracle_roots(f, p), p
 
     @given(f=scan_polys(), limit=st.integers(2, TWICE_THE_SPAN))
     @settings(max_examples=30, deadline=None)
@@ -1152,7 +1222,7 @@ class TestScanRoute:
         natural = build_root_table(f, limit)
         self.assert_same_table(alg, natural)
         for p in map(int, natural.primes):
-            assert natural.roots[p] == oracle_roots(f, p), p
+            assert roots_of(natural, p) == oracle_roots(f, p), p
 
     @pytest.mark.parametrize(
         "literal, limit, width",
@@ -1185,7 +1255,7 @@ class TestScanRoute:
         assert widths == [width]
         self.assert_same_table(alg, scan)
         for p in map(int, scan.primes):
-            assert scan.roots[p] == oracle_roots(f, p), p
+            assert roots_of(scan, p) == oracle_roots(f, p), p
 
     def test_values_at_the_int64_edge(self, monkeypatch):
         # c x^3 + 1 with c * 997^3 + 1 just below 2^63 (997, the largest
@@ -1199,7 +1269,7 @@ class TestScanRoute:
             table = build_root_table(f, 1000)
             assert taken[-1] == route
             for p in map(int, table.primes):
-                assert table.roots[p] == oracle_roots(f, p), (lead, p)
+                assert roots_of(table, p) == oracle_roots(f, p), (lead, p)
 
     def test_overflowing_values_take_the_algebraic_route(self, monkeypatch):
         # x^5 + 2^40 x^3 + 3 reaches about 2^70 below 1000, so even a span
@@ -1210,7 +1280,7 @@ class TestScanRoute:
         table = build_root_table(f, 1000)
         assert taken == ["_roots_algebraic"]
         for p in map(int, table.primes):
-            assert table.roots[p] == oracle_roots(f, p), p
+            assert roots_of(table, p) == oracle_roots(f, p), p
 
     def test_route_by_span_and_degree(self, monkeypatch):
         # below the span a cubic is scanned and a quadratic is not; the
@@ -1234,7 +1304,7 @@ class TestCache:
         files = list(tmp_path.iterdir())
         assert len(files) == 1
         t2 = build_root_table(f_x2p1, 3000, cache_dir=d)
-        assert t1.roots == t2.roots
+        assert all_rows(t1) == all_rows(t2)
 
     def test_corrupt_cache_is_rebuilt(self, f_x2p1, tmp_path):
         d = str(tmp_path)
@@ -1242,7 +1312,7 @@ class TestCache:
         (path,) = list(tmp_path.iterdir())
         path.write_bytes(b"\x00garbage\xff" * 7)
         t = build_root_table(f_x2p1, 1000, cache_dir=d)
-        assert t.roots[13] == (5, 8)
+        assert roots_of(t, 13) == (5, 8)
 
     def test_truncated_or_ragged_cache_is_not_read(self, f_x2p1, tmp_path):
         d = str(tmp_path)
@@ -1277,7 +1347,7 @@ class TestCache:
         path.write_bytes(data)
         assert _read_cache(str(path), f_x2p1, 1000, sieve_primes(990)) is None
         path.write_bytes(data[: 24 + n])
-        assert build_root_table(f_x2p1, 1000, cache_dir=d).roots == build_root_table(f_x2p1, 1000).roots
+        assert all_rows(build_root_table(f_x2p1, 1000, cache_dir=d)) == all_rows(build_root_table(f_x2p1, 1000))
         assert path.read_bytes() == data
 
     def test_distinct_polys_do_not_collide(self, f_x, f_x2p1, tmp_path):
@@ -1285,14 +1355,14 @@ class TestCache:
         build_root_table(f_x, 500, cache_dir=d)
         build_root_table(f_x2p1, 500, cache_dir=d)
         assert len(list(tmp_path.iterdir())) == 2
-        assert build_root_table(f_x, 500, cache_dir=d).roots[13] == (0,)
-        assert build_root_table(f_x2p1, 500, cache_dir=d).roots[13] == (5, 8)
+        assert roots_of(build_root_table(f_x, 500, cache_dir=d), 13) == (0,)
+        assert roots_of(build_root_table(f_x2p1, 500, cache_dir=d), 13) == (5, 8)
 
     @pytest.mark.parametrize("literal, digest, limit", list(CACHE_PINS.values()), ids=list(CACHE_PINS))
     def test_cache_bytes_pinned(self, literal, digest, limit, tmp_path):
         f = parse_poly_literal(literal)
         assert cache_digest(f, limit, str(tmp_path)) == digest
-        assert build_root_table(f, limit, cache_dir=str(tmp_path)).roots == build_root_table(f, limit).roots
+        assert all_rows(build_root_table(f, limit, cache_dir=str(tmp_path))) == all_rows(build_root_table(f, limit))
 
     def test_cached_equals_fresh(self, tmp_path, monkeypatch):
         # x, x^2 + 1, x^3 + 2, and 5x^3 + 3x^2 - x + 1 with no roots mod 5
@@ -1308,7 +1378,7 @@ class TestCache:
             monkeypatch.setattr(modroots_mod, route, no_roots)
         for f, c in zip(polys, cold):
             warm = build_root_table(f, 2000, cache_dir=str(tmp_path))
-            assert warm.roots == c.roots
+            assert all_rows(warm) == all_rows(c)
             assert warm.counts.tolist() == c.counts.tolist()
             assert warm.flat.tolist() == c.flat.tolist()
 
@@ -1317,7 +1387,8 @@ class TestCache:
         table = build_root_table(f_x2p1, 10**5, cache_dir=str(tmp_path))
         density_stats(table)
         density_stats(table, limit=10**4)
-        assert "roots" not in vars(table)
+        # the stats read the counts alone, never the index behind the rows
+        assert "_usable" not in vars(table)
 
 
 class TestDensityStats:
@@ -1356,7 +1427,7 @@ class TestDensityStats:
             if p > x:
                 break
             n_primes += 1
-            k = len(table.roots[p])
+            k = len(roots_of(table, p))
             if k:
                 mert += k / p
                 sigma *= 1.0 - k / p
@@ -1379,15 +1450,15 @@ class TestDensityStats:
 @pytest.fixture(scope="module")
 def table_x3p2_1000():
     table = build_root_table(parse_poly_literal("poly:[2,0,0,1]"), 1000)
-    assert max(map(len, table.roots.values())) == 3
+    assert max(table.rows(0, 1000)[1]) == 3
     return table
 
 
 class TestResidueCollisions:
     def brute(self, table, m, qmin, qmax):
         count = 0
-        for q in table.usable_between(qmin, qmax):
-            roots = table.roots[q]
+        for q in usable_between(table, qmin, qmax):
+            roots = roots_of(table, q)
             diffs = {(a - b) % q for a in roots for b in roots}
             if m % q in diffs:
                 count += 1

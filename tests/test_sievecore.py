@@ -11,6 +11,7 @@ from composite_forge.sievecore import (
     sieve_survivors,
     translate_check,
 )
+from conftest import roots_of, usable_between
 
 
 def brute_survivors(table, residues, interval, prime_range):
@@ -19,8 +20,8 @@ def brute_survivors(table, residues, interval, prime_range):
     out = []
     for t in range(lo, hi + 1):
         alive = True
-        for q in table.usable_between(plo, phi):
-            if (t - residues[q]) % q in set(table.roots[q]):
+        for q in usable_between(table, plo, phi):
+            if (t - residues[q]) % q in set(roots_of(table, q)):
                 alive = False
                 break
         if alive:
@@ -29,7 +30,7 @@ def brute_survivors(table, residues, interval, prime_range):
 
 
 def fixed_residues(table, prime_range, salt=0):
-    return {q: (salt * q // 3 + 1) % q for q in table.usable_between(*prime_range)}
+    return {q: (salt * q // 3 + 1) % q for q in usable_between(table, *prime_range)}
 
 
 class TestSurvivorSet:
@@ -69,7 +70,7 @@ class TestSieveSurvivors:
         got = sieve_survivors(table_x2p1_100, residues, interval, prime_range)
         want = brute_survivors(table_x2p1_100, residues, interval, prime_range)
         assert list(got.survivors()) == want
-        if not table_x2p1_100.usable_between(*prime_range):
+        if not usable_between(table_x2p1_100, *prime_range):
             assert want == list(range(interval[0], interval[1] + 1))
 
     def test_missing_residue_raises(self, table_x2p1_100):
@@ -124,6 +125,6 @@ class TestTranslateCheck:
     @settings(max_examples=50, deadline=None)
     def test_random_shifts(self, shift, salt, table_x2p1_100):
         residues = {
-            q: (salt + q // 2) % q for q in table_x2p1_100.usable_between(0, 50)
+            q: (salt + q // 2) % q for q in usable_between(table_x2p1_100, 0, 50)
         }
         assert translate_check(table_x2p1_100, residues, (-30, 80), (0, 50), shift)

@@ -38,6 +38,7 @@ from composite_forge.verify import (
 )
 
 from test_assemble import toy_certificate
+from conftest import roots_of, usable_between
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -345,7 +346,7 @@ class TestFaultInjection:
         # has usable density 1/3, x^2 + x + 41 no usable prime below 41
         f = IntPolynomial.from_monomial(coeffs)
         limit = 120_000
-        usable = build_root_table(f, limit).usable_primes()
+        usable = usable_between(build_root_table(f, limit), 0, limit)
         theta = 0.0
         for k, (q, nxt) in enumerate(zip(usable, usable[1:] + [limit + 1]), 1):
             theta += math.log(q)
@@ -435,7 +436,7 @@ def consistent_primes(cert, table) -> list[tuple[int, tuple[int, ...]]]:
     ascending: the primes that may vouch, found without the verifier."""
     residues = cert.residues()
     b1 = cert.placement.b1
-    return [(q, table.roots.get(q, ())) for q in sorted(residues) if (b1 - residues[q]) % q == 0]
+    return [(q, roots_of(table, q)) for q in sorted(residues) if (b1 - residues[q]) % q == 0]
 
 
 # reference oracle: the per-n witness search that the window search replaced
@@ -566,7 +567,7 @@ def witness_cases(draw):
     primes_with_roots = []
     for q in (int(p) for p in table.primes):
         kind = draw(st.sampled_from(("skip", "use", "use", "foreign", "part")))
-        roots = {"use": table.roots[q], "foreign": (), "part": table.roots[q][1:]}
+        roots = {"use": roots_of(table, q), "foreign": (), "part": roots_of(table, q)[1:]}
         if kind != "skip":
             primes_with_roots.append((q, roots[kind]))
     base = draw(st.one_of(st.integers(-100, 500), st.integers(1, 10**1500)))
@@ -714,7 +715,7 @@ class TestWindowWitnessSearch:
         roots = []
         for q in map(int, true_table.primes):
             kind = data.draw(st.sampled_from(("use", "use", "foreign", "every")))
-            roots.append({"use": true_table.roots[q], "foreign": (), "every": tuple(range(q))}[kind])
+            roots.append({"use": roots_of(true_table, q), "foreign": (), "every": tuple(range(q))}[kind])
         table = modroots_mod.RootTable(
             cert.poly, 300, true_table.primes, np.array([len(r) for r in roots]),
             np.array([r for rs in roots for r in rs], dtype=np.int64),
@@ -734,7 +735,7 @@ class TestWindowWitnessSearch:
 
     def test_small_prime_values_get_no_witness(self):
         f, table = poly_table("x", 60)
-        pwr = [(int(q), table.roots[int(q)]) for q in table.primes]
+        pwr = [(int(q), roots_of(table, int(q))) for q in table.primes]
         got = find_witness(1, 60, rows_for(1, pwr, 1), f)
         for k, w in enumerate(got.tolist()):
             n = 1 + k
@@ -820,7 +821,7 @@ class TestWindowWitnessSearch:
         # an empty window gives an empty int32 array, a window of one value
         # that value's witness
         f, table = poly_table(name, 60)
-        pwr = [(int(q), table.roots[int(q)]) for q in table.primes]
+        pwr = [(int(q), roots_of(table, int(q))) for q in table.primes]
         base = 10**40 + 1
         got = find_witness(base, length, rows_for(base, pwr, f.degree), f)
         assert got.dtype == np.int32 and got.shape == (length,)
