@@ -113,7 +113,7 @@ def pairing_stage(
     survivors fit (residual_excess <= 0). Each congruence kills its
     survivor, and other offsets too when y exceeds the prime (e.g. y = 4577
     at x = 3000 for f = x), which does no harm. Full cover is not argued
-    here: the construction asserts it with a final sieve.
+    here: the construction checks it with a final sieve.
     """
 
     def pair(survivors: Iterable[int], pool: Sequence[tuple[int, int]]) -> dict[int, int]:
@@ -438,7 +438,8 @@ def place(b: int, modulus: int, n_target: int, y: int) -> Placement:
             {"window": hi - lo + 1, "modulus_bits": modulus.bit_length()},
         )
     b1 = hi - divmod_newton(hi - b, modulus)[1]
-    assert b1 >= lo
+    if b1 < lo:
+        raise RuntimeError(f"internal error: b1 = {b1} lies below the placement window")
     return Placement(N=n_target, b1=b1, y=y)
 
 
@@ -725,13 +726,13 @@ def construct_certificate(
     full = {**assigned, **fills}
 
     # the whole point: no offset in either window survives the full system
-    final_f = sieve_survivors(table, full, (1, achieved_y), (0, x))
-    assert final_f.count() == 0, "internal error: forward window not fully covered"
+    windows = [("forward", full, (1, achieved_y))]
     if two_sided:
-        final_b = sieve_survivors(
-            table, backward_residues(full, n_mod), (-achieved_y, -1), (0, x)
-        )
-        assert final_b.count() == 0, "internal error: backward window not fully covered"
+        windows.append(("backward", backward_residues(full, n_mod), (-achieved_y, -1)))
+    for side, residues, interval in windows:
+        left = sieve_survivors(table, residues, interval, (0, x))
+        if left.count():
+            raise RuntimeError(f"internal error: {side} window not fully covered at {left.offsets[0]}")
 
     stages = [
         StageRecord("small", "both" if two_sided else "fwd", sorted(small.items())),

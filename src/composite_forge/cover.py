@@ -235,12 +235,13 @@ class CoverState:
 
     fwd and bwd are the sorted absolute offsets that no class assigned so
     far kills. One window-length attempt builds one state from its
-    small-stage survivor bitmaps; the medium stage assigns its classes on it,
-    and its arrays are the residuals. With no backward bitmap the backward
-    array is empty, and n_mod, the map q -> N mod q (see target_residues)
-    read only for a nonempty backward array, may be None. Both arrays are
-    int32 when the largest |offset| of the windows plus the table's limit is
-    below NARROW_KEY_BOUND = 2^31, so that every class key fits, and int64
+    small-stage survivor sets, whose offsets it narrows to its key dtype;
+    the medium stage assigns its classes on it, and its arrays are the
+    residuals. With no backward set the backward array is empty, and
+    n_mod, the map q -> N mod q (see target_residues) read only for a
+    nonempty backward array, may be None. Both arrays are int32 when the
+    largest |offset| of the windows plus the table's limit is below
+    NARROW_KEY_BOUND = 2^31, so that every class key fits, and int64
     otherwise.
 
     Residue r of q kills forward survivor o when r = o - alpha and backward
@@ -272,8 +273,8 @@ class CoverState:
         reach = max(max(abs(w.lo), abs(w.hi)) for w in windows) + table.limit
         # a class key o - alpha or alpha - N - o lies within reach of 0
         dtype = np.int32 if reach < NARROW_KEY_BOUND else np.int64
-        self.fwd = fwd.survivors().astype(dtype)
-        self.bwd = np.zeros(0, dtype) if bwd is None else bwd.survivors().astype(dtype)
+        self.fwd = fwd.offsets.astype(dtype)
+        self.bwd = np.zeros(0, dtype) if bwd is None else bwd.offsets.astype(dtype)
 
     def assign(self, rows: Rows, given: Mapping[int, int] | None = None) -> dict[int, int]:
         """Assign each prime of rows (primes, root counts and roots, as

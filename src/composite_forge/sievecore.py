@@ -6,7 +6,8 @@ Given residues r_q and root sets I_q, position n is killed by prime q when
 active range kills. Intervals are inclusive on both ends and may be
 negative. Each (prime, root) pair is one row of smallest_hit, whose array
 over the whole interval is allocated at once, so memory grows with the
-interval length; survivors are its zeros.
+interval length. The survivors are its zeros, and a SurvivorSet holds
+them in the one form every reader takes: their ascending positions.
 """
 
 from __future__ import annotations
@@ -65,18 +66,15 @@ def smallest_hit(q: np.ndarray, first: np.ndarray, length: int) -> np.ndarray:
 
 @dataclass
 class SurvivorSet:
-    """Survivor bitmap over the inclusive interval [lo, hi]."""
+    """The survivors of the inclusive interval [lo, hi]: offsets holds
+    their absolute positions, an ascending int64 array."""
 
     lo: int
     hi: int
-    bits: np.ndarray
+    offsets: np.ndarray
 
     def count(self) -> int:
-        return int(self.bits.sum())
-
-    def survivors(self) -> np.ndarray:
-        """Absolute positions of survivors, ascending int64."""
-        return np.nonzero(self.bits)[0].astype(np.int64) + self.lo
+        return len(self.offsets)
 
 
 def sieve_survivors(
@@ -98,7 +96,7 @@ def sieve_survivors(
     # one row per (prime, root): offset k is hit when k = r_q + a - lo mod q
     q = np.repeat(primes, counts)
     first = (np.repeat(np.array(shift, dtype=np.int64), counts) + roots) % q
-    return SurvivorSet(lo, hi, smallest_hit(q, first, hi - lo + 1) == 0)
+    return SurvivorSet(lo, hi, np.flatnonzero(smallest_hit(q, first, hi - lo + 1) == 0) + lo)
 
 
 def translate_check(
@@ -109,9 +107,10 @@ def translate_check(
     shift: int,
 ) -> bool:
     """Survivors commute with translation: sieving residues r_q over [lo, hi]
-    and sieving r_q + t over [lo + t, hi + t] must give the same bitmap."""
+    and sieving r_q + t over [lo + t, hi + t] must give the same survivors,
+    each moved by t."""
     base = sieve_survivors(table, residues, interval, prime_range)
     shifted_res = {q: (r + shift) % q for q, r in residues.items()}
     lo, hi = interval
     moved = sieve_survivors(table, shifted_res, (lo + shift, hi + shift), prime_range)
-    return bool(np.array_equal(base.bits, moved.bits))
+    return bool(np.array_equal(base.offsets + shift, moved.offsets))

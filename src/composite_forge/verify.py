@@ -259,7 +259,7 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
             else:
                 leftover = sieve_survivors(table, residues, (1, y), (0, x))
                 report.checked = y
-                report.failures = [int(v) for v in leftover.survivors()]
+                report.failures = leftover.offsets.tolist()
         report.valid = not report.failures and not report.messages
         return report
 

@@ -3,6 +3,7 @@ import pytest
 
 from composite_forge.modroots import build_root_table
 from composite_forge.poly import IntPolynomial
+from composite_forge.sievecore import SurvivorSet
 
 
 @pytest.fixture(scope="session")
@@ -62,3 +63,17 @@ def rows_of(table, primes):
     RootTable.rows gives: primes, root counts and roots."""
     qs = sorted(primes)
     return (np.array(qs, dtype=np.int64), *table.lookup(qs))
+
+
+def bitmap(survivors):
+    """A SurvivorSet as a boolean array over [lo, hi], True at each
+    survivor: the form the test oracles kill offsets in."""
+    bits = np.zeros(survivors.hi - survivors.lo + 1, dtype=bool)
+    bits[survivors.offsets - survivors.lo] = True
+    return bits
+
+
+def from_bitmap(lo, bits):
+    """The SurvivorSet over [lo, lo + len(bits) - 1] whose survivors are
+    the True entries of bits."""
+    return SurvivorSet(lo, lo + len(bits) - 1, np.flatnonzero(bits).astype(np.int64) + lo)

@@ -7,10 +7,12 @@ import json
 import math
 import os
 import random
+import subprocess
 import sys
 import tempfile
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -524,7 +526,51 @@ class TestCertificateSerialization:
             cert.residues()
 
 
+# A construction of f = x at x = 300, seed 7, whose pairing drops the
+# pair of its smallest forward cleanup prime, so one forward offset is left
+# uncovered. It prints the interpreter's optimize flag and what construction
+# gave: the error's message, or the window length of a certificate.
+DROPPED_PAIR = """
+import sys
+from composite_forge import assemble
+from composite_forge.cover import SieveParams
+from composite_forge.poly import IntPolynomial
+
+pairing = assemble.pairing_stage
+
+def drop_one(*args):
+    fwd, bwd = pairing(*args)
+    del fwd[min(fwd)]
+    return fwd, bwd
+
+assemble.pairing_stage = drop_one
+try:
+    cert, _ = assemble.construct_certificate(IntPolynomial.from_monomial([0, 1]), SieveParams(x=300), 7)
+except RuntimeError as e:
+    print(sys.flags.optimize, e)
+else:
+    print(sys.flags.optimize, "certificate with y =", cert.params.y)
+"""
+
+
 class TestConstructCertificate:
+    @pytest.mark.parametrize("optimize", [0, 1])
+    def test_uncovered_offset_refused_under_any_flag(self, optimize):
+        # the final cover check holds under python -O, which strips asserts
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        flags = ["-O"] * optimize
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", DROPPED_PAIR], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        flag, message = out.stdout.strip().split(" ", 1)
+        assert int(flag) == optimize
+        head, _, offset = message.rpartition(" ")
+        assert head == "internal error: forward window not fully covered at"
+        assert 1 <= int(offset) <= 716
+
     def test_end_to_end_linear(self, f_x, cache_dir):
         cert, stats = construct_certificate(
             f_x, SieveParams(x=300), seed=7, cache_dir=cache_dir

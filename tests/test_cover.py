@@ -30,14 +30,14 @@ from composite_forge.cover import (
 )
 from composite_forge.poly import IntPolynomial
 from composite_forge.sievecore import SurvivorSet, sieve_survivors
-from conftest import roots_of, rows_of, usable_between
+from conftest import bitmap, from_bitmap, roots_of, rows_of, usable_between
 
 
 N60 = 10**60  # the target sum of the hand-sized two-sided cases
 
 
 def full_window(lo, hi):
-    return SurvivorSet(lo, hi, np.ones(hi - lo + 1, dtype=bool))
+    return SurvivorSet(lo, hi, np.arange(lo, hi + 1, dtype=np.int64))
 
 
 # Reference class scores: the per-window scorers that CoverState's scoring
@@ -259,14 +259,14 @@ class TestSmallStage:
             params, table_x2p1_2000, stage_rng(2, 1, 0), n_mod
         )
         again = sieve_survivors(table_x2p1_2000, residues, (1, params.y), (0, params.z))
-        assert np.array_equal(fwd.bits, again.bits)
+        assert np.array_equal(fwd.offsets, again.offsets)
         back = sieve_survivors(
             table_x2p1_2000,
             backward_residues(residues, n_mod),
             (-params.y, -1),
             (0, params.z),
         )
-        assert np.array_equal(bwd.bits, back.bits)
+        assert np.array_equal(bwd.offsets, back.offsets)
 
     def test_two_sided_needs_target(self, table_x2p1_2000):
         with pytest.raises(ValueError):
@@ -350,7 +350,7 @@ class TestGreedySelection:
         resieved = sieve_survivors(
             table_x2p1_2000, merged, (1, params.y), (0, 300)
         )
-        assert list(resieved.survivors()) == list(state.fwd)
+        assert list(resieved.offsets) == list(state.fwd)
 
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     def test_joint_two_sided_consistency(self, table_x2p1_2000, block):
@@ -370,8 +370,8 @@ class TestGreedySelection:
             (-params.y, -1),
             (0, 400),
         )
-        assert list(f2.survivors()) == list(state.fwd)
-        assert list(b2.survivors()) == list(state.bwd)
+        assert list(f2.offsets) == list(state.fwd)
+        assert list(b2.offsets) == list(state.bwd)
 
     def test_greedy_beats_random_here(self, table_x2p1_2000):
         params = SieveParams(x=2000)
@@ -509,7 +509,7 @@ def kill(bits, lo, positions):
 
 def oracle_greedy_both(primes, survivors, paired, table, n_target):
     """(q -> residue in choice order, forward residual, backward residual)."""
-    F, B = survivors.bits.copy(), paired.bits.copy()
+    F, B = bitmap(survivors), bitmap(paired)
     chosen = {}
     for q in sorted(set(primes)):
         alphas = roots_of(table, q)
@@ -530,7 +530,7 @@ def oracle_greedy_both(primes, survivors, paired, table, n_target):
 
 def oracle_greedy_fwd(primes, survivors, table):
     """(q -> residue in choice order, forward residual)."""
-    F = survivors.bits.copy()
+    F = bitmap(survivors)
     chosen = {}
     for q in sorted(set(primes)):
         alphas = roots_of(table, q)
@@ -676,7 +676,9 @@ class TestCoverState:
         rng = np.random.default_rng(reach % 1000)
         fwd0 = random_window(rng, top - 2999, 3000, 0.3)
         bwd0 = random_window(rng, -top, 3000, 0.3)
-        fwd0.bits[-1] = bwd0.bits[0] = True  # the extreme offsets survive
+        # the extreme offsets survive
+        fwd0.offsets = np.union1d(fwd0.offsets, [top])
+        bwd0.offsets = np.union1d([-top], bwd0.offsets)
         n_target = 10**300 + 11
         med = usable_between(table, 20, 1000)
         state = CoverState(table, fwd0, bwd0, target_residues(n_target, table))
@@ -695,8 +697,8 @@ class TestCoverState:
         # with no survivor left a scored residue is the argmax of an empty
         # bincount, 0, and a given one is returned as it is
         table = tables_2000[poly]
-        dead = SurvivorSet(1, 50, np.zeros(50, dtype=bool))
-        state = CoverState(table, dead, SurvivorSet(-50, -1, np.zeros(50, dtype=bool)), None)
+        dead = SurvivorSet(1, 50, np.zeros(0, dtype=np.int64))
+        state = CoverState(table, dead, SurvivorSet(-50, -1, np.zeros(0, dtype=np.int64)), None)
         primes = usable_between(table, 0, 200)
         for q in primes:
             assert int(np.bincount(np.zeros(0, np.int64), minlength=q).argmax()) == 0
@@ -722,9 +724,9 @@ class TestCoverState:
 
 
 def random_window(rng, lo, length, p_survive):
-    """Survivor bitmap over [lo, lo + length - 1]: each offset survives
+    """Survivor set over [lo, lo + length - 1]: each offset survives
     with probability p_survive."""
-    return SurvivorSet(lo, lo + length - 1, rng.random(length) < p_survive)
+    return from_bitmap(lo, rng.random(length) < p_survive)
 
 
 def oracle_best_residue(q, alphas, fpos, bpos, n_target):
@@ -762,7 +764,7 @@ class TestFusedScorer:
         fwd = random_window(rng, fwd_lo, fwd_len, p_survive)
         bwd = random_window(rng, bwd_lo, bwd_len, p_survive)
         state = CoverState(table, fwd, bwd, target_residues(n_target, table))
-        expect = oracle_best_residue(q, roots_of(table, q), fwd.survivors(), bwd.survivors(), n_target)
+        expect = oracle_best_residue(q, roots_of(table, q), fwd.offsets, bwd.offsets, n_target)
         assert state.assign(table.rows(q - 1, q)) == {q: expect}
 
     @pytest.mark.parametrize("poly", ["x", "x^2+1", "x^3+2"])
@@ -780,8 +782,8 @@ class TestFusedScorer:
         # f = x: the only root is 0, so a forward survivor o has key o and a
         # backward one -N - o; both score 1 and the smaller key wins
         q, n_target = 97, 10**1500
-        fwd = SurvivorSet(-50, 49, np.arange(-50, 50) == o_fwd)
-        bwd = SurvivorSet(-100, -1, np.arange(-100, 0) == o_bwd)
+        fwd = SurvivorSet(-50, 49, np.array([o_fwd], dtype=np.int64))
+        bwd = SurvivorSet(-100, -1, np.array([o_bwd], dtype=np.int64))
         k_f, k_b = o_fwd % q, (-n_target - o_bwd) % q
         state = CoverState(table_x_100, fwd, bwd, target_residues(n_target, table_x_100))
         assert state.assign(table_x_100.rows(q - 1, q)) == {q: min(k_f, k_b)}
@@ -790,7 +792,7 @@ class TestFusedScorer:
         # a one-sided state has no target residues at all: scoring and
         # adding never read them
         fwd = full_window(-20, 700)
-        fwd.bits[::3] = False
+        fwd.offsets = np.delete(fwd.offsets, np.s_[::3])
         state = one_sided(table_x2p1_2000, fwd)
         assert state.bwd.size == 0 and state.n_mod is None
         chosen = {}
@@ -801,7 +803,7 @@ class TestFusedScorer:
             chosen.update(state.assign(table_x2p1_2000.rows(q - 1, q)))
             assert chosen[q] == expect
         kept = sieve_only(table_x2p1_2000, chosen, (-20, 700))
-        assert np.array_equal(state.fwd, np.intersect1d(kept, fwd.survivors()))
+        assert np.array_equal(state.fwd, np.intersect1d(kept, fwd.offsets))
         # one pass over all of them, in blocks, makes the same choices
         again = one_sided(table_x2p1_2000, fwd)
         assert again.assign(table_x2p1_2000.rows(100, 400)) == chosen
@@ -829,7 +831,7 @@ class TestBlocks:
         # block of every prime empties after its fifth and gives the rest 0
         n_target = 10**70 + 1
         fwd0 = full_window(1, 5)
-        bwd0 = SurvivorSet(-5, -1, np.zeros(5, dtype=bool)) if paired else None
+        bwd0 = SurvivorSet(-5, -1, np.zeros(0, dtype=np.int64)) if paired else None
         n_mod = target_residues(n_target, table_x_100)
         state = CoverState(table_x_100, fwd0, bwd0, n_mod if paired else None)
         med = usable_between(table_x_100, 6, 60)

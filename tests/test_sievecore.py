@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from composite_forge.sievecore import (
     SPARSE_HITS,
-    SurvivorSet,
     sieve_survivors,
     translate_check,
 )
-from conftest import roots_of, usable_between
+from conftest import bitmap, from_bitmap, roots_of, usable_between
 
 
 def brute_survivors(table, residues, interval, prime_range):
@@ -35,16 +34,29 @@ def fixed_residues(table, prime_range, salt=0):
 
 class TestSurvivorSet:
     def test_basic_ops(self):
-        s = SurvivorSet(5, 9, np.ones(5, dtype=bool))
-        assert s.count() == 5
-        s.bits[[1, 3]] = False
-        assert s.count() == 3
-        assert list(s.survivors()) == [5, 7, 9]
-        assert s.survivors().dtype == np.int64
+        bits = np.ones(5, dtype=bool)
+        assert from_bitmap(5, bits).count() == 5
+        bits[[1, 3]] = False
+        s = from_bitmap(5, bits)
+        assert (s.lo, s.hi) == (5, 9)
+        assert s.count() == 3 == len(s.offsets)
+        assert list(s.offsets) == [5, 7, 9]
+        assert s.offsets.dtype == np.int64
+        assert np.array_equal(bitmap(s), bits)
 
     def test_negative_interval(self):
-        s = SurvivorSet(-4, -1, np.array([True, True, False, True]))
-        assert list(s.survivors()) == [-4, -3, -1]
+        s = from_bitmap(-4, np.array([True, True, False, True]))
+        assert (s.lo, s.hi) == (-4, -1)
+        assert list(s.offsets) == [-4, -3, -1]
+        assert s.count() == 3
+
+    def test_empty_set(self, table_x_100):
+        # f = x: residue 1 of 2 kills offset 1 and residue 2 of 3 kills 2
+        s = sieve_survivors(table_x_100, {2: 1, 3: 2}, (1, 2), (0, 3))
+        assert (s.lo, s.hi) == (1, 2)
+        assert s.count() == 0
+        assert s.offsets.dtype == np.int64 and s.offsets.shape == (0,)
+        assert not bitmap(s).any()
 
 
 # a usable prime of x^2 + 1 with usable primes on both sides of it below
@@ -69,7 +81,7 @@ class TestSieveSurvivors:
         residues = fixed_residues(table_x2p1_100, prime_range, salt)
         got = sieve_survivors(table_x2p1_100, residues, interval, prime_range)
         want = brute_survivors(table_x2p1_100, residues, interval, prime_range)
-        assert list(got.survivors()) == want
+        assert list(got.offsets) == want
         if not usable_between(table_x2p1_100, *prime_range):
             assert want == list(range(interval[0], interval[1] + 1))
 
@@ -85,7 +97,7 @@ class TestSieveSurvivors:
         b = sieve_survivors(
             table_x2p1_100, fixed_residues(table_x2p1_100, (0, 50)), (1, 100), (0, 50)
         )
-        assert np.array_equal(a.bits, b.bits)
+        assert np.array_equal(a.offsets, b.offsets)
 
     def test_unusable_primes_never_consulted(self, table_x2p1_100):
         # 7 has no roots for x^2 + 1; a residue for it must be irrelevant
@@ -93,7 +105,7 @@ class TestSieveSurvivors:
         base = sieve_survivors(table_x2p1_100, residues, (1, 100), (0, 50))
         residues[7] = 3
         again = sieve_survivors(table_x2p1_100, residues, (1, 100), (0, 50))
-        assert np.array_equal(base.bits, again.bits)
+        assert np.array_equal(base.offsets, again.offsets)
 
     @given(
         raw=st.dictionaries(
@@ -110,9 +122,15 @@ class TestSieveSurvivors:
         residues = {q: r % q for q, r in raw.items()}
         interval = (lo, lo + width)
         got = sieve_survivors(table_x2p1_100, residues, interval, (0, 41))
-        assert list(got.survivors()) == brute_survivors(
+        assert list(got.offsets) == brute_survivors(
             table_x2p1_100, residues, interval, (0, 41)
         )
+        # the one survivor format: ascending int64 positions inside the interval
+        assert (got.lo, got.hi) == interval
+        assert got.offsets.dtype == np.int64
+        assert np.all(np.diff(got.offsets) > 0)
+        assert np.all((interval[0] <= got.offsets) & (got.offsets <= interval[1]))
+        assert got.count() == len(got.offsets)
 
 
 class TestTranslateCheck:
