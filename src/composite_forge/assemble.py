@@ -34,7 +34,6 @@ from .cover import (
     json_int,
     sample_small_residue,
     select_shifts_greedy,
-    select_shifts_random,
     target_residues,
 )
 from .modroots import RootTable, build_root_table
@@ -46,7 +45,6 @@ CERT_VERSION = 2
 
 # fixed stream labels so adding a stage never reshuffles another stage's draws
 STREAM_SMALL = 1
-STREAM_MEDIUM = 2
 
 
 def stage_rng(seed: int, label: int, *extra: int) -> np.random.Generator:
@@ -150,22 +148,16 @@ SEARCH_MIN_STEP = 0.01
 # attempts.
 SEARCH_NOISE = 10.0
 # Its start (construct_certificate): 3 * capacity / sigma(x/2) times
-# a * (x / 300)^b = a * exp(b ln(x / 300)), with (a, b) per
-# (mode, two_sided) fitted by least squares on ln of the found y over that
-# base, for each f at x in {300, 1000, 3000, 10^4, 3 * 10^4}, seeds 21 to
-# 28, with up to 10 attempts (runs that reached the formula y left out).
-# Greedy two-sided the ratio is 1.0-1.1 at 300 and 1.6-1.8 at 3 * 10^4, and
-# f moves it by up to 8 % either way (x^3+2 lowest from 3000 on); the line
+# a * (x / 300)^b = a * exp(b ln(x / 300)), with (a, b) keyed by two_sided
+# and fitted by least squares on ln of the found y over that base, for each
+# f at x in {300, 1000, 3000, 10^4, 3 * 10^4}, seeds 21 to 28, with up to
+# 10 attempts (runs that reached the formula y left out). Two-sided the
+# ratio is 1.0-1.1 at 300 and 1.6-1.8 at 3 * 10^4, and f moves it by up to
+# 8 % either way (x^3+2 lowest from 3000 on); the line
 # 1.035 + 0.145 ln(x / 300) fitted to the same points starts 2-4 % lower at
 # 300 and at 10^5, and took more attempts there (seeds 101 to 140 at 300,
-# 21 and 22 at 10^5). Random mode finds a fifth to a third of the base at
-# every x, with no trend in x beyond the spread between f.
-SEARCH_START = {
-    ("greedy", True): (1.056, 0.106),
-    ("greedy", False): (1.390, 0.134),
-    ("random", True): (0.309, -0.018),
-    ("random", False): (0.202, 0.0),
-}
+# 21 and 22 at 10^5).
+SEARCH_START = {True: (1.056, 0.106), False: (1.390, 0.134)}
 
 
 def residual_excess(record: dict, cap_f: int, cap_b: int) -> float | None:
@@ -584,7 +576,6 @@ def construct_certificate(
     seed: int,
     *,
     two_sided: bool = True,
-    mode: str = "greedy",
     n_target: int | None = None,
     cache_dir: str | None = None,
     assert_irreducible: bool = False,
@@ -592,16 +583,16 @@ def construct_certificate(
     """Run the full staged sieve and emit a certificate.
 
     An attempt at length y draws the small residues (q <= z) at random,
-    assigns the medium primes (z, x/2] (greedy: one ascending pass of
-    select_shifts_greedy; random: select_shifts_random), and is feasible
-    when the survivors left in each window fit its cleanup primes, the rule
-    residual_excess <= 0 encodes; only then does pairing_stage pair them.
+    assigns the medium primes (z, x/2] in one ascending greedy pass
+    (select_shifts_greedy), and is feasible when the survivors left in each
+    window fit its cleanup primes, the rule residual_excess <= 0 encodes;
+    only then does pairing_stage pair them.
 
     The window length y is found by search_window_length, a secant search
     on the residual excess of each attempt against ln y. It starts at
     3 * capacity / sigma(x/2) (capacity: the cleanup primes of the tighter
     window; sigma: RootTable.density_product) times a * (x / 300)^b, a and
-    b fitted per mode and sidedness (SEARCH_START), capped at the formula y;
+    b fitted per sidedness (SEARCH_START), capped at the formula y;
     stats.extras["y_start"] is that start before the cap. It never tries a
     length above the formula y or below 8. Until a feasible and a larger
     infeasible length bracket the root, each step moves y by at least 1 %
@@ -623,8 +614,6 @@ def construct_certificate(
     stats.extras carry no n_digits, m_formula or m_larger, and its
     residual_bwd is None.
     """
-    if mode not in ("greedy", "random"):
-        raise ValueError("mode must be greedy or random")
     verdict = irreducibility_check(f, assert_irreducible=assert_irreducible)
     if verdict == "fail":
         raise ConstructionError(
@@ -682,14 +671,7 @@ def construct_certificate(
         # the attempt's one cover state: the small-stage survivors, less
         # every class the medium stage assigns (one-sided: no backward window)
         state = CoverState(table, fwd0, bwd0, n_mod)
-        if mode == "greedy":
-            medium = select_shifts_greedy(state, table.rows(p.z, x / 2))
-        else:
-            # every drawn prime lies in (z, x/2]; the draw order does not
-            # change what the given residues kill, so they go in ascending
-            medium = select_shifts_random(p, table, stage_rng(seed, STREAM_MEDIUM, y), n_mod)
-            drawn = sorted(medium)
-            state.assign((np.array(drawn, dtype=np.int64), *table.lookup(drawn)), medium)
+        medium = select_shifts_greedy(state, table.rows(p.z, x / 2))
         res_f, res_b = state.fwd, state.bwd
         counts = [(fwd0.count(), len(res_f))]
         if two_sided:
@@ -704,7 +686,7 @@ def construct_certificate(
         return good, excess
 
     capacity = min(cap_f, cap_b) if two_sided else cap_f
-    c0, c1 = SEARCH_START[mode, two_sided]
+    c0, c1 = SEARCH_START[two_sided]
     y_start = int(3 * capacity / max(table.density_product(x / 2), 1e-300)
                   * c0 * (x / 300) ** c1)
     slope = SEARCH_SLOPE * (1 + SEARCH_NOISE / (capacity + 1))
@@ -736,11 +718,7 @@ def construct_certificate(
 
     stages = [
         StageRecord("small", "both" if two_sided else "fwd", sorted(small.items())),
-        StageRecord(
-            "medium",
-            "both" if (two_sided and mode == "greedy") else "fwd",
-            sorted(medium.items()),
-        ),
+        StageRecord("medium", "both" if two_sided else "fwd", sorted(medium.items())),
         StageRecord("cleanup", "fwd", sorted(pairs[0].items())),
     ]
     if two_sided:
@@ -778,7 +756,6 @@ def construct_certificate(
             "m_achieved": m_achieved,
             "modulus_bits": p_x.bit_length(),
             "fills": len(fills),
-            "mode": mode,
             "y_start": y_start,
             "attempts": attempts,
         }

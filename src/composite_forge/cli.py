@@ -94,11 +94,8 @@ def build_parser() -> _Parser:
                    help="binomial-basis list, binom:[...], or poly:[c0,...,cB] monomial form")
     c.add_argument("--x", type=int, required=True, help="sieve prime bound")
     c.add_argument("--delta", type=float, default=0.5)
-    c.add_argument("--xi", type=float, default=2.0)
-    c.add_argument("--K", type=float, default=8.0)
     c.add_argument("--retry-budget", type=int, default=64)
     c.add_argument("--seed", type=nonnegative_int, default=0)
-    c.add_argument("--mode", choices=["greedy", "random"], default="greedy")
     c.add_argument("--two-sided", action=argparse.BooleanOptionalAction, default=True)
     c.add_argument("--N", type=str, default=None,
                    help="explicit target sum (decimal); default: the least power of"
@@ -150,13 +147,7 @@ def cmd_construct(args) -> int:
         )
         return EXIT_USAGE
     try:
-        params = SieveParams(
-            x=args.x,
-            delta=args.delta,
-            xi=args.xi,
-            K=args.K,
-            retry_budget=args.retry_budget,
-        )
+        params = SieveParams(x=args.x, delta=args.delta, retry_budget=args.retry_budget)
     except ValueError as e:
         print(f"composite-forge: bad parameters: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -173,7 +164,6 @@ def cmd_construct(args) -> int:
             params,
             args.seed,
             two_sided=args.two_sided,
-            mode=args.mode,
             n_target=n_target,
             cache_dir=args.cache_dir,
             assert_irreducible=args.assert_irreducible,

@@ -1,5 +1,5 @@
-"""Staged residue selection: parameters, small-prime sampling, and
-medium-prime shift selection (random and greedy).
+"""Staged residue selection: parameters, small-prime sampling, and greedy
+medium-prime residue selection.
 
 The sieve covers two offset windows, forward [1, y] and backward [-y, -1].
 A certificate residue r_q kills forward offsets j = r_q + alpha (mod q) and
@@ -7,22 +7,17 @@ backward offsets j = alpha - N - r_q (mod q), where N is the target sum. So
 the sieve needs N only mod each sieving prime: every stage that touches the
 backward window takes the map q -> N mod q (target_residues), which a
 construction builds once, and N in full enters only at placement.
-Greedy mode scores residue classes directly, in one ascending pass over the
-medium primes; random mode walks the scales H = xi^j, samples a shift n_q
-per prime and induces residues from it. The shifts are uniform: the paper
-weights a shift by sigma2^(-count) over its progression, and sigma2 = 1 at
-every supported scale (the small-stage boundary z sits below H^M for every
-scale), so each weight is 1. Each window-length attempt builds one
-CoverState from its small-stage survivors: the sorted offsets of both
-windows that no class assigned so far kills. Both modes assign their
-medium primes on it through CoverState.assign, its arrays are the
-post-medium residuals, and the medium stage hands back plain q -> residue
-maps. assign walks the primes in blocks of consecutive primes, and a prime
-that fits no larger block is a block of one: a block computes the class
-keys of all its primes over the survivors of both windows at once, greedy
-mode scores its first prime by one bincount of its keys and each later one
-by a bincount weighted by the survivors still live, given residues kill
-with one compare, and the survivors are compacted once per block.
+The medium stage scores residue classes directly, in one ascending pass
+over the medium primes. Each window-length attempt builds one CoverState
+from its small-stage survivors: the sorted offsets of both windows that no
+class assigned so far kills. The medium stage assigns its primes on it
+through CoverState.assign, its arrays are the post-medium residuals, and
+the stage hands back a plain q -> residue map. assign walks the primes in
+blocks of consecutive primes, and a prime that fits no larger block is a
+block of one: a block computes the class keys of all its primes over the
+survivors of both windows at once, scores its first prime by one bincount
+of its keys and each later one by a bincount weighted by the survivors
+still live, and the survivors are compacted once per block.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from .modroots import RootTable, Rows
 from .sievecore import SurvivorSet, sieve_survivors
 
 
-# the most scales H = xi^j per side that SieveParams lets random mode walk
+# the largest ln(x/2) / ln(xi) that SieveParams admits (see its docstring)
 MAX_SCALES = 1024
 
 
@@ -72,9 +67,11 @@ class SieveParams:
     leave no primes for shift selection at all, so the cap is what makes the
     staged pipeline nondegenerate; both values are exposed.
 
-    Random mode draws int64 shifts from ranges of (K + 2) * y values and
-    walks at most ln(x/2) / ln(xi) scales per side, so (K + 2) * y must stay
-    below 2^63 at the formula y, and ln(x/2) / ln(xi) within MAX_SCALES.
+    No stage reads xi or K. Every certificate stores them and from_json
+    reads them back, so they keep their checks: both finite, xi above 1 and
+    K positive, (K + 2) * y below 2^63 at the formula y, and ln(x/2) /
+    ln(xi) within MAX_SCALES. A stored certificate whose values fail them
+    does not load.
     """
 
     x: int
@@ -262,8 +259,7 @@ class CoverState:
     bincount weighted by a live mask (a survivor killed earlier in the block
     weighs 0), argmax, the compare, and a copyto that clears the survivors
     it kills in the mask. The counts are exact integers, so ties go to the
-    smallest residue. Given residues kill the whole block with one compare.
-    The arrays are compacted once per block.
+    smallest residue. The arrays are compacted once per block.
     """
 
     def __init__(self, table: RootTable, fwd: SurvivorSet, bwd: SurvivorSet | None,
@@ -276,40 +272,33 @@ class CoverState:
         self.fwd = fwd.offsets.astype(dtype)
         self.bwd = np.zeros(0, dtype) if bwd is None else bwd.offsets.astype(dtype)
 
-    def assign(self, rows: Rows, given: Mapping[int, int] | None = None) -> dict[int, int]:
+    def assign(self, rows: Rows) -> dict[int, int]:
         """Assign each prime of rows (primes, root counts and roots, as
-        RootTable.rows gives them), in order, the residue given[q], or, with
-        no given map, the residue killing the most survivors left on both
-        sides jointly (ties to the smallest), and drop the survivors it
-        kills. Returns q -> residue. Once no survivor is left every scored
-        residue is 0, what a bincount of no keys gives."""
+        RootTable.rows gives them), in order, the residue killing the most
+        survivors left on both sides jointly (ties to the smallest), and
+        drop the survivors it kills. Returns q -> residue. Once no survivor
+        is left every residue is 0, what a bincount of no keys gives."""
         q, k, roots = rows
         primes, nus = q.tolist(), k.tolist()
         ends = list(itertools.accumulate(nus))  # one past each prime's last row
-        cols = self._columns(primes, nus, roots, given)
-        score = given is None
+        cols = self._columns(primes, nus, roots)
         residues: list[int] = []
         i, n = 0, len(primes)
         while i < n and (self.fwd.size or self.bwd.size):
             j = self._block_end(ends, i)
-            residues += self._block(primes[i:j], nus[i:j], cols[:, ends[i] - nus[i]:ends[j - 1]], score)
+            residues += self._block(primes[i:j], nus[i:j], cols[:, ends[i] - nus[i]:ends[j - 1]])
             i = j
-        if not score:
-            return {q: given[q] for q in primes}
         return dict(zip(primes, residues + [0] * (n - i)))
 
-    def _columns(self, primes: list[int], nus: list[int], roots: np.ndarray,
-                 given: Mapping[int, int] | None) -> np.ndarray:
-        """One row per (prime, root) of primes, in order, and four columns:
-        the root alpha, the prime, the backward key's constant alpha - N
-        (N mod q read only when backward survivors remain) and the given
-        residue (0 when scored); shape (4, rows, 1)."""
-        zeros = [0] * len(primes)
-        n_mod = [self.n_mod[q] for q in primes] if self.bwd.size else zeros
-        cols = np.empty((4, len(roots), 1), self.fwd.dtype)
+    def _columns(self, primes: list[int], nus: list[int], roots: np.ndarray) -> np.ndarray:
+        """One row per (prime, root) of primes, in order, and three columns:
+        the root alpha, the prime and the backward key's constant alpha - N
+        (N mod q read only when backward survivors remain); shape
+        (3, rows, 1)."""
+        n_mod = [self.n_mod[q] for q in primes] if self.bwd.size else [0] * len(primes)
+        cols = np.empty((3, len(roots), 1), self.fwd.dtype)
         cols[0, :, 0] = roots
-        per_prime = [primes, n_mod, zeros if given is None else [given[q] for q in primes]]
-        cols[1:, :, 0] = np.repeat(np.array(per_prime, cols.dtype), nus, axis=1)
+        cols[1:, :, 0] = np.repeat(np.array([primes, n_mod], cols.dtype), nus, axis=1)
         cols[2] = cols[0] - cols[2]
         return cols
 
@@ -323,11 +312,10 @@ class CoverState:
         j = bisect.bisect_right(ends, row0 + BLOCK_KEYS // (self.fwd.size + self.bwd.size), i)
         return j if j - i >= min(BLOCK_MIN_PRIMES, len(ends) - i) else i + 1
 
-    def _block(self, primes: list[int], nus: list[int], cols: np.ndarray, score: bool) -> list[int]:
+    def _block(self, primes: list[int], nus: list[int], cols: np.ndarray) -> list[int]:
         """Assign a block of primes (see the class docstring) from its row
-        columns (see _columns), scoring their residues or taking the given
-        ones, and compact the survivor arrays once; returns the scored
-        residues in order (none when they are given)."""
+        columns (see _columns), scoring their residues, and compact the
+        survivor arrays once; returns the residues in order."""
         fwd, bwd = self.fwd, self.bwd
         nf = fwd.size
         keys = np.empty((cols.shape[1], nf + bwd.size), dtype=fwd.dtype)
@@ -341,96 +329,47 @@ class CoverState:
                 k = keys[row:row + nu]
                 k -= k // q * q
                 row += nu
-        if not score:
-            # a survivor stays when none of its keys is its row's residue
-            keep = np.logical_and.reduce(keys != cols[3])
-            residues = []
+        # the first prime finds every survivor live and counts its keys
+        # unweighted; a survivor stays when none of its keys is the residue
+        q, row = primes[0], nus[0]
+        if row == 1:
+            k = keys[0]
+            r = int(np.bincount(k, minlength=q).argmax())
+            keep = k != r
         else:
-            # the first prime finds every survivor live and counts its keys
-            # unweighted; a survivor stays when none of its keys is the residue
-            q, row = primes[0], nus[0]
-            if row == 1:
-                k = keys[0]
-                r = int(np.bincount(k, minlength=q).argmax())
-                keep = k != r
-            else:
-                k = keys[:row]
-                r = int(np.bincount(k.ravel(), minlength=q).argmax())
-                keep = np.logical_and.reduce(k != r)
-            residues = [r]
-            if len(primes) > 1:
-                # 1 for a survivor no prime of the block has killed yet, in
-                # identical rows, so that the first nu of them weigh nu key rows
-                live = np.empty((max(1, *nus[1:]), keys.shape[1]))
-                live[:] = keep
-                for q, nu in zip(primes[1:], nus[1:]):
-                    if nu == 1:
-                        k = keys[row]
-                        r = int(np.bincount(k, live[0], q).argmax())
-                        hit = k == r
-                    else:
-                        k = keys[row:row + nu]
-                        r = int(np.bincount(k.ravel(), live[:nu].ravel(), q).argmax())
-                        hit = np.logical_or.reduce(k == r)
-                    np.copyto(live, 0, where=hit)
-                    row += nu
-                    residues.append(r)
-                keep = live[0] > 0
+            k = keys[:row]
+            r = int(np.bincount(k.ravel(), minlength=q).argmax())
+            keep = np.logical_and.reduce(k != r)
+        residues = [r]
+        if len(primes) > 1:
+            # 1 for a survivor no prime of the block has killed yet, in
+            # identical rows, so that the first nu of them weigh nu key rows
+            live = np.empty((max(1, *nus[1:]), keys.shape[1]))
+            live[:] = keep
+            for q, nu in zip(primes[1:], nus[1:]):
+                if nu == 1:
+                    k = keys[row]
+                    r = int(np.bincount(k, live[0], q).argmax())
+                    hit = k == r
+                else:
+                    k = keys[row:row + nu]
+                    r = int(np.bincount(k.ravel(), live[:nu].ravel(), q).argmax())
+                    hit = np.logical_or.reduce(k == r)
+                np.copyto(live, 0, where=hit)
+                row += nu
+                residues.append(r)
+            keep = live[0] > 0
         self.fwd = fwd[keep[:nf]]
         self.bwd = bwd[keep[nf:]]
         return residues
 
 
 def select_shifts_greedy(state: CoverState, rows: Rows) -> dict[int, int]:
-    """Deterministic shift selection on the attempt's cover state, in
-    Rankin's order (Rankin 1938; Ford, Green, Konyagin, Maynard and Tao 2018
-    for f(n) = n): the primes of rows (RootTable.rows, ascending), each
-    takes the residue class covering the most survivors left (ties to the
-    smallest residue) and is assigned in the state. A two-sided state scores
-    one certificate residue against both windows jointly, since it kills on
-    both sides; a one-sided state has an empty backward window, so only
-    forward survivors count. Returns q -> residue."""
+    """The medium stage, Rankin's order (Rankin 1938; Ford, Green, Konyagin,
+    Maynard and Tao 2018 for f(n) = n): state.assign(rows), where each prime
+    of rows takes the residue class covering the most survivors left in both
+    windows jointly (a one-sided state has an empty backward window). The
+    name stays only because the benchmark harness (bench/harness.py) wraps
+    it to time the stage; step 2 of ROADMAP item 1, which rebuilds the
+    benchmark on traces, deletes it along with that wrapper."""
     return state.assign(rows)
-
-
-def select_shifts_random(
-    params: SieveParams,
-    table: RootTable,
-    rng: np.random.Generator,
-    n_mod: Mapping[int, int] | None,
-) -> dict[int, int]:
-    """Randomized medium stage over the scales H = xi^j with
-    2y/x <= H <= y/(xi z): each usable prime q in (y/(xi H), y/H] draws one
-    shift n, uniform over (-(K+1)y, y] on a forward scale (even j) or
-    [-y, (K+1)y) on a backward one (odd j), and takes the residue it
-    induces: n mod q forward, -N - n mod q backward (N read from n_mod;
-    n_mod None makes the run one-sided, with no backward scales). Draw
-    order: the forward scales, then the backward ones, each by ascending j;
-    within a scale by root count, then by size. Primes outside every scale
-    window stay unassigned. At most ln(x/2) / ln(xi) <= MAX_SCALES scales
-    lie in range (SieveParams refuses a larger count).
-
-    The paper's progression weight sigma2^(-count) is 1 for every shift
-    (see the module docstring). The range holds (K+2)*y - O(1) shifts, so
-    the paper's weight-sum condition around (K+2)*y always holds.
-    """
-    y, z, xi, x = params.y, params.z, params.xi, params.x
-    ky = int((params.K + 1) * y)
-    out: dict[int, int] = {}
-    if z < 1 or y / (xi * z) < 2 * y / x:
-        return out
-    j_lo = math.ceil(math.log(2 * y / x) / math.log(xi) - 1e-12)
-    j_hi = math.floor(math.log(y / (xi * z)) / math.log(xi) + 1e-12)
-    for side in (0, 1) if n_mod is not None else (0,):
-        lo, hi = (-y, ky - 1) if side else (-ky + 1, y)
-        for j in range(j_lo, j_hi + 1):
-            h = xi**j
-            if j % 2 != side or not 2 * y / x - 1e-12 <= h <= y / (xi * z) + 1e-12:
-                continue
-            # by root count, a stable sort, so by size among equal counts
-            primes, counts, _ = table.rows(y / (xi * h), y / h)
-            primes = primes[np.argsort(counts, kind="stable")].tolist()
-            for q, n in zip(primes, rng.integers(lo, hi + 1, size=len(primes)).tolist()):
-                out[q] = (-n_mod[q] - n) % q if side else n % q
-    return out
-

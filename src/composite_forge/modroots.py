@@ -6,8 +6,9 @@ coefficient (those primes are never used by the sieve). It holds them as
 the two arrays of its cache file, the root counts and the roots in prime
 order, and no other module reads them: every stage takes its rows, primes
 with their counts and roots, by prime range (`RootTable.rows`, three
-slices), or by a list of moduli (`RootTable.lookup`). The primes not
-excluded go in one batch per table, down one of two routes.
+slices), and the verifier takes those of its listed moduli by one lookup
+(`RootTable.lookup`). The primes not excluded go in one batch per table,
+down one of two routes.
 
 A small table of degree 3 or more, its primes summing to at most SCAN_SPAN,
 takes the exhaustive scan (`_roots_scan`) when the companion's values below
@@ -337,7 +338,7 @@ class RootTable:
     primes[i], and `flat`, every root in prime order, ascending within its
     prime. Only this module reads the two arrays: the other stages take
     rows, usable primes with their root counts and roots, from `rows` by
-    prime range or from `lookup` by a list of moduli."""
+    prime range, and the verifier from `lookup` by its list of moduli."""
 
     poly: IntPolynomial
     limit: int
@@ -373,7 +374,7 @@ class RootTable:
         each; a modulus that is no usable prime of the table (a composite, a
         prime without roots, or one beyond the limit) has count 0. One
         searchsorted places the moduli in [2, limit], and one gather takes
-        their roots."""
+        their roots. The verifier takes its listed moduli this way."""
         a, b = bisect.bisect_left(moduli, 2), bisect.bisect_right(moduli, self.limit)
         inner = np.asarray(moduli[a:b], dtype=np.int64)
         # every prime of the table is at most the limit, so a modulus placed

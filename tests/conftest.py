@@ -58,13 +58,6 @@ def all_rows(table):
     return [v.tolist() for v in table.rows(0, table.limit)]
 
 
-def rows_of(table, primes):
-    """The rows of the given usable primes, ascending, in the form
-    RootTable.rows gives: primes, root counts and roots."""
-    qs = sorted(primes)
-    return (np.array(qs, dtype=np.int64), *table.lookup(qs))
-
-
 def bitmap(survivors):
     """A SurvivorSet as a boolean array over [lo, hi], True at each
     survivor: the form the test oracles kill offsets in."""

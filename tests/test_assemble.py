@@ -415,17 +415,16 @@ class TestDecimalConversion:
 ROUND_TRIP_POLYS = {"x": [0, 1], "x^2+1": [1, 0, 1], "x^3+2": [2, 0, 0, 1]}
 
 
-# (poly, x, two-sided, mode)
-ROUND_TRIP_CASES = list(itertools.product(
-    sorted(ROUND_TRIP_POLYS), [50, 300], [True, False], ["greedy", "random"]))
+# (poly, x, two-sided)
+ROUND_TRIP_CASES = list(itertools.product(sorted(ROUND_TRIP_POLYS), [50, 300], [True, False]))
 
 
 @functools.lru_cache(maxsize=None)
-def constructed(name: str, x: int, two_sided: bool, mode: str) -> ResidueCertificate | None:
+def constructed(name: str, x: int, two_sided: bool) -> ResidueCertificate | None:
     """The seed 7 certificate of the case, or None when none exists."""
     f = IntPolynomial.from_monomial(ROUND_TRIP_POLYS[name])
     try:
-        return construct_certificate(f, SieveParams(x=x), 7, two_sided=two_sided, mode=mode)[0]
+        return construct_certificate(f, SieveParams(x=x), 7, two_sided=two_sided)[0]
     except ConstructionError:
         return None
 
@@ -506,8 +505,8 @@ class TestCertificateSerialization:
     def test_constructions_round_trip(self, case):
         # load(save(c)) holds c's residues, placement and parameters, and
         # writes c's bytes again; x = 50 is too small for some cases
-        name, x, two_sided, mode = case
-        cert = constructed(name, x, two_sided, mode)
+        name, x, two_sided = case
+        cert = constructed(name, x, two_sided)
         assume(cert is not None)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "cert.json")
@@ -659,8 +658,7 @@ class TestConstructCertificate:
                     a["residual_bwd"] > e["capacity_bwd"]
                 )
 
-    @pytest.mark.parametrize("mode", ["greedy", "random"])
-    def test_one_sided_excess_is_the_forward_term(self, f_x2p1, cache_dir, monkeypatch, mode):
+    def test_one_sided_excess_is_the_forward_term(self, f_x2p1, cache_dir, monkeypatch):
         # a one-sided attempt has no backward window: its record says None
         # there, and the excess the search sees is the forward term alone,
         # not floored by the capacity of a window that does not exist
@@ -679,7 +677,7 @@ class TestConstructCertificate:
 
         monkeypatch.setattr(assemble, "search_window_length", recording_search)
         _, stats = construct_certificate(
-            f_x2p1, SieveParams(x=300), seed=7, two_sided=False, mode=mode, cache_dir=cache_dir
+            f_x2p1, SieveParams(x=300), seed=7, two_sided=False, cache_dir=cache_dir
         )
         e = stats.extras
         assert e["residual_bwd"] is None
@@ -771,13 +769,10 @@ class TestConstructCertificate:
         assert i == len(usable)
         assert not negations
 
-    @pytest.mark.parametrize("mode", ["greedy", "random"])
     @pytest.mark.parametrize("two_sided", [True, False])
-    def test_one_cover_state_per_attempt(
-        self, f_x2p1, cache_dir, monkeypatch, mode, two_sided
-    ):
-        # the greedy pass, the random-mode residues and the post-medium
-        # residuals all work on the one state an attempt builds
+    def test_one_cover_state_per_attempt(self, f_x2p1, cache_dir, monkeypatch, two_sided):
+        # the greedy pass and the post-medium residuals both work on the one
+        # state an attempt builds
         from composite_forge import assemble, cover
 
         built = []
@@ -796,8 +791,7 @@ class TestConstructCertificate:
         monkeypatch.setattr(cover.CoverState, "__init__", counting_init)
         monkeypatch.setattr(assemble, "sample_small_residue", counting_draw)
         _, stats = construct_certificate(
-            f_x2p1, SieveParams(x=300), seed=7, two_sided=two_sided, mode=mode,
-            cache_dir=cache_dir,
+            f_x2p1, SieveParams(x=300), seed=7, two_sided=two_sided, cache_dir=cache_dir
         )
         attempts = stats.extras["attempts"]
         assert len(attempts) > 1
@@ -887,17 +881,6 @@ class TestConstructCertificate:
         report = verify_certificate(cert)
         assert report.valid
         assert report.checked == cert.params.y
-
-    def test_random_mode_verifies(self, f_x, cache_dir):
-        cert, stats = construct_certificate(
-            f_x, SieveParams(x=300), seed=3, mode="random", cache_dir=cache_dir
-        )
-        assert stats.extras["mode"] == "random"
-        assert verify_certificate(cert).valid
-
-    def test_bad_mode_rejected(self, f_x):
-        with pytest.raises(ValueError):
-            construct_certificate(f_x, SieveParams(x=300), seed=0, mode="clever")
 
 
 POLYS = {"x": [0, 1], "x^2+1": [1, 0, 1], "x^3+2": [2, 0, 0, 1]}
@@ -1040,14 +1023,12 @@ class TestWindowLengthSearch:
 
     def test_attempt_bounds_in_construction(self, f_x2p1, cache_dir):
         # formula y at x = 300 is 716; nothing above it or below 8 is tried
-        for mode in ("greedy", "random"):
-            for two_sided in (True, False):
-                _, stats = construct_certificate(
-                    f_x2p1, SieveParams(x=300), seed=7, mode=mode, two_sided=two_sided,
-                    cache_dir=cache_dir,
-                )
-                ys = [a["y"] for a in stats.extras["attempts"]]
-                assert 8 <= min(ys) and max(ys) <= 716
+        for two_sided in (True, False):
+            _, stats = construct_certificate(
+                f_x2p1, SieveParams(x=300), seed=7, two_sided=two_sided, cache_dir=cache_dir
+            )
+            ys = [a["y"] for a in stats.extras["attempts"]]
+            assert 8 <= min(ys) and max(ys) <= 716
 
     def test_feasible_formula_y_is_taken_at_once(self, f_x, cache_dir):
         # y = 40 is far below what x = 300 covers for f = x
@@ -1098,13 +1079,11 @@ class TestWindowLengthSearch:
         assert e["achieved_y"] == max(a["y"] for a in attempts if a["outcome"] == "ok")
         assert all(8 <= a["y"] <= e["formula_y"] for a in attempts)
 
-    @pytest.mark.parametrize("mode,two_sided", [("random", True), ("random", False),
-                                                ("greedy", False)])
     @pytest.mark.parametrize("name", sorted(POLYS))
-    def test_other_modes_construct(self, cache_dir, name, mode, two_sided):
+    def test_one_sided_constructs(self, cache_dir, name):
         f = IntPolynomial.from_monomial(POLYS[name])
         cert, stats = construct_certificate(
-            f, SieveParams(x=300), seed=8, mode=mode, two_sided=two_sided, cache_dir=cache_dir
+            f, SieveParams(x=300), seed=8, two_sided=False, cache_dir=cache_dir
         )
         e = stats.extras
         assert e["achieved_y"] == max(a["y"] for a in e["attempts"] if a["outcome"] == "ok")

@@ -124,21 +124,6 @@ class TestConstruct:
         assert list(diag["outcomes"]) == ["small_retry_budget"]
         assert not (tmp_path / "no.json").exists()
 
-    @pytest.mark.parametrize(
-        "extra",
-        [["--K", "nan"],["--K", "inf"], ["--xi", "nan"], ["--mode", "random", "--K", "nan"]],
-        ids=["K-nan", "K-inf", "xi-nan", "random-K-nan"],
-    )
-    def test_non_finite_parameter_exits_64(self, tmp_path, extra):
-        # a NaN would reach the certificate as "K": NaN, which is not JSON
-        r = run_cli(
-            "construct", "--poly", "poly:[0,1]", "--x", "300", *extra,
-            "--out", "no.json", cwd=tmp_path,
-        )
-        assert r.returncode == USAGE
-        assert "Traceback" not in r.stderr and "must be finite" in r.stderr
-        assert not (tmp_path / "no.json").exists()
-
     def test_explicit_target_is_used(self, tmp_path):
         # --N alone selects the explicit target; 12345 is far below the
         # cube of the prime modulus, so construction is infeasible
@@ -329,6 +314,21 @@ class TestVerify:
         assert r.returncode == USAGE
         assert "Traceback" not in r.stderr and "K must be finite" in r.stderr
 
+    @pytest.mark.parametrize(
+        "name,value,message", [("K", 1e30, "2^63"), ("xi", 1.000001, "scales")],
+        ids=["K-1e30", "xi-1.000001"],
+    )
+    def test_out_of_range_parameter_exits_64(self, workdir, name, value, message):
+        # construct takes neither value any more; a stored one is still refused
+        with open(workdir / "cert.json") as fh:
+            obj = json.load(fh)
+        obj["params"][name] = value
+        with open(workdir / "range.json", "w") as fh:
+            json.dump(obj, fh)
+        r = run_cli("verify", "range.json", cwd=workdir)
+        assert r.returncode == USAGE
+        assert "Traceback" not in r.stderr and message in r.stderr
+
     def test_missing_file_exits_64(self, tmp_path):
         r = run_cli("verify", "nope.json", cwd=tmp_path)
         assert r.returncode == USAGE
@@ -425,12 +425,6 @@ class TestVerify:
         (["simulate", "--candidates", "0"], "at least one candidate"),
         (["construct", "--poly", "poly:[0,1]", "--x", "300", "--seed", "-1"], "negative"),
         (["simulate", "--seed", "-1"], "negative"),
-        # the shift range (K + 2) * y must fit int64
-        (["construct", "--poly", "poly:[0,1]", "--x", "300", "--mode", "random", "--K", "1e30"],
-         "2^63"),
-        # about 10^6 scales per side would not finish
-        (["construct", "--poly", "poly:[0,1]", "--x", "300", "--mode", "random",
-          "--xi", "1.000001"], "scales"),
         (["simulate", "--k0", "nan"], "k0 must be finite and positive"),
         (["simulate", "--k0", "inf"], "k0 must be finite and positive"),
         (["simulate", "--c1", "nan"], "c1 must be finite and positive"),
@@ -452,7 +446,7 @@ class TestVerify:
     ids=[
         "stats-x-overflow", "stats-x-one", "stats-x-zero", "oracle-n-zero",
         "simulate-no-candidates", "construct-seed-negative",
-        "simulate-seed-negative", "random-K-overflow", "random-xi-near-one",
+        "simulate-seed-negative",
         "simulate-k0-nan", "simulate-k0-inf", "simulate-c1-nan", "simulate-c1-inf",
         "simulate-c1-negative", "simulate-eta-nan", "simulate-trials-negative",
         "simulate-ground-size-over-bound", "simulate-block-over-bound",
@@ -473,13 +467,19 @@ def test_bad_argument_exits_64(tmp_path, args, message):
         ("construct", ["--sweeps", "2"]),
         ("construct", ["--M", "6.5"]),
         ("construct", ["--eps", "0.05"]),
+        ("construct", ["--mode", "random"]),
+        ("construct", ["--xi", "2"]),
+        ("construct", ["--K", "8"]),
         # verify checks every offset of both windows: no mode, sample or seed
         ("verify", ["--deep"]),
         ("verify", ["--sample", "0.5"]),
         ("verify", ["--seed", "3"]),
-        # values once refused as rates or seeds are now refused as flags
+        # values once refused as rates, seeds or parameters are now refused
+        # as flags
         *(("verify", ["--sample", rate]) for rate in ("nan", "inf", "1e30", "0", "-0.5")),
         ("verify", ["--seed", "-1"]),
+        *(("construct", ["--K", k]) for k in ("nan", "inf", "1e30")),
+        *(("construct", ["--xi", xi]) for xi in ("nan", "1.000001")),
     ],
     ids=lambda v: v if isinstance(v, str) else "=".join(v).lstrip("-"),
 )

@@ -1,6 +1,5 @@
-"""Parameter formulas, small-prime residue sampling, shift selection (greedy,
-and randomized against the scale-ladder walk it replaced), and the cover
-state.
+"""Parameter formulas, small-prime residue sampling, greedy shift selection,
+and the cover state.
 
 Run as a script (PYTHONPATH=src python tests/test_cover.py) it prints the
 greedy pass's cost per prime by key bin instead; see greedy_cost_table.
@@ -25,12 +24,11 @@ from composite_forge.cover import (
     backward_residues,
     sample_small_residue,
     select_shifts_greedy,
-    select_shifts_random,
     target_residues,
 )
 from composite_forge.poly import IntPolynomial
 from composite_forge.sievecore import SurvivorSet, sieve_survivors
-from conftest import bitmap, from_bitmap, roots_of, rows_of, usable_between
+from conftest import bitmap, from_bitmap, roots_of, usable_between
 
 
 N60 = 10**60  # the target sum of the hand-sized two-sided cases
@@ -106,16 +104,11 @@ class TestSieveParams:
         with pytest.raises(ValueError):
             SieveParams(**kwargs)
 
-    def test_random_mode_limits_admit_their_edges(self, f_x, cache_dir):
-        from composite_forge.modroots import build_root_table
-
-        # (K + 2) * y = 7.2e18 < 2^63 at x = 300, and every shift fits int64
-        params = SieveParams(x=300, K=1e16)
-        table = build_root_table(f_x, 300, cache_dir=cache_dir)
-        n_mod = target_residues(N60, table)
-        assert select_shifts_random(params, table, stage_rng(1, 2, 0), n_mod)
-        # ln(150) / ln(1.01) = 504 scales per side, within MAX_SCALES
-        assert select_shifts_random(SieveParams(x=300, xi=1.01), table, stage_rng(1, 2, 0), n_mod)
+    def test_xi_and_K_limits_admit_their_edges(self):
+        # (K + 2) * y = 7.2e18 < 2^63 at x = 300
+        assert SieveParams(x=300, K=1e16).K == 1e16
+        # ln(150) / ln(1.01) = 504, within MAX_SCALES
+        assert SieveParams(x=300, xi=1.01).xi == 1.01
 
     @pytest.mark.parametrize("name", ["xi", "K"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -136,107 +129,6 @@ class TestSieveParams:
         assert p.to_json() == {"x": 500, "delta": 0.4, "xi": 2.0, "K": 5.0, "y": 700}
         q = SieveParams.from_json(p.to_json())
         assert q == p
-
-
-# Reference oracle: the scale ladder that the randomized medium stage used
-# to build and then walk (its dataclasses flattened to tuples), kept as the
-# draw-order oracle.
-
-
-def build_ladder(params, table):
-    """[(j, H, side, {root count: primes in (y/(xi H), y/H]})] for the
-    scales H = xi^j with 2y/x <= H <= y/(xi z), ascending j."""
-    y, z, xi, x = params.y, params.z, params.xi, params.x
-    scales = []
-    if z >= 1 and y / (xi * z) >= 2 * y / x:
-        j_lo = math.ceil(math.log(2 * y / x) / math.log(xi) - 1e-12)
-        j_hi = math.floor(math.log(y / (xi * z)) / math.log(xi) + 1e-12)
-        for j in range(j_lo, j_hi + 1):
-            h = xi**j
-            if h < 2 * y / x - 1e-12 or h > y / (xi * z) + 1e-12:
-                continue
-            lo, hi = y / (xi * h), y / h
-            assert lo >= z - 1e-9 and hi <= x / 2 + 1e-9
-            buckets = {}
-            for q in usable_between(table, lo, hi):
-                buckets.setdefault(len(roots_of(table, q)), []).append(q)
-            side = "fwd" if j % 2 == 0 else "bwd"
-            scales.append((j, h, side, {k: tuple(v) for k, v in sorted(buckets.items())}))
-    return scales
-
-
-def shift_range(params, side):
-    """Inclusive shift bounds: forward (-(K+1)y, y], backward [-y, (K+1)y)."""
-    ky = int((params.K + 1) * params.y)
-    if side == "fwd":
-        return (-ky + 1, params.y)
-    return (-params.y, ky - 1)
-
-
-def drawn_shifts(ladder, side, rng, params):
-    """q -> the shift the ladder walk draws for q on one side, in draw
-    order."""
-    lo, hi = shift_range(params, side)
-    return {
-        q: int(rng.integers(lo, hi + 1))
-        for _, _, s, buckets in ladder
-        if s == side
-        for nu in sorted(buckets)
-        for q in buckets[nu]
-    }
-
-
-def select_shifts_random_int(params, table, rng, n_target, two_sided=True):
-    """The ladder walk with N itself: forward scales, then backward ones,
-    from one stream."""
-    ladder = build_ladder(params, table)
-    out = {q: n % q for q, n in drawn_shifts(ladder, "fwd", rng, params).items()}
-    if two_sided:
-        for q, n in drawn_shifts(ladder, "bwd", rng, params).items():
-            out[q] = (-n_target - n) % q
-    return out
-
-
-class TestLadder:
-    def test_frozen_shape_at_1e4(self, f_x, cache_dir):
-        from composite_forge.modroots import build_root_table
-
-        # prime counts per scale window checked against a prime-pi table
-        table = build_root_table(f_x, 10**4, cache_dir=cache_dir)
-        params = SieveParams(x=10**4)
-        ladder = build_ladder(params, table)
-        assert [h for _, h, _, _ in ladder] == [8, 16, 32, 64]
-        assert [side for _, _, side, _ in ladder] == ["bwd", "fwd", "bwd", "fwd"]
-        sizes = [sum(len(v) for v in buckets.values()) for *_, buckets in ladder]
-        assert sizes == [237, 129, 70, 40]
-        # the random stage draws for exactly these 476 primes, forward first
-        n_mod = target_residues(N60, table)
-        out = select_shifts_random(params, table, stage_rng(3, 2, 0), n_mod)
-        assert len(out) == 476
-        fwd_primes = {
-            q for _, _, side, b in ladder if side == "fwd" for qs in b.values() for q in qs
-        }
-        assert set(list(out)[: len(fwd_primes)]) == fwd_primes
-
-    def test_buckets_live_in_their_scale_windows(self, table_x2p1_2000):
-        # scale windows tile only part of (z, x/2]; primes outside every
-        # window stay unassigned in randomized mode
-        params = SieveParams(x=2000)
-        y, xi = params.y, params.xi
-        ladder = build_ladder(params, table_x2p1_2000)
-        seen = []
-        for _, h, _, buckets in ladder:
-            for nu, qs in buckets.items():
-                for q in qs:
-                    assert y / (xi * h) < q <= y / h
-                    assert params.z < q <= params.x / 2
-                    assert len(roots_of(table_x2p1_2000, q)) == nu
-                seen.extend(qs)
-        assert len(set(seen)) == len(seen)
-        assert set(seen) <= set(usable_between(table_x2p1_2000, params.z, 1000))
-        n_mod = target_residues(N60, table_x2p1_2000)
-        out = select_shifts_random(params, table_x2p1_2000, stage_rng(4, 2, 0), n_mod)
-        assert set(out) == set(seen)
 
 
 class TestSmallStage:
@@ -372,70 +264,6 @@ class TestGreedySelection:
         )
         assert list(f2.offsets) == list(state.fwd)
         assert list(b2.offsets) == list(state.bwd)
-
-    def test_greedy_beats_random_here(self, table_x2p1_2000):
-        params = SieveParams(x=2000)
-        _, fwd, _, _ = sample_small_residue(
-            params, table_x2p1_2000, stage_rng(5, 1, 0), two_sided=False
-        )
-        greedy = one_sided(table_x2p1_2000, fwd)
-        select_shifts_greedy(greedy, table_x2p1_2000.rows(params.z, 1000))
-        # random mode leaves the medium primes outside every scale window
-        # unassigned; its residual is the small stage's less the sampled classes
-        rnd = one_sided(table_x2p1_2000, fwd)
-        drawn = select_shifts_random(params, table_x2p1_2000, stage_rng(5, 2, 0), None)
-        rnd.assign(rows_of(table_x2p1_2000, drawn), drawn)
-        assert len(greedy.fwd) <= len(rnd.fwd)
-
-
-class TestRandomSelection:
-    def test_one_choice_per_bucket_prime(self, table_x2p1_2000):
-        # one-sided: forward scales only, and no target residues to read
-        params = SieveParams(x=2000)
-        ladder = build_ladder(params, table_x2p1_2000)
-        out = select_shifts_random(params, table_x2p1_2000, stage_rng(9, 2, 0), None)
-        shifts = drawn_shifts(ladder, "fwd", stage_rng(9, 2, 0), params)
-        assert list(out) == list(shifts)
-        lo, hi = shift_range(params, "fwd")
-        for q, n in shifts.items():
-            assert 0 <= out[q] < q
-            assert lo <= n <= hi
-            assert out[q] == n % q
-
-    def test_backward_residue_convention(self, table_x2p1_2000):
-        # the backward scales draw after the forward ones, from one stream
-        params = SieveParams(x=2000)
-        ladder = build_ladder(params, table_x2p1_2000)
-        n_mod = target_residues(N60, table_x2p1_2000)
-        out = select_shifts_random(params, table_x2p1_2000, stage_rng(9, 2, 1), n_mod)
-        rng = stage_rng(9, 2, 1)
-        fwd = drawn_shifts(ladder, "fwd", rng, params)
-        shifts = drawn_shifts(ladder, "bwd", rng, params)
-        assert list(out) == list(fwd) + list(shifts)
-        lo, hi = shift_range(params, "bwd")
-        for q, n in shifts.items():
-            assert lo <= n <= hi
-            assert out[q] == (-N60 - n) % q
-
-    @pytest.mark.parametrize("x", [100, 300, 1000, 2000, 10**4])
-    @pytest.mark.parametrize("two_sided", [True, False])
-    def test_matches_ladder_walk(self, f_x, f_x2p1, cache_dir, x, two_sided):
-        from composite_forge.modroots import build_root_table
-
-        # x^3 + 2 has one or three roots mod a prime, so its scales sort
-        # their primes by root count before size
-        for f in (f_x, f_x2p1, IntPolynomial.from_monomial([2, 0, 0, 1])):
-            table = build_root_table(f, x, cache_dir=cache_dir)
-            n_target = 10**200 + 7
-            n_mod = target_residues(n_target, table) if two_sided else None
-            for y in (None, 40, 97):
-                params = SieveParams(x=x, y_override=y)
-                got = select_shifts_random(params, table, stage_rng(x, 2, 5), n_mod)
-                want = select_shifts_random_int(
-                    params, table, stage_rng(x, 2, 5), n_target, two_sided
-                )
-                assert list(got.items()) == list(want.items())
-
 
 class TestResidualCheck:
     def test_capacities(self, table_x_100):
@@ -644,26 +472,6 @@ class TestCoverState:
         expect = pairing_stage_int(fwd, bwd, table, x, n_target)
         assert pairing_stage(fwd, bwd, *cleanup_pools(table, x), n_mod) == expect
 
-        got = select_shifts_random(params, table, stage_rng(draw_seed, 2), n_mod)
-        assert got == select_shifts_random_int(params, table, stage_rng(draw_seed, 2), n_target)
-
-    @pytest.mark.parametrize("block", BLOCK_SIZES)
-    @pytest.mark.parametrize("poly", ["x", "x^2+1", "x^3+2"])
-    def test_given_residues_match_sieve(self, tables_2000, poly, block):
-        # random mode's path: each prime's residue is given, not scored, and
-        # assign returns them
-        table = tables_2000[poly]
-        n_target = 10**80 + 3
-        n_mod = target_residues(n_target, table)
-        rng = np.random.default_rng(11)
-        residues = {q: int(rng.integers(q)) for q in usable_between(table, 0, 200)}
-        state = CoverState(table, full_window(1, 900), full_window(-900, -1), n_mod)
-        with blocks_of(block):
-            assert state.assign(table.rows(0, 200), residues) == residues
-        assert np.array_equal(state.fwd, sieve_only(table, residues, (1, 900)))
-        back = sieve_only(table, backward_residues_int(residues, n_target), (-900, -1))
-        assert np.array_equal(state.bwd, back)
-
     @pytest.mark.parametrize("block", BLOCK_SIZES)
     @pytest.mark.parametrize("reach", [2**31 - 1, 2**31])
     @pytest.mark.parametrize("poly", ["x", "x^2+1", "x^3+2"])
@@ -694,8 +502,8 @@ class TestCoverState:
 
     @pytest.mark.parametrize("poly", ["x", "x^2+1", "x^3+2"])
     def test_empty_state_returns_what_a_bincount_gives(self, tables_2000, poly):
-        # with no survivor left a scored residue is the argmax of an empty
-        # bincount, 0, and a given one is returned as it is
+        # with no survivor left a residue is the argmax of an empty
+        # bincount, 0
         table = tables_2000[poly]
         dead = SurvivorSet(1, 50, np.zeros(0, dtype=np.int64))
         state = CoverState(table, dead, SurvivorSet(-50, -1, np.zeros(0, dtype=np.int64)), None)
@@ -703,8 +511,6 @@ class TestCoverState:
         for q in primes:
             assert int(np.bincount(np.zeros(0, np.int64), minlength=q).argmax()) == 0
         assert state.assign(table.rows(0, 200)) == dict.fromkeys(primes, 0)
-        given = {q: q - 1 for q in primes}
-        assert state.assign(table.rows(0, 200), given) == given
         assert state.fwd.size == state.bwd.size == 0
 
     def test_engine_paths_do_not_resieve(self, table_x2p1_2000, monkeypatch):
@@ -880,9 +686,9 @@ class TestBlocks:
 
 
 class TestDrawStreams:
-    """The stage draws take one numpy call per small-stage draw and per
-    scale; they must consume the generator exactly as one scalar draw per
-    prime did, so that every certificate stays the same."""
+    """The small stage takes one numpy call per draw; it must consume the
+    generator exactly as one scalar draw per prime did, so that every
+    certificate stays the same."""
 
     def test_small_stage_draw_matches_scalar_loop(self, table_x2p1_2000, monkeypatch):
         # the survivors of a draw at x = 2000 fill 0.497-0.504 of the bound,
@@ -904,25 +710,6 @@ class TestDrawStreams:
             assert rng.integers(2**62) == scalar.integers(2**62)
             rejected += rej > 0
         assert rejected
-
-    @pytest.mark.parametrize("K", [8.0, 3.5e9, 1e16])
-    def test_random_scales_match_scalar_loop(self, f_x, f_x2p1, cache_dir, K):
-        from composite_forge.modroots import build_root_table
-
-        # shift ranges of about 6.4e3, 2.5e12 and 7.2e18 values at x = 300
-        params = SieveParams(x=300, K=K)
-        for f in (f_x, f_x2p1):
-            table = build_root_table(f, 300, cache_dir=cache_dir)
-            n_target = 10**200 + 7
-            n_mod = target_residues(n_target, table)
-            rng = stage_rng(2, 2, 0)
-            got = select_shifts_random(params, table, rng, n_mod)
-            scalar = stage_rng(2, 2, 0)
-            assert list(got.items()) == list(
-                select_shifts_random_int(params, table, scalar, n_target).items()
-            )
-            assert rng.integers(2**62) == scalar.integers(2**62)
-
 
 # Edges of the key bins of greedy_cost_table: a prime's keys are its root
 # count times the survivors of both windows when its block starts.

@@ -2,32 +2,30 @@
 versions of the constructor, not only within one run.
 
 The cases are x = 300 with seeds 7 and 8, and x = 1000, 10^4 and
-3 * 10^4 with seed 7, under default parameters (greedy mode, auto N), at
-x = 300 also one-sided, random and random one-sided, and at 3 * 10^4 also
-random x^3+2 and one-sided x^2+1. At x = 10^4 the survivors are sparse
-against the windows, which pins the cover state where it differs most from
-a bitmap. At 3 * 10^4 the survivors are too many for most medium primes to
-share a block, so those five cases pin the cover state's blocks of one
-prime: greedy scoring on both sides and on one, and given residues. They
+3 * 10^4 with seed 7, under default parameters (two-sided, auto N), at
+x = 300 also one-sided, and at 3 * 10^4 also one-sided x^2+1. At x = 10^4
+the survivors are sparse against the windows, which pins the cover state
+where it differs most from a bitmap. At 3 * 10^4 the survivors are too
+many for most medium primes to share a block, so those four cases pin the
+cover state's blocks of one prime, scoring on both sides and on one. They
 were recorded before a block of one replaced the separate one-prime step,
 and kept their bytes. Each digest pins the certificate of the window length
 the constructor settles on, so a change to the search over y moves every
-digest whose y it moves. The 15 greedy digests at x <= 1000 were last
+digest whose y it moves. The 15 digests at x <= 1000 were last
 re-recorded when the greedy medium stage became one ascending pass, in
 place of a greedy pass followed by refinement sweeps that re-picked each
-medium residue: every greedy certificate moved, and the 12 random-mode ones
-kept their bytes. So none of the default x = 300 digests equals the ones in
-bench/results/construct-small-seed{7,8}.json until the benchmark's recorded
-results are refreshed. Earlier changes that moved digests on purpose: the
-search over y starting from a start fitted per mode and sidedness that
-grows with x, stepping by at least 1 % before it brackets the root, and
-damping its first step where the cleanup primes are few (the cases whose y
-it moved), the secant search over y (the cases whose y it moved), and the
-one-sided refinement sweeps coming to score the forward window only (the
-one-sided cases). All 30 moved once more, with every y unchanged, when
-the certificate format became version 2: one line of compact JSON, with
-the placement reduced to N and b1 and the parameters to x, delta, xi, K
-and y.
+medium residue: every certificate moved. So none of the default x = 300
+digests equals the ones in bench/results/construct-small-seed{7,8}.json
+until the benchmark's recorded results are refreshed. Earlier changes that
+moved digests on purpose: the search over y starting from a start fitted
+per sidedness that grows with x, stepping by at least 1 % before it
+brackets the root, and damping its first step where the cleanup primes are
+few (the cases whose y it moved), the secant search over y (the cases
+whose y it moved), and the one-sided refinement sweeps coming to score the
+forward window only (the one-sided cases). Every case then pinned moved
+once more, with every y unchanged, when the certificate format became
+version 2: one line of compact JSON, with the placement reduced to N and b1
+and the parameters to x, delta, xi, K and y.
 A change that moves one of them changes the certificate format or the
 construction, and must say so.
 
@@ -37,10 +35,13 @@ the same digests.
 
 Two stats CSVs, of one two-sided and one one-sided case, are pinned the
 same way (STATS_GOLDEN), and so are the verify reports of the x = 1000 and
-x = 10^4 certificates and of the x = 300 one-sided and random ones
-(VERIFY_GOLDEN), each of which checks every offset of both windows, or of
-the one window of a one-sided certificate. They were recorded in the
-verifier's deep mode, and kept their bytes when it became the only one.
+x = 10^4 certificates and of the x = 300 one-sided ones (VERIFY_GOLDEN),
+each of which checks every offset of both windows, or of the one window of
+a one-sided certificate. They were recorded in the verifier's deep mode,
+and kept their bytes when it became the only one. Certificates written by
+the randomized medium stage, since removed, label a two-sided medium stage
+"fwd"; a greedy certificate relabelled that way must verify with the same
+report bytes, which pins that such files still verify.
 
 Run as a script (`PYTHONPATH=src python tests/test_golden.py`) to print the
 current digest of every case in GOLDEN, STATS_GOLDEN and VERIFY_GOLDEN with
@@ -80,18 +81,6 @@ GOLDEN = {
     ("x", 8, "one-sided"): "dbc9c445bd57f4ee2c5ff78b84b074ad9bd1b76d9a6ac060df58efd8baf7a112",
     ("x^2+1", 8, "one-sided"): "0b40eb9f1d2c6ebf47839b5ceff76c2d4fa3b57409ffb9b9fe587200b3510403",
     ("x^3+2", 8, "one-sided"): "05f3819e04bc50329deadd8848f67c1d5cfd699dd30aa370e1de032003343758",
-    ("x", 7, "random"): "5bbe02e8705f9bca2a7d18f8c4bdc76ad7e7c2f7ef255b270cc28d03d8b0eb13",
-    ("x^2+1", 7, "random"): "971ed5289eada2044ae4f77283f952af160f8664a78d21ec110b5fa679449ec3",
-    ("x^3+2", 7, "random"): "360b50c01c5a47d356b1ce62261dcc321f02572f5df1d01560a0f7ec5c852b46",
-    ("x", 8, "random"): "5e3c44290ed31726395e577ebc2904fd127e5901591fea5d51e30f39a8af26b9",
-    ("x^2+1", 8, "random"): "3e1cd889de00193912e582be7bba1d34a0d80369c8df49427014ae47290bafd3",
-    ("x^3+2", 8, "random"): "b64501dfdc296ef85014b5d5609ada42e55efce114468923beaa6129386978f7",
-    ("x", 7, "random-one-sided"): "bab2fa42c5eab2feacfa67dd2dccf9ade58c894cf0bc3dde6161349a4b86be58",
-    ("x^2+1", 7, "random-one-sided"): "7839ee3293c6de698c0febf4727cb85979f722537401ef8187e59e019c2c8e0e",
-    ("x^3+2", 7, "random-one-sided"): "42ac43826b5831a4dcd5e8ff429e6098d42e70110cd5720647e086f41d4ae96c",
-    ("x", 8, "random-one-sided"): "f5da387dd3ace246cd771d851a63daf8c743221797e31d953083aafe267b8c90",
-    ("x^2+1", 8, "random-one-sided"): "f74eea80b4fac8cfd0b6fff323ca02c537d42884632942185c55d304aac9abe9",
-    ("x^3+2", 8, "random-one-sided"): "bf6e51c10930e7257f3eed81822ff2b7f1e9872ccfecbaf591baef6a1bfa002f",
     ("x", 7, "x=1000"): "f38034a14bcdfbcd6f417737f7b4afa42066755d4d44f595525da6e7cf29a9a8",
     ("x^2+1", 7, "x=1000"): "5614ba38720eb7778973e0ede7f987136ae1cf6f9fefcb3b6c30a053520e34c5",
     ("x^3+2", 7, "x=1000"): "01d902ff05f126b54a361d3d2c658b161f8bcd89bb5557f4726b16a51b57c9de",
@@ -101,18 +90,14 @@ GOLDEN = {
     ("x", 7, "x=30000"): "922164b33902e5e3669d8318ecb5fc792d516783ab6ed1e968c1eb2ecff38a37",
     ("x^2+1", 7, "x=30000"): "afac2e46469ef9000abb50e1db561c27fa9c2a2b821f204fadfae210c831b598",
     ("x^3+2", 7, "x=30000"): "2999662231ec604d618950f613176978d3ae0c3de349149da564d15e1a09606c",
-    ("x^3+2", 7, "random-x=30000"): "4328cfd1782bb777c0e698fc0d5646a8fa53521f48a95ebfd8febfb08a5f0c75",
     ("x^2+1", 7, "one-sided-x=30000"): "9d59a4a72fc135085559aaca0c8fbe808395356d8645bf5efc2bff7ad6ddfa21",
 }
 # (x, keyword arguments of construct_certificate) for each variant
 VARIANTS = {
     "one-sided": (300, {"two_sided": False}),
-    "random": (300, {"mode": "random"}),
-    "random-one-sided": (300, {"mode": "random", "two_sided": False}),
     "x=1000": (1000, {}),
     "x=10000": (10**4, {}),
     "x=30000": (3 * 10**4, {}),
-    "random-x=30000": (3 * 10**4, {"mode": "random"}),
     "one-sided-x=30000": (3 * 10**4, {"two_sided": False}),
 }
 
@@ -139,9 +124,6 @@ VERIFY_GOLDEN = {
     ("x", "one-sided"): "b816458d7e3fdd183baa95418561776b9a8341867c2599ac5bdefe940bc70eae",
     ("x^2+1", "one-sided"): "f3c9b2a404d5b6e454949e40fe664ec96a91122f4d6702c4fb861db9d727f7fd",
     ("x^3+2", "one-sided"): "bc6fc3dadf36a9ebe297b8cfba8667c7d44713c1a4396db47e1aae73559a4db6",
-    ("x", "random"): "e95008821d9b9004335b9af30bf34cffb1c850c77de8a4e2555ca7fc128a609a",
-    ("x^2+1", "random"): "e2a5f9f81a8740d8abfd3df380460740014423d612b6704ca428468b8e8d91f0",
-    ("x^3+2", "random"): "415d686a66144da6f7234bea7a1247de1954588963f10b15f7c6de92a37b94e5",
 }
 
 
@@ -223,6 +205,24 @@ def test_stats_csv_digest(case):
 def test_verify_report_digest(case):
     assert verify_report_digest(case)[0] == VERIFY_GOLDEN[case]
 
+
+@pytest.mark.parametrize("name", sorted(POLYS))
+def test_medium_stage_labelled_fwd_verifies_the_same(name):
+    # files from the removed randomized medium stage label a two-sided
+    # medium stage "fwd": relabelled so, a greedy certificate differs in
+    # that label alone, and its report keeps the pinned bytes
+    cert, _ = construct((name, 7, "x=1000"))
+    obj = json.loads(cert.to_json_bytes())
+    medium = [st for st in obj["stages"] if st["stage"] == "medium"]
+    assert [st["side"] for st in medium] == ["both"]
+    medium[0]["side"] = "fwd"
+    relabelled = ResidueCertificate.from_json_dict(obj)
+    raw = relabelled.to_json_bytes()
+    assert raw.replace(b'"medium","side":"fwd"', b'"medium","side":"both"') == cert.to_json_bytes()
+    report = verify_certificate(relabelled)
+    assert report.valid
+    digest = hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == VERIFY_GOLDEN[name, "x=1000"]
 
 if __name__ == "__main__":
     moved = []
