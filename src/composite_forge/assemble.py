@@ -1,7 +1,7 @@
 """Certificate assembly: cleanup pairing, CRT combination, placement, and
 the end-to-end construction pipeline.
 
-A finished two-sided certificate fixes residues r_q for every usable prime
+A finished certificate fixes residues r_q for every usable prime
 q <= x, determining b mod P(x) by the Chinese remainder theorem. Placement
 picks the representative b1 of b in [-0.3N, -0.2N]; with b2 = -b1 the
 windows I1 = [b2+1, b2+y] and I2 = [N-b2-y, N-b2-1] contain only integers n
@@ -97,7 +97,7 @@ def pairing_stage(
     residual_bwd: Iterable[int],
     pool_f: Sequence[tuple[int, int]],
     pool_b: Sequence[tuple[int, int]],
-    n_mod: Mapping[int, int] | None,
+    n_mod: Mapping[int, int],
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Assign each leftover survivor its own large prime.
 
@@ -105,10 +105,10 @@ def pairing_stage(
     pool_f, the usable primes q in (x/2, 3x/4] with their least roots
     alpha_1 (cleanup_pools), via r_q = a - alpha_1; sorted backward
     survivors (offsets in [-y, -1]) pair with pool_b, those in (3x/4, x],
-    via that class in the backward frame (backward_residues; a one-sided
-    run has no backward survivors and may give n_mod None). A survivor
-    beyond its pool stays unpaired: construction pairs only attempts whose
-    survivors fit (residual_excess <= 0). Each congruence kills its
+    via that class in the backward frame (backward_residues, which reads
+    N mod q from n_mod). A survivor beyond its pool stays unpaired:
+    construction pairs only attempts whose survivors fit
+    (residual_excess <= 0). Each congruence kills its
     survivor, and other offsets too when y exceeds the prime (e.g. y = 4577
     at x = 3000 for f = x), which does no harm. Full cover is not argued
     here: the construction checks it with a final sieve.
@@ -148,29 +148,26 @@ SEARCH_MIN_STEP = 0.01
 # attempts.
 SEARCH_NOISE = 10.0
 # Its start (construct_certificate): 3 * capacity / sigma(x/2) times
-# a * (x / 300)^b = a * exp(b ln(x / 300)), with (a, b) keyed by two_sided
-# and fitted by least squares on ln of the found y over that base, for each
-# f at x in {300, 1000, 3000, 10^4, 3 * 10^4}, seeds 21 to 28, with up to
-# 10 attempts (runs that reached the formula y left out). Two-sided the
-# ratio is 1.0-1.1 at 300 and 1.6-1.8 at 3 * 10^4, and f moves it by up to
-# 8 % either way (x^3+2 lowest from 3000 on); the line
-# 1.035 + 0.145 ln(x / 300) fitted to the same points starts 2-4 % lower at
-# 300 and at 10^5, and took more attempts there (seeds 101 to 140 at 300,
-# 21 and 22 at 10^5).
-SEARCH_START = {True: (1.056, 0.106), False: (1.390, 0.134)}
+# a * (x / 300)^b = a * exp(b ln(x / 300)), with (a, b) fitted by least
+# squares on ln of the found y over that base, for each f at x in
+# {300, 1000, 3000, 10^4, 3 * 10^4}, seeds 21 to 28, with up to 10 attempts
+# (runs that reached the formula y left out). The ratio is 1.0-1.1 at 300
+# and 1.6-1.8 at 3 * 10^4, and f moves it by up to 8 % either way (x^3+2
+# lowest from 3000 on); the line 1.035 + 0.145 ln(x / 300) fitted to the
+# same points starts 2-4 % lower at 300 and at 10^5, and took more attempts
+# there (seeds 101 to 140 at 300, 21 and 22 at 10^5).
+SEARCH_START = (1.056, 0.106)
 
 
 def residual_excess(record: dict, cap_f: int, cap_b: int) -> float | None:
-    """The larger over an attempt's windows of ln((residual + 1) / (capacity
-    + 1)): at most 0 exactly when every residual fits its capacity, and None
-    when the attempt left no residuals (small-stage retry budget). A window
-    whose residual is None (a one-sided attempt's backward one) is left out."""
-    out = None
-    for res, cap in ((record["residual_fwd"], cap_f), (record["residual_bwd"], cap_b)):
-        if res is not None:
-            g = math.log((res + 1) / (cap + 1))
-            out = g if out is None else max(out, g)
-    return out
+    """The larger over an attempt's two windows of ln((residual + 1) /
+    (capacity + 1)): at most 0 exactly when both residuals fit their
+    capacities, and None when the attempt left no residuals (small-stage
+    retry budget)."""
+    if record["residual_fwd"] is None:
+        return None
+    return max(math.log((record["residual_fwd"] + 1) / (cap_f + 1)),
+               math.log((record["residual_bwd"] + 1) / (cap_b + 1)))
 
 
 def _slope(excess: dict[int, float | None], near: int, assumed: float) -> float:
@@ -372,7 +369,7 @@ def auto_target(modulus: int) -> int:
 
 @dataclass(frozen=True)
 class Placement:
-    """A two-sided certificate's placement: N and the representative b1,
+    """A certificate's placement: N and the representative b1,
     read with the window length y. Everything else follows from them: the
     windows I1 = [1 - b1, y - b1] and I2 = [N + b1 - y, N + b1 - 1], and
     the centers n1 = floor(y/2) - b1 and n2 = N - n1, with radius
@@ -462,7 +459,7 @@ class ResidueCertificate:
     seed: int
     stages: list[StageRecord]
     irreducibility: str
-    placement: Placement | None
+    placement: Placement
     version: int = CERT_VERSION
 
     def residues(self) -> dict[int, int]:
@@ -480,7 +477,7 @@ class ResidueCertificate:
             "params": self.params.to_json(),
             "seed": self.seed,
             "stages": [st.to_json() for st in self.stages],
-            "placement": self.placement.to_json() if self.placement else None,
+            "placement": self.placement.to_json(),
             "irreducibility": self.irreducibility,
             "version": self.version,
         }
@@ -498,15 +495,11 @@ class ResidueCertificate:
         does a field in any form but the one construct writes (decimal
         strings for coefficients, N and b1, json_int and json_number for the
         rest) or an N or b1 with more digits than the stored x allows (see
-        decimal_digit_bound)."""
+        decimal_digit_bound). Every certificate has a placement: a null or
+        missing one is malformed too."""
         try:
             params = SieveParams.from_json(obj["params"])
-            # only null (or no key) means no placement: any other value,
-            # a falsy one too, is read as one and refused if malformed
-            raw = obj.get("placement")
-            placement = None
-            if raw is not None:
-                placement = Placement.from_json(raw, decimal_digit_bound(params.x), params.y)
+            placement = Placement.from_json(obj["placement"], decimal_digit_bound(params.x), params.y)
             return cls(
                 poly=IntPolynomial.from_json(obj["poly"]),
                 params=params,
@@ -575,7 +568,6 @@ def construct_certificate(
     params: SieveParams,
     seed: int,
     *,
-    two_sided: bool = True,
     n_target: int | None = None,
     cache_dir: str | None = None,
     assert_irreducible: bool = False,
@@ -592,7 +584,7 @@ def construct_certificate(
     on the residual excess of each attempt against ln y. It starts at
     3 * capacity / sigma(x/2) (capacity: the cleanup primes of the tighter
     window; sigma: RootTable.density_product) times a * (x / 300)^b, a and
-    b fitted per sidedness (SEARCH_START), capped at the formula y;
+    b fitted (SEARCH_START), capped at the formula y;
     stats.extras["y_start"] is that start before the cap. It never tries a
     length above the formula y or below 8. Until a feasible and a larger
     infeasible length bracket the root, each step moves y by at least 1 %
@@ -606,13 +598,11 @@ def construct_certificate(
     length found need not be the largest feasible one. Each length tried
     leaves one record in stats.extras["attempts"]: y, outcome (ok,
     small_retry_budget or residual_over_capacity) and the residual per
-    window, None for a window not reached or absent; the stats rows come
-    from the chosen attempt. Raises ConstructionError, counting the outcomes
-    in its diagnostics, when nothing down to y = 8 is feasible, and when the
-    target N is too small for the prime modulus. Only a two-sided
-    construction has a target N: a one-sided one ignores n_target, its
-    stats.extras carry no n_digits, m_formula or m_larger, and its
-    residual_bwd is None.
+    window, None for a window not reached; the stats rows come from the
+    chosen attempt. Raises ConstructionError, counting the outcomes in its
+    diagnostics, when nothing down to y = 8 is feasible, and when the target
+    N is too small for the prime modulus or has more digits than
+    decimal_digit_bound(x).
     """
     verdict = irreducibility_check(f, assert_irreducible=assert_irreducible)
     if verdict == "fail":
@@ -626,30 +616,27 @@ def construct_certificate(
     usable = table.rows(0, x)[0].tolist()
     if not usable:
         raise ConstructionError("no usable primes below x", {"x": x})
-    target = n_mod = None
-    if two_sided:
-        # a one-sided certificate has no placement, so it has no N at all
-        modulus = table.usable_tree.root
-        if n_target is None:
-            target = auto_target(modulus)
-        else:
-            target = int(n_target)
-            if modulus**3 > target:
-                raise ConstructionError(
-                    "explicit N is smaller than modulus^3; raise N, or give none for the auto target",
-                    {"modulus_bits": modulus.bit_length()},
-                )
-        n_digits = decimal_digits(target)
-        max_digits = decimal_digit_bound(x)
-        if n_digits > max_digits:
+    modulus = table.usable_tree.root
+    if n_target is None:
+        target = auto_target(modulus)
+    else:
+        target = int(n_target)
+        if modulus**3 > target:
             raise ConstructionError(
-                f"explicit N has more than {max_digits} digits, the most a certificate"
-                f" at x = {x} may carry",
-                {"max_digits": max_digits},
+                "explicit N is smaller than modulus^3; raise N, or give none for the auto target",
+                {"modulus_bits": modulus.bit_length()},
             )
-        # N mod q once per construction: the only form of N any sieve stage
-        # of any attempt takes; N itself is read again only at placement
-        n_mod = target_residues(target, table)
+    n_digits = decimal_digits(target)
+    max_digits = decimal_digit_bound(x)
+    if n_digits > max_digits:
+        raise ConstructionError(
+            f"explicit N has more than {max_digits} digits, the most a certificate"
+            f" at x = {x} may carry",
+            {"max_digits": max_digits},
+        )
+    # N mod q once per construction: the only form of N any sieve stage of
+    # any attempt takes; N itself is read again only at placement
+    n_mod = target_residues(target, table)
     # the cleanup primes, one per survivor left: their counts are the capacities
     pools = cleanup_pools(table, x)
     cap_f, cap_b = map(len, pools)
@@ -664,19 +651,17 @@ def construct_certificate(
         p = params.with_y(y)
         try:
             small, fwd0, bwd0, rejections = sample_small_residue(
-                p, table, stage_rng(seed, STREAM_SMALL, y), n_mod, two_sided
+                p, table, stage_rng(seed, STREAM_SMALL, y), n_mod
             )
         except RetryBudgetError:
             return False, None
         # the attempt's one cover state: the small-stage survivors, less
-        # every class the medium stage assigns (one-sided: no backward window)
+        # every class the medium stage assigns
         state = CoverState(table, fwd0, bwd0, n_mod)
         medium = select_shifts_greedy(state, table.rows(p.z, x / 2))
         res_f, res_b = state.fwd, state.bwd
-        counts = [(fwd0.count(), len(res_f))]
-        if two_sided:
-            counts.append((bwd0.count(), len(res_b)))
-        rec.update(residual_fwd=len(res_f), residual_bwd=len(res_b) if two_sided else None)
+        counts = [(fwd0.count(), len(res_f)), (bwd0.count(), len(res_b))]
+        rec.update(residual_fwd=len(res_f), residual_bwd=len(res_b))
         excess = residual_excess(rec, cap_f, cap_b)
         good = excess <= 0
         rec["outcome"] = "ok" if good else "residual_over_capacity"
@@ -685,8 +670,8 @@ def construct_certificate(
             feasible[y] = (p, small, medium, pairs, rejections, counts)
         return good, excess
 
-    capacity = min(cap_f, cap_b) if two_sided else cap_f
-    c0, c1 = SEARCH_START[two_sided]
+    capacity = min(cap_f, cap_b)
+    c0, c1 = SEARCH_START
     y_start = int(3 * capacity / max(table.density_product(x / 2), 1e-300)
                   * c0 * (x / 300) ** c1)
     slope = SEARCH_SLOPE * (1 + SEARCH_NOISE / (capacity + 1))
@@ -708,49 +693,46 @@ def construct_certificate(
     full = {**assigned, **fills}
 
     # the whole point: no offset in either window survives the full system
-    windows = [("forward", full, (1, achieved_y))]
-    if two_sided:
-        windows.append(("backward", backward_residues(full, n_mod), (-achieved_y, -1)))
+    windows = [("forward", full, (1, achieved_y)),
+               ("backward", backward_residues(full, n_mod), (-achieved_y, -1))]
     for side, residues, interval in windows:
         left = sieve_survivors(table, residues, interval, (0, x))
         if left.count():
             raise RuntimeError(f"internal error: {side} window not fully covered at {left.offsets[0]}")
 
     stages = [
-        StageRecord("small", "both" if two_sided else "fwd", sorted(small.items())),
-        StageRecord("medium", "both" if two_sided else "fwd", sorted(medium.items())),
+        StageRecord("small", "both", sorted(small.items())),
+        StageRecord("medium", "both", sorted(medium.items())),
         StageRecord("cleanup", "fwd", sorted(pairs[0].items())),
+        StageRecord("cleanup", "bwd", sorted(pairs[1].items())),
     ]
-    if two_sided:
-        stages.append(StageRecord("cleanup", "bwd", sorted(pairs[1].items())))
     if fills:
         stages.append(StageRecord("cleanup", "both", sorted(fills.items())))
 
     b, p_x = crt_combine(full, table.usable_tree)
-    placement = place(b, p_x, target, achieved_y) if two_sided else None
     cert = ResidueCertificate(
         poly=f,
         params=p_final,
         seed=seed,
         stages=stages,
         irreducibility=verdict,
-        placement=placement,
+        placement=place(b, p_x, target, achieved_y),
     )
-    # the chosen attempt's stage rows, one per window and stage (zip stops
-    # at the forward window when counts has no backward entry)
+    # the chosen attempt's stage rows, one per window and stage
     sides = list(zip(("fwd", "bwd"), counts, pairs, (cap_f, cap_b)))
     rows = [StageStats("small", s, len(small), achieved_y, n0, None, seed) for s, (n0, _), _, _ in sides]
     rows += [StageStats("medium", s, len(medium), n0, n1, cap, seed) for s, (n0, n1), _, cap in sides]
     rows += [StageStats("cleanup", s, len(pr), n1, 0, cap, seed) for s, (_, n1), pr, cap in sides]
     stats = ConstructionStats(rows=rows)
     m_achieved = achieved_y // 2 - 1
+    m_formula = _theorem_window_center_radius(target, p_final.delta)
     stats.extras.update(
         {
             "achieved_y": achieved_y,
             "formula_y": params.y,
             "rejections": rejections,
             "residual_fwd": counts[0][1],
-            "residual_bwd": counts[1][1] if two_sided else None,
+            "residual_bwd": counts[1][1],
             "capacity_fwd": cap_f,
             "capacity_bwd": cap_b,
             "m_achieved": m_achieved,
@@ -758,12 +740,9 @@ def construct_certificate(
             "fills": len(fills),
             "y_start": y_start,
             "attempts": attempts,
+            "m_formula": m_formula,
+            "m_larger": "achieved" if m_achieved >= m_formula else "formula",
+            "n_digits": n_digits,
         }
     )
-    if two_sided:
-        # N and the formula radius it gives exist only for a placed certificate
-        m_formula = _theorem_window_center_radius(target, p_final.delta)
-        stats.extras["m_formula"] = m_formula
-        stats.extras["m_larger"] = "achieved" if m_achieved >= m_formula else "formula"
-        stats.extras["n_digits"] = n_digits
     return cert, stats

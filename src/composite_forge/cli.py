@@ -96,7 +96,6 @@ def build_parser() -> _Parser:
     c.add_argument("--delta", type=float, default=0.5)
     c.add_argument("--retry-budget", type=int, default=64)
     c.add_argument("--seed", type=nonnegative_int, default=0)
-    c.add_argument("--two-sided", action=argparse.BooleanOptionalAction, default=True)
     c.add_argument("--N", type=str, default=None,
                    help="explicit target sum (decimal); default: the least power of"
                         " ten at least the cube of the prime modulus")
@@ -163,7 +162,6 @@ def cmd_construct(args) -> int:
             args.poly,
             params,
             args.seed,
-            two_sided=args.two_sided,
             n_target=n_target,
             cache_dir=args.cache_dir,
             assert_irreducible=args.assert_irreducible,
@@ -182,17 +180,10 @@ def cmd_construct(args) -> int:
             w.writerow(row.row())
     e = stats.extras
     feasible = sum(a["outcome"] == "ok" for a in e["attempts"])
-    summary = (
+    print(
         f"certificate written to {args.out}: y = {e['achieved_y']}"
         f" (formula {e['formula_y']}), {len(e['attempts'])} attempts"
-        f" ({feasible} feasible),"
-    )
-    if not args.two_sided:
-        # no placement, so no N and no centers to report
-        print(f"{summary} one-sided, residual fwd {e['residual_fwd']}/{e['capacity_fwd']}")
-        return EXIT_OK
-    print(
-        f"{summary} N has {e['n_digits']} digits,"
+        f" ({feasible} feasible), N has {e['n_digits']} digits,"
         f" residuals fwd {e['residual_fwd']}/{e['capacity_fwd']}"
         f" bwd {e['residual_bwd']}/{e['capacity_bwd']},"
         f" center radius m = {e['m_achieved']}"

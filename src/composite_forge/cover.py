@@ -234,9 +234,8 @@ class CoverState:
     far kills. One window-length attempt builds one state from its
     small-stage survivor sets, whose offsets it narrows to its key dtype;
     the medium stage assigns its classes on it, and its arrays are the
-    residuals. With no backward set the backward array is empty, and
-    n_mod, the map q -> N mod q (see target_residues) read only for a
-    nonempty backward array, may be None. Both arrays are int32 when the
+    residuals. n_mod is the map q -> N mod q (see target_residues), read
+    only while backward survivors remain. Both arrays are int32 when the
     largest |offset| of the windows plus the table's limit is below
     NARROW_KEY_BOUND = 2^31, so that every class key fits, and int64
     otherwise.
@@ -262,15 +261,14 @@ class CoverState:
     smallest residue. The arrays are compacted once per block.
     """
 
-    def __init__(self, table: RootTable, fwd: SurvivorSet, bwd: SurvivorSet | None,
-                 n_mod: Mapping[int, int] | None):
+    def __init__(self, table: RootTable, fwd: SurvivorSet, bwd: SurvivorSet,
+                 n_mod: Mapping[int, int]):
         self.n_mod = n_mod
-        windows = [fwd] if bwd is None else [fwd, bwd]
-        reach = max(max(abs(w.lo), abs(w.hi)) for w in windows) + table.limit
+        reach = max(abs(fwd.lo), abs(fwd.hi), abs(bwd.lo), abs(bwd.hi)) + table.limit
         # a class key o - alpha or alpha - N - o lies within reach of 0
         dtype = np.int32 if reach < NARROW_KEY_BOUND else np.int64
         self.fwd = fwd.offsets.astype(dtype)
-        self.bwd = np.zeros(0, dtype) if bwd is None else bwd.offsets.astype(dtype)
+        self.bwd = bwd.offsets.astype(dtype)
 
     def assign(self, rows: Rows) -> dict[int, int]:
         """Assign each prime of rows (primes, root counts and roots, as
@@ -368,8 +366,7 @@ def select_shifts_greedy(state: CoverState, rows: Rows) -> dict[int, int]:
     """The medium stage, Rankin's order (Rankin 1938; Ford, Green, Konyagin,
     Maynard and Tao 2018 for f(n) = n): state.assign(rows), where each prime
     of rows takes the residue class covering the most survivors left in both
-    windows jointly (a one-sided state has an empty backward window). The
-    name stays only because the benchmark harness (bench/harness.py) wraps
+    windows jointly. The name stays only because the benchmark harness (bench/harness.py) wraps
     it to time the stage; step 2 of ROADMAP item 1, which rebuilds the
     benchmark on traces, deletes it along with that wrapper."""
     return state.assign(rows)

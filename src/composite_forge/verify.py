@@ -29,9 +29,11 @@ both windows is checked, as the theorem claims f(n) composite for every
 n in I1 and I2; failures and witness counts are read off the result with
 numpy. |f(n)| > q is proved once per window. A certificate stores no
 bounds or centers: they follow from N, b1 and y. The stored y is bounded
-by the formula length, and the stored x by what the certificate's N or
-listed primes can support (stored_x_bound) and by the root table's bound,
-before anything is sized by them.
+by the formula length, and the stored x by what the certificate's N can
+support (stored_x_bound) and by the root table's bound, before anything is
+sized by them. A certificate without a placement does not load
+(ResidueCertificate.from_json_dict), so every certificate checked here has
+both windows.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ from .assemble import CERT_VERSION, ResidueCertificate, b1_range, int_to_decimal
 from .modroots import ROW_PRIME_BOUND, build_root_table, companion_eval_mod
 from .poly import IntPolynomial, irreducibility_check
 from .primes import ProductTree, is_prime, sieve_primes
-from .sievecore import sieve_survivors, smallest_hit
+from .sievecore import sieve_survivors  # noqa: F401  (bench/harness.py traces verify.sieve_survivors)
+from .sievecore import smallest_hit
 
 
 @dataclass
@@ -113,31 +116,24 @@ def find_witness(
 X_BOUND_FLOOR = 2**16
 
 
-def stored_x_bound(degree: int, n_target: int | None, n_listed: int) -> int:
-    """The largest stored x a certificate can support, refused beyond this
-    before any root table is built; never below X_BOUND_FLOOR.
+def stored_x_bound(degree: int, n_target: int) -> int:
+    """The largest stored x a certificate with target N can support, refused
+    beyond this before any root table is built; never below X_BOUND_FLOOR.
 
     A construction lists every usable prime q <= x (those with a root of f
-    mod q), and a placed one has P(x)^3 <= N for their product P(x), so
+    mod q), and has P(x)^3 <= N for their product P(x), so
     theta_u(x) = ln P(x) <= ln N / 3. By Chebotarev's theorem the usable
     primes of an irreducible f of degree d carry theta_u(x) ~ c x with
     c >= 1/d (a transitive group of degree d fixes a point in at least 1/d
     of its elements). The cap allows theta_u(x) down to x / (12 d):
-    x <= 4 d ln N, with ln N taken as bit_length * ln 2. A placement-free
-    certificate has no N; its n_listed primes are all the usable ones, about
-    x / (d ln x) for density 1/d, so it is held to x <= 4 u ln(u + 2) with
-    u = d * (n_listed + 1). Measured on ten polynomials of degree 1 to 10
-    (among them x^3 - 3x + 1, whose usable primes have density 1/3, and
-    x^2 + x + 41, with no usable prime below 41) at every x from 2^16 to
-    2 * 10^5, with the least N a construction takes: x / (d ln N) stays
-    below 0.35 and x / (u ln(u + 2)) below 1.2, against the cap's 4. Below
-    the floor x^2 + x + 41 reaches 1.9 and 5.9 (at x = 42).
+    x <= 4 d ln N, with ln N taken as bit_length * ln 2. Measured on ten
+    polynomials of degree 1 to 10 (among them x^3 - 3x + 1, whose usable
+    primes have density 1/3, and x^2 + x + 41, with no usable prime below
+    41) at every x from 2^16 to 2 * 10^5, with the least N a construction
+    takes: x / (d ln N) stays below 0.35, against the cap's 4. Below the
+    floor x^2 + x + 41 reaches 1.9 (at x = 42).
     """
-    if n_target is not None:
-        cap = 4 * degree * max(n_target, 1).bit_length() * math.log(2)
-    else:
-        u = degree * (n_listed + 1)
-        cap = 4 * u * math.log(u + 2)
+    cap = 4 * degree * max(n_target, 1).bit_length() * math.log(2)
     return max(X_BOUND_FLOOR, int(cap))
 
 
@@ -158,20 +154,15 @@ def _structural_failures(cert: ResidueCertificate) -> list[str]:
 def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 0) -> VerifyReport:
     """Check a certificate from its serialized content alone.
 
-    Placed certificates: every n in I1 = [1 - b1, y - b1] and
-    I2 = [N + b1 - y, N + b1 - 1] (Placement.I1 and I2; b1 in b1_range)
-    must have a witness among the certificate
-    primes whose residues are consistent with b1; b1 and N are reduced
-    down one product tree over the listed moduli up to the root table's
-    limit (primes.ProductTree), and b1 by each modulus beyond it on its
-    own. A certificate stores N and b1 only, so there are no stored
+    Every n in I1 = [1 - b1, y - b1] and I2 = [N + b1 - y, N + b1 - 1]
+    (Placement.I1 and I2; b1 in b1_range) must have a witness among the
+    certificate primes whose residues are consistent with b1; b1 and N are
+    reduced down one product tree over the listed moduli up to the root
+    table's limit (primes.ProductTree), and b1 by each modulus beyond it on
+    its own. A certificate stores N and b1 only, so there are no stored
     bounds or centers to compare: the centers n1 = floor(y/2) - b1 and
-    n2 = N - n1 split N by their definition. A placement-free certificate
-    is checked at offset level instead: every usable prime up to x must
-    have a residue (the first without one is named, and no offset is
-    checked), and the forward window [1, y] must be fully covered by the
-    residue classes. Neither check runs when y lies
-    outside [1, formula y], which is reported. Moduli whose bit lengths put
+    n2 = N - n1 split N by their definition. No window is checked when y
+    lies outside [1, formula y], which is reported. Moduli whose bit lengths put
     their product's cube above N are reported without forming it;
     otherwise the tree's root is cubed, and no modulus beyond the limit
     enters a product. An x beyond what the certificate can support
@@ -199,15 +190,10 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
     if not y_bounded:
         report.messages.append(f"window length {y} outside [1, formula length {y_formula}]")
     pl = cert.placement
-    x_max = stored_x_bound(
-        degree, None if pl is None else pl.N, sum(len(st.assignments) for st in cert.stages)
-    )
+    x_max = stored_x_bound(degree, pl.N)
     # an x the root table cannot hold at all is refused by build_root_table
     if ROW_PRIME_BOUND > x > x_max:
-        report.messages.append(
-            f"x = {x} exceeds {x_max}, the most this certificate's"
-            f" {'N' if pl else 'listed primes'} can support"
-        )
+        report.messages.append(f"x = {x} exceeds {x_max}, the most this certificate's N can support")
         report.valid = False
         return report
     try:
@@ -248,20 +234,6 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
         report.messages.append("polynomial fails the irreducibility check")
     if cert.irreducibility not in ("proved", "heuristic-pass", "asserted-by-user"):
         report.messages.append(f"bad irreducibility verdict {cert.irreducibility!r}")
-
-    if cert.placement is None:
-        # offset-level check: every usable prime up to x has a residue, and
-        # the residue classes blanket [1, y]
-        if y_bounded:
-            missing = next((q for q in table.rows(0, x)[0].tolist() if q not in residues), None)
-            if missing is not None:
-                report.messages.append(f"usable prime {missing} has no residue")
-            else:
-                leftover = sieve_survivors(table, residues, (1, y), (0, x))
-                report.checked = y
-                report.failures = leftover.offsets.tolist()
-        report.valid = not report.failures and not report.messages
-        return report
 
     n_target, b1 = pl.N, pl.b1
     # q >= 2^(q.bit_length() - 1), so enough bits decide it before any

@@ -225,8 +225,8 @@ def placements(draw, y=None) -> Placement:
 @st.composite
 def certificates(draw) -> ResidueCertificate:
     """A certificate of drawn shape: up to four stages of zero, one or more
-    [q, r] pairs (any ints), stage and side names of any text, and no
-    placement (one-sided) or one from placements() for its own y."""
+    [q, r] pairs (any ints), stage and side names of any text, and a
+    placement from placements() for its own y."""
     names = st.text(max_size=8)
     ints = st.integers(-(10**30), 10**30)
     stages = draw(st.lists(
@@ -243,7 +243,7 @@ def certificates(draw) -> ResidueCertificate:
         seed=draw(st.integers(0, 2**70)),
         stages=stages,
         irreducibility=draw(names),
-        placement=draw(st.none() | placements(y)),
+        placement=draw(placements(y)),
         version=draw(st.integers(-5, 5)),
     )
 
@@ -415,16 +415,16 @@ class TestDecimalConversion:
 ROUND_TRIP_POLYS = {"x": [0, 1], "x^2+1": [1, 0, 1], "x^3+2": [2, 0, 0, 1]}
 
 
-# (poly, x, two-sided)
-ROUND_TRIP_CASES = list(itertools.product(sorted(ROUND_TRIP_POLYS), [50, 300], [True, False]))
+# (poly, x)
+ROUND_TRIP_CASES = list(itertools.product(sorted(ROUND_TRIP_POLYS), [50, 300]))
 
 
 @functools.lru_cache(maxsize=None)
-def constructed(name: str, x: int, two_sided: bool) -> ResidueCertificate | None:
+def constructed(name: str, x: int) -> ResidueCertificate | None:
     """The seed 7 certificate of the case, or None when none exists."""
     f = IntPolynomial.from_monomial(ROUND_TRIP_POLYS[name])
     try:
-        return construct_certificate(f, SieveParams(x=x), 7, two_sided=two_sided)[0]
+        return construct_certificate(f, SieveParams(x=x), 7)[0]
     except ConstructionError:
         return None
 
@@ -452,19 +452,18 @@ class TestCertificateSerialization:
 
     @pytest.mark.parametrize("placement", [{}, [], 0, False, ""])
     def test_falsy_placement_is_malformed(self, placement):
-        # only null means no placement
         obj = {**toy_certificate().to_json_dict(), "placement": placement}
         with pytest.raises(ValueError, match="malformed certificate"):
             ResidueCertificate.from_json_dict(obj)
 
-    def test_null_placement_loads_placement_free(self):
+    def test_null_or_missing_placement_is_malformed(self):
+        # every certificate has a placement: null does not mean none
         obj = {**toy_certificate().to_json_dict(), "placement": None}
-        again = ResidueCertificate.from_json_dict(obj)
-        assert again.placement is None
-        assert again.residues() == {2: 1, 3: 2, 5: 4, 7: 6}
-        # as does a certificate without the key
+        with pytest.raises(ValueError, match="malformed certificate"):
+            ResidueCertificate.from_json_dict(obj)
         del obj["placement"]
-        assert ResidueCertificate.from_json_dict(obj).placement is None
+        with pytest.raises(ValueError, match="malformed certificate"):
+            ResidueCertificate.from_json_dict(obj)
 
     def test_save_load(self, tmp_path):
         cert = toy_certificate()
@@ -490,12 +489,9 @@ class TestCertificateSerialization:
         assert again.to_json_dict() == cert.to_json_dict()
 
     @pytest.mark.parametrize("stages", [[], [[]], [[(2, 1)]], [[(2, 1)], [], [(3, 0), (5, 4)]]])
-    @pytest.mark.parametrize("placed", [True, False])
-    def test_writer_edge_shapes(self, stages, placed):
+    def test_writer_edge_shapes(self, stages):
         cert = toy_certificate()
         cert.stages = [StageRecord("small", "fwd", a) for a in stages]
-        if not placed:
-            cert.placement = None
         raw = cert.to_json_bytes()
         assert raw == compact_json(cert)
         assert ResidueCertificate.from_json_dict(json.loads(raw)).to_json_bytes() == raw
@@ -505,8 +501,7 @@ class TestCertificateSerialization:
     def test_constructions_round_trip(self, case):
         # load(save(c)) holds c's residues, placement and parameters, and
         # writes c's bytes again; x = 50 is too small for some cases
-        name, x, two_sided = case
-        cert = constructed(name, x, two_sided)
+        cert = constructed(*case)
         assume(cert is not None)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "cert.json")
@@ -514,7 +509,6 @@ class TestCertificateSerialization:
             again = ResidueCertificate.load(path)
         assert again.residues() == cert.residues()
         assert again.placement == cert.placement
-        assert (again.placement is None) == (not two_sided)
         assert again.params == cert.params
         assert again.to_json_bytes() == cert.to_json_bytes()
 
@@ -658,33 +652,6 @@ class TestConstructCertificate:
                     a["residual_bwd"] > e["capacity_bwd"]
                 )
 
-    def test_one_sided_excess_is_the_forward_term(self, f_x2p1, cache_dir, monkeypatch):
-        # a one-sided attempt has no backward window: its record says None
-        # there, and the excess the search sees is the forward term alone,
-        # not floored by the capacity of a window that does not exist
-        from composite_forge import assemble
-
-        seen = []
-        search = assemble.search_window_length
-
-        def recording_search(try_length, *args):
-            def wrapped(y):
-                got = try_length(y)
-                seen.append(got[1])
-                return got
-
-            return search(wrapped, *args)
-
-        monkeypatch.setattr(assemble, "search_window_length", recording_search)
-        _, stats = construct_certificate(
-            f_x2p1, SieveParams(x=300), seed=7, two_sided=False, cache_dir=cache_dir
-        )
-        e = stats.extras
-        assert e["residual_bwd"] is None
-        for a, g in zip(e["attempts"], seen, strict=True):
-            assert a["residual_bwd"] is None
-            assert g == math.log((a["residual_fwd"] + 1) / (e["capacity_fwd"] + 1))
-
     def test_pairing_only_for_feasible_attempts(self, f_x2p1, cache_dir, monkeypatch):
         # the capacity rule decides feasibility before any pairing; every
         # pairing call is one ok attempt, and none of them raises
@@ -705,10 +672,7 @@ class TestConstructCertificate:
             (a["residual_fwd"], a["residual_bwd"]) for a in attempts if a["outcome"] == "ok"
         ]
 
-    @pytest.mark.parametrize("two_sided,calls", [(True, 2), (False, 1)])
-    def test_sieves_only_for_the_final_check(
-        self, f_x2p1, cache_dir, monkeypatch, two_sided, calls
-    ):
+    def test_sieves_only_for_the_final_check(self, f_x2p1, cache_dir, monkeypatch):
         # post-medium residuals come from the cover-count engine; the full
         # re-sieve runs once per window, as the independent final check
         from composite_forge import assemble
@@ -721,16 +685,13 @@ class TestConstructCertificate:
             return sieve(*args, **kwargs)
 
         monkeypatch.setattr(assemble, "sieve_survivors", counting_sieve)
-        _, stats = construct_certificate(
-            f_x2p1, SieveParams(x=300), seed=7, two_sided=two_sided, cache_dir=cache_dir
-        )
+        _, stats = construct_certificate(f_x2p1, SieveParams(x=300), seed=7, cache_dir=cache_dir)
         y = stats.extras["achieved_y"]
         # several window lengths were tried, so a per-attempt sieve would show
         assert len(stats.extras["attempts"]) > 1
-        assert seen == [(1, y), (-y, -1)][:calls]
+        assert seen == [(1, y), (-y, -1)]
 
-    @pytest.mark.parametrize("two_sided", [True, False])
-    def test_target_reduced_once_per_prime(self, f_x2p1, cache_dir, monkeypatch, two_sided):
+    def test_target_reduced_once_per_prime(self, f_x2p1, cache_dir, monkeypatch):
         # N is reduced once per construction, once per block of usable
         # primes (residues_mod), the blocks partitioning the usable primes,
         # and every sieve stage of every window length tried reads only the
@@ -752,12 +713,9 @@ class TestConstructCertificate:
 
         auto = assemble.auto_target
         monkeypatch.setattr(assemble, "auto_target", lambda m: CountingInt(auto(m)))
-        cert, stats = construct_certificate(
-            f_x2p1, SieveParams(x=300), seed=7, two_sided=two_sided, cache_dir=cache_dir
-        )
+        cert, stats = construct_certificate(f_x2p1, SieveParams(x=300), seed=7, cache_dir=cache_dir)
         assert len(stats.extras["attempts"]) > 1
-        # a one-sided construction builds no N, so it reduces none
-        usable = sorted(q for st in cert.stages for q, _ in st.assignments) if two_sided else []
+        usable = sorted(q for st in cert.stages for q, _ in st.assignments)
         # each reduction is by the product of the next run of usable primes
         i = 0
         for m in reductions:
@@ -769,8 +727,7 @@ class TestConstructCertificate:
         assert i == len(usable)
         assert not negations
 
-    @pytest.mark.parametrize("two_sided", [True, False])
-    def test_one_cover_state_per_attempt(self, f_x2p1, cache_dir, monkeypatch, two_sided):
+    def test_one_cover_state_per_attempt(self, f_x2p1, cache_dir, monkeypatch):
         # the greedy pass and the post-medium residuals both work on the one
         # state an attempt builds
         from composite_forge import assemble, cover
@@ -790,16 +747,13 @@ class TestConstructCertificate:
 
         monkeypatch.setattr(cover.CoverState, "__init__", counting_init)
         monkeypatch.setattr(assemble, "sample_small_residue", counting_draw)
-        _, stats = construct_certificate(
-            f_x2p1, SieveParams(x=300), seed=7, two_sided=two_sided, cache_dir=cache_dir
-        )
+        _, stats = construct_certificate(f_x2p1, SieveParams(x=300), seed=7, cache_dir=cache_dir)
         attempts = stats.extras["attempts"]
         assert len(attempts) > 1
         assert all(a["outcome"] != "small_retry_budget" for a in attempts)
         assert built == [a["y"] for a in attempts]
 
-    @pytest.mark.parametrize("two_sided", [True, False])
-    def test_greedy_medium_stage_is_one_pass(self, f_x2p1, cache_dir, monkeypatch, two_sided):
+    def test_greedy_medium_stage_is_one_pass(self, f_x2p1, cache_dir, monkeypatch):
         # the ascending greedy pass alone fixes the medium residues; no
         # refinement sweep follows it
         from composite_forge import assemble
@@ -808,25 +762,8 @@ class TestConstructCertificate:
             raise AssertionError("construction must not refine the greedy pass")
 
         monkeypatch.setattr(assemble, "refine_residues", forbidden)
-        cert, _ = construct_certificate(
-            f_x2p1, SieveParams(x=300), seed=7, two_sided=two_sided, cache_dir=cache_dir
-        )
+        cert, _ = construct_certificate(f_x2p1, SieveParams(x=300), seed=7, cache_dir=cache_dir)
         assert verify_certificate(cert).valid
-
-    @pytest.mark.parametrize("coeffs", [[0, 1], [1, 0, 1], [2, 0, 0, 1]])
-    def test_one_sided_bytes_ignore_target(self, cache_dir, coeffs):
-        # a one-sided certificate records no N, so N must not steer it, nor
-        # be checked: 12345 is below modulus^3 and 10**399 beyond the digit
-        # bound, which only a two-sided construction refuses
-        f = IntPolynomial.from_monomial(coeffs)
-        digests = {
-            construct_certificate(
-                f, SieveParams(x=300), seed=7, two_sided=False, n_target=n,
-                cache_dir=cache_dir,
-            )[0].to_json_bytes()
-            for n in (None, 10**390, 10**398 - 1, 12345, 10**399)
-        }
-        assert len(digests) == 1
 
     def test_every_usable_prime_assigned(self, f_x, cache_dir):
         cert, _ = construct_certificate(
@@ -872,16 +809,6 @@ class TestConstructCertificate:
         again = ResidueCertificate.from_json_dict(json.loads(cert.to_json_bytes()))
         assert again.placement.N == 10**398
 
-    def test_one_sided_has_no_placement(self, f_x, cache_dir):
-        cert, stats = construct_certificate(
-            f_x, SieveParams(x=300), seed=7, two_sided=False, cache_dir=cache_dir
-        )
-        assert cert.placement is None
-        assert not {"n_digits", "m_formula", "m_larger"} & set(stats.extras)
-        report = verify_certificate(cert)
-        assert report.valid
-        assert report.checked == cert.params.y
-
 
 POLYS = {"x": [0, 1], "x^2+1": [1, 0, 1], "x^3+2": [2, 0, 0, 1]}
 
@@ -913,8 +840,6 @@ class TestWindowLengthSearch:
         assert residual_excess(rec, 13, 20) == 0
         assert residual_excess(rec, 13, 19) == pytest.approx(math.log(21 / 20))
         assert residual_excess(rec, 27, 41) == pytest.approx(math.log(1 / 2))
-        one_sided = {"residual_fwd": 3, "residual_bwd": None}
-        assert residual_excess(one_sided, 1, 0) == pytest.approx(math.log(2))
         retry = {"residual_fwd": None, "residual_bwd": None}
         assert residual_excess(retry, 5, 5) is None
 
@@ -1023,12 +948,9 @@ class TestWindowLengthSearch:
 
     def test_attempt_bounds_in_construction(self, f_x2p1, cache_dir):
         # formula y at x = 300 is 716; nothing above it or below 8 is tried
-        for two_sided in (True, False):
-            _, stats = construct_certificate(
-                f_x2p1, SieveParams(x=300), seed=7, two_sided=two_sided, cache_dir=cache_dir
-            )
-            ys = [a["y"] for a in stats.extras["attempts"]]
-            assert 8 <= min(ys) and max(ys) <= 716
+        _, stats = construct_certificate(f_x2p1, SieveParams(x=300), seed=7, cache_dir=cache_dir)
+        ys = [a["y"] for a in stats.extras["attempts"]]
+        assert 8 <= min(ys) and max(ys) <= 716
 
     def test_feasible_formula_y_is_taken_at_once(self, f_x, cache_dir):
         # y = 40 is far below what x = 300 covers for f = x
@@ -1078,13 +1000,3 @@ class TestWindowLengthSearch:
         assert len(attempts) <= SEARCH_ATTEMPTS
         assert e["achieved_y"] == max(a["y"] for a in attempts if a["outcome"] == "ok")
         assert all(8 <= a["y"] <= e["formula_y"] for a in attempts)
-
-    @pytest.mark.parametrize("name", sorted(POLYS))
-    def test_one_sided_constructs(self, cache_dir, name):
-        f = IntPolynomial.from_monomial(POLYS[name])
-        cert, stats = construct_certificate(
-            f, SieveParams(x=300), seed=8, two_sided=False, cache_dir=cache_dir
-        )
-        e = stats.extras
-        assert e["achieved_y"] == max(a["y"] for a in e["attempts"] if a["outcome"] == "ok")
-        assert verify_certificate(cert).valid

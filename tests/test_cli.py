@@ -60,17 +60,16 @@ class TestConstruct:
         assert r.returncode == OK
         assert "again.json" in r.stdout and "y =" in r.stdout
 
-    @pytest.mark.parametrize("sided", [(), ("--no-two-sided",)], ids=["two-sided", "one-sided"])
-    def test_summary_counts_the_attempts(self, tmp_path, f_x2p1, sided):
+    def test_summary_counts_the_attempts(self, tmp_path, f_x2p1):
         from composite_forge.assemble import construct_certificate
         from composite_forge.cover import SieveParams
 
         r = run_cli(
-            "construct", "--poly", "poly:[1,0,1]", "--x", "300", "--seed", "7", *sided,
+            "construct", "--poly", "poly:[1,0,1]", "--x", "300", "--seed", "7",
             "--out", "c.json", cwd=tmp_path,
         )
         assert r.returncode == OK, r.stderr
-        _, stats = construct_certificate(f_x2p1, SieveParams(x=300), 7, two_sided=not sided)
+        _, stats = construct_certificate(f_x2p1, SieveParams(x=300), 7)
         attempts = stats.extras["attempts"]
         feasible = sum(a["outcome"] == "ok" for a in attempts)
         assert f", {len(attempts)} attempts ({feasible} feasible)," in r.stdout
@@ -134,17 +133,6 @@ class TestConstruct:
         assert r.returncode == INFEASIBLE
         assert "explicit N is smaller than modulus^3" in r.stderr
         assert not (tmp_path / "no.json").exists()
-
-    def test_one_sided_ignores_explicit_target(self, tmp_path):
-        # a one-sided certificate carries no N, so --N is neither checked
-        # nor used, and the summary line names no N
-        base = ("construct", "--poly", "poly:[0,1]", "--x", "300", "--no-two-sided")
-        a = run_cli(*base, "--out", "a.json", cwd=tmp_path)
-        b = run_cli(*base, "--N", "12345", "--out", "b.json", cwd=tmp_path)
-        assert a.returncode == b.returncode == 0, b.stderr
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-        assert "one-sided" in a.stdout and "N has" not in a.stdout
-        assert a.stdout.replace("a.json", "b.json") == b.stdout
 
     def test_missing_subcommand(self, tmp_path):
         r = run_cli(cwd=tmp_path)
@@ -392,17 +380,19 @@ class TestVerify:
             lambda obj: {**obj, "params": "x"},
             # the placement, which fixes both windows, as a number
             lambda obj: {**obj, "placement": 7},
-            # falsy placements, each once read as no placement at all, so
-            # that the certificate verified as a one-sided one
+            # falsy placements, each once read as no placement at all
             lambda obj: {**obj, "placement": {}},
             lambda obj: {**obj, "placement": []},
             lambda obj: {**obj, "placement": 0},
             lambda obj: {**obj, "placement": False},
             lambda obj: {**obj, "placement": ""},
+            # no placement at all: every certificate has one
+            lambda obj: {**obj, "placement": None},
+            lambda obj: {k: v for k, v in obj.items() if k != "placement"},
         ],
         ids=["top-level-list", "stages-number", "params-string", "window-number",
              "window-empty-object", "window-empty-list", "window-zero", "window-false",
-             "window-empty-string"],
+             "window-empty-string", "window-null", "window-missing"],
     )
     def test_malformed_certificate_exits_64(self, workdir, mangle):
         with open(workdir / "cert.json") as fh:
@@ -470,6 +460,9 @@ def test_bad_argument_exits_64(tmp_path, args, message):
         ("construct", ["--mode", "random"]),
         ("construct", ["--xi", "2"]),
         ("construct", ["--K", "8"]),
+        # every certificate is two-sided
+        ("construct", ["--two-sided"]),
+        ("construct", ["--no-two-sided"]),
         # verify checks every offset of both windows: no mode, sample or seed
         ("verify", ["--deep"]),
         ("verify", ["--sample", "0.5"]),

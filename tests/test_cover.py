@@ -197,7 +197,10 @@ class TestBackwardResidues:
 
 
 def one_sided(table, fwd):
-    return CoverState(table, fwd, None, None)
+    """A state whose backward window, the mirror of fwd's, holds no
+    survivor, so that only forward survivors are scored."""
+    return CoverState(table, fwd, SurvivorSet(-fwd.hi, -fwd.lo, np.zeros(0, dtype=np.int64)),
+                      target_residues(N60, table))
 
 
 # Block sizes the greedy oracle tests run at: None keeps the measured bound,
@@ -428,9 +431,9 @@ class TestCoverState:
             ref, ref_fwd, ref_bwd = oracle_greedy_both(med, fwd0, bwd0, table, n_target)
             assert np.array_equal(state.bwd, ref_bwd)
         else:
-            # one-sided: the backward window is empty and only forward
-            # survivors are scored
-            state = CoverState(table, fwd0, None, n_mod)
+            # the backward window is empty and only forward survivors are
+            # scored
+            state = one_sided(table, fwd0)
             with blocks_of(block):
                 chosen = select_shifts_greedy(state, table.rows(z, x / 2))
             ref, ref_fwd = oracle_greedy_fwd(med, fwd0, table)
@@ -506,7 +509,7 @@ class TestCoverState:
         # bincount, 0
         table = tables_2000[poly]
         dead = SurvivorSet(1, 50, np.zeros(0, dtype=np.int64))
-        state = CoverState(table, dead, SurvivorSet(-50, -1, np.zeros(0, dtype=np.int64)), None)
+        state = one_sided(table, dead)
         primes = usable_between(table, 0, 200)
         for q in primes:
             assert int(np.bincount(np.zeros(0, np.int64), minlength=q).argmax()) == 0
@@ -595,12 +598,12 @@ class TestFusedScorer:
         assert state.assign(table_x_100.rows(q - 1, q)) == {q: min(k_f, k_b)}
 
     def test_one_sided_state_ignores_target(self, table_x2p1_2000):
-        # a one-sided state has no target residues at all: scoring and
-        # adding never read them
+        # with no backward survivor, scoring and adding see the forward
+        # window alone, whatever N is
         fwd = full_window(-20, 700)
         fwd.offsets = np.delete(fwd.offsets, np.s_[::3])
         state = one_sided(table_x2p1_2000, fwd)
-        assert state.bwd.size == 0 and state.n_mod is None
+        assert state.bwd.size == 0
         chosen = {}
         for q in usable_between(table_x2p1_2000, 100, 400):
             expect = oracle_best_residue(
@@ -630,16 +633,12 @@ def counting_blocks(monkeypatch):
 
 
 class TestBlocks:
-    @pytest.mark.parametrize("paired", [False, True])
-    def test_survivors_run_out_mid_block(self, table_x_100, monkeypatch, paired):
+    def test_survivors_run_out_mid_block(self, table_x_100, monkeypatch):
         # f = x, one root 0: the forward survivors 1..5 fall one per prime
         # (each prime's best class is the smallest survivor's), so the one
         # block of every prime empties after its fifth and gives the rest 0
-        n_target = 10**70 + 1
         fwd0 = full_window(1, 5)
-        bwd0 = SurvivorSet(-5, -1, np.zeros(0, dtype=np.int64)) if paired else None
-        n_mod = target_residues(n_target, table_x_100)
-        state = CoverState(table_x_100, fwd0, bwd0, n_mod if paired else None)
+        state = one_sided(table_x_100, fwd0)
         med = usable_between(table_x_100, 6, 60)
         blocks = counting_blocks(monkeypatch)
         chosen = select_shifts_greedy(state, table_x_100.rows(6, 60))

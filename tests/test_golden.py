@@ -2,30 +2,28 @@
 versions of the constructor, not only within one run.
 
 The cases are x = 300 with seeds 7 and 8, and x = 1000, 10^4 and
-3 * 10^4 with seed 7, under default parameters (two-sided, auto N), at
-x = 300 also one-sided, and at 3 * 10^4 also one-sided x^2+1. At x = 10^4
-the survivors are sparse against the windows, which pins the cover state
+3 * 10^4 with seed 7, under default parameters (auto N). At x = 10^4 the
+survivors are sparse against the windows, which pins the cover state
 where it differs most from a bitmap. At 3 * 10^4 the survivors are too
-many for most medium primes to share a block, so those four cases pin the
-cover state's blocks of one prime, scoring on both sides and on one. They
-were recorded before a block of one replaced the separate one-prime step,
-and kept their bytes. Each digest pins the certificate of the window length
+many for most medium primes to share a block, so those three cases pin
+the cover state's blocks of one prime, scoring on both sides. They were
+recorded before a block of one replaced the separate one-prime step, and
+kept their bytes. Each digest pins the certificate of the window length
 the constructor settles on, so a change to the search over y moves every
-digest whose y it moves. The 15 digests at x <= 1000 were last
+digest whose y it moves. The 9 digests at x <= 1000 were last
 re-recorded when the greedy medium stage became one ascending pass, in
 place of a greedy pass followed by refinement sweeps that re-picked each
 medium residue: every certificate moved. So none of the default x = 300
 digests equals the ones in bench/results/construct-small-seed{7,8}.json
 until the benchmark's recorded results are refreshed. Earlier changes that
-moved digests on purpose: the search over y starting from a start fitted
-per sidedness that grows with x, stepping by at least 1 % before it
-brackets the root, and damping its first step where the cleanup primes are
-few (the cases whose y it moved), the secant search over y (the cases
-whose y it moved), and the one-sided refinement sweeps coming to score the
-forward window only (the one-sided cases). Every case then pinned moved
-once more, with every y unchanged, when the certificate format became
-version 2: one line of compact JSON, with the placement reduced to N and b1
-and the parameters to x, delta, xi, K and y.
+moved digests on purpose: the search over y starting from a fitted start
+that grows with x, stepping by at least 1 % before it brackets the root,
+and damping its first step where the cleanup primes are few (the cases
+whose y it moved), and the secant search over y (the cases whose y it
+moved). Every case then pinned moved once more, with every y unchanged,
+when the certificate format became version 2: one line of compact JSON,
+with the placement reduced to N and b1 and the parameters to x, delta,
+xi, K and y.
 A change that moves one of them changes the certificate format or the
 construction, and must say so.
 
@@ -33,15 +31,14 @@ The x = 300 cases are built once more from a warm root cache, whose
 tables hold their root counts as u1 and their roots as u4, and must give
 the same digests.
 
-Two stats CSVs, of one two-sided and one one-sided case, are pinned the
-same way (STATS_GOLDEN), and so are the verify reports of the x = 1000 and
-x = 10^4 certificates and of the x = 300 one-sided ones (VERIFY_GOLDEN),
-each of which checks every offset of both windows, or of the one window of
-a one-sided certificate. They were recorded in the verifier's deep mode,
-and kept their bytes when it became the only one. Certificates written by
-the randomized medium stage, since removed, label a two-sided medium stage
-"fwd"; a greedy certificate relabelled that way must verify with the same
-report bytes, which pins that such files still verify.
+One stats CSV is pinned the same way (STATS_GOLDEN), and so are the verify
+reports of the x = 1000 and x = 10^4 certificates (VERIFY_GOLDEN), each of
+which checks every offset of both windows. They were recorded in the
+verifier's deep mode, and kept their bytes when it became the only one.
+Certificates written by the randomized medium stage, since removed, label
+a two-sided medium stage "fwd"; a greedy certificate relabelled that way
+must verify with the same report bytes, which pins that such files still
+verify.
 
 Run as a script (`PYTHONPATH=src python tests/test_golden.py`) to print the
 current digest of every case in GOLDEN, STATS_GOLDEN and VERIFY_GOLDEN with
@@ -75,12 +72,6 @@ GOLDEN = {
     ("x", 8): "8471a1495073794ab130d5ec2a1c5d93361d0424f8b90e778c13a5c5e4e72c39",
     ("x^2+1", 8): "4a0684f18dab076919f0b8d910710a99bfe3bb5cb3a204fd075365450ea7f062",
     ("x^3+2", 8): "e0bce219421b55fc07525fa900eca492e9f98922b8418a9ca1a3f271d6830125",
-    ("x", 7, "one-sided"): "63e53da57a2af839236bd2feacadfbd426ae0e07aa043df8b01842f652380609",
-    ("x^2+1", 7, "one-sided"): "54cbdc0400ac4196f57de03d495315ad286c8742e26c19e4d66913fb775fc35f",
-    ("x^3+2", 7, "one-sided"): "fc910bef817cad5ab7bebc543dbb823cbcb31837c0f5ca8491b5f1b5ded105af",
-    ("x", 8, "one-sided"): "dbc9c445bd57f4ee2c5ff78b84b074ad9bd1b76d9a6ac060df58efd8baf7a112",
-    ("x^2+1", 8, "one-sided"): "0b40eb9f1d2c6ebf47839b5ceff76c2d4fa3b57409ffb9b9fe587200b3510403",
-    ("x^3+2", 8, "one-sided"): "05f3819e04bc50329deadd8848f67c1d5cfd699dd30aa370e1de032003343758",
     ("x", 7, "x=1000"): "f38034a14bcdfbcd6f417737f7b4afa42066755d4d44f595525da6e7cf29a9a8",
     ("x^2+1", 7, "x=1000"): "5614ba38720eb7778973e0ede7f987136ae1cf6f9fefcb3b6c30a053520e34c5",
     ("x^3+2", 7, "x=1000"): "01d902ff05f126b54a361d3d2c658b161f8bcd89bb5557f4726b16a51b57c9de",
@@ -90,24 +81,16 @@ GOLDEN = {
     ("x", 7, "x=30000"): "922164b33902e5e3669d8318ecb5fc792d516783ab6ed1e968c1eb2ecff38a37",
     ("x^2+1", 7, "x=30000"): "afac2e46469ef9000abb50e1db561c27fa9c2a2b821f204fadfae210c831b598",
     ("x^3+2", 7, "x=30000"): "2999662231ec604d618950f613176978d3ae0c3de349149da564d15e1a09606c",
-    ("x^2+1", 7, "one-sided-x=30000"): "9d59a4a72fc135085559aaca0c8fbe808395356d8645bf5efc2bff7ad6ddfa21",
 }
-# (x, keyword arguments of construct_certificate) for each variant
-VARIANTS = {
-    "one-sided": (300, {"two_sided": False}),
-    "x=1000": (1000, {}),
-    "x=10000": (10**4, {}),
-    "x=30000": (3 * 10**4, {}),
-    "one-sided-x=30000": (3 * 10**4, {"two_sided": False}),
-}
+# the x of each variant
+VARIANTS = {"x=1000": 1000, "x=10000": 10**4, "x=30000": 3 * 10**4}
 
 
-# sha256 of the stats CSV that `construct` writes beside the certificate,
-# for one two-sided and one one-sided case: the rows come from the chosen
-# attempt alone, so they move only with its certificate
+# sha256 of the stats CSV that `construct` writes beside the certificate:
+# the rows come from the chosen attempt alone, so they move only with its
+# certificate
 STATS_GOLDEN = {
     ("x^2+1", 7): "0543ed61b7588c1953b02cb8f1f47899dd8b60111f021825ff478ab65d9f736b",
-    ("x^3+2", 7, "one-sided"): "3c664e34121a3ca1facc002e87ca017523d2c51bef748c56a8fe1f25f111e72a",
 }
 
 
@@ -121,17 +104,14 @@ VERIFY_GOLDEN = {
     ("x", "x=10000"): "c6884bc335ebea18635aebc5864003707edc99d5c87d17a0828e2690973f04df",
     ("x^2+1", "x=10000"): "a3a733fca7fdeefa3f934cf8cbd26bec9225b5f3ccb4c3f45ff867a86dd1ac23",
     ("x^3+2", "x=10000"): "e4bbbe6f72e9d4bb98fb0c07f138aa7a7e91b7f0b3a62a4e063bb99d00769673",
-    ("x", "one-sided"): "b816458d7e3fdd183baa95418561776b9a8341867c2599ac5bdefe940bc70eae",
-    ("x^2+1", "one-sided"): "f3c9b2a404d5b6e454949e40fe664ec96a91122f4d6702c4fb861db9d727f7fd",
-    ("x^3+2", "one-sided"): "bc6fc3dadf36a9ebe297b8cfba8667c7d44713c1a4396db47e1aae73559a4db6",
 }
 
 
 def construct(case, cache_dir=None):
     name, seed, *variant = case
     f = IntPolynomial.from_monomial(POLYS[name])
-    x, kwargs = VARIANTS[variant[0]] if variant else (300, {})
-    return construct_certificate(f, SieveParams(x=x), seed, cache_dir=cache_dir, **kwargs)
+    x = VARIANTS[variant[0]] if variant else 300
+    return construct_certificate(f, SieveParams(x=x), seed, cache_dir=cache_dir)
 
 
 def certificate_digest(case, cache_dir=None) -> tuple[str, int]:
@@ -179,7 +159,7 @@ def warm_cache(tmp_path_factory):
 
 @pytest.mark.parametrize(
     "case",
-    sorted(case for case in GOLDEN if len(case) == 2 or VARIANTS[case[2]][0] == 300),
+    sorted(case for case in GOLDEN if len(case) == 2),
     ids=lambda case: "-".join(map(str, case)),
 )
 def test_certificate_digest_from_warm_cache(case, warm_cache, monkeypatch):

@@ -172,19 +172,6 @@ class TestFaultInjection:
         assert not report.valid
         assert any("b1" in m for m in report.messages)
 
-    def test_missing_residue_named(self):
-        # a one-sided certificate is checked at offset level, which needs a
-        # residue for every usable prime up to x: the first one without is
-        # named, and no offset is checked
-        f = IntPolynomial.from_monomial([1, 0, 1])
-        cert = reload(construct_certificate(f, SieveParams(x=300), 7, two_sided=False)[0])
-        assert cert.placement is None
-        for st_rec in cert.stages:
-            st_rec.assignments = [(q, r) for q, r in st_rec.assignments if q != 13]
-        report = verify_certificate(cert)
-        assert (report.valid, report.checked, report.failures) == (False, 0, [])
-        assert report.messages == ["usable prime 13 has no residue"]
-
     def test_unknown_stage_tag(self):
         cert = reload(toy_certificate())
         cert.stages[0].stage = "huge"
@@ -234,42 +221,19 @@ class TestFaultInjection:
         assert report.failures == []
 
     @pytest.mark.parametrize("r", [5, -1, 2**70, -(2**70)])
-    @pytest.mark.parametrize("placed", [True, False])
-    def test_residue_out_of_range(self, placed, r):
-        # a placement-free certificate takes the residue into sieve_survivors,
-        # whose rows are int64
+    def test_residue_out_of_range(self, r):
         cert = reload(toy_certificate())
         cert.stages[0].assignments = [(2, 1), (3, r), (5, 4), (7, 6)]
-        if not placed:
-            cert.placement = None
         report = verify_certificate(cert)
         assert not report.valid
         assert f"residue {r} out of range for prime 3" in report.messages
 
-    def test_placement_stripped_falls_back_to_offsets(self):
-        cert = reload(toy_certificate())
-        cert.placement = None
-        report = verify_certificate(cert)
-        assert report.valid
-        assert report.checked == 4
-
-    def test_offset_gap_reported(self):
-        cert = reload(toy_certificate())
-        cert.placement = None
-        cert.stages[0].assignments = [(2, 1), (3, 2), (5, 3), (7, 6)]
-        report = verify_certificate(cert)
-        assert not report.valid
-        assert report.failures == [4]  # only offset 4 relied on prime 5
-
     @pytest.mark.parametrize("y", [0, 12, 10**12, 2**70])
-    @pytest.mark.parametrize("placed", [True, False])
-    def test_y_outside_formula_range_refused_before_allocating(self, y, placed):
+    def test_y_outside_formula_range_refused_before_allocating(self, y):
         # the formula length at x = 8 is 11, so 12 is the least y refused
         # above it
         obj = toy_certificate().to_json_dict()
         obj["params"]["y"] = y
-        if not placed:
-            obj["placement"] = None
         cert = ResidueCertificate.from_json_dict(obj)
         report = verify_certificate(cert)
         assert not report.valid
@@ -287,16 +251,13 @@ class TestFaultInjection:
         assert report.failures == [] and report.checked > 0
 
     @pytest.mark.parametrize("x", [2**31, 2**40])
-    @pytest.mark.parametrize("placed", [True, False])
-    def test_x_beyond_root_table_bound_refused_before_sieving(self, placed, x, monkeypatch):
+    def test_x_beyond_root_table_bound_refused_before_sieving(self, x, monkeypatch):
         # 2^31 is the least x the root table refuses
         def no_sieve(limit):
             raise AssertionError("primes sieved")
 
         obj = toy_certificate().to_json_dict()
         obj["params"]["x"] = x
-        if not placed:
-            obj["placement"] = None
         cert = ResidueCertificate.from_json_dict(obj)
         monkeypatch.setattr(modroots_mod, "sieve_primes", no_sieve)
         tracemalloc.start()
@@ -311,18 +272,14 @@ class TestFaultInjection:
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("x", [X_BOUND_FLOOR + 1, 2**31 - 1])
-    @pytest.mark.parametrize("placed", [True, False])
-    def test_x_beyond_certificate_support_refused_in_milliseconds(self, placed, x, monkeypatch):
-        # both fit the root table, but neither the toy's N = 10^7 nor its
-        # four listed primes can come from a construction at such an x;
-        # X_BOUND_FLOOR + 1 is the least x refused
+    def test_x_beyond_certificate_support_refused_in_milliseconds(self, x, monkeypatch):
+        # both fit the root table, but the toy's N = 10^7 cannot come from a
+        # construction at such an x; X_BOUND_FLOOR + 1 is the least x refused
         def no_sieve(limit):
             raise AssertionError("primes sieved")
 
         obj = toy_certificate().to_json_dict()
         obj["params"]["x"] = x
-        if not placed:
-            obj["placement"] = None
         cert = ResidueCertificate.from_json_dict(obj)
         monkeypatch.setattr(modroots_mod, "sieve_primes", no_sieve)
         t0 = time.perf_counter()
@@ -331,8 +288,7 @@ class TestFaultInjection:
         assert not report.valid
         assert report.checked == 0
         assert report.messages == [
-            f"x = {x} exceeds {X_BOUND_FLOOR}, the most this certificate's"
-            f" {'N' if placed else 'listed primes'} can support"
+            f"x = {x} exceeds {X_BOUND_FLOOR}, the most this certificate's N can support"
         ]
 
     @pytest.mark.parametrize(
@@ -342,25 +298,22 @@ class TestFaultInjection:
     def test_x_bound_admits_every_construction(self, coeffs):
         # at every x up to 1.2 * 10^5 (each x just below the next usable
         # prime is the tightest) with the least N a construction takes,
-        # P(x)^3, or with all usable primes listed and no N; x^3 - 3x + 1
-        # has usable density 1/3, x^2 + x + 41 no usable prime below 41
+        # P(x)^3; x^3 - 3x + 1 has usable density 1/3, x^2 + x + 41 no
+        # usable prime below 41
         f = IntPolynomial.from_monomial(coeffs)
         limit = 120_000
         usable = usable_between(build_root_table(f, limit), 0, limit)
         theta = 0.0
-        for k, (q, nxt) in enumerate(zip(usable, usable[1:] + [limit + 1]), 1):
+        for q, nxt in zip(usable, usable[1:] + [limit + 1]):
             theta += math.log(q)
             x = nxt - 1
             n_least = 1 << int(3 * theta / math.log(2))  # at most P(x)^3
-            assert verify_mod.stored_x_bound(f.degree, n_least, k) >= x
-            assert verify_mod.stored_x_bound(f.degree, None, k) >= x
+            assert verify_mod.stored_x_bound(f.degree, n_least) >= x
 
     def test_x_bound_floor_and_growth(self):
-        assert verify_mod.stored_x_bound(1, 10**7, 4) == X_BOUND_FLOOR
-        assert verify_mod.stored_x_bound(1, None, 4) == X_BOUND_FLOOR
-        # 4 d ln N and 4 u ln(u + 2), u = d (listed + 1), past the floor
-        assert verify_mod.stored_x_bound(2, 1 << 100_000, 1) == int(8 * 100_001 * math.log(2))
-        assert verify_mod.stored_x_bound(3, None, 9999) == int(120_000 * math.log(30_002))
+        assert verify_mod.stored_x_bound(1, 10**7) == X_BOUND_FLOOR
+        # 4 d ln N past the floor
+        assert verify_mod.stored_x_bound(2, 1 << 100_000) == int(8 * 100_001 * math.log(2))
 
     def test_huge_stored_window_not_walked(self, monkeypatch):
         # a stored I1 of 10^12 values, as the format before version 2 kept
