@@ -495,11 +495,15 @@ class ResidueCertificate:
         does a field in any form but the one construct writes (decimal
         strings for coefficients, N and b1, json_int and json_number for the
         rest) or an N or b1 with more digits than the stored x allows (see
-        decimal_digit_bound). Every certificate has a placement: a null or
-        missing one is malformed too."""
+        decimal_digit_bound). Every certificate has a placement: one that is
+        null, missing, no object or without N and b1 is malformed too, and
+        the message names the field."""
         try:
             params = SieveParams.from_json(obj["params"])
-            placement = Placement.from_json(obj["placement"], decimal_digit_bound(params.x), params.y)
+            fields = obj.get("placement")
+            if not (isinstance(fields, dict) and "N" in fields and "b1" in fields):
+                raise ValueError("malformed certificate: placement must be an object with N and b1")
+            placement = Placement.from_json(fields, decimal_digit_bound(params.x), params.y)
             return cls(
                 poly=IntPolynomial.from_json(obj["poly"]),
                 params=params,

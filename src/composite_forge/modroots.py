@@ -6,11 +6,12 @@ coefficient (those primes are never used by the sieve). It holds them as
 the two arrays of its cache file, the root counts and the roots in prime
 order, and no other module reads them: every stage takes its rows, primes
 with their counts and roots, by prime range (`RootTable.rows`, three
-slices), and the verifier takes those of its listed moduli by one lookup
-(`RootTable.lookup`). The primes not excluded go in one batch per table,
-down one of two routes.
+slices). The verifier builds no table: it takes the root counts and roots
+of the primes its certificate lists from `roots_mod_primes`, the batch step
+a table runs over every prime up to its limit. The primes not excluded go
+in one batch, down one of two routes.
 
-A small table of degree 3 or more, its primes summing to at most SCAN_SPAN,
+A small batch of degree 3 or more, its primes summing to at most SCAN_SPAN,
 takes the exhaustive scan (`_roots_scan`) when the companion's values below
 its largest prime fit int64: the primitive part of the companion is
 evaluated once at every residue, and each block of consecutive primes reads
@@ -52,7 +53,6 @@ square root or an inverse.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import hashlib
 import itertools
@@ -60,7 +60,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -338,7 +337,8 @@ class RootTable:
     primes[i], and `flat`, every root in prime order, ascending within its
     prime. Only this module reads the two arrays: the other stages take
     rows, usable primes with their root counts and roots, from `rows` by
-    prime range, and the verifier from `lookup` by its list of moduli."""
+    prime range. The verifier takes none: it finds the roots of its listed
+    primes alone (`roots_mod_primes`)."""
 
     poly: IntPolynomial
     limit: int
@@ -367,27 +367,6 @@ class RootTable:
         q, k, starts = self._usable
         i, j = np.searchsorted(q, (math.floor(lo), math.floor(hi)), side="right")
         return q[i:j], k[i:j], self.flat[starts[i] : starts[max(i, j)]]
-
-    def lookup(self, moduli: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The root count of each of moduli, ascending ints of any size (or
-        an int64 array), and their roots, in that order and ascending within
-        each; a modulus that is no usable prime of the table (a composite, a
-        prime without roots, or one beyond the limit) has count 0. One
-        searchsorted places the moduli in [2, limit], and one gather takes
-        their roots. The verifier takes its listed moduli this way."""
-        a, b = bisect.bisect_left(moduli, 2), bisect.bisect_right(moduli, self.limit)
-        inner = np.asarray(moduli[a:b], dtype=np.int64)
-        # every prime of the table is at most the limit, so a modulus placed
-        # past the last one is no prime of it
-        at = np.minimum(np.searchsorted(self.primes, inner), len(self.primes) - 1)
-        count = np.zeros(len(moduli), dtype=np.int64)
-        count[a:b] = np.where(self.primes[at] == inner, self.counts[at], 0)
-        n = count[a:b]
-        # the roots of the k-th modulus start at flat[start_k], and at
-        # first_k in the list returned
-        start = np.cumsum(self.counts, dtype=np.int64)[at] - n
-        first = np.cumsum(n) - n
-        return count, self.flat[np.repeat(start - first, n) + np.arange(int(n.sum()))]
 
     @functools.cached_property
     def usable_tree(self) -> ProductTree:
@@ -457,30 +436,45 @@ def _read_cache(path: str, f: IntPolynomial, limit: int, primes: np.ndarray) -> 
     return counts, flat
 
 
+def roots_mod_primes(f: IntPolynomial, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The root count of the companion mod each of `primes`, ascending
+    primes below ROW_PRIME_BOUND as an int64 array, and every root in prime
+    order, ascending within its prime. A prime p <= degree or dividing the
+    leading coefficient has count 0 (I_p = ()); the others go in one batch,
+    scanned or algebraic (`_scans`). A prime divides B! exactly when it is
+    at most B, so the two kinds are the primes dividing B! * leading. A
+    root table takes this over every prime up to its limit, and the
+    verifier over its listed primes."""
+    batch = mod_rows(math.factorial(f.degree) * f.leading, primes) != 0
+    comp, rows = f.companion(), primes[batch]
+    route = _roots_scan if _scans(comp, rows) else _roots_algebraic
+    counts = np.zeros(len(primes), dtype=np.int64)
+    counts[batch], flat = route(comp, rows)
+    return counts, flat
+
+
+def check_limit(limit: int) -> None:
+    """Refuse a root table limit of ROW_PRIME_BOUND (2^31) or more with
+    ValueError: the batched root kernel is exact only below it."""
+    if limit >= ROW_PRIME_BOUND:
+        raise ValueError(f"root table limit {limit} must stay below {ROW_PRIME_BOUND}")
+
+
 def build_root_table(f: IntPolynomial, limit: int, cache_dir: str | None = None) -> RootTable:
     """Compute (or load from cache) all root sets for primes <= limit.
 
     A corrupt or mismatching cache file is ignored and rebuilt. A limit of
-    ROW_PRIME_BOUND (2^31) or more raises ValueError before anything is
-    sieved: the batched root kernel is exact only below it.
+    ROW_PRIME_BOUND (2^31) or more raises ValueError (check_limit) before
+    anything is sieved.
     """
-    if limit >= ROW_PRIME_BOUND:
-        raise ValueError(f"root table limit {limit} must stay below {ROW_PRIME_BOUND}")
+    check_limit(limit)
     primes = sieve_primes(limit)
     path = _cache_path(cache_dir, f, limit) if cache_dir else None
     if path:
         cached = _read_cache(path, f, limit, primes)
         if cached is not None:
             return RootTable(f, limit, primes, *cached)
-    # p <= degree and p dividing the leading coefficient keep I_p = ();
-    # the others go in one batch, scanned or algebraic. A prime divides B!
-    # exactly when it is at most B, so the two kinds are the primes dividing
-    # B! * leading
-    batch = mod_rows(math.factorial(f.degree) * f.leading, primes) != 0
-    comp, rows = f.companion(), primes[batch]
-    route = _roots_scan if _scans(comp, rows) else _roots_algebraic
-    counts = np.zeros(len(primes), dtype=np.int64)
-    counts[batch], flat = route(comp, rows)
+    counts, flat = roots_mod_primes(f, primes)
     if path:
         os.makedirs(cache_dir, exist_ok=True)
         _write_cache(path, f, limit, counts, flat)

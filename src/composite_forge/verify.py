@@ -8,16 +8,17 @@ Compositeness inside the windows is always certified by a divisor witness
 testing appears only in the small-scale oracle.
 
 Both windows are the ones N, b1 and y give: I1 from 1 - b1, I2 from
-N + b1 - y. The listed moduli are held ascending, and one lookup in the
-root table (RootTable.lookup) gives each its root count and roots. b1 is
+N + b1 - y. The listed moduli are held ascending; those up to x that are
+prime (one searchsorted in the primes up to x) get their root counts and
+roots from one batch (modroots.roots_mod_primes), so the root work follows
+the listed primes, not every prime up to x. b1 is
 reduced by every listed modulus and N by each prime that vouches: b1 lies
 in its class, it exceeds the degree, and the companion, evaluated by one
 row Horner over every candidate root, confirms a root. That gives each
 window start mod q. Both reductions walk down one primes.ProductTree over
-the listed moduli up to the root table's limit, whose root also gives the
-N^(1/3) check its product; a modulus beyond the limit (no prime of the
-table, so it vouches for nothing) takes one b1 % q and is never multiplied
-into anything. Certificate
+the listed moduli up to x, whose root also gives the N^(1/3) check its
+product; a modulus beyond x (no usable prime, so it vouches for nothing)
+takes one b1 % q and is never multiplied into anything. Certificate
 integers and reported failures go to and from decimal through
 assemble.int_to_decimal and decimal_to_int: sub-quadratic above 640
 digits, and never reading or setting the interpreter's int-string digit
@@ -26,14 +27,15 @@ int64 rows (q, root, s), one per root (find_witness), struck by
 sievecore.smallest_hit, the kernel construction's survivor sieve uses
 too, so each offset keeps its smallest witnessing prime. Every offset of
 both windows is checked, as the theorem claims f(n) composite for every
-n in I1 and I2; failures and witness counts are read off the result with
-numpy. |f(n)| > q is proved once per window. A certificate stores no
+n in I1 and I2; failures are read off each window's result with numpy,
+and the witness counts off one bincount over both (witness_counts).
+|f(n)| > q is proved once per window. A certificate stores no
 bounds or centers: they follow from N, b1 and y. The stored y is bounded
 by the formula length, and the stored x by what the certificate's N can
-support (stored_x_bound) and by the root table's bound, before anything is
-sized by them. A certificate without a placement does not load
-(ResidueCertificate.from_json_dict), so every certificate checked here has
-both windows.
+support (stored_x_bound) and by the root kernel's bound
+(modroots.check_limit), before anything is sized by them. A certificate
+without a placement does not load (ResidueCertificate.from_json_dict), so
+every certificate checked here has both windows.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assemble import CERT_VERSION, ResidueCertificate, b1_range, int_to_decimal
-from .modroots import ROW_PRIME_BOUND, build_root_table, companion_eval_mod
+from .modroots import build_root_table  # noqa: F401  (bench/harness.py traces verify.build_root_table)
+from .modroots import ROW_PRIME_BOUND, check_limit, companion_eval_mod, roots_mod_primes
 from .poly import IntPolynomial, irreducibility_check
 from .primes import ProductTree, is_prime, sieve_primes
 from .sievecore import sieve_survivors  # noqa: F401  (bench/harness.py traces verify.sieve_survivors)
@@ -86,8 +89,8 @@ def find_witness(
     f(n) is composite, or 0 when no row works.
 
     rows is three int64 arrays (q, root, s), one entry per root: q a prime
-    > deg f, below 2^31 (ROW_PRIME_BOUND, as for every root table prime),
-    in ascending order; root a root of the companion B!*f mod q, checked
+    > deg f, below 2^31 (ROW_PRIME_BOUND, the root kernel's bound), in
+    ascending order; root a root of the companion B!*f mod q, checked
     by the caller; s = base mod q. An offset k is a hit of the row when
     (s + k) mod q is its root, which is every k = (root - s) mod q + j q,
     and sievecore.smallest_hit gives each offset its smallest hit. The
@@ -111,14 +114,24 @@ def find_witness(
     return got
 
 
-# The stored x the verifier always accepts: a root table that size takes
-# milliseconds, and it spares small pathological polynomials the cap below.
+def witness_counts(witnesses: list[np.ndarray]) -> Counter[int]:
+    """How many checked values have each prime as their smallest witness,
+    from the nonzero witnesses of both windows: one bincount over all of
+    them, indexed by the witness, so at most x + 1 counts."""
+    tally = np.bincount(np.concatenate(witnesses))
+    hit = np.flatnonzero(tally)
+    return Counter(dict(zip(hit.tolist(), tally[hit].tolist())))
+
+
+# The stored x the verifier always accepts: the primes and roots that size
+# take milliseconds, and it spares small pathological polynomials the cap
+# below.
 X_BOUND_FLOOR = 2**16
 
 
 def stored_x_bound(degree: int, n_target: int) -> int:
     """The largest stored x a certificate with target N can support, refused
-    beyond this before any root table is built; never below X_BOUND_FLOOR.
+    beyond this before anything is sized by x; never below X_BOUND_FLOOR.
 
     A construction lists every usable prime q <= x (those with a root of f
     mod q), and has P(x)^3 <= N for their product P(x), so
@@ -157,18 +170,19 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
     Every n in I1 = [1 - b1, y - b1] and I2 = [N + b1 - y, N + b1 - 1]
     (Placement.I1 and I2; b1 in b1_range) must have a witness among the
     certificate primes whose residues are consistent with b1; b1 and N are
-    reduced down one product tree over the listed moduli up to the root
-    table's limit (primes.ProductTree), and b1 by each modulus beyond it on
-    its own. A certificate stores N and b1 only, so there are no stored
-    bounds or centers to compare: the centers n1 = floor(y/2) - b1 and
+    reduced down one product tree over the listed moduli up to x
+    (primes.ProductTree), and b1 by each modulus beyond x on its own. Roots
+    are found for the listed primes up to x alone, in one batch
+    (modroots.roots_mod_primes). A certificate stores N and b1 only, so
+    there are no stored bounds or centers to compare: the centers n1 = floor(y/2) - b1 and
     n2 = N - n1 split N by their definition. No window is checked when y
     lies outside [1, formula y], which is reported. Moduli whose bit lengths put
     their product's cube above N are reported without forming it;
-    otherwise the tree's root is cubed, and no modulus beyond the limit
+    otherwise the tree's root is cubed, and no modulus beyond x
     enters a product. An x beyond what the certificate can support
-    (stored_x_bound) or the root table refuses (2^31 or more) is reported
-    before anything is sized by it, and a listed modulus below 2 is
-    reported and takes no further part.
+    (stored_x_bound) or the root kernel refuses (2^31 or more, check_limit)
+    is reported before anything is sized by it, and a listed modulus below
+    2 is reported and takes no further part.
     Invalid certificates produce a negative report, not an exception.
 
     deep and seed are accepted and ignored: every call checks every
@@ -191,20 +205,15 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
         report.messages.append(f"window length {y} outside [1, formula length {y_formula}]")
     pl = cert.placement
     x_max = stored_x_bound(degree, pl.N)
-    # an x the root table cannot hold at all is refused by build_root_table
+    # an x the root kernel cannot take at all is refused by check_limit
     if ROW_PRIME_BOUND > x > x_max:
         report.messages.append(f"x = {x} exceeds {x_max}, the most this certificate's N can support")
         report.valid = False
         return report
     try:
-        # refuses an x at or above its bound before it sizes anything by x
-        table = build_root_table(f, x)
-    except ValueError as e:
-        report.messages.append(str(e))
-        report.valid = False
-        return report
-
-    try:
+        # refuses an x at or above the kernel's bound before anything is
+        # sized by x
+        check_limit(x)
         residues = cert.residues()
     except ValueError as e:
         report.messages.append(str(e))
@@ -214,13 +223,19 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
         # no residue class modulo q < 2 can vouch for anything
         report.messages.append(f"modulus {q} is not a prime")
         del residues[q]
-    # the listed moduli ascending, and those within the table's limit, a
-    # prefix: one lookup gives each of these its root count, 0 unless it is
-    # a usable prime, and their roots
+    # the listed moduli ascending, and those up to x, a prefix. Each of
+    # these has root count 0 unless it is a usable prime; the primes among
+    # them, marked by one searchsorted, get their counts and roots in one
+    # batch
     listed = sorted(residues)
-    beyond = bisect.bisect_right(listed, table.limit)
+    beyond = bisect.bisect_right(listed, x)
     inner = np.array(listed[:beyond], dtype=np.int64)
-    count, table_roots = table.lookup(inner)
+    primes = sieve_primes(x)
+    # a modulus placed past the last prime is no prime; an inner modulus
+    # means x >= 2, so there is a last prime
+    prime = primes[np.minimum(np.searchsorted(primes, inner), len(primes) - 1)] == inner
+    count = np.zeros(beyond, dtype=np.int64)
+    count[prime], listed_roots = roots_mod_primes(f, inner[prime])
     usable = set(inner[count > 0].tolist())
     for q, r in residues.items():
         if not (0 <= r < q):
@@ -240,12 +255,12 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
     # product is formed
     bits = 3 * (sum(map(int.bit_length, listed)) - len(listed))
     exceeds = bits >= n_target.bit_length()
-    # one product tree over the listed moduli the table reaches; a modulus
-    # beyond it is reduced on its own and never multiplied into anything
+    # one product tree over the listed moduli up to x; a modulus beyond x
+    # is reduced on its own and never multiplied into anything
     tree = ProductTree(listed[:beyond])
     if not exceeds:
         # M^3 > N exactly when N // M^3 <= 0, and N // M^3 is N // root^3
-        # floor-divided by each q^3 beyond the table in turn
+        # floor-divided by each q^3 beyond x in turn
         quotient = n_target // tree.root**3
         for q in listed[beyond:]:
             quotient //= q**3
@@ -259,19 +274,18 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
 
     # a prime vouches for nothing unless b1 satisfies its congruence, it
     # exceeds the degree and it has companion roots (a foreign prime has
-    # none); b1 is reduced by every listed modulus, down the tree up to the
-    # table's limit
+    # none); b1 is reduced by every listed modulus, down the tree up to x
     b1_mod = tree.remainders(b1) + [b1 % q for q in listed[beyond:]]
     consistent = np.array(
         [(b1_q - residues[q]) % q == 0 for q, b1_q in zip(listed, b1_mod)], dtype=bool
     )
     for i in np.flatnonzero(~consistent).tolist():
         report.messages.append(f"b1 does not satisfy the residue for prime {listed[i]}")
-    # one entry per table root of each listed prime, ascending in q, and
-    # row, its prime's place in listed; the roots of the candidates are
+    # one entry per root of each listed prime, ascending in q, and row,
+    # its prime's place in listed; the roots of the candidates are
     # re-checked against the companion in one row Horner
     row = np.repeat(np.arange(beyond), count)
-    q, roots = inner[row], table_roots.astype(np.int64)
+    q, roots = inner[row], listed_roots.astype(np.int64)
     keep = consistent[row] & (q > degree) & (companion_eval_mod(comp, roots, q) == 0)
     q, roots, row = q[keep], roots[keep], row[keep]
 
@@ -282,14 +296,13 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
         n_q = np.array(tree.remainders(n_target), dtype=np.int64)[row]
         # one row set per window, each with the window start mod q
         window_starts = ((1 - b1_q) % q, (n_q + b1_q - y) % q)
+        witnesses = []
         for base, s in zip(starts, window_starts):
             got = find_witness(base, y, (q, roots, s), f)
             report.checked += y
             report.failures.extend(base + k for k in np.flatnonzero(got == 0).tolist())
-            # witness counts indexed by the witness, so at most x + 1 of them
-            tally = np.bincount(got[got > 0])
-            hit = np.flatnonzero(tally)
-            report.witness_primes.update(dict(zip(hit.tolist(), tally[hit].tolist())))
+            witnesses.append(got[got > 0])
+        report.witness_primes = witness_counts(witnesses)
     report.failures.sort()
     report.valid = not report.failures and not report.messages
     return report

@@ -17,6 +17,9 @@ OK, VERIFY_FAILED, INFEASIBLE, USAGE = 0, 1, 2, 64
 NESTED = "[" * 5000 + "]" * 5000
 # 1 + C(x, 25) and x^25 + 1, one degree above poly.MAX_DEGREE
 DEGREE_25 = "[" + "1," + "0," * 24 + "1]"
+# what verify says of a placement that is null, missing or no object with
+# N and b1
+BAD_PLACEMENT = "placement must be an object with N and b1"
 
 
 def run_cli(*args, cwd, env_extra=None):
@@ -373,28 +376,29 @@ class TestVerify:
         assert "Traceback" not in r.stderr and r.stdout == ""
 
     @pytest.mark.parametrize(
-        "mangle",
+        "mangle,message",
         [
-            lambda obj: [obj],
-            lambda obj: {**obj, "stages": 5},
-            lambda obj: {**obj, "params": "x"},
+            (lambda obj: [obj], ""),
+            (lambda obj: {**obj, "stages": 5}, ""),
+            (lambda obj: {**obj, "params": "x"}, ""),
             # the placement, which fixes both windows, as a number
-            lambda obj: {**obj, "placement": 7},
+            (lambda obj: {**obj, "placement": 7}, BAD_PLACEMENT),
             # falsy placements, each once read as no placement at all
-            lambda obj: {**obj, "placement": {}},
-            lambda obj: {**obj, "placement": []},
-            lambda obj: {**obj, "placement": 0},
-            lambda obj: {**obj, "placement": False},
-            lambda obj: {**obj, "placement": ""},
+            (lambda obj: {**obj, "placement": {}}, BAD_PLACEMENT),
+            (lambda obj: {**obj, "placement": []}, BAD_PLACEMENT),
+            (lambda obj: {**obj, "placement": 0}, BAD_PLACEMENT),
+            (lambda obj: {**obj, "placement": False}, BAD_PLACEMENT),
+            (lambda obj: {**obj, "placement": ""}, BAD_PLACEMENT),
             # no placement at all: every certificate has one
-            lambda obj: {**obj, "placement": None},
-            lambda obj: {k: v for k, v in obj.items() if k != "placement"},
+            (lambda obj: {**obj, "placement": None}, BAD_PLACEMENT),
+            (lambda obj: {k: v for k, v in obj.items() if k != "placement"}, BAD_PLACEMENT),
         ],
         ids=["top-level-list", "stages-number", "params-string", "window-number",
              "window-empty-object", "window-empty-list", "window-zero", "window-false",
              "window-empty-string", "window-null", "window-missing"],
     )
-    def test_malformed_certificate_exits_64(self, workdir, mangle):
+    def test_malformed_certificate_exits_64(self, workdir, mangle, message):
+        # a bad placement is named as such, not by the Python error it hit
         with open(workdir / "cert.json") as fh:
             obj = mangle(json.load(fh))
         with open(workdir / "malformed.json", "w") as fh:
@@ -402,7 +406,7 @@ class TestVerify:
         r = run_cli("verify", "malformed.json", cwd=workdir)
         assert r.returncode == USAGE
         assert "Traceback" not in r.stderr
-        assert "malformed certificate" in r.stderr
+        assert "malformed certificate" in r.stderr and message in r.stderr
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,10 @@ the same digests.
 One stats CSV is pinned the same way (STATS_GOLDEN), and so are the verify
 reports of the x = 1000 and x = 10^4 certificates (VERIFY_GOLDEN), each of
 which checks every offset of both windows. They were recorded in the
-verifier's deep mode, and kept their bytes when it became the only one.
+verifier's deep mode, and kept their bytes when it became the only one, and
+again when the verifier stopped building a root table over every prime up
+to x and found the roots of its listed primes alone, which each of them
+checks with the table builder stubbed out.
 Certificates written by the randomized medium stage, since removed, label
 a two-sided medium stage "fwd"; a greedy certificate relabelled that way
 must verify with the same report bytes, which pins that such files still
@@ -55,7 +58,8 @@ import json
 import numpy as np
 import pytest
 
-from composite_forge import assemble
+from composite_forge import assemble, modroots
+from composite_forge import verify as verify_mod
 from composite_forge.assemble import STATS_HEADER, ResidueCertificate, construct_certificate
 from composite_forge.cover import SieveParams
 from composite_forge.modroots import build_root_table
@@ -183,6 +187,21 @@ def test_stats_csv_digest(case):
     "case", sorted(VERIFY_GOLDEN), ids=lambda case: "-".join(map(str, case))
 )
 def test_verify_report_digest(case):
+    assert verify_report_digest(case)[0] == VERIFY_GOLDEN[case]
+
+
+@pytest.mark.parametrize(
+    "case", sorted(VERIFY_GOLDEN), ids=lambda case: "-".join(map(str, case))
+)
+def test_verify_builds_no_root_table(case, monkeypatch):
+    # the verifier finds the roots of its listed primes alone: no table over
+    # every prime up to x is built, and the report keeps its pinned bytes.
+    # Construction keeps its own name for the builder (assemble's)
+    def no_table(*args, **kwargs):
+        raise AssertionError("the verifier built a root table")
+
+    monkeypatch.setattr(verify_mod, "build_root_table", no_table)
+    monkeypatch.setattr(modroots, "build_root_table", no_table)
     assert verify_report_digest(case)[0] == VERIFY_GOLDEN[case]
 
 

@@ -1,8 +1,9 @@
 """The root table's layout has one owner. Outside modroots, no module of the
 package reads a table's arrays (`counts`, `flat`), its private index range
 (`_span`) or a per-prime map (`roots`): every stage takes its rows from
-RootTable.rows, by prime range, or RootTable.lookup, by a list of moduli.
-An attribute of an imported module, such as numpy's np.roots, is no table's.
+RootTable.rows, by prime range, and the verifier builds no table, taking
+the roots of its listed primes from modroots.roots_mod_primes. An attribute
+of an imported module, such as numpy's np.roots, is no table's.
 """
 
 import ast

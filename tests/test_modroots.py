@@ -5,8 +5,9 @@ per-prime routes they replaced, and which powers a table takes; the
 character table that keeps quadratic non-residue rows from the square root;
 the residue scan of small tables, and its multiply-and-compare divisibility
 test, against the algebraic route, `%` and the oracle; the row accessors,
-by prime range and by a list of moduli, against roots_mod_p on fresh and
-cached tables; the binary cache (its bytes pinned), density statistics, and
+by prime range, against roots_mod_p on fresh and cached tables, and the
+batch step over any subset of the primes (roots_mod_primes) against a
+table's rows; the binary cache (its bytes pinned), density statistics, and
 residue collision counts. Run as a script it prints the cache digests beside
 the pinned ones; with `costs`, the cost of the scan or of each kernel run of
 a table build (see kernel_cost_table); with `crossover`, the scan's time over
@@ -1033,6 +1034,26 @@ def row_tables(tmp_path_factory):
     return out
 
 
+# the benchmark's polynomials, one with three real roots, and a quartic;
+# their tables up to each limit (3000 scans degree 3 and more, 2 * 10^4 takes
+# the algebraic route)
+LISTED_POLYS = {
+    "x": [0, 1], "x^2+1": [1, 0, 1], "x^3+2": [2, 0, 0, 1], "x^3-3x+1": [1, -3, 0, 1],
+    "x^4+x+1": [1, 1, 0, 0, 1],
+}
+LISTED_LIMITS = (3000, 20_000)
+
+
+@pytest.fixture(scope="module")
+def listed_tables():
+    out = {}
+    for name, mono in LISTED_POLYS.items():
+        f = IntPolynomial.from_monomial(mono)
+        for limit in LISTED_LIMITS:
+            out[name, limit] = f, build_root_table(f, limit)
+    return out
+
+
 class TestRootTable:
     @given(name=st.sampled_from(list(ROW_POLYS)), lo=ROW_BOUNDS, hi=ROW_BOUNDS)
     @example(name="x^2+1", lo=750.0, hi=1125.0)
@@ -1053,27 +1074,27 @@ class TestRootTable:
             assert roots.tolist() == [a for _, r in want for a in r]
 
     @given(
-        name=st.sampled_from(list(ROW_POLYS)),
-        moduli=st.lists(
-            st.one_of(st.integers(-10, ROW_LIMIT + 200), st.integers(2**63 - 3, 2**70)),
-            max_size=40,
-        ),
+        name=st.sampled_from(list(LISTED_POLYS)),
+        limit=st.sampled_from(LISTED_LIMITS),
+        share=st.floats(0, 1),
+        seed=st.integers(0, 2**32 - 1),
     )
-    @example(name="x^2+1", moduli=[4, 5, 9, 13, 13, 1511, 2**63 - 1, 2**63, 2**64 + 13])
-    @example(name="5x^3+3x^2-x+1", moduli=[5])
-    # 1499 is the last prime below ROW_LIMIT, and 1500 lies past it
-    @example(name="x", moduli=[1497, 1499, 1500])
-    @settings(max_examples=300, deadline=None)
-    def test_lookup_matches_roots_mod_p(self, row_tables, name, moduli):
-        # composites, primes without roots, primes above the limit and
-        # moduli of 2^63 and more have no roots
-        oracle, tables = row_tables[name]
-        moduli = sorted(moduli)
-        want = [oracle.get(m, ()) for m in moduli]
-        for table in tables:
-            count, roots = table.lookup(moduli)
-            assert count.tolist() == [len(r) for r in want]
-            assert roots.tolist() == [a for r in want for a in r]
+    # every prime up to the limit: the scan below SCAN_SPAN, the algebraic
+    # route beyond it
+    @example(name="x^3+2", limit=3000, share=1.0, seed=0)
+    @example(name="x^4+x+1", limit=20_000, share=1.0, seed=0)
+    @settings(max_examples=100, deadline=None)
+    def test_listed_primes_match_the_table(self, listed_tables, name, limit, share, seed):
+        # roots_mod_primes on any ascending subset of the primes up to the
+        # limit gives each its row of the full table: the counts (0 for a
+        # prime without roots or at most the degree) and the roots
+        f, table = listed_tables[name, limit]
+        primes = sieve_primes(limit)
+        subset = primes[np.random.default_rng(seed).random(len(primes)) < share]
+        counts, flat = modroots_mod.roots_mod_primes(f, subset)
+        want = [roots_of(table, q) for q in subset.tolist()]
+        assert counts.tolist() == [len(r) for r in want]
+        assert flat.tolist() == [a for r in want for a in r]
 
     def test_usable_primes(self, table_x2p1_100):
         # p = 1 mod 4, plus nothing else below 100

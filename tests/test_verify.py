@@ -89,10 +89,10 @@ class TestVerifyToyCertificate:
     @pytest.mark.parametrize("rate", [math.nan, math.inf, 0, -1, 1.5, 1.0])
     def test_sample_rate_keyword_is_refused(self, rate, monkeypatch):
         # no rate, in (0, 1] or not, selects a subset of the offsets any more
-        def no_table(*args, **kwargs):
+        def no_roots(*args, **kwargs):
             raise AssertionError("checked before the keyword was refused")
 
-        monkeypatch.setattr(verify_mod, "build_root_table", no_table)
+        monkeypatch.setattr(verify_mod, "roots_mod_primes", no_roots)
         with pytest.raises(TypeError, match="sample_rate"):
             verify_certificate(toy_certificate(), sample_rate=rate)
 
@@ -212,6 +212,25 @@ class TestFaultInjection:
         report = verify_certificate(cert)
         assert "prime 4 is not a usable sieve prime below x" in report.messages
 
+    @pytest.mark.parametrize(
+        "name,q",
+        [("x", 221), ("x^2+1", 221), ("x", 300), ("x^2+1", 7), ("x^3+2", 7), ("x^2+1", 2),
+         ("x^3+2", 2), ("x^3+2", 3)],
+        ids=["x-composite", "x^2+1-composite", "x-composite-past-the-last-prime",
+             "x^2+1-no-root", "x^3+2-no-root", "x^2+1-degree", "x^3+2-degree-2",
+             "x^3+2-degree-3"],
+    )
+    def test_listed_modulus_without_roots_flagged(self, name, q):
+        # a composite (221 = 13 * 17, or x = 300 itself, past the last
+        # prime 293), a prime with no root of f and a prime at most the
+        # degree, each listed with b1 in its class, get count 0 from the
+        # verifier's roots and so vouch for nothing
+        cert = listed_too(q)(certificate(name, 300))
+        report = verify_certificate(cert)
+        assert not report.valid
+        assert f"prime {q} is not a usable sieve prime below x" in report.messages
+        assert report.failures == []
+
     def test_foreign_prime_with_consistent_residue_does_not_crash(self):
         cert = reload(toy_certificate())
         r11 = cert.placement.b1 % 11
@@ -260,6 +279,7 @@ class TestFaultInjection:
         obj["params"]["x"] = x
         cert = ResidueCertificate.from_json_dict(obj)
         monkeypatch.setattr(modroots_mod, "sieve_primes", no_sieve)
+        monkeypatch.setattr(verify_mod, "sieve_primes", no_sieve)
         tracemalloc.start()
         try:
             report = verify_certificate(cert)
@@ -282,6 +302,7 @@ class TestFaultInjection:
         obj["params"]["x"] = x
         cert = ResidueCertificate.from_json_dict(obj)
         monkeypatch.setattr(modroots_mod, "sieve_primes", no_sieve)
+        monkeypatch.setattr(verify_mod, "sieve_primes", no_sieve)
         t0 = time.perf_counter()
         report = verify_certificate(cert)
         assert time.perf_counter() - t0 < 0.05
@@ -656,8 +677,8 @@ class TestWindowWitnessSearch:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_verifier_filters_table_roots_like_the_oracle(self, data):
-        # a root table whose primes list true, no or every residue: only
-        # the verifier's companion check and q > degree rule pick the roots.
+        # root rows whose primes list true, no or every residue: only the
+        # verifier's companion check and q > degree rule pick the roots.
         # The primes up to the degree, which divide the companion's B!, are
         # listed too, each with b1 in its class.
         name = data.draw(st.sampled_from(sorted(POLYS)))
@@ -676,11 +697,18 @@ class TestWindowWitnessSearch:
         pwr = consistent_primes(cert, table)
         f = cert.poly
 
+        def table_rows(f_, primes):
+            # what roots_mod_primes returns, read off the table above
+            rows = [roots_of(table, q) for q in primes.tolist()]
+            return np.array([len(r) for r in rows], dtype=np.int64), np.array(
+                [r for rs in rows for r in rs], dtype=np.int64
+            )
+
         def oracle(base, length, rows, f_):
             return oracle_witnesses(base, length, pwr, f)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(verify_mod, "build_root_table", lambda f, x: table)
+            mp.setattr(verify_mod, "roots_mod_primes", table_rows)
             got = verify_certificate(cert)
             mp.setattr(verify_mod, "find_witness", oracle)
             want = verify_certificate(cert)
@@ -998,3 +1026,78 @@ class TestCoveringSim:
         # the default config covers everything; at c1 = 1 about 6000 of the
         # 20487 elements stay uncovered, so another stream would show
         assert config.c1 == 10.0 or min(got) > 5000
+
+
+# the steps of a verify run that the timing table splits out, each with the
+# names in verify whose calls it times; the product tree's build and its b1
+# and N walks are the step "walks", and "other" is the rest of
+# verify_certificate
+VERIFY_STEPS = {
+    "roots": ("sieve_primes", "roots_mod_primes"),
+    "fill": ("find_witness",),
+    "tally": ("witness_counts",),
+}
+
+
+def verify_step_seconds(data: bytes) -> tuple[dict[str, float], VerifyReport]:
+    """Seconds of each step of loading certificate bytes (load: the JSON and
+    ResidueCertificate.from_json_dict) and verifying them (VERIFY_STEPS,
+    walks and other), and the report."""
+    seconds = dict.fromkeys(["load", "roots", "walks", "fill", "tally", "other"], 0.0)
+
+    def timed(fn, step):
+        def run(*args, **kwargs):
+            t = time.perf_counter()
+            out = fn(*args, **kwargs)
+            seconds[step] += time.perf_counter() - t
+            return out
+
+        return run
+
+    tree = verify_mod.ProductTree
+
+    def timed_tree(moduli):
+        built = timed(tree, "walks")(moduli)
+        built.remainders = timed(built.remainders, "walks")
+        return built
+
+    t = time.perf_counter()
+    cert = ResidueCertificate.from_json_dict(json.loads(data))
+    seconds["load"] = time.perf_counter() - t
+    with pytest.MonkeyPatch.context() as mp:
+        for step, names in VERIFY_STEPS.items():
+            for name in names:
+                mp.setattr(verify_mod, name, timed(getattr(verify_mod, name), step))
+        mp.setattr(verify_mod, "ProductTree", timed_tree)
+        t = time.perf_counter()
+        report = verify_certificate(cert)
+        total = time.perf_counter() - t
+    seconds["other"] = total - sum(seconds[s] for s in ("roots", "walks", "fill", "tally"))
+    return seconds, report
+
+
+def test_step_seconds_split_the_verifier():
+    # the timed run gives the plain run's report, and every step takes time
+    data = built_certificate("x^3+2", 300)
+    seconds, report = verify_step_seconds(data)
+    assert report.to_json_dict() == verify_certificate(certificate("x^3+2", 300)).to_json_dict()
+    assert all(t > 0 for step, t in seconds.items() if step != "other")
+
+
+def verify_step_table(xs=(300, 1000, 3000), seed=7, runs=51):
+    """Print, for each f and x, the median milliseconds of each step of
+    loading and verifying the seed's certificate (verify_step_seconds) over
+    `runs` runs, and of their sum."""
+    print(f"{'f':6} {'x':>5} " + " ".join(f"{s:>7}" for s in ("load", "roots", "walks", "fill",
+                                                                "tally", "other", "total")))
+    for x in xs:
+        for name in POLYS:
+            data = built_certificate(name, x, seed)
+            runs_ = [verify_step_seconds(data)[0] for _ in range(runs)]
+            cells = [np.median([r[s] for r in runs_]) for s in runs_[0]]
+            cells.append(np.median([sum(r.values()) for r in runs_]))
+            print(f"{name:6} {x:>5} " + " ".join(f"{t * 1e3:7.3f}" for t in cells))
+
+
+if __name__ == "__main__":
+    verify_step_table()
