@@ -497,25 +497,34 @@ class ResidueCertificate:
         rest) or an N or b1 with more digits than the stored x allows (see
         decimal_digit_bound). Every certificate has a placement: one that is
         null, missing, no object or without N and b1 is malformed too, and
-        the message names the field."""
+        the message names the field; so does one whose stages are not a list
+        of {stage, side, assignments} objects with [q, r] pairs.
+        A stored x or y out of range (see SieveParams) does not load either."""
         try:
             params = SieveParams.from_json(obj["params"])
             fields = obj.get("placement")
             if not (isinstance(fields, dict) and "N" in fields and "b1" in fields):
                 raise ValueError("malformed certificate: placement must be an object with N and b1")
             placement = Placement.from_json(fields, decimal_digit_bound(params.x), params.y)
-            return cls(
-                poly=IntPolynomial.from_json(obj["poly"]),
-                params=params,
-                seed=json_int(obj["seed"]),
-                stages=[
+            try:
+                stages = [
                     StageRecord(
                         _text(st["stage"]),
                         _text(st["side"]),
                         [(json_int(q), json_int(r)) for q, r in st["assignments"]],
                     )
                     for st in obj["stages"]
-                ],
+                ]
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
+                raise ValueError(
+                    "malformed certificate: stages must be a list of {stage, side, assignments}"
+                    f" objects, with assignments a list of [q, r] pairs ({e})"
+                ) from e
+            return cls(
+                poly=IntPolynomial.from_json(obj["poly"]),
+                params=params,
+                seed=json_int(obj["seed"]),
+                stages=stages,
                 irreducibility=_text(obj["irreducibility"]),
                 placement=placement,
                 version=json_int(obj["version"]),

@@ -26,7 +26,7 @@ from .assemble import (
     parse_decimal,
 )
 from .cover import SieveParams
-from .modroots import ROW_PRIME_BOUND, build_root_table, density_stats
+from .modroots import build_root_table, density_stats
 from .poly import parse_poly_literal
 from .verify import (
     ORACLE_N_MAX,
@@ -137,14 +137,6 @@ def build_parser() -> _Parser:
 
 
 def cmd_construct(args) -> int:
-    if args.x >= ROW_PRIME_BOUND:
-        # checked first: SieveParams takes the formula length of x as a float
-        print(
-            f"composite-forge: bad parameters: root table limit {args.x}"
-            f" must stay below {ROW_PRIME_BOUND}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     try:
         params = SieveParams(x=args.x, delta=args.delta, retry_budget=args.retry_budget)
     except ValueError as e:

@@ -1,6 +1,10 @@
 """Staged residue selection: parameters, small-prime sampling, and greedy
 medium-prime residue selection.
 
+SieveParams holds the construction parameters a certificate stores (x,
+delta and y) and is the one place their ranges are checked, so a stored
+value out of range does not load.
+
 The sieve covers two offset windows, forward [1, y] and backward [-y, -1].
 A certificate residue r_q kills forward offsets j = r_q + alpha (mod q) and
 backward offsets j = alpha - N - r_q (mod q), where N is the target sum. So
@@ -30,12 +34,9 @@ from typing import Mapping
 
 import numpy as np
 
+from .gfpoly import ROW_PRIME_BOUND
 from .modroots import RootTable, Rows
 from .sievecore import SurvivorSet, sieve_survivors
-
-
-# the largest ln(x/2) / ln(xi) that SieveParams admits (see its docstring)
-MAX_SCALES = 1024
 
 
 class RetryBudgetError(RuntimeError):
@@ -50,50 +51,49 @@ def json_int(value) -> int:
 
 
 def json_number(value) -> float:
-    """A JSON number field of a certificate; a bool or string raises ValueError."""
+    """A JSON number field of a certificate; a bool, a string or an integer
+    beyond float range raises ValueError."""
     if type(value) not in (int, float):
         raise ValueError(f"expected a JSON number, got {value!r:.40}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"expected a JSON number within float range, got {value!r:.40}") from None
 
 
 @dataclass(frozen=True)
 class SieveParams:
-    """Construction parameters and their derived window sizes.
+    """Construction parameters and their derived window sizes, and the one
+    place their ranges are checked.
 
-    y is the window length floor(x * (log x)^delta); the staging boundary z
-    separating the randomized small stage from the shift-selection stage is
-    the formula value y * loglog(x) / sqrt(log x) capped at isqrt(y). The
-    formula alone exceeds x/2 for every x reachable in practice, which would
-    leave no primes for shift selection at all, so the cap is what makes the
-    staged pipeline nondegenerate; both values are exposed.
-
-    No stage reads xi or K. Every certificate stores them and from_json
-    reads them back, so they keep their checks: both finite, xi above 1 and
-    K positive, (K + 2) * y below 2^63 at the formula y, and ln(x/2) /
-    ln(xi) within MAX_SCALES. A stored certificate whose values fail them
-    does not load.
+    x is the prime bound, at least 8 and below ROW_PRIME_BOUND (2^31), the
+    root kernel's bound; y is the window length, floor(x * (log x)^delta)
+    unless overridden, and lies in [1, formula y]. Each is refused here
+    before anything is sized by it, x before any float math on it, so a
+    certificate storing one out of range does not load. The staging
+    boundary z separating the randomized small stage from the medium stage
+    is isqrt(y). The paper's boundary y * loglog(x) / sqrt(log x) is at
+    least 0.507 y for every x in [8, 2^31), so isqrt(y) is the smaller at
+    every y >= 2; at y = 1 the formula gives 0 and isqrt 1, and neither
+    selects a small prime.
     """
 
     x: int
     delta: float = 0.5
-    xi: float = 2.0
-    K: float = 8.0
     retry_budget: int = 64
     y_override: int | None = None
 
     def __post_init__(self):
         if self.x < 8:
             raise ValueError("x must be at least 8")
+        if self.x >= ROW_PRIME_BOUND:
+            raise ValueError(f"x must stay below {ROW_PRIME_BOUND}, the root kernel's bound")
         if not (1e-6 < self.delta <= 0.5):
             raise ValueError("delta must lie in (1e-6, 0.5]")
-        if not (1 < self.xi < math.inf):
-            raise ValueError("xi must be finite and exceed 1")
-        if not (0 < self.K < math.inf):
-            raise ValueError("K must be finite and positive")
-        if (self.K + 2) * self.y_formula >= 2**63:
-            raise ValueError("(K + 2) * y must stay below 2^63 at the formula length")
-        if math.log(self.x / 2) > MAX_SCALES * math.log(self.xi):
-            raise ValueError(f"xi must be at least (x/2)^(1/{MAX_SCALES}): too many scales")
+        if not 1 <= self.y <= self.y_formula:
+            raise ValueError(
+                f"window length y = {self.y} outside [1, formula length {self.y_formula}]"
+            )
         if self.retry_budget < 0:
             raise ValueError("retry budget must be nonnegative")
 
@@ -106,26 +106,20 @@ class SieveParams:
         return self.y_formula if self.y_override is None else self.y_override
 
     @property
-    def boundary_formula(self) -> int:
-        return int(self.y * math.log(math.log(self.x)) / math.sqrt(math.log(self.x)))
-
-    @property
     def z(self) -> int:
-        return min(self.boundary_formula, math.isqrt(self.y))
+        return math.isqrt(self.y)
 
     def with_y(self, y: int) -> "SieveParams":
         return replace(self, y_override=int(y))
 
     def to_json(self) -> dict:
-        return {"x": self.x, "delta": self.delta, "xi": self.xi, "K": self.K, "y": self.y}
+        return {"x": self.x, "delta": self.delta, "y": self.y}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SieveParams":
         return cls(
             x=json_int(obj["x"]),
             delta=json_number(obj["delta"]),
-            xi=json_number(obj["xi"]),
-            K=json_number(obj["K"]),
             y_override=json_int(obj["y"]),
         )
 

@@ -30,12 +30,14 @@ both windows is checked, as the theorem claims f(n) composite for every
 n in I1 and I2; failures are read off each window's result with numpy,
 and the witness counts off one bincount over both (witness_counts).
 |f(n)| > q is proved once per window. A certificate stores no
-bounds or centers: they follow from N, b1 and y. The stored y is bounded
-by the formula length, and the stored x by what the certificate's N can
-support (stored_x_bound) and by the root kernel's bound
-(modroots.check_limit), before anything is sized by them. A certificate
-without a placement does not load (ResidueCertificate.from_json_dict), so
-every certificate checked here has both windows.
+bounds or centers: they follow from N, b1 and y. A stored x or y out of
+range (x below 8 or at or above the root kernel's bound 2^31, y outside
+[1, formula y]) does not load (cover.SieveParams), and neither does a
+certificate without a placement (ResidueCertificate.from_json_dict), so
+every certificate checked here has both windows, of a length in range.
+The stored x is further bounded by what the certificate's N can support
+(stored_x_bound), which is a claim and so gets a negative report, before
+anything is sized by x.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 
 from .assemble import CERT_VERSION, ResidueCertificate, b1_range, int_to_decimal
 from .modroots import build_root_table  # noqa: F401  (bench/harness.py traces verify.build_root_table)
-from .modroots import ROW_PRIME_BOUND, check_limit, companion_eval_mod, roots_mod_primes
+from .modroots import companion_eval_mod, roots_mod_primes
 from .poly import IntPolynomial, irreducibility_check
 from .primes import ProductTree, is_prime, sieve_primes
 from .sievecore import sieve_survivors  # noqa: F401  (bench/harness.py traces verify.sieve_survivors)
@@ -175,14 +177,18 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
     are found for the listed primes up to x alone, in one batch
     (modroots.roots_mod_primes). A certificate stores N and b1 only, so
     there are no stored bounds or centers to compare: the centers n1 = floor(y/2) - b1 and
-    n2 = N - n1 split N by their definition. No window is checked when y
-    lies outside [1, formula y], which is reported. Moduli whose bit lengths put
+    n2 = N - n1 split N by their definition. Moduli whose bit lengths put
     their product's cube above N are reported without forming it;
     otherwise the tree's root is cubed, and no modulus beyond x
-    enters a product. An x beyond what the certificate can support
-    (stored_x_bound) or the root kernel refuses (2^31 or more, check_limit)
-    is reported before anything is sized by it, and a listed modulus below
-    2 is reported and takes no further part.
+    enters a product.
+
+    A stored x or y out of range never gets here: the certificate does not
+    load (cover.SieveParams). What is refused, in order: the version and the
+    stage and side tags are reported first; then an x beyond what the
+    certificate's N can support (stored_x_bound), before anything is sized
+    by x, and a prime assigned twice, each ending the check; then a listed
+    modulus below 2, which takes no further part. Every other failed claim
+    is reported alongside the window check.
     Invalid certificates produce a negative report, not an exception.
 
     deep and seed are accepted and ignored: every call checks every
@@ -195,25 +201,16 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
     f = cert.poly
     degree = f.degree
     comp = f.companion()
+    # SieveParams holds x below 2^31 and y within [1, formula y]
     x = cert.params.x
     y = cert.params.y
-    # construction never exceeds the formula length, and the witness loop
-    # and the offset sieve allocate by y, so they only run for y in range
-    y_formula = cert.params.y_formula
-    y_bounded = 1 <= y <= y_formula
-    if not y_bounded:
-        report.messages.append(f"window length {y} outside [1, formula length {y_formula}]")
     pl = cert.placement
     x_max = stored_x_bound(degree, pl.N)
-    # an x the root kernel cannot take at all is refused by check_limit
-    if ROW_PRIME_BOUND > x > x_max:
+    if x > x_max:
         report.messages.append(f"x = {x} exceeds {x_max}, the most this certificate's N can support")
         report.valid = False
         return report
     try:
-        # refuses an x at or above the kernel's bound before anything is
-        # sized by x
-        check_limit(x)
         residues = cert.residues()
     except ValueError as e:
         report.messages.append(str(e))
@@ -289,20 +286,19 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
     keep = consistent[row] & (q > degree) & (companion_eval_mod(comp, roots, q) == 0)
     q, roots, row = q[keep], roots[keep], row[keep]
 
-    # each window is sieved and read whole
-    if y_bounded:
-        # b1 and N (down the same tree) mod each row's prime
-        b1_q = np.array(b1_mod[:beyond], dtype=np.int64)[row]
-        n_q = np.array(tree.remainders(n_target), dtype=np.int64)[row]
-        # one row set per window, each with the window start mod q
-        window_starts = ((1 - b1_q) % q, (n_q + b1_q - y) % q)
-        witnesses = []
-        for base, s in zip(starts, window_starts):
-            got = find_witness(base, y, (q, roots, s), f)
-            report.checked += y
-            report.failures.extend(base + k for k in np.flatnonzero(got == 0).tolist())
-            witnesses.append(got[got > 0])
-        report.witness_primes = witness_counts(witnesses)
+    # each window is sieved and read whole; b1 and N (down the same tree)
+    # mod each row's prime
+    b1_q = np.array(b1_mod[:beyond], dtype=np.int64)[row]
+    n_q = np.array(tree.remainders(n_target), dtype=np.int64)[row]
+    # one row set per window, each with the window start mod q
+    window_starts = ((1 - b1_q) % q, (n_q + b1_q - y) % q)
+    witnesses = []
+    for base, s in zip(starts, window_starts):
+        got = find_witness(base, y, (q, roots, s), f)
+        report.checked += y
+        report.failures.extend(base + k for k in np.flatnonzero(got == 0).tolist())
+        witnesses.append(got[got > 0])
+    report.witness_primes = witness_counts(witnesses)
     report.failures.sort()
     report.valid = not report.failures and not report.messages
     return report

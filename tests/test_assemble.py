@@ -236,7 +236,8 @@ def certificates(draw) -> ResidueCertificate:
         max_size=4,
     ))
     coeffs = draw(st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=3))
-    y = draw(st.integers(8, 10**6))
+    # any y a certificate at WIDE_X may store: up to its formula length
+    y = draw(st.integers(8, SieveParams(x=WIDE_X).y_formula))
     return ResidueCertificate(
         poly=IntPolynomial(tuple(coeffs) + (draw(st.integers(1, 10**40)),)),
         params=SieveParams(x=WIDE_X).with_y(y),
@@ -446,7 +447,7 @@ class TestCertificateSerialization:
                              "version"]
         assert obj["version"] == 2
         assert obj["poly"]["basis"] == "binomial"
-        assert obj["params"] == {"x": 8, "delta": 0.5, "xi": 2.0, "K": 8.0, "y": 4}
+        assert obj["params"] == {"x": 8, "delta": 0.5, "y": 4}
         assert obj["placement"] == {"N": "10000000", "b1": "-2000041"}
         assert obj["stages"][0]["assignments"] == [[2, 1], [3, 2], [5, 4], [7, 6]]
 

@@ -20,6 +20,10 @@ DEGREE_25 = "[" + "1," + "0," * 24 + "1]"
 # what verify says of a placement that is null, missing or no object with
 # N and b1
 BAD_PLACEMENT = "placement must be an object with N and b1"
+BAD_STAGES = (
+    "stages must be a list of {stage, side, assignments} objects,"
+    " with assignments a list of [q, r] pairs"
+)
 
 
 def run_cli(*args, cwd, env_extra=None):
@@ -142,13 +146,14 @@ class TestConstruct:
         assert r.returncode == USAGE
 
     def test_x_at_the_root_table_bound_exits_64(self, tmp_path):
-        r = run_cli(
-            "construct", "--poly", "poly:[0,1]", "--x", "3000000000",
-            "--out", "no.json", cwd=tmp_path,
-        )
-        assert r.returncode == USAGE
-        assert "Traceback" not in r.stderr and "below 2147483648" in r.stderr
-        assert not (tmp_path / "no.json").exists()
+        # 2^31 is the least x refused
+        for x in ("2147483648", "3000000000"):
+            r = run_cli(
+                "construct", "--poly", "poly:[0,1]", "--x", x, "--out", "no.json", cwd=tmp_path,
+            )
+            assert r.returncode == USAGE
+            assert "Traceback" not in r.stderr and "x must stay below 2147483648" in r.stderr
+            assert not (tmp_path / "no.json").exists()
 
     @pytest.mark.parametrize("digits", [400, 6000])
     def test_explicit_target_beyond_digit_bound_exits_64(self, tmp_path, digits):
@@ -298,27 +303,39 @@ class TestVerify:
     def test_non_finite_parameter_exits_64(self, workdir):
         with open(workdir / "cert.json") as fh:
             obj = json.load(fh)
-        obj["params"]["K"] = float("nan")
+        obj["params"]["delta"] = float("nan")
         with open(workdir / "nan.json", "w") as fh:
             json.dump(obj, fh)
         r = run_cli("verify", "nan.json", cwd=workdir)
         assert r.returncode == USAGE
-        assert "Traceback" not in r.stderr and "K must be finite" in r.stderr
+        assert "Traceback" not in r.stderr and "delta must lie in" in r.stderr
 
     @pytest.mark.parametrize(
-        "name,value,message", [("K", 1e30, "2^63"), ("xi", 1.000001, "scales")],
-        ids=["K-1e30", "xi-1.000001"],
+        "values,message",
+        [
+            ({"x": 2**31}, "x must stay below 2147483648"),
+            ({"x": 2**40}, "x must stay below 2147483648"),
+            ({"x": 10**400}, "x must stay below 2147483648"),
+            ({"y": 0}, "window length y = 0 outside [1, formula length"),
+            # the formula length at x = 8 is 11
+            ({"x": 8, "y": 12}, "window length y = 12 outside [1, formula length 11]"),
+            ({"y": 10**12}, "window length y = 1000000000000 outside [1, formula length"),
+            # beyond float range, and named by its leading digits
+            ({"delta": 10**400}, "within float range, got 1000000000"),
+        ],
+        ids=["x-2^31", "x-2^40", "x-10^400", "y-0", "y-12-at-x-8", "y-10^12", "delta-10^400"],
     )
-    def test_out_of_range_parameter_exits_64(self, workdir, name, value, message):
-        # construct takes neither value any more; a stored one is still refused
+    def test_out_of_range_parameter_exits_64(self, workdir, values, message):
+        # a stored parameter out of range does not load: the message names
+        # the field or the value, and nothing is verified
         with open(workdir / "cert.json") as fh:
             obj = json.load(fh)
-        obj["params"][name] = value
+        obj["params"].update(values)
         with open(workdir / "range.json", "w") as fh:
             json.dump(obj, fh)
         r = run_cli("verify", "range.json", cwd=workdir)
         assert r.returncode == USAGE
-        assert "Traceback" not in r.stderr and message in r.stderr
+        assert "Traceback" not in r.stderr and message in r.stderr and r.stdout == ""
 
     def test_missing_file_exits_64(self, tmp_path):
         r = run_cli("verify", "nope.json", cwd=tmp_path)
@@ -353,13 +370,13 @@ class TestVerify:
             (("poly", "coeffs", 0), " 1"),
             (("params", "x"), 300.7),
             (("params", "x"), "300"),
-            (("params", "K"), "8"),
-            (("params", "K"), True),
+            (("params", "delta"), "0.5"),
+            (("params", "delta"), True),
             (("seed",), "7"),
             (("version",), True),
         ],
         ids=["coeff-float", "coeff-bool", "coeff-padded", "x-float", "x-string",
-             "K-string", "K-bool", "seed-string", "version-bool"],
+             "delta-string", "delta-bool", "seed-string", "version-bool"],
     )
     def test_field_in_another_form_exits_64(self, workdir, path, value):
         # each used to be coerced, and the certificate verified as valid
@@ -379,7 +396,13 @@ class TestVerify:
         "mangle,message",
         [
             (lambda obj: [obj], ""),
-            (lambda obj: {**obj, "stages": 5}, ""),
+            (lambda obj: {**obj, "stages": 5}, BAD_STAGES),
+            # a [q, r] pair of the wrong length, and a stage that is no object
+            (lambda obj: {**obj, "stages": [{**obj["stages"][0], "assignments": [[2]]}]},
+             BAD_STAGES),
+            (lambda obj: {**obj, "stages": [{**obj["stages"][0], "assignments": [[2, 1, 0]]}]},
+             BAD_STAGES),
+            (lambda obj: {**obj, "stages": [[1, 0]]}, BAD_STAGES),
             (lambda obj: {**obj, "params": "x"}, ""),
             # the placement, which fixes both windows, as a number
             (lambda obj: {**obj, "placement": 7}, BAD_PLACEMENT),
@@ -393,12 +416,14 @@ class TestVerify:
             (lambda obj: {**obj, "placement": None}, BAD_PLACEMENT),
             (lambda obj: {k: v for k, v in obj.items() if k != "placement"}, BAD_PLACEMENT),
         ],
-        ids=["top-level-list", "stages-number", "params-string", "window-number",
+        ids=["top-level-list", "stages-number", "pair-of-one", "pair-of-three", "stage-as-list",
+             "params-string", "window-number",
              "window-empty-object", "window-empty-list", "window-zero", "window-false",
              "window-empty-string", "window-null", "window-missing"],
     )
     def test_malformed_certificate_exits_64(self, workdir, mangle, message):
-        # a bad placement is named as such, not by the Python error it hit
+        # a bad placement or bad stages are named as such, not by the
+        # Python error they hit
         with open(workdir / "cert.json") as fh:
             obj = mangle(json.load(fh))
         with open(workdir / "malformed.json", "w") as fh:

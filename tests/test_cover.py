@@ -62,8 +62,8 @@ def backward_class_scores(q, alphas, bwd_pos, n_target):
 
 
 class TestSieveParams:
-    # y = floor(x (log x)^delta), z = min(y loglog x / sqrt(log x), isqrt(y));
-    # the four rows were computed by hand from those formulas
+    # y = floor(x (log x)^delta), z = isqrt(y); the four rows were computed
+    # by hand from those formulas
     @pytest.mark.parametrize(
         "x,y,z",
         [(300, 716, 26), (500, 1246, 35), (2000, 5513, 74), (10**4, 30348, 174)],
@@ -74,9 +74,16 @@ class TestSieveParams:
         assert p.z == z
 
     def test_z_is_capped_by_sqrt_y(self):
-        p = SieveParams(x=2000)
-        assert p.boundary_formula > p.z
-        assert p.z == math.isqrt(p.y)
+        # the paper's boundary y loglog(x) / sqrt(log x) is at least 0.507 y
+        # for x in [8, 2^31), so isqrt(y) is the smaller at every y >= 2;
+        # both select no small prime at y = 1
+        for x in (8, 9, 100, 1618, 2000, 10**6, 2**31 - 1):
+            c = math.log(math.log(x)) / math.sqrt(math.log(x))
+            assert c > 0.507
+            p = SieveParams(x=x)
+            for y in [*range(2, min(200, p.y)), p.y]:
+                assert min(int(y * c), math.isqrt(y)) == math.isqrt(y) == p.with_y(y).z
+        assert SieveParams(x=8).with_y(1).z == 1
 
     def test_override(self):
         p = SieveParams(x=300).with_y(50)
@@ -90,43 +97,26 @@ class TestSieveParams:
             {"x": 300, "delta": 0.0},
             {"x": 300, "delta": 0.51},
             {"x": 300, "delta": -0.1},
-            {"x": 300, "xi": 1.0},
+            {"x": 2**31},
             {"x": 300, "delta": math.nan},
-            {"x": 300, "xi": 0.5},
-            {"x": 300, "K": 0.0},
-            {"x": 300, "K": -1.0},
+            {"x": 2**40},
+            {"x": 10**400},
+            {"x": 300, "y_override": 0},
             {"x": 300, "retry_budget": -1},
-            {"x": 300, "K": 1e30},
-            {"x": 300, "xi": 1.000001},
+            {"x": 300, "y_override": 717},
+            {"x": 8, "y_override": 12},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SieveParams(**kwargs)
 
-    def test_xi_and_K_limits_admit_their_edges(self):
-        # (K + 2) * y = 7.2e18 < 2^63 at x = 300
-        assert SieveParams(x=300, K=1e16).K == 1e16
-        # ln(150) / ln(1.01) = 504, within MAX_SCALES
-        assert SieveParams(x=300, xi=1.01).xi == 1.01
-
-    @pytest.mark.parametrize("name", ["xi", "K"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_rejected(self, name, value):
-        with pytest.raises(ValueError, match="finite"):
-            SieveParams(x=300, **{name: value})
-        # a stored certificate carries the same check
-        obj = SieveParams(x=300).to_json()
-        obj[name] = value
-        with pytest.raises(ValueError, match="finite"):
-            SieveParams.from_json(obj)
-
     def test_delta_shrinks_y(self):
         assert SieveParams(x=2000, delta=0.25).y < SieveParams(x=2000, delta=0.5).y
 
     def test_json_round_trip(self):
-        p = SieveParams(x=500, delta=0.4, K=5.0).with_y(700)
-        assert p.to_json() == {"x": 500, "delta": 0.4, "xi": 2.0, "K": 5.0, "y": 700}
+        p = SieveParams(x=500, delta=0.4).with_y(700)
+        assert p.to_json() == {"x": 500, "delta": 0.4, "y": 700}
         q = SieveParams.from_json(p.to_json())
         assert q == p
 

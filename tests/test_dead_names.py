@@ -3,13 +3,17 @@ is named somewhere besides its own definition: elsewhere in the package, in
 the benchmark, or in the acceptance tests. So is every method, property and
 dataclass field of a package class, read as an attribute there. A name that
 only the unit tests reach is dead code kept alive by its tests, and gets
-deleted instead.
+deleted instead. Every parameter a certificate stores is read by some
+package module outside SieveParams, which writes and reloads it: a stored
+parameter no stage reads is dead too.
 """
 
 import ast
 import importlib
 from collections import Counter
 from pathlib import Path
+
+from composite_forge.cover import SieveParams
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "composite_forge"
@@ -129,3 +133,23 @@ def test_every_package_name_is_used_outside_the_unit_tests():
 
 def test_every_package_member_is_read_outside_the_unit_tests():
     assert unused_members() == []
+
+
+def attribute_reads_outside(tree: ast.Module, skip: str) -> Counter:
+    """Attribute loads in the module, the body of class skip left out."""
+    reads: Counter = Counter()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == skip:
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                reads[sub.attr] += 1
+    return reads
+
+
+def test_every_stored_parameter_is_read():
+    reads: Counter = Counter()
+    for path in sorted(PACKAGE.glob("*.py")):
+        reads += attribute_reads_outside(ast.parse(path.read_text(), str(path)), "SieveParams")
+    stored = SieveParams(x=1000).to_json()
+    assert [key for key in stored if reads[key] == 0] == []

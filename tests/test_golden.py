@@ -23,7 +23,11 @@ whose y it moved), and the secant search over y (the cases whose y it
 moved). Every case then pinned moved once more, with every y unchanged,
 when the certificate format became version 2: one line of compact JSON,
 with the placement reduced to N and b1 and the parameters to x, delta,
-xi, K and y.
+xi, K and y. Every case moved again, with every y unchanged, when the
+parameters lost xi and K, which no stage read: each certificate is the one
+before with `"xi":2.0,"K":8.0,` removed. The version stayed 2, and a file
+that still carries the two keys loads, writes the new bytes and verifies
+the same (PARENT_FORMAT pins such files).
 A change that moves one of them changes the certificate format or the
 construction, and must say so.
 
@@ -70,21 +74,29 @@ POLYS = {"x": [0, 1], "x^2+1": [1, 0, 1], "x^3+2": [2, 0, 0, 1]}
 
 # (poly, seed) for the default construction, (poly, seed, variant) otherwise
 GOLDEN = {
-    ("x", 7): "69fea40e3c2137164f2d0d41a68dd91110a71aa52fef994dd096a0f498c3735b",
-    ("x^2+1", 7): "9a026f786345d815599ba986123813c736c54ed6a92138de4df9f3965b0c174b",
-    ("x^3+2", 7): "60f8afaea9e6a8b3a4f860d263fa5b215e5bd0901effa5dbc8c54cf20d47724f",
-    ("x", 8): "8471a1495073794ab130d5ec2a1c5d93361d0424f8b90e778c13a5c5e4e72c39",
-    ("x^2+1", 8): "4a0684f18dab076919f0b8d910710a99bfe3bb5cb3a204fd075365450ea7f062",
-    ("x^3+2", 8): "e0bce219421b55fc07525fa900eca492e9f98922b8418a9ca1a3f271d6830125",
-    ("x", 7, "x=1000"): "f38034a14bcdfbcd6f417737f7b4afa42066755d4d44f595525da6e7cf29a9a8",
-    ("x^2+1", 7, "x=1000"): "5614ba38720eb7778973e0ede7f987136ae1cf6f9fefcb3b6c30a053520e34c5",
-    ("x^3+2", 7, "x=1000"): "01d902ff05f126b54a361d3d2c658b161f8bcd89bb5557f4726b16a51b57c9de",
-    ("x", 7, "x=10000"): "36b3843268d72e0f230ae0d21b96a46a551867d7935e68d037750a14bb7089d8",
-    ("x^2+1", 7, "x=10000"): "dfcfaf777411eed6b0ade409ed650f8ac7f46bc8f454e85387f46c9cee840a46",
-    ("x^3+2", 7, "x=10000"): "87385d6b9f5961eb25850208d65a13eea7f3fd38a8426717b9b683dc36bf85de",
-    ("x", 7, "x=30000"): "922164b33902e5e3669d8318ecb5fc792d516783ab6ed1e968c1eb2ecff38a37",
-    ("x^2+1", 7, "x=30000"): "afac2e46469ef9000abb50e1db561c27fa9c2a2b821f204fadfae210c831b598",
-    ("x^3+2", 7, "x=30000"): "2999662231ec604d618950f613176978d3ae0c3de349149da564d15e1a09606c",
+    ("x", 7): "4874ef24a7548ec9d6afa8197e4ad5ccb166ad2f9286eae22286e60e15c92fa9",
+    ("x^2+1", 7): "c58269fac8ac2b780d7d79da7624a042fd324c3b73a35775558b275552fcafd9",
+    ("x^3+2", 7): "78037c80cf656669ff9f537a37b44b73f1dc6d49b2a8cc33c19290cc91972f34",
+    ("x", 8): "ef143003fa27c2947214986463e99996cf3c664e0884ffcb19afa23e499219c4",
+    ("x^2+1", 8): "cdac4b403b41e38b3ce869010cf6d027c914b9a049ef2190c8a6f0baf6535f6c",
+    ("x^3+2", 8): "03cd248e1462b1ff791cac51d5a98eae2ac699b4b4f7c645df0357a941b894ca",
+    ("x", 7, "x=1000"): "55990f6009b7fac701a34c9a60f7c63df5109eecc6caa28c53c1433c65a13faa",
+    ("x^2+1", 7, "x=1000"): "f538d0fef71974935413fdaaaedac2caa07cc4cf0dc6043faf3684049b1341a1",
+    ("x^3+2", 7, "x=1000"): "5bb09546544c667dd54839184507c70c2ef66d450bb59bc5edf7a65fae51e545",
+    ("x", 7, "x=10000"): "01c3833700aaf94cfe959ffe0a65a502b12a9994bb0b265310ab4a1d8ee97f81",
+    ("x^2+1", 7, "x=10000"): "5275e860dcbac329d88638dcecde3799726e7a9c87d88cc16410d05c4f0368cb",
+    ("x^3+2", 7, "x=10000"): "1d96326d4d721c9263d8716e9a845779d1159b27b1ce1bc9b4c1fbc67b907661",
+    ("x", 7, "x=30000"): "3aa46c1d9d881d8c9cb9fbb63a3127693ca476397dc23172ffac7d4d8ee03c1f",
+    ("x^2+1", 7, "x=30000"): "00bf2c418c22a908dc0ec27336d0e0148120036c5e77c25bf1e95373a7406713",
+    ("x^3+2", 7, "x=30000"): "a89189f5700bfd23c0df1cff1fcb7ab807cfdd0d4d81b037f231dd8a36ec6e46",
+}
+# sha256 of the x = 1000 certificates as written while the parameters
+# still held xi = 2.0 and K = 8.0: each is the GOLDEN certificate with the
+# two keys put back between delta and y
+PARENT_FORMAT = {
+    "x": "f38034a14bcdfbcd6f417737f7b4afa42066755d4d44f595525da6e7cf29a9a8",
+    "x^2+1": "5614ba38720eb7778973e0ede7f987136ae1cf6f9fefcb3b6c30a053520e34c5",
+    "x^3+2": "01d902ff05f126b54a361d3d2c658b161f8bcd89bb5557f4726b16a51b57c9de",
 }
 # the x of each variant
 VARIANTS = {"x=1000": 1000, "x=10000": 10**4, "x=30000": 3 * 10**4}
@@ -222,6 +234,27 @@ def test_medium_stage_labelled_fwd_verifies_the_same(name):
     assert report.valid
     digest = hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode()).hexdigest()
     assert digest == VERIFY_GOLDEN[name, "x=1000"]
+
+
+@pytest.mark.parametrize("name", sorted(POLYS))
+def test_certificate_with_xi_and_K_verifies_the_same(name):
+    # a file from before xi and K were dropped from the parameters: it
+    # loads, the two keys ignored, writes the new bytes, and its report
+    # keeps the pinned bytes
+    cert, _ = construct((name, 7, "x=1000"))
+    obj = json.loads(cert.to_json_bytes())
+    params = obj["params"]
+    obj["params"] = {"x": params["x"], "delta": params["delta"], "xi": 2.0, "K": 8.0,
+                     "y": params["y"]}
+    raw = (json.dumps(obj, separators=(",", ":")) + "\n").encode()
+    assert hashlib.sha256(raw).hexdigest() == PARENT_FORMAT[name]
+    loaded = ResidueCertificate.from_json_dict(json.loads(raw))
+    assert loaded.to_json_bytes() == cert.to_json_bytes()
+    report = verify_certificate(loaded)
+    assert report.valid
+    digest = hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == VERIFY_GOLDEN[name, "x=1000"]
+
 
 if __name__ == "__main__":
     moved = []

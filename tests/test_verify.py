@@ -248,16 +248,25 @@ class TestFaultInjection:
         assert f"residue {r} out of range for prime 3" in report.messages
 
     @pytest.mark.parametrize("y", [0, 12, 10**12, 2**70])
-    def test_y_outside_formula_range_refused_before_allocating(self, y):
+    def test_y_outside_formula_range_refused_before_allocating(self, y, monkeypatch):
         # the formula length at x = 8 is 11, so 12 is the least y refused
-        # above it
+        # above it; the certificate does not load, and nothing is sieved
+        # or sized by y first
+        def no_sieve(limit):
+            raise AssertionError("primes sieved")
+
         obj = toy_certificate().to_json_dict()
         obj["params"]["y"] = y
-        cert = ResidueCertificate.from_json_dict(obj)
-        report = verify_certificate(cert)
-        assert not report.valid
-        assert report.checked == 0 and report.failures == []
-        assert any("formula length 11" in m for m in report.messages)
+        monkeypatch.setattr(modroots_mod, "sieve_primes", no_sieve)
+        monkeypatch.setattr(verify_mod, "sieve_primes", no_sieve)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"outside \[1, formula length 11\]"):
+                ResidueCertificate.from_json_dict(obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("q", [0, 1, -1, -5, -(2**70)])
     def test_modulus_below_two_reported(self, q):
@@ -271,24 +280,22 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("x", [2**31, 2**40])
     def test_x_beyond_root_table_bound_refused_before_sieving(self, x, monkeypatch):
-        # 2^31 is the least x the root table refuses
+        # 2^31 is the least x the root table refuses; the certificate does
+        # not load, and nothing is sieved or sized by x first
         def no_sieve(limit):
             raise AssertionError("primes sieved")
 
         obj = toy_certificate().to_json_dict()
         obj["params"]["x"] = x
-        cert = ResidueCertificate.from_json_dict(obj)
         monkeypatch.setattr(modroots_mod, "sieve_primes", no_sieve)
         monkeypatch.setattr(verify_mod, "sieve_primes", no_sieve)
         tracemalloc.start()
         try:
-            report = verify_certificate(cert)
+            with pytest.raises(ValueError, match="x must stay below 2147483648"):
+                ResidueCertificate.from_json_dict(obj)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not report.valid
-        assert report.checked == 0
-        assert any("must stay below 2147483648" in m for m in report.messages)
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("x", [X_BOUND_FLOOR + 1, 2**31 - 1])
@@ -825,7 +832,7 @@ class TestWindowWitnessSearch:
         assert len(calls) == 1
         n, p = calls[0]
         assert n.dtype == p.dtype == np.int64 and len(n) == len(p) > 0
-        assert ((0 <= n) & (n < p)).all() and p.max() < verify_mod.ROW_PRIME_BOUND
+        assert ((0 <= n) & (n < p)).all() and p.max() < modroots_mod.ROW_PRIME_BOUND
         # every root of every listed prime that may vouch goes in, once
         pwr = consistent_primes(cert, poly_table("x^2+1", 1000)[1])
         assert list(zip(p.tolist(), n.tolist())) == [(q, r) for q, roots in pwr for r in roots]
@@ -870,8 +877,8 @@ LENIENT_FORMS = {
     "x-integral-float": (("params", "x"), lambda v: 300.0),
     "x-string": (("params", "x"), lambda v: "300"),
     "y-string": (("params", "y"), str),
-    "K-string": (("params", "K"), lambda v: "8"),
-    "K-bool": (("params", "K"), lambda v: True),
+    "delta-string": (("params", "delta"), str),
+    "delta-bool": (("params", "delta"), lambda v: True),
     "seed-string": (("seed",), lambda v: "7"),
     "version-bool": (("version",), lambda v: True),
     "prime-float": (("stages", 0, "assignments", 0, 0), float),
