@@ -8,11 +8,13 @@ windows I1 = [b2+1, b2+y] and I2 = [N-b2-y, N-b2-1] contain only integers n
 where some certificate prime divides the polynomial value, so every value
 is composite, and the centers satisfy n1 + n2 = N.
 
-A certificate (version 2) stores what cannot be derived: the polynomial,
-the parameters, the seed, the stages with their [q, r] pairs, N and b1 as
-decimal strings, the verdict and the version. The windows, centers and
-radius follow from N, b1 and y (Placement). It is written as one line of
-JSON by one json.dumps call and read by one json.loads.
+A certificate (version 3) stores what cannot be derived: the polynomial,
+the parameters, the seed, N and b1 as decimal strings, the verdict and the
+version. b1 is the proof: b1 mod q is r_q for every prime q <= x
+(residues), so the per-prime residues construction reached it by are not
+stored. The windows, centers and radius follow from N, b1 and y
+(Placement). It is written as one line of JSON by one json.dumps call and
+read by one json.loads.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from .cover import (
 )
 from .modroots import RootTable, build_root_table
 from .poly import IntPolynomial, decimal_text, irreducibility_check
-from .primes import ProductTree, divmod_newton
+from .primes import ProductTree, divmod_newton, sieve_primes
 from .sievecore import sieve_survivors
 
-CERT_VERSION = 2
+CERT_VERSION = 3
 
 # fixed stream labels so adding a stage never reshuffles another stage's draws
 STREAM_SMALL = 1
@@ -432,20 +434,6 @@ def place(b: int, modulus: int, n_target: int, y: int) -> Placement:
     return Placement(N=n_target, b1=b1, y=y)
 
 
-@dataclass
-class StageRecord:
-    stage: str  # small | medium | cleanup
-    side: str  # fwd | bwd | both
-    assignments: list[tuple[int, int]]
-
-    def to_json(self) -> dict:
-        return {
-            "stage": self.stage,
-            "side": self.side,
-            "assignments": [[q, r] for q, r in self.assignments],
-        }
-
-
 def _text(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {type(value).__name__}")
@@ -457,26 +445,21 @@ class ResidueCertificate:
     poly: IntPolynomial
     params: SieveParams
     seed: int
-    stages: list[StageRecord]
     irreducibility: str
     placement: Placement
     version: int = CERT_VERSION
 
     def residues(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for st in self.stages:
-            for q, r in st.assignments:
-                if q in out:
-                    raise ValueError(f"prime {q} assigned twice")
-                out[q] = r
-        return out
+        """r_q = b1 mod q for every prime q <= x: the residues b1 combines
+        (Chinese remainder theorem)."""
+        b1 = self.placement.b1
+        return {q: b1 % q for q in sieve_primes(self.params.x).tolist()}
 
     def to_json_dict(self) -> dict:
         return {
             "poly": self.poly.to_json(),
             "params": self.params.to_json(),
             "seed": self.seed,
-            "stages": [st.to_json() for st in self.stages],
             "placement": self.placement.to_json(),
             "irreducibility": self.irreducibility,
             "version": self.version,
@@ -497,34 +480,18 @@ class ResidueCertificate:
         rest) or an N or b1 with more digits than the stored x allows (see
         decimal_digit_bound). Every certificate has a placement: one that is
         null, missing, no object or without N and b1 is malformed too, and
-        the message names the field; so does one whose stages are not a list
-        of {stage, side, assignments} objects with [q, r] pairs.
-        A stored x or y out of range (see SieveParams) does not load either."""
+        the message names the field. A stored x or y out of range (see
+        SieveParams) does not load either."""
         try:
             params = SieveParams.from_json(obj["params"])
             fields = obj.get("placement")
             if not (isinstance(fields, dict) and "N" in fields and "b1" in fields):
                 raise ValueError("malformed certificate: placement must be an object with N and b1")
             placement = Placement.from_json(fields, decimal_digit_bound(params.x), params.y)
-            try:
-                stages = [
-                    StageRecord(
-                        _text(st["stage"]),
-                        _text(st["side"]),
-                        [(json_int(q), json_int(r)) for q, r in st["assignments"]],
-                    )
-                    for st in obj["stages"]
-                ]
-            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
-                raise ValueError(
-                    "malformed certificate: stages must be a list of {stage, side, assignments}"
-                    f" objects, with assignments a list of [q, r] pairs ({e})"
-                ) from e
             return cls(
                 poly=IntPolynomial.from_json(obj["poly"]),
                 params=params,
                 seed=json_int(obj["seed"]),
-                stages=stages,
                 irreducibility=_text(obj["irreducibility"]),
                 placement=placement,
                 version=json_int(obj["version"]),
@@ -713,21 +680,11 @@ def construct_certificate(
         if left.count():
             raise RuntimeError(f"internal error: {side} window not fully covered at {left.offsets[0]}")
 
-    stages = [
-        StageRecord("small", "both", sorted(small.items())),
-        StageRecord("medium", "both", sorted(medium.items())),
-        StageRecord("cleanup", "fwd", sorted(pairs[0].items())),
-        StageRecord("cleanup", "bwd", sorted(pairs[1].items())),
-    ]
-    if fills:
-        stages.append(StageRecord("cleanup", "both", sorted(fills.items())))
-
     b, p_x = crt_combine(full, table.usable_tree)
     cert = ResidueCertificate(
         poly=f,
         params=p_final,
         seed=seed,
-        stages=stages,
         irreducibility=verdict,
         placement=place(b, p_x, target, achieved_y),
     )

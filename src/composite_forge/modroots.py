@@ -6,10 +6,9 @@ coefficient (those primes are never used by the sieve). It holds them as
 the two arrays of its cache file, the root counts and the roots in prime
 order, and no other module reads them: every stage takes its rows, primes
 with their counts and roots, by prime range (`RootTable.rows`, three
-slices). The verifier builds no table: it takes the root counts and roots
-of the primes its certificate lists from `roots_mod_primes`, the batch step
-a table runs over every prime up to its limit. The primes not excluded go
-in one batch, down one of two routes.
+slices); the verifier builds its own table, with no cache. A table runs
+`roots_mod_primes` over every prime up to its limit: the primes not
+excluded go in one batch, down one of two routes.
 
 A small batch of degree 3 or more, its primes summing to at most SCAN_SPAN,
 takes the exhaustive scan (`_roots_scan`) when the companion's values below
@@ -337,8 +336,7 @@ class RootTable:
     primes[i], and `flat`, every root in prime order, ascending within its
     prime. Only this module reads the two arrays: the other stages take
     rows, usable primes with their root counts and roots, from `rows` by
-    prime range. The verifier takes none: it finds the roots of its listed
-    primes alone (`roots_mod_primes`)."""
+    prime range."""
 
     poly: IntPolynomial
     limit: int
@@ -372,7 +370,7 @@ class RootTable:
     def usable_tree(self) -> ProductTree:
         """The product tree over the usable primes, built on first use: a
         construction's modulus, its N mod every usable prime and its CRT
-        all go through it."""
+        all go through it, and so do the verifier's b1 and N walks."""
         return ProductTree(self._usable[0].tolist())
 
     def density_product(self, hi: int | float) -> float:
@@ -443,8 +441,7 @@ def roots_mod_primes(f: IntPolynomial, primes: np.ndarray) -> tuple[np.ndarray, 
     leading coefficient has count 0 (I_p = ()); the others go in one batch,
     scanned or algebraic (`_scans`). A prime divides B! exactly when it is
     at most B, so the two kinds are the primes dividing B! * leading. A
-    root table takes this over every prime up to its limit, and the
-    verifier over its listed primes."""
+    root table takes this over every prime up to its limit."""
     batch = mod_rows(math.factorial(f.degree) * f.leading, primes) != 0
     comp, rows = f.companion(), primes[batch]
     route = _roots_scan if _scans(comp, rows) else _roots_algebraic

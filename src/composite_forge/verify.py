@@ -8,22 +8,18 @@ Compositeness inside the windows is always certified by a divisor witness
 testing appears only in the small-scale oracle.
 
 Both windows are the ones N, b1 and y give: I1 from 1 - b1, I2 from
-N + b1 - y. The listed moduli are held ascending; those up to x that are
-prime (one searchsorted in the primes up to x) get their root counts and
-roots from one batch (modroots.roots_mod_primes), so the root work follows
-the listed primes, not every prime up to x. b1 is
-reduced by every listed modulus and N by each prime that vouches: b1 lies
-in its class, it exceeds the degree, and the companion, evaluated by one
-row Horner over every candidate root, confirms a root. That gives each
-window start mod q. Both reductions walk down one primes.ProductTree over
-the listed moduli up to x, whose root also gives the N^(1/3) check its
-product; a modulus beyond x (no usable prime, so it vouches for nothing)
-takes one b1 % q and is never multiplied into anything. Certificate
-integers and reported failures go to and from decimal through
-assemble.int_to_decimal and decimal_to_int: sub-quadratic above 640
-digits, and never reading or setting the interpreter's int-string digit
-limit. The witness search is one least-prime-factor sieve per window on
-int64 rows (q, root, s), one per root (find_witness), struck by
+N + b1 - y, and both must lie in [1, N]. A certificate (version 3) lists no
+primes or residues: b1 mod q is the residue of every prime q. The verifier
+builds its own root table over every prime up to x, with no cache
+(modroots.build_root_table), re-checks each root of each usable prime
+against the companion, evaluated by one row Horner over every root, and
+reduces b1 and N down the table's product tree over the usable primes
+(RootTable.usable_tree, a primes.ProductTree). That gives each window start
+mod q. Certificate integers and reported failures go to and from decimal
+through assemble.int_to_decimal and decimal_to_int: sub-quadratic above
+640 digits, and never reading or setting the interpreter's int-string
+digit limit. The witness search is one least-prime-factor sieve per window
+on int64 rows (q, root, s), one per root (find_witness), struck by
 sievecore.smallest_hit, the kernel construction's survivor sieve uses
 too, so each offset keeps its smallest witnessing prime. Every offset of
 both windows is checked, as the theorem claims f(n) composite for every
@@ -42,7 +38,6 @@ anything is sized by x.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -50,10 +45,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assemble import CERT_VERSION, ResidueCertificate, b1_range, int_to_decimal
-from .modroots import build_root_table  # noqa: F401  (bench/harness.py traces verify.build_root_table)
-from .modroots import companion_eval_mod, roots_mod_primes
+from .modroots import build_root_table, companion_eval_mod
 from .poly import IntPolynomial, irreducibility_check
-from .primes import ProductTree, is_prime, sieve_primes
+from .primes import is_prime, sieve_primes
 from .sievecore import sieve_survivors  # noqa: F401  (bench/harness.py traces verify.sieve_survivors)
 from .sievecore import smallest_hit
 
@@ -135,9 +129,12 @@ def stored_x_bound(degree: int, n_target: int) -> int:
     """The largest stored x a certificate with target N can support, refused
     beyond this before anything is sized by x; never below X_BOUND_FLOOR.
 
-    A construction lists every usable prime q <= x (those with a root of f
-    mod q), and has P(x)^3 <= N for their product P(x), so
-    theta_u(x) = ln P(x) <= ln N / 3. By Chebotarev's theorem the usable
+    Construction picks N with P(x)^3 <= N, P(x) the product of the usable
+    primes q <= x (those with a root of f mod q): that cube rule is
+    construction's (assemble.auto_target and the explicit-N refusal), and
+    the verifier does not check it. So theta_u(x) = ln P(x) <= ln N / 3 for
+    every certificate construction writes, and the cap is a work bound on
+    those. By Chebotarev's theorem the usable
     primes of an irreducible f of degree d carry theta_u(x) ~ c x with
     c >= 1/d (a transitive group of degree d fixes a point in at least 1/d
     of its elements). The cap allows theta_u(x) down to x / (12 d):
@@ -152,93 +149,48 @@ def stored_x_bound(degree: int, n_target: int) -> int:
     return max(X_BOUND_FLOOR, int(cap))
 
 
-def _structural_failures(cert: ResidueCertificate) -> list[str]:
-    msgs: list[str] = []
-    if cert.version != CERT_VERSION:
-        msgs.append(f"unsupported certificate version {cert.version}")
-    allowed_stages = {"small", "medium", "cleanup"}
-    allowed_sides = {"fwd", "bwd", "both"}
-    for st in cert.stages:
-        if st.stage not in allowed_stages:
-            msgs.append(f"unknown stage tag {st.stage!r}")
-        if st.side not in allowed_sides:
-            msgs.append(f"unknown side tag {st.side!r}")
-    return msgs
-
-
 def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 0) -> VerifyReport:
     """Check a certificate from its serialized content alone.
 
     Every n in I1 = [1 - b1, y - b1] and I2 = [N + b1 - y, N + b1 - 1]
-    (Placement.I1 and I2; b1 in b1_range) must have a witness among the
-    certificate primes whose residues are consistent with b1; b1 and N are
-    reduced down one product tree over the listed moduli up to x
-    (primes.ProductTree), and b1 by each modulus beyond x on its own. Roots
-    are found for the listed primes up to x alone, in one batch
-    (modroots.roots_mod_primes). A certificate stores N and b1 only, so
-    there are no stored bounds or centers to compare: the centers n1 = floor(y/2) - b1 and
-    n2 = N - n1 split N by their definition. Moduli whose bit lengths put
-    their product's cube above N are reported without forming it;
-    otherwise the tree's root is cubed, and no modulus beyond x
-    enters a product.
+    (Placement.I1 and I2; b1 in b1_range, both windows inside [1, N]) must
+    have a witness among the usable primes up to x: b1 and N are reduced
+    down the product tree over them (RootTable.usable_tree) of a root table
+    built here with no cache (build_root_table), and each root is checked
+    again against the companion. A certificate stores N and b1 only, so
+    there are no stored bounds, centers or residues to compare: the
+    centers n1 = floor(y/2) - b1 and n2 = N - n1 split N by their
+    definition, and b1 mod q is the residue of every prime q.
 
     A stored x or y out of range never gets here: the certificate does not
-    load (cover.SieveParams). What is refused, in order: the version and the
-    stage and side tags are reported first; then an x beyond what the
-    certificate's N can support (stored_x_bound), before anything is sized
-    by x, and a prime assigned twice, each ending the check; then a listed
-    modulus below 2, which takes no further part. Every other failed claim
-    is reported alongside the window check.
-    Invalid certificates produce a negative report, not an exception.
+    load (cover.SieveParams). What is refused, in order: the version first;
+    then an x beyond what the certificate's N can support (stored_x_bound),
+    before anything is sized by x, which ends the check; then the
+    irreducibility verdict, b1 outside its range and a window outside
+    [1, N], each checked before the root table is built and reported
+    alongside the values that have no witness. Invalid certificates
+    produce a negative report, not an exception.
 
     deep and seed are accepted and ignored: every call checks every
     offset. They remain because tests/test_acceptance.py passes deep=True
     and bench/harness.py passes seed= and deep=True.
     """
     report = VerifyReport(valid=True, checked=0)
-    report.messages.extend(_structural_failures(cert))
+    if cert.version != CERT_VERSION:
+        report.messages.append(f"unsupported certificate version {cert.version}")
 
     f = cert.poly
     degree = f.degree
-    comp = f.companion()
     # SieveParams holds x below 2^31 and y within [1, formula y]
     x = cert.params.x
     y = cert.params.y
     pl = cert.placement
-    x_max = stored_x_bound(degree, pl.N)
+    n_target, b1 = pl.N, pl.b1
+    x_max = stored_x_bound(degree, n_target)
     if x > x_max:
         report.messages.append(f"x = {x} exceeds {x_max}, the most this certificate's N can support")
         report.valid = False
         return report
-    try:
-        residues = cert.residues()
-    except ValueError as e:
-        report.messages.append(str(e))
-        report.valid = False
-        return report
-    for q in [q for q in residues if q < 2]:
-        # no residue class modulo q < 2 can vouch for anything
-        report.messages.append(f"modulus {q} is not a prime")
-        del residues[q]
-    # the listed moduli ascending, and those up to x, a prefix. Each of
-    # these has root count 0 unless it is a usable prime; the primes among
-    # them, marked by one searchsorted, get their counts and roots in one
-    # batch
-    listed = sorted(residues)
-    beyond = bisect.bisect_right(listed, x)
-    inner = np.array(listed[:beyond], dtype=np.int64)
-    primes = sieve_primes(x)
-    # a modulus placed past the last prime is no prime; an inner modulus
-    # means x >= 2, so there is a last prime
-    prime = primes[np.minimum(np.searchsorted(primes, inner), len(primes) - 1)] == inner
-    count = np.zeros(beyond, dtype=np.int64)
-    count[prime], listed_roots = roots_mod_primes(f, inner[prime])
-    usable = set(inner[count > 0].tolist())
-    for q, r in residues.items():
-        if not (0 <= r < q):
-            report.messages.append(f"residue {r} out of range for prime {q}")
-        if q not in usable:
-            report.messages.append(f"prime {q} is not a usable sieve prime below x")
     verdict = irreducibility_check(
         f, assert_irreducible=cert.irreducibility == "asserted-by-user"
     )
@@ -246,54 +198,33 @@ def verify_certificate(cert: ResidueCertificate, deep: bool = True, seed: int = 
         report.messages.append("polynomial fails the irreducibility check")
     if cert.irreducibility not in ("proved", "heuristic-pass", "asserted-by-user"):
         report.messages.append(f"bad irreducibility verdict {cert.irreducibility!r}")
-
-    n_target, b1 = pl.N, pl.b1
-    # q >= 2^(q.bit_length() - 1), so enough bits decide it before any
-    # product is formed
-    bits = 3 * (sum(map(int.bit_length, listed)) - len(listed))
-    exceeds = bits >= n_target.bit_length()
-    # one product tree over the listed moduli up to x; a modulus beyond x
-    # is reduced on its own and never multiplied into anything
-    tree = ProductTree(listed[:beyond])
-    if not exceeds:
-        # M^3 > N exactly when N // M^3 <= 0, and N // M^3 is N // root^3
-        # floor-divided by each q^3 beyond x in turn
-        quotient = n_target // tree.root**3
-        for q in listed[beyond:]:
-            quotient //= q**3
-        exceeds = quotient <= 0
-    if exceeds:
-        report.messages.append("modulus exceeds N^(1/3)")
     lo, hi = b1_range(n_target)
     if not lo <= b1 <= hi:
         report.messages.append("b1 outside [-0.3N, -0.2N]")
-    starts = (pl.I1[0], pl.I2[0])
+    # I1 starts at 1 - b1 and I2 ends at N + b1 - 1, so both lie in [1, N]
+    # exactly when b1 <= 0 and I2 starts at 1 or above
+    if not (b1 <= 0 and y <= n_target + b1 - 1):
+        report.messages.append("window I1 or I2 outside [1, N]")
 
-    # a prime vouches for nothing unless b1 satisfies its congruence, it
-    # exceeds the degree and it has companion roots (a foreign prime has
-    # none); b1 is reduced by every listed modulus, down the tree up to x
-    b1_mod = tree.remainders(b1) + [b1 % q for q in listed[beyond:]]
-    consistent = np.array(
-        [(b1_q - residues[q]) % q == 0 for q, b1_q in zip(listed, b1_mod)], dtype=bool
-    )
-    for i in np.flatnonzero(~consistent).tolist():
-        report.messages.append(f"b1 does not satisfy the residue for prime {listed[i]}")
-    # one entry per root of each listed prime, ascending in q, and row,
-    # its prime's place in listed; the roots of the candidates are
-    # re-checked against the companion in one row Horner
-    row = np.repeat(np.arange(beyond), count)
-    q, roots = inner[row], listed_roots.astype(np.int64)
-    keep = consistent[row] & (q > degree) & (companion_eval_mod(comp, roots, q) == 0)
+    table = build_root_table(f, x)
+    tree = table.usable_tree
+    usable, count, roots = table.rows(0, x)
+    # one entry per root of each usable prime, ascending in q, and row, its
+    # prime's place in usable; each root is re-checked against the
+    # companion, all in one row Horner
+    row = np.repeat(np.arange(len(usable)), count)
+    q, roots = usable[row], roots.astype(np.int64)
+    keep = (q > degree) & (companion_eval_mod(f.companion(), roots, q) == 0)
     q, roots, row = q[keep], roots[keep], row[keep]
 
-    # each window is sieved and read whole; b1 and N (down the same tree)
-    # mod each row's prime
-    b1_q = np.array(b1_mod[:beyond], dtype=np.int64)[row]
+    # b1 and N mod each row's prime, both down the one tree
+    b1_q = np.array(tree.remainders(b1), dtype=np.int64)[row]
     n_q = np.array(tree.remainders(n_target), dtype=np.int64)[row]
-    # one row set per window, each with the window start mod q
+    # one row set per window, each with the window start mod q; each window
+    # is sieved and read whole
     window_starts = ((1 - b1_q) % q, (n_q + b1_q - y) % q)
     witnesses = []
-    for base, s in zip(starts, window_starts):
+    for base, s in zip((pl.I1[0], pl.I2[0]), window_starts):
         got = find_witness(base, y, (q, roots, s), f)
         report.checked += y
         report.failures.extend(base + k for k in np.flatnonzero(got == 0).tolist())

@@ -26,7 +26,6 @@ from composite_forge.assemble import (
     ConstructionError,
     Placement,
     ResidueCertificate,
-    StageRecord,
     auto_target,
     cleanup_pools,
     construct_certificate,
@@ -66,18 +65,17 @@ def toy_certificate():
     """f = x over the primes up to 8, window length 4, N = 10^7.
 
     Residues 2:1, 3:2, 5:4, 7:6 combine to b = 209 mod 210; the hand-checked
-    placement is b1 = -2000041, I1 = [2000042, 2000045], I2 = [7999955,
-    7999958], and every window element has one of 2, 3, 5, 7 as a factor.
+    placement is b1 = -2000041, which is in each of those classes, I1 =
+    [2000042, 2000045], I2 = [7999955, 7999958], and every window element
+    has one of 2, 3, 5, 7 as a factor.
     """
     f = IntPolynomial.from_monomial([0, 1])
     params = SieveParams(x=8).with_y(4)
-    assignments = [(2, 1), (3, 2), (5, 4), (7, 6)]
     placement = place(209, 210, 10**7, 4)
     return ResidueCertificate(
         poly=f,
         params=params,
         seed=0,
-        stages=[StageRecord("small", "both", assignments)],
         irreducibility="proved",
         placement=placement,
     )
@@ -224,17 +222,8 @@ def placements(draw, y=None) -> Placement:
 
 @st.composite
 def certificates(draw) -> ResidueCertificate:
-    """A certificate of drawn shape: up to four stages of zero, one or more
-    [q, r] pairs (any ints), stage and side names of any text, and a
-    placement from placements() for its own y."""
-    names = st.text(max_size=8)
-    ints = st.integers(-(10**30), 10**30)
-    stages = draw(st.lists(
-        st.builds(StageRecord, names, names,
-                  st.lists(st.tuples(ints, ints), max_size=6) | st.lists(
-                      st.tuples(ints, ints), min_size=1, max_size=1)),
-        max_size=4,
-    ))
+    """A certificate of drawn shape: a verdict of any text, and a placement
+    from placements() for its own y."""
     coeffs = draw(st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=3))
     # any y a certificate at WIDE_X may store: up to its formula length
     y = draw(st.integers(8, SieveParams(x=WIDE_X).y_formula))
@@ -242,8 +231,7 @@ def certificates(draw) -> ResidueCertificate:
         poly=IntPolynomial(tuple(coeffs) + (draw(st.integers(1, 10**40)),)),
         params=SieveParams(x=WIDE_X).with_y(y),
         seed=draw(st.integers(0, 2**70)),
-        stages=stages,
-        irreducibility=draw(names),
+        irreducibility=draw(st.text(max_size=8)),
         placement=draw(placements(y)),
         version=draw(st.integers(-5, 5)),
     )
@@ -443,13 +431,11 @@ class TestCertificateSerialization:
         raw = toy_certificate().to_json_bytes()
         assert raw.endswith(b"\n") and raw.count(b"\n") == 1 and b" " not in raw
         obj = json.loads(raw)
-        assert list(obj) == ["poly", "params", "seed", "stages", "placement", "irreducibility",
-                             "version"]
-        assert obj["version"] == 2
+        assert list(obj) == ["poly", "params", "seed", "placement", "irreducibility", "version"]
+        assert obj["version"] == 3
         assert obj["poly"]["basis"] == "binomial"
         assert obj["params"] == {"x": 8, "delta": 0.5, "y": 4}
         assert obj["placement"] == {"N": "10000000", "b1": "-2000041"}
-        assert obj["stages"][0]["assignments"] == [[2, 1], [3, 2], [5, 4], [7, 6]]
 
     @pytest.mark.parametrize("placement", [{}, [], 0, False, ""])
     def test_falsy_placement_is_malformed(self, placement):
@@ -491,11 +477,16 @@ class TestCertificateSerialization:
 
     @pytest.mark.parametrize("stages", [[], [[]], [[(2, 1)]], [[(2, 1)], [], [(3, 0), (5, 4)]]])
     def test_writer_edge_shapes(self, stages):
-        cert = toy_certificate()
-        cert.stages = [StageRecord("small", "fwd", a) for a in stages]
-        raw = cert.to_json_bytes()
-        assert raw == compact_json(cert)
-        assert ResidueCertificate.from_json_dict(json.loads(raw)).to_json_bytes() == raw
+        # a file that carries stage lists of [q, r] pairs, as version 2
+        # wrote them, loads with the lists unread and writes the bytes of
+        # the certificate without them
+        raw = toy_certificate().to_json_bytes()
+        obj = json.loads(raw)
+        obj["stages"] = [{"stage": "small", "side": "fwd", "assignments": [list(p) for p in a]}
+                         for a in stages]
+        again = ResidueCertificate.from_json_dict(obj)
+        assert again.to_json_bytes() == compact_json(again) == raw
+        assert again.residues() == {2: 1, 3: 2, 5: 4, 7: 6}
 
     @given(st.sampled_from(ROUND_TRIP_CASES))
     @settings(max_examples=48, deadline=None)
@@ -513,11 +504,12 @@ class TestCertificateSerialization:
         assert again.params == cert.params
         assert again.to_json_bytes() == cert.to_json_bytes()
 
-    def test_duplicate_assignment_detected(self):
-        cert = toy_certificate()
-        cert.stages.append(StageRecord("cleanup", "fwd", [(5, 0)]))
-        with pytest.raises(ValueError):
-            cert.residues()
+    def test_residues_are_b1_mod_every_prime_up_to_x(self):
+        # b1 is the proof: its residue mod each prime q <= x, the keys
+        # acceptance criterion 4 reads, whatever the polynomial's roots
+        cert = constructed("x^2+1", 300)
+        b1 = cert.placement.b1
+        assert cert.residues() == {q: b1 % q for q in sieve_primes(300).tolist()}
 
 
 # A construction of f = x at x = 300, seed 7, whose pairing drops the
@@ -598,14 +590,15 @@ class TestConstructCertificate:
         assert report.valid, report.messages
 
     def test_stage_tags(self, f_x, cache_dir):
-        cert, _ = construct_certificate(
+        # the stage tags are the stats rows' alone: a certificate stores
+        # no stages
+        cert, stats = construct_certificate(
             f_x, SieveParams(x=300), seed=7, cache_dir=cache_dir
         )
-        tags = [(s.stage, s.side) for s in cert.stages]
-        assert tags[0] == ("small", "both")
-        assert ("medium", "both") in tags
-        assert all(s.stage in {"small", "medium", "cleanup"} for s in cert.stages)
-        assert all(s.side in {"fwd", "bwd", "both"} for s in cert.stages)
+        tags = [(r.stage, r.side) for r in stats.rows]
+        assert tags == [(stage, side) for stage in ("small", "medium", "cleanup")
+                        for side in ("fwd", "bwd")]
+        assert "stages" not in cert.to_json_dict()
 
     def test_stats_rows_accounting(self, f_x2p1, cache_dir):
         _, stats = construct_certificate(
@@ -714,9 +707,11 @@ class TestConstructCertificate:
 
         auto = assemble.auto_target
         monkeypatch.setattr(assemble, "auto_target", lambda m: CountingInt(auto(m)))
-        cert, stats = construct_certificate(f_x2p1, SieveParams(x=300), seed=7, cache_dir=cache_dir)
+        _, stats = construct_certificate(f_x2p1, SieveParams(x=300), seed=7, cache_dir=cache_dir)
         assert len(stats.extras["attempts"]) > 1
-        usable = sorted(q for st in cert.stages for q, _ in st.assignments)
+        from composite_forge.modroots import build_root_table
+
+        usable = usable_between(build_root_table(f_x2p1, 300, cache_dir=cache_dir), 0, 300)
         # each reduction is by the product of the next run of usable primes
         i = 0
         for m in reductions:

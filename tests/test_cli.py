@@ -20,10 +20,6 @@ DEGREE_25 = "[" + "1," + "0," * 24 + "1]"
 # what verify says of a placement that is null, missing or no object with
 # N and b1
 BAD_PLACEMENT = "placement must be an object with N and b1"
-BAD_STAGES = (
-    "stages must be a list of {stage, side, assignments} objects,"
-    " with assignments a list of [q, r] pairs"
-)
 
 
 def run_cli(*args, cwd, env_extra=None):
@@ -245,13 +241,11 @@ class TestVerify:
             assert json.load(fh)["valid"] is True
 
     def test_tampered_exits_1(self, workdir):
+        # N raised by y moves I2 onto the next y values, which the residues
+        # b1 stands for were not chosen to cover
         with open(workdir / "cert.json") as fh:
             obj = json.load(fh)
-        for stage in obj["stages"]:
-            if stage["stage"] == "medium" and stage["assignments"]:
-                q, r = stage["assignments"][0]
-                stage["assignments"][0] = [q, (r + 1) % q]
-                break
+        obj["placement"]["N"] = str(int(obj["placement"]["N"]) + obj["params"]["y"])
         with open(workdir / "bad.json", "w") as fh:
             json.dump(obj, fh, indent=2)
         r = run_cli("verify", "bad.json", cwd=workdir)
@@ -274,16 +268,40 @@ class TestVerify:
         assert "Traceback" not in r.stderr
         assert json.loads(r.stdout)["messages"] == ["unsupported certificate version 1"]
 
-    def test_prime_zero_exits_1_without_traceback(self, workdir):
+    def test_version_2_exits_1(self, workdir):
+        # a certificate as version 2 wrote it, with its residues in stage
+        # lists: the lists are not read, so it loads, and its version is
+        # refused
         with open(workdir / "cert.json") as fh:
             obj = json.load(fh)
-        obj["stages"].append({"stage": "cleanup", "side": "fwd", "assignments": [[0, 0]]})
-        with open(workdir / "zero.json", "w") as fh:
-            json.dump(obj, fh)
-        r = run_cli("verify", "zero.json", cwd=workdir)
+        obj["stages"] = [{"stage": "small", "side": "both", "assignments": [[2, 1], [3, 0]]}]
+        obj["version"] = 2
+        with open(workdir / "v2.json", "w") as fh:
+            json.dump(obj, fh, indent=2)
+        r = run_cli("verify", "v2.json", cwd=workdir)
         assert r.returncode == VERIFY_FAILED
         assert "Traceback" not in r.stderr
-        assert "modulus 0 is not a prime" in json.loads(r.stdout)["messages"]
+        assert json.loads(r.stdout)["messages"] == ["unsupported certificate version 2"]
+
+    def test_window_outside_1_to_N_exits_1(self, workdir):
+        # f = X^2 + c, x = 47, y = 11, N = 10, b1 = -2: I2 = [-3, 7] leaves
+        # [1, 10], while every value of both windows has a witness
+        obj = {
+            "poly": {"basis": "binomial", "coeffs": ["402198015172056204", "1", "2"]},
+            "params": {"x": 47, "delta": 0.5, "y": 11},
+            "seed": 0,
+            "placement": {"N": "10", "b1": "-2"},
+            "irreducibility": "proved",
+            "version": 3,
+        }
+        with open(workdir / "small_n.json", "w") as fh:
+            json.dump(obj, fh)
+        r = run_cli("verify", "small_n.json", cwd=workdir)
+        assert r.returncode == VERIFY_FAILED
+        assert "Traceback" not in r.stderr
+        report = json.loads(r.stdout)
+        assert report["messages"] == ["window I1 or I2 outside [1, N]"]
+        assert report["failures"] == [] and report["checked"] == 22
 
     def test_x_near_root_table_bound_exits_1_without_sieving(self, workdir):
         # a sieve to 2^31 would take about a gigabyte; the x = 300
@@ -396,13 +414,6 @@ class TestVerify:
         "mangle,message",
         [
             (lambda obj: [obj], ""),
-            (lambda obj: {**obj, "stages": 5}, BAD_STAGES),
-            # a [q, r] pair of the wrong length, and a stage that is no object
-            (lambda obj: {**obj, "stages": [{**obj["stages"][0], "assignments": [[2]]}]},
-             BAD_STAGES),
-            (lambda obj: {**obj, "stages": [{**obj["stages"][0], "assignments": [[2, 1, 0]]}]},
-             BAD_STAGES),
-            (lambda obj: {**obj, "stages": [[1, 0]]}, BAD_STAGES),
             (lambda obj: {**obj, "params": "x"}, ""),
             # the placement, which fixes both windows, as a number
             (lambda obj: {**obj, "placement": 7}, BAD_PLACEMENT),
@@ -416,14 +427,12 @@ class TestVerify:
             (lambda obj: {**obj, "placement": None}, BAD_PLACEMENT),
             (lambda obj: {k: v for k, v in obj.items() if k != "placement"}, BAD_PLACEMENT),
         ],
-        ids=["top-level-list", "stages-number", "pair-of-one", "pair-of-three", "stage-as-list",
-             "params-string", "window-number",
+        ids=["top-level-list", "params-string", "window-number",
              "window-empty-object", "window-empty-list", "window-zero", "window-false",
              "window-empty-string", "window-null", "window-missing"],
     )
     def test_malformed_certificate_exits_64(self, workdir, mangle, message):
-        # a bad placement or bad stages are named as such, not by the
-        # Python error they hit
+        # a bad placement is named as such, not by the Python error it hits
         with open(workdir / "cert.json") as fh:
             obj = mangle(json.load(fh))
         with open(workdir / "malformed.json", "w") as fh:

@@ -27,7 +27,12 @@ xi, K and y. Every case moved again, with every y unchanged, when the
 parameters lost xi and K, which no stage read: each certificate is the one
 before with `"xi":2.0,"K":8.0,` removed. The version stayed 2, and a file
 that still carries the two keys loads, writes the new bytes and verifies
-the same (PARENT_FORMAT pins such files).
+the same (PARENT_FORMAT pins such files). Every case moved again, with
+every y unchanged, when the certificate format became version 3: each
+certificate is the one before with its stage lists removed and its version
+3, since b1 determines every residue. A file that still carries a stage
+list, as well as xi and K, loads, writes the new bytes and verifies the
+same.
 A change that moves one of them changes the certificate format or the
 construction, and must say so.
 
@@ -38,14 +43,11 @@ the same digests.
 One stats CSV is pinned the same way (STATS_GOLDEN), and so are the verify
 reports of the x = 1000 and x = 10^4 certificates (VERIFY_GOLDEN), each of
 which checks every offset of both windows. They were recorded in the
-verifier's deep mode, and kept their bytes when it became the only one, and
-again when the verifier stopped building a root table over every prime up
-to x and found the roots of its listed primes alone, which each of them
-checks with the table builder stubbed out.
-Certificates written by the randomized medium stage, since removed, label
-a two-sided medium stage "fwd"; a greedy certificate relabelled that way
-must verify with the same report bytes, which pins that such files still
-verify.
+verifier's deep mode, and kept their bytes when it became the only one,
+when the verifier found the roots of its listed primes alone, and again
+when certificates stopped listing primes and the verifier built its root
+table over every prime up to x once more, with no cache, which each of
+them checks with a spy on the table builder.
 
 Run as a script (`PYTHONPATH=src python tests/test_golden.py`) to print the
 current digest of every case in GOLDEN, STATS_GOLDEN and VERIFY_GOLDEN with
@@ -62,7 +64,7 @@ import json
 import numpy as np
 import pytest
 
-from composite_forge import assemble, modroots
+from composite_forge import assemble
 from composite_forge import verify as verify_mod
 from composite_forge.assemble import STATS_HEADER, ResidueCertificate, construct_certificate
 from composite_forge.cover import SieveParams
@@ -74,29 +76,30 @@ POLYS = {"x": [0, 1], "x^2+1": [1, 0, 1], "x^3+2": [2, 0, 0, 1]}
 
 # (poly, seed) for the default construction, (poly, seed, variant) otherwise
 GOLDEN = {
-    ("x", 7): "4874ef24a7548ec9d6afa8197e4ad5ccb166ad2f9286eae22286e60e15c92fa9",
-    ("x^2+1", 7): "c58269fac8ac2b780d7d79da7624a042fd324c3b73a35775558b275552fcafd9",
-    ("x^3+2", 7): "78037c80cf656669ff9f537a37b44b73f1dc6d49b2a8cc33c19290cc91972f34",
-    ("x", 8): "ef143003fa27c2947214986463e99996cf3c664e0884ffcb19afa23e499219c4",
-    ("x^2+1", 8): "cdac4b403b41e38b3ce869010cf6d027c914b9a049ef2190c8a6f0baf6535f6c",
-    ("x^3+2", 8): "03cd248e1462b1ff791cac51d5a98eae2ac699b4b4f7c645df0357a941b894ca",
-    ("x", 7, "x=1000"): "55990f6009b7fac701a34c9a60f7c63df5109eecc6caa28c53c1433c65a13faa",
-    ("x^2+1", 7, "x=1000"): "f538d0fef71974935413fdaaaedac2caa07cc4cf0dc6043faf3684049b1341a1",
-    ("x^3+2", 7, "x=1000"): "5bb09546544c667dd54839184507c70c2ef66d450bb59bc5edf7a65fae51e545",
-    ("x", 7, "x=10000"): "01c3833700aaf94cfe959ffe0a65a502b12a9994bb0b265310ab4a1d8ee97f81",
-    ("x^2+1", 7, "x=10000"): "5275e860dcbac329d88638dcecde3799726e7a9c87d88cc16410d05c4f0368cb",
-    ("x^3+2", 7, "x=10000"): "1d96326d4d721c9263d8716e9a845779d1159b27b1ce1bc9b4c1fbc67b907661",
-    ("x", 7, "x=30000"): "3aa46c1d9d881d8c9cb9fbb63a3127693ca476397dc23172ffac7d4d8ee03c1f",
-    ("x^2+1", 7, "x=30000"): "00bf2c418c22a908dc0ec27336d0e0148120036c5e77c25bf1e95373a7406713",
-    ("x^3+2", 7, "x=30000"): "a89189f5700bfd23c0df1cff1fcb7ab807cfdd0d4d81b037f231dd8a36ec6e46",
+    ("x", 7): "d97a4e7781357a8b841a8e18126be1af09fba14924fe4c3b7c4fa3ad4f1e6f00",
+    ("x^2+1", 7): "b68017b95bc8ad681d4d40740c9dd0fbc028a2443dfe3001d1693574a9393174",
+    ("x^3+2", 7): "b19cfac2ca91c9579b08db7c88a093d06fe7e02acd16715262f6f57dfe0ef636",
+    ("x", 8): "accda14c420c869c57ab4a761e16752d7b74fe0bc38972fe060ff9624c6657d2",
+    ("x^2+1", 8): "15239a66d58f400dc3b4572dd17c5be7ebff3278238a8babfa6fd36f90310783",
+    ("x^3+2", 8): "171f0e836618dd3d9c484b65d3e96d5ed602043cc3d412e6958c78d98d24f159",
+    ("x", 7, "x=1000"): "750fcd73c74f12024e15eb12e4901be8a050e04bb59f4f46d835c5c4a5f21cc2",
+    ("x^2+1", 7, "x=1000"): "89d8ef17333f0ca96f8b0f5dc1a3025c2016f1564295608988ef3e60a1e4510f",
+    ("x^3+2", 7, "x=1000"): "7e535358d3df6125cf8cddabf1279ce6f1b047e9aeec0e3340493e320c4ba75a",
+    ("x", 7, "x=10000"): "78d99dd9479a73f6893c64c817b5ccd76afa904849e4d741119a9551f70cfdd9",
+    ("x^2+1", 7, "x=10000"): "c41a5d482d63716634085f10b3777da9785d16d0d5ab4a52067345cfee1af368",
+    ("x^3+2", 7, "x=10000"): "73f97be1049719e7909221c0eb666bcc5a6c8e83b0334037ed1deaae8f1b67e2",
+    ("x", 7, "x=30000"): "5e85e26c6d1bb5b5973510ae4f2b9950aaa25555dc6429e522b71d91e6a24705",
+    ("x^2+1", 7, "x=30000"): "e379ad9a7e25684f12e8d85da101e735e5f67fc45a6c07003f25cc6cb580ba93",
+    ("x^3+2", 7, "x=30000"): "0e930133eb24c557471726899e43d25583c998567d89d9e884a187ac12e93634",
 }
-# sha256 of the x = 1000 certificates as written while the parameters
-# still held xi = 2.0 and K = 8.0: each is the GOLDEN certificate with the
-# two keys put back between delta and y
+# sha256 of the x = 1000 certificates with the keys older files carry put
+# back (with_older_keys): xi = 2.0 and K = 8.0, which the parameters held
+# before they were dropped, and a stage list, in which version 2 stored
+# its residues
 PARENT_FORMAT = {
-    "x": "f38034a14bcdfbcd6f417737f7b4afa42066755d4d44f595525da6e7cf29a9a8",
-    "x^2+1": "5614ba38720eb7778973e0ede7f987136ae1cf6f9fefcb3b6c30a053520e34c5",
-    "x^3+2": "01d902ff05f126b54a361d3d2c658b161f8bcd89bb5557f4726b16a51b57c9de",
+    "x": "f24f16cb44a0c94a0517320bc40f01b9af1ea6bbab127505126d02fa103876ed",
+    "x^2+1": "3393fa244b88cc30af64d6d4a15aa80258fb723d9bfbd10d878ab44bde792991",
+    "x^3+2": "889e0a55c53e92c7d8e780e7efdecbe70cf34e4fe38fc2e769970154fb790bad",
 }
 # the x of each variant
 VARIANTS = {"x=1000": 1000, "x=10000": 10**4, "x=30000": 3 * 10**4}
@@ -205,48 +208,53 @@ def test_verify_report_digest(case):
 @pytest.mark.parametrize(
     "case", sorted(VERIFY_GOLDEN), ids=lambda case: "-".join(map(str, case))
 )
-def test_verify_builds_no_root_table(case, monkeypatch):
-    # the verifier finds the roots of its listed primes alone: no table over
-    # every prime up to x is built, and the report keeps its pinned bytes.
-    # Construction keeps its own name for the builder (assemble's)
-    def no_table(*args, **kwargs):
-        raise AssertionError("the verifier built a root table")
+def test_verify_builds_its_table_without_a_cache(case, monkeypatch):
+    # the verifier builds one root table over the primes up to x by
+    # build_root_table(f, x), trusting no cache, and the report keeps its
+    # pinned bytes. Construction keeps its own name for the builder
+    # (assemble's)
+    calls = []
+    build = verify_mod.build_root_table
 
-    monkeypatch.setattr(verify_mod, "build_root_table", no_table)
-    monkeypatch.setattr(modroots, "build_root_table", no_table)
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(verify_mod, "build_root_table", spy)
     assert verify_report_digest(case)[0] == VERIFY_GOLDEN[case]
+    name, variant = case
+    [((f, x), kwargs)] = calls
+    assert f.coeffs == IntPolynomial.from_monomial(POLYS[name]).coeffs
+    assert x == VARIANTS[variant] and kwargs.get("cache_dir") is None
 
 
-@pytest.mark.parametrize("name", sorted(POLYS))
-def test_medium_stage_labelled_fwd_verifies_the_same(name):
-    # files from the removed randomized medium stage label a two-sided
-    # medium stage "fwd": relabelled so, a greedy certificate differs in
-    # that label alone, and its report keeps the pinned bytes
-    cert, _ = construct((name, 7, "x=1000"))
+def with_older_keys(cert) -> bytes:
+    """The certificate's bytes with the keys older files carry put back:
+    xi = 2.0 and K = 8.0 between delta and y, and between seed and
+    placement a stage list of [q, r] pairs (here b1's residues, one stage),
+    as version 2 stored its residues."""
     obj = json.loads(cert.to_json_bytes())
-    medium = [st for st in obj["stages"] if st["stage"] == "medium"]
-    assert [st["side"] for st in medium] == ["both"]
-    medium[0]["side"] = "fwd"
-    relabelled = ResidueCertificate.from_json_dict(obj)
-    raw = relabelled.to_json_bytes()
-    assert raw.replace(b'"medium","side":"fwd"', b'"medium","side":"both"') == cert.to_json_bytes()
-    report = verify_certificate(relabelled)
-    assert report.valid
-    digest = hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode()).hexdigest()
-    assert digest == VERIFY_GOLDEN[name, "x=1000"]
+    params = obj["params"]
+    stages = [{"stage": "small", "side": "both",
+               "assignments": [[q, r] for q, r in sorted(cert.residues().items())]}]
+    older = {
+        "poly": obj["poly"],
+        "params": {"x": params["x"], "delta": params["delta"], "xi": 2.0, "K": 8.0,
+                   "y": params["y"]},
+        "seed": obj["seed"],
+        "stages": stages,
+        **{k: obj[k] for k in ("placement", "irreducibility", "version")},
+    }
+    return (json.dumps(older, separators=(",", ":")) + "\n").encode()
 
 
 @pytest.mark.parametrize("name", sorted(POLYS))
 def test_certificate_with_xi_and_K_verifies_the_same(name):
-    # a file from before xi and K were dropped from the parameters: it
-    # loads, the two keys ignored, writes the new bytes, and its report
-    # keeps the pinned bytes
+    # a file that still carries xi, K and a stage list: it loads, the keys
+    # ignored, writes the certificate's bytes, and its report keeps the
+    # pinned bytes
     cert, _ = construct((name, 7, "x=1000"))
-    obj = json.loads(cert.to_json_bytes())
-    params = obj["params"]
-    obj["params"] = {"x": params["x"], "delta": params["delta"], "xi": 2.0, "K": 8.0,
-                     "y": params["y"]}
-    raw = (json.dumps(obj, separators=(",", ":")) + "\n").encode()
+    raw = with_older_keys(cert)
     assert hashlib.sha256(raw).hexdigest() == PARENT_FORMAT[name]
     loaded = ResidueCertificate.from_json_dict(json.loads(raw))
     assert loaded.to_json_bytes() == cert.to_json_bytes()
