@@ -39,7 +39,7 @@ from .cover import (
     target_residues,
 )
 from .modroots import RootTable, build_root_table
-from .poly import IntPolynomial, decimal_text, irreducibility_check
+from .poly import IntPolynomial, decimal_field, irreducibility_check
 from .primes import ProductTree, divmod_newton, sieve_primes
 from .sievecore import sieve_survivors
 
@@ -310,7 +310,7 @@ def int_to_decimal(n: int) -> str:
 
 
 def decimal_to_int(text: str) -> int:
-    """int(text) for a decimal string (-?[0-9]+, see poly.decimal_text). A
+    """int(text) for a decimal string (-?[0-9]+, see poly.decimal_field). A
     longer string is split in halves down to pieces for int(), which are
     recombined as high * 10^k + low, with 10^k = 5^k * 2^k: the multiplier
     5^k is shorter, and each one is computed once per call."""
@@ -329,17 +329,6 @@ def decimal_to_int(text: str) -> int:
 
     value = convert(0, len(digits))
     return -value if negative else value
-
-
-def decimal_field(value, max_digits: int) -> str:
-    """value itself when it is a decimal string (see poly.decimal_text) of
-    at most max_digits characters after an optional sign; ValueError
-    otherwise, before any conversion work."""
-    if isinstance(value, str) and len(value) - value.startswith("-") > max_digits:
-        raise ValueError(
-            f"decimal field of {len(value)} characters exceeds the {max_digits}-digit bound"
-        )
-    return decimal_text(value)
 
 
 def parse_decimal(value, max_digits: int) -> int:
@@ -473,14 +462,16 @@ class ResidueCertificate:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ResidueCertificate":
         """Rebuild a certificate from parsed JSON; keys it does not name are
-        ignored. Input of the wrong shape (a list where an object belongs, a
-        number where a list does, a missing field) raises ValueError, and so
-        does a field in any form but the one construct writes (decimal
-        strings for coefficients, N and b1, json_int and json_number for the
-        rest) or an N or b1 with more digits than the stored x allows (see
-        decimal_digit_bound). Every certificate has a placement: one that is
-        null, missing, no object or without N and b1 is malformed too, and
-        the message names the field. A stored x or y out of range (see
+        ignored, the parameters older files store and no stage reads among
+        them. Input of the wrong shape (a list where an object belongs, a
+        number where a list does, a missing field) raises ValueError, and
+        so does a field in any form but the one construct writes (decimal
+        strings for coefficients, N and b1, json_int for the rest), a
+        coefficient of more than MAX_COEFF_DIGITS digits, or an N or b1
+        with more digits than the stored x allows (see
+        decimal_digit_bound). Every certificate has a placement: one that
+        is null, missing, no object or without N and b1 is malformed too,
+        and the message names the field. A stored x or y out of range (see
         SieveParams) does not load either."""
         try:
             params = SieveParams.from_json(obj["params"])
@@ -538,9 +529,10 @@ class ConstructionStats:
     extras: dict = field(default_factory=dict)
 
 
-def _theorem_window_center_radius(n_target: int, delta: float) -> int:
-    logn = math.log(n_target)
-    return int(logn * math.log(logn) ** delta)
+# The exponent of the paper's radius m = floor(ln N * (ln ln N)^e) for a
+# target N, the radius Gabdullin and Radomskii take for f(n) = n too;
+# stats.extras["m_paper"] is it at the certificate's N
+PAPER_RADIUS_EXPONENT = 1 / 325525
 
 
 def construct_certificate(
@@ -694,8 +686,7 @@ def construct_certificate(
     rows += [StageStats("medium", s, len(medium), n0, n1, cap, seed) for s, (n0, n1), _, cap in sides]
     rows += [StageStats("cleanup", s, len(pr), n1, 0, cap, seed) for s, (_, n1), pr, cap in sides]
     stats = ConstructionStats(rows=rows)
-    m_achieved = achieved_y // 2 - 1
-    m_formula = _theorem_window_center_radius(target, p_final.delta)
+    ln_n = math.log(target)
     stats.extras.update(
         {
             "achieved_y": achieved_y,
@@ -705,13 +696,12 @@ def construct_certificate(
             "residual_bwd": counts[1][1],
             "capacity_fwd": cap_f,
             "capacity_bwd": cap_b,
-            "m_achieved": m_achieved,
+            "m_achieved": achieved_y // 2 - 1,
+            "m_paper": int(ln_n * math.log(ln_n) ** PAPER_RADIUS_EXPONENT),
             "modulus_bits": p_x.bit_length(),
             "fills": len(fills),
             "y_start": y_start,
             "attempts": attempts,
-            "m_formula": m_formula,
-            "m_larger": "achieved" if m_achieved >= m_formula else "formula",
             "n_digits": n_digits,
         }
     )

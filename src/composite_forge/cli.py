@@ -93,7 +93,6 @@ def build_parser() -> _Parser:
     c.add_argument("--poly", type=_poly, required=True,
                    help="binomial-basis list, binom:[...], or poly:[c0,...,cB] monomial form")
     c.add_argument("--x", type=int, required=True, help="sieve prime bound")
-    c.add_argument("--delta", type=float, default=0.5)
     c.add_argument("--retry-budget", type=int, default=64)
     c.add_argument("--seed", type=nonnegative_int, default=0)
     c.add_argument("--N", type=str, default=None,
@@ -138,7 +137,7 @@ def build_parser() -> _Parser:
 
 def cmd_construct(args) -> int:
     try:
-        params = SieveParams(x=args.x, delta=args.delta, retry_budget=args.retry_budget)
+        params = SieveParams(x=args.x, retry_budget=args.retry_budget)
     except ValueError as e:
         print(f"composite-forge: bad parameters: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -178,9 +177,7 @@ def cmd_construct(args) -> int:
         f" ({feasible} feasible), N has {e['n_digits']} digits,"
         f" residuals fwd {e['residual_fwd']}/{e['capacity_fwd']}"
         f" bwd {e['residual_bwd']}/{e['capacity_bwd']},"
-        f" center radius m = {e['m_achieved']}"
-        f" ({'beats' if e['m_larger'] == 'achieved' else 'below'} the"
-        f" formula radius {e['m_formula']})"
+        f" center radius m = {e['m_achieved']} (the paper's m = {e['m_paper']})"
     )
     return EXIT_OK
 

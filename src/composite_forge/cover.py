@@ -1,9 +1,9 @@
 """Staged residue selection: parameters, small-prime sampling, and greedy
 medium-prime residue selection.
 
-SieveParams holds the construction parameters a certificate stores (x,
-delta and y) and is the one place their ranges are checked, so a stored
-value out of range does not load.
+SieveParams holds the construction parameters a certificate stores (x and
+y) and is the one place their ranges are checked, so a stored value out of
+range does not load.
 
 The sieve covers two offset windows, forward [1, y] and backward [-y, -1].
 A certificate residue r_q kills forward offsets j = r_q + alpha (mod q) and
@@ -50,36 +50,25 @@ def json_int(value) -> int:
     return value
 
 
-def json_number(value) -> float:
-    """A JSON number field of a certificate; a bool, a string or an integer
-    beyond float range raises ValueError."""
-    if type(value) not in (int, float):
-        raise ValueError(f"expected a JSON number, got {value!r:.40}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"expected a JSON number within float range, got {value!r:.40}") from None
-
-
 @dataclass(frozen=True)
 class SieveParams:
     """Construction parameters and their derived window sizes, and the one
     place their ranges are checked.
 
     x is the prime bound, at least 8 and below ROW_PRIME_BOUND (2^31), the
-    root kernel's bound; y is the window length, floor(x * (log x)^delta)
-    unless overridden, and lies in [1, formula y]. Each is refused here
-    before anything is sized by it, x before any float math on it, so a
-    certificate storing one out of range does not load. The staging
-    boundary z separating the randomized small stage from the medium stage
-    is isqrt(y). The paper's boundary y * loglog(x) / sqrt(log x) is at
-    least 0.507 y for every x in [8, 2^31), so isqrt(y) is the smaller at
-    every y >= 2; at y = 1 the formula gives 0 and isqrt 1, and neither
-    selects a small prime.
+    root kernel's bound; y is the window length, the formula y
+    floor(x * sqrt(log x)) unless overridden, and lies in [1, formula y]:
+    the formula y caps the search over y and bounds a stored y. Each is
+    refused here before anything is sized by it, x before any float math
+    on it, so a certificate storing one out of range does not load. The
+    staging boundary z separating the randomized small stage from the
+    medium stage is isqrt(y). The paper's boundary y * loglog(x) /
+    sqrt(log x) is at least 0.507 y for every x in [8, 2^31), so isqrt(y)
+    is the smaller at every y >= 2; at y = 1 the formula gives 0 and isqrt
+    1, and neither selects a small prime.
     """
 
     x: int
-    delta: float = 0.5
     retry_budget: int = 64
     y_override: int | None = None
 
@@ -88,8 +77,6 @@ class SieveParams:
             raise ValueError("x must be at least 8")
         if self.x >= ROW_PRIME_BOUND:
             raise ValueError(f"x must stay below {ROW_PRIME_BOUND}, the root kernel's bound")
-        if not (1e-6 < self.delta <= 0.5):
-            raise ValueError("delta must lie in (1e-6, 0.5]")
         if not 1 <= self.y <= self.y_formula:
             raise ValueError(
                 f"window length y = {self.y} outside [1, formula length {self.y_formula}]"
@@ -99,7 +86,7 @@ class SieveParams:
 
     @property
     def y_formula(self) -> int:
-        return int(self.x * math.log(self.x) ** self.delta)
+        return int(self.x * math.log(self.x) ** 0.5)
 
     @property
     def y(self) -> int:
@@ -113,15 +100,11 @@ class SieveParams:
         return replace(self, y_override=int(y))
 
     def to_json(self) -> dict:
-        return {"x": self.x, "delta": self.delta, "y": self.y}
+        return {"x": self.x, "y": self.y}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SieveParams":
-        return cls(
-            x=json_int(obj["x"]),
-            delta=json_number(obj["delta"]),
-            y_override=json_int(obj["y"]),
-        )
+        return cls(x=json_int(obj["x"]), y_override=json_int(obj["y"]))
 
 
 def backward_residues(residues: Mapping[int, int], n_mod: Mapping[int, int]) -> dict[int, int]:

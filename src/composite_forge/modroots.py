@@ -450,21 +450,15 @@ def roots_mod_primes(f: IntPolynomial, primes: np.ndarray) -> tuple[np.ndarray, 
     return counts, flat
 
 
-def check_limit(limit: int) -> None:
-    """Refuse a root table limit of ROW_PRIME_BOUND (2^31) or more with
-    ValueError: the batched root kernel is exact only below it."""
-    if limit >= ROW_PRIME_BOUND:
-        raise ValueError(f"root table limit {limit} must stay below {ROW_PRIME_BOUND}")
-
-
 def build_root_table(f: IntPolynomial, limit: int, cache_dir: str | None = None) -> RootTable:
     """Compute (or load from cache) all root sets for primes <= limit.
 
     A corrupt or mismatching cache file is ignored and rebuilt. A limit of
-    ROW_PRIME_BOUND (2^31) or more raises ValueError (check_limit) before
-    anything is sieved.
+    ROW_PRIME_BOUND (2^31) or more raises ValueError before anything is
+    sieved: the batched root kernel is exact only below it.
     """
-    check_limit(limit)
+    if limit >= ROW_PRIME_BOUND:
+        raise ValueError(f"root table limit {limit} must stay below {ROW_PRIME_BOUND}")
     primes = sieve_primes(limit)
     path = _cache_path(cache_dir, f, limit) if cache_dir else None
     if path:

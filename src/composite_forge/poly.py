@@ -19,10 +19,15 @@ from .gfpoly import gf_is_irreducible, gf_normalize
 from .primes import sieve_primes
 
 
-def decimal_text(value) -> str:
+def decimal_field(value, max_digits: int) -> str:
     """value itself when it is a decimal string in the form construct writes
-    a certificate's big integers in (-?[0-9]+); any other value raises
-    ValueError."""
+    a certificate's big integers in (-?[0-9]+), of at most max_digits digits
+    after an optional sign; any other value raises ValueError, before any
+    conversion work."""
+    if isinstance(value, str) and len(value) - value.startswith("-") > max_digits:
+        raise ValueError(
+            f"decimal field of {len(value)} characters exceeds the {max_digits}-digit bound"
+        )
     if not (isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value)):
         raise ValueError(f"expected a decimal string, got {value!r:.40}")
     return value
@@ -34,6 +39,15 @@ def decimal_text(value) -> str:
 # divisible by every prime up to 73) takes 1.5 s at degree 24 on a 2-core
 # x86-64 machine, 2.0 s at 28 and 2.8-3.1 s at 32.
 MAX_DEGREE = 24
+
+# The most decimal digits of a coefficient. A certificate writes each
+# coefficient with str() and reads it with int(), and the interpreter
+# checks neither against its int-string limit at up to 640 digits, below
+# any limit it accepts. So a certificate construct writes always loads, and
+# a longer coefficient is refused before any work instead of when the
+# finished certificate is written.
+MAX_COEFF_DIGITS = 640
+_COEFF_BOUND = 10**MAX_COEFF_DIGITS
 
 
 def _trimmed(coeffs) -> list[int]:
@@ -50,12 +64,15 @@ def _trimmed(coeffs) -> list[int]:
 @dataclass(frozen=True)
 class IntPolynomial:
     """Polynomial in the binomial basis; coeffs[j] multiplies C(x, j), of
-    degree 1 to MAX_DEGREE."""
+    degree 1 to MAX_DEGREE, each coefficient of at most MAX_COEFF_DIGITS
+    digits."""
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
         c = _trimmed(self.coeffs)
+        if any(abs(v) >= _COEFF_BOUND for v in c):
+            raise ValueError(f"a coefficient has more than {MAX_COEFF_DIGITS} digits")
         object.__setattr__(self, "coeffs", tuple(c))
         if self.degree < 1:
             raise ValueError("degree must be at least 1")
@@ -119,7 +136,7 @@ class IntPolynomial:
     def from_json(cls, obj: dict) -> "IntPolynomial":
         if obj.get("basis") != "binomial" or not isinstance(obj["coeffs"], list):
             raise ValueError("unknown polynomial encoding")
-        return cls(tuple(int(decimal_text(c)) for c in obj["coeffs"]))
+        return cls(tuple(int(decimal_field(c, MAX_COEFF_DIGITS)) for c in obj["coeffs"]))
 
     def __str__(self) -> str:
         return "binom:" + json.dumps(list(self.coeffs), separators=(",", ":"))

@@ -28,9 +28,11 @@ and the witness counts off one bincount over both (witness_counts).
 |f(n)| > q is proved once per window. A certificate stores no
 bounds or centers: they follow from N, b1 and y. A stored x or y out of
 range (x below 8 or at or above the root kernel's bound 2^31, y outside
-[1, formula y]) does not load (cover.SieveParams), and neither does a
-certificate without a placement (ResidueCertificate.from_json_dict), so
-every certificate checked here has both windows, of a length in range.
+[1, floor(x sqrt(ln x))], the formula y) does not load
+(cover.SieveParams), and neither does a certificate without a placement
+(ResidueCertificate.from_json_dict), so every certificate checked here
+has both windows, of a length in range. Parameters older files store
+besides x and y are ignored.
 The stored x is further bounded by what the certificate's N can support
 (stored_x_bound), which is a claim and so gets a negative report, before
 anything is sized by x.

@@ -434,7 +434,7 @@ class TestCertificateSerialization:
         assert list(obj) == ["poly", "params", "seed", "placement", "irreducibility", "version"]
         assert obj["version"] == 3
         assert obj["poly"]["basis"] == "binomial"
-        assert obj["params"] == {"x": 8, "delta": 0.5, "y": 4}
+        assert obj["params"] == {"x": 8, "y": 4}
         assert obj["placement"] == {"N": "10000000", "b1": "-2000041"}
 
     @pytest.mark.parametrize("placement", [{}, [], 0, False, ""])
@@ -568,6 +568,9 @@ class TestConstructCertificate:
         pl = cert.placement
         assert pl.n1 + pl.n2 == pl.N
         assert pl.N == auto_target(math.prod(cert.residues()))
+        # the paper's radius at this N, floor(ln N (ln ln N)^(1/325525))
+        ln_n = math.log(pl.N)
+        assert e["m_paper"] == int(ln_n * math.log(ln_n) ** (1 / 325525)) == 831
         assert cert.irreducibility == "proved"
         report = verify_certificate(cert)
         assert report.valid, report.messages

@@ -76,6 +76,9 @@ class TestConstruct:
         attempts = stats.extras["attempts"]
         feasible = sum(a["outcome"] == "ok" for a in attempts)
         assert f", {len(attempts)} attempts ({feasible} feasible)," in r.stdout
+        # the radius reached, beside the paper's for the same N
+        m, m_paper = stats.extras["m_achieved"], stats.extras["m_paper"]
+        assert r.stdout.endswith(f" center radius m = {m} (the paper's m = {m_paper})\n")
 
     def test_deterministic_bytes(self, workdir):
         assert (workdir / "again.json").read_bytes() == (workdir / "cert.json").read_bytes()
@@ -104,12 +107,14 @@ class TestConstruct:
         assert r.returncode == USAGE
 
     def test_bad_delta(self, tmp_path):
+        # the window length's exponent is fixed; the option is gone
         r = run_cli(
-            "construct", "--poly", "poly:[0,1]", "--x", "300", "--delta", "0.9",
-            cwd=tmp_path,
+            "construct", "--poly", "poly:[0,1]", "--x", "300", "--delta", "0.5",
+            "--out", "no.json", cwd=tmp_path,
         )
         assert r.returncode == USAGE
-        assert "bad parameters" in r.stderr
+        assert "unrecognized arguments: --delta 0.5" in r.stderr
+        assert not (tmp_path / "no.json").exists()
 
     def test_exhausted_retry_budget_exits_2_without_blaming_x(self, tmp_path):
         # with no small-stage draw allowed, every attempt ends at the retry
@@ -174,7 +179,8 @@ class TestConstruct:
 
 class TestBeyondDecimalLimit:
     """From x of about 3400 on, N has more than the interpreter's default
-    4300 decimal digits (5097 at x = 4000)."""
+    4300 decimal digits (5097 at x = 4000). A polynomial coefficient is
+    held to poly.MAX_COEFF_DIGITS digits instead."""
 
     def test_construct_then_verify(self, tmp_path):
         r = run_cli(
@@ -201,6 +207,49 @@ class TestBeyondDecimalLimit:
         r = run_cli("verify", "long.json", cwd=workdir)
         assert r.returncode == USAGE
         assert "Traceback" not in r.stderr and "399-digit bound" in r.stderr
+
+    def test_coefficient_at_the_bound_constructs_and_verifies(self, tmp_path):
+        # f = C(x, 1) + 10^640 - 1, whose constant coefficient has
+        # poly.MAX_COEFF_DIGITS digits: it is written and read back
+        coeff = "9" * 640
+        r = run_cli(
+            "construct", "--poly", f"binom:[{coeff},1]", "--x", "300", "--seed", "7",
+            "--out", "cert.json", cwd=tmp_path,
+        )
+        assert r.returncode == OK, r.stderr
+        with open(tmp_path / "cert.json") as fh:
+            assert json.load(fh)["poly"]["coeffs"] == [coeff, "1"]
+        r = run_cli("verify", "cert.json", cwd=tmp_path)
+        assert r.returncode == OK, r.stderr
+        assert json.loads(r.stdout)["valid"] is True
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["poly:[1,0,0,0," + "9" * 4300 + "]", "binom:[" + "9" * 641 + ",1]"],
+        ids=["x^4-coefficient-4300-digits", "binomial-641-digits"],
+    )
+    def test_coefficient_beyond_the_bound_exits_64(self, tmp_path, literal):
+        # 1 + (10^4300 - 1) x^4 has the binomial coefficient
+        # 24 (10^4300 - 1), of 4302 digits: its certificate could not be
+        # written, and it is refused before any construction work
+        r = run_cli(
+            "construct", "--poly", literal, "--x", "300", "--out", "no.json", cwd=tmp_path,
+        )
+        assert r.returncode == USAGE
+        assert "Traceback" not in r.stderr and "more than 640 digits" in r.stderr
+        assert not (tmp_path / "no.json").exists()
+
+    @pytest.mark.parametrize("digits", [641, 10**6])
+    def test_stored_coefficient_beyond_the_bound_exits_64(self, workdir, digits):
+        # refused by its length, before int() converts any of it
+        with open(workdir / "cert.json") as fh:
+            obj = json.load(fh)
+        obj["poly"]["coeffs"][0] = "7" * digits
+        with open(workdir / "long-coeff.json", "w") as fh:
+            json.dump(obj, fh)
+        r = run_cli("verify", "long-coeff.json", cwd=workdir)
+        assert r.returncode == USAGE
+        assert "Traceback" not in r.stderr and "640-digit bound" in r.stderr
 
     @pytest.mark.parametrize("form", ["missing", "number", "list", "million-digits"])
     @pytest.mark.parametrize("field", ["N", "b1"])
@@ -288,7 +337,7 @@ class TestVerify:
         # [1, 10], while every value of both windows has a witness
         obj = {
             "poly": {"basis": "binomial", "coeffs": ["402198015172056204", "1", "2"]},
-            "params": {"x": 47, "delta": 0.5, "y": 11},
+            "params": {"x": 47, "y": 11},
             "seed": 0,
             "placement": {"N": "10", "b1": "-2"},
             "irreducibility": "proved",
@@ -321,12 +370,12 @@ class TestVerify:
     def test_non_finite_parameter_exits_64(self, workdir):
         with open(workdir / "cert.json") as fh:
             obj = json.load(fh)
-        obj["params"]["delta"] = float("nan")
+        obj["params"]["y"] = float("nan")
         with open(workdir / "nan.json", "w") as fh:
             json.dump(obj, fh)
         r = run_cli("verify", "nan.json", cwd=workdir)
         assert r.returncode == USAGE
-        assert "Traceback" not in r.stderr and "delta must lie in" in r.stderr
+        assert "Traceback" not in r.stderr and "expected a JSON integer, got nan" in r.stderr
 
     @pytest.mark.parametrize(
         "values,message",
@@ -338,10 +387,8 @@ class TestVerify:
             # the formula length at x = 8 is 11
             ({"x": 8, "y": 12}, "window length y = 12 outside [1, formula length 11]"),
             ({"y": 10**12}, "window length y = 1000000000000 outside [1, formula length"),
-            # beyond float range, and named by its leading digits
-            ({"delta": 10**400}, "within float range, got 1000000000"),
         ],
-        ids=["x-2^31", "x-2^40", "x-10^400", "y-0", "y-12-at-x-8", "y-10^12", "delta-10^400"],
+        ids=["x-2^31", "x-2^40", "x-10^400", "y-0", "y-12-at-x-8", "y-10^12"],
     )
     def test_out_of_range_parameter_exits_64(self, workdir, values, message):
         # a stored parameter out of range does not load: the message names
@@ -388,13 +435,11 @@ class TestVerify:
             (("poly", "coeffs", 0), " 1"),
             (("params", "x"), 300.7),
             (("params", "x"), "300"),
-            (("params", "delta"), "0.5"),
-            (("params", "delta"), True),
             (("seed",), "7"),
             (("version",), True),
         ],
         ids=["coeff-float", "coeff-bool", "coeff-padded", "x-float", "x-string",
-             "delta-string", "delta-bool", "seed-string", "version-bool"],
+             "seed-string", "version-bool"],
     )
     def test_field_in_another_form_exits_64(self, workdir, path, value):
         # each used to be coerced, and the certificate verified as valid

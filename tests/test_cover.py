@@ -62,7 +62,7 @@ def backward_class_scores(q, alphas, bwd_pos, n_target):
 
 
 class TestSieveParams:
-    # y = floor(x (log x)^delta), z = isqrt(y); the four rows were computed
+    # y = floor(x sqrt(log x)), z = isqrt(y); the four rows were computed
     # by hand from those formulas
     @pytest.mark.parametrize(
         "x,y,z",
@@ -94,11 +94,11 @@ class TestSieveParams:
         "kwargs",
         [
             {"x": 7},
-            {"x": 300, "delta": 0.0},
-            {"x": 300, "delta": 0.51},
-            {"x": 300, "delta": -0.1},
+            {"x": 300, "y_override": -1},
+            {"x": 10**4, "y_override": 30349},
+            {"x": 2000, "y_override": 5514},
             {"x": 2**31},
-            {"x": 300, "delta": math.nan},
+            {"x": -(2**31)},
             {"x": 2**40},
             {"x": 10**400},
             {"x": 300, "y_override": 0},
@@ -111,12 +111,9 @@ class TestSieveParams:
         with pytest.raises(ValueError):
             SieveParams(**kwargs)
 
-    def test_delta_shrinks_y(self):
-        assert SieveParams(x=2000, delta=0.25).y < SieveParams(x=2000, delta=0.5).y
-
     def test_json_round_trip(self):
-        p = SieveParams(x=500, delta=0.4).with_y(700)
-        assert p.to_json() == {"x": 500, "delta": 0.4, "y": 700}
+        p = SieveParams(x=500).with_y(700)
+        assert p.to_json() == {"x": 500, "y": 700}
         q = SieveParams.from_json(p.to_json())
         assert q == p
 

@@ -32,7 +32,11 @@ every y unchanged, when the certificate format became version 3: each
 certificate is the one before with its stage lists removed and its version
 3, since b1 determines every residue. A file that still carries a stage
 list, as well as xi and K, loads, writes the new bytes and verifies the
-same.
+same. Every case moved again, with every y unchanged, when the parameters
+lost delta, which only set the exponent of the formula y (now fixed at
+1/2) and of a radius the paper does not use: each certificate is the one
+before with `"delta":0.5,` removed. A file that still stores delta, in any
+form, loads, writes the new bytes and verifies the same.
 A change that moves one of them changes the certificate format or the
 construction, and must say so.
 
@@ -50,10 +54,10 @@ table over every prime up to x once more, with no cache, which each of
 them checks with a spy on the table builder.
 
 Run as a script (`PYTHONPATH=src python tests/test_golden.py`) to print the
-current digest of every case in GOLDEN, STATS_GOLDEN and VERIFY_GOLDEN with
-the achieved y of its certificate, ready to paste over those tables when a
-change moves them on purpose, and then each moved case's pinned digest next
-to its new one and its y.
+current digest of every case in GOLDEN, PARENT_FORMAT, STATS_GOLDEN and
+VERIFY_GOLDEN with the achieved y of its certificate, ready to paste over
+those tables when a change moves them on purpose, and then each moved
+case's pinned digest next to its new one and its y.
 """
 
 import csv
@@ -76,26 +80,26 @@ POLYS = {"x": [0, 1], "x^2+1": [1, 0, 1], "x^3+2": [2, 0, 0, 1]}
 
 # (poly, seed) for the default construction, (poly, seed, variant) otherwise
 GOLDEN = {
-    ("x", 7): "d97a4e7781357a8b841a8e18126be1af09fba14924fe4c3b7c4fa3ad4f1e6f00",
-    ("x^2+1", 7): "b68017b95bc8ad681d4d40740c9dd0fbc028a2443dfe3001d1693574a9393174",
-    ("x^3+2", 7): "b19cfac2ca91c9579b08db7c88a093d06fe7e02acd16715262f6f57dfe0ef636",
-    ("x", 8): "accda14c420c869c57ab4a761e16752d7b74fe0bc38972fe060ff9624c6657d2",
-    ("x^2+1", 8): "15239a66d58f400dc3b4572dd17c5be7ebff3278238a8babfa6fd36f90310783",
-    ("x^3+2", 8): "171f0e836618dd3d9c484b65d3e96d5ed602043cc3d412e6958c78d98d24f159",
-    ("x", 7, "x=1000"): "750fcd73c74f12024e15eb12e4901be8a050e04bb59f4f46d835c5c4a5f21cc2",
-    ("x^2+1", 7, "x=1000"): "89d8ef17333f0ca96f8b0f5dc1a3025c2016f1564295608988ef3e60a1e4510f",
-    ("x^3+2", 7, "x=1000"): "7e535358d3df6125cf8cddabf1279ce6f1b047e9aeec0e3340493e320c4ba75a",
-    ("x", 7, "x=10000"): "78d99dd9479a73f6893c64c817b5ccd76afa904849e4d741119a9551f70cfdd9",
-    ("x^2+1", 7, "x=10000"): "c41a5d482d63716634085f10b3777da9785d16d0d5ab4a52067345cfee1af368",
-    ("x^3+2", 7, "x=10000"): "73f97be1049719e7909221c0eb666bcc5a6c8e83b0334037ed1deaae8f1b67e2",
-    ("x", 7, "x=30000"): "5e85e26c6d1bb5b5973510ae4f2b9950aaa25555dc6429e522b71d91e6a24705",
-    ("x^2+1", 7, "x=30000"): "e379ad9a7e25684f12e8d85da101e735e5f67fc45a6c07003f25cc6cb580ba93",
-    ("x^3+2", 7, "x=30000"): "0e930133eb24c557471726899e43d25583c998567d89d9e884a187ac12e93634",
+    ("x", 7): "f7a418547c268847b40102894927fb365cddd2c9ea4d03fce54944194797fb68",
+    ("x^2+1", 7): "5c126633fe3c03122316e3637484f7dd9f68f549859435ead9a297ab3643b98e",
+    ("x^3+2", 7): "b8262229ef38f2687bfdaf6f843b925e4f0c1e903b4e8cccf75fe2993da68a3c",
+    ("x", 8): "8eaa814489fff21db8526c7456cfa6edcacbf72b5b92f7188dd745590539cdab",
+    ("x^2+1", 8): "e01e1b1a984b830d8e766df1338bf2ed2fe99c5b0d24001fcc51770d1def44c4",
+    ("x^3+2", 8): "bee172a32e7ac50ea92430f29b4a3e064ecd3c5e5f13d97368004d7f06b3702e",
+    ("x", 7, "x=1000"): "bc0632be35f4091998726b15fe7c54fec24c0c2fe529791a5cc93b1aa92b3277",
+    ("x^2+1", 7, "x=1000"): "20187f652cfb26504336e6e89cb6c465d8158792573c530ab141fd262e3ba25b",
+    ("x^3+2", 7, "x=1000"): "6c10014109ac180162c396676363fc8be888b700d0a5b3e08f7483bec3649762",
+    ("x", 7, "x=10000"): "becb4c2172ff333ab84cbf99e9d4383a137c84c12ab697b28e872cec0de39351",
+    ("x^2+1", 7, "x=10000"): "5504510311f7a8dbdc7020a8433555e2ca65fa6d848ed2f3ff5458fc7a0696ab",
+    ("x^3+2", 7, "x=10000"): "25d9852b22b251e7c8392fabca00d00b1977a9bdf9de15b3f75b12a4f55cce62",
+    ("x", 7, "x=30000"): "157a32f72c68cebfcb6c074e17c71404dbab68f73a63df71a2a6ed94c6e27749",
+    ("x^2+1", 7, "x=30000"): "8f0732e43afbd619baab0f6431ef1c4dbaf91ccb34b9c3a80d2571926c8f3afc",
+    ("x^3+2", 7, "x=30000"): "fd935a39470f6200940acbd49058dd3e0963a83ed28c2b5d73adbf10a4005824",
 }
 # sha256 of the x = 1000 certificates with the keys older files carry put
-# back (with_older_keys): xi = 2.0 and K = 8.0, which the parameters held
-# before they were dropped, and a stage list, in which version 2 stored
-# its residues
+# back (with_older_keys): delta = 0.5, xi = 2.0 and K = 8.0, which the
+# parameters held before they were dropped, and a stage list, in which
+# version 2 stored its residues
 PARENT_FORMAT = {
     "x": "f24f16cb44a0c94a0517320bc40f01b9af1ea6bbab127505126d02fa103876ed",
     "x^2+1": "3393fa244b88cc30af64d6d4a15aa80258fb723d9bfbd10d878ab44bde792991",
@@ -228,9 +232,9 @@ def test_verify_builds_its_table_without_a_cache(case, monkeypatch):
     assert x == VARIANTS[variant] and kwargs.get("cache_dir") is None
 
 
-def with_older_keys(cert) -> bytes:
+def with_older_keys(cert, delta=0.5) -> bytes:
     """The certificate's bytes with the keys older files carry put back:
-    xi = 2.0 and K = 8.0 between delta and y, and between seed and
+    delta, xi = 2.0 and K = 8.0 between x and y, and between seed and
     placement a stage list of [q, r] pairs (here b1's residues, one stage),
     as version 2 stored its residues."""
     obj = json.loads(cert.to_json_bytes())
@@ -239,8 +243,7 @@ def with_older_keys(cert) -> bytes:
                "assignments": [[q, r] for q, r in sorted(cert.residues().items())]}]
     older = {
         "poly": obj["poly"],
-        "params": {"x": params["x"], "delta": params["delta"], "xi": 2.0, "K": 8.0,
-                   "y": params["y"]},
+        "params": {"x": params["x"], "delta": delta, "xi": 2.0, "K": 8.0, "y": params["y"]},
         "seed": obj["seed"],
         "stages": stages,
         **{k: obj[k] for k in ("placement", "irreducibility", "version")},
@@ -250,31 +253,42 @@ def with_older_keys(cert) -> bytes:
 
 @pytest.mark.parametrize("name", sorted(POLYS))
 def test_certificate_with_xi_and_K_verifies_the_same(name):
-    # a file that still carries xi, K and a stage list: it loads, the keys
-    # ignored, writes the certificate's bytes, and its report keeps the
-    # pinned bytes
+    # a file that still carries delta, xi, K and a stage list: it loads, the
+    # keys ignored whatever delta holds, writes the certificate's bytes, and
+    # its report keeps the pinned bytes
     cert, _ = construct((name, 7, "x=1000"))
-    raw = with_older_keys(cert)
-    assert hashlib.sha256(raw).hexdigest() == PARENT_FORMAT[name]
-    loaded = ResidueCertificate.from_json_dict(json.loads(raw))
-    assert loaded.to_json_bytes() == cert.to_json_bytes()
-    report = verify_certificate(loaded)
-    assert report.valid
-    digest = hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode()).hexdigest()
-    assert digest == VERIFY_GOLDEN[name, "x=1000"]
+    assert hashlib.sha256(with_older_keys(cert)).hexdigest() == PARENT_FORMAT[name]
+    for delta in (0.5, 0.25, "0.5"):
+        loaded = ResidueCertificate.from_json_dict(json.loads(with_older_keys(cert, delta)))
+        assert loaded.to_json_bytes() == cert.to_json_bytes()
+        report = verify_certificate(loaded)
+        assert report.valid
+        digest = hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode())
+        assert digest.hexdigest() == VERIFY_GOLDEN[name, "x=1000"]
+
+
+def older_keys_digest(name) -> tuple[str, int]:
+    """The sha256 of the x = 1000, seed 7 certificate of the polynomial with
+    the older keys put back (with_older_keys), and its achieved y."""
+    cert, stats = construct((name, 7, "x=1000"))
+    return hashlib.sha256(with_older_keys(cert)).hexdigest(), stats.extras["achieved_y"]
 
 
 if __name__ == "__main__":
     moved = []
     for table, digest_of, what in ((GOLDEN, certificate_digest, "certificate"),
+                                   (PARENT_FORMAT, older_keys_digest, "older-keys certificate"),
                                    (STATS_GOLDEN, stats_csv_digest, "stats CSV"),
                                    (VERIFY_GOLDEN, verify_report_digest, "verify report")):
         for case in table:
-            key = ", ".join(json.dumps(part) for part in case)
+            # PARENT_FORMAT is keyed by the polynomial's name alone
+            parts = (case,) if isinstance(case, str) else case
+            key = ", ".join(json.dumps(part) for part in parts)
+            key = key if isinstance(case, str) else f"({key})"
             digest, y = digest_of(case)
-            print(f"    ({key}): {json.dumps(digest)},  # {what}, y = {y}")
+            print(f"    {key}: {json.dumps(digest)},  # {what}, y = {y}")
             if digest != table[case]:
-                name = "-".join(map(str, case))
+                name = "-".join(map(str, parts))
                 moved.append(f"{what} {name}: {table[case]} -> {digest} (y = {y})")
     print(f"{len(moved)} moved, pinned -> now:" if moved else "nothing moved")
     for line in moved:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import composite_forge.poly as poly_mod
 from composite_forge.poly import (
+    MAX_COEFF_DIGITS,
     MAX_DEGREE,
     IntPolynomial,
     irreducibility_check,
@@ -66,6 +67,20 @@ class TestFromMonomial:
         for make in (IntPolynomial, IntPolynomial.from_monomial):
             with pytest.raises(ValueError, match=f"degree {MAX_DEGREE + 1} exceeds"):
                 make((1, 0) + top[1:])
+
+    def test_coefficient_bound(self):
+        # 640 digits at most, either sign, and from JSON; the bound is on
+        # the binomial basis, so x^4 (10^640 - 1), whose binomial
+        # coefficient is 24 (10^640 - 1), is refused
+        big = 10**MAX_COEFF_DIGITS
+        assert IntPolynomial((1 - big, big - 1)).coeffs == (1 - big, big - 1)
+        for coeffs in ((big, 1), (-big, 1), (0, big)):
+            with pytest.raises(ValueError, match=f"more than {MAX_COEFF_DIGITS} digits"):
+                IntPolynomial(coeffs)
+        with pytest.raises(ValueError, match=f"more than {MAX_COEFF_DIGITS} digits"):
+            IntPolynomial.from_monomial([1, 0, 0, 0, big - 1])
+        with pytest.raises(ValueError, match=f"the {MAX_COEFF_DIGITS}-digit bound"):
+            IntPolynomial.from_json({"basis": "binomial", "coeffs": ["-" + "9" * 641, "1"]})
 
 
 class TestEval:

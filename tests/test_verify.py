@@ -862,8 +862,6 @@ LENIENT_FORMS = {
     "x-integral-float": (("params", "x"), lambda v: 300.0),
     "x-string": (("params", "x"), lambda v: "300"),
     "y-string": (("params", "y"), str),
-    "delta-string": (("params", "delta"), str),
-    "delta-bool": (("params", "delta"), lambda v: True),
     "seed-string": (("seed",), lambda v: "7"),
     "version-bool": (("version",), lambda v: True),
     "N-int": (("placement", "N"), int),
