@@ -491,8 +491,11 @@ class ResidueCertificate:
             raise ValueError(f"malformed certificate: {type(e).__name__}: {e}") from e
 
     def save(self, path: str) -> None:
+        """Write the certificate's bytes to path. They are made before the
+        file is opened, so a failed serialization leaves the file as it was."""
+        data = self.to_json_bytes()
         with open(path, "wb") as fh:
-            fh.write(self.to_json_bytes())
+            fh.write(data)
 
     @classmethod
     def load(cls, path: str) -> "ResidueCertificate":

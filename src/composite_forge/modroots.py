@@ -14,10 +14,10 @@ A small batch of degree 3 or more, its primes summing to at most SCAN_SPAN,
 takes the exhaustive scan (`_roots_scan`) when the companion's values below
 its largest prime fit int64: the primitive part of the companion is
 evaluated once at every residue, and each block of consecutive primes reads
-that one row of values and marks where p divides a value by one wrapping
-multiply and one compare (`_divisor_test`). Below that size the algebraic
-route's cost is mostly its count of numpy calls, which the scan does not
-pay.
+that one row of values, in 32-bit words while they fit, and marks where p
+divides a value by one wrapping multiply and one compare (`_divisor_test`).
+Below that size the algebraic route's cost is mostly its count of numpy
+calls, which the scan does not pay.
 
 Every other batch takes the algebraic route, on monic rows: the
 companion is divided by its content, and only a leading
@@ -37,10 +37,16 @@ row gcd and one exact division (`gf_div_rows`); the powers come from one
 (X + a)^((p-1)/2) kernel run, except that of a1, which w already is, so a
 first round that tries one shift per factor runs no kernel. Linear factors
 give their roots directly; the quadratic ones are solved together by the
-quadratic route at the end.
+quadratic route at the end. The rounds after the first serve only the tail,
+the rows that the first left a factor of degree 3 or more (for x^3 + 2,
+about a quarter of the rows with three roots). When the scan takes the
+tail's primes and its rows times its largest prime stay within SCAN_SPAN,
+the scan finds the tail's whole root sets instead, for fewer numpy calls
+than the rounds take; that fires from where whole cubic and quartic tables
+leave the scan to about x = 10^4 for cubics and 1.5 * 10^4 for x^4 + x + 1.
 `roots_mod_p` runs the algebraic route on a one-prime batch, whatever the
 prime; the test suite cross-checks it against an exhaustive scan of every
-residue, and the two routes against each other on the same primes.
+residue, and the routes against each other on the same primes.
 
 A quadratic first drops the primes where the discriminant D of its
 primitive part is a non-residue: when D != 0 and |D| is at most
@@ -52,6 +58,7 @@ square root or an inverse.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import itertools
@@ -91,12 +98,14 @@ CHARACTER_SPAN = 4
 
 # a batch of degree 3 or more whose primes sum to at most SCAN_SPAN takes the
 # residue scan, when the values it scans fit int64. Timed against the
-# algebraic route on the same rows (2-vCPU x86 host, numpy 2.4, interleaved,
-# medians of 41; `python tests/test_modroots.py crossover`), the scan took
-# 0.16-0.29 of its time at x = 1500 for x^3 + 2, x^3 - 3x + 1 and
-# x^4 + x + 1, 0.47-0.56 at 3000, 0.58-0.76 at 4000 and 0.88-1.15 at 6000
-# (the README has the table); x^3 + 2 breaks even near x = 5500. 2^20 is
-# about x = 4050
+# algebraic route on the same rows, its tail rule included (2-vCPU x86 host,
+# numpy 2.4, interleaved, medians of 41; `python tests/test_modroots.py
+# crossover`), the scan took 0.19-0.26 of its time at x = 1500 for x^3 + 2,
+# x^3 - 3x + 1 and x^4 + x + 1, 0.48-0.65 at 3000, 0.66-0.90 at 4000 and
+# 0.93-1.26 at 6000 (the README has the table); x^3 + 2 breaks even near
+# x = 4600. 2^20 is about x = 4050. The algebraic route scans the tail that
+# its first splitting round leaves when the tail's rows times its largest
+# prime are at most SCAN_SPAN (`_roots_algebraic`)
 SCAN_SPAN = 2**20
 # cells per block of the scan, primes times the largest of them: its
 # temporaries stay this long. Timed the same way for those three tables,
@@ -156,7 +165,13 @@ def _roots_algebraic(comp: tuple[int, ...], ps: np.ndarray) -> tuple[np.ndarray,
     """The root count of the companion mod each prime p in `ps`, and
     every root in prime order, ascending within its prime; every p exceeds
     the degree and does not divide the leading coefficient, so the
-    reduction keeps the full degree."""
+    reduction keeps the full degree. The tail, the rows that the first
+    splitting round leaves a factor of degree 3 or more, is scanned
+    (`_roots_scan`) when `_scans` takes its primes and its rows times its
+    largest prime are at most SCAN_SPAN: what the round found for those
+    rows is dropped, since a quartic's round can split a row partly, and
+    the scan gives their whole root sets. Otherwise the rounds go on. The
+    rule is checked once: the later rounds, on fewer rows, are cheap."""
     d = len(comp) - 1
     n = len(ps)
     # the companion's primitive part: a prime of the content divides the
@@ -194,7 +209,7 @@ def _roots_algebraic(comp: tuple[int, ...], ps: np.ndarray) -> tuple[np.ndarray,
     rows, hs, shift = np.arange(n), gf_gcd_rows(xp, monic, ps), np.ones(n, dtype=np.int64)
     found: list[tuple[np.ndarray, np.ndarray]] = []  # (rows, roots)
     quads: list[tuple[np.ndarray, np.ndarray]] = []  # (rows, quadratic factors)
-    while True:
+    for done in itertools.count():
         k = gf_degree_rows(hs)
         linear, quad, big = k == 1, k == 2, k >= 3
         at = rows[linear]
@@ -203,6 +218,21 @@ def _roots_algebraic(comp: tuple[int, ...], ps: np.ndarray) -> tuple[np.ndarray,
         rows, hs, shift, k = rows[big], hs[big], shift[big], k[big]
         if not len(rows):
             break
+        if done == 1:
+            # the tail, after round 1: what that round found for its rows
+            # goes, and the scan gives their roots; the gcd's entries hold
+            # none of them, since their g was of degree 3 or more
+            tail = np.zeros(n, dtype=bool)
+            tail[rows] = True
+            at = np.flatnonzero(tail)
+            q = ps[at]
+            if len(q) * int(q[-1]) <= SCAN_SPAN and _scans(comp, q):
+                for parts in (found, quads):
+                    r, v = parts[-1]
+                    parts[-1] = r[~tail[r]], v[~tail[r]]
+                k, roots = _roots_scan(comp, q)
+                found.append((np.repeat(at, k), roots))
+                break
         # one splitting round: each pending h tries m shifts a, one
         # candidate row each, taking gcd((X + a)^((p-1)/2) - 1, h).
         # Two distinct roots r, s are separated once (r + a)/(s + a) is a
@@ -280,37 +310,48 @@ def _divisor_test(q: np.ndarray, width: type) -> tuple[np.ndarray, np.ndarray]:
 def _roots_scan(comp: tuple[int, ...], ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """What `_roots_algebraic` returns, by an exhaustive scan of the
     residues: |v(t)|, for the primitive part v of the companion, is taken
-    once, exactly in int64, at every t below the largest row prime, and held
-    in k-bit words, k = 32 when every value is below 2^32 and 64 otherwise.
-    The primes go in blocks of consecutive primes, each at most SCAN_BLOCK
-    cells of primes times its largest prime w (a longer prime alone). A
-    block reads the one row |v(t)|, t < w, marks p | v(t) by one multiply
-    and compare (`_divisor_test`; every row prime is odd, since 2 <= deg f
-    is never a row), and takes its hits off one flatnonzero, in prime order
-    and ascending within a prime; a hit at t >= p pads the row and is
-    dropped. `_scans` tells when the values fit int64."""
+    once, exactly in int64, at every t below the largest row prime. The
+    primes go in blocks of consecutive primes, each at most SCAN_BLOCK cells
+    of primes times its largest prime w (a longer prime alone). A block
+    reads the one row |v(t)|, t < w, in k-bit words, k = 32 when w is at
+    most the first t with |v(t)| >= 2^32 and 64 otherwise, marks p | v(t)
+    by one multiply and compare (`_divisor_test`, taken once per width for
+    the primes of its blocks; every row prime is odd, since 2 <= deg f is
+    never a row), and takes its hits off one flatnonzero, in prime order and
+    ascending within a prime; a hit at t >= p pads the row and is dropped.
+    `_scans` tells when the values fit int64."""
     content = math.gcd(*comp)
     t = np.arange(int(ps.max(initial=0)), dtype=np.int64)
     values = np.zeros_like(t)
     for c in reversed(comp):
         values = values * t + c // content
     row = np.abs(values).astype(np.uint64)
-    if row.max(initial=0) < 2**32:
-        row = row.astype(np.uint32)
-    inverse, threshold = _divisor_test(ps, row.dtype.type)
-    counts, flat = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    i, n = 0, len(ps)
+    # the blocks, (start, end) index pairs, and their largest primes: the
+    # most primes from a start on whose count times the largest of them
+    # stays within SCAN_BLOCK, and at least one
+    blocks, tops, i, n = [], [], 0, len(ps)
     while i < n:
-        # the most primes from i on whose count times the largest of them
-        # stays within SCAN_BLOCK, and at least one
         j = i + max(1, int(np.searchsorted(np.arange(1, n - i + 1) * ps[i:], SCAN_BLOCK, side="right")))
-        w = int(ps[j - 1])
-        hit = np.flatnonzero(row[:w] * inverse[i:j, None] <= threshold[i:j, None])
-        k, at = np.divmod(hit, w)
-        keep = at < ps[i:j][k]
-        counts.append(np.bincount(k[keep], minlength=j - i))
-        flat.append(at[keep])
+        blocks.append((i, j))
+        tops.append(int(ps[j - 1]))
         i = j
+    # the blocks whose largest prime is at most the first t with
+    # |v(t)| >= 2^32 read 32-bit words, the others 64-bit ones
+    first = int(np.argmax(row >= 2**32)) if row.max(initial=0) >= 2**32 else len(row)
+    cut = bisect.bisect_right(tops, first)
+    counts, flat = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for width, b0, b1 in ((np.uint32, 0, cut), (np.uint64, cut, len(blocks))):
+        if b0 == b1:
+            continue
+        lo, hi = blocks[b0][0], blocks[b1 - 1][1]
+        inverse, threshold = _divisor_test(ps[lo:hi], width)
+        words = row[: tops[b1 - 1]].astype(width, copy=False)
+        for (i, j), w in zip(blocks[b0:b1], tops[b0:b1]):
+            hit = np.flatnonzero(words[:w] * inverse[i - lo : j - lo, None] <= threshold[i - lo : j - lo, None])
+            k, at = np.divmod(hit, w)
+            keep = at < ps[i:j][k]
+            counts.append(np.bincount(k[keep], minlength=j - i))
+            flat.append(at[keep])
     return np.concatenate(counts), np.concatenate(flat)
 
 
@@ -320,8 +361,8 @@ def roots_mod_p(f: IntPolynomial, p: int) -> tuple[int, ...]:
     Empty for p <= degree or p dividing the leading coefficient: those
     primes carry no usable congruence information for the sieve. It is
     the per-prime hook of the table builder's algebraic route, run on a
-    one-prime batch, never the scan, so p must stay below ROW_PRIME_BOUND
-    (2^31) like every prime of a table.
+    one-prime batch (its tail may be scanned, never the whole batch), so p
+    must stay below ROW_PRIME_BOUND (2^31) like every prime of a table.
     """
     if p >= ROW_PRIME_BOUND:
         raise ValueError(f"roots_mod_p needs p below {ROW_PRIME_BOUND}")

@@ -458,6 +458,24 @@ class TestCertificateSerialization:
         cert.save(str(path))
         assert ResidueCertificate.load(str(path)).to_json_bytes() == cert.to_json_bytes()
 
+    def test_failed_save_leaves_the_old_file(self, tmp_path, monkeypatch):
+        # the bytes are made before the file is opened: a serialization that
+        # raises leaves the previous certificate, or no file at all
+        cert = toy_certificate()
+        path = tmp_path / "cert.json"
+        cert.save(str(path))
+        old = path.read_bytes()
+
+        def broken(self):
+            raise ValueError("no bytes")
+
+        monkeypatch.setattr(ResidueCertificate, "to_json_bytes", broken)
+        for target in (path, tmp_path / "new.json"):
+            with pytest.raises(ValueError, match="no bytes"):
+                cert.save(str(target))
+        assert path.read_bytes() == old
+        assert not (tmp_path / "new.json").exists()
+
     def test_modulus_and_b(self):
         assert crt_combine(toy_certificate().residues()) == (209, 210)
 

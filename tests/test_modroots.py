@@ -98,9 +98,12 @@ def oracle_roots(f, p):
 # character's period is even), x^2 + x + 41 (D = -163) and (x + 1)^2
 # (D = 0, no character). The five after those were recorded before tables
 # of degree 3 or more whose primes sum to at most SCAN_SPAN (then 2^18) came
-# to be scanned, and fall inside that span. The last three were recorded, by the
-# algebraic route, before SCAN_SPAN went from 2^18 to 2^20, and fall inside
-# the new span. `PYTHONPATH=src python tests/test_modroots.py`
+# to be scanned, and fall inside that span. The three after those were
+# recorded, by the algebraic route, before SCAN_SPAN went from 2^18 to 2^20,
+# and fall inside the new span. The last, x^4 + x + 1 at 10^4, was recorded
+# before the algebraic route came to scan the rows that its first splitting
+# round leaves a factor of degree 3 or more, a rule that fires there (so
+# does it for x^3 + 2 at 10^4). `PYTHONPATH=src python tests/test_modroots.py`
 # prints every digest as the code gives it next to the pinned one
 CACHE_PINS = {
     "x^2+1-1e4": ("poly:[1,0,1]", "b722c907e6afc0c1ea57f930b430702bba31ebdd0cd1d3dd8e742ae4e648a854", 10**4),
@@ -124,6 +127,7 @@ CACHE_PINS = {
     "x^3+2-3000": ("poly:[2,0,0,1]", "bbe0f0a2ab258a96a4738b6d80789920782856ec50a447ab622fbf2ce955689c", 3000),
     "x^4+x+1-4000": ("poly:[1,1,0,0,1]", "e81e0b3c2bbd91b3e5618688c75de9f604aaed66b5cb4f2fcf4abe06df88a40e", 4000),
     "x^3-3x+1-4000": ("poly:[1,-3,0,1]", "cb1d254a0ad3139603d5539354fdf568ca0b9f1586e1ba6787847fd495e88725", 4000),
+    "x^4+x+1-1e4": ("poly:[1,1,0,0,1]", "faa7ee41ee2ae8392dd55d1f0ac87e85deda8040b80330203c423ac03b4ac4ab", 10**4),
 }
 
 
@@ -803,14 +807,20 @@ class TestBatchedRoute:
     def test_rows_match_the_scan_oracle(self, case):
         f, primes = case
         comp = f.companion()
-        # a prime dividing the leading coefficient is no row of a batch
+        # a prime dividing the leading coefficient is no row of a batch; the
+        # rows that the first splitting round leaves whole are scanned, and
+        # with SCAN_SPAN at 0 split by the later rounds
         batch = [p for p in primes if comp[-1] % p]
-        counts, flat = _roots_algebraic(comp, np.array(batch, dtype=np.int64))
-        assert len(counts) == len(batch) and counts.sum() == len(flat)
-        ends = np.cumsum(counts).tolist()
-        rows = {p: tuple(flat[e - k : e].tolist()) for p, k, e in zip(batch, counts.tolist(), ends)}
+        for span in (modroots_mod.SCAN_SPAN, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(modroots_mod, "SCAN_SPAN", span)
+                counts, flat = _roots_algebraic(comp, np.array(batch, dtype=np.int64))
+            assert len(counts) == len(batch) and counts.sum() == len(flat)
+            ends = np.cumsum(counts).tolist()
+            rows = {p: tuple(flat[e - k : e].tolist()) for p, k, e in zip(batch, counts.tolist(), ends)}
+            for p in primes:
+                assert rows.get(p, ()) == oracle_roots(f, p), (f, p, span)
         for p in primes:
-            assert rows.get(p, ()) == oracle_roots(f, p), (f, p)
             assert roots_mod_p(f, p) == oracle_roots(f, p), (f, p)
 
     def test_fully_split_sextic(self):
@@ -1245,6 +1255,75 @@ class TestScanRoute:
         for p in map(int, natural.primes):
             assert roots_of(natural, p) == oracle_roots(f, p), p
 
+    @given(
+        coeffs=st.integers(3, 4).flatmap(lambda d: st.lists(st.integers(-40, 40), min_size=d, max_size=d)),
+        lead=st.integers(1, 40),
+        limit=st.integers(5000, 15000),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_routes_agree_where_the_tail_is_scanned(self, coeffs, lead, limit):
+        # cubics and quartics where whole tables take the algebraic route
+        # and the rows its first splitting round leaves whole may be scanned:
+        # the table is the one the kernel rounds alone give, and a scanned
+        # tail row holds the oracle's roots
+        f = IntPolynomial.from_monomial(coeffs + [lead])
+        with pytest.MonkeyPatch.context() as mp:
+            tails = self.spy_tails(mp)
+            natural = build_root_table(f, limit)
+            mp.setattr(modroots_mod, "SCAN_SPAN", 0)
+            self.assert_same_table(natural, build_root_table(f, limit))
+        for q in tails:
+            for p in q:
+                assert roots_of(natural, p) == oracle_roots(f, p), p
+
+    @pytest.mark.parametrize(
+        "literal, limit",
+        [
+            ("poly:[2,0,0,1]", 5000),
+            ("poly:[2,0,0,1]", 10**4),
+            ("poly:[1,-3,0,1]", 5000),
+            ("poly:[1,-3,0,1]", 10**4),
+            ("poly:[1,1,0,0,1]", 5000),
+            ("poly:[1,1,0,0,1]", 10**4),
+            ("poly:[1,1,0,0,1]", 15000),
+        ],
+    )
+    def test_tail_rows_are_scanned(self, literal, limit, monkeypatch):
+        # the algebraic route takes the table, then the scan the rows that
+        # its first round left a factor of degree 3 or more; a quartic's
+        # round can split a row partly, one root off three, and what it
+        # found for such a row is dropped for the scan's whole root set
+        f = parse_poly_literal(literal)
+        tails = self.spy_tails(monkeypatch)
+        table = build_root_table(f, limit)
+        monkeypatch.setattr(modroots_mod, "SCAN_SPAN", 0)
+        self.assert_same_table(table, build_root_table(f, limit))
+        (tail,) = tails
+        partly = 0
+        for p in tail:
+            roots = oracle_roots(f, p)
+            assert roots_of(table, p) == roots and len(roots) >= 3, p
+            # the roots that round 1's shift a1 sends to one side of its cut
+            a1 = modroots_mod.SHIFT_STEP % p
+            side = {pow(r + a1, (p - 1) // 2, p) == 1 for r in roots}
+            partly += len(side) == 2
+        assert bool(partly) == (f.degree == 4), partly
+
+    @staticmethod
+    def spy_tails(mp):
+        """Record, in the list returned, the primes (as ints) of each scan
+        that a table build runs: from x = 5000 on, where no whole table of
+        degree 3 or more is scanned, those of the algebraic route's tail."""
+        tails = []
+        scan = modroots_mod._roots_scan
+
+        def spy(comp, ps):
+            tails.append(ps.tolist())
+            return scan(comp, ps)
+
+        mp.setattr(modroots_mod, "_roots_scan", spy)
+        return tails
+
     @pytest.mark.parametrize(
         "literal, limit, width",
         [
@@ -1263,20 +1342,60 @@ class TestScanRoute:
         ],
     )
     def test_word_width_by_the_largest_value(self, literal, limit, width, monkeypatch):
-        widths = []
-
-        def spy(q, w):
-            widths.append(w)
-            return _divisor_test(q, w)
-
-        monkeypatch.setattr(modroots_mod, "_divisor_test", spy)
+        # `width` is that of the block of the largest prime
         f = parse_poly_literal(literal)
+        widths = self.spy_widths(monkeypatch)
         (alg, scan), taken = self.forced_tables(monkeypatch, f, limit)
         assert taken == ["_roots_algebraic", "_roots_scan"]
-        assert widths == [width]
+        assert widths[-1][0] == width
+        self.assert_word_widths(f, widths, scan)
         self.assert_same_table(alg, scan)
         for p in map(int, scan.primes):
             assert roots_of(scan, p) == oracle_roots(f, p), p
+
+    @pytest.mark.parametrize("literal", ["poly:[2,0,0,1]", "poly:[1,-3,0,1]"])
+    @pytest.mark.parametrize("limit", [2000, 3000])
+    def test_tables_across_the_32_bit_edge(self, literal, limit, monkeypatch):
+        # both cubics pass 2^32 at t = 1626: the blocks below it read 32-bit
+        # words, the rest 64-bit ones, and the table is the algebraic one
+        f = parse_poly_literal(literal)
+        widths = self.spy_widths(monkeypatch)
+        (alg, scan), taken = self.forced_tables(monkeypatch, f, limit)
+        assert taken == ["_roots_algebraic", "_roots_scan"]
+        assert [w for w, _ in widths] == [np.uint32, np.uint64]
+        assert max(widths[0][1]) < 1626 < max(widths[1][1])
+        self.assert_word_widths(f, widths, scan)
+        self.assert_same_table(alg, scan)
+        for p in map(int, scan.primes):
+            assert roots_of(scan, p) == oracle_roots(f, p), p
+
+    @staticmethod
+    def spy_widths(mp):
+        """Record, in the list returned, the word width and the primes of
+        each divisor test that the scan takes."""
+        widths = []
+
+        def spy(q, w):
+            widths.append((w, q.tolist()))
+            return _divisor_test(q, w)
+
+        mp.setattr(modroots_mod, "_divisor_test", spy)
+        return widths
+
+    @staticmethod
+    def assert_word_widths(f, widths, table):
+        """Every row prime is tested once, in order, at most one run per
+        width; the 32-bit run holds only primes up to the first t with
+        |v(t)| >= 2^32, for the primitive part v of f's companion, and the
+        64-bit run follows it."""
+        comp = f.companion()
+        v = [c // math.gcd(*comp) for c in comp]
+        first = next((t for t in range(int(table.primes[-1])) if abs(sum(c * t**i for i, c in enumerate(v))) >= 2**32), None)
+        rows = [int(p) for p in table.primes if p > f.degree and comp[-1] % p]
+        assert [q for _, ps in widths for q in ps] == rows
+        assert [w for w, _ in widths] in ([np.uint32], [np.uint64], [np.uint32, np.uint64])
+        if widths[0][0] == np.uint32 and first is not None:
+            assert max(widths[0][1]) <= first
 
     def test_values_at_the_int64_edge(self, monkeypatch):
         # c x^3 + 1 with c * 997^3 + 1 just below 2^63 (997, the largest
@@ -1306,7 +1425,9 @@ class TestScanRoute:
     def test_route_by_span_and_degree(self, monkeypatch):
         # below the span a cubic is scanned and a quadratic is not; the
         # cubic's table is scanned up to the last prime that keeps its rows'
-        # sum within the span, and not from the next prime on
+        # sum within the span, and not from the next prime on. The route is
+        # the one roots_mod_primes picks, the first of a build: an algebraic
+        # table may scan its tail after that
         cubic = IntPolynomial.from_monomial([2, 0, 0, 1])
         taken = self.spy_routes(monkeypatch)
         build_root_table(IntPolynomial.from_monomial([1, 0, 1]), 1000)
@@ -1314,8 +1435,9 @@ class TestScanRoute:
         rows = sieve_primes(6000)[2:]  # the rows of x^3 + 2, all but 2 and 3
         last = int(np.searchsorted(np.cumsum(rows), modroots_mod.SCAN_SPAN, side="right")) - 1
         for limit, route in ((1000, "_roots_scan"), (int(rows[last]), "_roots_scan"), (int(rows[last + 1]), "_roots_algebraic")):
+            taken.clear()
             build_root_table(cubic, limit)
-            assert taken[-1] == route, limit
+            assert taken[0] == route, limit
 
 
 class TestCache:
@@ -1534,7 +1656,8 @@ def kernel_costs(f, limit, repeats=5):
     warm build_root_table(f, limit), and the seconds of the whole build, each
     the median over `repeats` builds after a first one. The runs are the scan,
     or else the Frobenius ladder, the first gcd, each splitting round's
-    ladder, gcd and division (round r), and the quadratic factors."""
+    ladder, gcd and division (round r), the scan of the tail where it is
+    scanned, and the quadratic factors."""
     runs = []
 
     def timed(fn):
@@ -1624,6 +1747,39 @@ def crossover_table(cases=CROSSOVER_CASES, repeats=41):
             print(f"{name:9} {limit:>6} {int(ps.sum()):>9} {scan * 1e3:8.3f} {alg * 1e3:8.3f} {scan / alg:6.2f}", flush=True)
 
 
+# The polynomials and limits of tail_table: those of kernel_cost_table, from
+# the first limit whose whole table leaves the scan to past the last one
+# whose tail the scan takes
+TAIL_CASES = {name: (coeffs, (5000, 10**4, 15000, 2 * 10**4, 3 * 10**4)) for name, coeffs in COST_POLYS.items()}
+
+
+def tail_table(cases=TAIL_CASES, repeats=41):
+    """Print, for each f and limit, the rows whose roots the algebraic
+    route takes from the scan after its first splitting round (0 when the
+    tail rule does not fire), the median milliseconds of the route with the
+    rule and without it (SCAN_SPAN at 0), the two run interleaved `repeats`
+    times, and their ratio, with over without."""
+    print(f"{'f':9} {'x':>6} {'tail':>5} {'with ms':>8} {'off ms':>8} {'ratio':>6}")
+    scan, span = modroots_mod._roots_scan, modroots_mod.SCAN_SPAN
+    for name, (coeffs, limits) in cases.items():
+        for limit in limits:
+            comp, ps = batch_rows(IntPolynomial.from_monomial(coeffs), limit)
+            tail = [0]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(modroots_mod, "_roots_scan", lambda comp, q: tail.append(len(q)) or scan(comp, q))
+                _roots_algebraic(comp, ps)
+            times = [[], []]
+            with pytest.MonkeyPatch.context() as mp:
+                for _ in range(repeats):
+                    for cap, ts in zip((span, 0), times):
+                        mp.setattr(modroots_mod, "SCAN_SPAN", cap)
+                        t = time.perf_counter()
+                        _roots_algebraic(comp, ps)
+                        ts.append(time.perf_counter() - t)
+            on, off = (float(np.median(ts)) for ts in times)
+            print(f"{name:9} {limit:>6} {tail[-1]:>5} {on * 1e3:8.3f} {off * 1e3:8.3f} {on / off:6.2f}", flush=True)
+
+
 if __name__ == "__main__":
     import sys
     import tempfile
@@ -1633,6 +1789,7 @@ if __name__ == "__main__":
         sys.exit()
     if sys.argv[1:] == ["crossover"]:
         crossover_table()
+        tail_table()
         sys.exit()
     moved = []
     for name, (literal, pinned, limit) in CACHE_PINS.items():
